@@ -14,42 +14,7 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
-__all__ = ["levin_u", "dm_extrapolate", "richardson", "pick_plateau"]
-
-
-def levin_u(partial_sums, dps_hi: int, beta: int = 1):
-    """Classic Levin u-transform estimates u_k^(0) for k = 1, 2, ...
-
-    Returns the list of successive column heads; the caller judges a plateau.
-    """
-    with mp.workdps(dps_hi):
-        s = [mp.mpf(x) for x in partial_sums]
-        a = [s[0]] + [s[i] - s[i - 1] for i in range(1, len(s))]
-        n_usable = len(s)
-        num, den = [], []
-        for n in range(n_usable):
-            om = (beta + n) * a[n]
-            if om == 0:
-                n_usable = n
-                break
-            num.append(s[n] / om)
-            den.append(1 / om)
-        ests = []
-        for k in range(1, n_usable):
-            for n in range(n_usable - k):
-                if k == 1:
-                    fac = mpf(1)
-                else:
-                    fac = (
-                        (beta + n)
-                        * mpf(beta + n + k - 1) ** (k - 2)
-                        / mpf(beta + n + k) ** (k - 1)
-                    )
-                num[n] = num[n + 1] - fac * num[n]
-                den[n] = den[n + 1] - fac * den[n]
-            if den[0] != 0:
-                ests.append(+(num[0] / den[0]))
-        return ests
+__all__ = ["dm_extrapolate", "richardson", "pick_plateau"]
 
 
 def dm_extrapolate(

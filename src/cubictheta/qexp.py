@@ -23,9 +23,6 @@ __all__ = [
     "eta_quotient",
     "lambert_series",
     "f_coefficients",
-    "mul",
-    "substitute_power",
-    "q_differentiate",
     "dump_lines",
 ]
 
@@ -42,18 +39,18 @@ class QSeries:
     0 <= e <= order and unknown beyond.  Instances are immutable.
     """
 
-    __slots__ = ("d", "coeffs", "_allint")
+    __slots__ = ("d", "coeffs")
 
     def __init__(self, d: int, coeffs: list):
         if d not in (1, 3):
             raise ValueError(f"unsupported exponent denominator {d}")
         if not coeffs:
             raise ValueError("empty coefficient list")
+        coeffs = list(coeffs)
+        if not all(issubclass(t, (int, Fraction)) for t in set(map(type, coeffs))):
+            raise TypeError("coefficients must be int or Fraction")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coeffs", list(coeffs))
-        object.__setattr__(
-            self, "_allint", all(type(c) is int for c in self.coeffs)
-        )
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *_):
         raise AttributeError("QSeries is immutable")
@@ -129,8 +126,7 @@ class QSeries:
     def __mul__(self, other):
         if isinstance(other, QSeries):
             a, b, n = self._unify(self, other)
-            allint = a._allint and b._allint
-            return QSeries(a.d, kernels.conv_trunc(a.coeffs, b.coeffs, n, allint))
+            return QSeries(a.d, kernels.conv_trunc(a.coeffs, b.coeffs, n))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -199,24 +195,7 @@ class QSeries:
         return QSeries(self.d, out)
 
 
-# -- module-level operation aliases ---------------------------------------
-
-
-def mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
-
-
-def substitute_power(a: QSeries, k: int) -> QSeries:
-    return a.substitute_power(k)
-
-
-def q_differentiate(a: QSeries) -> QSeries:
-    return a.q_differentiate()
-
-
 # -- lattice enumeration ---------------------------------------------------
-
-_NUMPY_CUTOFF = 20_000
 
 
 def _counts_hexagonal(n: int):
@@ -226,37 +205,20 @@ def _counts_hexagonal(n: int):
     |x|, |y| <= ceil(sqrt(2n)) is provably exhaustive.
     """
     B = math.isqrt(2 * n) + 1
-    c0 = [0] * (n + 1)
-    c1 = [0] * (n + 1)
-    c2 = [0] * (n + 1)
-    if n > _NUMPY_CUTOFF:
-        ys = np.arange(-B, B + 1, dtype=np.int64)
-        buckets = (
-            np.zeros(n + 1, dtype=np.int64),
-            np.zeros(n + 1, dtype=np.int64),
-            np.zeros(n + 1, dtype=np.int64),
-        )
-        for x in range(-B, B + 1):
-            m = x * x + x * ys + ys * ys
-            sel = m <= n
-            ms = m[sel]
-            cls = (x - ys[sel]) % 3
-            for r in range(3):
-                np.add.at(buckets[r], ms[cls == r], 1)
-        return buckets[0].tolist(), buckets[1].tolist(), buckets[2].tolist()
+    ys = np.arange(-B, B + 1, dtype=np.int64)
+    buckets = (
+        np.zeros(n + 1, dtype=np.int64),
+        np.zeros(n + 1, dtype=np.int64),
+        np.zeros(n + 1, dtype=np.int64),
+    )
     for x in range(-B, B + 1):
-        xx = x * x
-        for y in range(-B, B + 1):
-            m = xx + x * y + y * y
-            if m <= n:
-                r = (x - y) % 3
-                if r == 0:
-                    c0[m] += 1
-                elif r == 1:
-                    c1[m] += 1
-                else:
-                    c2[m] += 1
-    return c0, c1, c2
+        m = x * x + x * ys + ys * ys
+        sel = m <= n
+        ms = m[sel]
+        cls = (x - ys[sel]) % 3
+        for r in range(3):
+            np.add.at(buckets[r], ms[cls == r], 1)
+    return buckets[0].tolist(), buckets[1].tolist(), buckets[2].tolist()
 
 
 def _counts_shifted(n_grid: int):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -89,15 +90,9 @@ def test_theta_c_leading_term():
     assert all(c.coeffs[e] == 0 for e in range(len(c.coeffs)) if e % 3 != 1)
 
 
-def test_theta_numpy_and_loop_paths_agree():
-    loop = qexp._counts_hexagonal(30)
-    forced = qexp._NUMPY_CUTOFF
-    try:
-        qexp._NUMPY_CUTOFF = 1
-        vec = qexp._counts_hexagonal(30)
-    finally:
-        qexp._NUMPY_CUTOFF = forced
-    assert loop == vec
+def test_counts_hexagonal_matches_brute_force():
+    for n in (30, 300):
+        assert qexp._counts_hexagonal(n) == tuple(brute_class_counts(n))
 
 
 # -- QSeries arithmetic -----------------------------------------------------------
@@ -157,6 +152,12 @@ def test_immutability():
     s = QSeries(1, [1])
     with pytest.raises(AttributeError):
         s.d = 3
+
+
+@pytest.mark.parametrize("inexact", [0.5, np.int64(1)], ids=["float", "numpy_int64"])
+def test_inexact_coefficients_rejected(inexact):
+    with pytest.raises(TypeError):
+        QSeries(1, [1, inexact])
 
 
 small_series = st.lists(st.integers(-9, 9), min_size=1, max_size=10).map(

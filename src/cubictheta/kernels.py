@@ -4,9 +4,11 @@
 identity check.  ``conv_trunc`` uses Kronecker substitution (Schönhage 1982;
 Harvey, J. Symbolic Comput. 44, 2009): each coefficient list is packed into
 one Python int, so a single big-int product yields every coefficient
-exactly.  ``py_conv_trunc`` is the schoolbook loop, kept as the reference the
-tests compare against; nothing in the library calls it.  No part of this
-module is compiled, so ``BACKEND`` is always ``"python"``.
+exactly.  ``hyper`` also uses it, on int images of the terms, for the Kampe
+de Feriet anti-diagonal sums.  ``py_conv_trunc`` is the schoolbook loop,
+kept as the reference the tests compare against; nothing in the library
+calls it.  No part of this module is compiled, so ``BACKEND`` is always
+``"python"``.
 """
 
 from __future__ import annotations

@@ -90,7 +90,6 @@ def l_mellin(n: int, prec: Precision, split_scale: float = 1.0) -> SeriesResult:
     """L(f, n) by the split Mellin integral; the rigorous route for n = 1, 2, 3."""
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
-    t0 = time.perf_counter()
     with mp.workdps(prec.dps + 15):
         u0 = mpmathify(split_scale) / mp.sqrt(3)
         fac = (2 * mp.pi) ** n / (3 * math.factorial(n - 1))
@@ -110,9 +109,7 @@ def l_mellin(n: int, prec: Precision, split_scale: float = 1.0) -> SeriesResult:
         hi = quad_de(high, tol, prec, two_arg=True)
         val = fac * (lo.value + hi.value)
         err = fac * (lo.err_estimate + hi.err_estimate) + prec.tol() / 4
-        out = SeriesResult(val, err, lo.terms_used + hi.terms_used, "integral")
-    out.seconds = time.perf_counter() - t0
-    return out
+        return SeriesResult(val, err, lo.terms_used + hi.terms_used, "integral")
 
 
 # -- Dirichlet route ------------------------------------------------------------
@@ -127,7 +124,6 @@ def l_dirichlet(N: int) -> SeriesResult:
     """
     if N < 1000:
         raise ValueError("N must be at least 10^3")
-    t0 = time.perf_counter()
     coeffs = qexp.f_coefficients(N).coeffs
     checkpoints = sorted({N // 2, 3 * N // 4, N})
     sums = {}
@@ -149,9 +145,7 @@ def l_dirichlet(N: int) -> SeriesResult:
         for i in range(len(tab) - k):
             tab[i] = (tab[i + 1] * xs[i] - tab[i] * xs[i + k]) / (xs[i] - xs[i + k])
     tail_estimate = abs(tab[0] - ys[-1])
-    out = SeriesResult(mpf(acc), mpf(tail_estimate), N, "direct")
-    out.seconds = time.perf_counter() - t0
-    return out
+    return SeriesResult(mpf(acc), mpf(tail_estimate), N, "direct")
 
 
 # -- Theorem right-hand sides ----------------------------------------------------
@@ -179,7 +173,6 @@ def rhs_theorem(n: int, route: str, prec: Precision) -> SeriesResult:
     """Assemble the stated hypergeometric combination for L(f, n) at (1, 1)."""
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
-    t0 = time.perf_counter()
     with mp.workdps(prec.dps + 15):
         if n == 1:
             scale = mpf(1) / 27
@@ -190,17 +183,18 @@ def rhs_theorem(n: int, route: str, prec: Precision) -> SeriesResult:
         val = mpf(0)
         err = mpf(0)
         terms = 0
+        method = "accelerated" if route == "series" else "integral"
         for name, coef in _THEOREM_COMBOS[n]:
             block = _kdf_at_one(name, route, prec)
             cm = mpf(coef.numerator) / coef.denominator
             val += cm * block.value
             err += abs(cm) * block.err_estimate
             terms += block.terms_used
+            if block.method == "richardson":
+                method = "richardson"
         val *= scale
         err *= abs(scale)
-        out = SeriesResult(val, err, terms, "accelerated" if route == "series" else "integral")
-    out.seconds = time.perf_counter() - t0
-    return out
+        return SeriesResult(val, err, terms, method)
 
 
 # -- independent integral routes for n = 1, 2 ------------------------------------
@@ -211,7 +205,6 @@ def l1_alpha_integral(prec: Precision) -> SeriesResult:
 
     Works entirely in the hauptmodul variable; no theta evaluation involved.
     """
-    t0 = time.perf_counter()
     with mp.workdps(prec.dps + 15):
         third = mpf(1) / 3
 
@@ -224,14 +217,11 @@ def l1_alpha_integral(prec: Precision) -> SeriesResult:
         quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)
         val = quad.value / 9
         err = quad.err_estimate / 9 + prec.tol() / 4
-        out = SeriesResult(val, err, quad.terms_used, "integral")
-    out.seconds = time.perf_counter() - t0
-    return out
+        return SeriesResult(val, err, quad.terms_used, "integral")
 
 
 def l2_intermediate(prec: Precision) -> SeriesResult:
     """L(f, 2) as (2*pi/(27*sqrt(3))) int_0^1 b(q) (a(q) - b(q))^2 dq/q."""
-    t0 = time.perf_counter()
     with mp.workdps(prec.dps + 15):
         sub = Precision(prec.working_digits + 10, float(prec.target_tol) * 1e-5)
 
@@ -248,9 +238,7 @@ def l2_intermediate(prec: Precision) -> SeriesResult:
         quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)
         val = 2 * mp.pi / (27 * mp.sqrt(3)) * quad.value
         err = 2 * mp.pi / (27 * mp.sqrt(3)) * quad.err_estimate + prec.tol() / 4
-        out = SeriesResult(val, err, quad.terms_used, "integral")
-    out.seconds = time.perf_counter() - t0
-    return out
+        return SeriesResult(val, err, quad.terms_used, "integral")
 
 
 # -- truncated Lambert evaluation of E0 -------------------------------------------

@@ -373,12 +373,12 @@ def lambert_series(kind: str, n: int) -> QSeries:
 
 # -- the weight-3 theta product ----------------------------------------------
 
-_FFT_CUTOFF = 4_000
 _LIMB_BITS = 11
 
 
 def _f_coeffs_product(n: int) -> list:
-    """a_n of (1/3) b(q)^2 c(q^3) by exact truncated products."""
+    """a_n of (1/3) b(q)^2 c(q^3) by exact truncated products; the built-in
+    check of ``_f_coeffs_fft`` and the tests' reference."""
     b = theta_series("b", n)
     c3 = theta_series("c", n).substitute_power(3)  # lands on the integer grid
     f3 = b * b * c3
@@ -427,11 +427,10 @@ def _f_coeffs_fft(n: int) -> list:
 
 
 def f_coefficients(n: int) -> QSeries:
-    """Integer coefficients a_m, m <= n, of the weight-3 product (1/3) b^2 c(q^3)."""
+    """Integer coefficients a_m, m <= n, of the weight-3 product (1/3) b^2 c(q^3),
+    by the Lambert factorization of ``_f_coeffs_fft`` at every order."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    if n <= _FFT_CUTOFF:
-        return QSeries(1, _f_coeffs_product(n))
     return QSeries(1, _f_coeffs_fft(n))
 
 

@@ -21,6 +21,8 @@ def test_usage_errors_exit_2(capsys):
     cases = [
         ["verify", "--suite", "everything"],
         ["verify", "--suite", "all", "--digits", "14"],
+        ["verify", "--suite", "theorem", "--tol", "0"],
+        ["verify", "--suite", "theorem", "--tol", "-1"],
         ["lvalue", "--n", "2", "--method", "dirichlet"],
         ["lvalue", "--n", "1", "--method", "rz_intermediate"],
         ["lvalue", "--n", "4", "--method", "mellin"],

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import hyp2f1, mp, mpf
 
-from cubictheta import hyper
+from cubictheta import _accel, hyper, kernels
 from cubictheta.hyper import KdFParams, PFQParams
+from cubictheta.lvalue import THEOREM_KDF_BLOCKS
 from cubictheta.thetanum import Precision
 
 PREC = Precision(40, 1e-30)
@@ -271,6 +272,167 @@ def test_kdf_boundary_smoke():
         i = hyper.kdf_integral(MAIN_BLOCK, 1, 1, Precision(40, 1e-12))
         assert abs(s.value - i.value) <= s.err_estimate + i.err_estimate
         assert s.err_estimate < mpf("1e-8")
+
+
+def test_richardson_fallback_is_labelled(monkeypatch):
+    # an unstable d(m) plateau hands the value to Richardson; the label says so
+    monkeypatch.setattr(_accel, "pick_plateau", lambda ests: (mpf(1), mpf(10)))
+    res = hyper.pfq(
+        PFQParams([Fraction(1, 2), Fraction(3, 4), 1], [Fraction(5, 4), 2]), 1,
+        Precision(30, 1e-15),
+    )
+    assert res.method == "richardson"
+    with mp.workdps(55):
+        res = hyper.kdf_series(MAIN_BLOCK, 1, 1, Precision(40, 1e-12))
+    assert res.method == "richardson"
+
+
+# -- term recurrence and anti-diagonal sums -----------------------------------------------
+
+
+def test_series_terms_match_pochhammer():
+    # t_n against exact Pochhammer ratios; each recurrence step rounds at most
+    # 2(p + q) + 4 times, so t_n carries a relative error below 10 n 2^-prec
+    up, lo, z = (THIRD, Fraction(5, 4)), (Fraction(7, 3),), Fraction(-1, 2)
+    with mp.workdps(40):
+        terms = hyper._series_terms(up, lo, mpf(-0.5), 60)
+        for n, t in enumerate(terms):
+            exact = (Fraction(hyper.pochhammer(up[0], n)) * hyper.pochhammer(up[1], n)
+                     / hyper.pochhammer(lo[0], n) / hyper.pochhammer(1, n) * z ** n)
+            want = mpf(exact.numerator) / exact.denominator
+            assert abs(t - want) <= 10 * n * mpf(2) ** -mp.prec * abs(want)
+
+
+def loop_partial_sums(params, x, y, D):
+    """Reference S_0..S_D: three term-ratio loops and the O(D^2) double loop.
+
+    Returns the sums and the terms A, B, C."""
+    one = mpf(1)
+    am = [mpf(v.numerator) / v.denominator for v in params.a]
+    apm = [mpf(v.numerator) / v.denominator for v in params.ap]
+    bm = [mpf(v.numerator) / v.denominator for v in params.b]
+    bpm = [mpf(v.numerator) / v.denominator for v in params.bp]
+    cm = [mpf(v.numerator) / v.denominator for v in params.c]
+    cpm = [mpf(v.numerator) / v.denominator for v in params.cp]
+    A = [one] * (D + 1)
+    B = [one] * (D + 1)
+    C = [one] * (D + 1)
+    for d in range(1, D + 1):
+        fa = one
+        for v in am:
+            fa *= v + d - 1
+        for v in apm:
+            fa /= v + d - 1
+        A[d] = A[d - 1] * fa
+        fb = x
+        for v in bm:
+            fb *= v + d - 1
+        for v in bpm:
+            fb /= v + d - 1
+        B[d] = B[d - 1] * fb / d
+        fc = y
+        for v in cm:
+            fc *= v + d - 1
+        for v in cpm:
+            fc /= v + d - 1
+        C[d] = C[d - 1] * fc / d
+    sums = [mpf(0)] * (D + 1)
+    run = mpf(0)
+    for d in range(D + 1):
+        inner = mpf(0)
+        for m_ in range(d + 1):
+            inner += B[m_] * C[d - m_]
+        run += A[d] * inner
+        sums[d] = run
+    return sums, A, B, C
+
+
+def sums_error_bound(params, A, B, C, D):
+    """Bound on |S_d - S_d^ref| at the working precision, for every d.
+
+    Fixed point: B and C are truncated to multiples of 2^-shift with
+    shift = prec + 2 bitlen(D) + mag(A), so inner_k is off by at most
+    (k+1)(max|B| + max|C| + 1) 2^-shift.  Rounding, u = 2^(1-prec): each
+    product A_k B_m C_n carries at most k(2P + 12) roundings from the term
+    recurrences (P parameters in all), and turning inner_k into an mpf,
+    scaling by A_k and accumulating to S_d add d + 3 more."""
+    shift = mp.prec + 2 * D.bit_length() + max(map(mp.mag, A))
+    u = mpf(2) ** (1 - mp.prec)
+    P = sum(len(v) for v in (params.a, params.ap, params.b, params.bp, params.c, params.cp))
+    reach = max(map(abs, B)) + max(map(abs, C)) + 1
+    out = []
+    fixed = weighted = scale = mpf(0)
+    for k in range(D + 1):
+        fixed += abs(A[k]) * (k + 1) * reach * mpf(2) ** -shift
+        w = abs(A[k]) * sum(abs(B[m] * C[k - m]) for m in range(k + 1))
+        weighted += w * (k * (2 * P + 12) + 3)
+        scale += w
+        out.append(fixed + u * (weighted + k * scale))
+    return out
+
+
+HALF = Fraction(1, 2)
+# at (1/2, 1/2), B peaks near 3e6 and C near 2e4 before the 2^-m decay wins
+GROWING_BLOCK = KdFParams([1], [2], [8, 9], [1], [7, 8], [2])
+# A_k = k! grows without bound; the sum is sum_k (x + y)^k
+FACTORIAL_A_BLOCK = KdFParams([1], [], [], [], [], [])
+SUMS_CASES = [
+    *(pytest.param(p, 1, 1, id=f"{name}-at-1-1") for name, p in THEOREM_KDF_BLOCKS.items()),
+    pytest.param(MAIN_BLOCK, -1, 1, id="main-at-m1-1"),
+    pytest.param(MAIN_BLOCK, HALF, HALF, id="main-at-half-half"),
+    pytest.param(KdFParams([1], [2], [1, Fraction(4, 3)], [2], [], []), THIRD, HALF,
+                 id="empty-second-block"),
+    pytest.param(GROWING_BLOCK, HALF, HALF, id="growing-terms"),
+    pytest.param(FACTORIAL_A_BLOCK, Fraction(1, 4), Fraction(1, 4), id="factorial-a"),
+    pytest.param(KdFParams([1, 1], [Fraction(3, 2)], [], [Fraction(3, 2)], [], []),
+                 Fraction(-1, 3), Fraction(1, 5), id="factorial-a-mixed-signs"),
+]
+
+
+@pytest.mark.parametrize("params, x, y", SUMS_CASES)
+def test_kdf_partial_sums_match_loop(params, x, y):
+    D = 200
+    with mp.workdps(55):
+        xx = mpf(Fraction(x).numerator) / Fraction(x).denominator
+        yy = mpf(Fraction(y).numerator) / Fraction(y).denominator
+        got = hyper._kdf_partial_sums(params, xx, yy, D)
+        with mp.workprec(mp.prec + 64):
+            ref, A, B, C = loop_partial_sums(params, xx, yy, D)
+        bound = sums_error_bound(params, A, B, C, D)
+        for d in range(D + 1):
+            assert abs(got[d] - ref[d]) <= bound[d], d
+
+
+@pytest.mark.parametrize("params, mag_a", [(MAIN_BLOCK, 1), (FACTORIAL_A_BLOCK, 1246)])
+def test_kdf_partial_sums_guard_bits(monkeypatch, params, mag_a):
+    # B_0 = C_0 = 1 enter the product as 2^shift; the docstring's error bound
+    # needs shift >= prec + 2 bitlen(D) + mag(max |A_k|), with |A_k| <= 1 for
+    # MAIN_BLOCK and max A_k = 200! < 2^1246 for FACTORIAL_A_BLOCK
+    seen = []
+    real = kernels.conv_trunc
+
+    def spy(a, b, order):
+        seen.append((a[0], b[0], order))
+        return real(a, b, order)
+
+    monkeypatch.setattr(kernels, "conv_trunc", spy)
+    D = 200
+    with mp.workdps(55):
+        hyper._kdf_partial_sums(params, mpf(1) / 4, mpf(1) / 4, D)
+        least = mp.prec + 2 * D.bit_length() + mag_a
+    [(b0, c0, order)] = seen
+    shift = b0.bit_length() - 1
+    assert b0 == c0 == 2 ** shift and order == D
+    assert shift >= least
+
+
+def test_kdf_series_interior_factorial_a():
+    # A_k = k! and B_m C_n = x^m y^n / (m! n!) give sum_k (x + y)^k = 2 at
+    # (1/4, 1/4); the fixed-point guard bits must cover the size of A_k
+    with mp.workdps(55):
+        res = hyper.kdf_series(FACTORIAL_A_BLOCK, Fraction(1, 4), Fraction(1, 4), PREC)
+        assert res.method == "direct"
+        assert abs(res.value - 2) <= res.err_estimate + mpf(10) ** -35
 
 
 # -- quadrature ---------------------------------------------------------------------------

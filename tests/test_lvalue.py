@@ -4,7 +4,7 @@ and the identity catalog at its stated tolerance."""
 import pytest
 from mpmath import mp, mpf
 
-from cubictheta import lvalue, qexp
+from cubictheta import _accel, lvalue, qexp
 from cubictheta.thetanum import Precision
 
 PREC = Precision(40, 1e-12)
@@ -100,6 +100,14 @@ def test_rhs_theorem_routes_cross_check_n1():
         assert abs(ri.value - rs.value) <= rs.err_estimate + ri.err_estimate
         alpha_route = lvalue.l1_alpha_integral(PREC)
         assert abs(ri.value - alpha_route.value) < mpf("1e-12")
+
+
+def test_rhs_theorem_passes_on_richardson_label(monkeypatch):
+    # a private cache keeps the fallback value away from the other tests
+    monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", {})
+    monkeypatch.setattr(_accel, "pick_plateau", lambda ests: (mpf(1), mpf(10)))
+    with mp.workdps(50):
+        assert lvalue.rhs_theorem(1, "series", PREC).method == "richardson"
 
 
 def test_rhs_theorem_bad_inputs():

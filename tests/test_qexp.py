@@ -269,10 +269,9 @@ def test_f_first_coefficients():
     assert f.coeffs == oracle_f_coefficients(10)
 
 
-def test_f_fft_path_matches_product_path():
-    fast = qexp._f_coeffs_fft(2000)
-    exact = qexp._f_coeffs_product(2000)
-    assert fast == exact
+@pytest.mark.parametrize("n", [1, 2, 64, 2000])
+def test_f_fft_path_matches_product_path(n):
+    assert qexp._f_coeffs_fft(n) == qexp._f_coeffs_product(n)
 
 
 # -- character -------------------------------------------------------------------------

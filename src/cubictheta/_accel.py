@@ -7,7 +7,9 @@ tool here is a two/three-remainder Levin-Sidi scheme realized through the
 E-algorithm: the model functions n*a_n/n**j, n**2*Da_n/n**j (and optionally
 n**3*D2a_n/n**j) jointly span the log-modulated tails.  Eliminations run at a
 much higher internal precision than the data because the recursion cancels
-aggressively.
+aggressively.  Only the column heads are returned, so a kmax-column run takes
+a window of kmax + 1 points and fills just the triangle those heads read,
+about kmax**3/3 row updates.
 """
 
 from __future__ import annotations
@@ -21,19 +23,24 @@ def dm_extrapolate(
     partial_sums,
     offset: int,
     stride: int,
-    npts: int,
     kmax: int,
     dps_hi: int,
     m: int = 3,
 ):
     """Levin-Sidi d(m)-type extrapolation via the E-algorithm on a tail window.
 
-    ``partial_sums`` must cover indices up to offset + stride*(npts-1) + m - 1.
-    Returns the successive E_k^(0) column heads.
+    The window is the kmax + 1 points offset + stride*i, i = 0..kmax, so
+    ``partial_sums`` must cover indices up to offset + stride*kmax + m - 1.
+    Returns the successive column heads E_1^(0) .. E_kmax^(0), stopping early
+    at a zero denominator.  A level-(k+1) entry at n reads only the level-k
+    entries at n and n + 1, so level k keeps just the kmax - k entries the
+    heads read: about kmax**3/3 row updates, each row[n] - (row[n+1] -
+    row[n])*q_n with q_n = g_k(n)/(g_k(n+1) - g_k(n)), the one division of
+    each level shared by every row.
     """
-    idx = [offset + stride * i for i in range(npts)]
-    if idx[-1] + m - 1 >= len(partial_sums):
+    if offset + stride * kmax + m - 1 >= len(partial_sums):
         raise ValueError("window exceeds the available partial sums")
+    idx = [offset + stride * i for i in range(kmax + 1)]
     with mp.workdps(dps_hi):
         s = {
             n: mp.mpf(partial_sums[n])
@@ -41,8 +48,7 @@ def dm_extrapolate(
             for n in range(i - 1, i + m)
         }
         diff = {n: s[n] - s[n - 1] for i in idx for n in range(i, i + m)}
-        E = [mp.mpf(partial_sums[n]) for n in idx]
-        gs = []
+        rows = [[s[n] for n in idx]]
         for j in range(kmax):
             fam, half = j % m, j // m
             g = []
@@ -55,29 +61,20 @@ def dm_extrapolate(
                 else:
                     v = diff[n + 2] - 2 * diff[n + 1] + diff[n]
                 g.append(nn ** (fam + 1) * v / nn ** half)
-            gs.append(g)
-        width = len(idx)
+            rows.append(g)
+        # rows[0] is the E row; rows[1] is always the g row eliminated next
         ests = []
-        for k in range(min(kmax, width - 1)):
-            gk = gs[k]
-            denom = [gk[n + 1] - gk[n] for n in range(width - 1 - k)]
+        for k in range(kmax):
+            gk = rows.pop(1)
+            denom = [gk[n + 1] - gk[n] for n in range(kmax - k)]
             if any(x == 0 for x in denom):
                 break
-            E = [
-                (E[n] * gk[n + 1] - E[n + 1] * gk[n]) / denom[n]
-                for n in range(width - 1 - k)
+            q = [gk[n] / x for n, x in enumerate(denom)]
+            rows = [
+                [row[n] - (row[n + 1] - row[n]) * q[n] for n in range(kmax - k)]
+                for row in rows
             ]
-            new_gs: list = [None] * (k + 1)
-            for i in range(k + 1, kmax):
-                gi = gs[i]
-                new_gs.append(
-                    [
-                        (gi[n] * gk[n + 1] - gi[n + 1] * gk[n]) / denom[n]
-                        for n in range(width - 1 - k)
-                    ]
-                )
-            gs = new_gs
-            ests.append(+E[0])
+            ests.append(+rows[0][0])
         return ests
 
 

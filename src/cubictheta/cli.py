@@ -316,12 +316,15 @@ def theorem_suite_reports(digits: int = 40, tol: float | None = None):
             ri = lvalue.rhs_theorem(n, "integral", prec)
             rs = lvalue.rhs_theorem(n, "series", prec)
             err = abs(mel.value - ri.value)
-            series_ok = abs(rs.value - ri.value) <= rs.err_estimate
+            gap = abs(rs.value - ri.value)
+            # a series gap within tol confirms the identity to tol even if it
+            # misses the route's own bar, so a failing report's gap is > tol
+            series_ok = gap <= max(rs.err_estimate, tol)
             rep = IdentityReport(
                 name=f"lvalue_{n}_hypergeometric",
                 lhs=+mel.value,
                 rhs=+ri.value,
-                abs_err=+err if series_ok else mpf(1),
+                abs_err=+(err if series_ok else max(err, gap)),
                 tol=tol,
                 passed=bool(err <= tol and series_ok),
                 methods=("mellin", "kdf"),

@@ -387,7 +387,7 @@ def _accelerated_unit_sum(up, lo, eps):
     """Partial sums at x = 1 extrapolated by the d(m) scheme."""
     count = 900
     sums = list(accumulate(_series_terms(up, lo, 1, count - 1)))
-    ests = _accel.dm_extrapolate(sums, 200, 8, 80, 40, max(200, mp.dps * 3), m=3)
+    ests = _accel.dm_extrapolate(sums, 200, 8, 40, max(200, mp.dps * 3), m=3)
     val, stab = _accel.pick_plateau(ests)
     if not mp.isfinite(val) or stab > mpf("1e-4") * (1 + abs(val)):
         return _accel.richardson(sums, max(200, mp.dps * 3)), count, "richardson"
@@ -472,7 +472,7 @@ def _kdf_partial_sums(params: KdFParams, x, y, D: int):
 
 # boundary extrapolation window; generous for 40-60 working digits
 _KDF_D = 1280
-_KDF_WINDOW = (300, 12, 80, 48)
+_KDF_WINDOW = (300, 12, 48)
 _KDF_EXT_DPS = 260
 
 
@@ -499,8 +499,8 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
                     f"{margins.m2}, {margins.m3} are not all positive"
                 )
             sums = _kdf_partial_sums(params, xx, yy, _KDF_D)
-            off, stride, npts, kmax = _KDF_WINDOW
-            ests = _accel.dm_extrapolate(sums, off, stride, npts, kmax, _KDF_EXT_DPS, m=3)
+            off, stride, kmax = _KDF_WINDOW
+            ests = _accel.dm_extrapolate(sums, off, stride, kmax, _KDF_EXT_DPS, m=3)
             val, stab = _accel.pick_plateau(ests)
             # the window truncation floor is set by the diagonal count, not
             # by the working precision; 1e-13 holds a 40x margin over the

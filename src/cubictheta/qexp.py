@@ -385,6 +385,23 @@ def _f_coeffs_product(n: int) -> list:
     return f3.exact_div(3).coeffs
 
 
+def _divisor_sums(n: int) -> np.ndarray:
+    """sigma(0..n) as int64, with sigma(0) = 0.
+
+    Each divisor d <= r = isqrt(n) is added as one slice sig[d::d].  Since
+    n < (r + 1)**2, every larger divisor e of m has its cofactor d = m // e
+    <= r, so the same pass adds the e = r+1 .. n // d at the distinct
+    indices d*e.
+    """
+    sig = np.zeros(n + 1, dtype=np.int64)
+    r = math.isqrt(n)
+    for d in range(1, r + 1):
+        sig[d::d] += d
+        e = np.arange(r + 1, n // d + 1)
+        sig[d * e] += e
+    return sig
+
+
 def _f_coeffs_fft(n: int) -> list:
     """a_n via the weight-2 Lambert factorization b * (chi3 * sigma).
 
@@ -394,9 +411,7 @@ def _f_coeffs_fft(n: int) -> list:
     """
     c0, c1, _ = _counts_hexagonal(n)
     b = np.array(c0, dtype=np.int64) - np.array(c1, dtype=np.int64)
-    sig = np.zeros(n + 1, dtype=np.int64)
-    for d in range(1, n + 1):
-        sig[d::d] += d
+    sig = _divisor_sums(n)
     j = np.arange(n + 1)
     chi = np.where(j % 3 == 1, 1, np.where(j % 3 == 2, -1, 0)).astype(np.int64)
     Y = chi * sig

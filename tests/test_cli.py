@@ -1,8 +1,11 @@
 """CLI behavior: flag matrix, exit codes, dump format, JSON report contract."""
 
+import dataclasses
 import json
 
-from cubictheta import cli
+from mpmath import mpf
+
+from cubictheta import cli, lvalue
 
 
 def run(argv, capsys):
@@ -154,3 +157,33 @@ def test_verify_json_round_trip_and_determinism(tmp_path, capsys):
         return payload
 
     assert strip_seconds(raw) == strip_seconds(paths[1].read_bytes())
+
+
+# -- theorem check ------------------------------------------------------------------------
+
+
+def test_theorem_check_reports_measured_series_gap(monkeypatch):
+    # a series route 1e-9 off the integral route misses its error bar: at the
+    # default tol the report must fail and carry the measured gap, not a
+    # placeholder; at tol 1e-6 the gap confirms the identity and the report
+    # passes with the Mellin-vs-integral distance
+    monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", dict(lvalue._KDF_VALUE_CACHE))
+    real = lvalue.rhs_theorem
+
+    def shifted(n, route, prec):
+        res = real(n, route, prec)
+        if route != "series":
+            return res
+        return dataclasses.replace(res, value=res.value + mpf("1e-9"))
+
+    monkeypatch.setattr(lvalue, "rhs_theorem", shifted)
+    reports = cli.theorem_suite_reports(40)
+    assert len(reports) == 3
+    for rep in reports:
+        assert not rep.passed
+        assert mpf("0.99e-9") <= rep.abs_err <= mpf("1.01e-9")
+    reports = cli.theorem_suite_reports(40, 1e-6)
+    assert len(reports) == 3
+    for rep in reports:
+        assert rep.passed
+        assert rep.abs_err < mpf("1e-12")

@@ -2,6 +2,7 @@
 near-unit expansions against mpmath, double-series routes, quadrature."""
 
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,24 @@ def test_pfq_at_one_accelerated_generic():
     with mp.workdps(40):
         want = mp_hyper([mpf(1) / 2, mpf(3) / 4, 1], [mpf(5) / 4, 2], 1)
         assert abs(res.value - want) < mpf("1e-15")
+
+
+@pytest.mark.parametrize("a, b, c", [
+    pytest.param(Fraction(1, 2), THIRD, Fraction(1, 4), id="1/2,1/3,1/4"),
+    pytest.param(THIRD, Fraction(1, 5), Fraction(1, 6), id="1/3,1/5,1/6"),
+    pytest.param(2 * THIRD, Fraction(1, 4), THIRD, id="2/3,1/4,1/3"),
+])
+def test_pfq_at_one_accelerated_dixon(a, b, c):
+    # Dixon: 3F2(a, b, c; 1+a-b, 1+a-c; 1) is a ratio of gamma values; no
+    # closed-form branch matches it, so the d(m) extrapolation must
+    res = hyper.pfq(PFQParams([a, b, c], [1 + a - b, 1 + a - c]), 1, PREC)
+    assert res.method == "accelerated"
+    with mp.workdps(60):
+        a, b, c = (mpf(v.numerator) / v.denominator for v in (a, b, c))
+        g = mp.gamma
+        want = (g(1 + a / 2) * g(1 + a - b) * g(1 + a - c) * g(1 + a / 2 - b - c)
+                / (g(1 + a) * g(1 + a / 2 - b) * g(1 + a / 2 - c) * g(1 + a - b - c)))
+        assert abs(res.value - want) <= mpf("1e-30")
 
 
 def test_zero_balanced_against_mpmath():
@@ -433,6 +452,94 @@ def test_kdf_series_interior_factorial_a():
         res = hyper.kdf_series(FACTORIAL_A_BLOCK, Fraction(1, 4), Fraction(1, 4), PREC)
         assert res.method == "direct"
         assert abs(res.value - 2) <= res.err_estimate + mpf(10) ** -35
+
+
+# -- d(m) extrapolation -------------------------------------------------------------------
+
+
+def full_table_dm_extrapolate(
+    partial_sums,
+    offset: int,
+    stride: int,
+    npts: int,
+    kmax: int,
+    dps_hi: int,
+    m: int = 3,
+):
+    """Reference E-algorithm: every level over the whole npts-point window,
+    with the E row and the g rows updated by separate divisions."""
+    idx = [offset + stride * i for i in range(npts)]
+    if idx[-1] + m - 1 >= len(partial_sums):
+        raise ValueError("window exceeds the available partial sums")
+    with mp.workdps(dps_hi):
+        s = {
+            n: mp.mpf(partial_sums[n])
+            for i in idx
+            for n in range(i - 1, i + m)
+        }
+        diff = {n: s[n] - s[n - 1] for i in idx for n in range(i, i + m)}
+        E = [mp.mpf(partial_sums[n]) for n in idx]
+        gs = []
+        for j in range(kmax):
+            fam, half = j % m, j // m
+            g = []
+            for n in idx:
+                nn = mpf(n + 1)
+                if fam == 0:
+                    v = diff[n]
+                elif fam == 1:
+                    v = diff[n + 1] - diff[n]
+                else:
+                    v = diff[n + 2] - 2 * diff[n + 1] + diff[n]
+                g.append(nn ** (fam + 1) * v / nn ** half)
+            gs.append(g)
+        width = len(idx)
+        ests = []
+        for k in range(min(kmax, width - 1)):
+            gk = gs[k]
+            denom = [gk[n + 1] - gk[n] for n in range(width - 1 - k)]
+            if any(x == 0 for x in denom):
+                break
+            E = [
+                (E[n] * gk[n + 1] - E[n + 1] * gk[n]) / denom[n]
+                for n in range(width - 1 - k)
+            ]
+            new_gs: list = [None] * (k + 1)
+            for i in range(k + 1, kmax):
+                gi = gs[i]
+                new_gs.append(
+                    [
+                        (gi[n] * gk[n + 1] - gi[n + 1] * gk[n]) / denom[n]
+                        for n in range(width - 1 - k)
+                    ]
+                )
+            gs = new_gs
+            ests.append(+E[0])
+        return ests
+
+
+def test_dm_extrapolate_matches_full_table():
+    # the L1 boundary window: every column head of the triangle-only,
+    # shared-division elimination against the full table on 80 points
+    off, stride, kmax = hyper._KDF_WINDOW
+    with mp.workdps(55):
+        sums = hyper._kdf_partial_sums(THEOREM_KDF_BLOCKS["L1"], mpf(1), mpf(1), hyper._KDF_D)
+    got = _accel.dm_extrapolate(sums, off, stride, kmax, hyper._KDF_EXT_DPS)
+    ref = full_table_dm_extrapolate(sums, off, stride, 80, kmax, hyper._KDF_EXT_DPS)
+    assert len(got) == len(ref) == kmax
+    with mp.workdps(hyper._KDF_EXT_DPS):
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= mpf("1e-150")
+
+
+def test_dm_extrapolate_window_bounds():
+    # the window reads s_(n-1) .. s_(n+m-1) around offset + stride*i, i <= kmax
+    offset, stride, kmax, m = 5, 2, 8, 3
+    need = offset + stride * kmax + m
+    with mp.workdps(30):
+        sums = list(accumulate(mpf(1) / (n + 1) ** 2 for n in range(need)))
+    assert len(_accel.dm_extrapolate(sums, offset, stride, kmax, 60, m)) == kmax
+    with pytest.raises(ValueError):
+        _accel.dm_extrapolate(sums[:-1], offset, stride, kmax, 60, m)
 
 
 # -- quadrature ---------------------------------------------------------------------------

@@ -274,6 +274,20 @@ def test_f_fft_path_matches_product_path(n):
     assert qexp._f_coeffs_fft(n) == qexp._f_coeffs_product(n)
 
 
+def slice_loop_divisor_sums(n):
+    """Reference sigma(0..n): one slice update per divisor d = 1..n."""
+    sig = np.zeros(n + 1, dtype=np.int64)
+    for d in range(1, n + 1):
+        sig[d::d] += d
+    return sig
+
+
+# perfect squares and their neighbours move isqrt(n) and the split point
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 99, 100, 101, 1000, 10**5])
+def test_divisor_sums_match_slice_loop(n):
+    assert qexp._divisor_sums(n).tolist() == slice_loop_divisor_sums(n).tolist()
+
+
 # -- character -------------------------------------------------------------------------
 
 

@@ -318,8 +318,11 @@ def theorem_suite_reports(digits: int = 40, tol: float | None = None):
             err = abs(mel.value - ri.value)
             gap = abs(rs.value - ri.value)
             # a series gap within tol confirms the identity to tol even if it
-            # misses the route's own bar, so a failing report's gap is > tol
-            series_ok = gap <= max(rs.err_estimate, tol)
+            # misses the route's own bar, so a failing report's gap is > tol;
+            # a Richardson fallback's bar |val - sums[-1]| is no measured
+            # error, so that route must meet tol itself
+            bar = tol if rs.method == "richardson" else max(rs.err_estimate, tol)
+            series_ok = gap <= bar
             rep = IdentityReport(
                 name=f"lvalue_{n}_hypergeometric",
                 lhs=+mel.value,

@@ -4,9 +4,11 @@ double-exponential quadrature.
 
 Parameters are carried as exact Fractions until the moment of evaluation, so
 structural questions (parameter cancellation, zero-balancedness, closed-form
-patterns) are decided exactly.  Near the unit argument the evaluators switch
-from direct summation to connection/log expansions in 1 - x; callers that
-know 1 - x to better accuracy than x can pass it explicitly.
+patterns) are decided exactly.  Direct summation runs the term recurrence
+in fixed point on Python ints built from those exact parameters, with a
+stated rounding bound (``_pfq_direct``).  Near the unit argument the
+evaluators switch to connection/log expansions in 1 - x; callers that know
+1 - x to better accuracy than x can pass it explicitly.
 """
 
 from __future__ import annotations
@@ -184,41 +186,88 @@ def _series_terms(upper, lower, z, D: int) -> list:
 # -- direct summation with a certified geometric tail -------------------------
 
 _TERM_CAP = 400_000
+# 2*bitlen(_TERM_CAP) covers the rounding of any admissible term count; the
+# 8 spare bits cover terms that grow by up to 2^7 before they settle
+_PFQ_GUARD = 2 * _TERM_CAP.bit_length() + 8
 
 
 def _pfq_direct(upper, lower, x, eps):
-    """Sum the defining series by the term recurrence.
+    """Sum the defining series by the term recurrence, in fixed point.
 
     Stops once the measured term ratio has settled below
     rho = (1 + |x|)/2 (or 0.9 for entire series) and the geometric tail
-    bound |T|*rho/(1-rho) drops under eps.
+    bound |T|*rho/(1-rho) drops under eps; returns (value, terms).
+
+    ``upper``/``lower`` are exact rationals (TypeError otherwise).  With
+    u = p/q, the term ratio is r_n = x N_n / D_n for the integers
+    N_n = prod (p + n q) * prod(lower denominators) and
+    D_n = (n + 1) prod (p' + n q') * prod(upper denominators).  The terms are
+    Python ints at 2^wp, wp = prec + guard (raised to x's exponent when that
+    is lower, so that X = x 2^wp is exact): T_0 = 2^wp and
+    T_{n+1} = floor(T_n X N_n / (D_n 2^wp)).  The ratio and tail tests are
+    exact comparisons of these integers.
+
+    Rounding: each floor costs at most one ulp (2^-wp), and the ulp lost at
+    step k reaches T_n multiplied by |r_k ... r_{n-1}| = |T_n / T_k|.  So the
+    sum of the N terms is off by at most N^2 G ulps, where
+    G = max_{k<=n} |T_n / T_k| is the largest rise of the terms (1 when they
+    never grow, < 2^(R+1) for the rise R measured in bit lengths).  When
+    2 bitlen(N) + R + 1 exceeds the guard, the sum is redone with that many
+    guard bits; so the fixed-point sum is within 2^-prec of the exact partial
+    sum at x, and the returned mpf within 2^-prec (1 + |value|).
     """
-    ax = abs(x)
-    rho = (1 + ax) / 2 if len(upper) == len(lower) + 1 else mpf("0.9")
-    if rho >= 1:
+    upper = _as_fraction_tuple(upper)
+    lower = _as_fraction_tuple(lower)
+    x = mpmathify(x)
+    if len(upper) == len(lower) + 1 and abs(x) >= 1:
         raise ValueError("direct summation requires |x| < 1")
-    s = mpf(0)
-    term = mpf(1)
-    n = 0
-    settled = 0
     warmup = 8 + int(4 * max((abs(float(u)) for u in upper), default=0))
+    ups = [(u.numerator, u.denominator) for u in upper]
+    los = [(l.numerator, l.denominator) for l in lower]
+    num0 = math.prod(l.denominator for l in lower)
+    den0 = math.prod(u.denominator for u in upper)
+    guard = _PFQ_GUARD
     while True:
-        s += term
-        r = x / (n + 1)
-        for u in upper:
-            r *= u + n
-        for l in lower:
-            r /= l + n
-        nxt = term * r
-        settled = settled + 1 if abs(r) <= rho else 0
-        if n >= warmup and settled >= 3 and abs(nxt) * rho / (1 - rho) <= eps:
-            return s + nxt, n + 2
-        term = nxt
-        n += 1
-        if n > _TERM_CAP:
-            raise ArithmeticError(
-                f"series at x={x} did not meet the tail bound within {_TERM_CAP} terms"
-            )
+        wp = max(mp.prec + guard, -x.man_exp[1])
+        one = 1 << wp
+        X = int(mp.ldexp(x, wp))
+        rho = (one + abs(X)) >> 1 if len(upper) == len(lower) + 1 else 9 * one // 10
+        tail = int(mp.ldexp(eps, wp)) * (one - rho)
+        s = 0
+        term = one
+        n = 0
+        settled = 0
+        low = wp + 1
+        rise = 0
+        while True:
+            s += term
+            num = X * num0
+            for p, q in ups:
+                num *= p + n * q
+            den = den0 * (n + 1)
+            for p, q in los:
+                den *= p + n * q
+            nxt = term * num // (den << wp)
+            if abs(num) <= rho * abs(den):
+                settled += 1
+            else:
+                # terms fall while settled, so the least term before a rise
+                # is one an unsettled step starts from
+                settled = 0
+                low = min(low, term.bit_length())
+                rise = max(rise, nxt.bit_length() - low)
+            if n >= warmup and settled >= 3 and abs(nxt) * rho <= tail:
+                break
+            term = nxt
+            n += 1
+            if n > _TERM_CAP:
+                raise ArithmeticError(
+                    f"series at x={x} did not meet the tail bound within {_TERM_CAP} terms"
+                )
+        need = 2 * (n + 2).bit_length() + rise + 1
+        if need <= guard:
+            return mp.ldexp(mpf(s + nxt), -wp), n + 2
+        guard = need
 
 
 # -- near-unit-argument machinery ---------------------------------------------
@@ -252,12 +301,8 @@ def _hyp2f1_connection(a: Fraction, b: Fraction, c: Fraction, x, omx, eps):
     e = c - a - b
     g1 = _gamma(c) * _gamma(e) / (_gamma(c - a) * _gamma(c - b))
     g2 = _gamma(c) * _gamma(-e) / (_gamma(a) * _gamma(b))
-    u1 = [_fr_mpf(a), _fr_mpf(b)]
-    l1 = [_fr_mpf(a + b - c + 1)]
-    u2 = [_fr_mpf(c - a), _fr_mpf(c - b)]
-    l2 = [_fr_mpf(1 - a - b + c)]
-    f1, n1 = _pfq_direct(u1, l1, omx, eps)
-    f2, n2 = _pfq_direct(u2, l2, omx, eps)
+    f1, n1 = _pfq_direct((a, b), (a + b - c + 1,), omx, eps)
+    f2, n2 = _pfq_direct((c - a, c - b), (1 - a - b + c,), omx, eps)
     return g1 * f1 + omx ** _fr_mpf(e) * g2 * f2, n1 + n2
 
 
@@ -304,6 +349,11 @@ def _eval_pfq(upper, lower, x, omx, eps):
 
     ``upper``/``lower`` are Fraction tuples, ``x`` an mpf in [-1, 1],
     ``omx`` the complement 1 - x (may be None off the boundary region).
+    ``method`` names the branch: "direct" (the term recurrence), "binomial"
+    ((1 - x)^-a for 1F0 and 2F1(1, a; 2; x)), "gauss" (2F1 at 1),
+    "zero-balanced" and "connection" (2F1 expansions in 1 - x), "f32-tail"
+    (3F2(1, 1, a+1; 2, 2; x), at 1 the tail-free closed form), and
+    "accelerated"/"richardson" for other sums at 1.
     """
     # exact cancellation of repeated parameters
     up = list(upper)
@@ -322,9 +372,9 @@ def _eval_pfq(upper, lower, x, omx, eps):
     if p == 1 and q == 0:
         if omx is None:
             omx = 1 - x
-        return omx ** (-_fr_mpf(up[0])), 1, "direct"
+        return omx ** (-_fr_mpf(up[0])), 1, "binomial"
     if p <= q:
-        val, n = _pfq_direct([_fr_mpf(v) for v in up], [_fr_mpf(v) for v in lo], x, eps)
+        val, n = _pfq_direct(up, lo, x, eps)
         return val, n, "direct"
     # now p == q + 1
     if x == 1 and (omx is None or omx <= 0):
@@ -332,14 +382,14 @@ def _eval_pfq(upper, lower, x, omx, eps):
         if excess <= 0:
             raise ValueError("series diverges at x = 1 (nonpositive excess)")
         if p == 2:
-            return _gauss_summation(up[0], up[1], lo[0]), 1, "direct"
+            return _gauss_summation(up[0], up[1], lo[0]), 1, "gauss"
         pat = _match_f32_ones(up, lo)
         if pat is not None:
             am = _fr_mpf(pat)
-            return (_psi(Fraction(1)) - _psi(1 - pat)) / am, 1, "direct"
+            return (_psi(Fraction(1)) - _psi(1 - pat)) / am, 1, "f32-tail"
         return _accelerated_unit_sum(up, lo, eps)
     if abs(x) <= _NEAR_ONE_SWITCH:
-        val, n = _pfq_direct([_fr_mpf(v) for v in up], [_fr_mpf(v) for v in lo], x, eps)
+        val, n = _pfq_direct(up, lo, x, eps)
         return val, n, "direct"
     if omx is None:
         omx = 1 - x
@@ -347,7 +397,7 @@ def _eval_pfq(upper, lower, x, omx, eps):
         # binomial closed form, valid on the whole interval [-1, 1)
         other = up[1] if up[0] == 1 else up[0]
         am = _fr_mpf(other - 1)
-        return (omx ** (-am) - 1) / (am * x), 1, "direct"
+        return (omx ** (-am) - 1) / (am * x), 1, "binomial"
     if x > 0:
         # the expansions below run in powers of 1 - x and need x near 1
         if p == 2:
@@ -355,16 +405,16 @@ def _eval_pfq(upper, lower, x, omx, eps):
             c = lo[0]
             if c - a - b == 0:
                 val, n = _hyp2f1_zero_balanced(a, b, x, omx, eps)
-                return val, n, "direct"
+                return val, n, "zero-balanced"
             if (c - a - b).denominator != 1:
                 val, n = _hyp2f1_connection(a, b, c, x, omx, eps)
-                return val, n, "direct"
+                return val, n, "connection"
         pat = _match_f32_ones(up, lo)
         if pat is not None:
             val, n = _f32_ones_tail(pat, x, omx, eps)
-            return val, n, "direct"
+            return val, n, "f32-tail"
     if abs(x) <= _DIRECT_LIMIT:
-        val, n = _pfq_direct([_fr_mpf(v) for v in up], [_fr_mpf(v) for v in lo], x, eps)
+        val, n = _pfq_direct(up, lo, x, eps)
         return val, n, "direct"
     raise ArithmeticError(
         f"no fast evaluation path for {up}/{lo} at x={x}; argument too close to 1"

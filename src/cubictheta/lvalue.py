@@ -326,9 +326,7 @@ def _lemma_e0_at(q, prec: Precision):
 def _pfq_direct_value(params: PFQParams, x, prec: Precision) -> mpf:
     """Plain term-recurrence summation, bypassing closed-form shortcuts."""
     with mp.workdps(prec.dps + 10):
-        um = [mpf(v.numerator) / v.denominator for v in params.upper]
-        lm = [mpf(v.numerator) / v.denominator for v in params.lower]
-        val, _ = hyper._pfq_direct(um, lm, mpmathify(x), prec.tol() / 10)
+        val, _ = hyper._pfq_direct(params.upper, params.lower, x, prec.tol() / 10)
         return val
 
 

@@ -187,3 +187,25 @@ def test_theorem_check_reports_measured_series_gap(monkeypatch):
     for rep in reports:
         assert rep.passed
         assert rep.abs_err < mpf("1e-12")
+
+
+def test_theorem_check_holds_richardson_route_to_tol(monkeypatch):
+    # a Richardson fallback's bar |val - sums[-1]| is no measured error: a
+    # series route 3.7e-4 off the integral route must fail even though its
+    # 1.8e-3 bar covers the gap, and the report carries the gap
+    monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", dict(lvalue._KDF_VALUE_CACHE))
+    real = lvalue.rhs_theorem
+
+    def fallback(n, route, prec):
+        res = real(n, route, prec)
+        if route != "series":
+            return res
+        return dataclasses.replace(res, value=res.value + mpf("3.7e-4"),
+                                   err_estimate=mpf("1.8e-3"), method="richardson")
+
+    monkeypatch.setattr(lvalue, "rhs_theorem", fallback)
+    reports = cli.theorem_suite_reports(40)
+    assert len(reports) == 3
+    for rep in reports:
+        assert not rep.passed
+        assert mpf("3.69e-4") <= rep.abs_err <= mpf("3.71e-4")

@@ -154,7 +154,7 @@ def test_zero_balanced_matches_direct_summation():
     with mp.workdps(45):
         z = mpf("0.55")
         got = hyper.gauss_2f1_unit_interval(THIRD, 2 * THIRD, 1, z, 1 - z, 40)
-        direct, _ = hyper._pfq_direct([mpf(1) / 3, mpf(2) / 3], [mpf(1)], z, mpf("1e-45"))
+        direct, _ = hyper._pfq_direct([THIRD, 2 * THIRD], [1], z, mpf("1e-45"))
         assert abs(got - direct) < mpf("1e-38")
 
 
@@ -174,10 +174,177 @@ def test_f32_pattern_against_direct():
         eps = mpf("1e-42")
         for z in (mpf("0.6"), mpf("0.9")):
             got, _ = hyper._f32_ones_tail(THIRD, z, 1 - z, eps)
-            direct, _ = hyper._pfq_direct(
-                [mpf(1), mpf(1), mpf(4) / 3], [mpf(2), mpf(2)], z, eps
-            )
+            direct, _ = hyper._pfq_direct([1, 1, 4 * THIRD], [2, 2], z, eps)
             assert abs(got - direct) < mpf("1e-33")
+
+
+@pytest.mark.parametrize("up, lo, x, method", [
+    pytest.param([THIRD, 2 * THIRD], [1], Fraction(1, 4), "direct", id="direct"),
+    pytest.param([THIRD], [], Fraction(1, 2), "binomial", id="binomial-1f0"),
+    pytest.param([1, Fraction(4, 3)], [2], Fraction(4, 5), "binomial", id="binomial-2f1"),
+    pytest.param([THIRD, Fraction(1, 4)], [2], 1, "gauss", id="gauss"),
+    pytest.param([THIRD, 2 * THIRD], [1], Fraction(9, 10), "zero-balanced", id="zero-balanced"),
+    pytest.param([Fraction(1, 5), Fraction(1, 2)], [Fraction(9, 4)], Fraction(93, 100),
+                 "connection", id="connection"),
+    pytest.param([1, 1, Fraction(4, 3)], [2, 2], Fraction(9, 10), "f32-tail", id="f32-tail"),
+    pytest.param([1, 1, Fraction(4, 3)], [2, 2], 1, "f32-tail", id="f32-at-one"),
+])
+def test_pfq_branch_labels(up, lo, x, method):
+    from mpmath import hyper as mp_hyper
+
+    res = hyper.pfq(PFQParams(up, lo), x, PREC)
+    assert res.method == method
+    with mp.workdps(60):
+        x = Fraction(x)
+        want = mp_hyper([mpf(v.numerator) / v.denominator for v in map(Fraction, up)],
+                        [mpf(v.numerator) / v.denominator for v in map(Fraction, lo)],
+                        mpf(x.numerator) / x.denominator)
+        assert abs(res.value - want) < mpf("1e-30")
+
+
+# -- fixed-point direct summation ---------------------------------------------------
+
+
+def loop_pfq_direct(upper, lower, x, eps):
+    """Reference: the mpf term-recurrence loop on mpf parameters."""
+    ax = abs(x)
+    rho = (1 + ax) / 2 if len(upper) == len(lower) + 1 else mpf("0.9")
+    if rho >= 1:
+        raise ValueError("direct summation requires |x| < 1")
+    s = mpf(0)
+    term = mpf(1)
+    n = 0
+    settled = 0
+    warmup = 8 + int(4 * max((abs(float(u)) for u in upper), default=0))
+    while True:
+        s += term
+        r = x / (n + 1)
+        for u in upper:
+            r *= u + n
+        for l in lower:
+            r /= l + n
+        nxt = term * r
+        settled = settled + 1 if abs(r) <= rho else 0
+        if n >= warmup and settled >= 3 and abs(nxt) * rho / (1 - rho) <= eps:
+            return s + nxt, n + 2
+        term = nxt
+        n += 1
+        if n > hyper._TERM_CAP:
+            raise ArithmeticError(
+                f"series at x={x} did not meet the tail bound within {hyper._TERM_CAP} terms"
+            )
+
+
+def _mpf_params(vals):
+    return [mpf(v.numerator) / v.denominator for v in map(Fraction, vals)]
+
+
+DIRECT_CASES = [
+    pytest.param([20, 1], [2], "0.9", "1e-45", id="growing-terms"),
+    pytest.param([THIRD, 2 * THIRD], [1], "-0.95", "1e-45", id="third-at-m0.95"),
+    pytest.param([THIRD, 2 * THIRD], [1], "1e-40", "1e-45", id="third-at-1e-40"),
+    pytest.param([3], [Fraction(1, 2), Fraction(5, 3)], "-0.9", "1e-45", id="entire"),
+    pytest.param([Fraction(-5, 2), 1], [2], "0.7", "1e-45", id="negative-upper"),
+    pytest.param([40, 30], [Fraction(1, 2)], "-0.5", "1e-45", id="cancelling"),
+    # the terms dip near n = 27 and rise by 2^7.8 before they settle
+    pytest.param([1, 1], [Fraction(-59, 2)], "0.1", "1e-45", id="negative-lower"),
+    # stops at n = 12, while D_n < 0: the ratio test must take |D_n|
+    pytest.param([1, 1], [Fraction(-59, 2)], "0.1", "1e-15", id="negative-lower-early-stop"),
+    # the terms dip to 2^-91 at n = 40 and rise by 2^95 up to n = 120: the
+    # floors at the dip need the measured rise in the guard bits
+    pytest.param([1, 1], [Fraction(-119, 2)], "0.5", "1e-45", id="dip-then-rise"),
+]
+
+
+@pytest.mark.parametrize("up, lo, x, eps", DIRECT_CASES)
+def test_pfq_direct_matches_loop(up, lo, x, eps):
+    # same term count as the mpf loop at the same precision, and within the
+    # docstring's 2^-prec (1 + |value|) of the exact partial sum, which the
+    # loop gives 256 bits higher (the cancelling case's terms reach 2^117)
+    with mp.workdps(50):
+        xx, eps = mpf(x), mpf(eps)
+        got, n = hyper._pfq_direct(up, lo, xx, eps)
+        assert loop_pfq_direct(_mpf_params(up), _mpf_params(lo), xx, eps)[1] == n
+        bound = mp.ldexp(1 + abs(got), -mp.prec)
+        with mp.workprec(mp.prec + 256):
+            ref, k = loop_pfq_direct(_mpf_params(up), _mpf_params(lo), xx, eps)
+        assert k == n
+        assert abs(got - ref) <= bound
+
+
+@pytest.mark.parametrize("up, lo, x", [
+    pytest.param([THIRD, 2 * THIRD], [1], "0.5", id="no-growth"),
+    pytest.param([20, 1], [2], "0.9", id="growing-terms"),
+    pytest.param([40, 30], [Fraction(1, 2)], "-0.5", id="cancelling"),
+    pytest.param([1, 1], [Fraction(-119, 2)], "0.5", id="dip-then-rise"),
+])
+def test_pfq_direct_guard_bits(monkeypatch, up, lo, x):
+    # the sum is read back from 2^wp; the docstring's bound needs
+    # wp >= prec + 2 bitlen(N) + log2 G, G the largest rise |t_n / t_k|, k <= n
+    seen = []
+    real = mp.ldexp
+
+    def spy(v, e):
+        seen.append(e)
+        return real(v, e)
+
+    with mp.workdps(50):
+        xx, prec = mpf(x), mp.prec
+        monkeypatch.setattr(mp, "ldexp", spy)
+        _, N = hyper._pfq_direct(up, lo, xx, mpf("1e-45"))
+        monkeypatch.undo()
+        wp = -seen[-1]
+        with mp.workprec(prec + 256):
+            terms = [mpf(1)]
+            for n in range(N - 1):
+                r = xx / (n + 1)
+                for u in _mpf_params(up):
+                    r *= u + n
+                for l in _mpf_params(lo):
+                    r /= l + n
+                terms.append(terms[-1] * r)
+            low, rise = abs(terms[0]), mpf(1)
+            for t in map(abs, terms):
+                low = min(low, t)
+                rise = max(rise, t / low)
+            assert wp - prec >= 2 * N.bit_length() + mp.log(rise, 2)
+
+
+def test_pfq_direct_rejects_inexact_parameters():
+    with pytest.raises(TypeError):
+        hyper._pfq_direct([mpf(1) / 3, 1], [2], mpf("0.5"), mpf("1e-30"))
+    with pytest.raises(TypeError):
+        hyper._pfq_direct([THIRD, 1], [2.0], mpf("0.5"), mpf("1e-30"))
+
+
+_small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_small_rational, min_size=2, max_size=3),
+    st.lists(_small_rational.filter(lambda v: v.denominator > 1 or v > 0),
+             min_size=2, max_size=2),
+    st.fractions(min_value=Fraction(-95, 100), max_value=Fraction(95, 100),
+                 max_denominator=1000),
+)
+def test_pfq_direct_against_mpmath(up, lo, x):
+    # 2F1 or 3F2 with rational parameters against mpmath at 120 digits: the
+    # stopping rule leaves a tail below eps, the fixed-point sum adds at most
+    # 2^-prec (1 + |value|)
+    from mpmath import hyp3f2
+
+    lo = lo[:len(up) - 1]
+    with mp.workdps(40):
+        xx, eps = mpf(x.numerator) / x.denominator, mpf("1e-35")
+        got, _ = hyper._pfq_direct(up, lo, xx, eps)
+        bound = eps + mp.ldexp(1 + abs(got), -mp.prec)
+        with mp.workdps(120):
+            if len(up) == 2:
+                want = hyp2f1(*_mpf_params(up), *_mpf_params(lo), xx)
+            else:
+                want = hyp3f2(*_mpf_params(up), *_mpf_params(lo), xx)
+        assert abs(got - want) <= bound
 
 
 # -- margins ------------------------------------------------------------------------

@@ -14,15 +14,15 @@ evaluators switch to connection/log expansions in 1 - x; callers that know
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import add
 
 from mpmath import mp, mpf, mpmathify
 
 from . import _accel, kernels
-from .reports import IdentityReport
+from .reports import IdentityReport, check
 from .thetanum import Precision
 
 __all__ = [
@@ -194,7 +194,8 @@ _PFQ_GUARD = 2 * _TERM_CAP.bit_length() + 8
 def _pfq_direct(upper, lower, x, eps):
     """Sum the defining series by the term recurrence, in fixed point.
 
-    Stops once the measured term ratio has settled below
+    Stops once past the warm-up (and past every pole of a negative lower
+    parameter), the measured term ratio has settled below
     rho = (1 + |x|)/2 (or 0.9 for entire series) and the geometric tail
     bound |T|*rho/(1-rho) drops under eps; returns (value, terms).
 
@@ -221,7 +222,10 @@ def _pfq_direct(upper, lower, x, eps):
     x = mpmathify(x)
     if len(upper) == len(lower) + 1 and abs(x) >= 1:
         raise ValueError("direct summation requires |x| < 1")
-    warmup = 8 + int(4 * max((abs(float(u)) for u in upper), default=0))
+    # no tail is certified before the terms pass every pole -l of a negative
+    # lower parameter, where they can grow again: n > max(-lower) + 1
+    warmup = max(8 + int(4 * max((abs(float(u)) for u in upper), default=0)),
+                 math.floor(max((-l for l in lower), default=0)) + 2)
     ups = [(u.numerator, u.denominator) for u in upper]
     los = [(l.numerator, l.denominator) for l in lower]
     num0 = math.prod(l.denominator for l in lower)
@@ -500,7 +504,9 @@ def _require_boundary_shape(params: KdFParams):
 
 
 def _kdf_partial_sums(params: KdFParams, x, y, D: int):
-    """Anti-diagonal partial sums S_0..S_D of the double series.
+    """Anti-diagonal partial sums S_0..S_D of the double series, and a
+    function that bounds the error of each (only the interior route reads
+    the bound, so the boundary route does not pay for it).
 
     S_d = sum_{k<=d} A_k * sum_{m+n=k} B_m C_n.  The inner Cauchy product is
     taken exactly by ``kernels.conv_trunc`` on fixed-point images of B and C:
@@ -510,6 +516,13 @@ def _kdf_partial_sums(params: KdFParams, x, y, D: int):
     As sum_{k<=D} (k+1) <= (D+1)^2 <= 2^(2*bitlen(D)) and max|A| <=
     2^mag(A), taking shift = prec + 2*bitlen(D) + mag(A) keeps that below
     (max|B| + max|C| + 1) * 2^-prec, however fast A_k grows.
+
+    The mpf steps add the rest of the bound.  With u = 2^(1-prec) and P
+    parameters in all, each product A_k B_m C_n carries at most k (2P + 12)
+    roundings from the term recurrences, and turning inner_k into an mpf,
+    scaling it by A_k and accumulating up to S_D add D + 3 more.  The bound
+    takes |A_k| sum_{m+n=k} |B_m C_n| <= (k+1) 2^(mag A_k + max_m (mag B_m
+    + mag C_{k-m})), since |v| <= 2^mag(v).
     """
     A = _series_terms((*params.a, 1), params.ap, 1, D)
     B = _series_terms(params.b, params.bp, x, D)
@@ -517,7 +530,20 @@ def _kdf_partial_sums(params: KdFParams, x, y, D: int):
     shift = mp.prec + 2 * D.bit_length() + max(map(mp.mag, A))
     inner = kernels.conv_trunc([int(mp.ldexp(v, shift)) for v in B],
                                [int(mp.ldexp(v, shift)) for v in C], D)
-    return list(accumulate(a * mp.ldexp(i, -2 * shift) for a, i in zip(A, inner)))
+    sums = list(accumulate(a * mp.ldexp(i, -2 * shift) for a, i in zip(A, inner)))
+    prec = mp.prec
+
+    def bound():
+        P = sum(map(len, (params.a, params.ap, params.b, params.bp, params.c, params.cp)))
+        # a zero term gets an exponent far below any product that matters
+        eA, eB, eC = ([mp.mag(v) if v else -(1 << 40) for v in T] for T in (A, B, C))
+        weight = sum(mp.ldexp((k + 1) * (k * (2 * P + 12) + D + 3),
+                              eA[k] + max(map(add, eB[:k + 1], reversed(eC[:k + 1]))))
+                     for k in range(D + 1))
+        fixed = max(map(abs, B)) + max(map(abs, C)) + 1
+        return mp.ldexp(fixed, -prec) + mp.ldexp(weight, 1 - prec)
+
+    return sums, bound
 
 
 # boundary extrapolation window; generous for 40-60 working digits
@@ -529,7 +555,8 @@ _KDF_EXT_DPS = 260
 def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     """Anti-diagonal summation of the double series.
 
-    Interior points stop on a certified geometric tail bound; boundary points
+    Interior points stop on a certified geometric tail bound, and report it
+    plus the rounding bound of the partial sums; boundary points
     (|x| = 1 or |y| = 1) go through the d(m) extrapolation of the diagonal
     partial sums, with a Richardson fallback that labels the result
     ``"richardson"``, and require the convergence margins to be positive.
@@ -548,7 +575,7 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
                     f"boundary evaluation rejected: margins {margins.m1}, "
                     f"{margins.m2}, {margins.m3} are not all positive"
                 )
-            sums = _kdf_partial_sums(params, xx, yy, _KDF_D)
+            sums = _kdf_partial_sums(params, xx, yy, _KDF_D)[0]
             off, stride, kmax = _KDF_WINDOW
             ests = _accel.dm_extrapolate(sums, off, stride, kmax, _KDF_EXT_DPS, m=3)
             val, stab = _accel.pick_plateau(ests)
@@ -568,7 +595,7 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
         need = int(float(mp.log(tol) / mp.log(rho))) + 40 if rho > 0 else 24
         D = max(48, min(need, 20_000))
         while True:
-            sums = _kdf_partial_sums(params, xx, yy, D)
+            sums, rounding = _kdf_partial_sums(params, xx, yy, D)
             last_diag = abs(sums[-1] - sums[-2])
             bound = last_diag * rho / (1 - rho)
             if bound <= tol or D >= 20_000:
@@ -577,7 +604,7 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
         if bound > tol:
             raise ArithmeticError("interior double series failed its tail bound")
         terms = (D + 1) * (D + 2) // 2
-        return SeriesResult(+sums[-1], +bound, terms, "direct")
+        return SeriesResult(+sums[-1], +(bound + rounding()), terms, "direct")
 
 
 def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
@@ -723,43 +750,23 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False, max_level: int = 10)
 
 
 def check_hginterep(params: PFQParams, z, prec: Precision) -> IdentityReport:
-    """Compare B(a1, a1'-a1) * pFq against its Euler-type integral."""
-    t0 = time.perf_counter()
-    a1 = params.upper[0]
-    a1p = params.lower[0]
-    if not (a1p > a1 > 0):
-        raise ValueError("integral representation needs a1' > a1 > 0")
-    with mp.workdps(prec.dps + 15):
-        zz = mpmathify(z) if not isinstance(z, Fraction) else _fr_mpf(z)
-        if abs(zz) > 1:
-            raise ValueError("|z| must not exceed 1")
-        lhs = (
-            _gamma(a1) * _gamma(a1p - a1) / _gamma(a1p)
-            * pfq(params, zz, prec).value
-        )
-        inner_u = params.upper[1:]
-        inner_l = params.lower[1:]
-        am = _fr_mpf(a1)
-        dm = _fr_mpf(a1p - a1)
-        eps = prec.tol() / 100
+    """Compare B(a1, a1'-a1) * pFq against its Euler-type integral.
 
-        def integrand(t, omt):
-            if zz == 1:
-                fi, _, _ = _eval_pfq(inner_u, inner_l, t, omt, eps)
-            else:
-                arg = zz * t
-                fi, _, _ = _eval_pfq(inner_u, inner_l, arg, 1 - arg, eps)
-            return t ** (am - 1) * omt ** (dm - 1) * fi
+    The integral is ``kdf_integral`` on the block with joint pair (a1, a1'),
+    the inner parameters as its first variable and an empty second one,
+    taken at (z, 0).  Requires |z| <= 1 (``pfq``) and a1' > a1 > 0
+    (``kdf_integral``).
+    """
+    a1, a1p = params.upper[0], params.lower[0]
+    block = KdFParams([a1], [a1p], params.upper[1:], params.lower[1:], [], [])
 
-        rhs = quad_de(integrand, prec.tol() / 4, prec, two_arg=True).value
-        err = abs(lhs - rhs)
-    return IdentityReport(
-        name="hginterep",
-        lhs=+lhs,
-        rhs=+rhs,
-        abs_err=+err,
-        tol=prec.target_tol,
-        passed=bool(err <= prec.target_tol),
-        methods=("direct", "integral"),
-        seconds=time.perf_counter() - t0,
-    )
+    def points():
+        with mp.workdps(prec.dps + 15):
+            zz = mpmathify(z) if not isinstance(z, Fraction) else _fr_mpf(z)
+            series = pfq(params, zz, prec).value
+            integral = kdf_integral(block, zz, 0, prec).value
+            beta = _gamma(a1) * _gamma(a1p - a1) / _gamma(a1p)
+            lhs, rhs = beta * series, beta * integral
+            yield lhs, rhs, abs(lhs - rhs)
+
+    return check("hginterep", ("direct", "integral"), prec.target_tol, points())

@@ -15,15 +15,15 @@ the integral representation.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from mpmath import mp, mpf, mpmathify
 
 from . import hyper, qexp, thetanum
 from .hyper import KdFParams, PFQParams, SeriesResult, quad_de
-from .reports import IdentityReport
+from .reports import IdentityReport, check
 from .thetanum import Precision
 
 __all__ = [
@@ -126,18 +126,10 @@ def l_dirichlet(N: int) -> SeriesResult:
         raise ValueError("N must be at least 10^3")
     coeffs = qexp.f_coefficients(N).coeffs
     checkpoints = sorted({N // 2, 3 * N // 4, N})
-    sums = {}
-    acc = 0.0
-    comp = 0.0  # Kahan compensation
-    idx = 0
-    for m in range(1, N + 1):
-        y = coeffs[m] / (float(m) ** 3) - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-        if m == checkpoints[idx]:
-            sums[m] = acc
-            idx = min(idx + 1, len(checkpoints) - 1)
+    terms = (np.array(coeffs[1:N + 1], dtype=float)
+             / np.arange(1, N + 1, dtype=float) ** 3).tolist()
+    # each partial sum is the correctly rounded sum of the float terms
+    sums = {k: math.fsum(terms[:k]) for k in checkpoints}
     xs = [1.0 / k for k in checkpoints]
     ys = [sums[k] for k in checkpoints]
     tab = list(ys)
@@ -145,7 +137,7 @@ def l_dirichlet(N: int) -> SeriesResult:
         for i in range(len(tab) - k):
             tab[i] = (tab[i + 1] * xs[i] - tab[i] * xs[i + k]) / (xs[i] - xs[i + k])
     tail_estimate = abs(tab[0] - ys[-1])
-    return SeriesResult(mpf(acc), mpf(tail_estimate), N, "direct")
+    return SeriesResult(mpf(sums[N]), mpf(tail_estimate), N, "direct")
 
 
 # -- Theorem right-hand sides ----------------------------------------------------
@@ -269,58 +261,26 @@ def _e0_value(q, tol) -> mpf:
 
 # -- identity catalog ---------------------------------------------------------------
 
-IDENTITY_NAMES = (
-    "l1_alpha_integral",
-    "l2_intermediate",
-    "lemma_E0",
-    "int1",
-    "int2",
-    "int3",
-    "geom",
-    "hginterep",
-)
-
 _LEMMA_Q_GRID = ("0.05", "0.1", "0.2")
 _INT_ALPHA_GRID = ("0.1", "0.5", "0.9")
 _GEOM_A_GRID = (Fraction(1, 3), Fraction(2, 3), Fraction(5, 3))
-_HGINTEREP_SETS = (
-    PFQParams([Fraction(1, 3), 1], [Fraction(4, 3)]),
-    PFQParams([Fraction(2, 3), 1], [Fraction(5, 3)]),
-)
+# 2F1(e, 1; e+1; .) and 3F2(1, 1, e+1; 2, 2; .) for e = 1/3, 2/3
+_THIRDS_2F1 = tuple(PFQParams([e, 1], [e + 1]) for e in (_THIRD, 2 * _THIRD))
+_THIRDS_3F2 = tuple(PFQParams([1, 1, e + 1], [2, 2]) for e in (_THIRD, 2 * _THIRD))
 
 
-def _report(name, lhs, rhs, prec, methods, t0) -> IdentityReport:
-    with mp.workdps(prec.dps + 10):
-        err = abs(lhs - rhs)
-    return IdentityReport(
-        name=name,
-        lhs=lhs,
-        rhs=rhs,
-        abs_err=err,
-        tol=prec.target_tol,
-        passed=bool(err <= prec.target_tol),
-        methods=methods,
-        seconds=time.perf_counter() - t0,
-    )
-
-
-def _lemma_e0_at(q, prec: Precision):
-    with mp.workdps(prec.dps + 15):
-        qq = mpmathify(q)
-        lhs = _e0_value(qq, prec.tol() / 8)
-        alpha, comp = thetanum.alpha_pair(qq, prec)
-        third = mpf(1) / 3
-        f1 = hyper.pfq(PFQParams([Fraction(1, 3), 1], [Fraction(4, 3)]),
-                       alpha, prec, x_complement=comp).value
-        f2 = hyper.pfq(PFQParams([Fraction(2, 3), 1], [Fraction(5, 3)]),
-                       alpha, prec, x_complement=comp).value
-        f3 = hyper.pfq(PFQParams([1, 1, Fraction(4, 3)], [2, 2]),
-                       alpha, prec, x_complement=comp).value
-        f4 = hyper.pfq(PFQParams([1, 1, Fraction(5, 3)], [2, 2]),
-                       alpha, prec, x_complement=comp).value
-        rhs = (alpha ** third * f1 / 3 - alpha ** (2 * third) * f2 / 6
-               + alpha * f3 / 27 - 2 * alpha * f4 / 27)
-    return lhs, rhs
+def _lemma_e0_pairs(prec: Precision, point):
+    for q in _LEMMA_Q_GRID if point is None else (point,):
+        with mp.workdps(prec.dps + 15):
+            qq = mpmathify(q)
+            lhs = _e0_value(qq, prec.tol() / 8)
+            alpha, comp = thetanum.alpha_pair(qq, prec)
+            third = mpf(1) / 3
+            f1, f2, f3, f4 = (hyper.pfq(params, alpha, prec, x_complement=comp).value
+                              for params in _THIRDS_2F1 + _THIRDS_3F2)
+            rhs = (alpha ** third * f1 / 3 - alpha ** (2 * third) * f2 / 6
+                   + alpha * f3 / 27 - 2 * alpha * f4 / 27)
+        yield lhs, rhs
 
 
 def _pfq_direct_value(params: PFQParams, x, prec: Precision) -> mpf:
@@ -330,68 +290,91 @@ def _pfq_direct_value(params: PFQParams, x, prec: Precision) -> mpf:
         return val
 
 
-def _int_check_at(which: int, alpha, prec: Precision):
-    """The three antiderivative identities at upper limit alpha.
+def _int_pairs(which: int, prec: Precision, point):
+    """The three antiderivative identities at upper limits alpha.
 
     LHS is tanh-sinh quadrature after x -> alpha*t; RHS sums the stated
     hypergeometric closed forms by the plain recurrence.
     """
-    with mp.workdps(prec.dps + 15):
-        al = mpmathify(alpha)
-        third = mpf(1) / 3
-        if which == 1:
-            lhs = quad_de(
-                lambda t, omt: t ** (-2 * third) / (1 - al * t),
-                prec.tol() / 4, prec, two_arg=True,
-            ).value * al ** third
-            rhs = 3 * al ** third * _pfq_direct_value(
-                PFQParams([Fraction(1, 3), 1], [Fraction(4, 3)]), al, prec)
-        elif which == 2:
-            lhs = quad_de(
-                lambda t, omt: t ** (-third) / (1 - al * t),
-                prec.tol() / 4, prec, two_arg=True,
-            ).value * al ** (2 * third)
-            rhs = mpf(3) / 2 * al ** (2 * third) * _pfq_direct_value(
-                PFQParams([Fraction(2, 3), 1], [Fraction(5, 3)]), al, prec)
-        else:
-            cutoff = mpf("0.125")
+    for alpha in _INT_ALPHA_GRID if point is None else (point,):
+        with mp.workdps(prec.dps + 15):
+            al = mpmathify(alpha)
+            third = mpf(1) / 3
+            if which < 3:
+                # int_0^alpha x^(e-1)/(1-x) dx = alpha^e/e 2F1(e, 1; e+1; alpha),
+                # e = which/3
+                lhs = quad_de(
+                    lambda t, omt: t ** (-(3 - which) * third) / (1 - al * t),
+                    prec.tol() / 4, prec, two_arg=True,
+                ).value * al ** (which * third)
+                rhs = mpf(3) / which * al ** (which * third) * _pfq_direct_value(
+                    _THIRDS_2F1[which - 1], al, prec)
+            else:
+                cutoff = mpf("0.125")
 
-            def g(x):
-                # ((1-x)^(1/3) - (1-x)^(2/3)) / (x (1-x)), stable near x = 0
-                if x < cutoff:
-                    b1, b2 = mpf(1), mpf(1)
-                    acc = mpf(0)
-                    xk = mpf(1)
-                    k = 1
-                    while True:
-                        b1 *= (third - (k - 1)) / k
-                        b2 *= (2 * third - (k - 1)) / k
-                        c = (b1 - b2) * (-1) ** k
-                        acc += c * xk
-                        if abs(c * xk) < prec.tol() * 1e-6 and k > 3:
-                            break
-                        xk *= x
-                        k += 1
-                    return acc / (1 - x)
-                omx = 1 - x
-                return (omx ** third - omx ** (2 * third)) / (x * omx)
+                def g(x):
+                    # ((1-x)^(1/3) - (1-x)^(2/3)) / (x (1-x)), stable near x = 0
+                    if x < cutoff:
+                        b1, b2 = mpf(1), mpf(1)
+                        acc = mpf(0)
+                        xk = mpf(1)
+                        k = 1
+                        while True:
+                            b1 *= (third - (k - 1)) / k
+                            b2 *= (2 * third - (k - 1)) / k
+                            c = (b1 - b2) * (-1) ** k
+                            acc += c * xk
+                            if abs(c * xk) < prec.tol() * 1e-6 and k > 3:
+                                break
+                            xk *= x
+                            k += 1
+                        return acc / (1 - x)
+                    omx = 1 - x
+                    return (omx ** third - omx ** (2 * third)) / (x * omx)
 
-            lhs = quad_de(lambda t, omt: g(al * t) * al, prec.tol() / 4,
-                          prec, two_arg=True).value
-            rhs = (2 * al / 3 * _pfq_direct_value(
-                       PFQParams([1, 1, Fraction(5, 3)], [2, 2]), al, prec)
-                   - al / 3 * _pfq_direct_value(
-                       PFQParams([1, 1, Fraction(4, 3)], [2, 2]), al, prec))
-    return lhs, rhs
+                lhs = quad_de(lambda t, omt: g(al * t) * al, prec.tol() / 4,
+                              prec, two_arg=True).value
+                rhs = (2 * al / 3 * _pfq_direct_value(_THIRDS_3F2[1], al, prec)
+                       - al / 3 * _pfq_direct_value(_THIRDS_3F2[0], al, prec))
+        yield lhs, rhs
 
 
-def _geom_check_at(a: Fraction, x, prec: Precision):
-    with mp.workdps(prec.dps + 10):
-        xx = mpmathify(x)
-        am = mpf(a.numerator) / a.denominator
-        lhs = am * xx * _pfq_direct_value(PFQParams([1, a + 1], [2]), xx, prec)
-        rhs = (1 - xx) ** (-am) - 1
-    return lhs, rhs
+def _geom_pairs(prec: Precision, point):
+    xs = [mpf(k) / 10 for k in range(1, 10)] if point is None else (point,)
+    for a in _GEOM_A_GRID:
+        for x in xs:
+            with mp.workdps(prec.dps + 10):
+                xx = mpmathify(x)
+                am = mpf(a.numerator) / a.denominator
+                lhs = am * xx * _pfq_direct_value(PFQParams([1, a + 1], [2]), xx, prec)
+                rhs = (1 - xx) ** (-am) - 1
+            yield lhs, rhs
+
+
+def _hginterep_pairs(prec: Precision, point):
+    z = mpmathify("0.5" if point is None else point)
+    for params in _THIRDS_2F1:
+        rep = hyper.check_hginterep(params, z, prec)
+        yield rep.lhs, rep.rhs
+
+
+# name -> (methods, pairs(prec, point)): the pairs yield the (lhs, rhs) of
+# every point checked, and reach the evaluators through module attributes
+# when they run
+_CATALOG = {
+    "l1_alpha_integral": (("mellin", "alpha-integral"), lambda prec, _: [
+        (l_mellin(1, prec).value, l1_alpha_integral(prec).value)]),
+    "l2_intermediate": (("mellin", "theta-integral"), lambda prec, _: [
+        (l_mellin(2, prec).value, l2_intermediate(prec).value)]),
+    "lemma_E0": (("lambert-sum", "hypergeometric"), _lemma_e0_pairs),
+    "int1": (("integral", "direct-series"), lambda prec, point: _int_pairs(1, prec, point)),
+    "int2": (("integral", "direct-series"), lambda prec, point: _int_pairs(2, prec, point)),
+    "int3": (("integral", "direct-series"), lambda prec, point: _int_pairs(3, prec, point)),
+    "geom": (("direct-series", "closed-form"), _geom_pairs),
+    "hginterep": (("direct", "integral"), _hginterep_pairs),
+}
+
+IDENTITY_NAMES = tuple(_CATALOG)
 
 
 def check_identity(name: str, prec: Precision, point=None) -> IdentityReport:
@@ -400,50 +383,14 @@ def check_identity(name: str, prec: Precision, point=None) -> IdentityReport:
     Sweeping identities (lemma_E0, int1-3, geom, hginterep) check their whole
     default grid and report the worst point unless ``point`` pins one down.
     """
-    t0 = time.perf_counter()
-    if name == "l1_alpha_integral":
-        lhs = l_mellin(1, prec).value
-        rhs = l1_alpha_integral(prec).value
-        rep = _report(name, lhs, rhs, prec, ("mellin", "alpha-integral"), t0)
-    elif name == "l2_intermediate":
-        lhs = l_mellin(2, prec).value
-        rhs = l2_intermediate(prec).value
-        rep = _report(name, lhs, rhs, prec, ("mellin", "theta-integral"), t0)
-    elif name == "lemma_E0":
-        qs = (point,) if point is not None else _LEMMA_Q_GRID
-        worst = None
-        for q in qs:
-            lhs, rhs = _lemma_e0_at(q, prec)
-            if worst is None or abs(lhs - rhs) > abs(worst[0] - worst[1]):
-                worst = (lhs, rhs)
-        rep = _report(name, worst[0], worst[1], prec, ("lambert-sum", "hypergeometric"), t0)
-    elif name in ("int1", "int2", "int3"):
-        which = int(name[-1])
-        alphas = (point,) if point is not None else _INT_ALPHA_GRID
-        worst = None
-        for al in alphas:
-            lhs, rhs = _int_check_at(which, al, prec)
-            if worst is None or abs(lhs - rhs) > abs(worst[0] - worst[1]):
-                worst = (lhs, rhs)
-        rep = _report(name, worst[0], worst[1], prec, ("integral", "direct-series"), t0)
-    elif name == "geom":
-        xs = (point,) if point is not None else tuple(
-            mpf(k) / 10 for k in range(1, 10))
-        worst = None
-        for a in _GEOM_A_GRID:
-            for x in xs:
-                lhs, rhs = _geom_check_at(a, x, prec)
-                if worst is None or abs(lhs - rhs) > abs(worst[0] - worst[1]):
-                    worst = (lhs, rhs)
-        rep = _report(name, worst[0], worst[1], prec, ("direct-series", "closed-form"), t0)
-    elif name == "hginterep":
-        z = point if point is not None else "0.5"
-        worst = None
-        for params in _HGINTEREP_SETS:
-            sub = hyper.check_hginterep(params, mpmathify(z), prec)
-            if worst is None or sub.abs_err > abs(worst[0] - worst[1]):
-                worst = (sub.lhs, sub.rhs)
-        rep = _report(name, worst[0], worst[1], prec, ("direct", "integral"), t0)
-    else:
+    if name not in _CATALOG:
         raise ValueError(f"unknown identity name {name!r}")
-    return rep
+    methods, pairs = _CATALOG[name]
+
+    def points():
+        for lhs, rhs in pairs(prec, point):
+            with mp.workdps(prec.dps + 10):
+                err = abs(lhs - rhs)
+            yield lhs, rhs, err
+
+    return check(name, methods, prec.target_tol, points())

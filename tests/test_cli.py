@@ -3,9 +3,11 @@
 import dataclasses
 import json
 
-from mpmath import mpf
+import pytest
+from mpmath import mp, mpf
 
 from cubictheta import cli, lvalue
+from cubictheta.reports import check
 
 
 def run(argv, capsys):
@@ -139,24 +141,61 @@ def test_verify_exact_small_order(tmp_path, capsys):
 
 
 def test_verify_json_round_trip_and_determinism(tmp_path, capsys):
-    paths = [tmp_path / "one.json", tmp_path / "two.json"]
-    for p in paths:
-        code, _, _ = run(["verify", "--suite", "exact", "--order", "25",
-                          "--json", str(p)], capsys)
-        assert code == 0
-    raw = paths[0].read_bytes()
-    # round trip: parse and re-render byte-identically
-    parsed = json.loads(raw.decode("utf-8"))
-    assert cli.render_report_json(parsed).encode("utf-8") == raw
     # determinism: identical output modulo the seconds fields
     def strip_seconds(payload):
         payload = json.loads(payload.decode("utf-8"))
         payload.pop("total_seconds")
-        for check in payload["checks"]:
-            check.pop("seconds")
+        for row in payload["checks"]:
+            row.pop("seconds")
         return payload
 
-    assert strip_seconds(raw) == strip_seconds(paths[1].read_bytes())
+    # the numeric suite's abs_err fields are mpf distances
+    for argv in (["--suite", "exact", "--order", "25"], ["--suite", "numeric", "--digits", "20"]):
+        paths = [tmp_path / "one.json", tmp_path / "two.json"]
+        for p in paths:
+            code, _, _ = run(["verify", *argv, "--json", str(p)], capsys)
+            assert code == 0
+        raw = paths[0].read_bytes()
+        # round trip: parse and re-render byte-identically
+        parsed = json.loads(raw.decode("utf-8"))
+        assert cli.render_report_json(parsed).encode("utf-8") == raw
+        assert strip_seconds(raw) == strip_seconds(paths[1].read_bytes())
+
+
+def test_abs_err_printed_to_absolute_precision():
+    # abs_err keeps digits + floor(log10 abs_err) + 1 significant digits, so
+    # its last digit sits at 10^-digits and rounding noise below that is cut
+    with mp.workdps(60):
+        err = mpf("9.0594198809412773698568344116e-14")
+        assert cli._fmt_err(err, 40) == "9.05941988094127736985683441e-14"
+        assert cli._fmt_err(err + mpf("1e-50"), 40) == cli._fmt_err(err, 40)
+        assert cli._fmt_err(mpf("4.63e-44"), 40) == "5.0e-44"
+    assert cli._fmt_err(0.0, 40) == "0.0"
+    # the JSON report uses this rule for abs_err alone
+    rep = check("one", ("a", "b"), 1.0, iter([(err, err, err)]))
+    [row] = cli.suite_report_dict([rep], 40, 0.0)["checks"]
+    assert row["abs_err"] == "9.05941988094127736985683441e-14"
+    assert row["lhs"] == row["rhs"] == mp.nstr(err, 40, strip_zeros=True)
+
+
+@pytest.mark.parametrize("digits", [20, 22, 25])
+def test_numeric_suite_passes_at_low_digits(digits):
+    # kdf_routes_report asks both routes for tol/100; at the 10^-(digits-15)
+    # it used to ask for, the route gap exceeded tol at these digit counts
+    reports = cli.numeric_suite_reports(digits)
+    assert [r.name for r in reports if not r.passed] == []
+
+
+def test_numeric_suite_keeps_working_precision():
+    # the builder stores values as computed: hginterep's sides and the
+    # nonzero distances carry more than the 53 bits of a double (but for
+    # involution's, an exact difference of two close values, 25 bits long)
+    reports = {r.name: r for r in cli.numeric_suite_reports(20)}
+    wide = [reports["hginterep"].lhs, reports["hginterep"].rhs]
+    wide += [r.abs_err for r in reports.values() if r.abs_err and r.name != "involution"]
+    assert len(wide) == 2 + 13
+    for v in wide:
+        assert isinstance(v, mpf) and v._mpf_[3] > 53, v
 
 
 # -- theorem check ------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Hypergeometric evaluators: exact term recurrences, closed-form anchors,
 near-unit expansions against mpmath, double-series routes, quadrature."""
 
+import math
 from fractions import Fraction
 from itertools import accumulate
 
@@ -215,7 +216,8 @@ def loop_pfq_direct(upper, lower, x, eps):
     term = mpf(1)
     n = 0
     settled = 0
-    warmup = 8 + int(4 * max((abs(float(u)) for u in upper), default=0))
+    warmup = max(8 + int(4 * max((abs(float(u)) for u in upper), default=0)),
+                 math.floor(max((-l for l in lower), default=0)) + 2)
     while True:
         s += term
         r = x / (n + 1)
@@ -248,8 +250,12 @@ DIRECT_CASES = [
     pytest.param([40, 30], [Fraction(1, 2)], "-0.5", "1e-45", id="cancelling"),
     # the terms dip near n = 27 and rise by 2^7.8 before they settle
     pytest.param([1, 1], [Fraction(-59, 2)], "0.1", "1e-45", id="negative-lower"),
-    # stops at n = 12, while D_n < 0: the ratio test must take |D_n|
+    # the ratios settle by n = 12, while D_n < 0, but no tail is certified
+    # before the pole at n = 29.5 is passed
     pytest.param([1, 1], [Fraction(-59, 2)], "0.1", "1e-15", id="negative-lower-early-stop"),
+    # at this x the ratios are already settled while D_n < 0, before the
+    # pole: the stop at n = 31 needs the ratio test to take |D_n|
+    pytest.param([1, 1], [Fraction(-59, 2)], "1e-3", "1e-45", id="negative-lower-settled"),
     # the terms dip to 2^-91 at n = 40 and rise by 2^95 up to n = 120: the
     # floors at the dip need the measured rise in the guard bits
     pytest.param([1, 1], [Fraction(-119, 2)], "0.5", "1e-45", id="dip-then-rise"),
@@ -308,6 +314,20 @@ def test_pfq_direct_guard_bits(monkeypatch, up, lo, x):
                 low = min(low, t)
                 rise = max(rise, t / low)
             assert wp - prec >= 2 * N.bit_length() + mp.log(rise, 2)
+
+
+def test_pfq_direct_waits_for_negative_lower_pole():
+    # three settled ratios at n = 15 once ended this sum 8.2e-10 short
+    # (0.990037896184); the terms grow again near the pole at n = 29.5
+    from mpmath import hyper as mp_hyper
+
+    with mp.workdps(30):
+        eps = mpf("1e-15")
+        got, n = hyper._pfq_direct([1, 1], [Fraction(-59, 2)], mpf("0.3"), eps)
+        with mp.workdps(60):
+            want = mp_hyper([1, 1], [mpf(-59) / 2], mpf("0.3"))
+        assert n > 31
+        assert abs(got - want) <= eps
 
 
 def test_pfq_direct_rejects_inexact_parameters():
@@ -581,12 +601,14 @@ def test_kdf_partial_sums_match_loop(params, x, y):
     with mp.workdps(55):
         xx = mpf(Fraction(x).numerator) / Fraction(x).denominator
         yy = mpf(Fraction(y).numerator) / Fraction(y).denominator
-        got = hyper._kdf_partial_sums(params, xx, yy, D)
+        got, rounding = hyper._kdf_partial_sums(params, xx, yy, D)
         with mp.workprec(mp.prec + 64):
             ref, A, B, C = loop_partial_sums(params, xx, yy, D)
         bound = sums_error_bound(params, A, B, C, D)
         for d in range(D + 1):
             assert abs(got[d] - ref[d]) <= bound[d], d
+        # the returned bound covers the same model, with mag slack
+        assert bound[D] <= rounding()
 
 
 @pytest.mark.parametrize("params, mag_a", [(MAIN_BLOCK, 1), (FACTORIAL_A_BLOCK, 1246)])
@@ -619,6 +641,36 @@ def test_kdf_series_interior_factorial_a():
         res = hyper.kdf_series(FACTORIAL_A_BLOCK, Fraction(1, 4), Fraction(1, 4), PREC)
         assert res.method == "direct"
         assert abs(res.value - 2) <= res.err_estimate + mpf(10) ** -35
+
+
+def _collapsed_block(a):
+    # c = [0] leaves only n = 0: the series is 3F2(1, 1, a+1; 2, 2; x)
+    return KdFParams([1], [2], [1, a + 1], [2], [0], [])
+
+
+@pytest.mark.parametrize("a", [THIRD, 2 * THIRD])
+def test_kdf_collapsed_block_at_one_1_1(a):
+    # 3F2(1, 1, a+1; 2, 2; 1) = (psi(1) - psi(1 - a)) / a, by both routes
+    prec = Precision(40, 1e-12)
+    with mp.workdps(60):
+        am = mpf(a.numerator) / a.denominator
+        want = (mp.psi(0, 1) - mp.psi(0, 1 - am)) / am
+        for route in (hyper.kdf_series, hyper.kdf_integral):
+            res = route(_collapsed_block(a), 1, 1, prec)
+            assert abs(res.value - want) <= res.err_estimate, route.__name__
+
+
+@pytest.mark.parametrize("a", [THIRD, 2 * THIRD])
+@pytest.mark.parametrize("x, y", [(HALF, HALF), (Fraction(9, 10), HALF), (THIRD, -HALF)])
+def test_kdf_collapsed_block_interior(a, x, y):
+    # the interior bar includes the rounding of the partial sums: at
+    # (1/3, -1/2) the last diagonal truncates to 0 and the tail bound alone
+    # is 0, while the value is 9.1e-56 off
+    res = hyper.kdf_series(_collapsed_block(a), x, y, PREC)
+    with mp.workdps(80):
+        want = mp.hyp3f2(1, 1, 1 + mpf(a.numerator) / a.denominator, 2, 2,
+                         mpf(x.numerator) / x.denominator)
+        assert abs(res.value - want) <= res.err_estimate
 
 
 # -- d(m) extrapolation -------------------------------------------------------------------
@@ -690,7 +742,8 @@ def test_dm_extrapolate_matches_full_table():
     # shared-division elimination against the full table on 80 points
     off, stride, kmax = hyper._KDF_WINDOW
     with mp.workdps(55):
-        sums = hyper._kdf_partial_sums(THEOREM_KDF_BLOCKS["L1"], mpf(1), mpf(1), hyper._KDF_D)
+        sums, _ = hyper._kdf_partial_sums(THEOREM_KDF_BLOCKS["L1"], mpf(1), mpf(1),
+                                          hyper._KDF_D)
     got = _accel.dm_extrapolate(sums, off, stride, kmax, hyper._KDF_EXT_DPS)
     ref = full_table_dm_extrapolate(sums, off, stride, 80, kmax, hyper._KDF_EXT_DPS)
     assert len(got) == len(ref) == kmax

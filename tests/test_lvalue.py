@@ -1,6 +1,8 @@
 """L-value routes: request validation, Dirichlet tails, route cross-checks,
 and the identity catalog at its stated tolerance."""
 
+import math
+
 import pytest
 from mpmath import mp, mpf
 
@@ -51,6 +53,14 @@ def test_dirichlet_leading_term():
     with mp.workdps(30):
         direct = sum(mpf(coeffs[n]) / n ** 3 for n in range(1, 1001))
         assert abs(res.value - direct) < mpf("1e-12")
+
+
+@pytest.mark.parametrize("N", [1000, 10 ** 5])
+def test_dirichlet_is_correctly_rounded_float_sum(N):
+    # the value is math.fsum of the float terms a_m / m^3, to the last bit
+    coeffs = qexp.f_coefficients(N).coeffs
+    want = math.fsum(coeffs[m] / float(m) ** 3 for m in range(1, N + 1))
+    assert lvalue.l_dirichlet(N).value == want
 
 
 def test_dirichlet_tail_estimates_shrink_and_bound():

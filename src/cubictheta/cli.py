@@ -105,6 +105,13 @@ def _distances(name: str, methods: tuple, tol, digits: int, errs) -> IdentityRep
         return check(name, methods, tol, ((0.0, 0.0, err) for err in errs))
 
 
+def _sides(name: str, methods: tuple, tol, digits: int, pairs) -> IdentityReport:
+    """A numeric check of two sides: its points the (lhs, rhs) ``pairs`` and
+    their distances, all evaluated at digits + 10 working digits."""
+    with mp.workdps(digits + 10):
+        return check(name, methods, tol, ((lhs, rhs, abs(lhs - rhs)) for lhs, rhs in pairs))
+
+
 def hauptmodul_report(digits: int, tol: float = 1e-20) -> IdentityReport:
     prec = Precision(digits, tol)
     return _distances("hauptmodul", ("theta", "gauss-2f1"), tol, digits, (
@@ -114,7 +121,7 @@ def hauptmodul_report(digits: int, tol: float = 1e-20) -> IdentityReport:
 def involution_report(digits: int, tol: float = 1e-20) -> IdentityReport:
     """b(e^{-2 pi u}) vs c(e^{-2 pi/(3u)})/(sqrt(3) u), both sides summed directly."""
 
-    def errs():
+    def pairs():
         inner_tol = mpf(10) ** (-digits)
         for entry in _INVOLUTION_GRID:
             u = 1 / mp.sqrt(3) if entry is None else mpmathify(entry)
@@ -122,9 +129,9 @@ def involution_report(digits: int, tol: float = 1e-20) -> IdentityReport:
             rhs = thetanum._theta_direct(
                 "c", mp.exp(-2 * mp.pi / (3 * u)), inner_tol * mp.sqrt(3) * u
             ) / (mp.sqrt(3) * u)
-            yield abs(lhs - rhs)
+            yield lhs, rhs
 
-    return _distances("involution", ("direct", "direct"), tol, digits, errs())
+    return _sides("involution", ("direct", "direct"), tol, digits, pairs())
 
 
 def differential_report(digits: int, tol: float = 1e-12) -> IdentityReport:
@@ -193,17 +200,17 @@ def quad_closed_forms_report(digits: int) -> IdentityReport:
     tol = 10.0 ** (-(digits - 15))
     prec = Precision(digits, tol)
 
-    def errs():
+    def pairs():
         third = mpf(1) / 3
         for f, want in (
             (lambda t: mpf(1), mpf(1)),
             (lambda t: (1 - t) ** (-third), mpf(3) / 2),
             (lambda t: t ** third / (t * (1 - t)) * (1 - t), mpf(3)),
         ):
-            yield abs(hyper.quad_de(f, tol, prec).value - want)
+            yield hyper.quad_de(f, tol, prec).value, want
 
-    return _distances("quad_de_closed_forms", ("quadrature", "closed-form"), tol, digits,
-                      errs())
+    return _sides("quad_de_closed_forms", ("quadrature", "closed-form"), tol, digits,
+                  pairs())
 
 
 def kdf_routes_report(digits: int, tol: float = 1e-15) -> IdentityReport:
@@ -212,9 +219,9 @@ def kdf_routes_report(digits: int, tol: float = 1e-15) -> IdentityReport:
     prec = Precision(digits, max(min(10.0 ** (-(digits - 15)), tol / 100),
                                  10.0 ** (-(digits - 10))))
     half = Fraction(1, 2)
-    return _distances("kdf_series_vs_integral", ("direct", "integral"), tol, digits, (
-        abs(hyper.kdf_series(params, half, half, prec).value
-            - hyper.kdf_integral(params, half, half, prec).value)
+    return _sides("kdf_series_vs_integral", ("direct", "integral"), tol, digits, (
+        (hyper.kdf_series(params, half, half, prec).value,
+         hyper.kdf_integral(params, half, half, prec).value)
         for params in lvalue.THEOREM_KDF_BLOCKS.values()))
 
 
@@ -339,11 +346,12 @@ def cmd_verify(args, parser) -> int:
         parser.error("--digits must be at least 15")
     if args.tol is not None and args.tol <= 0:
         parser.error("--tol must be positive")
-    order = args.order or 500
+    if args.order < 1:
+        parser.error("--order must be at least 1")
     t0 = time.perf_counter()
     reports = []
     if args.suite in ("all", "exact"):
-        reports.extend(exact_suite_reports(order))
+        reports.extend(exact_suite_reports(args.order))
     if args.suite in ("all", "numeric"):
         reports.extend(numeric_suite_reports(args.digits, args.tol))
     if args.suite in ("all", "theorem"):
@@ -368,6 +376,8 @@ def cmd_lvalue(args, parser) -> int:
         request = lvalue.LValueRequest(args.n, prec, args.method)
     except ValueError as exc:
         parser.error(str(exc))
+    if request.method == "dirichlet" and args.N < 1000:
+        parser.error("--N must be at least 1000 for the dirichlet method")
     t0 = time.perf_counter()
     if request.method == "mellin":
         res = lvalue.l_mellin(args.n, prec)
@@ -469,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("all", "exact", "numeric", "theorem"),
                    default="all")
-    p.add_argument("--order", type=int, default=None,
+    p.add_argument("--order", type=int, default=500,
                    help="q-order for the exact suite (default 500)")
     p.add_argument("--digits", type=int, default=40)
     p.add_argument("--tol", type=float, default=None,

@@ -4,11 +4,13 @@ double-exponential quadrature.
 
 Parameters are carried as exact Fractions until the moment of evaluation, so
 structural questions (parameter cancellation, zero-balancedness, closed-form
-patterns) are decided exactly.  Direct summation runs the term recurrence
-in fixed point on Python ints built from those exact parameters, with a
-stated rounding bound (``_pfq_direct``).  Near the unit argument the
-evaluators switch to connection/log expansions in 1 - x; callers that know
-1 - x to better accuracy than x can pass it explicitly.
+patterns) are decided exactly.  Direct sums, partial sums at x = 1 and the
+Kampe de Feriet anti-diagonal sums S_d take their terms from one recurrence,
+run in fixed point on Python ints built from those exact parameters
+(``_fixed_terms``), with stated rounding bounds: 2^-prec (1 + |value|) for
+direct sums and 2^-prec (1 + max |S_d|) for the S_d.  Near the unit argument
+the evaluators switch to connection/log expansions in 1 - x; callers that
+know 1 - x to better accuracy than x can pass it explicitly.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, count, islice
 
 from mpmath import mp, mpf, mpmathify
 
@@ -164,23 +165,50 @@ def _fr_mpf(fr: Fraction) -> mpf:
     return mpf(fr.numerator) / fr.denominator
 
 
-# -- term recurrence ----------------------------------------------------------
+# -- term recurrence, in fixed point ------------------------------------------
 
 
-def _series_terms(upper, lower, z, D: int) -> list:
-    """Terms t_0..t_D of sum_n prod (u)_n / prod (l)_n * z^n / n!, built by the
-    term ratio from Fraction parameters; an upper parameter 1 cancels the n!."""
-    um = [_fr_mpf(v) for v in upper]
-    lm = [_fr_mpf(v) for v in lower]
-    terms = [mpf(1)] * (D + 1)
-    for n in range(D):
-        r = mpf(z)
-        for u in um:
-            r *= u + n
-        for l in lm:
-            r /= l + n
-        terms[n + 1] = terms[n] * r / (n + 1)
-    return terms
+def _fixed_terms(upper, lower, X: int, wp: int):
+    """Yield (T_n, N_n, D_n, R_n) for n = 0, 1, ...: the terms of
+    sum_n prod (u)_n / prod (l)_n x^n / n! as Python ints at 2^wp, the
+    integers of their ratio, and a bound on their rise.
+
+    ``upper``/``lower`` are exact rationals and X = x 2^wp an int.  With
+    u = p/q, the term ratio is r_n = N_n / (D_n 2^wp) for the integers
+    N_n = X prod (p + n q) * prod(lower denominators) and
+    D_n = (n + 1) prod (p' + n q') * prod(upper denominators); an upper
+    parameter 1 cancels the n!.  T_0 = 2^wp and
+    T_{n+1} = floor(T_n N_n / (D_n 2^wp)).
+
+    Rounding: each floor costs at most one ulp (2^-wp), and the ulp lost at
+    step k reaches T_j multiplied by |r_k ... r_{j-1}| = |t_j / t_k| for the
+    exact terms t.  So T_j is within j G ulps of t_j 2^wp, where
+    G = max_{k<=j<=n} |t_j / t_k| < 2^R_n is the largest rise so far.  R_n
+    sums the log2 of the exact ratios (1e-3 bits spare for float rounding),
+    not the floored terms, which are 0 where the exact ones dip below 2^-wp
+    and may grow back.  After a ratio 0 all terms are exactly 0; R_n stops.
+    """
+    ups = [(u.numerator, u.denominator) for u in upper]
+    los = [(l.numerator, l.denominator) for l in lower]
+    num0 = X * math.prod(l.denominator for l in lower)
+    den0 = math.prod(u.denominator for u in upper)
+    term = 1 << wp
+    lg = low = rise = 0.0  # log2 |t_n|, its least value so far, and the rise
+    for n in count():
+        num = num0
+        for p, q in ups:
+            num *= p + n * q
+        den = den0 * (n + 1)
+        for p, q in los:
+            den *= p + n * q
+        yield term, num, den, math.floor(rise + 1e-3) + 1
+        term = term * num // (den << wp)
+        if num and lg > -math.inf:
+            lg += math.log2(abs(num)) - math.log2(abs(den)) - wp
+            low = min(low, lg)
+            rise = max(rise, lg - low)
+        else:
+            lg = -math.inf
 
 
 # -- direct summation with a certified geometric tail -------------------------
@@ -199,23 +227,16 @@ def _pfq_direct(upper, lower, x, eps):
     rho = (1 + |x|)/2 (or 0.9 for entire series) and the geometric tail
     bound |T|*rho/(1-rho) drops under eps; returns (value, terms).
 
-    ``upper``/``lower`` are exact rationals (TypeError otherwise).  With
-    u = p/q, the term ratio is r_n = x N_n / D_n for the integers
-    N_n = prod (p + n q) * prod(lower denominators) and
-    D_n = (n + 1) prod (p' + n q') * prod(upper denominators).  The terms are
-    Python ints at 2^wp, wp = prec + guard (raised to x's exponent when that
-    is lower, so that X = x 2^wp is exact): T_0 = 2^wp and
-    T_{n+1} = floor(T_n X N_n / (D_n 2^wp)).  The ratio and tail tests are
-    exact comparisons of these integers.
+    ``upper``/``lower`` are exact rationals (TypeError otherwise).  The
+    terms come from ``_fixed_terms`` at 2^wp, wp = prec + guard (raised to
+    x's exponent when that is lower, so that X = x 2^wp is exact).  The
+    ratio and tail tests are exact comparisons of its integers.
 
-    Rounding: each floor costs at most one ulp (2^-wp), and the ulp lost at
-    step k reaches T_n multiplied by |r_k ... r_{n-1}| = |T_n / T_k|.  So the
-    sum of the N terms is off by at most N^2 G ulps, where
-    G = max_{k<=n} |T_n / T_k| is the largest rise of the terms (1 when they
-    never grow, < 2^(R+1) for the rise R measured in bit lengths).  When
-    2 bitlen(N) + R + 1 exceeds the guard, the sum is redone with that many
-    guard bits; so the fixed-point sum is within 2^-prec of the exact partial
-    sum at x, and the returned mpf within 2^-prec (1 + |value|).
+    Rounding: each of the N terms is within N G ulps (``_fixed_terms``), so
+    the sum is within N^2 G < 2^(2 bitlen(N) + R) ulps for G < 2^R; when that
+    exponent exceeds the guard, the sum is redone with that many guard bits.
+    So it is within 2^-prec of the exact partial sum at x, and the returned
+    mpf within 2^-prec (1 + |value|).
     """
     upper = _as_fraction_tuple(upper)
     lower = _as_fraction_tuple(lower)
@@ -226,10 +247,6 @@ def _pfq_direct(upper, lower, x, eps):
     # lower parameter, where they can grow again: n > max(-lower) + 1
     warmup = max(8 + int(4 * max((abs(float(u)) for u in upper), default=0)),
                  math.floor(max((-l for l in lower), default=0)) + 2)
-    ups = [(u.numerator, u.denominator) for u in upper]
-    los = [(l.numerator, l.denominator) for l in lower]
-    num0 = math.prod(l.denominator for l in lower)
-    den0 = math.prod(u.denominator for u in upper)
     guard = _PFQ_GUARD
     while True:
         wp = max(mp.prec + guard, -x.man_exp[1])
@@ -238,39 +255,19 @@ def _pfq_direct(upper, lower, x, eps):
         rho = (one + abs(X)) >> 1 if len(upper) == len(lower) + 1 else 9 * one // 10
         tail = int(mp.ldexp(eps, wp)) * (one - rho)
         s = 0
-        term = one
-        n = 0
         settled = 0
-        low = wp + 1
-        rise = 0
-        while True:
-            s += term
-            num = X * num0
-            for p, q in ups:
-                num *= p + n * q
-            den = den0 * (n + 1)
-            for p, q in los:
-                den *= p + n * q
-            nxt = term * num // (den << wp)
-            if abs(num) <= rho * abs(den):
-                settled += 1
-            else:
-                # terms fall while settled, so the least term before a rise
-                # is one an unsettled step starts from
-                settled = 0
-                low = min(low, term.bit_length())
-                rise = max(rise, nxt.bit_length() - low)
-            if n >= warmup and settled >= 3 and abs(nxt) * rho <= tail:
+        for n, (term, num, den, rise) in enumerate(_fixed_terms(upper, lower, X, wp)):
+            if n > warmup and settled >= 3 and abs(term) * rho <= tail:
                 break
-            term = nxt
-            n += 1
             if n > _TERM_CAP:
                 raise ArithmeticError(
                     f"series at x={x} did not meet the tail bound within {_TERM_CAP} terms"
                 )
-        need = 2 * (n + 2).bit_length() + rise + 1
+            s += term
+            settled = settled + 1 if abs(num) <= rho * abs(den) else 0
+        need = 2 * (n + 1).bit_length() + rise
         if need <= guard:
-            return mp.ldexp(mpf(s + nxt), -wp), n + 2
+            return mp.ldexp(mpf(s + term), -wp), n + 1
         guard = need
 
 
@@ -439,13 +436,18 @@ def _match_f32_ones(up, lo):
 
 def _accelerated_unit_sum(up, lo, eps):
     """Partial sums at x = 1 extrapolated by the d(m) scheme."""
-    count = 900
-    sums = list(accumulate(_series_terms(up, lo, 1, count - 1)))
+    n, guard, need = 900, 0, _PFQ_GUARD
+    while need > guard:  # the n sums are within n^2 G ulps, redone as in _pfq_direct
+        guard = need
+        wp = mp.prec + guard
+        terms, _, _, rise = zip(*islice(_fixed_terms(up, lo, 1 << wp, wp), n))
+        need = 2 * n.bit_length() + rise[-1]
+    sums = [mp.ldexp(s, -wp) for s in accumulate(terms)]
     ests = _accel.dm_extrapolate(sums, 200, 8, 40, max(200, mp.dps * 3), m=3)
     val, stab = _accel.pick_plateau(ests)
     if not mp.isfinite(val) or stab > mpf("1e-4") * (1 + abs(val)):
-        return _accel.richardson(sums, max(200, mp.dps * 3)), count, "richardson"
-    return val, count, "accelerated"
+        return _accel.richardson(sums, max(200, mp.dps * 3)), n, "richardson"
+    return val, n, "accelerated"
 
 
 def gauss_2f1_unit_interval(a, b, c, x, omx, dps: int):
@@ -504,46 +506,42 @@ def _require_boundary_shape(params: KdFParams):
 
 
 def _kdf_partial_sums(params: KdFParams, x, y, D: int):
-    """Anti-diagonal partial sums S_0..S_D of the double series, and a
-    function that bounds the error of each (only the interior route reads
-    the bound, so the boundary route does not pay for it).
+    """Anti-diagonal partial sums S_0..S_D of the double series, as mpfs,
+    and a bound on the error of each.
 
-    S_d = sum_{k<=d} A_k * sum_{m+n=k} B_m C_n.  The inner Cauchy product is
-    taken exactly by ``kernels.conv_trunc`` on fixed-point images of B and C:
-    each term is truncated to an integer multiple of 2^-shift, so every
-    product B_m C_n is off by at most (|B_m| + |C_n| + 1) * 2^-shift and S_d
-    by at most sum_{k<=d} |A_k| (k+1) (max|B| + max|C| + 1) * 2^-shift.
-    As sum_{k<=D} (k+1) <= (D+1)^2 <= 2^(2*bitlen(D)) and max|A| <=
-    2^mag(A), taking shift = prec + 2*bitlen(D) + mag(A) keeps that below
-    (max|B| + max|C| + 1) * 2^-prec, however fast A_k grows.
+    S_d = sum_{k<=d} A_k * sum_{m+n=k} B_m C_n.  A, B and C come from
+    ``_fixed_terms`` as ints at 2^wp (wp no less than the exponents of x and
+    y, so X and Y are exact); ``kernels.conv_trunc`` takes the inner sums
+    exactly at 2^(2 wp), and S_d is summed exactly at 2^(3 wp), then rounded.
 
-    The mpf steps add the rest of the bound.  With u = 2^(1-prec) and P
-    parameters in all, each product A_k B_m C_n carries at most k (2P + 12)
-    roundings from the term recurrences, and turning inner_k into an mpf,
-    scaling it by A_k and accumulating up to S_D add D + 3 more.  The bound
-    takes |A_k| sum_{m+n=k} |B_m C_n| <= (k+1) 2^(mag A_k + max_m (mag B_m
-    + mag C_{k-m})), since |v| <= 2^mag(v).
+    Rounding: a factor's terms are within e = D G ulps of the exact ones (G
+    their largest rise, ``_fixed_terms``) and below M = max|T| + e.  So each
+    product A_k B_m C_n is off by at most e_A M_B M_C + M_A e_B M_C +
+    M_A M_B e_C units of 2^-(3 wp), and S_d sums at most (D + 1)(D + 2)/2 of
+    them.  From wp = prec + 3 bitlen(D) + 4 (enough for terms that stay
+    below 1 and never rise), the terms are rebuilt with wp raised by the
+    excess while that bound exceeds 2^(3 wp - prec).  The int sums are then
+    within 2^-prec of the exact ones, and the returned mpfs within the
+    returned bound 2^-prec (1 + max_d |S_d|).
     """
-    A = _series_terms((*params.a, 1), params.ap, 1, D)
-    B = _series_terms(params.b, params.bp, x, D)
-    C = _series_terms(params.c, params.cp, y, D)
-    shift = mp.prec + 2 * D.bit_length() + max(map(mp.mag, A))
-    inner = kernels.conv_trunc([int(mp.ldexp(v, shift)) for v in B],
-                               [int(mp.ldexp(v, shift)) for v in C], D)
-    sums = list(accumulate(a * mp.ldexp(i, -2 * shift) for a, i in zip(A, inner)))
     prec = mp.prec
-
-    def bound():
-        P = sum(map(len, (params.a, params.ap, params.b, params.bp, params.c, params.cp)))
-        # a zero term gets an exponent far below any product that matters
-        eA, eB, eC = ([mp.mag(v) if v else -(1 << 40) for v in T] for T in (A, B, C))
-        weight = sum(mp.ldexp((k + 1) * (k * (2 * P + 12) + D + 3),
-                              eA[k] + max(map(add, eB[:k + 1], reversed(eC[:k + 1]))))
-                     for k in range(D + 1))
-        fixed = max(map(abs, B)) + max(map(abs, C)) + 1
-        return mp.ldexp(fixed, -prec) + mp.ldexp(weight, 1 - prec)
-
-    return sums, bound
+    wp = max(prec + 3 * D.bit_length() + 4, -x.man_exp[1], -y.man_exp[1])
+    factors = (((*params.a, 1), params.ap, 1), (params.b, params.bp, x),
+               (params.c, params.cp, y))
+    while True:
+        runs = [tuple(zip(*islice(_fixed_terms(u, l, int(mp.ldexp(z, wp)), wp), D + 1)))
+                for u, l, z in factors]
+        (eA, mA), (eB, mB), (eC, mC) = ((D << R[-1], max(map(abs, T)) + (D << R[-1]))
+                                        for T, _, _, R in runs)
+        err = (D + 1) * (D + 2) // 2 * (eA * mB * mC + mA * eB * mC + mA * mB * eC)
+        excess = err.bit_length() - (3 * wp - prec)
+        if excess <= 0:
+            break
+        wp += excess
+    (A, *_), (B, *_), (C, *_) = runs
+    inner = kernels.conv_trunc(B, C, D)
+    sums = [mp.ldexp(s, -3 * wp) for s in accumulate(a * i for a, i in zip(A, inner))]
+    return sums, mp.ldexp(1 + max(map(abs, sums)), -prec)
 
 
 # boundary extrapolation window; generous for 40-60 working digits
@@ -604,7 +602,7 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
         if bound > tol:
             raise ArithmeticError("interior double series failed its tail bound")
         terms = (D + 1) * (D + 2) // 2
-        return SeriesResult(+sums[-1], +(bound + rounding()), terms, "direct")
+        return SeriesResult(+sums[-1], +(bound + rounding), terms, "direct")
 
 
 def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:

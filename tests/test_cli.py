@@ -34,6 +34,9 @@ def test_usage_errors_exit_2(capsys):
         ["qexp", "--series", "zeta", "--order", "5"],
         ["kdf", "--a", "1", "--ap", "2", "--b", "1", "--bp", "2",
          "--c", "x", "--cp", "1", "--x", "0", "--y", "0", "--route", "series"],
+        ["verify", "--suite", "exact", "--order", "0"],
+        ["verify", "--suite", "exact", "--order", "-3"],
+        ["lvalue", "--n", "3", "--method", "dirichlet", "--N", "10"],
     ]
     for argv in cases:
         code, _, _ = run(argv, capsys)
@@ -70,6 +73,13 @@ def test_lvalue_mellin_runs(capsys):
     assert code == 0
     assert "L(f,1) = 0.12153268452675964" in out
     assert "method = integral" in out
+
+
+def test_lvalue_small_N_is_an_error_only_for_dirichlet(capsys):
+    # --N is the Dirichlet truncation point; the other methods do not read it
+    code, _, _ = run(["lvalue", "--n", "1", "--method", "mellin", "--digits", "15",
+                      "--N", "10"], capsys)
+    assert code == 0
 
 
 def test_lvalue_dirichlet_runs(capsys):
@@ -196,6 +206,17 @@ def test_numeric_suite_keeps_working_precision():
     assert len(wide) == 2 + 13
     for v in wide:
         assert isinstance(v, mpf) and v._mpf_[3] > 53, v
+
+
+def test_numeric_checks_report_both_sides():
+    # the worst point's two sides, and their distance at digits + 10
+    digits = 20
+    checks = (cli.involution_report(digits), cli.quad_closed_forms_report(digits),
+              cli.kdf_routes_report(digits))
+    with mp.workdps(digits + 10):
+        for rep in checks:
+            assert rep.lhs and rep.rhs, rep.name
+            assert rep.abs_err == abs(rep.lhs - rep.rhs), rep.name
 
 
 # -- theorem check ------------------------------------------------------------------------

@@ -124,6 +124,42 @@ def test_pfq_at_one_accelerated_generic():
         assert abs(res.value - want) < mpf("1e-15")
 
 
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("up, lo", [
+    pytest.param([Fraction(1, 2), Fraction(3, 4), 1], [Fraction(5, 4), 2], id="falling"),
+    # the terms dip to 2^-253 at n = 71, below the first 2^-wp, and rise by
+    # 2^217 up to n = 899: the guard bits must come from the exact ratios
+    pytest.param([1, 1, 1], [Fraction(-199, 2), 110], id="deep-dip"),
+])
+def test_accelerated_unit_sum_partial_sums(monkeypatch, up, lo):
+    # the 900 partial sums at x = 1 that go to the extrapolation are within
+    # 2^-prec (1 + |S_n|) of the mpf loop 256 bits higher
+    def spy(sums, *args, **kwargs):
+        raise _Captured(sums)
+
+    monkeypatch.setattr(_accel, "dm_extrapolate", spy)
+    with mp.workdps(30):
+        with pytest.raises(_Captured) as caught:
+            hyper._accelerated_unit_sum(tuple(map(Fraction, up)), tuple(map(Fraction, lo)),
+                                        mpf("1e-30"))
+        [got] = caught.value.args
+        assert len(got) == 900
+        prec = mp.prec
+        with mp.workprec(prec + 256):
+            term, run = mpf(1), mpf(0)
+            for n, s in enumerate(got):
+                run += term
+                assert abs(s - run) <= mp.ldexp(1 + abs(run), -prec), n
+                for u in _mpf_params(up):
+                    term *= u + n
+                for l in _mpf_params(lo):
+                    term /= l + n
+                term /= n + 1
+
+
 @pytest.mark.parametrize("a, b, c", [
     pytest.param(Fraction(1, 2), THIRD, Fraction(1, 4), id="1/2,1/3,1/4"),
     pytest.param(THIRD, Fraction(1, 5), Fraction(1, 6), id="1/3,1/5,1/6"),
@@ -259,6 +295,10 @@ DIRECT_CASES = [
     # the terms dip to 2^-91 at n = 40 and rise by 2^95 up to n = 120: the
     # floors at the dip need the measured rise in the guard bits
     pytest.param([1, 1], [Fraction(-119, 2)], "0.5", "1e-45", id="dip-then-rise"),
+    # the terms dip to 2^-233 at n = 100, below the first 2^-wp, where they
+    # floor to 0 or -1, and rise by 2^237 up to n = 300: the rise must be
+    # measured from the exact ratios
+    pytest.param([1, 1], [Fraction(-299, 2)], "0.5", "1e-45", id="deep-dip"),
 ]
 
 
@@ -283,6 +323,7 @@ def test_pfq_direct_matches_loop(up, lo, x, eps):
     pytest.param([20, 1], [2], "0.9", id="growing-terms"),
     pytest.param([40, 30], [Fraction(1, 2)], "-0.5", id="cancelling"),
     pytest.param([1, 1], [Fraction(-119, 2)], "0.5", id="dip-then-rise"),
+    pytest.param([1, 1], [Fraction(-299, 2)], "0.5", id="deep-dip"),
 ])
 def test_pfq_direct_guard_bits(monkeypatch, up, lo, x):
     # the sum is read back from 2^wp; the docstring's bound needs
@@ -496,17 +537,34 @@ def test_richardson_fallback_is_labelled(monkeypatch):
 # -- term recurrence and anti-diagonal sums -----------------------------------------------
 
 
-def test_series_terms_match_pochhammer():
-    # t_n against exact Pochhammer ratios; each recurrence step rounds at most
-    # 2(p + q) + 4 times, so t_n carries a relative error below 10 n 2^-prec
-    up, lo, z = (THIRD, Fraction(5, 4)), (Fraction(7, 3),), Fraction(-1, 2)
-    with mp.workdps(40):
-        terms = hyper._series_terms(up, lo, mpf(-0.5), 60)
-        for n, t in enumerate(terms):
-            exact = (Fraction(hyper.pochhammer(up[0], n)) * hyper.pochhammer(up[1], n)
-                     / hyper.pochhammer(lo[0], n) / hyper.pochhammer(1, n) * z ** n)
-            want = mpf(exact.numerator) / exact.denominator
-            assert abs(t - want) <= 10 * n * mpf(2) ** -mp.prec * abs(want)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_small_rational, max_size=3),
+    st.lists(_small_rational.filter(lambda v: v.denominator > 1 or v > 0), max_size=2),
+    st.sampled_from([mpf(1), mpf(0.5), mpf(-0.5), mpf(1) / 3]),
+)
+def test_fixed_terms_within_stated_ulps(up, lo, x):
+    # every T_n against the exact Fraction term times 2^wp: within n G ulps,
+    # G = max_{k<=j<=n} |t_j / t_k| the largest rise so far of the exact
+    # terms, and G < 2^R_n; and the yielded integers give the exact term ratio
+    wp = 80
+    X = int(mp.ldexp(x, wp))
+    t, low, G = Fraction(1), Fraction(1), Fraction(1)
+    for n, (T, num, den, R) in zip(range(41), hyper._fixed_terms(tuple(up), tuple(lo), X, wp)):
+        if t:
+            low = min(low, abs(t))
+            G = max(G, abs(t) / low)
+            assert G < 2 ** R, n
+            assert abs(T - t * 2 ** wp) <= n * G, n
+        else:
+            assert T == 0, n
+        r = Fraction(X, 2 ** wp) / (n + 1)
+        for u in up:
+            r *= u + n
+        for l in lo:
+            r /= l + n
+        assert Fraction(num, den * 2 ** wp) == r
+        t *= r
 
 
 def loop_partial_sums(params, x, y, D):
@@ -553,30 +611,6 @@ def loop_partial_sums(params, x, y, D):
     return sums, A, B, C
 
 
-def sums_error_bound(params, A, B, C, D):
-    """Bound on |S_d - S_d^ref| at the working precision, for every d.
-
-    Fixed point: B and C are truncated to multiples of 2^-shift with
-    shift = prec + 2 bitlen(D) + mag(A), so inner_k is off by at most
-    (k+1)(max|B| + max|C| + 1) 2^-shift.  Rounding, u = 2^(1-prec): each
-    product A_k B_m C_n carries at most k(2P + 12) roundings from the term
-    recurrences (P parameters in all), and turning inner_k into an mpf,
-    scaling by A_k and accumulating to S_d add d + 3 more."""
-    shift = mp.prec + 2 * D.bit_length() + max(map(mp.mag, A))
-    u = mpf(2) ** (1 - mp.prec)
-    P = sum(len(v) for v in (params.a, params.ap, params.b, params.bp, params.c, params.cp))
-    reach = max(map(abs, B)) + max(map(abs, C)) + 1
-    out = []
-    fixed = weighted = scale = mpf(0)
-    for k in range(D + 1):
-        fixed += abs(A[k]) * (k + 1) * reach * mpf(2) ** -shift
-        w = abs(A[k]) * sum(abs(B[m] * C[k - m]) for m in range(k + 1))
-        weighted += w * (k * (2 * P + 12) + 3)
-        scale += w
-        out.append(fixed + u * (weighted + k * scale))
-    return out
-
-
 HALF = Fraction(1, 2)
 # at (1/2, 1/2), B peaks near 3e6 and C near 2e4 before the 2^-m decay wins
 GROWING_BLOCK = KdFParams([1], [2], [8, 9], [1], [7, 8], [2])
@@ -592,46 +626,82 @@ SUMS_CASES = [
     pytest.param(FACTORIAL_A_BLOCK, Fraction(1, 4), Fraction(1, 4), id="factorial-a"),
     pytest.param(KdFParams([1, 1], [Fraction(3, 2)], [], [Fraction(3, 2)], [], []),
                  Fraction(-1, 3), Fraction(1, 5), id="factorial-a-mixed-signs"),
+    # B_m dips to 2^-91 at m = 40 and rises by 2^95 up to m = 120: the floors
+    # at the dip need the measured rise in wp
+    pytest.param(KdFParams([1], [2], [1, 1], [Fraction(-119, 2)], [], []), HALF, HALF,
+                 id="dip-then-rise"),
+    # B_m dips to 2^-233 at m = 100, below 2^-wp, and rises by 2^200 up to
+    # m = 200: the floored B_m are 0 past the dip, so the rise must come
+    # from the exact ratios
+    pytest.param(KdFParams([1], [2], [1, 1], [Fraction(-299, 2)], [], []), HALF, HALF,
+                 id="deep-dip"),
 ]
 
 
 @pytest.mark.parametrize("params, x, y", SUMS_CASES)
 def test_kdf_partial_sums_match_loop(params, x, y):
+    # within the returned bound of the loop 64 bits higher, for every d, and
+    # that bound is the docstring's 2^-prec (1 + max |S_d|), near 2^-prec (1 + |S_D|)
     D = 200
     with mp.workdps(55):
         xx = mpf(Fraction(x).numerator) / Fraction(x).denominator
         yy = mpf(Fraction(y).numerator) / Fraction(y).denominator
-        got, rounding = hyper._kdf_partial_sums(params, xx, yy, D)
+        got, bound = hyper._kdf_partial_sums(params, xx, yy, D)
         with mp.workprec(mp.prec + 64):
-            ref, A, B, C = loop_partial_sums(params, xx, yy, D)
-        bound = sums_error_bound(params, A, B, C, D)
+            ref = loop_partial_sums(params, xx, yy, D)[0]
         for d in range(D + 1):
-            assert abs(got[d] - ref[d]) <= bound[d], d
-        # the returned bound covers the same model, with mag slack
-        assert bound[D] <= rounding()
+            assert abs(got[d] - ref[d]) <= bound, d
+        assert bound <= mp.ldexp(1 + abs(ref[D]), 1 - mp.prec)
+
+
+def _rounding_units(T, D, wp):
+    """(e, M) of the docstring for the terms T, in ulps 2^-wp: e = D G, G the
+    largest rise, and M = max |T| + e."""
+    low, G = abs(T[0]), mpf(1)
+    for t in map(abs, T):
+        if t:
+            low = min(low, t)
+            G = max(G, t / low)
+    e = D * G
+    return e, mp.ldexp(max(map(abs, T)), wp) + e
 
 
 @pytest.mark.parametrize("params, mag_a", [(MAIN_BLOCK, 1), (FACTORIAL_A_BLOCK, 1246)])
 def test_kdf_partial_sums_guard_bits(monkeypatch, params, mag_a):
-    # B_0 = C_0 = 1 enter the product as 2^shift; the docstring's error bound
-    # needs shift >= prec + 2 bitlen(D) + mag(max |A_k|), with |A_k| <= 1 for
-    # MAIN_BLOCK and max A_k = 200! < 2^1246 for FACTORIAL_A_BLOCK
-    seen = []
-    real = kernels.conv_trunc
+    # the terms are built at 2^wp from wp = prec + 3 bitlen(D) + 4, and built
+    # again with more bits while the docstring's rounding bound exceeds
+    # 2^-prec; that bound needs wp >= prec + mag(max |A_k|), with |A_k| <= 1
+    # for MAIN_BLOCK and max A_k = 200! < 2^1246 for FACTORIAL_A_BLOCK, which
+    # the first wp does not cover
+    wps, convs = [], []
+    real_terms, real_conv = hyper._fixed_terms, kernels.conv_trunc
 
-    def spy(a, b, order):
-        seen.append((a[0], b[0], order))
-        return real(a, b, order)
+    def spy_terms(upper, lower, X, wp):
+        wps.append(wp)
+        return real_terms(upper, lower, X, wp)
 
-    monkeypatch.setattr(kernels, "conv_trunc", spy)
+    def spy_conv(a, b, order):
+        convs.append((a[0], b[0], order))
+        return real_conv(a, b, order)
+
+    monkeypatch.setattr(hyper, "_fixed_terms", spy_terms)
+    monkeypatch.setattr(kernels, "conv_trunc", spy_conv)
     D = 200
     with mp.workdps(55):
-        hyper._kdf_partial_sums(params, mpf(1) / 4, mpf(1) / 4, D)
-        least = mp.prec + 2 * D.bit_length() + mag_a
-    [(b0, c0, order)] = seen
-    shift = b0.bit_length() - 1
-    assert b0 == c0 == 2 ** shift and order == D
-    assert shift >= least
+        xx = mpf(1) / 4
+        hyper._kdf_partial_sums(params, xx, xx, D)
+        prec = mp.prec
+        with mp.workprec(prec + 64):
+            _, A, B, C = loop_partial_sums(params, xx, xx, D)
+            [(b0, c0, order)] = convs
+            wp = wps[-1]
+            assert b0 == c0 == 2 ** wp and order == D
+            assert wps[0] == prec + 3 * D.bit_length() + 4
+            assert wp >= prec + mag_a
+            assert len(wps) == 3 * len(set(wps)) == (6 if wps[0] < prec + mag_a else 3)
+            (eA, mA), (eB, mB), (eC, mC) = (_rounding_units(T, D, wp) for T in (A, B, C))
+            err = (D + 1) * (D + 2) // 2 * (eA * mB * mC + mA * eB * mC + mA * mB * eC)
+            assert err <= mp.ldexp(1, 3 * wp - prec)
 
 
 def test_kdf_series_interior_factorial_a():
@@ -641,6 +711,19 @@ def test_kdf_series_interior_factorial_a():
         res = hyper.kdf_series(FACTORIAL_A_BLOCK, Fraction(1, 4), Fraction(1, 4), PREC)
         assert res.method == "direct"
         assert abs(res.value - 2) <= res.err_estimate + mpf(10) ** -35
+
+
+def test_kdf_series_interior_deep_dip():
+    # B_m dips to 2^-233 at m = 100 and rises back to 2^4 by m = 300.  A rise
+    # read from the floored terms misses this: the interior route then sums
+    # zeros past the dip and returns 1.295 for 6.449, with a bar of 2e-56
+    params = KdFParams([1], [2], [1, 1], [Fraction(-299, 2)], [], [])
+    res = hyper.kdf_series(params, HALF, HALF, PREC)
+    assert res.method == "direct"
+    with mp.workdps(70):
+        ref = loop_partial_sums(params, mpf(1) / 2, mpf(1) / 2, 1200)[0]
+        assert abs(ref[-1] - ref[-2]) < mpf(10) ** -65
+        assert abs(res.value - ref[-1]) <= res.err_estimate <= mpf("1e-54")
 
 
 def _collapsed_block(a):
@@ -671,6 +754,8 @@ def test_kdf_collapsed_block_interior(a, x, y):
         want = mp.hyp3f2(1, 1, 1 + mpf(a.numerator) / a.denominator, 2, 2,
                          mpf(x.numerator) / x.denominator)
         assert abs(res.value - want) <= res.err_estimate
+    # the bar is the tail bound plus 2^-prec (1 + |S_D|): 2.2e-56 to 3.1e-56
+    assert res.err_estimate <= mpf("1e-54")
 
 
 # -- d(m) extrapolation -------------------------------------------------------------------

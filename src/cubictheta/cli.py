@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -344,8 +345,8 @@ def _print_table(reports, out=sys.stdout):
 def cmd_verify(args, parser) -> int:
     if args.digits < 15:
         parser.error("--digits must be at least 15")
-    if args.tol is not None and args.tol <= 0:
-        parser.error("--tol must be positive")
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        parser.error("--tol must be positive and finite")
     if args.order < 1:
         parser.error("--order must be at least 1")
     t0 = time.perf_counter()
@@ -449,7 +450,9 @@ def cmd_qexp(args, parser) -> int:
         if name in ("a", "b", "c"):
             series = qexp.theta_series(name, args.order)
         elif name == "f":
-            series = qexp.f_coefficients(max(args.order, 1))
+            # f has no constant term, so order 0 dumps nothing
+            coeffs = qexp.f_coefficients(max(args.order, 1)).coeffs
+            series = qexp.QSeries(1, coeffs[: args.order + 1])
         elif name in ("bc3", "c_cubed", "E0"):
             series = qexp.lambert_series(name, args.order)
         elif name.startswith("eta:"):

@@ -28,6 +28,8 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--suite", "all", "--digits", "14"],
         ["verify", "--suite", "theorem", "--tol", "0"],
         ["verify", "--suite", "theorem", "--tol", "-1"],
+        ["verify", "--suite", "numeric", "--tol", "nan"],
+        ["verify", "--suite", "theorem", "--tol", "inf"],
         ["lvalue", "--n", "2", "--method", "dirichlet"],
         ["lvalue", "--n", "1", "--method", "rz_intermediate"],
         ["lvalue", "--n", "4", "--method", "mellin"],
@@ -98,6 +100,14 @@ def test_qexp_dump_f_ten_lines(capsys):
     lines = out.splitlines()
     assert len(lines) == 10
     assert lines[0] == "1/1\t1/1"
+
+
+def test_qexp_dump_f_stops_at_order(capsys):
+    # f = q - 3q^2 + ... has no constant term: order 0 dumps nothing
+    code, out, _ = run(["qexp", "--series", "f", "--order", "0"], capsys)
+    assert (code, out) == (0, "")
+    code, out, _ = run(["qexp", "--series", "f", "--order", "1"], capsys)
+    assert (code, out) == (0, "1/1\t1/1\n")
 
 
 def test_qexp_dump_a_order_two(capsys):

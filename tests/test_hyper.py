@@ -160,11 +160,17 @@ def test_accelerated_unit_sum_partial_sums(monkeypatch, up, lo):
                 term /= n + 1
 
 
-@pytest.mark.parametrize("a, b, c", [
+DIXON_CASES = [
     pytest.param(Fraction(1, 2), THIRD, Fraction(1, 4), id="1/2,1/3,1/4"),
     pytest.param(THIRD, Fraction(1, 5), Fraction(1, 6), id="1/3,1/5,1/6"),
     pytest.param(2 * THIRD, Fraction(1, 4), THIRD, id="2/3,1/4,1/3"),
-])
+    # Gamma(1 + a - b - c) = Gamma(-1/30) < 0: the value and the window's
+    # partial sums are negative
+    pytest.param(Fraction(-1, 2), THIRD, Fraction(1, 5), id="-1/2,1/3,1/5"),
+]
+
+
+@pytest.mark.parametrize("a, b, c", DIXON_CASES)
 def test_pfq_at_one_accelerated_dixon(a, b, c):
     # Dixon: 3F2(a, b, c; 1+a-b, 1+a-c; 1) is a ratio of gamma values; no
     # closed-form branch matches it, so the d(m) extrapolation must
@@ -822,18 +828,142 @@ def full_table_dm_extrapolate(
         return ests
 
 
-def test_dm_extrapolate_matches_full_table():
-    # the L1 boundary window: every column head of the triangle-only,
-    # shared-division elimination against the full table on 80 points
-    off, stride, kmax = hyper._KDF_WINDOW
+def _kdf_window(name):
+    """The partial sums and window ``kdf_series`` extrapolates for a Theorem block."""
     with mp.workdps(55):
-        sums, _ = hyper._kdf_partial_sums(THEOREM_KDF_BLOCKS["L1"], mpf(1), mpf(1),
+        sums, _ = hyper._kdf_partial_sums(THEOREM_KDF_BLOCKS[name], mpf(1), mpf(1),
                                           hyper._KDF_D)
-    got = _accel.dm_extrapolate(sums, off, stride, kmax, hyper._KDF_EXT_DPS)
-    ref = full_table_dm_extrapolate(sums, off, stride, 80, kmax, hyper._KDF_EXT_DPS)
+    return sums, (*hyper._KDF_WINDOW, hyper._KDF_EXT_DPS)
+
+
+def _dixon_window(monkeypatch, a, b, c):
+    """The partial sums and window ``pfq`` extrapolates for Dixon's 3F2 at 1."""
+    def spy(sums, *args, m=3):
+        raise _Captured(sums, args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_accel, "dm_extrapolate", spy)
+        with pytest.raises(_Captured) as caught:
+            hyper.pfq(PFQParams([a, b, c], [1 + a - b, 1 + a - c]), 1, PREC)
+    return caught.value.args
+
+
+@pytest.mark.parametrize("kind, key", [
+    *(pytest.param("kdf", name, id=name) for name in THEOREM_KDF_BLOCKS),
+    *(pytest.param("dixon", case.values, id=f"dixon-{case.id}") for case in DIXON_CASES),
+])
+def test_dm_extrapolate_matches_full_table(monkeypatch, kind, key):
+    # every column head of the int triangle elimination against the mpf full
+    # table on 80 points: the six boundary windows (kmax 48, 260 digits) and
+    # the three Dixon windows at x = 1 (kmax 40, 200 digits)
+    sums, args = _kdf_window(key) if kind == "kdf" else _dixon_window(monkeypatch, *key)
+    offset, stride, kmax, dps_hi = args
+    got = _accel.dm_extrapolate(sums, *args)
+    ref = full_table_dm_extrapolate(sums, offset, stride, 80, kmax, dps_hi)
     assert len(got) == len(ref) == kmax
-    with mp.workdps(hyper._KDF_EXT_DPS):
+    with mp.workdps(dps_hi):
         assert max(abs(g - r) for g, r in zip(got, ref)) <= mpf("1e-150")
+    assert got.index(_accel.pick_plateau(got)[0]) == ref.index(_accel.pick_plateau(ref)[0])
+
+
+@pytest.mark.parametrize("term", [
+    # the sums are constant from n = 40, inside the window: the model rows
+    # are 0 there and the first level meets a zero denominator
+    pytest.param(lambda n: mpf(1) / (n + 1) ** 2 if n < 40 else mpf(0), id="constant-sums"),
+    # constant terms: the difference rows are 0, so the second level stops
+    pytest.param(lambda n: mpf(1) / (n + 1) ** 2 if n < 5 else mpf(1) / 7,
+                 id="constant-terms"),
+])
+def test_dm_extrapolate_early_stop(term):
+    with mp.workdps(30):
+        sums = list(accumulate(map(term, range(80))))
+    got = _accel.dm_extrapolate(sums, 5, 2, 30, 60)
+    ref = full_table_dm_extrapolate(sums, 5, 2, 31, 30, 60)
+    assert len(got) == len(ref) < 2
+    with mp.workdps(60):
+        assert all(abs(g - r) <= mpf("1e-55") for g, r in zip(got, ref))
+    with pytest.raises(ArithmeticError):
+        _accel.pick_plateau(got)
+
+
+@pytest.mark.parametrize("term", [
+    # sum 2^-n/(n + 1) = 2 log 2: the model rows fall by 2^-n across the
+    # window, so they spread past the starting guard and force a redo
+    pytest.param(lambda n: mpf(2) ** -n / (n + 1), id="log"),
+    # sum (4/5)^n: the model rows are linearly dependent, so after the first
+    # levels they hold rounding residues whose spread grows with the width;
+    # the guard doubles up to its cap prec(dps_hi) and stops there
+    pytest.param(lambda n: mpf("0.8") ** n, id="geometric"),
+])
+def test_dm_extrapolate_guard_redo(monkeypatch, term):
+    runs = []
+    eliminate = _accel._eliminate
+
+    def spy(*args):
+        out = eliminate(*args)
+        runs.append((args[-1], out[1]))
+        return out
+
+    monkeypatch.setattr(_accel, "_eliminate", spy)
+    with mp.workdps(60):
+        sums = list(accumulate(map(term, range(130))))
+    got = _accel.dm_extrapolate(sums, 5, 3, 40, 100)
+    ref = full_table_dm_extrapolate(sums, 5, 3, 41, 40, 164)
+    with mp.workdps(100):
+        prec = mp.prec
+    (width, spread), *_, (last_width, last_spread) = runs
+    assert width == prec + _accel._DM_GUARD < prec + spread
+    assert last_spread <= last_width - prec or last_width == 2 * prec
+    assert len(got) == len(ref) == 40
+    with mp.workdps(164):
+        assert max(abs(g - r) for g, r in zip(got, ref)) <= mpf("1e-90")
+
+
+def _log_sums(prec_dps=60):
+    with mp.workdps(prec_dps):
+        return list(accumulate(mpf(2) ** -n / (n + 1) for n in range(130)))
+
+
+def _signed_sums(kind):
+    with mp.workdps(60):
+        if kind == "negated":
+            return [-s for s in _log_sums()]
+        if kind == "alternating":
+            # sum (-1)^n/(n + 1) - log 2: the sums alternate in sign about 0
+            terms = (mpf(-1) ** n / (n + 1) for n in range(130))
+            return [s - mp.log(2) for s in accumulate(terms, initial=mpf(0))][1:]
+        # 2^300 (S_n - S_50) of the log sums: exactly 0 at n = 50, negative
+        # before, positive after, and every nonzero exponent above 0
+        sums = _log_sums()
+        return [mp.ldexp(s - sums[50], 300) for s in sums]
+
+
+@pytest.mark.parametrize("kind, bound", [
+    pytest.param("negated", "1e-90", id="negated"),
+    # the model rows do not fit an alternating tail: from the eighth head on,
+    # an mpf elimination at 100 digits is itself 5e-50 off the table 64
+    # digits higher, the int one 1.6e-73
+    pytest.param("alternating", "1e-60", id="alternating"),
+    pytest.param("zero-crossing", "1e-90", id="zero-crossing"),
+])
+def test_dm_extrapolate_signed_sums(kind, bound):
+    # the sums are read with their signs, and an exact 0 among them is read
+    # as 0; every head against the mpf full table 64 digits higher
+    sums = _signed_sums(kind)
+    got = _accel.dm_extrapolate(sums, 5, 3, 40, 100)
+    ref = full_table_dm_extrapolate(sums, 5, 3, 41, 40, 164)
+    assert len(got) == len(ref) == 40
+    with mp.workdps(164):
+        assert all(abs(g - r) <= mpf(bound) * max(1, abs(r)) for g, r in zip(got, ref))
+
+
+def test_dm_extrapolate_non_finite_sums():
+    # a non-finite sum makes every head nan, so the callers' isfinite test
+    # sends the block to the Richardson fallback
+    sums = _log_sums()
+    sums[20] = mp.inf
+    got = _accel.dm_extrapolate(sums, 5, 3, 40, 100)
+    assert len(got) == 40 and all(map(mp.isnan, got))
 
 
 def test_dm_extrapolate_window_bounds():

@@ -1,15 +1,15 @@
 """L-values of the weight-3 theta product and the catalog of intermediate
 identity checks.
 
-The rigorous evaluator is the Mellin integral over u with q = exp(-2*pi*u):
-
-    L(f, n) = (2*pi)^n / (3*(n-1)!) * int_0^inf b^2(e^{-2pi u}) c(e^{-6pi u}) u^{n-1} du,
-
-split at the involution fixed point and fed to tanh-sinh quadrature.  The
-Dirichlet partial sum is the heuristic second route at s = 3; the right-hand
-sides of the three hypergeometric L-value formulas are assembled from
-Kampe de Feriet values at (1, 1) by either the accelerated double series or
-the integral representation.
+The rigorous evaluator is the functional equation of f = b(q)^2 c(q^3)/3 =
+eta(t)^6 eta(9t)^3/eta(3t)^3.  The Fricke involution t -> -1/(9t) maps f to
+its partner g = b(q) c(q^3)^2/9 = eta(9t)^6 eta(t)^3/eta(3t)^3, so the Mellin
+integral of f(iy) y^(s-1), split at y0 = 1/3, becomes two sums of exact
+coefficients times incomplete gamma values: no theta value and no quadrature
+node is evaluated (``l_mellin``).  The Dirichlet partial sum is the heuristic
+second route at s = 3; the right-hand sides of the three hypergeometric
+L-value formulas are assembled from Kampe de Feriet values at (1, 1) by
+either the accelerated double series or the integral representation.
 """
 
 from __future__ import annotations
@@ -85,31 +85,111 @@ class LValueRequest:
 
 # -- Mellin route --------------------------------------------------------------
 
+# f and its Fricke partner g as eta quotients, (delta, r) for eta(delta*tau)^r:
+# f(i/(9y)) = 3^(-3/2) 9^3 y^3 g(iy)
+_F_ETA = [(1, 6), (9, 3), (3, -3)]
+_G_ETA = [(9, 6), (1, 3), (3, -3)]
+# the series stop at this order; only a split far from the fixed point needs it
+_MAX_TERMS = 50_000
+
+
+def _coeff_bound(m: int) -> mpf:
+    """96 m^(5/2) (m + 2), a bound on |a_m| and |b_m| for every m >= 1.
+
+    The coefficients of b(q) (1 at q^0) and of c(q) = sum_l gamma_l q^(l+1/3)
+    are bounded by representation counts r(k) <= 6 d(k) <= 12 sqrt(k), with
+    k = m for b and k = 3l + 1 for c.  In b(q)^2 the coefficient of q^k,
+    k >= 1, is then at most 24 sqrt(k) + 144 (k - 1) k/2 <= 72 k^2.  So
+    |a_m| = |(b^2 c(q^3))_m|/3 <= (1/3) 72 m^2 12 sqrt(m) (m + 2)/3, with
+    (m + 2)/3 bounding the choices of l.  For b_m = (b c(q^3)^2)_m/9 the same
+    steps give (32/3) m^(3/2) (m + 1)(m + 4), which is smaller.
+    """
+    return 96 * mp.sqrt(m) ** 5 * (m + 2)
+
+
+def _upper_gamma(nu: int, x, majorant: bool = False) -> mpf:
+    """Gamma(nu, x) for an integer 0 <= nu <= 3 and x > 0.
+
+    For nu >= 1 it is (nu-1)! e^(-x) sum_{k<nu} x^k/k!; Gamma(0, x) = E1(x),
+    which ``majorant`` replaces by its bound e^(-x)/x.
+    """
+    if nu == 0:
+        return mp.exp(-x) / x if majorant else mp.e1(x)
+    return math.factorial(nu - 1) * mp.exp(-x) * sum(
+        x ** k / math.factorial(k) for k in range(nu))
+
 
 def l_mellin(n: int, prec: Precision, split_scale: float = 1.0) -> SeriesResult:
-    """L(f, n) by the split Mellin integral; the rigorous route for n = 1, 2, 3."""
+    """L(f, n), n = 1, 2, 3, from the functional equation split at y0.
+
+    With Lambda(s) = (2 pi)^(-s) Gamma(s) L(f, s) = int_0^inf f(iy) y^(s-1) dy,
+    the Fricke involution y -> 1/(9y) maps the piece below y0 onto g:
+
+        Lambda(s) = sum a_m (2 pi m)^(-s) Gamma(s, 2 pi m y0)
+                    + 3^(-3/2) 9^(3-s) sum b_m (2 pi m)^(s-3) Gamma(3-s, 2 pi m/(9 y0)),
+
+    where a_m, b_m are the exact coefficients of f = eta(t)^6 eta(9t)^3/eta(3t)^3
+    and g = eta(9t)^6 eta(t)^3/eta(3t)^3.  The split y0 = split_scale/3 sits on
+    the involution's fixed point 1/3 by default; every y0 > 0 gives the same
+    value.  The pairing with g is needed: f is no Hecke eigenform
+    (a_2 = -6, a_3 = 9), and the single-form level-27 equation gives 0.397 for
+    L(f, 1) = 0.1215.
+
+    Both sums stop at the smallest M whose proven tail is at most tol/8: past
+    m = M, each term is at most its majorant (|a_m|, |b_m| replaced by
+    K(m) = ``_coeff_bound(m)``, E1(x) by e^(-x)/x), and the majorants fall by
+    at least the ratio rho = (K(M+2)/K(M+1)) (M+1)/(M+2) e^(-lambda) per step,
+    lambda = 2 pi y0 or 2 pi/(9 y0), so their tail is the first one over
+    1 - rho.  err_estimate is that tail plus the rounding of the 2M summed
+    terms; terms_used is 2M.
+    """
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
     with mp.workdps(prec.dps + 15):
-        u0 = mpmathify(split_scale) / mp.sqrt(3)
-        fac = (2 * mp.pi) ** n / (3 * math.factorial(n - 1))
-        sub_prec = Precision(prec.working_digits + 10,
-                             float(prec.target_tol) * 1e-5)
+        scale = mpmathify(split_scale)
+        if not (mp.isfinite(scale) and scale > 0):
+            raise ValueError(f"split_scale must be positive and finite, got {split_scale}")
+        y0 = scale / 3
+        two_pi = 2 * mp.pi
+        fac = two_pi ** n / math.factorial(n - 1)
+        # (nu, lambda, constant) of each side: its m-th term is
+        # coef_m * constant * (2 pi m)^(-nu) * Gamma(nu, lambda m)
+        sides = ((n, two_pi * y0, fac),
+                 (3 - n, two_pi / (9 * y0), fac * 9 ** (3 - n) / mp.sqrt(27)))
 
-        def low(t, omt):
-            u = u0 * t
-            return thetanum.f_integrand(u, sub_prec) * u ** (n - 1) * u0
+        def tail(M):
+            # past m = M the majorants fall at least by k_ratio e^(-lambda) a step
+            m = M + 1
+            k_ratio = _coeff_bound(m + 1) / _coeff_bound(m) * m / (m + 1)
+            total = mpf(0)
+            for nu, lam, const in sides:
+                rho = k_ratio * mp.exp(-lam)
+                if rho >= 1:
+                    return mp.inf
+                first = (const * _coeff_bound(m) * (two_pi * m) ** -nu
+                         * _upper_gamma(nu, lam * m, majorant=True))
+                total += first / (1 - rho)
+            return total
 
-        def high(t, omt):
-            u = u0 / t
-            return thetanum.f_integrand(u, sub_prec) * u ** (n - 1) * u0 / (t * t)
-
-        tol = prec.tol() / 8
-        lo = quad_de(low, tol, prec, two_arg=True)
-        hi = quad_de(high, tol, prec, two_arg=True)
-        val = fac * (lo.value + hi.value)
-        err = fac * (lo.err_estimate + hi.err_estimate) + prec.tol() / 4
-        return SeriesResult(val, err, lo.terms_used + hi.terms_used, "integral")
+        budget = prec.tol() / 8
+        M = 1
+        while (bound := tail(M)) > budget:
+            M += 1
+            if M > _MAX_TERMS:
+                raise ArithmeticError(
+                    f"split_scale={split_scale} needs more than {_MAX_TERMS} terms")
+        val = mpf(0)
+        size = mpf(0)
+        for (nu, lam, const), spec in zip(sides, (_F_ETA, _G_ETA)):
+            coeffs = qexp.eta_quotient(spec, M).coeffs
+            for m in range(1, M + 1):
+                if coeffs[m]:
+                    term = const * coeffs[m] * (two_pi * m) ** -nu * _upper_gamma(nu, lam * m)
+                    val += term
+                    size += abs(term)
+        # each term carries a few roundings and the sum adds one per term
+        rounding = (2 * M + 64) * mp.eps * size
+        return SeriesResult(val, bound + rounding, 2 * M, "functional-equation")
 
 
 # -- Dirichlet route ------------------------------------------------------------

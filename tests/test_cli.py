@@ -74,7 +74,7 @@ def test_lvalue_mellin_runs(capsys):
                         "--digits", "25"], capsys)
     assert code == 0
     assert "L(f,1) = 0.12153268452675964" in out
-    assert "method = integral" in out
+    assert "method = functional-equation" in out
 
 
 def test_lvalue_small_N_is_an_error_only_for_dirichlet(capsys):

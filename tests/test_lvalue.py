@@ -4,9 +4,10 @@ and the identity catalog at its stated tolerance."""
 import math
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, mpmathify
 
-from cubictheta import _accel, lvalue, qexp
+from cubictheta import _accel, lvalue, qexp, thetanum
+from cubictheta.hyper import SeriesResult, quad_de
 from cubictheta.thetanum import Precision
 
 PREC = Precision(40, 1e-12)
@@ -77,13 +78,111 @@ def test_dirichlet_tail_estimates_shrink_and_bound():
 
 # -- Mellin route ----------------------------------------------------------------
 
+# the 35-digit values of L(f, 1), L(f, 2), L(f, 3)
+L_VALUES_35 = {
+    1: "0.12153268452675964180540559320801131",
+    2: "0.34043060103985748999859080369729835",
+    3: "0.56416957022417758430566873728649548",
+}
+PREC_FINE = Precision(50, 1e-40)
+
+
+def quadrature_l_mellin(n, prec, split_scale=1.0):
+    """The former route: tanh-sinh quadrature of the Mellin integral
+    L(f, n) = (2 pi)^n/(3 (n-1)!) int_0^inf b^2(e^{-2 pi u}) c(e^{-6 pi u}) u^(n-1) du,
+    split at u0 = split_scale/sqrt(3); the oracle of the functional equation."""
+    with mp.workdps(prec.dps + 15):
+        u0 = mpmathify(split_scale) / mp.sqrt(3)
+        fac = (2 * mp.pi) ** n / (3 * math.factorial(n - 1))
+        sub_prec = Precision(prec.working_digits + 10,
+                             float(prec.target_tol) * 1e-5)
+
+        def low(t, omt):
+            u = u0 * t
+            return thetanum.f_integrand(u, sub_prec) * u ** (n - 1) * u0
+
+        def high(t, omt):
+            u = u0 / t
+            return thetanum.f_integrand(u, sub_prec) * u ** (n - 1) * u0 / (t * t)
+
+        tol = prec.tol() / 8
+        lo = quad_de(low, tol, prec, two_arg=True)
+        hi = quad_de(high, tol, prec, two_arg=True)
+        val = fac * (lo.value + hi.value)
+        err = fac * (lo.err_estimate + hi.err_estimate) + prec.tol() / 4
+        return SeriesResult(val, err, lo.terms_used + hi.terms_used, "integral")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mellin_known_values(n):
+    res = lvalue.l_mellin(n, PREC_FINE)
+    assert res.method == "functional-equation"
+    with mp.workdps(60):
+        assert abs(res.value - mpf(L_VALUES_35[n])) <= mpf("1e-35")
+
 
 def test_mellin_split_point_invariance():
-    with mp.workdps(50):
-        base = lvalue.l_mellin(1, PREC).value
-        for scale in (0.8, 1.2):
-            moved = lvalue.l_mellin(1, PREC, split_scale=scale).value
-            assert abs(base - moved) < mpf("1e-12")
+    # every split y0 gives the same value only if g and its constant
+    # 3^(-3/2) 9^(3-s) are the Fricke partner of f
+    for n in (1, 2, 3):
+        runs = [lvalue.l_mellin(n, PREC_FINE, split_scale=scale)
+                for scale in (1, 1.3, 1 / 1.3)]
+        with mp.workdps(60):
+            for a in runs:
+                for b in runs:
+                    assert abs(a.value - b.value) <= a.err_estimate + b.err_estimate
+
+
+@pytest.mark.parametrize("prec", [PREC, PREC_FINE], ids=["tol1e-12", "tol1e-40"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mellin_bar_covers_error(n, prec):
+    res = lvalue.l_mellin(n, prec)
+    exact = lvalue.l_mellin(n, Precision(60, 1e-50))
+    with mp.workdps(70):
+        assert abs(res.value - exact.value) <= res.err_estimate <= prec.tol()
+    # the sums stop at the proven tail tol/8, not at working precision
+    assert 0 < res.terms_used < exact.terms_used
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mellin_matches_quadrature_oracle(n):
+    old = quadrature_l_mellin(n, PREC)
+    new = lvalue.l_mellin(n, PREC)
+    with mp.workdps(60):
+        assert abs(new.value - old.value) <= old.err_estimate
+
+
+@pytest.mark.parametrize("scale", [0, -1.0, float("nan"), float("inf"), "-inf"])
+def test_mellin_rejects_bad_split(scale, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("coefficients computed for a rejected split")
+
+    monkeypatch.setattr(qexp, "eta_quotient", no_work)
+    with pytest.raises(ValueError):
+        lvalue.l_mellin(1, PREC, split_scale=scale)
+
+
+def test_coefficient_bound_holds():
+    # _coeff_bound is proved for every m; check it on the computed range
+    for spec in (lvalue._F_ETA, lvalue._G_ETA):
+        coeffs = qexp.eta_quotient(spec, 2000).coeffs
+        assert coeffs[0] == 0
+        assert all(abs(coeffs[m]) <= lvalue._coeff_bound(m) for m in range(1, 2001))
+
+
+def test_fricke_partner_is_theta_product():
+    # f = b^2 c(q^3)/3 and g = b c(q^3)^2/9, from the lattice theta series
+    n = 300
+    b = qexp.theta_series("b", n)
+    c3 = qexp.theta_series("c", n).substitute_power(3)
+    f = qexp.eta_quotient(lvalue._F_ETA, n)
+    g = qexp.eta_quotient(lvalue._G_ETA, n)
+    assert f == (b * b * c3).exact_div(3)
+    assert g == (b * c3 * c3).exact_div(9)
+    assert g.coeffs[:7] == [0, 0, 1, -3, 0, 8, -9]
+    # f is no Hecke eigenform: a_6 != a_2 a_3, so no single-form equation holds
+    a = f.coeffs
+    assert (a[2], a[3], a[6]) == (-6, 9, 27)
 
 
 def test_mellin_direction_check_against_abel_smoothed_series():

@@ -278,10 +278,8 @@ def theorem_suite_reports(digits: int = 40, tol: float | None = None):
         err = abs(mel.value - ri.value)
         gap = abs(rs.value - ri.value)
         # a series gap within tol confirms the identity to tol even if it
-        # misses the route's own bar, so a failing report's gap is > tol;
-        # a Richardson fallback's bar |val - sums[-1]| is no measured
-        # error, so that route must meet tol itself
-        bar = tol if rs.method == "richardson" else max(rs.err_estimate, tol)
+        # misses the route's own bar, so a failing report's gap is > tol
+        bar = max(rs.err_estimate, tol)
         yield mel.value, ri.value, err if gap <= bar else max(err, gap)
 
     with mp.workdps(digits + 15):
@@ -351,12 +349,16 @@ def cmd_verify(args, parser) -> int:
         parser.error("--order must be at least 1")
     t0 = time.perf_counter()
     reports = []
-    if args.suite in ("all", "exact"):
-        reports.extend(exact_suite_reports(args.order))
-    if args.suite in ("all", "numeric"):
-        reports.extend(numeric_suite_reports(args.digits, args.tol))
-    if args.suite in ("all", "theorem"):
-        reports.extend(theorem_suite_reports(args.digits, args.tol))
+    try:
+        if args.suite in ("all", "exact"):
+            reports.extend(exact_suite_reports(args.order))
+        if args.suite in ("all", "numeric"):
+            reports.extend(numeric_suite_reports(args.digits, args.tol))
+        if args.suite in ("all", "theorem"):
+            reports.extend(theorem_suite_reports(args.digits, args.tol))
+    except ArithmeticError as exc:
+        print(f"evaluation failed: {exc}", file=sys.stderr)
+        return _EXIT_FAIL
     total = time.perf_counter() - t0
     _print_table(reports)
     all_pass = all(r.passed for r in reports)
@@ -427,6 +429,9 @@ def cmd_kdf(args, parser) -> int:
             res = hyper.kdf_integral(params, x, y, prec)
     except ValueError as exc:
         print(f"evaluation rejected: {exc}", file=sys.stderr)
+        return _EXIT_FAIL
+    except ArithmeticError as exc:
+        print(f"evaluation failed: {exc}", file=sys.stderr)
         return _EXIT_FAIL
     print(f"value = {_fmt(res.value, args.digits)}")
     print(f"err_estimate = {_fmt(res.err_estimate, 5)}")

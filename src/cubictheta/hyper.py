@@ -10,7 +10,12 @@ run in fixed point on Python ints built from those exact parameters
 (``_fixed_terms``), with stated rounding bounds: 2^-prec (1 + |value|) for
 direct sums and 2^-prec (1 + max |S_d|) for the S_d.  Near the unit argument
 the evaluators switch to connection/log expansions in 1 - x; callers that
-know 1 - x to better accuracy than x can pass it explicitly.
+know 1 - x to better accuracy than x can pass it explicitly.  At the unit
+argument itself, the boundary Kampe de Feriet values and the pFq sums that no
+closed form covers are limits of partial sums whose remainder has a form
+known from the parameters (``_kdf_families``); ``_extrapolate`` searches the
+order of the known-exponent fit (``_accel.known_exponent_fit``) against the
+requested tol, and raises where it cannot reach it.
 """
 
 from __future__ import annotations
@@ -354,7 +359,7 @@ def _eval_pfq(upper, lower, x, omx, eps):
     ((1 - x)^-a for 1F0 and 2F1(1, a; 2; x)), "gauss" (2F1 at 1),
     "zero-balanced" and "connection" (2F1 expansions in 1 - x), "f32-tail"
     (3F2(1, 1, a+1; 2, 2; x), at 1 the tail-free closed form), and
-    "accelerated"/"richardson" for other sums at 1.
+    "accelerated" (the known-exponent fit) for other sums at 1.
     """
     # exact cancellation of repeated parameters
     up = list(upper)
@@ -435,19 +440,27 @@ def _match_f32_ones(up, lo):
 
 
 def _accelerated_unit_sum(up, lo, eps):
-    """Partial sums at x = 1 extrapolated by the d(m) scheme."""
-    n, guard, need = 900, 0, _PFQ_GUARD
-    while need > guard:  # the n sums are within n^2 G ulps, redone as in _pfq_direct
-        guard = need
-        wp = mp.prec + guard
-        terms, _, _, rise = zip(*islice(_fixed_terms(up, lo, 1 << wp, wp), n))
-        need = 2 * n.bit_length() + rise[-1]
-    sums = [mp.ldexp(s, -wp) for s in accumulate(terms)]
-    ests = _accel.dm_extrapolate(sums, 200, 8, 40, max(200, mp.dps * 3), m=3)
-    val, stab = _accel.pick_plateau(ests)
-    if not mp.isfinite(val) or stab > mpf("1e-4") * (1 + abs(val)):
-        return _accel.richardson(sums, max(200, mp.dps * 3)), n, "richardson"
-    return val, n, "accelerated"
+    """The sum at x = 1 of a series with positive excess s, by ``_extrapolate``.
+
+    The terms are a ratio of gamma functions, n^-(s+1) times a series in
+    1/n, so the remainder after N terms has the one family N^-(s+j), j >= 0,
+    and no logs.  A nonpositive-integer upper parameter ends the series and
+    leaves no family.  The partial sums are within 2^-prec (1 + |S_n|) of the
+    exact ones: the n sums are within n^2 G ulps, redone as in _pfq_direct.
+    """
+    def partial_sums(D):
+        n, guard, need = D + 1, 0, _PFQ_GUARD
+        while need > guard:
+            guard = need
+            wp = mp.prec + guard
+            terms, _, _, rise = zip(*islice(_fixed_terms(up, lo, 1 << wp, wp), n))
+            need = 2 * n.bit_length() + rise[-1]
+        sums = [mp.ldexp(s, -wp) for s in accumulate(terms)]
+        return sums, mp.ldexp(1 + max(map(abs, sums)), -mp.prec)
+
+    part = _singular_part(up, lo)
+    val, _, D, _ = _extrapolate(partial_sums, () if part is None else ((part[0], 0, 1),), eps)
+    return +val, D + 1, "accelerated"
 
 
 def gauss_2f1_unit_interval(a, b, c, x, omx, dps: int):
@@ -544,20 +557,119 @@ def _kdf_partial_sums(params: KdFParams, x, y, D: int):
     return sums, mp.ldexp(1 + max(map(abs, sums)), -prec)
 
 
-# boundary extrapolation window; generous for 40-60 working digits
-_KDF_D = 1280
-_KDF_WINDOW = (300, 12, 48)
-_KDF_EXT_DPS = 260
+def _singular_part(upper, lower):
+    """(s, m) for the singular part (1 - w)^s log^m (1 - w) of the factor
+    pFq(upper; lower; w) at w = 1: s is the excess sum(lower) - sum(upper), and
+    m = 1 when s is an integer, else 0.  None for a polynomial (an upper
+    parameter that is a nonpositive integer), which has no singular part."""
+    if any(u.denominator == 1 and u <= 0 for u in upper):
+        return None
+    s = sum(lower, Fraction(0)) - sum(upper, Fraction(0))
+    return s, int(s.denominator == 1)
+
+
+def _kdf_families(params: KdFParams, x, y):
+    """The remainder families of the anti-diagonal sums at a boundary point,
+    as the (e, lmax, sign) tuples of ``_accel.known_exponent_fit``.
+
+    Singularity analysis of sum_d S_d z^d (Flajolet & Sedgewick, *Analytic
+    Combinatorics*, ch. VI): with B(w) = pFq(b; bp; w), C(w) = pFq(c; cp; w)
+    and their singular parts (``_singular_part``), the singular terms of
+    B(xz) C(yz) on |z| = 1 are B's alone at z = x when |x| = 1, C's alone at
+    z = y when |y| = 1, and the product B C at that point only when x = y
+    (exponents and log powers add).  A term (1 - z)^alpha log^m (1 - z) at
+    z = 1, times the joint factor (a)_k/(ap)_k ~ k^-sa with
+    sa = sum(ap) - sum(a), leaves remainder functions N^-(sa + alpha + j)
+    (log N)^l for j >= 0 and l <= m, or l <= m - 1 when alpha is an integer
+    >= 0 (an analytic term leaves none); at z = -1 they are
+    (-1)^N N^-(sa + alpha + 1 + j) (log N)^l.  Families whose exponents agree
+    mod 1 and share a sign merge: from the smallest exponent, with the
+    largest log power.
+    """
+    sa = sum(params.ap, Fraction(0)) - sum(params.a, Fraction(0))
+    pb = _singular_part(params.b, params.bp) if abs(x) == 1 else None
+    pc = _singular_part(params.c, params.cp) if abs(y) == 1 else None
+    terms = [(p, z) for p, z in ((pb, x), (pc, y)) if p is not None]
+    if pb is not None and pc is not None and x == y:
+        terms.append(((pb[0] + pc[0], pb[1] + pc[1]), x))
+    merged = {}
+    for (alpha, m), z in terms:
+        lmax = m - 1 if alpha.denominator == 1 and alpha >= 0 else m
+        if lmax < 0:
+            continue
+        e, sign = (sa + alpha, 1) if z > 0 else (sa + alpha + 1, -1)
+        e0, l0 = merged.get((e % 1, sign), (e, lmax))
+        merged[e % 1, sign] = (min(e, e0), max(lmax, l0))
+    return tuple(sorted((e, lmax, sign) for (_, sign), (e, lmax) in merged.items()))
+
+
+# the order search: D starts at _FIT_D and doubles while the fit order K
+# (8, 10, 12, ...) stalls; past _FIT_D_MAX the search fails
+_FIT_D = 320
+_FIT_D_MAX = 2560
+_FIT_K_MAX = 64
+
+
+def _extrapolate(partial_sums, families, tol):
+    """The limit of a series whose remainder has the given ``families``
+    (``_accel.known_exponent_fit``), from its partial sums; returns
+    (value, bar, D, K).
+
+    ``partial_sums(D)`` returns S_0..S_D as mpfs and a bound r on the error
+    of each, both at the working precision.  For D = 320, 640, ... the fit
+    order K steps 8, 10, 12, ...  The search stops at the first K whose last
+    two gaps |V_K - V_(K-2)| and |V_(K-2) - V_(K-4)| are both at most tol/8,
+    and the bar is those two gaps plus r sum |w|.  When r sum |w| would pass
+    tol/8, the sums are rebuilt with the precision raised to cover it, and 64
+    bits more.  K stalls when two gaps in a row are no smaller than an
+    earlier one, or at _FIT_K_MAX; D then doubles, and past _FIT_D_MAX the
+    search raises ArithmeticError.  With no family the sums are constant from
+    some index on (a terminating series, or polynomial B and C), so V is S_D
+    itself and its gaps are those of the last three sums.  No fallback.
+    """
+    prec = mp.prec
+    D = _FIT_D
+    while D <= _FIT_D_MAX:
+        with mp.workprec(prec):
+            sums, rounding = partial_sums(D)
+        if not families:
+            gaps = [abs(sums[-1] - sums[-2]), abs(sums[-2] - sums[-3])]
+            if max(gaps) <= tol / 8:
+                return sums[-1], sum(gaps) + rounding, D, 0
+            D *= 2
+            continue
+        vals, gaps = [], []
+        for K in range(8, _FIT_K_MAX + 1, 2):
+            with mp.workprec(prec):
+                val, wsum = _accel.known_exponent_fit(sums, families, K)
+            if wsum * rounding > tol / 8:
+                prec += int(mp.ceil(mp.log(wsum * rounding * 8 / tol, 2))) + 64
+                with mp.workprec(prec):
+                    sums, rounding = partial_sums(D)
+                    val, wsum = _accel.known_exponent_fit(sums, families, K)
+            if vals:
+                gaps.append(abs(val - vals[-1]))
+                if len(gaps) >= 2 and max(gaps[-2:]) <= tol / 8:
+                    return val, gaps[-1] + gaps[-2] + wsum * rounding, D, K
+                if len(gaps) >= 3 and min(gaps[-2:]) >= min(gaps[:-2]):
+                    break
+            vals.append(val)
+        D *= 2
+    raise ArithmeticError(
+        f"boundary extrapolation did not reach {mp.nstr(tol, 3)} by D = {_FIT_D_MAX}"
+    )
 
 
 def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     """Anti-diagonal summation of the double series.
 
     Interior points stop on a certified geometric tail bound, and report it
-    plus the rounding bound of the partial sums; boundary points
-    (|x| = 1 or |y| = 1) go through the d(m) extrapolation of the diagonal
-    partial sums, with a Richardson fallback that labels the result
-    ``"richardson"``, and require the convergence margins to be positive.
+    plus the rounding bound of the partial sums.  Boundary points (|x| = 1 or
+    |y| = 1) require the convergence margins to be positive; their value is
+    the known-exponent fit of the diagonal partial sums (``_extrapolate``,
+    with the families of ``_kdf_families``), labelled ``"accelerated"``, and
+    its bar is the fit's measured bar, below tol.  A search that cannot reach
+    tol raises ArithmeticError.
     """
     with mp.workdps(prec.dps + 15):
         xx = mpmathify(x) if not isinstance(x, Fraction) else _fr_mpf(x)
@@ -573,23 +685,10 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
                     f"boundary evaluation rejected: margins {margins.m1}, "
                     f"{margins.m2}, {margins.m3} are not all positive"
                 )
-            sums = _kdf_partial_sums(params, xx, yy, _KDF_D)[0]
-            off, stride, kmax = _KDF_WINDOW
-            ests = _accel.dm_extrapolate(sums, off, stride, kmax, _KDF_EXT_DPS, m=3)
-            val, stab = _accel.pick_plateau(ests)
-            # the window truncation floor is set by the diagonal count, not
-            # by the working precision.  With the sums exact to 2^-prec, the
-            # six Theorem blocks at 40 digits lie 4.2e-25 to 6.6e-39 from
-            # kdf_integral at 60 digits, so the 1e-13 floor is a constant far
-            # above every observed gap, not a measured bar
-            err = 200 * stab + mpf("1e-13") * (1 + abs(val))
-            method = "accelerated"
-            if not mp.isfinite(val) or stab > mpf("0.01") * (1 + abs(val)):
-                val = _accel.richardson(sums, _KDF_EXT_DPS)
-                err = abs(val - sums[-1])
-                method = "richardson"
-            terms = (_KDF_D + 1) * (_KDF_D + 2) // 2
-            return SeriesResult(+val, +err, terms, method)
+            val, err, D, _ = _extrapolate(
+                lambda D: _kdf_partial_sums(params, xx, yy, D),
+                _kdf_families(params, xx, yy), prec.tol())
+            return SeriesResult(+val, +err, (D + 1) * (D + 2) // 2, "accelerated")
         rho = (1 + max(abs(xx), abs(yy))) / 2
         tol = prec.tol() / 4
         need = int(float(mp.log(tol) / mp.log(rho))) + 40 if rho > 0 else 24

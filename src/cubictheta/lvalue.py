@@ -262,8 +262,6 @@ def rhs_theorem(n: int, route: str, prec: Precision) -> SeriesResult:
             val += cm * block.value
             err += abs(cm) * block.err_estimate
             terms += block.terms_used
-            if block.method == "richardson":
-                method = "richardson"
         val *= scale
         err *= abs(scale)
         return SeriesResult(val, err, terms, method)

@@ -6,7 +6,7 @@ import json
 import pytest
 from mpmath import mp, mpf
 
-from cubictheta import cli, lvalue
+from cubictheta import cli, hyper, lvalue
 from cubictheta.reports import check
 
 
@@ -259,23 +259,25 @@ def test_theorem_check_reports_measured_series_gap(monkeypatch):
         assert rep.abs_err < mpf("1e-12")
 
 
-def test_theorem_check_holds_richardson_route_to_tol(monkeypatch):
-    # a Richardson fallback's bar |val - sums[-1]| is no measured error: a
-    # series route 3.7e-4 off the integral route must fail even though its
-    # 1.8e-3 bar covers the gap, and the report carries the gap
-    monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", dict(lvalue._KDF_VALUE_CACHE))
-    real = lvalue.rhs_theorem
+def test_verify_exits_1_when_the_series_search_fails(monkeypatch, capsys):
+    # with the boundary search capped below its first D, the theorem suite
+    # cannot finish: verify says why on stderr and exits 1, with no table
+    monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", {})
+    monkeypatch.setattr(hyper, "_FIT_D_MAX", 160)
+    code, out, err = run(["verify", "--suite", "theorem", "--digits", "40"], capsys)
+    assert code == 1
+    assert "evaluation failed" in err and "D = 160" in err
+    assert "lvalue_1_hypergeometric" not in out
 
-    def fallback(n, route, prec):
-        res = real(n, route, prec)
-        if route != "series":
-            return res
-        return dataclasses.replace(res, value=res.value + mpf("3.7e-4"),
-                                   err_estimate=mpf("1.8e-3"), method="richardson")
 
-    monkeypatch.setattr(lvalue, "rhs_theorem", fallback)
-    reports = cli.theorem_suite_reports(40)
-    assert len(reports) == 3
-    for rep in reports:
-        assert not rep.passed
-        assert mpf("3.69e-4") <= rep.abs_err <= mpf("3.71e-4")
+def test_kdf_exits_1_when_the_series_search_fails(monkeypatch, capsys):
+    monkeypatch.setattr(hyper, "_FIT_D_MAX", 160)
+    code, out, err = run(
+        ["kdf", "--a", "1", "--ap", "2", "--b", "1,4/3", "--bp", "2",
+         "--c", "1/3,2/3", "--cp", "1", "--x", "1", "--y", "1",
+         "--route", "series"],
+        capsys,
+    )
+    assert code == 1
+    assert "boundary_ok = True" in out and "value =" not in out
+    assert "evaluation failed" in err

@@ -1,9 +1,11 @@
 """Hypergeometric evaluators: exact term recurrences, closed-form anchors,
 near-unit expansions against mpmath, double-series routes, quadrature."""
 
+import json
 import math
+import pathlib
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
@@ -131,22 +133,22 @@ class _Captured(Exception):
 @pytest.mark.parametrize("up, lo", [
     pytest.param([Fraction(1, 2), Fraction(3, 4), 1], [Fraction(5, 4), 2], id="falling"),
     # the terms dip to 2^-253 at n = 71, below the first 2^-wp, and rise by
-    # 2^217 up to n = 899: the guard bits must come from the exact ratios
+    # 2^197 up to n = 320: the guard bits must come from the exact ratios
     pytest.param([1, 1, 1], [Fraction(-199, 2), 110], id="deep-dip"),
 ])
 def test_accelerated_unit_sum_partial_sums(monkeypatch, up, lo):
-    # the 900 partial sums at x = 1 that go to the extrapolation are within
-    # 2^-prec (1 + |S_n|) of the mpf loop 256 bits higher
+    # the first 321 partial sums at x = 1 that go to the fit (D = 320) are
+    # within 2^-prec (1 + |S_n|) of the mpf loop 256 bits higher
     def spy(sums, *args, **kwargs):
         raise _Captured(sums)
 
-    monkeypatch.setattr(_accel, "dm_extrapolate", spy)
+    monkeypatch.setattr(_accel, "known_exponent_fit", spy)
     with mp.workdps(30):
         with pytest.raises(_Captured) as caught:
             hyper._accelerated_unit_sum(tuple(map(Fraction, up)), tuple(map(Fraction, lo)),
                                         mpf("1e-30"))
         [got] = caught.value.args
-        assert len(got) == 900
+        assert len(got) == hyper._FIT_D + 1
         prec = mp.prec
         with mp.workprec(prec + 256):
             term, run = mpf(1), mpf(0)
@@ -173,7 +175,7 @@ DIXON_CASES = [
 @pytest.mark.parametrize("a, b, c", DIXON_CASES)
 def test_pfq_at_one_accelerated_dixon(a, b, c):
     # Dixon: 3F2(a, b, c; 1+a-b, 1+a-c; 1) is a ratio of gamma values; no
-    # closed-form branch matches it, so the d(m) extrapolation must
+    # closed-form branch matches it, so the known-exponent fit must
     res = hyper.pfq(PFQParams([a, b, c], [1 + a - b, 1 + a - c]), 1, PREC)
     assert res.method == "accelerated"
     with mp.workdps(60):
@@ -527,17 +529,153 @@ def test_kdf_boundary_smoke():
         assert s.err_estimate < mpf("1e-8")
 
 
-def test_richardson_fallback_is_labelled(monkeypatch):
-    # an unstable d(m) plateau hands the value to Richardson; the label says so
-    monkeypatch.setattr(_accel, "pick_plateau", lambda ests: (mpf(1), mpf(10)))
-    res = hyper.pfq(
-        PFQParams([Fraction(1, 2), Fraction(3, 4), 1], [Fraction(5, 4), 2]), 1,
-        Precision(30, 1e-15),
-    )
-    assert res.method == "richardson"
-    with mp.workdps(55):
-        res = hyper.kdf_series(MAIN_BLOCK, 1, 1, Precision(40, 1e-12))
-    assert res.method == "richardson"
+def test_boundary_search_raises_at_its_cap(monkeypatch):
+    # two orders give one gap, never the two the search stops on: D = 320
+    # and 640 stall, and past the cap both fits raise; nothing falls back
+    monkeypatch.setattr(hyper, "_FIT_K_MAX", 10)
+    monkeypatch.setattr(hyper, "_FIT_D_MAX", 640)
+    with pytest.raises(ArithmeticError, match="by D = 640"):
+        hyper.pfq(PFQParams([Fraction(1, 2), Fraction(3, 4), 1], [Fraction(5, 4), 2]), 1,
+                  Precision(30, 1e-15))
+    with pytest.raises(ArithmeticError, match="by D = 640"):
+        hyper.kdf_series(MAIN_BLOCK, 1, 1, Precision(40, 1e-12))
+
+
+# -- boundary exponent rule and known truth ----------------------------------------------
+
+
+def test_known_exponent_fit_exact_on_its_model():
+    # sums that are pi plus the first K model functions, one family with a
+    # log and one alternating: the fit returns pi to the rounding of the sums
+    families = ((Fraction(1, 2), 1, 1), (Fraction(4, 3), 0, -1))
+    K = 10
+    model = list(islice(_accel._model(families), K))
+    # largest first: N^-1/2 log N, N^-1/2, then the alternating N^-4/3
+    assert model[:4] == [(0, 0, 1), (0, 0, 0), (1, 0, 0), (0, 1, 1)]
+    with mp.workdps(60):
+        def partial_sum(d):
+            n, total = d + 1, +mp.pi
+            for i, (f, j, l) in enumerate(model):
+                e, _, sign = families[f]
+                total += ((-2) ** -i * sign ** n * mp.log(n) ** l
+                          * mpf(n) ** -(mpf(e.numerator) / e.denominator + j))
+            return total
+
+        sums = [partial_sum(d) for d in range(321)]
+        val, wsum = _accel.known_exponent_fit(sums, families, K)
+        assert abs(val - mp.pi) <= wsum * mp.ldexp(1 + mp.pi, -mp.prec)
+        # one function short, the fit is off by far more
+        val, _ = _accel.known_exponent_fit(sums, families, K - 1)
+        assert abs(val - mp.pi) > mpf("1e-20")
+
+
+F = Fraction
+FAMILY_CASES = [
+    # (block, x, y, families): sa = 1 in each; B, C = pFq(b; bp), pFq(c; cp)
+    # with excess sB, sC, and C's sC = 0 carries a log
+    *(pytest.param(THEOREM_KDF_BLOCKS[name], 1, 1, fams, id=name) for name, fams in [
+        # sB = -1/3: B alone 2/3, C alone 1 (log of an integer >= 0 dropped),
+        # B C 2/3 with the log
+        ("L1", ((F(2, 3), 1, 1), (F(1), 0, 1))),
+        ("L2a", ((F(1, 3), 1, 1), (F(1), 0, 1))),
+        # sB = sC = 0: all three at 1, the product with log^2, less one
+        ("L3a", ((F(1), 1, 1),)),
+        ("L3b", ((F(1), 1, 1),)),
+        ("L3c", ((F(1), 0, 1), (F(5, 3), 1, 1))),
+        ("L3d", ((F(1), 0, 1), (F(4, 3), 1, 1))),
+    ]),
+    # c = [0]: C is the polynomial 1, so only B's 1 - a remains
+    pytest.param(KdFParams([1], [2], [1, F(4, 3)], [2], [0], []), 1, 1,
+                 ((F(2, 3), 0, 1),), id="c-zero"),
+    # z = -1: B alone alternates at m1 + 1 = 5/3; no product, as x != y
+    pytest.param(MAIN_BLOCK, -1, 1, ((F(1), 0, 1), (F(5, 3), 0, -1)), id="corner-minus-1"),
+    # sB + sC = 1 with no log: the product is analytic and leaves no family
+    pytest.param(KdFParams([1], [2], [1, F(2, 3)], [2], [THIRD, F(1, 3)], [F(4, 3)]), 1, 1,
+                 ((F(4, 3), 0, 1), (F(5, 3), 0, 1)), id="analytic-product"),
+]
+
+
+@pytest.mark.parametrize("params, x, y, families", FAMILY_CASES)
+def test_kdf_families_rule(params, x, y, families):
+    assert hyper._kdf_families(params, mpf(x), mpf(y)) == families
+
+
+def test_kdf_boundary_corner_alternating_family():
+    # the (-1, 1) corner against the integral route far below the default tol
+    prec = Precision(50, 1e-35)
+    with mp.workdps(65):
+        s = hyper.kdf_series(MAIN_BLOCK, -1, 1, prec)
+        i = hyper.kdf_integral(MAIN_BLOCK, -1, 1, Precision(60, 1e-46))
+        assert abs(s.value - i.value) <= s.err_estimate + i.err_estimate
+        assert s.err_estimate <= prec.tol()
+
+
+def test_kdf_boundary_alternating_on_both_sides():
+    # at (-1, -1) every family alternates; the fit points have an odd step,
+    # so it alternates along them (with an even step, 1e-40 was out of reach
+    # by D = 2560).  Truth: the Euler integral of 2F1(1, 4/3; 2; -t)
+    # 2F1(1/3, 2/3; 1; -t) over (0, 1), by mpmath alone
+    families = hyper._kdf_families(MAIN_BLOCK, mpf(-1), mpf(-1))
+    assert families == ((F(5, 3), 1, -1), (F(2), 0, -1))
+    # an alternating model is well conditioned: sum |w| stays below 60 up
+    # to K = 40 (with an even step it is 5e6 to 1e26 at K = 8, 10, 14, 20, ...)
+    zeros = [mpf(0)] * (hyper._FIT_D + 1)
+    for K in range(8, 42, 2):
+        assert _accel.known_exponent_fit(zeros, families, K)[1] < 100, K
+    prec = Precision(55, 1e-40)
+    s = hyper.kdf_series(MAIN_BLOCK, -1, -1, prec)
+    with mp.workdps(65):
+        want = mp.quad(lambda t: mp.hyp2f1(1, mpf(4) / 3, 2, -t)
+                       * mp.hyp2f1(mpf(1) / 3, mpf(2) / 3, 1, -t), [0, 1])
+        assert abs(s.value - want) <= s.err_estimate <= prec.tol()
+
+
+@pytest.mark.parametrize("name", list(THEOREM_KDF_BLOCKS))
+def test_kdf_boundary_theorem_blocks_to_1e_25(name):
+    # each Theorem block at 40 digits and tol 1e-25 against the integral
+    # route at 60 digits (bar 2.5e-47): within 1e-25, under its own bar
+    prec = Precision(40, 1e-25)
+    s = hyper.kdf_series(THEOREM_KDF_BLOCKS[name], 1, 1, prec)
+    ref = hyper.kdf_integral(THEOREM_KDF_BLOCKS[name], 1, 1, Precision(60, 1e-46))
+    with mp.workdps(70):
+        gap = abs(s.value - ref.value)
+        assert gap <= s.err_estimate <= prec.tol()
+        assert gap + ref.err_estimate <= prec.tol()
+
+
+def test_terminating_series_at_one():
+    # no singular part leaves no family: the sums are constant from the
+    # degree on, and S_D is the value; 3F2(-2, 1/3, 1/2; 2, 3; 1) = 205/216,
+    # and with B = 1 - 2w/3, C = 1 - w + w^2/3 the double series at (1, 1)
+    # is 1 - 5/6 + 1/3 - 1/18 = 4/9
+    prec = Precision(30, 1e-15)
+    res = hyper.pfq(PFQParams([-2, THIRD, Fraction(1, 2)], [2, 3]), 1, prec)
+    assert res.method == "accelerated"
+    with mp.workdps(45):
+        assert abs(res.value - mpf(205) / 216) <= mpf("1e-35")
+    block = KdFParams([1], [2], [-1, 2], [3], [-2, 1], [2])
+    assert hyper._kdf_families(block, mpf(1), mpf(1)) == ()
+    res = hyper.kdf_series(block, 1, 1, prec)
+    with mp.workdps(45):
+        assert abs(res.value - mpf(4) / 9) <= res.err_estimate <= mpf("1e-40")
+
+
+def _pool_blocks():
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    with open(path, encoding="utf-8") as fh:
+        blocks = json.load(fh)["blocks"]
+    for i, entry in enumerate(blocks):
+        lists = [[Fraction(v) for v in part.split(",")] for part in entry["params"].split(" | ")]
+        yield pytest.param(KdFParams(*lists), entry["value"], entry["ref_err"], id=f"pool-{i}")
+
+
+@pytest.mark.parametrize("params, value, ref_err", list(_pool_blocks()))
+def test_kdf_boundary_pool_blocks(params, value, ref_err):
+    # the benchmark's 32 pool blocks against their mpmath values (Euler
+    # integral with hyp2f1, at 50 and 65 digits) at the benchmark's precision
+    s = hyper.kdf_series(params, 1, 1, Precision(40, 1e-12))
+    with mp.workdps(60):
+        assert abs(s.value - mpf(value)) <= s.err_estimate + mpf(ref_err)
 
 
 # -- term recurrence and anti-diagonal sums -----------------------------------------------
@@ -828,35 +966,48 @@ def full_table_dm_extrapolate(
         return ests
 
 
+# the boundary window kdf_series gave dm_extrapolate before the known-exponent
+# fit: 1281 diagonals, offset 300, stride 12, 48 columns, at 260 digits; and
+# the window pfq gave it at x = 1: 900 sums, offset 200, stride 8, 40 columns,
+# at 200 digits
+KDF_D = 1280
+KDF_WINDOW = (300, 12, 48, 260)
+DIXON_TERMS = 900
+DIXON_WINDOW = (200, 8, 40, 200)
+
+
 def _kdf_window(name):
-    """The partial sums and window ``kdf_series`` extrapolates for a Theorem block."""
+    """The partial sums and window of a Theorem block at (1, 1), 55 digits."""
     with mp.workdps(55):
-        sums, _ = hyper._kdf_partial_sums(THEOREM_KDF_BLOCKS[name], mpf(1), mpf(1),
-                                          hyper._KDF_D)
-    return sums, (*hyper._KDF_WINDOW, hyper._KDF_EXT_DPS)
+        sums, _ = hyper._kdf_partial_sums(THEOREM_KDF_BLOCKS[name], mpf(1), mpf(1), KDF_D)
+    return sums, KDF_WINDOW
 
 
-def _dixon_window(monkeypatch, a, b, c):
-    """The partial sums and window ``pfq`` extrapolates for Dixon's 3F2 at 1."""
-    def spy(sums, *args, m=3):
-        raise _Captured(sums, args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(_accel, "dm_extrapolate", spy)
-        with pytest.raises(_Captured) as caught:
-            hyper.pfq(PFQParams([a, b, c], [1 + a - b, 1 + a - c]), 1, PREC)
-    return caught.value.args
+def _dixon_window(a, b, c):
+    """The partial sums and window of Dixon's 3F2 at 1, 50 digits."""
+    with mp.workdps(50):
+        up, lo = _mpf_params([a, b, c]), _mpf_params([1 + a - b, 1 + a - c])
+        sums, term, run = [], mpf(1), mpf(0)
+        for n in range(DIXON_TERMS):
+            run += term
+            sums.append(run)
+            for u in up:
+                term *= u + n
+            for l in lo:
+                term /= l + n
+            term /= n + 1
+    return sums, DIXON_WINDOW
 
 
 @pytest.mark.parametrize("kind, key", [
     *(pytest.param("kdf", name, id=name) for name in THEOREM_KDF_BLOCKS),
     *(pytest.param("dixon", case.values, id=f"dixon-{case.id}") for case in DIXON_CASES),
 ])
-def test_dm_extrapolate_matches_full_table(monkeypatch, kind, key):
+def test_dm_extrapolate_matches_full_table(kind, key):
     # every column head of the int triangle elimination against the mpf full
     # table on 80 points: the six boundary windows (kmax 48, 260 digits) and
-    # the three Dixon windows at x = 1 (kmax 40, 200 digits)
-    sums, args = _kdf_window(key) if kind == "kdf" else _dixon_window(monkeypatch, *key)
+    # the four Dixon windows at x = 1 (kmax 40, 200 digits)
+    sums, args = _kdf_window(key) if kind == "kdf" else _dixon_window(*key)
     offset, stride, kmax, dps_hi = args
     got = _accel.dm_extrapolate(sums, *args)
     ref = full_table_dm_extrapolate(sums, offset, stride, 80, kmax, dps_hi)
@@ -958,8 +1109,7 @@ def test_dm_extrapolate_signed_sums(kind, bound):
 
 
 def test_dm_extrapolate_non_finite_sums():
-    # a non-finite sum makes every head nan, so the callers' isfinite test
-    # sends the block to the Richardson fallback
+    # a non-finite sum makes every head nan
     sums = _log_sums()
     sums[20] = mp.inf
     got = _accel.dm_extrapolate(sums, 5, 3, 40, 100)

@@ -6,7 +6,7 @@ import math
 import pytest
 from mpmath import mp, mpf, mpmathify
 
-from cubictheta import _accel, lvalue, qexp, thetanum
+from cubictheta import hyper, lvalue, qexp, thetanum
 from cubictheta.hyper import SeriesResult, quad_de
 from cubictheta.thetanum import Precision
 
@@ -211,12 +211,14 @@ def test_rhs_theorem_routes_cross_check_n1():
         assert abs(ri.value - alpha_route.value) < mpf("1e-12")
 
 
-def test_rhs_theorem_passes_on_richardson_label(monkeypatch):
-    # a private cache keeps the fallback value away from the other tests
+def test_rhs_theorem_raises_when_the_series_search_fails(monkeypatch):
+    # a private cache keeps the memo of the other tests out of the way; with
+    # the boundary search capped below its first D, the series route raises
+    # rather than return a value
     monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", {})
-    monkeypatch.setattr(_accel, "pick_plateau", lambda ests: (mpf(1), mpf(10)))
-    with mp.workdps(50):
-        assert lvalue.rhs_theorem(1, "series", PREC).method == "richardson"
+    monkeypatch.setattr(hyper, "_FIT_D_MAX", 160)
+    with pytest.raises(ArithmeticError):
+        lvalue.rhs_theorem(1, "series", PREC)
 
 
 def test_rhs_theorem_bad_inputs():

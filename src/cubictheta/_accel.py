@@ -9,15 +9,14 @@ largest remainder functions to 0 on K + 1 equally spaced points, and returns
 sum w_d S_d with the weight norm sum |w_d| that scales the rounding of the
 sums (Sidi, *Practical Extrapolation Methods*, CUP 2003, ch. 1-4).
 
-``dm_extrapolate``, ``pick_plateau`` and ``richardson`` are the d(3)
-E-algorithm, its plateau picker and a polynomial Richardson scheme that the
-fit replaced.  No library code calls them; they stay for the benchmark's
-tracing targets, which bind them by name.  ``dm_extrapolate`` models the
-remainder with data-derived functions n*a_n/n**j, n**2*Da_n/n**j and
-n**3*D2a_n/n**j, and runs the E-algorithm in fixed point on Python ints: each
-row is one list of ints at a shared exponent, its largest entry kept at
-prec + guard bits, and the guard is raised until it covers the measured
-spread of every row.  Only the column heads are returned, so a kmax-column
+``dm_extrapolate`` and ``richardson`` are the d(3) E-algorithm and a
+polynomial Richardson scheme that the fit replaced.  No library code calls
+them; they stay for the benchmark's tracing targets, which bind them by
+name.  ``dm_extrapolate`` models the remainder with data-derived functions
+n*a_n/n**j, n**2*Da_n/n**j and n**3*D2a_n/n**j, and runs the E-algorithm in
+fixed point on Python ints: each row is one list of ints at a shared
+exponent, its largest entry kept at prec + guard bits, and the guard is
+raised until it covers the measured spread of every row.  Only the column heads are returned, so a kmax-column
 run takes a window of kmax + 1 points and fills just the triangle those heads
 read, about kmax**3/3 row updates.
 """
@@ -30,7 +29,7 @@ from itertools import count, islice
 
 from mpmath import mp, mpf
 
-__all__ = ["known_exponent_fit", "dm_extrapolate", "richardson", "pick_plateau"]
+__all__ = ["known_exponent_fit", "max_order", "dm_extrapolate", "richardson"]
 
 # guard bits of the weight elimination above the precision of the sums
 _FIT_GUARD = 64
@@ -44,7 +43,8 @@ def known_exponent_fit(sums, families, order: int):
     sum of c sign^N N^-(e + j) (log N)^l, N = d + 1, j >= 0, l <= lmax, with
     e an exact rational.  The model is the constant plus the first ``order``
     = K of those functions, largest first (``_model``), on K + 1 equally
-    spaced indices d of [0.35 D, D] that end at D.  Their step is odd, so that
+    spaced indices d of [0.35 D, D] that end at D, so K is at most
+    ``max_order(D)`` (ValueError otherwise).  Their step is odd, so that
     sign^N alternates along them: with an even step every point has one
     parity, an alternating function turns into a smooth one, and the fit
     into the ill-conditioned smooth fit.  The weights w solve
@@ -64,6 +64,12 @@ def known_exponent_fit(sums, families, order: int):
     total = sum(wd * (-man if sign else man) << (e - exp)
                 for wd, (sign, man, e, _) in zip(w, raw) if man)
     return mp.ldexp(mpf(total), exp - wp), mp.ldexp(sum(map(abs, w)), -wp)
+
+
+def max_order(D: int) -> int:
+    """The largest fit order on S_0..S_D: D - ceil(0.35 D), the most steps
+    of odd length >= 1 on [0.35 D, D]."""
+    return D - -(-7 * D // 20)
 
 
 def _family(index, e, lmax):
@@ -90,7 +96,11 @@ def _weights(families, D: int, K: int, wp: int):
     is then scaled so that its largest entry is 2^wp, and the system is
     solved by ``_solve_first_unit``.
     """
-    step = (D - -(-7 * D // 20)) // K  # from ceil(0.35 D)
+    span = max_order(D)
+    if K > span:
+        raise ValueError(f"fit order {K} needs more than the {span + 1} points "
+                         f"of odd step on [0.35 D, D] at D = {D}")
+    step = span // K
     step -= 1 - step % 2
     pts = tuple(D - step * (K - i) for i in range(K + 1))
     n0 = pts[0] + 1
@@ -276,18 +286,3 @@ def richardson(partial_sums, dps_hi: int, order: int = 6):
             for i in range(pts - k):
                 tab[i] = (tab[i + 1] * xs[i] - tab[i] * xs[i + k]) / (xs[i] - xs[i + k])
         return +tab[0]
-
-
-def pick_plateau(ests, skip: int = 4):
-    """Pick the most stable entry of an extrapolation column.
-
-    Returns (value, stability): stability is the summed distance to the two
-    neighbouring column heads, the transformation's own convergence signal.
-    """
-    if len(ests) < skip + 3:
-        raise ArithmeticError("extrapolation produced too few columns")
-    diffs = [abs(ests[i + 1] - ests[i]) for i in range(len(ests) - 1)]
-    best = min(
-        range(skip, len(diffs)), key=lambda i: diffs[i] + diffs[i - 1]
-    )
-    return ests[best + 1], diffs[best] + diffs[best - 1]

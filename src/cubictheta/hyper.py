@@ -13,9 +13,10 @@ the evaluators switch to connection/log expansions in 1 - x; callers that
 know 1 - x to better accuracy than x can pass it explicitly.  At the unit
 argument itself, the boundary Kampe de Feriet values and the pFq sums that no
 closed form covers are limits of partial sums whose remainder has a form
-known from the parameters (``_kdf_families``); ``_extrapolate`` searches the
-order of the known-exponent fit (``_accel.known_exponent_fit``) against the
-requested tol, and raises where it cannot reach it.
+known from the parameters (``_kdf_families``).  ``_extrapolate`` takes the
+partial sums up to the one index D = ``_FIT_D`` and searches the order K of
+the known-exponent fit (``_accel.known_exponent_fit``) on them against the
+requested tol; it raises when the search stalls or runs out of points.
 """
 
 from __future__ import annotations
@@ -317,26 +318,16 @@ def _f32_ones_tail(a: Fraction, x, omx, eps):
 
     Termwise integration of the binomial identity gives
     a*x*3F2 = C(a) - T(a, 1-x) with C(a) = psi(1) - psi(1-a) and
-    T(a, w) = sum_k [w^(k+1-a)/(k+1-a) - w^(k+1)/(k+1)].
+    T(a, w) = sum_k [w^(k+1-a)/(k+1-a) - w^(k+1)/(k+1)]
+            = w^(1-a)/(1-a) 2F1(1, 1-a; 2-a; w) + log(1 - w),
+    the 2F1 summed by ``_pfq_direct`` with its certified tail.
     """
     am = _fr_mpf(a)
     cconst = _psi(Fraction(1)) - _psi(1 - a)
     w = omx
-    t1 = w ** (1 - am)
-    t2 = w
-    total = mpf(0)
-    k = 0
-    while True:
-        t = t1 / (k + 1 - am) - t2 / (k + 1)
-        total += t
-        if k > 2 and abs(t) < eps:
-            break
-        t1 *= w
-        t2 *= w
-        k += 1
-        if k > _TERM_CAP:
-            raise ArithmeticError("tail expansion failed to converge")
-    return (cconst - total) / (am * x), k + 1
+    f21, n = _pfq_direct((Fraction(1), 1 - a), (2 - a,), w, eps)
+    tail = w ** (1 - am) / (1 - am) * f21 + mp.log1p(-w)
+    return (cconst - tail) / (am * x), n
 
 
 def _gauss_summation(a: Fraction, b: Fraction, c: Fraction):
@@ -351,7 +342,7 @@ _DIRECT_LIMIT = mpf("0.95")
 
 
 def _eval_pfq(upper, lower, x, omx, eps):
-    """Full real-argument dispatch; returns (value, terms, method).
+    """Full real-argument dispatch; returns (value, terms, method, bar).
 
     ``upper``/``lower`` are Fraction tuples, ``x`` an mpf in [-1, 1],
     ``omx`` the complement 1 - x (may be None off the boundary region).
@@ -359,7 +350,8 @@ def _eval_pfq(upper, lower, x, omx, eps):
     ((1 - x)^-a for 1F0 and 2F1(1, a; 2; x)), "gauss" (2F1 at 1),
     "zero-balanced" and "connection" (2F1 expansions in 1 - x), "f32-tail"
     (3F2(1, 1, a+1; 2, 2; x), at 1 the tail-free closed form), and
-    "accelerated" (the known-exponent fit) for other sums at 1.
+    "accelerated" (the known-exponent fit) for other sums at 1.  ``bar`` is
+    the fit's measured bar on the "accelerated" branch and None on the others.
     """
     # exact cancellation of repeated parameters
     up = list(upper)
@@ -374,36 +366,36 @@ def _eval_pfq(upper, lower, x, omx, eps):
     if abs(x) > 1:
         raise ValueError("arguments beyond |x| = 1 are out of scope")
     if x == 0:
-        return mpf(1), 1, "direct"
+        return mpf(1), 1, "direct", None
     if p == 1 and q == 0:
         if omx is None:
             omx = 1 - x
-        return omx ** (-_fr_mpf(up[0])), 1, "binomial"
+        return omx ** (-_fr_mpf(up[0])), 1, "binomial", None
     if p <= q:
         val, n = _pfq_direct(up, lo, x, eps)
-        return val, n, "direct"
+        return val, n, "direct", None
     # now p == q + 1
     if x == 1 and (omx is None or omx <= 0):
         excess = sum(lo, Fraction(0)) - sum(up, Fraction(0))
         if excess <= 0:
             raise ValueError("series diverges at x = 1 (nonpositive excess)")
         if p == 2:
-            return _gauss_summation(up[0], up[1], lo[0]), 1, "gauss"
+            return _gauss_summation(up[0], up[1], lo[0]), 1, "gauss", None
         pat = _match_f32_ones(up, lo)
         if pat is not None:
             am = _fr_mpf(pat)
-            return (_psi(Fraction(1)) - _psi(1 - pat)) / am, 1, "f32-tail"
+            return (_psi(Fraction(1)) - _psi(1 - pat)) / am, 1, "f32-tail", None
         return _accelerated_unit_sum(up, lo, eps)
     if abs(x) <= _NEAR_ONE_SWITCH:
         val, n = _pfq_direct(up, lo, x, eps)
-        return val, n, "direct"
+        return val, n, "direct", None
     if omx is None:
         omx = 1 - x
     if p == 2 and lo[0] == 2 and Fraction(1) in up and up[0] != up[1]:
         # binomial closed form, valid on the whole interval [-1, 1)
         other = up[1] if up[0] == 1 else up[0]
         am = _fr_mpf(other - 1)
-        return (omx ** (-am) - 1) / (am * x), 1, "binomial"
+        return (omx ** (-am) - 1) / (am * x), 1, "binomial", None
     if x > 0:
         # the expansions below run in powers of 1 - x and need x near 1
         if p == 2:
@@ -411,17 +403,17 @@ def _eval_pfq(upper, lower, x, omx, eps):
             c = lo[0]
             if c - a - b == 0:
                 val, n = _hyp2f1_zero_balanced(a, b, x, omx, eps)
-                return val, n, "zero-balanced"
+                return val, n, "zero-balanced", None
             if (c - a - b).denominator != 1:
                 val, n = _hyp2f1_connection(a, b, c, x, omx, eps)
-                return val, n, "connection"
+                return val, n, "connection", None
         pat = _match_f32_ones(up, lo)
         if pat is not None:
             val, n = _f32_ones_tail(pat, x, omx, eps)
-            return val, n, "f32-tail"
+            return val, n, "f32-tail", None
     if abs(x) <= _DIRECT_LIMIT:
         val, n = _pfq_direct(up, lo, x, eps)
-        return val, n, "direct"
+        return val, n, "direct", None
     raise ArithmeticError(
         f"no fast evaluation path for {up}/{lo} at x={x}; argument too close to 1"
     )
@@ -445,11 +437,13 @@ def _accelerated_unit_sum(up, lo, eps):
     The terms are a ratio of gamma functions, n^-(s+1) times a series in
     1/n, so the remainder after N terms has the one family N^-(s+j), j >= 0,
     and no logs.  A nonpositive-integer upper parameter ends the series and
-    leaves no family.  The partial sums are within 2^-prec (1 + |S_n|) of the
-    exact ones: the n sums are within n^2 G ulps, redone as in _pfq_direct.
+    leaves no family.  The fit takes S_0..S_D at D = ``_FIT_D``; returns
+    (value, D + 1, "accelerated", bar) with the fit's bar.  The partial sums
+    are within 2^-prec (1 + |S_n|) of the exact ones: the n sums are within
+    n^2 G ulps, redone as in _pfq_direct.
     """
-    def partial_sums(D):
-        n, guard, need = D + 1, 0, _PFQ_GUARD
+    def partial_sums():
+        n, guard, need = _FIT_D + 1, 0, _PFQ_GUARD
         while need > guard:
             guard = need
             wp = mp.prec + guard
@@ -459,8 +453,8 @@ def _accelerated_unit_sum(up, lo, eps):
         return sums, mp.ldexp(1 + max(map(abs, sums)), -mp.prec)
 
     part = _singular_part(up, lo)
-    val, _, D, _ = _extrapolate(partial_sums, () if part is None else ((part[0], 0, 1),), eps)
-    return +val, D + 1, "accelerated"
+    val, err, _ = _extrapolate(partial_sums, () if part is None else ((part[0], 0, 1),), eps)
+    return +val, _FIT_D + 1, "accelerated", +err
 
 
 def gauss_2f1_unit_interval(a, b, c, x, omx, dps: int):
@@ -470,22 +464,22 @@ def gauss_2f1_unit_interval(a, b, c, x, omx, dps: int):
     fr = (Fraction(a), Fraction(b), Fraction(c))
     with mp.workdps(dps + 10):
         eps = mpf(10) ** (-dps - 5)
-        val, _, _ = _eval_pfq((fr[0], fr[1]), (fr[2],), mpmathify(x), mpmathify(omx), eps)
-        return val
+        return _eval_pfq((fr[0], fr[1]), (fr[2],), mpmathify(x), mpmathify(omx), eps)[0]
 
 
 def pfq(params: PFQParams, x, prec: Precision, x_complement=None) -> SeriesResult:
     """Evaluate the generalized hypergeometric series at a real argument.
 
     |x| < 1, or x = 1 with positive parameter excess.  ``x_complement`` may
-    supply 1 - x to full accuracy when x is close to 1.
+    supply 1 - x to full accuracy when x is close to 1.  The "accelerated"
+    branch reports the fit's measured bar; the others report tol.
     """
     with mp.workdps(prec.dps + 10):
         xx = mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmathify(x)
         omx = mpmathify(x_complement) if x_complement is not None else None
         eps = prec.tol() / 10
-        val, terms, method = _eval_pfq(params.upper, params.lower, xx, omx, eps)
-        return SeriesResult(val, prec.tol(), terms, method)
+        val, terms, method, bar = _eval_pfq(params.upper, params.lower, xx, omx, eps)
+        return SeriesResult(val, prec.tol() if bar is None else bar, terms, method)
 
 
 # -- Kampe de Feriet ----------------------------------------------------------
@@ -553,7 +547,7 @@ def _kdf_partial_sums(params: KdFParams, x, y, D: int):
         wp += excess
     (A, *_), (B, *_), (C, *_) = runs
     inner = kernels.conv_trunc(B, C, D)
-    sums = [mp.ldexp(s, -3 * wp) for s in accumulate(a * i for a, i in zip(A, inner))]
+    sums = [+mp.ldexp(s, -3 * wp) for s in accumulate(a * i for a, i in zip(A, inner))]
     return sums, mp.ldexp(1 + max(map(abs, sums)), -prec)
 
 
@@ -603,60 +597,56 @@ def _kdf_families(params: KdFParams, x, y):
     return tuple(sorted((e, lmax, sign) for (_, sign), (e, lmax) in merged.items()))
 
 
-# the order search: D starts at _FIT_D and doubles while the fit order K
-# (8, 10, 12, ...) stalls; past _FIT_D_MAX the search fails
+# the fit takes the partial sums S_0..S_D at this one D; its order K steps
+# 8, 10, 12, ... while S_0..S_D hold K + 1 points of odd step
 _FIT_D = 320
-_FIT_D_MAX = 2560
-_FIT_K_MAX = 64
 
 
 def _extrapolate(partial_sums, families, tol):
     """The limit of a series whose remainder has the given ``families``
     (``_accel.known_exponent_fit``), from its partial sums; returns
-    (value, bar, D, K).
+    (value, bar, K).
 
-    ``partial_sums(D)`` returns S_0..S_D as mpfs and a bound r on the error
-    of each, both at the working precision.  For D = 320, 640, ... the fit
-    order K steps 8, 10, 12, ...  The search stops at the first K whose last
-    two gaps |V_K - V_(K-2)| and |V_(K-2) - V_(K-4)| are both at most tol/8,
-    and the bar is those two gaps plus r sum |w|.  When r sum |w| would pass
-    tol/8, the sums are rebuilt with the precision raised to cover it, and 64
-    bits more.  K stalls when two gaps in a row are no smaller than an
-    earlier one, or at _FIT_K_MAX; D then doubles, and past _FIT_D_MAX the
-    search raises ArithmeticError.  With no family the sums are constant from
+    ``partial_sums()`` returns S_0..S_D as mpfs and a bound r on the error of
+    each, both at the working precision.  The fit order K steps 8, 10, 12, ...
+    The search stops at the first K whose last two gaps |V_K - V_(K-2)| and
+    |V_(K-2) - V_(K-4)| are both at most tol/8, and the bar is those two gaps
+    plus r sum |w|.  When r sum |w| would pass tol/8, the sums are rebuilt
+    with the precision raised to cover it, and 64 bits more.  The search
+    raises ArithmeticError when two gaps in a row are no smaller than an
+    earlier one (a stall), or when the next K has no points left
+    (K > ``_accel.max_order(D)``).  With no family the sums are constant from
     some index on (a terminating series, or polynomial B and C), so V is S_D
-    itself and its gaps are those of the last three sums.  No fallback.
+    itself (K = 0) and its gaps are those of the last three sums.  No
+    fallback.
     """
     prec = mp.prec
-    D = _FIT_D
-    while D <= _FIT_D_MAX:
-        with mp.workprec(prec):
-            sums, rounding = partial_sums(D)
-        if not families:
-            gaps = [abs(sums[-1] - sums[-2]), abs(sums[-2] - sums[-3])]
-            if max(gaps) <= tol / 8:
-                return sums[-1], sum(gaps) + rounding, D, 0
-            D *= 2
-            continue
+    with mp.workprec(prec):
+        sums, rounding = partial_sums()
+    D, K = len(sums) - 1, 0
+    if not families:
+        gaps = [abs(sums[-1] - sums[-2]), abs(sums[-2] - sums[-3])]
+        if max(gaps) <= tol / 8:
+            return sums[-1], sum(gaps) + rounding, K
+    else:
         vals, gaps = [], []
-        for K in range(8, _FIT_K_MAX + 1, 2):
+        for K in range(8, _accel.max_order(D) + 1, 2):
             with mp.workprec(prec):
                 val, wsum = _accel.known_exponent_fit(sums, families, K)
             if wsum * rounding > tol / 8:
                 prec += int(mp.ceil(mp.log(wsum * rounding * 8 / tol, 2))) + 64
                 with mp.workprec(prec):
-                    sums, rounding = partial_sums(D)
+                    sums, rounding = partial_sums()
                     val, wsum = _accel.known_exponent_fit(sums, families, K)
             if vals:
                 gaps.append(abs(val - vals[-1]))
                 if len(gaps) >= 2 and max(gaps[-2:]) <= tol / 8:
-                    return val, gaps[-1] + gaps[-2] + wsum * rounding, D, K
+                    return val, gaps[-1] + gaps[-2] + wsum * rounding, K
                 if len(gaps) >= 3 and min(gaps[-2:]) >= min(gaps[:-2]):
                     break
             vals.append(val)
-        D *= 2
     raise ArithmeticError(
-        f"boundary extrapolation did not reach {mp.nstr(tol, 3)} by D = {_FIT_D_MAX}"
+        f"boundary extrapolation did not reach {mp.nstr(tol, 3)} at D = {D} (last K = {K})"
     )
 
 
@@ -666,10 +656,11 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     Interior points stop on a certified geometric tail bound, and report it
     plus the rounding bound of the partial sums.  Boundary points (|x| = 1 or
     |y| = 1) require the convergence margins to be positive; their value is
-    the known-exponent fit of the diagonal partial sums (``_extrapolate``,
-    with the families of ``_kdf_families``), labelled ``"accelerated"``, and
-    its bar is the fit's measured bar, below tol.  A search that cannot reach
-    tol raises ArithmeticError.
+    the known-exponent fit of the diagonal partial sums S_0..S_D at
+    D = ``_FIT_D`` (``_extrapolate``, with the families of
+    ``_kdf_families``), labelled ``"accelerated"``, and its bar is the fit's
+    measured bar, below tol.  An order search that stalls or runs out of
+    points raises ArithmeticError.
     """
     with mp.workdps(prec.dps + 15):
         xx = mpmathify(x) if not isinstance(x, Fraction) else _fr_mpf(x)
@@ -685,10 +676,9 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
                     f"boundary evaluation rejected: margins {margins.m1}, "
                     f"{margins.m2}, {margins.m3} are not all positive"
                 )
-            val, err, D, _ = _extrapolate(
-                lambda D: _kdf_partial_sums(params, xx, yy, D),
-                _kdf_families(params, xx, yy), prec.tol())
-            return SeriesResult(+val, +err, (D + 1) * (D + 2) // 2, "accelerated")
+            val, err, _ = _extrapolate(lambda: _kdf_partial_sums(params, xx, yy, _FIT_D),
+                                       _kdf_families(params, xx, yy), prec.tol())
+            return SeriesResult(+val, +err, (_FIT_D + 1) * (_FIT_D + 2) // 2, "accelerated")
         rho = (1 + max(abs(xx), abs(yy))) / 2
         tol = prec.tol() / 4
         need = int(float(mp.log(tol) / mp.log(rho))) + 40 if rho > 0 else 24
@@ -730,15 +720,15 @@ def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
 
         def integrand(t, omt):
             if xx == 1:
-                fb, _, _ = _eval_pfq(bu, bl, t, omt, eps)
+                fb = _eval_pfq(bu, bl, t, omt, eps)[0]
             else:
                 arg = xx * t
-                fb, _, _ = _eval_pfq(bu, bl, arg, 1 - arg, eps)
+                fb = _eval_pfq(bu, bl, arg, 1 - arg, eps)[0]
             if yy == 1:
-                fc, _, _ = _eval_pfq(cu, cl, t, omt, eps)
+                fc = _eval_pfq(cu, cl, t, omt, eps)[0]
             else:
                 arg = yy * t
-                fc, _, _ = _eval_pfq(cu, cl, arg, 1 - arg, eps)
+                fc = _eval_pfq(cu, cl, arg, 1 - arg, eps)[0]
             return t ** (am - 1) * omt ** (dm - 1) * fb * fc
 
         quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)

@@ -260,18 +260,18 @@ def test_theorem_check_reports_measured_series_gap(monkeypatch):
 
 
 def test_verify_exits_1_when_the_series_search_fails(monkeypatch, capsys):
-    # with the boundary search capped below its first D, the theorem suite
-    # cannot finish: verify says why on stderr and exits 1, with no table
+    # with the boundary fit on too few partial sums to reach tol, the theorem
+    # suite cannot finish: verify says why on stderr and exits 1, with no table
     monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", {})
-    monkeypatch.setattr(hyper, "_FIT_D_MAX", 160)
+    monkeypatch.setattr(hyper, "_FIT_D", 24)
     code, out, err = run(["verify", "--suite", "theorem", "--digits", "40"], capsys)
     assert code == 1
-    assert "evaluation failed" in err and "D = 160" in err
+    assert "evaluation failed" in err and "D = 24" in err
     assert "lvalue_1_hypergeometric" not in out
 
 
 def test_kdf_exits_1_when_the_series_search_fails(monkeypatch, capsys):
-    monkeypatch.setattr(hyper, "_FIT_D_MAX", 160)
+    monkeypatch.setattr(hyper, "_FIT_D", 24)
     code, out, err = run(
         ["kdf", "--a", "1", "--ap", "2", "--b", "1,4/3", "--bp", "2",
          "--c", "1/3,2/3", "--cp", "1", "--x", "1", "--y", "1",

@@ -183,7 +183,7 @@ def test_pfq_at_one_accelerated_dixon(a, b, c):
         g = mp.gamma
         want = (g(1 + a / 2) * g(1 + a - b) * g(1 + a - c) * g(1 + a / 2 - b - c)
                 / (g(1 + a) * g(1 + a / 2 - b) * g(1 + a / 2 - c) * g(1 + a - b - c)))
-        assert abs(res.value - want) <= mpf("1e-30")
+        assert abs(res.value - want) <= res.err_estimate < PREC.tol()
 
 
 def test_zero_balanced_against_mpmath():
@@ -530,15 +530,48 @@ def test_kdf_boundary_smoke():
 
 
 def test_boundary_search_raises_at_its_cap(monkeypatch):
-    # two orders give one gap, never the two the search stops on: D = 320
-    # and 640 stall, and past the cap both fits raise; nothing falls back
-    monkeypatch.setattr(hyper, "_FIT_K_MAX", 10)
-    monkeypatch.setattr(hyper, "_FIT_D_MAX", 640)
-    with pytest.raises(ArithmeticError, match="by D = 640"):
+    # S_0..S_24 hold fits up to K = 14 only, too few orders to reach tol:
+    # both searches raise at that one D; nothing falls back
+    monkeypatch.setattr(hyper, "_FIT_D", 24)
+    with pytest.raises(ArithmeticError, match=r"at D = 24 \(last K = "):
         hyper.pfq(PFQParams([Fraction(1, 2), Fraction(3, 4), 1], [Fraction(5, 4), 2]), 1,
                   Precision(30, 1e-15))
-    with pytest.raises(ArithmeticError, match="by D = 640"):
+    with pytest.raises(ArithmeticError, match=r"at D = 24 \(last K = "):
         hyper.kdf_series(MAIN_BLOCK, 1, 1, Precision(40, 1e-12))
+
+
+def test_boundary_search_raises_on_a_stall():
+    # a remainder 1/log N outside the families: the gaps stop falling, and
+    # the search raises long before K runs out of points (208 at D = 320)
+    with mp.workdps(40):
+        sums = [1 + 1 / mp.log(d + 2) for d in range(321)]
+        with pytest.raises(ArithmeticError, match=r"at D = 320 \(last K = 20\)"):
+            hyper._extrapolate(lambda: (sums, mpf(0)), ((Fraction(2, 3), 0, 1),),
+                               mpf("1e-20"))
+
+
+def test_known_exponent_fit_order_needs_its_points():
+    # K + 1 points of odd step on [0.35 D, D] need K <= D - ceil(0.35 D)
+    families = ((Fraction(2, 3), 1, 1),)
+    for D in (24, 320):
+        K = D - math.ceil(0.35 * D)
+        assert _accel.max_order(D) == K
+        with pytest.raises(ValueError, match="fit order"):
+            _accel.known_exponent_fit([mpf(0)] * (D + 1), families, K + 1)
+    # at the last order the step is 1
+    assert _accel._weights(families, 24, 15, 128)[0] == tuple(range(9, 25))
+
+
+def test_kdf_boundary_l1_to_1e_50_at_one_d():
+    # L1 at 60 digits and tol 1e-50 takes its order from the sums up to
+    # D = 320 alone (821121 terms when D doubled to 1280), within its bar of
+    # the integral route at 75 digits
+    prec = Precision(60, 1e-50)
+    s = hyper.kdf_series(THEOREM_KDF_BLOCKS["L1"], 1, 1, prec)
+    assert s.terms_used == 321 * 322 // 2
+    ref = hyper.kdf_integral(THEOREM_KDF_BLOCKS["L1"], 1, 1, Precision(75, 1e-62))
+    with mp.workdps(80):
+        assert abs(s.value - ref.value) + ref.err_estimate <= s.err_estimate <= prec.tol()
 
 
 # -- boundary exponent rule and known truth ----------------------------------------------
@@ -795,6 +828,8 @@ def test_kdf_partial_sums_match_loop(params, x, y):
             ref = loop_partial_sums(params, xx, yy, D)[0]
         for d in range(D + 1):
             assert abs(got[d] - ref[d]) <= bound, d
+            # rounded once to the working precision: _mpf_[3] is the bit count
+            assert got[d]._mpf_[3] <= mp.prec, d
         assert bound <= mp.ldexp(1 + abs(ref[D]), 1 - mp.prec)
 
 
@@ -1014,7 +1049,6 @@ def test_dm_extrapolate_matches_full_table(kind, key):
     assert len(got) == len(ref) == kmax
     with mp.workdps(dps_hi):
         assert max(abs(g - r) for g, r in zip(got, ref)) <= mpf("1e-150")
-    assert got.index(_accel.pick_plateau(got)[0]) == ref.index(_accel.pick_plateau(ref)[0])
 
 
 @pytest.mark.parametrize("term", [
@@ -1033,8 +1067,6 @@ def test_dm_extrapolate_early_stop(term):
     assert len(got) == len(ref) < 2
     with mp.workdps(60):
         assert all(abs(g - r) <= mpf("1e-55") for g, r in zip(got, ref))
-    with pytest.raises(ArithmeticError):
-        _accel.pick_plateau(got)
 
 
 @pytest.mark.parametrize("term", [

@@ -213,10 +213,10 @@ def test_rhs_theorem_routes_cross_check_n1():
 
 def test_rhs_theorem_raises_when_the_series_search_fails(monkeypatch):
     # a private cache keeps the memo of the other tests out of the way; with
-    # the boundary search capped below its first D, the series route raises
-    # rather than return a value
+    # the boundary fit on too few partial sums to reach tol, the series route
+    # raises rather than return a value
     monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", {})
-    monkeypatch.setattr(hyper, "_FIT_D_MAX", 160)
+    monkeypatch.setattr(hyper, "_FIT_D", 24)
     with pytest.raises(ArithmeticError):
         lvalue.rhs_theorem(1, "series", PREC)
 

@@ -440,7 +440,7 @@ def _accelerated_unit_sum(up, lo, eps):
     leaves no family.  The fit takes S_0..S_D at D = ``_FIT_D``; returns
     (value, D + 1, "accelerated", bar) with the fit's bar.  The partial sums
     are within 2^-prec (1 + |S_n|) of the exact ones: the n sums are within
-    n^2 G ulps, redone as in _pfq_direct.
+    n^2 G ulps, redone as in _pfq_direct, and each is rounded once to prec.
     """
     def partial_sums():
         n, guard, need = _FIT_D + 1, 0, _PFQ_GUARD
@@ -449,7 +449,7 @@ def _accelerated_unit_sum(up, lo, eps):
             wp = mp.prec + guard
             terms, _, _, rise = zip(*islice(_fixed_terms(up, lo, 1 << wp, wp), n))
             need = 2 * n.bit_length() + rise[-1]
-        sums = [mp.ldexp(s, -wp) for s in accumulate(terms)]
+        sums = [+mp.ldexp(s, -wp) for s in accumulate(terms)]
         return sums, mp.ldexp(1 + max(map(abs, sums)), -mp.prec)
 
     part = _singular_part(up, lo)

@@ -14,6 +14,7 @@ either the accelerated double series or the integral representation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,6 +195,8 @@ def l_mellin(n: int, prec: Precision, split_scale: float = 1.0) -> SeriesResult:
 
 # -- Dirichlet route ------------------------------------------------------------
 
+_FSUM_CHUNK = 1 << 16
+
 
 def l_dirichlet(N: int) -> SeriesResult:
     """Partial sum of a_n / n^3 up to N, with a heuristic extrapolated tail.
@@ -201,15 +204,22 @@ def l_dirichlet(N: int) -> SeriesResult:
     The value is the raw partial sum.  err_estimate extrapolates the partial
     sums at N/2, 3N/4, N linearly in 1/N; the coefficient sums oscillate, so
     this is an order-of-magnitude indicator, not a bound.
+
+    The terms are formed in numpy from the int64 coefficients of
+    ``qexp._f_coeffs_fft``; each checkpoint is ``math.fsum`` of the float
+    terms in index order, the correctly rounded sum, read in list chunks of
+    at most 2**16 terms.
     """
     if N < 1000:
         raise ValueError("N must be at least 10^3")
-    coeffs = qexp.f_coefficients(N).coeffs
+    terms = np.arange(1, N + 1, dtype=float) ** 3
+    np.divide(qexp._f_coeffs_fft(N)[1:], terms, out=terms)
     checkpoints = sorted({N // 2, 3 * N // 4, N})
-    terms = (np.array(coeffs[1:N + 1], dtype=float)
-             / np.arange(1, N + 1, dtype=float) ** 3).tolist()
-    # each partial sum is the correctly rounded sum of the float terms
-    sums = {k: math.fsum(terms[:k]) for k in checkpoints}
+    # each partial sum is the correctly rounded sum of the float terms, fed
+    # to fsum in chunks so that no N-entry list is built
+    sums = {k: math.fsum(itertools.chain.from_iterable(
+                terms[i:min(i + _FSUM_CHUNK, k)].tolist() for i in range(0, k, _FSUM_CHUNK)))
+            for k in checkpoints}
     xs = [1.0 / k for k in checkpoints]
     ys = [sums[k] for k in checkpoints]
     tab = list(ys)

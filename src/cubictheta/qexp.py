@@ -5,6 +5,11 @@ identity "holds to order N" means every tracked coefficient of the difference
 vanishes.  Series live on an exponent grid e/d with d in {1, 3}; the d = 3
 grid carries the cube-root exponents of the shifted theta series c(q) and of
 the weighted Lambert sum E0.
+
+The coefficients of the weight-3 product f are built on int64 numpy arrays
+(the divisor sieve, b from the Lambert series of a, and the FFT product);
+they become Python ints only at the ``QSeries`` boundary, in
+``f_coefficients``.
 """
 
 from __future__ import annotations
@@ -323,6 +328,9 @@ def lambert_series(kind: str, n: int) -> QSeries:
     """Exact truncated Lambert-type double sums to q-order ``n``.
 
     kinds: 'c' (d=3), 'bc3' (d=1), 'c_cubed' (d=1), 'E0' (d=3, rational).
+    E0 = sum_{k, r >= 1} (chi3(kr)/k) (q^(kr/3) - q^(kr)) is not summed term
+    by term: its inner sum at m = kr is chi3(m) sigma(m)/m, with sigma from
+    the divisor sieve ``_divisor_sums``.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -356,17 +364,16 @@ def lambert_series(kind: str, n: int) -> QSeries:
         return QSeries(1, co)
     if kind == "E0":
         ng = 3 * n
+        sig = _divisor_sums(ng)[0].tolist()
         co = [Fraction(0)] * (ng + 1)
-        for k in range(1, ng + 1):
-            for r in range(1, ng // k + 1):
-                m = k * r
-                ch = chi3(m)
-                if ch == 0:
-                    continue
-                w = Fraction(ch, k)
-                co[m] += w
-                if 3 * m <= ng:
-                    co[3 * m] -= w
+        for m in range(1, ng + 1):
+            ch = chi3(m)
+            if ch == 0:
+                continue
+            w = Fraction(ch * sig[m], m)
+            co[m] += w
+            if 3 * m <= ng:
+                co[3 * m] -= w
         return QSeries(3, co)
     raise ValueError(f"unknown lambert kind {kind!r}")
 
@@ -385,68 +392,99 @@ def _f_coeffs_product(n: int) -> list:
     return f3.exact_div(3).coeffs
 
 
-def _divisor_sums(n: int) -> np.ndarray:
-    """sigma(0..n) as int64, with sigma(0) = 0.
+def _divisor_sums(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sigma(m) and E(m) = sum_{d | m} chi3(d) for m = 0..n, as two int64
+    arrays with sigma(0) = E(0) = 0.
 
-    Each divisor d <= r = isqrt(n) is added as one slice sig[d::d].  Since
+    Each divisor d <= r = isqrt(n) is added as one slice [d::d].  Since
     n < (r + 1)**2, every larger divisor e of m has its cofactor d = m // e
-    <= r, so the same pass adds the e = r+1 .. n // d at the distinct
-    indices d*e.
+    <= r, so the same pass adds e = r+1 .. n // d at the indices d*e: one
+    slice [d(r+1)::d] for sigma, and for E, since chi3 has period 3, one
+    slice of step 3d for each of the residues e = 1 and e = 2 mod 3.
     """
     sig = np.zeros(n + 1, dtype=np.int64)
+    ech = np.zeros(n + 1, dtype=np.int64)
     r = math.isqrt(n)
     for d in range(1, r + 1):
         sig[d::d] += d
-        e = np.arange(r + 1, n // d + 1)
-        sig[d * e] += e
-    return sig
+        if d % 3:
+            ech[d::d] += chi3(d)
+        sig[d * (r + 1)::d] += np.arange(r + 1, n // d + 1)
+        for e in range(r + 1, r + 4):
+            if e % 3:
+                ech[d * e::3 * d] += chi3(e)
+    return sig, ech
 
 
-def _f_coeffs_fft(n: int) -> list:
-    """a_n via the weight-2 Lambert factorization b * (chi3 * sigma).
+def _b_from_e(ech: np.ndarray) -> np.ndarray:
+    """Coefficients of b(q) = (3 a(q^3) - a(q)) / 2 from E(m) = sum_{d | m} chi3(d),
+    with a(q) = 1 + 6 sum E(m) q^m: b_0 = 1 and b_m = 9 E(m/3) [3 | m] - 3 E(m)."""
+    b = ech * -3
+    b[0] = 1
+    b[3::3] += 9 * ech[1:(len(ech) - 1) // 3 + 1]
+    return b
 
-    The convolution runs as limb-split real FFTs with an exactness guard:
-    every rounded value must be within 0.05 of an integer, and limb
-    magnitudes are checked against their 11-bit budget.
+
+def _f_coeffs_fft(n: int) -> np.ndarray:
+    """a_m, m <= n, as int64, via the weight-2 Lambert factorization
+    b * (chi3 * sigma).
+
+    b comes from the Lambert series of a: with E from ``_divisor_sums``,
+    a(q) = 1 + 6 sum E(m) q^m and b(q) = (3 a(q^3) - a(q)) / 2 (Borwein,
+    Borwein & Garvan, "Some cubic modular identities of Ramanujan",
+    Trans. AMS 343 (1994)), so no lattice point is counted.  The convolution
+    runs as real FFTs against the one spectrum of b, one 11-bit limb of
+    chi3 * sigma at a time, with an exactness guard: every rounded value must
+    be within 0.05 of an integer, and limb magnitudes are checked against
+    their 11-bit budget.
     """
-    c0, c1, _ = _counts_hexagonal(n)
-    b = np.array(c0, dtype=np.int64) - np.array(c1, dtype=np.int64)
-    sig = _divisor_sums(n)
-    j = np.arange(n + 1)
-    chi = np.where(j % 3 == 1, 1, np.where(j % 3 == 2, -1, 0)).astype(np.int64)
-    Y = chi * sig
+    sig, ech = _divisor_sums(n)
+    b = _b_from_e(ech)
+    del ech
+    y = sig  # chi3 * sigma, in place
+    y[0::3] = 0
+    y[2::3] *= -1
     if int(np.abs(b).max()) >= (1 << _LIMB_BITS):
         raise AssertionError("theta-b coefficient exceeded its limb budget")
-    if int(np.abs(Y).max()) >= (1 << (2 * _LIMB_BITS)):
+    if int(np.abs(y).max()) >= (1 << (2 * _LIMB_BITS)):
         raise AssertionError("sigma coefficient exceeded its limb budget")
-    sign = np.sign(Y)
-    aY = np.abs(Y)
-    ylo = (aY % (1 << _LIMB_BITS)) * sign
-    yhi = (aY >> _LIMB_BITS) * sign
     size = 1
     while size < 2 * (n + 1):
         size *= 2
-    fb = np.fft.rfft(b.astype(np.float64), size)
-    flo = np.fft.rfft(ylo.astype(np.float64), size)
-    fhi = np.fft.rfft(yhi.astype(np.float64), size)
-    clo = np.fft.irfft(fb * flo, size)[: n + 1]
-    chi_ = np.fft.irfft(fb * fhi, size)[: n + 1]
-    drift = max(np.abs(clo - np.rint(clo)).max(), np.abs(chi_ - np.rint(chi_)).max())
-    if drift > 0.05:
-        raise AssertionError(f"FFT convolution drift {drift:.3g} too large to round")
-    out = np.rint(clo).astype(np.int64) + (np.rint(chi_).astype(np.int64) << _LIMB_BITS)
+    fb = np.fft.rfft(b, size)
+    del b
+    out = np.zeros(n + 1, dtype=np.int64)
+    for shift in (0, _LIMB_BITS):
+        limb = np.abs(y)
+        limb >>= shift
+        limb &= (1 << _LIMB_BITS) - 1
+        np.negative(limb, out=limb, where=y < 0)
+        spec = np.fft.rfft(limb, size)
+        del limb
+        spec *= fb
+        conv = np.fft.irfft(spec, size)[: n + 1]
+        del spec
+        rounded = np.rint(conv)
+        conv -= rounded
+        drift = float(np.abs(conv, out=conv).max())
+        del conv
+        if drift > 0.05:
+            raise AssertionError(f"FFT convolution drift {drift:.3g} too large to round")
+        out += rounded.astype(np.int64) << shift
+        del rounded
     check = _f_coeffs_product(min(n, 64))
     if out[: len(check)].tolist() != check:
         raise AssertionError("fast coefficient path disagrees with the exact product")
-    return out.tolist()
+    return out
 
 
 def f_coefficients(n: int) -> QSeries:
     """Integer coefficients a_m, m <= n, of the weight-3 product (1/3) b^2 c(q^3),
-    by the Lambert factorization of ``_f_coeffs_fft`` at every order."""
+    by the Lambert factorization of ``_f_coeffs_fft`` at every order; the
+    int64 array becomes Python ints here."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    return QSeries(1, _f_coeffs_fft(n))
+    return QSeries(1, _f_coeffs_fft(n).tolist())
 
 
 # -- dump format --------------------------------------------------------------

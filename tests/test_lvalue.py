@@ -2,6 +2,7 @@
 and the identity catalog at its stated tolerance."""
 
 import math
+import tracemalloc
 
 import pytest
 from mpmath import mp, mpf, mpmathify
@@ -62,6 +63,38 @@ def test_dirichlet_is_correctly_rounded_float_sum(N):
     coeffs = qexp.f_coefficients(N).coeffs
     want = math.fsum(coeffs[m] / float(m) ** 3 for m in range(1, N + 1))
     assert lvalue.l_dirichlet(N).value == want
+
+
+def test_dirichlet_checkpoint_sums_are_fsums_of_exact_terms(monkeypatch):
+    # every checkpoint is the correctly rounded sum of a_m / m^3 over the
+    # exact-product coefficients; a chunk of 999 terms puts chunk edges
+    # inside every checkpoint
+    N = 10_000
+    seen = []
+    fsum = math.fsum
+    monkeypatch.setattr(lvalue, "_FSUM_CHUNK", 999)
+    monkeypatch.setattr(math, "fsum", lambda it: seen.append(fsum(it)) or seen[-1])
+    res = lvalue.l_dirichlet(N)
+    monkeypatch.undo()
+    coeffs = qexp._f_coeffs_product(N)
+    want = [fsum(coeffs[m] / float(m) ** 3 for m in range(1, k + 1))
+            for k in (N // 2, 3 * N // 4, N)]
+    assert seen == want
+    assert res.value == want[-1]
+
+
+def test_dirichlet_traced_peak_per_coefficient():
+    # numpy reports its buffers to tracemalloc, so the peak repeats exactly;
+    # an N-entry list of Python ints or floats alongside the arrays would
+    # take it to about 250 bytes per coefficient
+    N = 200_000
+    tracemalloc.start()
+    try:
+        lvalue.l_dirichlet(N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * N
 
 
 def test_dirichlet_tail_estimates_shrink_and_bound():

@@ -223,6 +223,28 @@ def test_lambert_e0_leading():
     assert e0.coeffs[2] == Fraction(-3, 2)  # chi(2)(1/1 + 1/2)
 
 
+def loop_lambert_e0(n):
+    """Reference E0: the double sum over k and r, one Fraction per term."""
+    ng = 3 * n
+    co = [Fraction(0)] * (ng + 1)
+    for k in range(1, ng + 1):
+        for r in range(1, ng // k + 1):
+            m = k * r
+            ch = qexp.chi3(m)
+            if ch == 0:
+                continue
+            w = Fraction(ch, k)
+            co[m] += w
+            if 3 * m <= ng:
+                co[3 * m] -= w
+    return co
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 33, 300])
+def test_lambert_e0_closed_form_matches_double_sum(n):
+    assert qexp.lambert_series("E0", n).coeffs == loop_lambert_e0(n)
+
+
 def test_lambert_unknown_kind():
     with pytest.raises(ValueError):
         qexp.lambert_series("nope", 4)
@@ -269,9 +291,10 @@ def test_f_first_coefficients():
     assert f.coeffs == oracle_f_coefficients(10)
 
 
-@pytest.mark.parametrize("n", [1, 2, 64, 2000])
+# 1, 2, 3 and 64, 65 put the last index on each residue mod 3 near both edges
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 2000, 3001])
 def test_f_fft_path_matches_product_path(n):
-    assert qexp._f_coeffs_fft(n) == qexp._f_coeffs_product(n)
+    assert qexp._f_coeffs_fft(n).tolist() == qexp._f_coeffs_product(n)
 
 
 def slice_loop_divisor_sums(n):
@@ -285,7 +308,33 @@ def slice_loop_divisor_sums(n):
 # perfect squares and their neighbours move isqrt(n) and the split point
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 99, 100, 101, 1000, 10**5])
 def test_divisor_sums_match_slice_loop(n):
-    assert qexp._divisor_sums(n).tolist() == slice_loop_divisor_sums(n).tolist()
+    assert qexp._divisor_sums(n)[0].tolist() == slice_loop_divisor_sums(n).tolist()
+
+
+def brute_divisor_sums(n):
+    """sigma(m) and E(m) = sum_{d | m} chi3(d), m = 0..n, by trial division."""
+    sig, ech = [0] * (n + 1), [0] * (n + 1)
+    for m in range(1, n + 1):
+        for d in range(1, m + 1):
+            if m % d == 0:
+                sig[m] += d
+                ech[m] += qexp.chi3(d)
+    return sig, ech
+
+
+@pytest.mark.parametrize("n", list(range(1, 61)) + [997, 1000, 1024])
+def test_divisor_sums_match_trial_division(n):
+    sig, ech = qexp._divisor_sums(n)
+    assert (sig.tolist(), ech.tolist()) == brute_divisor_sums(n)
+
+
+def test_b_from_divisor_sums_matches_lattice():
+    # b = (3 a(q^3) - a(q))/2 from the Lambert series of a, against the
+    # lattice count c0 - c1 that theta_series("b") reads
+    n = 5000
+    c0, c1, _ = qexp._counts_hexagonal(n)
+    b = qexp._b_from_e(qexp._divisor_sums(n)[1])
+    assert b.tolist() == [x - y for x, y in zip(c0, c1)]
 
 
 # -- character -------------------------------------------------------------------------

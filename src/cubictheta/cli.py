@@ -120,17 +120,19 @@ def hauptmodul_report(digits: int, tol: float = 1e-20) -> IdentityReport:
 
 
 def involution_report(digits: int, tol: float = 1e-20) -> IdentityReport:
-    """b(e^{-2 pi u}) vs c(e^{-2 pi/(3u)})/(sqrt(3) u), both sides summed directly."""
+    """b(e^{-2 pi u}) vs c(e^{-2 pi/(3u)})/(sqrt(3) u), and a(e^{-2 pi u}) vs
+    a(e^{-2 pi/(3u)})/(sqrt(3) u), all sides summed directly."""
 
     def pairs():
         inner_tol = mpf(10) ** (-digits)
         for entry in _INVOLUTION_GRID:
             u = 1 / mp.sqrt(3) if entry is None else mpmathify(entry)
-            lhs = thetanum._theta_direct("b", mp.exp(-2 * mp.pi * u), inner_tol)
-            rhs = thetanum._theta_direct(
-                "c", mp.exp(-2 * mp.pi / (3 * u)), inner_tol * mp.sqrt(3) * u
-            ) / (mp.sqrt(3) * u)
-            yield lhs, rhs
+            scale = mp.sqrt(3) * u
+            for kind, dual in (("b", "c"), ("a", "a")):
+                lhs = thetanum._theta_direct(kind, mp.exp(-2 * mp.pi * u), inner_tol)
+                rhs = thetanum._theta_direct(
+                    dual, mp.exp(-2 * mp.pi / (3 * u)), inner_tol * scale) / scale
+                yield lhs, rhs
 
     return _sides("involution", ("direct", "direct"), tol, digits, pairs())
 
@@ -150,15 +152,17 @@ def differential_report(digits: int, tol: float = 1e-12) -> IdentityReport:
 
 
 def cubic_numeric_report(digits: int) -> IdentityReport:
+    """a^3 vs b^3 + c^3, with a, b and c each summed from its own series; the
+    distance is absolute, which is no looser than relative since a >= 1."""
     tol = 10.0 ** (-(digits - 12))
     prec = Precision(digits, tol)
 
-    def errs():
+    def pairs():
         for q in ("0.02", "0.1", "0.3", "0.6", "0.9"):
             pt = thetanum.theta_point(q, prec)
-            yield abs(pt.a ** 3 - pt.b ** 3 - pt.c ** 3) / pt.a ** 3
+            yield pt.a ** 3, pt.b ** 3 + pt.c ** 3
 
-    return _distances("cubic_numeric", ("theta", "theta"), tol, digits, errs())
+    return _sides("cubic_numeric", ("theta", "theta"), tol, digits, pairs())
 
 
 def alpha_monotone_report(digits: int) -> IdentityReport:

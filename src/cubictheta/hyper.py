@@ -80,10 +80,6 @@ class PFQParams:
         object.__setattr__(self, "lower", _as_fraction_tuple(lower))
         _no_poles(self.lower, "lower")
 
-    @property
-    def excess(self) -> Fraction:
-        return sum(self.lower, Fraction(0)) - sum(self.upper, Fraction(0))
-
 
 @dataclass(frozen=True)
 class KdFParams:
@@ -719,16 +715,9 @@ def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
         cu, cl = params.c, params.cp
 
         def integrand(t, omt):
-            if xx == 1:
-                fb = _eval_pfq(bu, bl, t, omt, eps)[0]
-            else:
-                arg = xx * t
-                fb = _eval_pfq(bu, bl, arg, 1 - arg, eps)[0]
-            if yy == 1:
-                fc = _eval_pfq(cu, cl, t, omt, eps)[0]
-            else:
-                arg = yy * t
-                fc = _eval_pfq(cu, cl, arg, 1 - arg, eps)[0]
+            # 1 - z*t as (1 - z) + z*(1 - t): exactly omt at z = 1
+            fb = _eval_pfq(bu, bl, xx * t, (1 - xx) + xx * omt, eps)[0]
+            fc = _eval_pfq(cu, cl, yy * t, (1 - yy) + yy * omt, eps)[0]
             return t ** (am - 1) * omt ** (dm - 1) * fb * fc
 
         quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)

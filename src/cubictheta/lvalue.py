@@ -378,6 +378,13 @@ def _pfq_direct_value(params: PFQParams, x, prec: Precision) -> mpf:
         return val
 
 
+def _int3_integrand(x) -> mpf:
+    """((1-x)^(1/3) - (1-x)^(2/3)) / (x (1-x)), written with L = log(1-x) as
+    -expm1(L/3) exp(-2L/3) / x: a product with no cancellation, even as x -> 0."""
+    ell = mp.log1p(-x)
+    return -mp.expm1(ell / 3) * mp.exp(-2 * ell / 3) / x
+
+
 def _int_pairs(which: int, prec: Precision, point):
     """The three antiderivative identities at upper limits alpha.
 
@@ -398,30 +405,8 @@ def _int_pairs(which: int, prec: Precision, point):
                 rhs = mpf(3) / which * al ** (which * third) * _pfq_direct_value(
                     _THIRDS_2F1[which - 1], al, prec)
             else:
-                cutoff = mpf("0.125")
-
-                def g(x):
-                    # ((1-x)^(1/3) - (1-x)^(2/3)) / (x (1-x)), stable near x = 0
-                    if x < cutoff:
-                        b1, b2 = mpf(1), mpf(1)
-                        acc = mpf(0)
-                        xk = mpf(1)
-                        k = 1
-                        while True:
-                            b1 *= (third - (k - 1)) / k
-                            b2 *= (2 * third - (k - 1)) / k
-                            c = (b1 - b2) * (-1) ** k
-                            acc += c * xk
-                            if abs(c * xk) < prec.tol() * 1e-6 and k > 3:
-                                break
-                            xk *= x
-                            k += 1
-                        return acc / (1 - x)
-                    omx = 1 - x
-                    return (omx ** third - omx ** (2 * third)) / (x * omx)
-
-                lhs = quad_de(lambda t, omt: g(al * t) * al, prec.tol() / 4,
-                              prec, two_arg=True).value
+                lhs = quad_de(lambda t, omt: _int3_integrand(al * t) * al,
+                              prec.tol() / 4, prec, two_arg=True).value
                 rhs = (2 * al / 3 * _pfq_direct_value(_THIRDS_3F2[1], al, prec)
                        - al / 3 * _pfq_direct_value(_THIRDS_3F2[0], al, prec))
         yield lhs, rhs

@@ -67,19 +67,11 @@ class QSeries:
         """Largest tracked grid exponent e."""
         return len(self.coeffs) - 1
 
-    @property
-    def qorder(self) -> Fraction:
-        """Largest tracked exponent as a power of q."""
-        return Fraction(self.order, self.d)
-
     def coefficient(self, e: int):
         """Coefficient of q**(e/d); raises beyond the tracked order."""
         if e < 0 or e > self.order:
             raise ValueError(f"exponent index {e} outside tracked range")
         return self.coeffs[e]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __repr__(self):
         head = ", ".join(
@@ -328,31 +320,25 @@ def lambert_series(kind: str, n: int) -> QSeries:
     """Exact truncated Lambert-type double sums to q-order ``n``.
 
     kinds: 'c' (d=3), 'bc3' (d=1), 'c_cubed' (d=1), 'E0' (d=3, rational).
-    E0 = sum_{k, r >= 1} (chi3(kr)/k) (q^(kr/3) - q^(kr)) is not summed term
-    by term: its inner sum at m = kr is chi3(m) sigma(m)/m, with sigma from
-    the divisor sieve ``_divisor_sums``.
+    All but 'c_cubed' read their inner divisor sums off the sieve
+    ``_divisor_sums`` instead of summing term by term:
+    'c' = 3 sum_{r, s >= 1} chi3(r) (q^(rs/3) - q^(rs)) has 3E(e) - 3E(e/3)[3 | e]
+    at q^(e/3); 'bc3' = 3 sum_{k, s >= 1} chi3(ks) k q^(ks) has 3 chi3(m) sigma(m)
+    at q^m; and E0 = sum_{k, r >= 1} (chi3(kr)/k) (q^(kr/3) - q^(kr)) has
+    chi3(m) sigma(m)/m as its inner sum at m = kr.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
     if kind == "c":
-        ng = 3 * n
-        co = [0] * (ng + 1)
-        for r in range(1, ng + 1):
-            ch = chi3(r)
-            if ch == 0:
-                continue
-            for s in range(1, ng // r + 1):
-                m = r * s
-                co[m] += 3 * ch
-                if 3 * m <= ng:
-                    co[3 * m] -= 3 * ch
-        return QSeries(3, co)
+        ech = _divisor_sums(3 * n)[1]
+        co = 3 * ech
+        co[3::3] -= 3 * ech[1:n + 1]
+        return QSeries(3, co.tolist())
     if kind == "bc3":
-        co = [0] * (n + 1)
-        for k in range(1, n + 1):
-            for m in range(k, n + 1, k):
-                co[m] += 3 * chi3(m) * k
-        return QSeries(1, co)
+        co = 3 * _divisor_sums(n)[0]
+        co[0::3] = 0
+        co[2::3] *= -1
+        return QSeries(1, co.tolist())
     if kind == "c_cubed":
         co = [0] * (n + 1)
         for nn in range(1, n + 1):

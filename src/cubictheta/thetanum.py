@@ -1,16 +1,19 @@
-"""Extended-precision evaluation of the cubic theta values a, b, c, eta on
-the real segment q in (0, 1).
+"""Extended-precision evaluation of the cubic theta values a, b, c on the
+real segment q in (0, 1).
 
 Direct lattice sums converge fast only for small q, so evaluation is split at
-the fixed point u0 = 1/sqrt(3) of u <-> 1/(3u) (q = exp(-2*pi*u)): above u0
-the defining series are summed with a certified geometric tail bound, below it
-the involution
+the fixed point u = 1/sqrt(3) of u <-> 1/(3u) (q = exp(-2*pi*u)): where
+3u^2 >= 1 the defining series are summed with a certified geometric tail
+bound, below it one of the transformations
 
+    a(exp(-2*pi*u)) = a(exp(-2*pi/(3*u))) / (sqrt(3)*u)
     b(exp(-2*pi*u)) = c(exp(-2*pi/(3*u))) / (sqrt(3)*u)
     c(exp(-2*pi*u)) = b(exp(-2*pi/(3*u))) / (sqrt(3)*u)
 
-maps the argument back into the fast region.  a has no involution of its own
-and is recovered as (b^3 + c^3)^(1/3).
+(J. M. Borwein and P. B. Borwein, "A cubic counterpart of Jacobi's identity
+and the AGM", Trans. AMS 323 (1991)) maps the argument back into the fast
+region.  a is summed from its own series, never built from b and c, so the
+cubic identity a^3 = b^3 + c^3 compares two constructions.
 """
 
 from __future__ import annotations
@@ -79,18 +82,13 @@ _TABLES: dict = {"a": [], "b": [], "c": []}
 
 
 def _table(kind: str, m: int) -> list:
+    """At least m + 1 coefficients of a or b in q, or of c / q^(1/3) in q."""
     tab = _TABLES[kind]
     if len(tab) <= m:
         grow = max(2 * m + 16, 128)
+        tab = qexp.theta_series(kind, grow).coeffs
         if kind == "c":
-            grid = qexp._counts_shifted(3 * grow + 1)
-            tab = [grid[3 * k + 1] for k in range(grow + 1)]
-        else:
-            c0, c1, c2 = qexp._counts_hexagonal(grow)
-            if kind == "a":
-                tab = [c0[k] + c1[k] + c2[k] for k in range(grow + 1)]
-            else:
-                tab = [c0[k] - c1[k] for k in range(grow + 1)]
+            tab = tab[1::3]
         _TABLES[kind] = tab
     return tab
 
@@ -109,19 +107,6 @@ def _terms_needed(q: mpf, tol: mpf) -> int:
 
 def _theta_direct(kind: str, q: mpf, tol: mpf) -> mpf:
     """Defining series summed directly with a certified tail cutoff."""
-    if kind == "eta":
-        val = q ** mpf("1/24")  # j = 0 term
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            g2 = j * (3 * j + 1) // 2
-            s = -1 if j % 2 else 1
-            add = q ** (g1 + mpf("1/24")) + q ** (g2 + mpf("1/24"))
-            val += s * add
-            if add < tol / 4:
-                break
-            j += 1
-        return val
     m = _terms_needed(q, tol)
     tab = _table(kind, m)
     acc = mpf(0)
@@ -132,60 +117,42 @@ def _theta_direct(kind: str, q: mpf, tol: mpf) -> mpf:
     return acc
 
 
-_U0_CACHE: dict = {}
-
-
-def _u_split() -> mpf:
-    key = mp.prec
-    v = _U0_CACHE.get(key)
-    if v is None:
-        v = 1 / mp.sqrt(3)
-        _U0_CACHE[key] = v
-    return v
+_DUAL = {"a": "a", "b": "c", "c": "b"}
 
 
 def _theta_u(kind: str, u: mpf, tol: mpf) -> mpf:
-    """Theta value at q = exp(-2*pi*u), dispatching on the involution."""
-    u0 = _u_split()
-    if kind == "a":
-        if u >= u0:
-            return _theta_direct("a", mp.exp(-2 * mp.pi * u), tol)
-        b3 = _theta_u("b", u, tol / 8) ** 3
-        c3 = _theta_u("c", u, tol / 8) ** 3
-        return (b3 + c3) ** mpf("1/3")
-    if kind == "eta":
-        if u >= 1:
-            return _theta_direct("eta", mp.exp(-2 * mp.pi * u), tol)
-        return _theta_direct("eta", mp.exp(-2 * mp.pi / u), tol * mp.sqrt(u)) / mp.sqrt(u)
-    if u >= u0:
+    """Theta value at q = exp(-2*pi*u): the kind's own series where 3u^2 >= 1,
+    else its dual's at exp(-2*pi/(3u)), divided by sqrt(3)*u."""
+    if 3 * u * u >= 1:
         return _theta_direct(kind, mp.exp(-2 * mp.pi * u), tol)
-    dual = "c" if kind == "b" else "b"
     scale = mp.sqrt(3) * u
-    return _theta_direct(dual, mp.exp(-2 * mp.pi / (3 * u)), tol * scale) / scale
+    return _theta_direct(_DUAL[kind], mp.exp(-2 * mp.pi / (3 * u)), tol * scale) / scale
 
 
-def _as_q(q) -> mpf:
+def _q_u(q):
+    """q as an mpf in (0, 1), and u with q = exp(-2*pi*u)."""
     qq = mpmathify(q)
     if not (0 < qq < 1):
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    return qq
+    return qq, -mp.log(qq) / (2 * mp.pi)
 
 
 def eval_theta(kind: str, q, prec: Precision) -> mpf:
-    """Evaluate a(q), b(q), c(q) or eta(q) with absolute error <= target_tol."""
-    if kind not in ("a", "b", "c", "eta"):
+    """Evaluate a(q), b(q) or c(q) with absolute error <= target_tol."""
+    if kind not in _DUAL:
         raise ValueError(f"unknown theta kind {kind!r}")
     with mp.workdps(prec.dps + 10):
-        qq = _as_q(q)
-        u = -mp.log(qq) / (2 * mp.pi)
-        return _theta_u(kind, u, prec.tol() / 4)
+        return _theta_u(kind, _q_u(q)[1], prec.tol() / 4)
 
 
 def alpha_pair(q, prec: Precision):
-    """(alpha, 1 - alpha) = (c^3, b^3)/a^3, each computed without cancellation."""
+    """(alpha, 1 - alpha) = (c^3, b^3)/a^3, each computed without cancellation.
+
+    Here a^3 is taken as b^3 + c^3: that defines the hauptmodul and its
+    complement as two quotients of positive sums, so neither is a difference.
+    """
     with mp.workdps(prec.dps + 10):
-        qq = _as_q(q)
-        u = -mp.log(qq) / (2 * mp.pi)
+        u = _q_u(q)[1]
         tol = prec.tol() / 16
         b3 = _theta_u("b", u, tol) ** 3
         c3 = _theta_u("c", u, tol) ** 3
@@ -201,15 +168,13 @@ def alpha_of_q(q, prec: Precision) -> mpf:
 
 
 def theta_point(q, prec: Precision) -> ThetaPoint:
-    """Evaluate all theta data at q and check the cubic identity residually."""
+    """Evaluate a, b and c at q, each from its own series, and check the cubic
+    identity c^3/a^3 + b^3/a^3 = 1 to target_tol."""
     with mp.workdps(prec.dps + 10):
-        qq = _as_q(q)
-        u = -mp.log(qq) / (2 * mp.pi)
+        qq, u = _q_u(q)
         tol = prec.tol() / 16
-        b = _theta_u("b", u, tol)
-        c = _theta_u("c", u, tol)
-        a3 = b ** 3 + c ** 3
-        a = a3 ** mpf("1/3")
+        a, b, c = (_theta_u(kind, u, tol) for kind in "abc")
+        a3 = a ** 3
         alpha = c ** 3 / a3
         if not (a > 0 and b > 0 and c > 0):
             raise ArithmeticError("theta values left the positive real segment")
@@ -230,8 +195,7 @@ def f_integrand(u, prec: Precision) -> mpf:
         if not uu > 0:
             raise ValueError(f"u must be positive, got {u}")
         tol = prec.tol() / 16
-        u0 = _u_split()
-        if uu >= u0:
+        if 3 * uu * uu >= 1:
             b = _theta_u("b", uu, tol)
             c = _theta_u("c", 3 * uu, tol)
             val = b * b * c
@@ -244,7 +208,8 @@ def f_integrand(u, prec: Precision) -> mpf:
 
 
 def residual_hauptmodul(q, prec: Precision) -> mpf:
-    """a(q) minus the Gauss hypergeometric value 2F1(1/3, 2/3; 1; alpha(q)).
+    """a(q), summed from its own series, minus the Gauss hypergeometric value
+    2F1(1/3, 2/3; 1; alpha(q)) with alpha from ``alpha_pair``.
 
     The complement 1 - alpha is fed to the hypergeometric side explicitly, so
     the comparison stays meaningful arbitrarily close to alpha = 1.
@@ -254,15 +219,9 @@ def residual_hauptmodul(q, prec: Precision) -> mpf:
     from . import hyper
 
     with mp.workdps(prec.dps + 10):
-        qq = _as_q(q)
-        u = -mp.log(qq) / (2 * mp.pi)
-        tol = prec.tol() / 16
-        b3 = _theta_u("b", u, tol) ** 3
-        c3 = _theta_u("c", u, tol) ** 3
-        a3 = b3 + c3
-        a = a3 ** mpf("1/3")
-        alpha = c3 / a3
-        comp = b3 / a3
+        qq, u = _q_u(q)
+        a = _theta_u("a", u, prec.tol() / 16)
+        alpha, comp = alpha_pair(qq, prec)
         if alpha <= 0 or comp <= 0:
             raise ArithmeticError("hauptmodul left (0, 1) at working precision")
         f = hyper.gauss_2f1_unit_interval(
@@ -279,8 +238,7 @@ def differential_residual(q, prec: Precision, h0: float = 1e-2, levels: int = 4)
     and the extrapolated residual is the Richardson limit of the ladder.
     """
     with mp.workdps(prec.dps + 10):
-        qq = _as_q(q)
-        tol = prec.tol()
+        qq = _q_u(q)[0]
         pt = theta_point(qq, prec)
         rhs = pt.a ** 2 * pt.alpha * (1 - pt.alpha) / qq
         hs = [mpf(h0) / 2 ** i for i in range(levels)]

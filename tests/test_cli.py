@@ -6,7 +6,7 @@ import json
 import pytest
 from mpmath import mp, mpf
 
-from cubictheta import cli, hyper, lvalue
+from cubictheta import cli, hyper, lvalue, thetanum
 from cubictheta.reports import check
 
 
@@ -221,12 +221,29 @@ def test_numeric_suite_keeps_working_precision():
 def test_numeric_checks_report_both_sides():
     # the worst point's two sides, and their distance at digits + 10
     digits = 20
-    checks = (cli.involution_report(digits), cli.quad_closed_forms_report(digits),
-              cli.kdf_routes_report(digits))
+    checks = (cli.involution_report(digits), cli.cubic_numeric_report(digits),
+              cli.quad_closed_forms_report(digits), cli.kdf_routes_report(digits))
     with mp.workdps(digits + 10):
         for rep in checks:
             assert rep.lhs and rep.rhs, rep.name
             assert rep.abs_err == abs(rep.lhs - rep.rhs), rep.name
+
+
+def test_numeric_checks_read_a_from_its_own_series(monkeypatch):
+    # with a's direct sum 1e-18 off, the hauptmodul residual and the cubic
+    # identity must see it: neither may build a from b and c
+    real = thetanum._theta_direct
+
+    def shifted(kind, q, tol):
+        value = real(kind, q, tol)
+        return value + mpf("1e-18") if kind == "a" else value
+
+    monkeypatch.setattr(thetanum, "_theta_direct", shifted)
+    assert not cli.hauptmodul_report(40).passed
+    try:
+        assert not cli.cubic_numeric_report(40).passed
+    except ArithmeticError as exc:
+        assert "cubic identity" in str(exc)
 
 
 # -- theorem check ------------------------------------------------------------------------

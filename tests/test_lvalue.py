@@ -304,3 +304,16 @@ def test_check_identity_point_override():
 def test_check_identity_catalog_smoke(name):
     rep = lvalue.check_identity(name, PREC)
     assert rep.passed, (name, rep.abs_err)
+
+
+@pytest.mark.parametrize("x", ["1e-30", "1e-8", "0.124", "0.126", "0.9"])
+def test_int3_integrand_vs_defining_formula(x):
+    # the cancelling difference ((1-x)^(1/3) - (1-x)^(2/3)) / (x (1-x)),
+    # evaluated with 40 more digits, is the reference
+    with mp.workdps(40):
+        got = lvalue._int3_integrand(mpf(x))
+    with mp.workdps(80):
+        xx = mpf(x)
+        omx = 1 - xx
+        want = (mp.cbrt(omx) - mp.cbrt(omx) ** 2) / (xx * omx)
+        assert abs(got - want) <= mpf("1e-38") * want

@@ -245,6 +245,41 @@ def test_lambert_e0_closed_form_matches_double_sum(n):
     assert qexp.lambert_series("E0", n).coeffs == loop_lambert_e0(n)
 
 
+def loop_lambert_c(n):
+    """Reference c: 3 sum_{r, s} chi3(r) (q^(rs/3) - q^(rs)), term by term."""
+    ng = 3 * n
+    co = [0] * (ng + 1)
+    for r in range(1, ng + 1):
+        ch = qexp.chi3(r)
+        if ch == 0:
+            continue
+        for s in range(1, ng // r + 1):
+            m = r * s
+            co[m] += 3 * ch
+            if 3 * m <= ng:
+                co[3 * m] -= 3 * ch
+    return co
+
+
+def loop_lambert_bc3(n):
+    """Reference bc3: 3 sum_{k, s} chi3(ks) k q^(ks), term by term."""
+    co = [0] * (n + 1)
+    for k in range(1, n + 1):
+        for m in range(k, n + 1, k):
+            co[m] += 3 * qexp.chi3(m) * k
+    return co
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 97, 300])
+def test_lambert_c_and_bc3_from_the_sieve_match_double_sums(n):
+    c = qexp.lambert_series("c", n)
+    bc3 = qexp.lambert_series("bc3", n)
+    assert (c.d, bc3.d) == (3, 1)
+    assert c.coeffs == loop_lambert_c(n)
+    assert bc3.coeffs == loop_lambert_bc3(n)
+    assert all(type(x) is int for x in c.coeffs + bc3.coeffs)
+
+
 def test_lambert_unknown_kind():
     with pytest.raises(ValueError):
         qexp.lambert_series("nope", 4)

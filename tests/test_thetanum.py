@@ -59,11 +59,15 @@ def test_small_q_limits():
 
 
 def test_a_at_point_one_vs_oracle():
-    # involution-path value against a 60-digit direct-sum oracle
+    # involution-path values (3u^2 < 1: a from its dual sum) against a
+    # 60-digit direct-sum oracle
     with mp.workdps(60):
-        want = brute_theta_value("a", "0.1", 60)
-        got = thetanum.eval_theta("a", "0.1", PREC20)
-        assert abs(got - want) < mpf("1e-20")
+        for q in ("0.1", "0.2"):
+            u = -mp.log(mpf(q)) / (2 * mp.pi)
+            assert 3 * u * u < 1
+            want = brute_theta_value("a", q, 60)
+            got = thetanum.eval_theta("a", q, PREC20)
+            assert abs(got - want) < mpf("1e-20")
 
 
 def test_b_c_involution_fixed_point():
@@ -126,16 +130,26 @@ def test_f_integrand_vanishes_at_zero():
         thetanum.f_integrand(0, PREC12)
 
 
-def test_eta_involution_consistency():
+@pytest.mark.parametrize("u", ["0.2", "0.4", None, "1.0", "2.0"])  # None: 1/sqrt(3)
+def test_a_maps_to_itself_under_the_involution(u):
+    # a(exp(-2 pi u)) = a(exp(-2 pi/(3u))) / (sqrt(3) u), both sides summed
+    # directly, which is the map the evaluator relies on below 3u^2 = 1
     with mp.workdps(55):
-        tol = mpf("1e-42")
-        for u in (mpf("0.8"), mpf("1.25")):
-            lhs = thetanum._theta_direct("eta", mp.exp(-2 * mp.pi * u), tol)
-            rhs = thetanum._theta_direct("eta", mp.exp(-2 * mp.pi / u), tol) / mp.sqrt(u)
-            assert abs(lhs - rhs) < mpf("1e-38")
-        via = thetanum.eval_theta("eta", mp.exp(-2 * mp.pi * mpf("0.5")), PREC20)
-        direct = thetanum._theta_direct("eta", mp.exp(-2 * mp.pi * mpf("0.5")), tol)
-        assert abs(via - direct) < mpf("1e-20")
+        uu = 1 / mp.sqrt(3) if u is None else mpf(u)
+        tol = mpf("1e-48")
+        lhs = thetanum._theta_direct("a", mp.exp(-2 * mp.pi * uu), tol)
+        rhs = thetanum._theta_direct("a", mp.exp(-2 * mp.pi / (3 * uu)), tol) / (mp.sqrt(3) * uu)
+        assert abs(lhs - rhs) < mpf("1e-40")
+
+
+@pytest.mark.parametrize("kind", ["a", "b", "c"])
+def test_tables_are_the_theta_series(kind):
+    m = 50
+    tab = thetanum._table(kind, m)
+    want = qexp.theta_series(kind, len(tab)).coeffs
+    if kind == "c":
+        want = want[1::3]
+    assert tab == want[: len(tab)] and len(tab) > m
 
 
 def test_hauptmodul_residual_spot_checks():

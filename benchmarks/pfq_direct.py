@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Time the integral route of the six Theorem blocks and the end-to-end run.
+
+    python3 benchmarks/pfq_direct.py > record.json
+
+Takes no options.  For each block of ``lvalue.THEOREM_KDF_BLOCKS`` it times
+``hyper.kdf_integral`` at (1/2, 1/2) with ``Precision(40, 1e-25)`` (the
+points of ``verify --suite numeric``) and at (1, 1) with
+``Precision(40, 1e-12)`` (the theorem suite at ``verify --digits 40``).  In
+one fresh process it first times one call for each block and point in turn
+(cold: the first call pays for every cache it fills), then each again, best
+of 5.  After the timing, one more call per block and point runs with
+``hyper._pfq_direct`` wrapped, and records its calls and the terms they
+summed.  It then times ``cubictheta verify --suite all --digits 40`` in fresh
+interpreters: the first run and the best of 5.  Prints one JSON record with
+those, the Python version, the CPU count, ``git describe --always --dirty``
+of the checkout and ``mpmath.libmp.BACKEND``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+import time
+from fractions import Fraction
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import mpmath  # noqa: E402
+
+from cubictheta import hyper  # noqa: E402
+from cubictheta.lvalue import THEOREM_KDF_BLOCKS  # noqa: E402
+from cubictheta.thetanum import Precision  # noqa: E402
+
+REPEATS = 5
+HALF = Fraction(1, 2)
+POINTS = {
+    "(1/2, 1/2) at 1e-25": ((HALF, HALF), Precision(40, 1e-25)),
+    "(1, 1) at 1e-12": ((1, 1), Precision(40, 1e-12)),
+}
+VERIFY = ("import sys; sys.path.insert(0, {src!r}); from cubictheta.cli import main; "
+          "sys.exit(main(['verify', '--suite', 'all', '--digits', '40']))")
+
+
+def timed(fn):
+    t0 = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - t0, out
+
+
+def direct_counts(params, point, prec):
+    """The _pfq_direct calls one kdf_integral call makes, and their terms."""
+    real, counts = hyper._pfq_direct, [0, 0]
+
+    def spy(upper, lower, x, eps):
+        value, terms = real(upper, lower, x, eps)
+        counts[0] += 1
+        counts[1] += terms
+        return value, terms
+
+    hyper._pfq_direct = spy
+    try:
+        hyper.kdf_integral(params, *point, prec)
+    finally:
+        hyper._pfq_direct = real
+    return counts
+
+
+def verify_seconds():
+    cmd = [sys.executable, "-c", VERIFY.format(src=str(ROOT / "src"))]
+    out = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True)
+        out.append(time.perf_counter() - t0)
+    return out
+
+
+def main() -> None:
+    calls = [(label, name) for label in POINTS for name in THEOREM_KDF_BLOCKS]
+
+    def run(key):
+        point, prec = POINTS[key[0]]
+        return hyper.kdf_integral(THEOREM_KDF_BLOCKS[key[1]], *point, prec)
+
+    cold = {key: timed(lambda: run(key))[0] for key in calls}
+    best = {key: min(timed(lambda: run(key))[0] for _ in range(REPEATS)) for key in calls}
+    out = {}
+    for label, (point, prec) in POINTS.items():
+        rows = {}
+        for name, params in THEOREM_KDF_BLOCKS.items():
+            n_calls, n_terms = direct_counts(params, point, prec)
+            rows[name] = {
+                "cold_seconds": round(cold[label, name], 4),
+                "best_seconds": round(best[label, name], 4),
+                "pfq_direct_calls": n_calls,
+                "pfq_direct_terms": n_terms,
+            }
+        out[label] = {
+            "blocks": rows,
+            "cold_total_seconds": round(sum(r["cold_seconds"] for r in rows.values()), 4),
+            "best_total_seconds": round(sum(r["best_seconds"] for r in rows.values()), 4),
+        }
+    verify = verify_seconds()
+    git = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                         capture_output=True, text=True).stdout.strip()
+    print(json.dumps({
+        "benchmark": "hyper.kdf_integral on the six Theorem blocks, and verify --suite all",
+        "digits": 40,
+        "repeats": REPEATS,
+        "kdf_integral": out,
+        "verify_all_digits_40": {
+            "first_seconds": round(verify[0], 4),
+            "best_seconds": round(min(verify), 4),
+        },
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "git": git,
+        "mpmath_backend": mpmath.libmp.BACKEND,
+    }, indent=2))
+
+
+if __name__ == "__main__":
+    main()

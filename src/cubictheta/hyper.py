@@ -8,12 +8,17 @@ patterns) are decided exactly.  Direct sums, partial sums at x = 1 and the
 Kampe de Feriet anti-diagonal sums S_d take their terms from one recurrence,
 run in fixed point on Python ints built from those exact parameters
 (``_fixed_terms``), with stated rounding bounds: 2^-prec (1 + |value|) for
-direct sums and 2^-prec (1 + max |S_d|) for the S_d.  Near the unit argument
-the evaluators switch to connection/log expansions in 1 - x; callers that
-know 1 - x to better accuracy than x can pass it explicitly.  At the unit
-argument itself, the boundary Kampe de Feriet values and the pFq sums that no
-closed form covers are limits of partial sums whose remainder has a form
-known from the parameters (``_kdf_families``).  ``_extrapolate`` takes the
+direct sums and 2^-prec (1 + max |S_d|) for the S_d.  A direct sum reads its
+coefficients c_n 2^wp from a table cached per (parameters, wp)
+(``_coeff_table``, a bounded lru), filled lazily from that recurrence at
+x = 1, and sums them by Horner's rule at x, so all the nodes of a quadrature
+share one table; its stop index is read off the table's log2 magnitudes.
+Near the unit argument the evaluators switch to connection/log expansions in
+1 - x, whose tails are certified as well; callers that know 1 - x to better
+accuracy than x can pass it explicitly.  At the unit argument itself, the
+boundary Kampe de Feriet values and the pFq sums that no closed form covers
+are limits of partial sums whose remainder has a form known from the
+parameters (``_kdf_families``).  ``_extrapolate`` takes the
 partial sums up to the one index D = ``_FIT_D`` and searches the order K of
 the known-exponent fit (``_accel.known_exponent_fit``) on them against the
 requested tol; it raises when the search stalls or runs out of points.
@@ -24,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, count, islice
 
 from mpmath import mp, mpf, mpmathify
@@ -213,90 +219,249 @@ def _fixed_terms(upper, lower, X: int, wp: int):
             lg = -math.inf
 
 
-# -- direct summation with a certified geometric tail -------------------------
+# -- direct summation: cached coefficient tables, summed by Horner's rule ------
 
 _TERM_CAP = 400_000
 # 2*bitlen(_TERM_CAP) covers the rounding of any admissible term count; the
 # 8 spare bits cover terms that grow by up to 2^7 before they settle
 _PFQ_GUARD = 2 * _TERM_CAP.bit_length() + 8
+# a float log2 test that lands this close to its threshold is decided exactly:
+# the float error is below 1e-7 bits up to _TERM_CAP terms
+_LOG2_MARGIN = 2.0 ** -16
+# tables held at once, for each of the two table kinds
+_TABLE_SLOTS = 256
 
 
-def _pfq_direct(upper, lower, x, eps):
-    """Sum the defining series by the term recurrence, in fixed point.
+class _CoeffTable:
+    """The coefficients c_n = prod (u)_n / prod (l)_n / n! of one series at
+    2^wp, filled lazily from ``_fixed_terms`` at x = 1.
 
-    Stops once past the warm-up (and past every pole of a negative lower
-    parameter), the measured term ratio has settled below
-    rho = (1 + |x|)/2 (or 0.9 for entire series) and the geometric tail
-    bound |T|*rho/(1-rho) drops under eps; returns (value, terms).
-
-    ``upper``/``lower`` are exact rationals (TypeError otherwise).  The
-    terms come from ``_fixed_terms`` at 2^wp, wp = prec + guard (raised to
-    x's exponent when that is lower, so that X = x 2^wp is exact).  The
-    ratio and tail tests are exact comparisons of its integers.
-
-    Rounding: each of the N terms is within N G ulps (``_fixed_terms``), so
-    the sum is within N^2 G < 2^(2 bitlen(N) + R) ulps for G < 2^R; when that
-    exponent exceeds the guard, the sum is redone with that many guard bits.
-    So it is within 2^-prec of the exact partial sum at x, and the returned
-    mpf within 2^-prec (1 + |value|).
+    Per index n it holds C_n = c_n 2^wp (Python ints, within n G ulps, G the
+    rise of the coefficients), the integers num_n / den_n = c_(n+1) / c_n, the
+    floats log2 |c_n| and log2 |num_n / den_n| (-inf at 0) that the stop scan
+    reads, and bits_n = R_n + bitlen(max_(k<=n) |C_k| >> wp) + 2, the guard
+    bits the rounding bound of ``_pfq_direct`` asks for beyond
+    2 bitlen(N + 1).
     """
-    upper = _as_fraction_tuple(upper)
-    lower = _as_fraction_tuple(lower)
-    x = mpmathify(x)
-    if len(upper) == len(lower) + 1 and abs(x) >= 1:
-        raise ValueError("direct summation requires |x| < 1")
-    # no tail is certified before the terms pass every pole -l of a negative
-    # lower parameter, where they can grow again: n > max(-lower) + 1
-    warmup = max(8 + int(4 * max((abs(float(u)) for u in upper), default=0)),
-                 math.floor(max((-l for l in lower), default=0)) + 2)
-    guard = _PFQ_GUARD
+
+    __slots__ = ("wp", "warmup", "entire", "C", "num", "den", "log_c", "log_ratio",
+                 "bits", "_terms", "_cmax")
+
+    def __init__(self, upper, lower, wp):
+        self.wp = wp
+        # no tail is certified before the terms pass every pole -l of a
+        # negative lower parameter, where they can grow again
+        self.warmup = max(8 + int(4 * max((abs(float(u)) for u in upper), default=0)),
+                          math.floor(max((-l for l in lower), default=0)) + 2)
+        self.entire = len(upper) != len(lower) + 1
+        self.C, self.num, self.den, self.log_c, self.log_ratio, self.bits = [], [], [], [], [], []
+        self._terms = _fixed_terms(upper, lower, 1 << wp, wp)
+        self._cmax = 0
+
+    def fill(self, n: int):
+        """Extend the table through index n."""
+        wp = self.wp
+        for term, num, den, rise in islice(self._terms, n + 1 - len(self.C)):
+            num >>= wp  # exact: X = 2^wp divides num
+            self.C.append(term)
+            self.num.append(num)
+            self.den.append(den)
+            self.log_c.append(math.log2(abs(term)) - wp if term else -math.inf)
+            self.log_ratio.append(math.log2(abs(num)) - math.log2(abs(den)) if num
+                                  else -math.inf)
+            self._cmax = max(self._cmax, abs(term) >> wp)
+            self.bits.append(rise + self._cmax.bit_length() + 2)
+
+
+@lru_cache(maxsize=_TABLE_SLOTS)
+def _coeff_table(upper: tuple, lower: tuple, wp: int) -> _CoeffTable:
+    return _CoeffTable(upper, lower, wp)
+
+
+def _scaled_le(lhs: int, rhs: int, shift: int) -> bool:
+    """lhs 2^shift <= rhs, exactly."""
+    return lhs << shift <= rhs if shift >= 0 else lhs <= rhs << -shift
+
+
+def _stop_index(table: _CoeffTable, x: mpf, eps: mpf) -> int:
+    """The index N at which the direct sum of ``table``'s series at x stops.
+
+    N is the first index past the warm-up whose three preceding term ratios
+    |x| num_n / den_n are at most rho = (1 + |x|)/2 (0.9 for an entire
+    series) and whose term bounds the geometric tail: |c_N x^N| rho/(1 - rho)
+    <= eps.  Both tests run on float log2 magnitudes; one that lands within
+    ``_LOG2_MARGIN`` of its threshold is decided on the exact integers, with x
+    and eps read exactly from their mantissas.
+    """
+    _, mx, ex, _ = x._mpf_
+    _, me, ee, _ = eps._mpf_
+    rn, rd = (9, 10) if table.entire else ((1 << -ex) + mx, 1 << (1 - ex))
+    lx = math.log2(mx) + ex if mx else -math.inf
+    lrho = math.log2(rn) - math.log2(rd)
+    ltail = math.log2(me) + ee + math.log2(rd - rn) - math.log2(rd) - lrho
+    C, log_c, log_ratio = table.C, table.log_c, table.log_ratio
+    # three settled ratios before n > warmup are those at n - 3..n - 1, so the
+    # scan starts at warmup - 2, and a count of three implies n > warmup
+    n, settled = table.warmup - 2, 0
     while True:
-        wp = max(mp.prec + guard, -x.man_exp[1])
-        one = 1 << wp
-        X = int(mp.ldexp(x, wp))
-        rho = (one + abs(X)) >> 1 if len(upper) == len(lower) + 1 else 9 * one // 10
-        tail = int(mp.ldexp(eps, wp)) * (one - rho)
-        s = 0
-        settled = 0
-        for n, (term, num, den, rise) in enumerate(_fixed_terms(upper, lower, X, wp)):
-            if n > warmup and settled >= 3 and abs(term) * rho <= tail:
-                break
+        if n >= len(C):
+            table.fill(n + 63)
+        for n in range(n, len(C)):
+            if settled >= 3:
+                d = log_c[n] + n * lx - ltail
+                if d <= -_LOG2_MARGIN or (d < _LOG2_MARGIN and _scaled_le(
+                        abs(C[n]) * mx ** n * rn, me * (rd - rn), n * ex - table.wp - ee)):
+                    return n
             if n > _TERM_CAP:
+                _coeff_table.cache_clear()  # no table of a divergent call stays behind
                 raise ArithmeticError(
                     f"series at x={x} did not meet the tail bound within {_TERM_CAP} terms"
                 )
-            s += term
-            settled = settled + 1 if abs(num) <= rho * abs(den) else 0
-        need = 2 * (n + 1).bit_length() + rise
+            q = log_ratio[n] + lx - lrho
+            if q <= -_LOG2_MARGIN or (q < _LOG2_MARGIN and _scaled_le(
+                    mx * abs(table.num[n]) * rd, rn * abs(table.den[n]), ex)):
+                settled += 1
+            else:
+                settled = 0
+        n += 1
+
+
+def _to_fixed(x: mpf, wp: int) -> int:
+    """x 2^wp rounded to the nearest int."""
+    sign, man, exp, _ = x._mpf_
+    shift = exp + wp
+    X = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
+    return -X if sign else X
+
+
+def _horner(coeffs: list, N: int, X: int, wp: int) -> int:
+    """sum_(k<=N) coeffs[k] (X 2^-wp)^k at 2^wp, by Horner's rule with a floor
+    after each product: s <- floor(s X / 2^wp) + coeffs[k]."""
+    s = 0
+    for c in islice(reversed(coeffs), len(coeffs) - N - 1, None):
+        s = (s * X >> wp) + c
+    return s
+
+
+def _pfq_direct(upper, lower, x, eps):
+    """Sum the defining series at x from its cached coefficient table.
+
+    Stops once past the warm-up (and past every pole of a negative lower
+    parameter), the term ratio has settled below rho = (1 + |x|)/2 (or 0.9
+    for entire series) for three indices and the geometric tail bound
+    |t_N| rho/(1 - rho) drops under eps (``_stop_index``); returns
+    (value, N + 1), the sum of t_0..t_N.
+
+    ``upper``/``lower`` are exact rationals (TypeError otherwise).  The
+    coefficients C_n = c_n 2^wp, wp = prec + guard, come from the table of
+    ``_coeff_table`` for (upper, lower, wp), shared by every x, and are summed
+    by Horner's rule at X = x 2^wp rounded.
+
+    Rounding, in ulps of 2^-wp: C_k lies within k G ulps of exact, G < 2^R_N
+    the rise of the coefficients (``_fixed_terms``); each Horner step costs at
+    most one ulp; the rounding of X adds at most N^2 max|c_n| ulps.  When
+    2 bitlen(N + 1) + R_N + bitlen(max|c_n|) + 2 exceeds the guard, the sum is
+    redone with that many guard bits.  So the sum is within 2^-(prec+1) of the
+    exact partial sum at x, and the returned mpf within 2^-prec (1 + |value|).
+    """
+    upper = _as_fraction_tuple(upper)
+    lower = _as_fraction_tuple(lower)
+    x, eps = mpmathify(x), mpmathify(eps)
+    if len(upper) == len(lower) + 1 and abs(x) >= 1:
+        raise ValueError("direct summation requires |x| < 1")
+    guard = _PFQ_GUARD
+    while True:
+        table = _coeff_table(upper, lower, mp.prec + guard)
+        N = _stop_index(table, x, eps)
+        need = 2 * (N + 1).bit_length() + table.bits[N]
         if need <= guard:
-            return mp.ldexp(mpf(s + term), -wp), n + 1
+            break
         guard = need
+    wp = table.wp
+    return mp.ldexp(mpf(_horner(table.C, N, _to_fixed(x, wp), wp)), -wp), N + 1
 
 
 # -- near-unit-argument machinery ---------------------------------------------
 
 
+class _LogTable:
+    """The second series of the zero-balanced expansion: E_n = floor(C_n h_n)
+    for the coefficients C_n of 2F1(a, b; 1; w) at 2^wp and the exact
+    rationals h_n = sum_(k<n) [2/(k+1) - 1/(a+k) - 1/(b+k)], filled lazily.
+
+    bits_n = bitlen(floor(max_(k<=n) |h_k|) + 1), so that 2^bits_n exceeds
+    that maximum plus one.  ``h_tail`` bounds sup_(n>warmup) |h_n|: |h_n0| at
+    n0 = warmup + 1 plus the tail of the increments, which fall like 1/k^2:
+    |a - 1|/((k + 1)(k + a)) <= |a - 1|/(k + min(a, 1))^2, whose sum over
+    k >= n0 is at most |a - 1|/(n0 - 1 + min(a, 1)), and likewise for b.
+    """
+
+    __slots__ = ("coeffs", "E", "bits", "h_tail", "_a", "_b", "_h", "_hmax")
+
+    def __init__(self, a: Fraction, b: Fraction, wp: int):
+        self.coeffs = _coeff_table((a, b), (Fraction(1),), wp)
+        self._a, self._b = a, b
+        self.E, self.bits = [], []
+        self._h, self._hmax = Fraction(0), Fraction(0)
+        n0 = self.coeffs.warmup + 1
+        h = sum((self._step(k) for k in range(n0)), Fraction(0))
+        self.h_tail = abs(h) + sum(abs(v - 1) / (n0 - 1 + min(v, 1)) for v in (a, b))
+
+    def _step(self, k: int) -> Fraction:
+        return Fraction(2, k + 1) - 1 / (self._a + k) - 1 / (self._b + k)
+
+    def fill(self, n: int):
+        """Extend the table through index n (the coefficient table must
+        already reach it)."""
+        C = self.coeffs.C
+        for k in range(len(self.E), n + 1):
+            h = self._h
+            self.E.append(C[k] * h.numerator // h.denominator)
+            self._hmax = max(self._hmax, abs(h))
+            self.bits.append((math.floor(self._hmax) + 1).bit_length())
+            self._h = h + self._step(k)
+
+
+@lru_cache(maxsize=_TABLE_SLOTS)
+def _log_table(a: Fraction, b: Fraction, wp: int) -> _LogTable:
+    return _LogTable(a, b, wp)
+
+
 def _hyp2f1_zero_balanced(a: Fraction, b: Fraction, x, omx, eps):
-    """2F1(a, b; a+b; x) by the logarithmic expansion around x = 1."""
+    """2F1(a, b; a+b; x) by the logarithmic expansion around x = 1
+    (Abramowitz & Stegun 15.3.10), in w = 1 - x = ``omx``:
+
+        pref [(K - ln w) S0(w) + S1(w)],  pref = Gamma(a+b)/(Gamma(a) Gamma(b)),
+
+    with K = 2 psi(1) - psi(a) - psi(b), S0 = 2F1(a, b; 1; w) = sum c_n w^n and
+    S1 = sum c_n h_n w^n (``_LogTable``).  Both are summed by Horner's rule
+    to the one stop index N of S0 (``_stop_index``) at one X = w 2^wp.
+
+    Tail: S0 stops at eps0 = eps / (2 |pref| (|K - ln w| + H)), H =
+    ``h_tail`` >= sup_(n>N) |h_n|, so S1's tail is at most H eps0 and the two
+    tails together cost at most eps/2.  Rounding: S0 is within
+    2^-(prec+1) as in ``_pfq_direct``; E_n is within (max|h| + 1) n G ulps, so
+    the guard also covers the log table's ``bits`` and S1 is within
+    2^-(prec+1) too.  Returns (value, N + 1).
+    """
     pref = _gamma(a + b) / (_gamma(a) * _gamma(b))
-    am, bm = _fr_mpf(a), _fr_mpf(b)
-    pa, pb, pn = _psi(a), _psi(b), _psi(Fraction(1))
     lnw = mp.log(omx)
-    s = mpf(0)
-    term = mpf(1)
-    n = 0
+    kw = 2 * _psi(Fraction(1)) - _psi(a) - _psi(b) - lnw
+    guard = _PFQ_GUARD
     while True:
-        t = term * (2 * pn - pa - pb - lnw)
-        s += t
-        if n > 3 and abs(t) < eps:
-            return pref * s, n + 1
-        term = term * (am + n) * (bm + n) / ((n + 1) * (n + 1)) * omx
-        pa += 1 / (am + n)
-        pb += 1 / (bm + n)
-        pn += mpf(1) / (1 + n)
-        n += 1
-        if n > _TERM_CAP:
-            raise ArithmeticError("zero-balanced expansion failed to converge")
+        logs = _log_table(a, b, mp.prec + guard)
+        table = logs.coeffs
+        N = _stop_index(table, omx, eps / (2 * abs(pref) * (abs(kw) + _fr_mpf(logs.h_tail))))
+        logs.fill(N)
+        need = 2 * (N + 1).bit_length() + table.bits[N] + logs.bits[N]
+        if need <= guard:
+            break
+        guard = need
+    wp = table.wp
+    X = _to_fixed(omx, wp)
+    s0 = mp.ldexp(mpf(_horner(table.C, N, X, wp)), -wp)
+    s1 = mp.ldexp(mpf(_horner(logs.E, N, X, wp)), -wp)
+    return pref * (kw * s0 + s1), N + 1
 
 
 def _hyp2f1_connection(a: Fraction, b: Fraction, c: Fraction, x, omx, eps):
@@ -342,7 +507,7 @@ def _eval_pfq(upper, lower, x, omx, eps):
 
     ``upper``/``lower`` are Fraction tuples, ``x`` an mpf in [-1, 1],
     ``omx`` the complement 1 - x (may be None off the boundary region).
-    ``method`` names the branch: "direct" (the term recurrence), "binomial"
+    ``method`` names the branch: "direct" (``_pfq_direct``), "binomial"
     ((1 - x)^-a for 1F0 and 2F1(1, a; 2; x)), "gauss" (2F1 at 1),
     "zero-balanced" and "connection" (2F1 expansions in 1 - x), "f32-tail"
     (3F2(1, 1, a+1; 2, 2; x), at 1 the tail-free closed form), and

@@ -274,12 +274,25 @@ def _euler_coeffs(n: int, step: int = 1) -> list:
     return co
 
 
+def _jacobi_cube_coeffs(n: int, step: int = 1) -> list:
+    """Jacobi's identity prod_{m>=1} (1 - q**(step*m))**3 =
+    sum_{k>=0} (-1)**k (2k+1) q**(step*k(k+1)/2), to order n."""
+    co = [0] * (n + 1)
+    k = 0
+    while step * k * (k + 1) // 2 <= n:
+        co[step * k * (k + 1) // 2] = -(2 * k + 1) if k % 2 else 2 * k + 1
+        k += 1
+    return co
+
+
 def eta_quotient(spec: list, n: int) -> QSeries:
     """Exact expansion of prod eta(q**d)**r to q-order ``n``.
 
     ``spec`` is a list of (delta, r) pairs.  The eta prefactors combine to
     q**(sum delta*r/24); the sum must be divisible by 8 so the exponent lands
     on the 1/3 grid, and must be nonnegative so the expansion has no pole.
+    Each factor prod (1 - q**(delta m))**r is applied as floor(|r|/3) cubes
+    from Jacobi's sparse series and |r| mod 3 Euler products.
     """
     s = sum(delta * r for delta, r in spec)
     if s % 8:
@@ -291,12 +304,14 @@ def eta_quotient(spec: list, n: int) -> QSeries:
     for delta, r in spec:
         if delta < 1 or r == 0:
             raise ValueError("spec entries must be (positive delta, nonzero r)")
-        euler = _euler_coeffs(n, delta)
-        for _ in range(abs(r)):
-            if r > 0:
-                poly = kernels.conv_trunc(poly, euler, n)
-            else:
-                poly = kernels.div_unit(poly, euler, n)
+        cubes, ones = divmod(abs(r), 3)
+        for factor, times in ((_jacobi_cube_coeffs(n, delta), cubes),
+                              (_euler_coeffs(n, delta), ones)):
+            for _ in range(times):
+                if r > 0:
+                    poly = kernels.conv_trunc(poly, factor, n)
+                else:
+                    poly = kernels.div_unit(poly, factor, n)
     if p8 % 3 == 0:
         shift = p8 // 3
         out = [0] * (n + 1)

@@ -206,14 +206,22 @@ def test_numeric_suite_passes_at_low_digits(digits):
     assert [r.name for r in reports if not r.passed] == []
 
 
+# the checks reported through cli._sides: their abs_err is an exact difference
+# of two close sides, whose mantissa measures how far the sides agree
+TWO_SIDED = ("involution", "cubic_numeric", "quad_de_closed_forms", "kdf_series_vs_integral")
+
+
 def test_numeric_suite_keeps_working_precision():
-    # the builder stores values as computed: hginterep's sides and the
-    # nonzero distances carry more than the 53 bits of a double (but for
-    # involution's, an exact difference of two close values, 25 bits long)
+    # the builder stores values as computed: hginterep's sides, the nonzero
+    # distances of the one-sided checks and the sides of the two-sided ones
+    # carry more than the 53 bits of a double (but for quad_de_closed_forms'
+    # exact closed form: 1, 3/2 or 3)
     reports = {r.name: r for r in cli.numeric_suite_reports(20)}
     wide = [reports["hginterep"].lhs, reports["hginterep"].rhs]
-    wide += [r.abs_err for r in reports.values() if r.abs_err and r.name != "involution"]
-    assert len(wide) == 2 + 13
+    wide += [r.abs_err for r in reports.values() if r.abs_err and r.name not in TWO_SIDED]
+    wide += [v for name in TWO_SIDED for v in (reports[name].lhs, reports[name].rhs)
+             if not (name == "quad_de_closed_forms" and v in (1, 1.5, 3))]
+    assert len(wide) == 2 + 10 + 7
     for v in wide:
         assert isinstance(v, mpf) and v._mpf_[3] > 53, v
 
@@ -223,6 +231,7 @@ def test_numeric_checks_report_both_sides():
     digits = 20
     checks = (cli.involution_report(digits), cli.cubic_numeric_report(digits),
               cli.quad_closed_forms_report(digits), cli.kdf_routes_report(digits))
+    assert tuple(rep.name for rep in checks) == TWO_SIDED
     with mp.workdps(digits + 10):
         for rep in checks:
             assert rep.lhs and rep.rhs, rep.name

@@ -394,6 +394,74 @@ def test_pfq_direct_rejects_inexact_parameters():
         hyper._pfq_direct([THIRD, 1], [2.0], mpf("0.5"), mpf("1e-30"))
 
 
+def test_pfq_direct_node_sweep_builds_one_table(monkeypatch):
+    # 300 quadrature-like nodes of one series read one coefficient table, and
+    # each sum is within its tail and rounding bound of mpmath at 120 digits
+    made = []
+    real = hyper._fixed_terms
+
+    def counted(*args):
+        made.append(args[2:])
+        return real(*args)
+
+    hyper._coeff_table.cache_clear()
+    monkeypatch.setattr(hyper, "_fixed_terms", counted)
+    up, lo = (THIRD, 2 * THIRD), (Fraction(1),)
+    with mp.workdps(55):
+        eps = mpf("1e-50")
+        xs = [mpf(k) / 301 - mpf(1) / 2 for k in range(1, 301)]
+        got = [hyper._pfq_direct(up, lo, x, eps)[0] for x in xs]
+        assert len(made) == 1
+        for x, v in zip(xs, got):
+            with mp.workdps(120):
+                want = hyp2f1(mpf(1) / 3, mpf(2) / 3, 1, x)
+            assert abs(v - want) <= eps + mp.ldexp(1 + abs(v), -mp.prec)
+
+
+def test_coefficient_tables_stay_within_their_bound():
+    with mp.workdps(30):
+        for k in range(hyper._TABLE_SLOTS + 20):
+            hyper._pfq_direct((Fraction(1, k + 2), Fraction(1)), (Fraction(2),),
+                              mpf("0.01"), mpf("1e-20"))
+    assert hyper._coeff_table.cache_info().currsize <= hyper._TABLE_SLOTS
+
+
+def test_pfq_direct_tiny_argument_keeps_the_working_precision(monkeypatch):
+    # x = 1e-80 lies below 2^-wp's first bits: X = x 2^wp is rounded, and wp
+    # stays prec + guard where the old sum raised it to x's exponent
+    seen = []
+    real = mp.ldexp
+
+    def spy(v, e):
+        seen.append(e)
+        return real(v, e)
+
+    with mp.workdps(55):
+        x, eps = mpf("1e-80"), mpf("1e-50")
+        monkeypatch.setattr(mp, "ldexp", spy)
+        got, _ = hyper._pfq_direct((THIRD, 2 * THIRD), (Fraction(1),), x, eps)
+        monkeypatch.undo()
+        assert -seen[-1] == mp.prec + hyper._PFQ_GUARD
+        with mp.workdps(120):
+            want = hyp2f1(mpf(1) / 3, mpf(2) / 3, 1, x)
+        assert abs(got - want) <= eps + mp.ldexp(1 + abs(got), -mp.prec)
+
+
+@pytest.mark.parametrize("a, b", [(THIRD, 2 * THIRD), (THIRD, Fraction(1)),
+                                  (2 * THIRD, Fraction(1)), (Fraction(1, 2), Fraction(1, 2))])
+@pytest.mark.parametrize("w", ["0.49", "0.3", "1e-2", "1e-40"])
+def test_zero_balanced_certified_tail(a, b, w):
+    # the oracle takes x = 1 - w exactly: an x rounded to 55 digits would move
+    # it by about 1e-16 at w = 1e-40
+    with mp.workdps(55):
+        w, eps = mpf(w), mpf("1e-45")
+        got, _ = hyper._hyp2f1_zero_balanced(a, b, 1 - w, w, eps)
+        with mp.workdps(120):
+            am, bm = (mpf(v.numerator) / v.denominator for v in (a, b))
+            want = hyp2f1(am, bm, am + bm, 1 - w)
+        assert abs(got - want) <= eps
+
+
 _small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 

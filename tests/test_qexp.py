@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubictheta import qexp
+from cubictheta import kernels, qexp
 from cubictheta.qexp import QSeries
 
 
@@ -196,6 +196,33 @@ def test_eta_f_construction():
     eta_f = qexp.eta_quotient([(1, 6), (9, 3), (3, -3)], 32)
     assert eta_f.d == 1 and eta_f.coeffs[0] == 0 and eta_f.coeffs[1] == 1
     assert eta_f == qexp.f_coefficients(32)
+
+
+def loop_eta_quotient(spec, n):
+    """Reference: each eta(q**delta)**r as |r| separate Euler products."""
+    poly = [1] + [0] * n
+    for delta, r in spec:
+        euler = qexp._euler_coeffs(n, delta)
+        for _ in range(abs(r)):
+            poly = (kernels.conv_trunc if r > 0 else kernels.div_unit)(poly, euler, n)
+    p8 = sum(delta * r for delta, r in spec) // 8
+    d = 1 if p8 % 3 == 0 else 3
+    out = [0] * (d * n + 1)
+    for m, c in enumerate(poly):
+        e = d * m + (p8 // 3 if d == 1 else p8)
+        if e > d * n:
+            break
+        out[e] = c
+    return QSeries(d, out)
+
+
+# r = ±1..±7 against eta(q^3)**s, s = -3r mod 8, which puts the exponent on the grid
+@pytest.mark.parametrize("spec", [
+    [(1, 3), (3, -1)], [(3, 3), (1, -1)], [(1, 6), (9, 3), (3, -3)],
+    *([(1, r), (3, -3 * r % 8)] for r in (*range(1, 8), *range(-7, 0))),
+])
+def test_eta_quotient_matches_repeated_euler_products(spec):
+    assert qexp.eta_quotient(spec, 300) == loop_eta_quotient(spec, 300)
 
 
 def test_eta_grid_precondition():

@@ -207,12 +207,14 @@ def quad_closed_forms_report(digits: int) -> IdentityReport:
 
     def pairs():
         third = mpf(1) / 3
+        # two-argument integrands f(t, 1 - t), so that nodes near t = 1 keep
+        # their weight
         for f, want in (
-            (lambda t: mpf(1), mpf(1)),
-            (lambda t: (1 - t) ** (-third), mpf(3) / 2),
-            (lambda t: t ** third / (t * (1 - t)) * (1 - t), mpf(3)),
+            (lambda t, omt: mpf(1), mpf(1)),
+            (lambda t, omt: omt ** -third, mpf(3) / 2),
+            (lambda t, omt: t ** third / t, mpf(3)),
         ):
-            yield hyper.quad_de(f, tol, prec).value, want
+            yield hyper.quad_de(f, tol, prec, two_arg=True).value, want
 
     return _sides("quad_de_closed_forms", ("quadrature", "closed-form"), tol, digits,
                   pairs())

@@ -959,8 +959,7 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False, max_level: int = 10)
                     return mpf(0)
                 return _f(t)
         vals = mpf(0)
-        prev = None
-        total = None
+        prev = mp.inf
         neval = 0
         for lev in range(max_level + 1):
             h = mpf(1) / 2 ** lev
@@ -983,12 +982,13 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False, max_level: int = 10)
                         run = 0
             vals += new
             total = vals * h
-            if prev is not None and abs(total - prev) <= tol:
-                return SeriesResult(+total, +abs(total - prev), neval, "integral")
+            change = abs(total - prev)
+            if change <= tol:
+                return SeriesResult(+total, +change, neval, "integral")
             prev = total
         raise ArithmeticError(
             f"quadrature did not converge to {tol} within {max_level} levels "
-            f"(last refinement changed by {abs(total - prev)})"
+            f"(last refinement changed by {mp.nstr(change, 3)})"
         )
 
 

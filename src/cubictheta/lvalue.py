@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpf, mpmathify
 
-from . import hyper, qexp, thetanum
+from . import _accel, hyper, qexp, thetanum
 from .hyper import KdFParams, PFQParams, SeriesResult, quad_de
 from .reports import IdentityReport, check
 from .thetanum import Precision
@@ -201,8 +201,9 @@ _FSUM_CHUNK = 1 << 16
 def l_dirichlet(N: int) -> SeriesResult:
     """Partial sum of a_n / n^3 up to N, with a heuristic extrapolated tail.
 
-    The value is the raw partial sum.  err_estimate extrapolates the partial
-    sums at N/2, 3N/4, N linearly in 1/N; the coefficient sums oscillate, so
+    The value is the raw partial sum.  err_estimate is its distance from the
+    value at 1/N = 0 of the quadratic in 1/N through the partial sums at N/2,
+    3N/4 and N (``_accel.richardson``); the coefficient sums oscillate, so
     this is an order-of-magnitude indicator, not a bound.
 
     The terms are formed in numpy from the int64 coefficients of
@@ -220,13 +221,8 @@ def l_dirichlet(N: int) -> SeriesResult:
     sums = {k: math.fsum(itertools.chain.from_iterable(
                 terms[i:min(i + _FSUM_CHUNK, k)].tolist() for i in range(0, k, _FSUM_CHUNK)))
             for k in checkpoints}
-    xs = [1.0 / k for k in checkpoints]
-    ys = [sums[k] for k in checkpoints]
-    tab = list(ys)
-    for k in range(1, len(tab)):
-        for i in range(len(tab) - k):
-            tab[i] = (tab[i + 1] * xs[i] - tab[i] * xs[i + k]) / (xs[i] - xs[i + k])
-    tail_estimate = abs(tab[0] - ys[-1])
+    limit = _accel.richardson([1.0 / k for k in checkpoints], [sums[k] for k in checkpoints])
+    tail_estimate = abs(limit - sums[N])
     return SeriesResult(mpf(sums[N]), mpf(tail_estimate), N, "direct")
 
 

@@ -30,9 +30,13 @@ def check(name: str, methods: tuple, tol, points) -> IdentityReport:
     ``points`` is an iterable of (lhs, rhs, err), consumed lazily here so that
     ``seconds`` covers the whole evaluation (pass a generator).  The first
     point with the largest err is reported, as given: no value is rounded
-    again.  The check passes when err <= tol.
+    again.  The check passes when err <= tol.  An ArithmeticError raised by
+    the evaluation is raised again with ``name`` in front of its message.
     """
     t0 = time.perf_counter()
-    lhs, rhs, err = max(points, key=lambda point: point[2])
+    try:
+        lhs, rhs, err = max(points, key=lambda point: point[2])
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{name}: {exc}") from exc
     return IdentityReport(name, lhs, rhs, err, tol, bool(err <= tol), methods,
                           time.perf_counter() - t0)

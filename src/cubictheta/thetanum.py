@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpmathify
 
-from . import qexp
+from . import _accel, qexp
 
 __all__ = [
     "Precision",
@@ -230,28 +230,36 @@ def residual_hauptmodul(q, prec: Precision) -> mpf:
         return a - f
 
 
-def differential_residual(q, prec: Precision, h0: float = 1e-2, levels: int = 4):
+# the first step of the finite-difference ladder, the depth it always takes,
+# and the depth at which it stops whether or not its heads have settled
+_LADDER_H0 = 1e-2
+_LADDER_MIN = 4
+_LADDER_MAX = 24
+
+
+def differential_residual(q, prec: Precision):
     """Central-difference check of d(alpha)/dq against a(q)^2 alpha(1-alpha)/q.
 
     Returns (fd_errors, extrapolated_residual): fd_errors[i] is the
     finite-difference defect at step h0/2^i (their ratios should approach 4),
-    and the extrapolated residual is the Richardson limit of the ladder.
+    and the extrapolated residual is that of the Richardson limit in h^2 of
+    the ladder (``_accel.richardson``).  The ladder takes at least
+    ``_LADDER_MIN`` steps and is extended until two successive limits agree
+    within target_tol/8; at ``_LADDER_MAX`` steps it stops unsettled, and the
+    residual shows how far off it is.
     """
     with mp.workdps(prec.dps + 10):
         qq = _q_u(q)[0]
         pt = theta_point(qq, prec)
         rhs = pt.a ** 2 * pt.alpha * (1 - pt.alpha) / qq
-        hs = [mpf(h0) / 2 ** i for i in range(levels)]
-        fds = []
-        for h in hs:
-            ap = alpha_of_q(qq + h, prec)
-            am = alpha_of_q(qq - h, prec)
-            fds.append((ap - am) / (2 * h))
+        settle = prec.tol() / 8
+        xs, fds, heads = [], [], []
+        for i in range(_LADDER_MAX):
+            h = mpf(_LADDER_H0) / 2 ** i
+            xs.append(h * h)
+            fds.append((alpha_of_q(qq + h, prec) - alpha_of_q(qq - h, prec)) / (2 * h))
+            heads.append(_accel.richardson(xs, fds))
+            if len(heads) >= _LADDER_MIN and abs(heads[-1] - heads[-2]) <= settle:
+                break
         errors = [abs(d - rhs) for d in fds]
-        # Richardson in h^2 across the ladder
-        tab = list(fds)
-        for k in range(1, levels):
-            for i in range(levels - k):
-                tab[i] = tab[i + 1] + (tab[i + 1] - tab[i]) / (4 ** k - 1)
-        residual = abs(tab[0] - rhs)
-        return errors, residual
+        return errors, abs(heads[-1] - rhs)

@@ -255,6 +255,35 @@ def test_numeric_checks_read_a_from_its_own_series(monkeypatch):
         assert "cubic identity" in str(exc)
 
 
+def test_quad_closed_forms_pass_at_100_digits():
+    # the integrands take (t, 1 - t), so the nodes near t = 1 keep their
+    # weight and the levels converge past 77 digits
+    rep = cli.quad_closed_forms_report(100)
+    assert rep.passed, rep.abs_err
+
+
+def test_differential_report_follows_a_tight_tol():
+    # the ladder deepens until its Richardson limits settle within tol/8;
+    # every step still shows the quadratic decay the report asks for
+    assert cli.differential_report(40, 1e-30).passed
+    prec = thetanum.Precision(40, 1e-30)
+    with mp.workdps(50):
+        for q in cli._DIFFERENTIAL_GRID:
+            errs, _ = thetanum.differential_residual(q, prec)
+            assert len(errs) > 4
+            assert all(3 < errs[i] / errs[i + 1] < 5.5 for i in range(len(errs) - 1))
+
+
+def test_verify_names_the_check_that_raised(monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise ArithmeticError("quadrature did not converge")
+
+    monkeypatch.setattr(hyper, "quad_de", diverge)
+    code, out, err = run(["verify", "--suite", "numeric", "--digits", "20"], capsys)
+    assert code == 1
+    assert "evaluation failed: quad_de_closed_forms: quadrature did not converge" in err
+
+
 # -- theorem check ------------------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import json
 import math
 import pathlib
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -638,6 +638,19 @@ def test_known_exponent_fit_order_needs_its_points():
     assert _accel._weights(families, 24, 15, 128)[0] == tuple(range(9, 25))
 
 
+@pytest.mark.parametrize("num", [float, mpf], ids=["float", "mpf"])
+def test_richardson_exact_on_a_cubic(num):
+    # four points fix a cubic, so Neville's rule returns its value at 0; on
+    # dyadic nodes every rounding cancels and the value is exact
+    def cubic(x):
+        return 7 - 2 * x + 3 * x ** 2 - x ** 3
+
+    with mp.workdps(40):
+        xs = [num(1) / k for k in (1, 2, 4, 8)]
+        got = _accel.richardson(xs, [cubic(x) for x in xs])
+    assert type(got) is num and got == 7
+
+
 def test_kdf_boundary_l1_to_1e_50_at_one_d():
     # L1 at 60 digits and tol 1e-50 takes its order from the sums up to
     # D = 320 alone (821121 terms when D doubled to 1280), within its bar of
@@ -1013,228 +1026,6 @@ def test_kdf_collapsed_block_interior(a, x, y):
     assert res.err_estimate <= mpf("1e-54")
 
 
-# -- d(m) extrapolation -------------------------------------------------------------------
-
-
-def full_table_dm_extrapolate(
-    partial_sums,
-    offset: int,
-    stride: int,
-    npts: int,
-    kmax: int,
-    dps_hi: int,
-    m: int = 3,
-):
-    """Reference E-algorithm: every level over the whole npts-point window,
-    with the E row and the g rows updated by separate divisions."""
-    idx = [offset + stride * i for i in range(npts)]
-    if idx[-1] + m - 1 >= len(partial_sums):
-        raise ValueError("window exceeds the available partial sums")
-    with mp.workdps(dps_hi):
-        s = {
-            n: mp.mpf(partial_sums[n])
-            for i in idx
-            for n in range(i - 1, i + m)
-        }
-        diff = {n: s[n] - s[n - 1] for i in idx for n in range(i, i + m)}
-        E = [mp.mpf(partial_sums[n]) for n in idx]
-        gs = []
-        for j in range(kmax):
-            fam, half = j % m, j // m
-            g = []
-            for n in idx:
-                nn = mpf(n + 1)
-                if fam == 0:
-                    v = diff[n]
-                elif fam == 1:
-                    v = diff[n + 1] - diff[n]
-                else:
-                    v = diff[n + 2] - 2 * diff[n + 1] + diff[n]
-                g.append(nn ** (fam + 1) * v / nn ** half)
-            gs.append(g)
-        width = len(idx)
-        ests = []
-        for k in range(min(kmax, width - 1)):
-            gk = gs[k]
-            denom = [gk[n + 1] - gk[n] for n in range(width - 1 - k)]
-            if any(x == 0 for x in denom):
-                break
-            E = [
-                (E[n] * gk[n + 1] - E[n + 1] * gk[n]) / denom[n]
-                for n in range(width - 1 - k)
-            ]
-            new_gs: list = [None] * (k + 1)
-            for i in range(k + 1, kmax):
-                gi = gs[i]
-                new_gs.append(
-                    [
-                        (gi[n] * gk[n + 1] - gi[n + 1] * gk[n]) / denom[n]
-                        for n in range(width - 1 - k)
-                    ]
-                )
-            gs = new_gs
-            ests.append(+E[0])
-        return ests
-
-
-# the boundary window kdf_series gave dm_extrapolate before the known-exponent
-# fit: 1281 diagonals, offset 300, stride 12, 48 columns, at 260 digits; and
-# the window pfq gave it at x = 1: 900 sums, offset 200, stride 8, 40 columns,
-# at 200 digits
-KDF_D = 1280
-KDF_WINDOW = (300, 12, 48, 260)
-DIXON_TERMS = 900
-DIXON_WINDOW = (200, 8, 40, 200)
-
-
-def _kdf_window(name):
-    """The partial sums and window of a Theorem block at (1, 1), 55 digits."""
-    with mp.workdps(55):
-        sums, _ = hyper._kdf_partial_sums(THEOREM_KDF_BLOCKS[name], mpf(1), mpf(1), KDF_D)
-    return sums, KDF_WINDOW
-
-
-def _dixon_window(a, b, c):
-    """The partial sums and window of Dixon's 3F2 at 1, 50 digits."""
-    with mp.workdps(50):
-        up, lo = _mpf_params([a, b, c]), _mpf_params([1 + a - b, 1 + a - c])
-        sums, term, run = [], mpf(1), mpf(0)
-        for n in range(DIXON_TERMS):
-            run += term
-            sums.append(run)
-            for u in up:
-                term *= u + n
-            for l in lo:
-                term /= l + n
-            term /= n + 1
-    return sums, DIXON_WINDOW
-
-
-@pytest.mark.parametrize("kind, key", [
-    *(pytest.param("kdf", name, id=name) for name in THEOREM_KDF_BLOCKS),
-    *(pytest.param("dixon", case.values, id=f"dixon-{case.id}") for case in DIXON_CASES),
-])
-def test_dm_extrapolate_matches_full_table(kind, key):
-    # every column head of the int triangle elimination against the mpf full
-    # table on 80 points: the six boundary windows (kmax 48, 260 digits) and
-    # the four Dixon windows at x = 1 (kmax 40, 200 digits)
-    sums, args = _kdf_window(key) if kind == "kdf" else _dixon_window(*key)
-    offset, stride, kmax, dps_hi = args
-    got = _accel.dm_extrapolate(sums, *args)
-    ref = full_table_dm_extrapolate(sums, offset, stride, 80, kmax, dps_hi)
-    assert len(got) == len(ref) == kmax
-    with mp.workdps(dps_hi):
-        assert max(abs(g - r) for g, r in zip(got, ref)) <= mpf("1e-150")
-
-
-@pytest.mark.parametrize("term", [
-    # the sums are constant from n = 40, inside the window: the model rows
-    # are 0 there and the first level meets a zero denominator
-    pytest.param(lambda n: mpf(1) / (n + 1) ** 2 if n < 40 else mpf(0), id="constant-sums"),
-    # constant terms: the difference rows are 0, so the second level stops
-    pytest.param(lambda n: mpf(1) / (n + 1) ** 2 if n < 5 else mpf(1) / 7,
-                 id="constant-terms"),
-])
-def test_dm_extrapolate_early_stop(term):
-    with mp.workdps(30):
-        sums = list(accumulate(map(term, range(80))))
-    got = _accel.dm_extrapolate(sums, 5, 2, 30, 60)
-    ref = full_table_dm_extrapolate(sums, 5, 2, 31, 30, 60)
-    assert len(got) == len(ref) < 2
-    with mp.workdps(60):
-        assert all(abs(g - r) <= mpf("1e-55") for g, r in zip(got, ref))
-
-
-@pytest.mark.parametrize("term", [
-    # sum 2^-n/(n + 1) = 2 log 2: the model rows fall by 2^-n across the
-    # window, so they spread past the starting guard and force a redo
-    pytest.param(lambda n: mpf(2) ** -n / (n + 1), id="log"),
-    # sum (4/5)^n: the model rows are linearly dependent, so after the first
-    # levels they hold rounding residues whose spread grows with the width;
-    # the guard doubles up to its cap prec(dps_hi) and stops there
-    pytest.param(lambda n: mpf("0.8") ** n, id="geometric"),
-])
-def test_dm_extrapolate_guard_redo(monkeypatch, term):
-    runs = []
-    eliminate = _accel._eliminate
-
-    def spy(*args):
-        out = eliminate(*args)
-        runs.append((args[-1], out[1]))
-        return out
-
-    monkeypatch.setattr(_accel, "_eliminate", spy)
-    with mp.workdps(60):
-        sums = list(accumulate(map(term, range(130))))
-    got = _accel.dm_extrapolate(sums, 5, 3, 40, 100)
-    ref = full_table_dm_extrapolate(sums, 5, 3, 41, 40, 164)
-    with mp.workdps(100):
-        prec = mp.prec
-    (width, spread), *_, (last_width, last_spread) = runs
-    assert width == prec + _accel._DM_GUARD < prec + spread
-    assert last_spread <= last_width - prec or last_width == 2 * prec
-    assert len(got) == len(ref) == 40
-    with mp.workdps(164):
-        assert max(abs(g - r) for g, r in zip(got, ref)) <= mpf("1e-90")
-
-
-def _log_sums(prec_dps=60):
-    with mp.workdps(prec_dps):
-        return list(accumulate(mpf(2) ** -n / (n + 1) for n in range(130)))
-
-
-def _signed_sums(kind):
-    with mp.workdps(60):
-        if kind == "negated":
-            return [-s for s in _log_sums()]
-        if kind == "alternating":
-            # sum (-1)^n/(n + 1) - log 2: the sums alternate in sign about 0
-            terms = (mpf(-1) ** n / (n + 1) for n in range(130))
-            return [s - mp.log(2) for s in accumulate(terms, initial=mpf(0))][1:]
-        # 2^300 (S_n - S_50) of the log sums: exactly 0 at n = 50, negative
-        # before, positive after, and every nonzero exponent above 0
-        sums = _log_sums()
-        return [mp.ldexp(s - sums[50], 300) for s in sums]
-
-
-@pytest.mark.parametrize("kind, bound", [
-    pytest.param("negated", "1e-90", id="negated"),
-    # the model rows do not fit an alternating tail: from the eighth head on,
-    # an mpf elimination at 100 digits is itself 5e-50 off the table 64
-    # digits higher, the int one 1.6e-73
-    pytest.param("alternating", "1e-60", id="alternating"),
-    pytest.param("zero-crossing", "1e-90", id="zero-crossing"),
-])
-def test_dm_extrapolate_signed_sums(kind, bound):
-    # the sums are read with their signs, and an exact 0 among them is read
-    # as 0; every head against the mpf full table 64 digits higher
-    sums = _signed_sums(kind)
-    got = _accel.dm_extrapolate(sums, 5, 3, 40, 100)
-    ref = full_table_dm_extrapolate(sums, 5, 3, 41, 40, 164)
-    assert len(got) == len(ref) == 40
-    with mp.workdps(164):
-        assert all(abs(g - r) <= mpf(bound) * max(1, abs(r)) for g, r in zip(got, ref))
-
-
-def test_dm_extrapolate_non_finite_sums():
-    # a non-finite sum makes every head nan
-    sums = _log_sums()
-    sums[20] = mp.inf
-    got = _accel.dm_extrapolate(sums, 5, 3, 40, 100)
-    assert len(got) == 40 and all(map(mp.isnan, got))
-
-
-def test_dm_extrapolate_window_bounds():
-    # the window reads s_(n-1) .. s_(n+m-1) around offset + stride*i, i <= kmax
-    offset, stride, kmax, m = 5, 2, 8, 3
-    need = offset + stride * kmax + m
-    with mp.workdps(30):
-        sums = list(accumulate(mpf(1) / (n + 1) ** 2 for n in range(need)))
-    assert len(_accel.dm_extrapolate(sums, offset, stride, kmax, 60, m)) == kmax
-    with pytest.raises(ValueError):
-        _accel.dm_extrapolate(sums[:-1], offset, stride, kmax, 60, m)
-
-
 # -- quadrature ---------------------------------------------------------------------------
 
 
@@ -1268,8 +1059,10 @@ def test_quad_de_error_estimates_conservative():
 
 
 def test_quad_de_rejects_nonintegrable():
-    with pytest.raises(ArithmeticError):
+    # the message carries the last level difference measured, not 0
+    with pytest.raises(ArithmeticError, match="last refinement changed by") as caught:
         hyper.quad_de(lambda t: 1 / t, mpf("1e-20"), Precision(30, 1e-15), max_level=6)
+    assert float(str(caught.value).rsplit(" ", 1)[1].rstrip(")")) > 1
 
 
 # -- integral representation ------------------------------------------------------------

@@ -83,6 +83,22 @@ def test_dirichlet_checkpoint_sums_are_fsums_of_exact_terms(monkeypatch):
     assert res.value == want[-1]
 
 
+def test_dirichlet_tail_estimate_is_the_inline_tableau():
+    # the Neville tableau in 1/N on the sums at N/2, 3N/4 and N, written
+    # out in the same float operations: value and estimate to the bit
+    N = 10_000
+    checkpoints = (N // 2, 3 * N // 4, N)
+    xs = [1.0 / k for k in checkpoints]
+    ys = [float(lvalue.l_dirichlet(k).value) for k in checkpoints]
+    tab = list(ys)
+    for k in range(1, 3):
+        for i in range(3 - k):
+            tab[i] = (tab[i + 1] * xs[i] - tab[i] * xs[i + k]) / (xs[i] - xs[i + k])
+    res = lvalue.l_dirichlet(N)
+    assert res.value == ys[-1]
+    assert res.err_estimate == abs(tab[0] - ys[-1])
+
+
 def test_dirichlet_traced_peak_per_coefficient():
     # numpy reports its buffers to tracemalloc, so the peak repeats exactly;
     # an N-entry list of Python ints or floats alongside the arrays would

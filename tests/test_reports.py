@@ -2,6 +2,7 @@
 
 import time
 
+import pytest
 from mpmath import mp, mpf
 
 from cubictheta.reports import check
@@ -30,3 +31,12 @@ def test_check_times_the_lazy_evaluation():
         yield 0.0, 0.0, 0.0
 
     assert check("slow", ("a", "b"), 0.0, points()).seconds >= 0.05
+
+
+def test_check_names_itself_in_an_arithmetic_error():
+    def points():
+        raise ArithmeticError("quadrature did not converge")
+        yield 0.0, 0.0, 0.0
+
+    with pytest.raises(ArithmeticError, match=r"^broken: quadrature did not converge$"):
+        check("broken", ("a", "b"), 0.0, points())

@@ -4,11 +4,11 @@ double-exponential quadrature.
 
 Parameters are carried as exact Fractions until the moment of evaluation, so
 structural questions (parameter cancellation, zero-balancedness, closed-form
-patterns) are decided exactly.  Direct sums, partial sums at x = 1 and the
-Kampe de Feriet anti-diagonal sums S_d take their terms from one recurrence,
-run in fixed point on Python ints built from those exact parameters
-(``_fixed_terms``), with stated rounding bounds: 2^-prec (1 + |value|) for
-direct sums and 2^-prec (1 + max |S_d|) for the S_d.  A direct sum reads its
+patterns) are decided exactly.  Direct sums and the Kampe de Feriet
+anti-diagonal sums S_d take their terms from one recurrence, run in fixed
+point on Python ints built from those exact parameters (``_fixed_terms``),
+with stated rounding bounds: 2^-prec (1 + |value|) for direct sums and
+2^-prec (1 + max |S_d|) for the S_d.  A direct sum reads its
 coefficients c_n 2^wp from a table cached per (parameters, wp)
 (``_coeff_table``, a bounded lru), filled lazily from that recurrence at
 x = 1, and sums them by Horner's rule at x, so all the nodes of a quadrature
@@ -16,12 +16,15 @@ share one table; its stop index is read off the table's log2 magnitudes.
 Near the unit argument the evaluators switch to connection/log expansions in
 1 - x, whose tails are certified as well; callers that know 1 - x to better
 accuracy than x can pass it explicitly.  At the unit argument itself, the
-boundary Kampe de Feriet values and the pFq sums that no closed form covers
-are limits of partial sums whose remainder has a form known from the
-parameters (``_kdf_families``).  ``_extrapolate`` takes the
-partial sums up to the one index D = ``_FIT_D`` and searches the order K of
-the known-exponent fit (``_accel.known_exponent_fit``) on them against the
-requested tol; it raises when the search stalls or runs out of points.
+boundary Kampe de Feriet values are limits of their S_d, whose remainder has
+a form known from the parameters (``_kdf_families``).  A pFq at x = 1 that
+no closed form covers is the value at (1, 0) of the one-factor block
+KdFParams([], [], upper, lower, [], []), so its partial sums and families
+are that block's.  ``_extrapolate`` takes the partial sums up to the one
+index D = ``_FIT_D`` and searches the order K of the known-exponent fit
+(``_accel.known_exponent_fit``) on them against the requested tol; it raises
+when the search stalls or runs out of points.  The module holds evaluators
+only; the identity checks built on them live in ``lvalue`` and ``cli``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from itertools import accumulate, count, islice
 from mpmath import mp, mpf, mpmathify
 
 from . import _accel, kernels
-from .reports import IdentityReport, check
 from .thetanum import Precision
 
 __all__ = [
@@ -43,13 +45,11 @@ __all__ = [
     "KdFParams",
     "ConvergenceMargins",
     "SeriesResult",
-    "pochhammer",
     "pfq",
     "kdf_margins",
     "kdf_series",
     "kdf_integral",
     "quad_de",
-    "check_hginterep",
     "gauss_2f1_unit_interval",
 ]
 
@@ -112,10 +112,6 @@ class KdFParams:
         for lst, nm in ((self.ap, "ap"), (self.bp, "bp"), (self.cp, "cp")):
             _no_poles(lst, nm)
 
-    def swapped(self) -> "KdFParams":
-        """Exchange the two variable blocks (the series is symmetric)."""
-        return KdFParams(self.a, self.ap, self.c, self.cp, self.b, self.bp)
-
 
 @dataclass(frozen=True)
 class ConvergenceMargins:
@@ -131,18 +127,6 @@ class SeriesResult:
     err_estimate: mpf
     terms_used: int
     method: str
-
-
-def pochhammer(a, n: int):
-    """Rising factorial (a)_n; exact when ``a`` is an int or Fraction."""
-    if n < 0:
-        raise ValueError("pochhammer index must be nonnegative")
-    if isinstance(a, (int, Fraction)):
-        r = Fraction(1)
-        for k in range(n):
-            r *= a + k
-        return int(r) if r.denominator == 1 else r
-    return mp.rf(mpmathify(a), n)
 
 
 # -- cached constants --------------------------------------------------------
@@ -511,8 +495,9 @@ def _eval_pfq(upper, lower, x, omx, eps):
     ((1 - x)^-a for 1F0 and 2F1(1, a; 2; x)), "gauss" (2F1 at 1),
     "zero-balanced" and "connection" (2F1 expansions in 1 - x), "f32-tail"
     (3F2(1, 1, a+1; 2, 2; x), at 1 the tail-free closed form), and
-    "accelerated" (the known-exponent fit) for other sums at 1.  ``bar`` is
-    the fit's measured bar on the "accelerated" branch and None on the others.
+    "accelerated" (``_extrapolate`` on the one-factor block) for other sums
+    at 1.  ``bar`` is the fit's measured bar on the "accelerated" branch and
+    None on the others.
     """
     # exact cancellation of repeated parameters
     up = list(upper)
@@ -546,7 +531,12 @@ def _eval_pfq(upper, lower, x, omx, eps):
         if pat is not None:
             am = _fr_mpf(pat)
             return (_psi(Fraction(1)) - _psi(1 - pat)) / am, 1, "f32-tail", None
-        return _accelerated_unit_sum(up, lo, eps)
+        # the partial sums at 1 are the anti-diagonal sums of the one-factor
+        # block at (1, 0), and their remainder families are that block's
+        block, zero = KdFParams([], [], up, lo, [], []), mpf(0)
+        val, err, _ = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, _FIT_D),
+                                   _kdf_families(block, x, zero), eps)
+        return +val, _FIT_D + 1, "accelerated", +err
     if abs(x) <= _NEAR_ONE_SWITCH:
         val, n = _pfq_direct(up, lo, x, eps)
         return val, n, "direct", None
@@ -590,32 +580,6 @@ def _match_f32_ones(up, lo):
     if 0 < a < 1:
         return a
     return None
-
-
-def _accelerated_unit_sum(up, lo, eps):
-    """The sum at x = 1 of a series with positive excess s, by ``_extrapolate``.
-
-    The terms are a ratio of gamma functions, n^-(s+1) times a series in
-    1/n, so the remainder after N terms has the one family N^-(s+j), j >= 0,
-    and no logs.  A nonpositive-integer upper parameter ends the series and
-    leaves no family.  The fit takes S_0..S_D at D = ``_FIT_D``; returns
-    (value, D + 1, "accelerated", bar) with the fit's bar.  The partial sums
-    are within 2^-prec (1 + |S_n|) of the exact ones: the n sums are within
-    n^2 G ulps, redone as in _pfq_direct, and each is rounded once to prec.
-    """
-    def partial_sums():
-        n, guard, need = _FIT_D + 1, 0, _PFQ_GUARD
-        while need > guard:
-            guard = need
-            wp = mp.prec + guard
-            terms, _, _, rise = zip(*islice(_fixed_terms(up, lo, 1 << wp, wp), n))
-            need = 2 * n.bit_length() + rise[-1]
-        sums = [+mp.ldexp(s, -wp) for s in accumulate(terms)]
-        return sums, mp.ldexp(1 + max(map(abs, sums)), -mp.prec)
-
-    part = _singular_part(up, lo)
-    val, err, _ = _extrapolate(partial_sums, () if part is None else ((part[0], 0, 1),), eps)
-    return +val, _FIT_D + 1, "accelerated", +err
 
 
 def gauss_2f1_unit_interval(a, b, c, x, omx, dps: int):
@@ -990,26 +954,3 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False, max_level: int = 10)
             f"quadrature did not converge to {tol} within {max_level} levels "
             f"(last refinement changed by {mp.nstr(change, 3)})"
         )
-
-
-def check_hginterep(params: PFQParams, z, prec: Precision) -> IdentityReport:
-    """Compare B(a1, a1'-a1) * pFq against its Euler-type integral.
-
-    The integral is ``kdf_integral`` on the block with joint pair (a1, a1'),
-    the inner parameters as its first variable and an empty second one,
-    taken at (z, 0).  Requires |z| <= 1 (``pfq``) and a1' > a1 > 0
-    (``kdf_integral``).
-    """
-    a1, a1p = params.upper[0], params.lower[0]
-    block = KdFParams([a1], [a1p], params.upper[1:], params.lower[1:], [], [])
-
-    def points():
-        with mp.workdps(prec.dps + 15):
-            zz = mpmathify(z) if not isinstance(z, Fraction) else _fr_mpf(z)
-            series = pfq(params, zz, prec).value
-            integral = kdf_integral(block, zz, 0, prec).value
-            beta = _gamma(a1) * _gamma(a1p - a1) / _gamma(a1p)
-            lhs, rhs = beta * series, beta * integral
-            yield lhs, rhs, abs(lhs - rhs)
-
-    return check("hginterep", ("direct", "integral"), prec.target_tol, points())

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +27,7 @@ from .reports import IdentityReport, check
 from .thetanum import Precision
 
 __all__ = [
-    "LValueRequest",
+    "LVALUE_METHODS",
     "IdentityReport",
     "l_mellin",
     "l_dirichlet",
@@ -60,28 +59,14 @@ _THEOREM_COMBOS = {
         ("L3c", Fraction(1, 27)), ("L3d", Fraction(-2, 27))],
 }
 
-_VALID_METHODS = {"mellin", "dirichlet", "alpha_integral", "rz_intermediate"}
-
-
-@dataclass(frozen=True)
-class LValueRequest:
-    """Which L-value to compute and how."""
-
-    n: int
-    prec: Precision
-    method: str = "mellin"
-
-    def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ValueError("n must be 1, 2 or 3")
-        if self.method not in _VALID_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "dirichlet" and self.n != 3:
-            raise ValueError("the Dirichlet sum is only absolutely convergent at s = 3")
-        if self.method == "alpha_integral" and self.n != 1:
-            raise ValueError("the alpha-substitution integral evaluates L(f, 1) only")
-        if self.method == "rz_intermediate" and self.n != 2:
-            raise ValueError("the intermediate weight-2 integral evaluates L(f, 2) only")
+# the methods of ``cubictheta lvalue``: each maps to the n it evaluates and
+# the usage message for any other n
+LVALUE_METHODS = {
+    "mellin": ((1, 2, 3), "n must be 1, 2 or 3"),
+    "dirichlet": ((3,), "the Dirichlet sum is only absolutely convergent at s = 3"),
+    "alpha_integral": ((1,), "the alpha-substitution integral evaluates L(f, 1) only"),
+    "rz_intermediate": ((2,), "the intermediate weight-2 integral evaluates L(f, 2) only"),
+}
 
 
 # -- Mellin route --------------------------------------------------------------
@@ -325,6 +310,8 @@ def _e0_value(q, tol) -> mpf:
 
     With Q = q^(1/3), terms beyond kr > K are bounded by
     2 * sum_{m>K} d(m) Q^m <= 2 * sum_{m>K} (m+1) Q^m, a geometric-type bound.
+    The terms with kr = m sum to chi(m) sigma(m)/m (Q^m - q^m), with sigma
+    from the divisor sieve ``qexp._divisor_sums``.
     """
     Q = q ** (mpf(1) / 3)
     K = 8
@@ -332,14 +319,12 @@ def _e0_value(q, tol) -> mpf:
         K += max(K // 8, 2)
         if K > 2_000_000:
             raise ArithmeticError("E0 truncation failed to meet its tolerance")
+    sig = qexp._divisor_sums(K)[0].tolist()
     total = mpf(0)
-    for k in range(1, K + 1):
-        for r in range(1, K // k + 1):
-            m = k * r
-            ch = qexp.chi3(m)
-            if ch == 0:
-                continue
-            total += mpf(ch) / k * (Q ** m - q ** m)
+    for m in range(1, K + 1):
+        ch = qexp.chi3(m)
+        if ch:
+            total += mpf(ch * sig[m]) / m * (Q ** m - q ** m)
     return total
 
 
@@ -353,8 +338,8 @@ _THIRDS_2F1 = tuple(PFQParams([e, 1], [e + 1]) for e in (_THIRD, 2 * _THIRD))
 _THIRDS_3F2 = tuple(PFQParams([1, 1, e + 1], [2, 2]) for e in (_THIRD, 2 * _THIRD))
 
 
-def _lemma_e0_pairs(prec: Precision, point):
-    for q in _LEMMA_Q_GRID if point is None else (point,):
+def _lemma_e0_pairs(prec: Precision):
+    for q in _LEMMA_Q_GRID:
         with mp.workdps(prec.dps + 15):
             qq = mpmathify(q)
             lhs = _e0_value(qq, prec.tol() / 8)
@@ -381,13 +366,13 @@ def _int3_integrand(x) -> mpf:
     return -mp.expm1(ell / 3) * mp.exp(-2 * ell / 3) / x
 
 
-def _int_pairs(which: int, prec: Precision, point):
+def _int_pairs(which: int, prec: Precision):
     """The three antiderivative identities at upper limits alpha.
 
     LHS is tanh-sinh quadrature after x -> alpha*t; RHS sums the stated
     hypergeometric closed forms by the plain recurrence.
     """
-    for alpha in _INT_ALPHA_GRID if point is None else (point,):
+    for alpha in _INT_ALPHA_GRID:
         with mp.workdps(prec.dps + 15):
             al = mpmathify(alpha)
             third = mpf(1) / 3
@@ -408,10 +393,9 @@ def _int_pairs(which: int, prec: Precision, point):
         yield lhs, rhs
 
 
-def _geom_pairs(prec: Precision, point):
-    xs = [mpf(k) / 10 for k in range(1, 10)] if point is None else (point,)
+def _geom_pairs(prec: Precision):
     for a in _GEOM_A_GRID:
-        for x in xs:
+        for x in [mpf(k) / 10 for k in range(1, 10)]:
             with mp.workdps(prec.dps + 10):
                 xx = mpmathify(x)
                 am = mpf(a.numerator) / a.denominator
@@ -420,25 +404,34 @@ def _geom_pairs(prec: Precision, point):
             yield lhs, rhs
 
 
-def _hginterep_pairs(prec: Precision, point):
-    z = mpmathify("0.5" if point is None else point)
+def _hginterep_pairs(prec: Precision):
+    """B(a1, a1'-a1) pFq at z = 1/2 against its Euler-type integral:
+    ``kdf_integral`` on the block with joint pair (a1, a1'), the inner
+    parameters as its first variable and an empty second one, at (z, 0)."""
+    z = mpmathify("0.5")
     for params in _THIRDS_2F1:
-        rep = hyper.check_hginterep(params, z, prec)
-        yield rep.lhs, rep.rhs
+        a1, a1p = params.upper[0], params.lower[0]
+        block = KdFParams([a1], [a1p], params.upper[1:], params.lower[1:], [], [])
+        with mp.workdps(prec.dps + 15):
+            series = hyper.pfq(params, z, prec).value
+            integral = hyper.kdf_integral(block, z, 0, prec).value
+            beta = hyper._gamma(a1) * hyper._gamma(a1p - a1) / hyper._gamma(a1p)
+            lhs, rhs = beta * series, beta * integral
+        yield lhs, rhs
 
 
-# name -> (methods, pairs(prec, point)): the pairs yield the (lhs, rhs) of
-# every point checked, and reach the evaluators through module attributes
-# when they run
+# name -> (methods, pairs(prec)): the pairs yield the (lhs, rhs) of every
+# point checked, and reach the evaluators through module attributes when
+# they run
 _CATALOG = {
-    "l1_alpha_integral": (("mellin", "alpha-integral"), lambda prec, _: [
+    "l1_alpha_integral": (("mellin", "alpha-integral"), lambda prec: [
         (l_mellin(1, prec).value, l1_alpha_integral(prec).value)]),
-    "l2_intermediate": (("mellin", "theta-integral"), lambda prec, _: [
+    "l2_intermediate": (("mellin", "theta-integral"), lambda prec: [
         (l_mellin(2, prec).value, l2_intermediate(prec).value)]),
     "lemma_E0": (("lambert-sum", "hypergeometric"), _lemma_e0_pairs),
-    "int1": (("integral", "direct-series"), lambda prec, point: _int_pairs(1, prec, point)),
-    "int2": (("integral", "direct-series"), lambda prec, point: _int_pairs(2, prec, point)),
-    "int3": (("integral", "direct-series"), lambda prec, point: _int_pairs(3, prec, point)),
+    "int1": (("integral", "direct-series"), lambda prec: _int_pairs(1, prec)),
+    "int2": (("integral", "direct-series"), lambda prec: _int_pairs(2, prec)),
+    "int3": (("integral", "direct-series"), lambda prec: _int_pairs(3, prec)),
     "geom": (("direct-series", "closed-form"), _geom_pairs),
     "hginterep": (("direct", "integral"), _hginterep_pairs),
 }
@@ -446,18 +439,18 @@ _CATALOG = {
 IDENTITY_NAMES = tuple(_CATALOG)
 
 
-def check_identity(name: str, prec: Precision, point=None) -> IdentityReport:
+def check_identity(name: str, prec: Precision) -> IdentityReport:
     """Verify one catalogued identity by its two designated routes.
 
     Sweeping identities (lemma_E0, int1-3, geom, hginterep) check their whole
-    default grid and report the worst point unless ``point`` pins one down.
+    grid and report the worst point.
     """
     if name not in _CATALOG:
         raise ValueError(f"unknown identity name {name!r}")
     methods, pairs = _CATALOG[name]
 
     def points():
-        for lhs, rhs in pairs(prec, point):
+        for lhs, rhs in pairs(prec):
             with mp.workdps(prec.dps + 10):
                 err = abs(lhs - rhs)
             yield lhs, rhs, err

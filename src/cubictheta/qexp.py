@@ -67,12 +67,6 @@ class QSeries:
         """Largest tracked grid exponent e."""
         return len(self.coeffs) - 1
 
-    def coefficient(self, e: int):
-        """Coefficient of q**(e/d); raises beyond the tracked order."""
-        if e < 0 or e > self.order:
-            raise ValueError(f"exponent index {e} outside tracked range")
-        return self.coeffs[e]
-
     def __repr__(self):
         head = ", ".join(
             f"q^({e}/{self.d})*{c}" for e, c in enumerate(self.coeffs[:4]) if c
@@ -116,9 +110,6 @@ class QSeries:
     def __sub__(self, other: "QSeries") -> "QSeries":
         a, b, n = self._unify(self, other)
         return QSeries(a.d, [a.coeffs[e] - b.coeffs[e] for e in range(n + 1)])
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.d, [-c for c in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, QSeries):

@@ -30,9 +30,13 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--suite", "theorem", "--tol", "-1"],
         ["verify", "--suite", "numeric", "--tol", "nan"],
         ["verify", "--suite", "theorem", "--tol", "inf"],
+        ["lvalue", "--n", "1", "--method", "dirichlet"],
         ["lvalue", "--n", "2", "--method", "dirichlet"],
         ["lvalue", "--n", "1", "--method", "rz_intermediate"],
+        ["lvalue", "--n", "3", "--method", "rz_intermediate"],
+        ["lvalue", "--n", "2", "--method", "alpha_integral"],
         ["lvalue", "--n", "4", "--method", "mellin"],
+        ["lvalue", "--n", "1", "--method", "euler"],
         ["qexp", "--series", "zeta", "--order", "5"],
         ["kdf", "--a", "1", "--ap", "2", "--b", "1", "--bp", "2",
          "--c", "x", "--cp", "1", "--x", "0", "--y", "0", "--route", "series"],
@@ -305,6 +309,7 @@ def test_theorem_check_reports_measured_series_gap(monkeypatch):
     reports = cli.theorem_suite_reports(40)
     assert len(reports) == 3
     for rep in reports:
+        assert rep.tol == 1e-10  # from 22 digits up the default tol is 1e-10
         assert not rep.passed
         assert mpf("0.99e-9") <= rep.abs_err <= mpf("1.01e-9")
     reports = cli.theorem_suite_reports(40, 1e-6)
@@ -312,6 +317,20 @@ def test_theorem_check_reports_measured_series_gap(monkeypatch):
     for rep in reports:
         assert rep.passed
         assert rep.abs_err < mpf("1e-12")
+
+
+@pytest.mark.parametrize("digits", [15, 16])
+def test_verify_all_passes_at_15_and_16_digits(digits, capsys, tmp_path):
+    # below 22 digits the default theorem tol is 10^-(digits-12), so that the
+    # routes' tol, at least 10^-(digits-10), stays at most tol/100; at a fixed
+    # 1e-10, lvalue_3 missed it at both digit counts
+    path = tmp_path / "report.json"
+    code, _, _ = run(["verify", "--suite", "all", "--digits", str(digits), "--json",
+                      str(path)], capsys)
+    checks = json.loads(path.read_text())["checks"]
+    assert code == 0 and all(c["pass"] for c in checks)
+    tols = [c["tol"] for c in checks if c["name"].startswith("lvalue_")]
+    assert tols == [repr(10.0 ** (12 - digits))] * 3
 
 
 def test_verify_exits_1_when_the_series_search_fails(monkeypatch, capsys):

@@ -8,11 +8,11 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import hyp2f1, mp, mpf
 
-from cubictheta import _accel, hyper, kernels
+from cubictheta import _accel, hyper, kernels, lvalue
 from cubictheta.hyper import KdFParams, PFQParams
 from cubictheta.lvalue import THEOREM_KDF_BLOCKS
 from cubictheta.thetanum import Precision
@@ -23,15 +23,25 @@ THIRD = Fraction(1, 3)
 MAIN_BLOCK = KdFParams([1], [2], [1, Fraction(4, 3)], [2], [THIRD, 2 * THIRD], [1])
 
 
-# -- pochhammer ---------------------------------------------------------------
+# -- pochhammer: the exact oracle of the term recurrence ----------------------
+
+
+def pochhammer(a, n: int):
+    """Rising factorial (a)_n of an int or Fraction, exactly."""
+    if n < 0:
+        raise ValueError("pochhammer index must be nonnegative")
+    r = Fraction(1)
+    for k in range(n):
+        r *= a + k
+    return int(r) if r.denominator == 1 else r
 
 
 def test_pochhammer_values():
-    assert hyper.pochhammer(Fraction(5, 7), 0) == 1
-    assert hyper.pochhammer(1, 5) == 120
-    assert hyper.pochhammer(THIRD, 2) == Fraction(4, 9)
+    assert pochhammer(Fraction(5, 7), 0) == 1
+    assert pochhammer(1, 5) == 120
+    assert pochhammer(THIRD, 2) == Fraction(4, 9)
     with pytest.raises(ValueError):
-        hyper.pochhammer(1, -1)
+        pochhammer(1, -1)
 
 
 @settings(max_examples=25)
@@ -56,11 +66,11 @@ def test_recurrence_matches_pochhammer_exactly(a, n):
         by_recurrence *= num * x / (k + 1)
         terms.append(by_recurrence)
     direct = (
-        hyper.pochhammer(upper[0], n)
-        * hyper.pochhammer(upper[1], n)
-        / hyper.pochhammer(lower[0], n)
+        pochhammer(upper[0], n)
+        * pochhammer(upper[1], n)
+        / pochhammer(lower[0], n)
         * x ** n
-        / hyper.pochhammer(Fraction(1), n)
+        / pochhammer(Fraction(1), n)
     )
     assert terms[n] == direct
 
@@ -137,17 +147,17 @@ class _Captured(Exception):
     pytest.param([1, 1, 1], [Fraction(-199, 2), 110], id="deep-dip"),
 ])
 def test_accelerated_unit_sum_partial_sums(monkeypatch, up, lo):
-    # the first 321 partial sums at x = 1 that go to the fit (D = 320) carry
-    # at most prec bits and are within 2^-prec (1 + |S_n|) of the mpf loop
-    # 256 bits higher
+    # the first 321 partial sums at x = 1 that go to the fit (D = 320), those
+    # of the one-factor block at (1, 0), carry at most prec bits and are
+    # within 2^-prec (1 + |S_n|) of the mpf loop 256 bits higher
     def spy(sums, *args, **kwargs):
         raise _Captured(sums)
 
     monkeypatch.setattr(_accel, "known_exponent_fit", spy)
     with mp.workdps(30):
         with pytest.raises(_Captured) as caught:
-            hyper._accelerated_unit_sum(tuple(map(Fraction, up)), tuple(map(Fraction, lo)),
-                                        mpf("1e-30"))
+            hyper._eval_pfq(tuple(map(Fraction, up)), tuple(map(Fraction, lo)), mpf(1), None,
+                            mpf("1e-30"))
         [got] = caught.value.args
         assert len(got) == hyper._FIT_D + 1
         prec = mp.prec
@@ -465,6 +475,14 @@ def test_zero_balanced_certified_tail(a, b, w):
 _small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 
 
+def _terminating_sum(up, lo, x):
+    """The exact value of a series that an upper parameter -m ends at n = m."""
+    m = min(-u for u in up if u.denominator == 1 and u <= 0)
+    return sum(math.prod(pochhammer(u, n) for u in up) * x ** n
+               / math.prod(pochhammer(l, n) for l in lo) / math.factorial(n)
+               for n in range(int(m) + 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(_small_rational, min_size=2, max_size=3),
@@ -473,10 +491,13 @@ _small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
     st.fractions(min_value=Fraction(-95, 100), max_value=Fraction(95, 100),
                  max_denominator=1000),
 )
+# 2F1(-1, -2; -1/2; 1/4) = 1 - 1 = 0, where mpmath's hyp2f1 fails to converge
+@example([Fraction(-1), Fraction(-2)], [Fraction(-1, 2), Fraction(1)], Fraction(1, 4))
 def test_pfq_direct_against_mpmath(up, lo, x):
-    # 2F1 or 3F2 with rational parameters against mpmath at 120 digits: the
-    # stopping rule leaves a tail below eps, the fixed-point sum adds at most
-    # 2^-prec (1 + |value|)
+    # 2F1 or 3F2 with rational parameters against mpmath at 120 digits, or
+    # against the exact sum when a nonpositive-integer upper parameter ends
+    # the series: the stopping rule leaves a tail below eps, the fixed-point
+    # sum adds at most 2^-prec (1 + |value|)
     from mpmath import hyp3f2
 
     lo = lo[:len(up) - 1]
@@ -485,7 +506,10 @@ def test_pfq_direct_against_mpmath(up, lo, x):
         got, _ = hyper._pfq_direct(up, lo, xx, eps)
         bound = eps + mp.ldexp(1 + abs(got), -mp.prec)
         with mp.workdps(120):
-            if len(up) == 2:
+            if any(u.denominator == 1 and u <= 0 for u in up):
+                exact = _terminating_sum(up, lo, x)
+                want = mpf(exact.numerator) / exact.denominator
+            elif len(up) == 2:
                 want = hyp2f1(*_mpf_params(up), *_mpf_params(lo), xx)
             else:
                 want = hyp3f2(*_mpf_params(up), *_mpf_params(lo), xx)
@@ -541,7 +565,8 @@ def test_kdf_empty_second_block():
 def test_kdf_symmetry_swap():
     with mp.workdps(50):
         a = hyper.kdf_series(MAIN_BLOCK, Fraction(1, 3), Fraction(2, 3), PREC)
-        b = hyper.kdf_series(MAIN_BLOCK.swapped(), Fraction(2, 3), Fraction(1, 3), PREC)
+        swapped = KdFParams([1], [2], [THIRD, 2 * THIRD], [1], [1, Fraction(4, 3)], [2])
+        b = hyper.kdf_series(swapped, Fraction(2, 3), Fraction(1, 3), PREC)
         assert abs(a.value - b.value) < mpf("1e-28")
 
 
@@ -1069,24 +1094,23 @@ def test_quad_de_rejects_nonintegrable():
 
 
 def test_hginterep_reduces_to_beta_at_zero():
-    rep = hyper.check_hginterep(
-        PFQParams([THIRD, 1], [Fraction(4, 3)]), 0, Precision(40, 1e-12)
-    )
-    assert rep.passed
+    # at z = 0 the Euler integral of 2F1(1/3, 1; 4/3; z), times
+    # B(1/3, 4/3 - 1/3), is that beta value
+    block = KdFParams([THIRD], [Fraction(4, 3)], [1], [], [], [])
+    res = hyper.kdf_integral(block, 0, 0, Precision(40, 1e-12))
     with mp.workdps(50):
         want = mp.beta(mpf(1) / 3, 1)
-        assert abs(rep.lhs - want) < mpf("1e-12")
+        assert abs(want * res.value - want) < mpf("1e-12")
 
 
 def test_hginterep_both_parameter_sets():
-    for params in (
-        PFQParams([THIRD, 1], [Fraction(4, 3)]),
-        PFQParams([2 * THIRD, 1], [Fraction(5, 3)]),
-    ):
-        rep = hyper.check_hginterep(params, mpf("0.5"), Precision(40, 1e-12))
-        assert rep.passed, rep.abs_err
+    # the catalog entry sweeps 2F1(e, 1; e + 1; 1/2) for e = 1/3 and 2/3
+    rep = lvalue.check_identity("hginterep", Precision(40, 1e-12))
+    assert rep.passed, rep.abs_err
 
 
 def test_hginterep_precondition():
+    # the joint pair (a1, a1') = (2, 4/3) breaks a1' > a1 > 0
+    block = KdFParams([2], [Fraction(4, 3)], [1], [], [], [])
     with pytest.raises(ValueError):
-        hyper.check_hginterep(PFQParams([2, 1], [Fraction(4, 3)]), 0.5, PREC)
+        hyper.kdf_integral(block, Fraction(1, 2), 0, PREC)

@@ -1,4 +1,4 @@
-"""L-value routes: request validation, Dirichlet tails, route cross-checks,
+"""L-value routes: the method table, Dirichlet tails, route cross-checks,
 and the identity catalog at its stated tolerance."""
 
 import math
@@ -15,20 +15,21 @@ PREC = Precision(40, 1e-12)
 
 
 def test_request_validation():
-    lvalue.LValueRequest(3, PREC, "dirichlet")
-    lvalue.LValueRequest(1, PREC, "alpha_integral")
-    lvalue.LValueRequest(2, PREC, "rz_intermediate")
+    # The method table holds the n each route evaluates; the CLI rejects the rest.
+    def accepts(n, method):
+        return method in lvalue.LVALUE_METHODS and n in lvalue.LVALUE_METHODS[method][0]
+
+    assert accepts(3, "dirichlet")
+    assert accepts(1, "alpha_integral")
+    assert accepts(2, "rz_intermediate")
+    assert all(accepts(n, "mellin") for n in (1, 2, 3))
     for n in (1, 2):
-        with pytest.raises(ValueError):
-            lvalue.LValueRequest(n, PREC, "dirichlet")
-    with pytest.raises(ValueError):
-        lvalue.LValueRequest(2, PREC, "alpha_integral")
-    with pytest.raises(ValueError):
-        lvalue.LValueRequest(3, PREC, "rz_intermediate")
-    with pytest.raises(ValueError):
-        lvalue.LValueRequest(4, PREC, "mellin")
-    with pytest.raises(ValueError):
-        lvalue.LValueRequest(1, PREC, "euler")
+        assert not accepts(n, "dirichlet")
+    assert not accepts(2, "alpha_integral")
+    assert not accepts(3, "rz_intermediate")
+    assert not accepts(4, "mellin")
+    assert not accepts(1, "euler")
+    assert all(msg for _, msg in lvalue.LVALUE_METHODS.values())
 
 
 def test_theorem_blocks_margins_positive():
@@ -310,13 +311,7 @@ def test_check_identity_unknown_name():
         lvalue.check_identity("int4", PREC)
 
 
-def test_check_identity_point_override():
-    rep = lvalue.check_identity("int1", PREC, point="0.5")
-    assert rep.passed
-    assert rep.abs_err < mpf("1e-12")
-
-
-@pytest.mark.parametrize("name", ["geom", "int2", "lemma_E0"])
+@pytest.mark.parametrize("name", ["geom", "int1", "int2", "lemma_E0"])
 def test_check_identity_catalog_smoke(name):
     rep = lvalue.check_identity(name, PREC)
     assert rep.passed, (name, rep.abs_err)

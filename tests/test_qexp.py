@@ -141,13 +141,6 @@ def test_q_differentiate_examples():
     assert mix.q_differentiate().coeffs == [0, Fraction(1, 3), 0, -1]
 
 
-def test_coefficient_access_guard():
-    s = QSeries(1, [1, 2])
-    assert s.coefficient(1) == 2
-    with pytest.raises(ValueError):
-        s.coefficient(2)
-
-
 def test_immutability():
     s = QSeries(1, [1])
     with pytest.raises(AttributeError):

@@ -78,7 +78,7 @@ _EXACT_CHECKS = (
 )
 
 
-def exact_suite_reports(order: int = 500):
+def exact_suite_reports(order: int):
     """Coefficientwise identity checks to q-order ``order`` on the cube-root grid.
 
     The shared series are built inside the first check, so its time includes them.
@@ -113,13 +113,13 @@ def _sides(name: str, methods: tuple, tol, digits: int, pairs) -> IdentityReport
         return check(name, methods, tol, ((lhs, rhs, abs(lhs - rhs)) for lhs, rhs in pairs))
 
 
-def hauptmodul_report(digits: int, tol: float = 1e-20) -> IdentityReport:
+def hauptmodul_report(digits: int, tol: float) -> IdentityReport:
     prec = Precision(digits, tol)
     return _distances("hauptmodul", ("theta", "gauss-2f1"), tol, digits, (
         abs(thetanum.residual_hauptmodul(q, prec)) for q in _HAUPTMODUL_GRID))
 
 
-def involution_report(digits: int, tol: float = 1e-20) -> IdentityReport:
+def involution_report(digits: int, tol: float) -> IdentityReport:
     """b(e^{-2 pi u}) vs c(e^{-2 pi/(3u)})/(sqrt(3) u), and a(e^{-2 pi u}) vs
     a(e^{-2 pi/(3u)})/(sqrt(3) u), all sides summed directly."""
 
@@ -137,7 +137,7 @@ def involution_report(digits: int, tol: float = 1e-20) -> IdentityReport:
     return _sides("involution", ("direct", "direct"), tol, digits, pairs())
 
 
-def differential_report(digits: int, tol: float = 1e-12) -> IdentityReport:
+def differential_report(digits: int, tol: float) -> IdentityReport:
     prec = Precision(digits, tol)
 
     def errs():
@@ -220,7 +220,7 @@ def quad_closed_forms_report(digits: int) -> IdentityReport:
                   pairs())
 
 
-def kdf_routes_report(digits: int, tol: float = 1e-15) -> IdentityReport:
+def kdf_routes_report(digits: int, tol: float) -> IdentityReport:
     """kdf_series vs kdf_integral at (1/2, 1/2) for every Theorem block, both
     asked for tol/100 or better as far as the digit budget allows."""
     prec = Precision(digits, max(min(10.0 ** (-(digits - 15)), tol / 100),
@@ -248,9 +248,9 @@ def _floor_tol(digits: int, target: float) -> float:
     return max(target, 10.0 ** (-(digits - 12)))
 
 
-def numeric_suite_reports(digits: int = 40, tol: float | None = None):
-    if tol is not None:
-        tol = max(tol, 10.0 ** (-(digits - 10)))
+def numeric_suite_reports(digits: int, tol: float | None = None):
+    """The numeric checks; ``tol``, when given, sets the 15 checks that take
+    one, and ``Precision(digits, tol)`` must accept it."""
     reports = [
         hauptmodul_report(digits, tol or _floor_tol(digits, 1e-20)),
         involution_report(digits, tol or _floor_tol(digits, 1e-20)),
@@ -271,7 +271,7 @@ def numeric_suite_reports(digits: int = 40, tol: float | None = None):
 # -- theorem suite -----------------------------------------------------------------
 
 
-def theorem_suite_reports(digits: int = 40, tol: float | None = None):
+def theorem_suite_reports(digits: int, tol: float | None = None):
     if tol is None:
         tol = _floor_tol(digits, 1e-10)
     inner = max(min(tol * 1e-2, 1e-12), 10.0 ** (-(digits - 10)))
@@ -333,14 +333,14 @@ def render_report_json(report: dict) -> str:
     return json.dumps(report, indent=2) + "\n"
 
 
-def _print_table(reports, out=sys.stdout):
+def _print_table(reports):
     width = max(len(r.name) for r in reports) + 2
     for r in reports:
         status = "pass" if r.passed else "FAIL"
         err = _fmt(r.abs_err, 3)
         tol = _fmt(r.tol, 3)
         print(f"{r.name:<{width}} {status}  abs_err={err}  tol={tol}  "
-              f"[{r.methods[0]} vs {r.methods[1]}]  {r.seconds:.2f}s", file=out)
+              f"[{r.methods[0]} vs {r.methods[1]}]  {r.seconds:.2f}s")
 
 
 # -- subcommands ---------------------------------------------------------------------
@@ -349,8 +349,13 @@ def _print_table(reports, out=sys.stdout):
 def cmd_verify(args, parser) -> int:
     if args.digits < 15:
         parser.error("--digits must be at least 15")
-    if args.tol is not None and not 0 < args.tol < math.inf:
-        parser.error("--tol must be positive and finite")
+    if args.tol is not None:
+        if not 0 < args.tol < math.inf:
+            parser.error("--tol must be positive and finite")
+        try:
+            Precision(args.digits, args.tol)
+        except ValueError as exc:
+            parser.error(f"--digits {args.digits} cannot certify --tol {args.tol}: {exc}")
     if args.order < 1:
         parser.error("--order must be at least 1")
     t0 = time.perf_counter()
@@ -490,6 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run a verification suite")
+    p.set_defaults(handler=cmd_verify, subparser=p)
     p.add_argument("--suite", choices=("all", "exact", "numeric", "theorem"),
                    default="all")
     p.add_argument("--order", type=int, default=500,
@@ -502,6 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", type=str, default=None, metavar="PATH")
 
     p = sub.add_parser("lvalue", help="compute one L-value")
+    p.set_defaults(handler=cmd_lvalue, subparser=p)
     p.add_argument("--n", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--method", required=True, choices=tuple(lvalue.LVALUE_METHODS))
     p.add_argument("--N", type=int, default=1_000_000,
@@ -509,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=40)
 
     p = sub.add_parser("kdf", help="evaluate a Kampe de Feriet double series")
+    p.set_defaults(handler=cmd_kdf, subparser=p)
     for flag in ("--a", "--ap", "--b", "--bp", "--c", "--cp"):
         p.add_argument(flag, required=True,
                        help="comma-separated rationals, e.g. '1,4/3'")
@@ -518,6 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=40)
 
     p = sub.add_parser("qexp", help="dump an exact series")
+    p.set_defaults(handler=cmd_qexp, subparser=p)
     p.add_argument("--series", required=True,
                    help="a, b, c, f, bc3, c_cubed, E0, or eta:<delta^r,...>")
     p.add_argument("--order", type=int, required=True)
@@ -526,15 +535,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    if args.command == "lvalue":
-        return cmd_lvalue(args, parser)
-    if args.command == "kdf":
-        return cmd_kdf(args, parser)
-    return cmd_qexp(args, parser)
+    args = build_parser().parse_args(argv)
+    # each subcommand reports usage errors through its own subparser
+    return args.handler(args, args.subparser)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,10 @@ coefficients c_n 2^wp from a table cached per (parameters, wp)
 (``_coeff_table``, a bounded lru), filled lazily from that recurrence at
 x = 1, and sums them by Horner's rule at x, so all the nodes of a quadrature
 share one table; its stop index is read off the table's log2 magnitudes.
-Near the unit argument the evaluators switch to connection/log expansions in
+The real-argument dispatch (``_eval_pfq``) checks the scope before any
+branch: more than q + 1 upper parameters, |x| > 1 and a series that diverges
+at x = 1 (nonpositive excess, 1F0 included) raise ValueError.  Near the unit
+argument the evaluators switch to connection/log expansions in
 1 - x, whose tails are certified as well; callers that know 1 - x to better
 accuracy than x can pass it explicitly.  At the unit argument itself, the
 boundary Kampe de Feriet values are limits of their S_d, whose remainder has
@@ -129,32 +132,28 @@ class SeriesResult:
     method: str
 
 
-# -- cached constants --------------------------------------------------------
+# -- constants and conversions -------------------------------------------------
 
-_GAMMA_CACHE: dict = {}
-_PSI_CACHE: dict = {}
+
+def _to_mpf(v) -> mpf:
+    """An exact Fraction, or any number mpmath reads, as an mpf at the working
+    precision."""
+    return mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else mpmathify(v)
+
+
+@lru_cache(maxsize=None)
+def _special(kind: str, fr: Fraction, prec: int) -> mpf:
+    """gamma or psi at an exact rational, computed once per working
+    precision ``prec`` (bits)."""
+    return mp.gamma(_to_mpf(fr)) if kind == "gamma" else mp.psi(0, _to_mpf(fr))
 
 
 def _gamma(fr: Fraction) -> mpf:
-    key = (fr, mp.prec)
-    v = _GAMMA_CACHE.get(key)
-    if v is None:
-        v = mp.gamma(mpf(fr.numerator) / fr.denominator)
-        _GAMMA_CACHE[key] = v
-    return v
+    return _special("gamma", fr, mp.prec)
 
 
 def _psi(fr: Fraction) -> mpf:
-    key = (fr, mp.prec)
-    v = _PSI_CACHE.get(key)
-    if v is None:
-        v = mp.psi(0, mpf(fr.numerator) / fr.denominator)
-        _PSI_CACHE[key] = v
-    return v
-
-
-def _fr_mpf(fr: Fraction) -> mpf:
-    return mpf(fr.numerator) / fr.denominator
+    return _special("psi", fr, mp.prec)
 
 
 # -- term recurrence, in fixed point ------------------------------------------
@@ -435,7 +434,7 @@ def _hyp2f1_zero_balanced(a: Fraction, b: Fraction, x, omx, eps):
     while True:
         logs = _log_table(a, b, mp.prec + guard)
         table = logs.coeffs
-        N = _stop_index(table, omx, eps / (2 * abs(pref) * (abs(kw) + _fr_mpf(logs.h_tail))))
+        N = _stop_index(table, omx, eps / (2 * abs(pref) * (abs(kw) + _to_mpf(logs.h_tail))))
         logs.fill(N)
         need = 2 * (N + 1).bit_length() + table.bits[N] + logs.bits[N]
         if need <= guard:
@@ -448,14 +447,20 @@ def _hyp2f1_zero_balanced(a: Fraction, b: Fraction, x, omx, eps):
     return pref * (kw * s0 + s1), N + 1
 
 
+def _gauss_summation(a: Fraction, b: Fraction, c: Fraction):
+    """2F1(a, b; c; 1) for positive excess, by the gamma-ratio formula."""
+    return _gamma(c) * _gamma(c - a - b) / (_gamma(c - a) * _gamma(c - b))
+
+
 def _hyp2f1_connection(a: Fraction, b: Fraction, c: Fraction, x, omx, eps):
-    """2F1 for non-integer c-a-b via the two-series expansion in 1 - x."""
+    """2F1 for non-integer c-a-b via the two-series expansion in 1 - x, whose
+    coefficients are the Gauss sums of (a, b; c) and (c-a, c-b; c)."""
     e = c - a - b
-    g1 = _gamma(c) * _gamma(e) / (_gamma(c - a) * _gamma(c - b))
-    g2 = _gamma(c) * _gamma(-e) / (_gamma(a) * _gamma(b))
+    g1 = _gauss_summation(a, b, c)
+    g2 = _gauss_summation(c - a, c - b, c)
     f1, n1 = _pfq_direct((a, b), (a + b - c + 1,), omx, eps)
     f2, n2 = _pfq_direct((c - a, c - b), (1 - a - b + c,), omx, eps)
-    return g1 * f1 + omx ** _fr_mpf(e) * g2 * f2, n1 + n2
+    return g1 * f1 + omx ** _to_mpf(e) * g2 * f2, n1 + n2
 
 
 def _f32_ones_tail(a: Fraction, x, omx, eps):
@@ -467,19 +472,12 @@ def _f32_ones_tail(a: Fraction, x, omx, eps):
             = w^(1-a)/(1-a) 2F1(1, 1-a; 2-a; w) + log(1 - w),
     the 2F1 summed by ``_pfq_direct`` with its certified tail.
     """
-    am = _fr_mpf(a)
+    am = _to_mpf(a)
     cconst = _psi(Fraction(1)) - _psi(1 - a)
     w = omx
     f21, n = _pfq_direct((Fraction(1), 1 - a), (2 - a,), w, eps)
     tail = w ** (1 - am) / (1 - am) * f21 + mp.log1p(-w)
     return (cconst - tail) / (am * x), n
-
-
-def _gauss_summation(a: Fraction, b: Fraction, c: Fraction):
-    """2F1(a, b; c; 1) for positive excess, by the gamma-ratio formula."""
-    return (
-        _gamma(c) * _gamma(c - a - b) / (_gamma(c - a) * _gamma(c - b))
-    )
 
 
 _NEAR_ONE_SWITCH = mpf("0.5")
@@ -489,15 +487,20 @@ _DIRECT_LIMIT = mpf("0.95")
 def _eval_pfq(upper, lower, x, omx, eps):
     """Full real-argument dispatch; returns (value, terms, method, bar).
 
-    ``upper``/``lower`` are Fraction tuples, ``x`` an mpf in [-1, 1],
-    ``omx`` the complement 1 - x (may be None off the boundary region).
-    ``method`` names the branch: "direct" (``_pfq_direct``), "binomial"
-    ((1 - x)^-a for 1F0 and 2F1(1, a; 2; x)), "gauss" (2F1 at 1),
-    "zero-balanced" and "connection" (2F1 expansions in 1 - x), "f32-tail"
-    (3F2(1, 1, a+1; 2, 2; x), at 1 the tail-free closed form), and
+    ``upper``/``lower`` are Fraction tuples, ``x`` an mpf, ``omx`` the
+    complement 1 - x, or None to form it from x.  Repeated parameters cancel
+    first; then the scope is checked before any branch: ValueError for
+    p > q + 1 upper parameters, for |x| > 1, and for x = 1 (with omx <= 0)
+    when p = q + 1 and the excess sum(lower) - sum(upper) is nonpositive, 1F0
+    included.  ``method`` names the branch: "direct" (``_pfq_direct``, taken
+    for p <= q, for |x| <= 1/2, and as the fallback up to |x| = 0.95),
+    "binomial" ((1 - x)^-a for 1F0 and 2F1(1, a; 2; x)), "gauss" (2F1 at 1),
+    "zero-balanced" and "connection" (2F1 expansions in 1 - x for x > 1/2),
+    "f32-tail" (3F2(1, 1, a+1; 2, 2; x), at 1 the tail-free closed form), and
     "accelerated" (``_extrapolate`` on the one-factor block) for other sums
-    at 1.  ``bar`` is the fit's measured bar on the "accelerated" branch and
-    None on the others.
+    at 1.  A p = q + 1 series at |x| > 0.95 that no branch covers raises
+    ArithmeticError.  ``bar`` is the fit's measured bar on the "accelerated"
+    branch and None on the others.
     """
     # exact cancellation of repeated parameters
     up = list(upper)
@@ -507,45 +510,37 @@ def _eval_pfq(upper, lower, x, omx, eps):
             up.remove(v)
             lo.remove(v)
     p, q = len(up), len(lo)
+    if omx is None:
+        omx = 1 - x
+    at_one = x == 1 and omx <= 0
     if p > q + 1:
         raise ValueError("series diverges: too many upper parameters")
     if abs(x) > 1:
         raise ValueError("arguments beyond |x| = 1 are out of scope")
+    if at_one and p == q + 1 and sum(lo, Fraction(0)) <= sum(up, Fraction(0)):
+        raise ValueError("series diverges at x = 1 (nonpositive excess)")
     if x == 0:
         return mpf(1), 1, "direct", None
     if p == 1 and q == 0:
-        if omx is None:
-            omx = 1 - x
-        return omx ** (-_fr_mpf(up[0])), 1, "binomial", None
-    if p <= q:
-        val, n = _pfq_direct(up, lo, x, eps)
-        return val, n, "direct", None
-    # now p == q + 1
-    if x == 1 and (omx is None or omx <= 0):
-        excess = sum(lo, Fraction(0)) - sum(up, Fraction(0))
-        if excess <= 0:
-            raise ValueError("series diverges at x = 1 (nonpositive excess)")
+        return omx ** (-_to_mpf(up[0])), 1, "binomial", None
+    if p <= q or abs(x) <= _NEAR_ONE_SWITCH:
+        return *_pfq_direct(up, lo, x, eps), "direct", None
+    # now p == q + 1 and 1/2 < |x| <= 1
+    if at_one:
         if p == 2:
             return _gauss_summation(up[0], up[1], lo[0]), 1, "gauss", None
-        pat = _match_f32_ones(up, lo)
-        if pat is not None:
-            am = _fr_mpf(pat)
-            return (_psi(Fraction(1)) - _psi(1 - pat)) / am, 1, "f32-tail", None
+        if (a := _match_f32_ones(up, lo)) is not None:
+            return (_psi(Fraction(1)) - _psi(1 - a)) / _to_mpf(a), 1, "f32-tail", None
         # the partial sums at 1 are the anti-diagonal sums of the one-factor
         # block at (1, 0), and their remainder families are that block's
         block, zero = KdFParams([], [], up, lo, [], []), mpf(0)
         val, err, _ = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, _FIT_D),
                                    _kdf_families(block, x, zero), eps)
         return +val, _FIT_D + 1, "accelerated", +err
-    if abs(x) <= _NEAR_ONE_SWITCH:
-        val, n = _pfq_direct(up, lo, x, eps)
-        return val, n, "direct", None
-    if omx is None:
-        omx = 1 - x
     if p == 2 and lo[0] == 2 and Fraction(1) in up and up[0] != up[1]:
         # binomial closed form, valid on the whole interval [-1, 1)
         other = up[1] if up[0] == 1 else up[0]
-        am = _fr_mpf(other - 1)
+        am = _to_mpf(other - 1)
         return (omx ** (-am) - 1) / (am * x), 1, "binomial", None
     if x > 0:
         # the expansions below run in powers of 1 - x and need x near 1
@@ -553,18 +548,13 @@ def _eval_pfq(upper, lower, x, omx, eps):
             a, b = up
             c = lo[0]
             if c - a - b == 0:
-                val, n = _hyp2f1_zero_balanced(a, b, x, omx, eps)
-                return val, n, "zero-balanced", None
+                return *_hyp2f1_zero_balanced(a, b, x, omx, eps), "zero-balanced", None
             if (c - a - b).denominator != 1:
-                val, n = _hyp2f1_connection(a, b, c, x, omx, eps)
-                return val, n, "connection", None
-        pat = _match_f32_ones(up, lo)
-        if pat is not None:
-            val, n = _f32_ones_tail(pat, x, omx, eps)
-            return val, n, "f32-tail", None
+                return *_hyp2f1_connection(a, b, c, x, omx, eps), "connection", None
+        elif (a := _match_f32_ones(up, lo)) is not None:
+            return *_f32_ones_tail(a, x, omx, eps), "f32-tail", None
     if abs(x) <= _DIRECT_LIMIT:
-        val, n = _pfq_direct(up, lo, x, eps)
-        return val, n, "direct", None
+        return *_pfq_direct(up, lo, x, eps), "direct", None
     raise ArithmeticError(
         f"no fast evaluation path for {up}/{lo} at x={x}; argument too close to 1"
     )
@@ -582,28 +572,32 @@ def _match_f32_ones(up, lo):
     return None
 
 
-def gauss_2f1_unit_interval(a, b, c, x, omx, dps: int):
-    """2F1(a, b; c; x) for x in (0, 1) given the complement 1 - x explicitly."""
+def gauss_2f1_unit_interval(a, b, c, x, omx):
+    """2F1(a, b; c; x) for x in (0, 1) given the complement 1 - x explicitly.
+
+    Works at the caller's precision: x and omx are read at mp.dps digits and
+    the tails are certified to 10^(5 - mp.dps).
+    """
     if any(isinstance(v, (float, mpf)) for v in (a, b, c)):
         raise TypeError("parameters must be exact rationals")
-    fr = (Fraction(a), Fraction(b), Fraction(c))
-    with mp.workdps(dps + 10):
-        eps = mpf(10) ** (-dps - 5)
-        return _eval_pfq((fr[0], fr[1]), (fr[2],), mpmathify(x), mpmathify(omx), eps)[0]
+    eps = mpf(10) ** (5 - mp.dps)
+    return _eval_pfq((Fraction(a), Fraction(b)), (Fraction(c),), mpmathify(x),
+                     mpmathify(omx), eps)[0]
 
 
 def pfq(params: PFQParams, x, prec: Precision, x_complement=None) -> SeriesResult:
     """Evaluate the generalized hypergeometric series at a real argument.
 
-    |x| < 1, or x = 1 with positive parameter excess.  ``x_complement`` may
-    supply 1 - x to full accuracy when x is close to 1.  The "accelerated"
-    branch reports the fit's measured bar; the others report tol.
+    |x| < 1, or x = 1 with positive parameter excess; any other input,
+    1F0 at 1 included, raises ValueError (``_eval_pfq``).  ``x_complement``
+    may supply 1 - x to full accuracy when x is close to 1.  The
+    "accelerated" branch reports the fit's measured bar; the others report
+    tol.
     """
     with mp.workdps(prec.dps + 10):
-        xx = mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mpmathify(x)
-        omx = mpmathify(x_complement) if x_complement is not None else None
-        eps = prec.tol() / 10
-        val, terms, method, bar = _eval_pfq(params.upper, params.lower, xx, omx, eps)
+        omx = None if x_complement is None else _to_mpf(x_complement)
+        val, terms, method, bar = _eval_pfq(params.upper, params.lower, _to_mpf(x), omx,
+                                            prec.tol() / 10)
         return SeriesResult(val, prec.tol() if bar is None else bar, terms, method)
 
 
@@ -788,8 +782,7 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     points raises ArithmeticError.
     """
     with mp.workdps(prec.dps + 15):
-        xx = mpmathify(x) if not isinstance(x, Fraction) else _fr_mpf(x)
-        yy = mpmathify(y) if not isinstance(y, Fraction) else _fr_mpf(y)
+        xx, yy = _to_mpf(x), _to_mpf(y)
         if abs(xx) > 1 or abs(yy) > 1:
             raise ValueError("arguments beyond the closed unit bidisc are out of scope")
         boundary = abs(xx) == 1 or abs(yy) == 1
@@ -806,7 +799,7 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
             return SeriesResult(+val, +err, (_FIT_D + 1) * (_FIT_D + 2) // 2, "accelerated")
         rho = (1 + max(abs(xx), abs(yy))) / 2
         tol = prec.tol() / 4
-        need = int(float(mp.log(tol) / mp.log(rho))) + 40 if rho > 0 else 24
+        need = int(float(mp.log(tol) / mp.log(rho))) + 40
         D = max(48, min(need, 20_000))
         while True:
             sums, rounding = _kdf_partial_sums(params, xx, yy, D)
@@ -834,11 +827,10 @@ def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     if not (ap > a > 0):
         raise ValueError("integral representation needs ap > a > 0")
     with mp.workdps(prec.dps + 15):
-        xx = mpmathify(x) if not isinstance(x, Fraction) else _fr_mpf(x)
-        yy = mpmathify(y) if not isinstance(y, Fraction) else _fr_mpf(y)
+        xx, yy = _to_mpf(x), _to_mpf(y)
         pref = _gamma(ap) / (_gamma(a) * _gamma(ap - a))
-        am = _fr_mpf(a)
-        dm = _fr_mpf(ap - a)
+        am = _to_mpf(a)
+        dm = _to_mpf(ap - a)
         eps = prec.tol() / 100
         bu, bl = params.b, params.bp
         cu, cl = params.c, params.cp
@@ -858,6 +850,8 @@ def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
 # -- double-exponential quadrature --------------------------------------------
 
 _NODE_CACHE: dict = {}
+# the deepest level quad_de refines to, step 2^-_QUAD_MAX_LEVEL
+_QUAD_MAX_LEVEL = 10
 
 
 def _de_nodes(level: int, wexp: int):
@@ -900,13 +894,14 @@ def _de_nodes(level: int, wexp: int):
     return center, pos, neg
 
 
-def quad_de(f, tol, prec: Precision, two_arg: bool = False, max_level: int = 10) -> SeriesResult:
+def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
     """Tanh-sinh quadrature of f over (0, 1).
 
-    The step is halved until two successive levels differ by at most ``tol``;
-    the last difference is the error estimate.  Integrable endpoint
-    singularities of algebraic-logarithmic type are fine.  With
-    ``two_arg=True`` the integrand is called as f(t, 1-t).
+    The step is halved, down to 2^-``_QUAD_MAX_LEVEL``, until two successive
+    levels differ by at most ``tol``; the last difference is the error
+    estimate, and a run that reaches no such pair raises ArithmeticError.
+    Integrable endpoint singularities of algebraic-logarithmic type are fine.
+    With ``two_arg=True`` the integrand is called as f(t, 1-t).
     """
     with mp.workdps(prec.dps + 15):
         tol = mpmathify(tol)
@@ -925,7 +920,7 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False, max_level: int = 10)
         vals = mpf(0)
         prev = mp.inf
         neval = 0
-        for lev in range(max_level + 1):
+        for lev in range(_QUAD_MAX_LEVEL + 1):
             h = mpf(1) / 2 ** lev
             center, pos, neg = _de_nodes(lev, wexp)
             new = mpf(0)
@@ -951,6 +946,6 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False, max_level: int = 10)
                 return SeriesResult(+total, +change, neval, "integral")
             prev = total
         raise ArithmeticError(
-            f"quadrature did not converge to {tol} within {max_level} levels "
+            f"quadrature did not converge to {tol} within {_QUAD_MAX_LEVEL} levels "
             f"(last refinement changed by {mp.nstr(change, 3)})"
         )

@@ -270,9 +270,7 @@ def l1_alpha_integral(prec: Precision) -> SeriesResult:
         third = mpf(1) / 3
 
         def integrand(t, omt):
-            f6 = hyper.gauss_2f1_unit_interval(
-                Fraction(1, 3), Fraction(2, 3), Fraction(1), t, omt, mp.dps - 10
-            )
+            f6 = hyper.gauss_2f1_unit_interval(Fraction(1, 3), Fraction(2, 3), Fraction(1), t, omt)
             return (omt ** (-third) - 1) / t * f6
 
         quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)

@@ -246,7 +246,7 @@ def theta_series(kind: str, n: int) -> QSeries:
 # -- eta quotients ----------------------------------------------------------
 
 
-def _euler_coeffs(n: int, step: int = 1) -> list:
+def _euler_coeffs(n: int, step: int) -> list:
     """Pentagonal-number expansion of prod_{m>=1} (1 - q**(step*m)) to order n."""
     co = [0] * (n + 1)
     co[0] = 1
@@ -265,7 +265,7 @@ def _euler_coeffs(n: int, step: int = 1) -> list:
     return co
 
 
-def _jacobi_cube_coeffs(n: int, step: int = 1) -> list:
+def _jacobi_cube_coeffs(n: int, step: int) -> list:
     """Jacobi's identity prod_{m>=1} (1 - q**(step*m))**3 =
     sum_{k>=0} (-1)**k (2k+1) q**(step*k(k+1)/2), to order n."""
     co = [0] * (n + 1)

@@ -43,8 +43,8 @@ class Precision:
     """Working precision contract: ``working_digits`` decimal digits carried,
     ``target_tol`` the absolute error the caller wants certified."""
 
-    working_digits: int = 40
-    target_tol: float = 1e-10
+    working_digits: int
+    target_tol: float
 
     def __post_init__(self):
         if self.working_digits < 15:
@@ -224,9 +224,7 @@ def residual_hauptmodul(q, prec: Precision) -> mpf:
         alpha, comp = alpha_pair(qq, prec)
         if alpha <= 0 or comp <= 0:
             raise ArithmeticError("hauptmodul left (0, 1) at working precision")
-        f = hyper.gauss_2f1_unit_interval(
-            Fraction(1, 3), Fraction(2, 3), Fraction(1), alpha, comp, prec.dps
-        )
+        f = hyper.gauss_2f1_unit_interval(Fraction(1, 3), Fraction(2, 3), Fraction(1), alpha, comp)
         return a - f
 
 

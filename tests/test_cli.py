@@ -43,10 +43,34 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--suite", "exact", "--order", "0"],
         ["verify", "--suite", "exact", "--order", "-3"],
         ["lvalue", "--n", "3", "--method", "dirichlet", "--N", "10"],
+        # 40 digits certify a tol down to 1e-30 (Precision keeps 10 guard digits)
+        ["verify", "--suite", "numeric", "--digits", "40", "--tol", "1e-31"],
+        ["verify", "--suite", "exact", "--digits", "25", "--tol", "1e-16", "--order", "10"],
     ]
     for argv in cases:
         code, _, _ = run(argv, capsys)
         assert code == 2, argv
+    code, _, _ = run(["verify", "--suite", "exact", "--digits", "40", "--tol", "1e-30",
+                      "--order", "10"], capsys)
+    assert code == 0
+
+
+def test_usage_errors_show_the_subcommand_usage(capsys):
+    code, _, err = run(["lvalue", "--n", "1", "--method", "dirichlet"], capsys)
+    assert code == 2
+    assert err.startswith("usage: cubictheta lvalue ")
+    code, _, err = run(["verify", "--digits", "40", "--tol", "1e-31"], capsys)
+    assert code == 2
+    assert err.startswith("usage: cubictheta verify ")
+
+
+def test_verify_table_goes_to_the_current_stdout(capsys):
+    # one row per exact check, then the summary line, all on the captured stdout
+    code, out, _ = run(["verify", "--suite", "exact", "--order", "10"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == [name for name, *_ in cli._EXACT_CHECKS]
+    assert len(lines) == 12 and lines[-1].startswith("all checks passed (11 checks")
 
 
 def test_kdf_boundary_rejection_exits_1(capsys):
@@ -233,8 +257,10 @@ def test_numeric_suite_keeps_working_precision():
 def test_numeric_checks_report_both_sides():
     # the worst point's two sides, and their distance at digits + 10
     digits = 20
-    checks = (cli.involution_report(digits), cli.cubic_numeric_report(digits),
-              cli.quad_closed_forms_report(digits), cli.kdf_routes_report(digits))
+    # the tolerances numeric_suite_reports passes at this digit count
+    checks = (cli.involution_report(digits, cli._floor_tol(digits, 1e-20)),
+              cli.cubic_numeric_report(digits), cli.quad_closed_forms_report(digits),
+              cli.kdf_routes_report(digits, cli._floor_tol(digits, 1e-15)))
     assert tuple(rep.name for rep in checks) == TWO_SIDED
     with mp.workdps(digits + 10):
         for rep in checks:
@@ -252,7 +278,7 @@ def test_numeric_checks_read_a_from_its_own_series(monkeypatch):
         return value + mpf("1e-18") if kind == "a" else value
 
     monkeypatch.setattr(thetanum, "_theta_direct", shifted)
-    assert not cli.hauptmodul_report(40).passed
+    assert not cli.hauptmodul_report(40, 1e-20).passed
     try:
         assert not cli.cubic_numeric_report(40).passed
     except ArithmeticError as exc:

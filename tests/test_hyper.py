@@ -202,7 +202,8 @@ def test_zero_balanced_against_mpmath():
     with mp.workdps(45):
         for z in ("0.6", "0.9", "0.995"):
             zz = mpf(z)
-            got = hyper.gauss_2f1_unit_interval(THIRD, 2 * THIRD, 1, zz, 1 - zz, 40)
+            with mp.workdps(50):
+                got = hyper.gauss_2f1_unit_interval(THIRD, 2 * THIRD, 1, zz, 1 - zz)
             want = hyp2f1(mpf(1) / 3, mpf(2) / 3, 1, zz)
             assert abs(got - want) < mpf("1e-35")
 
@@ -210,7 +211,8 @@ def test_zero_balanced_against_mpmath():
 def test_zero_balanced_matches_direct_summation():
     with mp.workdps(45):
         z = mpf("0.55")
-        got = hyper.gauss_2f1_unit_interval(THIRD, 2 * THIRD, 1, z, 1 - z, 40)
+        with mp.workdps(50):
+            got = hyper.gauss_2f1_unit_interval(THIRD, 2 * THIRD, 1, z, 1 - z)
         direct, _ = hyper._pfq_direct([THIRD, 2 * THIRD], [1], z, mpf("1e-45"))
         assert abs(got - direct) < mpf("1e-38")
 
@@ -263,6 +265,65 @@ def test_pfq_branch_labels(up, lo, x, method):
                             [mpf(v.numerator) / v.denominator for v in map(Fraction, lo)],
                             mpf(x.numerator) / x.denominator)
         assert abs(res.value - want) < mpf("1e-30")
+
+
+DIVERGES_AT_ONE = "series diverges at x = 1"
+NO_BRANCH = "no fast evaluation path"
+
+
+# one row per exit of _eval_pfq: (upper, lower, x, omx or None) -> the branch
+# label, or (exception, message) for the inputs it rejects
+@pytest.mark.parametrize("up, lo, x, omx, want", [
+    pytest.param([THIRD], [Fraction(4, 3)], "0", None, "direct", id="direct-at-zero"),
+    pytest.param([THIRD], [Fraction(4, 3)], "0.99", None, "direct", id="direct-p<=q"),
+    pytest.param([], [], "-1", None, "direct", id="direct-0f0-at-minus-one"),
+    pytest.param([THIRD, 2 * THIRD], [1], "-0.5", None, "direct", id="direct-half"),
+    pytest.param([1, 1], [3], "0.9", None, "direct", id="direct-fallback-integer-excess"),
+    pytest.param([THIRD, 2 * THIRD], [1], "-0.9", None, "direct", id="direct-fallback-negative"),
+    pytest.param([THIRD], [], "0.9", None, "binomial", id="binomial-1f0"),
+    pytest.param([Fraction(-2)], [], "1", None, "binomial", id="binomial-1f0-terminating-at-one"),
+    pytest.param([THIRD], [], "1", "1e-40", "binomial", id="binomial-1f0-near-one"),
+    pytest.param([1, Fraction(4, 3)], [2], "-1", None, "binomial", id="binomial-2f1"),
+    pytest.param([THIRD, Fraction(1, 4)], [2], "1", None, "gauss", id="gauss"),
+    pytest.param([THIRD, Fraction(1, 4)], [2], "1", "0", "gauss", id="gauss-omx-zero"),
+    pytest.param([1, 1, Fraction(4, 3)], [2, 2], "1", None, "f32-tail", id="f32-at-one"),
+    pytest.param([1, 1, Fraction(4, 3)], [2, 2], "0.97", None, "f32-tail", id="f32-near-one"),
+    pytest.param([THIRD, 2 * THIRD], [1], "0.97", None, "zero-balanced", id="zero-balanced"),
+    pytest.param([THIRD, 2 * THIRD], [1], "1", "1e-40", "zero-balanced",
+                 id="zero-balanced-x-rounds-to-one"),
+    pytest.param([Fraction(1, 5), Fraction(1, 2)], [Fraction(9, 4)], "0.97", None, "connection",
+                 id="connection"),
+    pytest.param([Fraction(1, 2), Fraction(3, 4), 1], [Fraction(5, 4), 2], "1", None,
+                 "accelerated", id="accelerated"),
+    pytest.param([1, 1, 1], [1], "0.5", None, (ValueError, "too many upper"), id="p>q+1"),
+    pytest.param([THIRD, 2 * THIRD], [1], "1.5", None, (ValueError, "beyond"), id="|x|>1"),
+    pytest.param([THIRD], [Fraction(4, 3)], "-1.5", None, (ValueError, "beyond"),
+                 id="|x|>1-entire"),
+    pytest.param([1, Fraction(4, 3)], [2], "1", None, (ValueError, DIVERGES_AT_ONE),
+                 id="diverges-2f1"),
+    pytest.param([1, 1, 2], [2, 2], "1", None, (ValueError, DIVERGES_AT_ONE),
+                 id="diverges-3f2"),
+    # 1F0 at 1, and what cancels to it, has nonpositive excess as well: the
+    # scope check rejects it before the binomial closed form sees 0^-a
+    pytest.param([THIRD], [], "1", None, (ValueError, DIVERGES_AT_ONE), id="diverges-1f0"),
+    pytest.param([Fraction(5, 2)], [], "1", "0", (ValueError, DIVERGES_AT_ONE),
+                 id="diverges-1f0-omx-zero"),
+    pytest.param([THIRD, THIRD], [THIRD], "1", None, (ValueError, DIVERGES_AT_ONE),
+                 id="diverges-cancels-to-1f0"),
+    pytest.param([1, 2], [2], "1", None, (ValueError, DIVERGES_AT_ONE),
+                 id="diverges-cancels-to-1f0-integer"),
+    pytest.param([THIRD, 2 * THIRD], [1], "-0.96", None, (ArithmeticError, NO_BRANCH),
+                 id="no-branch-below-minus-0.95"),
+])
+def test_eval_pfq_dispatch_matrix(up, lo, x, omx, want):
+    args = (tuple(map(Fraction, up)), tuple(map(Fraction, lo)))
+    with mp.workdps(30):
+        point = (mpf(x), None if omx is None else mpf(omx), mpf("1e-25"))
+        if isinstance(want, tuple):
+            with pytest.raises(want[0], match=want[1]):
+                hyper._eval_pfq(*args, *point)
+        else:
+            assert hyper._eval_pfq(*args, *point)[2] == want
 
 
 # -- fixed-point direct summation ---------------------------------------------------
@@ -1083,10 +1144,11 @@ def test_quad_de_error_estimates_conservative():
             assert abs(res.value - want) <= res.err_estimate + mpf("1e-21")
 
 
-def test_quad_de_rejects_nonintegrable():
+def test_quad_de_rejects_nonintegrable(monkeypatch):
     # the message carries the last level difference measured, not 0
+    monkeypatch.setattr(hyper, "_QUAD_MAX_LEVEL", 6)
     with pytest.raises(ArithmeticError, match="last refinement changed by") as caught:
-        hyper.quad_de(lambda t: 1 / t, mpf("1e-20"), Precision(30, 1e-15), max_level=6)
+        hyper.quad_de(lambda t: 1 / t, mpf("1e-20"), Precision(30, 1e-15))
     assert float(str(caught.value).rsplit(" ", 1)[1].rstrip(")")) > 1
 
 

@@ -347,8 +347,6 @@ def _print_table(reports):
 
 
 def cmd_verify(args, parser) -> int:
-    if args.digits < 15:
-        parser.error("--digits must be at least 15")
     if args.tol is not None:
         if not 0 < args.tol < math.inf:
             parser.error("--tol must be positive and finite")
@@ -383,8 +381,6 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_lvalue(args, parser) -> int:
-    if args.digits < 15:
-        parser.error("--digits must be at least 15")
     ns, message = lvalue.LVALUE_METHODS[args.method]
     if args.n not in ns:
         parser.error(message)
@@ -416,8 +412,6 @@ def _fraction_list(text: str):
 
 
 def cmd_kdf(args, parser) -> int:
-    if args.digits < 15:
-        parser.error("--digits must be at least 15")
     try:
         params = KdFParams(
             _fraction_list(args.a), _fraction_list(args.ap),
@@ -487,6 +481,14 @@ def cmd_qexp(args, parser) -> int:
     return _EXIT_OK
 
 
+def _digits(text: str) -> int:
+    """A --digits value: 15 to 300, so that the least tolerance derived from
+    it, 10^-(digits - 10), is still a normal float."""
+    if not 15 <= (digits := int(text)) <= 300:
+        raise argparse.ArgumentTypeError(f"must be from 15 to 300, got {digits}")
+    return digits
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubictheta",
@@ -500,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--order", type=int, default=500,
                    help="q-order for the exact suite (default 500)")
-    p.add_argument("--digits", type=int, default=40)
+    p.add_argument("--digits", type=_digits, default=40)
     p.add_argument("--tol", type=float, default=None,
                    help="tolerance of the 15 checks that take one; the exact, flag, "
                    "cubic_numeric, qexp_consistency and quad_de_closed_forms checks keep "
@@ -513,17 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=tuple(lvalue.LVALUE_METHODS))
     p.add_argument("--N", type=int, default=1_000_000,
                    help="Dirichlet truncation point")
-    p.add_argument("--digits", type=int, default=40)
+    p.add_argument("--digits", type=_digits, default=40)
 
     p = sub.add_parser("kdf", help="evaluate a Kampe de Feriet double series")
     p.set_defaults(handler=cmd_kdf, subparser=p)
     for flag in ("--a", "--ap", "--b", "--bp", "--c", "--cp"):
-        p.add_argument(flag, required=True,
-                       help="comma-separated rationals, e.g. '1,4/3'")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
+        p.add_argument(flag, required=True, help="comma-separated rationals, e.g. "
+                       f"'1,4/3'; a value that starts with '-' needs '=': {flag}=-1,4/3")
+    for flag in ("--x", "--y"):
+        p.add_argument(flag, required=True, help=f"a rational; a negative fraction "
+                       f"needs '=': {flag}=-1/2")
     p.add_argument("--route", choices=("series", "integral"), required=True)
-    p.add_argument("--digits", type=int, default=40)
+    p.add_argument("--digits", type=_digits, default=40)
 
     p = sub.add_parser("qexp", help="dump an exact series")
     p.set_defaults(handler=cmd_qexp, subparser=p)

@@ -12,10 +12,12 @@ with stated rounding bounds: 2^-prec (1 + |value|) for direct sums and
 coefficients c_n 2^wp from a table cached per (parameters, wp)
 (``_coeff_table``, a bounded lru), filled lazily from that recurrence at
 x = 1, and sums them by Horner's rule at x, so all the nodes of a quadrature
-share one table; its stop index is read off the table's log2 magnitudes.
-The real-argument dispatch (``_eval_pfq``) checks the scope before any
-branch: more than q + 1 upper parameters, |x| > 1 and a series that diverges
-at x = 1 (nonpositive excess, 1F0 included) raise ValueError.  Near the unit
+share one table; its stop index is read off the float log2 magnitudes of
+the table's terms and exact ratios, late on a near-tie, never early.  The
+real-argument dispatch (``_eval_pfq``) checks the scope before any branch:
+|x| > 1, more than q + 1 upper parameters and a series that diverges at
+x = 1 (nonpositive excess, 1F0 included) raise ValueError, except that a
+polynomial is summed directly at any |x| <= 1.  Near the unit
 argument the evaluators switch to connection/log expansions in
 1 - x, whose tails are certified as well; callers that know 1 - x to better
 accuracy than x can pass it explicitly.  At the unit argument itself, the
@@ -160,30 +162,31 @@ def _psi(fr: Fraction) -> mpf:
 
 
 def _fixed_terms(upper, lower, X: int, wp: int):
-    """Yield (T_n, N_n, D_n, R_n) for n = 0, 1, ...: the terms of
-    sum_n prod (u)_n / prod (l)_n x^n / n! as Python ints at 2^wp, the
-    integers of their ratio, and a bound on their rise.
+    """Yield (T_n, s_n, R_n) for n = 0, 1, ...: the terms of
+    sum_n prod (u)_n / prod (l)_n x^n / n! as Python ints at 2^wp, the float
+    log2 |r_n| of their exact ratio, and a bound on their rise.
 
     ``upper``/``lower`` are exact rationals and X = x 2^wp an int.  With
     u = p/q, the term ratio is r_n = N_n / (D_n 2^wp) for the integers
     N_n = X prod (p + n q) * prod(lower denominators) and
     D_n = (n + 1) prod (p' + n q') * prod(upper denominators); an upper
     parameter 1 cancels the n!.  T_0 = 2^wp and
-    T_{n+1} = floor(T_n N_n / (D_n 2^wp)).
+    T_{n+1} = floor(T_n N_n / (D_n 2^wp)).  From the first exact zero ratio
+    on, every term is 0 and s_n is -inf.
 
     Rounding: each floor costs at most one ulp (2^-wp), and the ulp lost at
     step k reaches T_j multiplied by |r_k ... r_{j-1}| = |t_j / t_k| for the
     exact terms t.  So T_j is within j G ulps of t_j 2^wp, where
     G = max_{k<=j<=n} |t_j / t_k| < 2^R_n is the largest rise so far.  R_n
-    sums the log2 of the exact ratios (1e-3 bits spare for float rounding),
-    not the floored terms, which are 0 where the exact ones dip below 2^-wp
-    and may grow back.  After a ratio 0 all terms are exactly 0; R_n stops.
+    sums the s_n (1e-3 bits spare for float rounding), not the logs of the
+    floored terms, which are 0 where the exact ones dip below 2^-wp and may
+    grow back.  After a ratio 0, R_n stops.
     """
     ups = [(u.numerator, u.denominator) for u in upper]
     los = [(l.numerator, l.denominator) for l in lower]
     num0 = X * math.prod(l.denominator for l in lower)
     den0 = math.prod(u.denominator for u in upper)
-    term = 1 << wp
+    term, s = 1 << wp, 0.0
     lg = low = rise = 0.0  # log2 |t_n|, its least value so far, and the rise
     for n in count():
         num = num0
@@ -192,14 +195,14 @@ def _fixed_terms(upper, lower, X: int, wp: int):
         den = den0 * (n + 1)
         for p, q in los:
             den *= p + n * q
-        yield term, num, den, math.floor(rise + 1e-3) + 1
+        s = (math.log2(abs(num)) - math.log2(abs(den)) - wp if num and s > -math.inf
+             else -math.inf)
+        yield term, s, math.floor(rise + 1e-3) + 1
         term = term * num // (den << wp)
-        if num and lg > -math.inf:
-            lg += math.log2(abs(num)) - math.log2(abs(den)) - wp
+        if s > -math.inf:
+            lg += s
             low = min(low, lg)
             rise = max(rise, lg - low)
-        else:
-            lg = -math.inf
 
 
 # -- direct summation: cached coefficient tables, summed by Horner's rule ------
@@ -208,11 +211,17 @@ _TERM_CAP = 400_000
 # 2*bitlen(_TERM_CAP) covers the rounding of any admissible term count; the
 # 8 spare bits cover terms that grow by up to 2^7 before they settle
 _PFQ_GUARD = 2 * _TERM_CAP.bit_length() + 8
-# a float log2 test that lands this close to its threshold is decided exactly:
-# the float error is below 1e-7 bits up to _TERM_CAP terms
+# a float log2 test passes only when it clears its threshold by this much,
+# more than its float error (below 1e-7 bits up to _TERM_CAP terms): a
+# near-tie stops a sum late, never early
 _LOG2_MARGIN = 2.0 ** -16
 # tables held at once, for each of the two table kinds
 _TABLE_SLOTS = 256
+
+
+def _terminates(upper) -> bool:
+    """An upper parameter that is a nonpositive integer ends the series."""
+    return any(u.denominator == 1 and u <= 0 for u in upper)
 
 
 class _CoeffTable:
@@ -220,15 +229,16 @@ class _CoeffTable:
     2^wp, filled lazily from ``_fixed_terms`` at x = 1.
 
     Per index n it holds C_n = c_n 2^wp (Python ints, within n G ulps, G the
-    rise of the coefficients), the integers num_n / den_n = c_(n+1) / c_n, the
-    floats log2 |c_n| and log2 |num_n / den_n| (-inf at 0) that the stop scan
-    reads, and bits_n = R_n + bitlen(max_(k<=n) |C_k| >> wp) + 2, the guard
-    bits the rounding bound of ``_pfq_direct`` asks for beyond
-    2 bitlen(N + 1).
+    rise of the coefficients), the floats log2 |c_n| and log2 |c_(n+1) / c_n|
+    (-inf at 0, and the latter from the first zero ratio on) that the stop
+    scan reads, and bits_n = R_n + bitlen(max_(k<=n) |C_k| >> wp) + 2, the
+    guard bits the rounding bound of ``_pfq_direct`` asks for beyond
+    2 bitlen(N + 1).  ``entire`` marks a series that converges at every x:
+    p != q + 1, or a polynomial.
     """
 
-    __slots__ = ("wp", "warmup", "entire", "C", "num", "den", "log_c", "log_ratio",
-                 "bits", "_terms", "_cmax")
+    __slots__ = ("wp", "warmup", "entire", "C", "log_c", "log_ratio", "bits", "_terms",
+                 "_cmax")
 
     def __init__(self, upper, lower, wp):
         self.wp = wp
@@ -236,22 +246,18 @@ class _CoeffTable:
         # negative lower parameter, where they can grow again
         self.warmup = max(8 + int(4 * max((abs(float(u)) for u in upper), default=0)),
                           math.floor(max((-l for l in lower), default=0)) + 2)
-        self.entire = len(upper) != len(lower) + 1
-        self.C, self.num, self.den, self.log_c, self.log_ratio, self.bits = [], [], [], [], [], []
+        self.entire = len(upper) != len(lower) + 1 or _terminates(upper)
+        self.C, self.log_c, self.log_ratio, self.bits = [], [], [], []
         self._terms = _fixed_terms(upper, lower, 1 << wp, wp)
         self._cmax = 0
 
     def fill(self, n: int):
         """Extend the table through index n."""
         wp = self.wp
-        for term, num, den, rise in islice(self._terms, n + 1 - len(self.C)):
-            num >>= wp  # exact: X = 2^wp divides num
+        for term, log_ratio, rise in islice(self._terms, n + 1 - len(self.C)):
             self.C.append(term)
-            self.num.append(num)
-            self.den.append(den)
             self.log_c.append(math.log2(abs(term)) - wp if term else -math.inf)
-            self.log_ratio.append(math.log2(abs(num)) - math.log2(abs(den)) if num
-                                  else -math.inf)
+            self.log_ratio.append(log_ratio)
             self._cmax = max(self._cmax, abs(term) >> wp)
             self.bits.append(rise + self._cmax.bit_length() + 2)
 
@@ -261,20 +267,17 @@ def _coeff_table(upper: tuple, lower: tuple, wp: int) -> _CoeffTable:
     return _CoeffTable(upper, lower, wp)
 
 
-def _scaled_le(lhs: int, rhs: int, shift: int) -> bool:
-    """lhs 2^shift <= rhs, exactly."""
-    return lhs << shift <= rhs if shift >= 0 else lhs <= rhs << -shift
-
-
 def _stop_index(table: _CoeffTable, x: mpf, eps: mpf) -> int:
     """The index N at which the direct sum of ``table``'s series at x stops.
 
     N is the first index past the warm-up whose three preceding term ratios
-    |x| num_n / den_n are at most rho = (1 + |x|)/2 (0.9 for an entire
-    series) and whose term bounds the geometric tail: |c_N x^N| rho/(1 - rho)
-    <= eps.  Both tests run on float log2 magnitudes; one that lands within
-    ``_LOG2_MARGIN`` of its threshold is decided on the exact integers, with x
-    and eps read exactly from their mantissas.
+    |x| |c_(n+1) / c_n| are at most rho = (1 + |x|)/2 (0.9 for an entire
+    series or a polynomial) and whose term bounds the geometric tail:
+    |c_N x^N| rho/(1 - rho) <= eps.  Each test is one decision on float log2
+    magnitudes, and passes only when it clears its threshold by
+    ``_LOG2_MARGIN``, so a near-tie stops the scan late, never early.  A
+    polynomial's ratios are exactly 0 from its degree on, so its sum stops
+    only past its last nonzero term.
     """
     _, mx, ex, _ = x._mpf_
     _, me, ee, _ = eps._mpf_
@@ -282,30 +285,22 @@ def _stop_index(table: _CoeffTable, x: mpf, eps: mpf) -> int:
     lx = math.log2(mx) + ex if mx else -math.inf
     lrho = math.log2(rn) - math.log2(rd)
     ltail = math.log2(me) + ee + math.log2(rd - rn) - math.log2(rd) - lrho
-    C, log_c, log_ratio = table.C, table.log_c, table.log_ratio
+    log_c, log_ratio = table.log_c, table.log_ratio
     # three settled ratios before n > warmup are those at n - 3..n - 1, so the
     # scan starts at warmup - 2, and a count of three implies n > warmup
     n, settled = table.warmup - 2, 0
     while True:
-        if n >= len(C):
+        if n >= len(log_c):
             table.fill(n + 63)
-        for n in range(n, len(C)):
-            if settled >= 3:
-                d = log_c[n] + n * lx - ltail
-                if d <= -_LOG2_MARGIN or (d < _LOG2_MARGIN and _scaled_le(
-                        abs(C[n]) * mx ** n * rn, me * (rd - rn), n * ex - table.wp - ee)):
-                    return n
+        for n in range(n, len(log_c)):
+            if settled >= 3 and log_c[n] + n * lx - ltail <= -_LOG2_MARGIN:
+                return n
             if n > _TERM_CAP:
                 _coeff_table.cache_clear()  # no table of a divergent call stays behind
                 raise ArithmeticError(
                     f"series at x={x} did not meet the tail bound within {_TERM_CAP} terms"
                 )
-            q = log_ratio[n] + lx - lrho
-            if q <= -_LOG2_MARGIN or (q < _LOG2_MARGIN and _scaled_le(
-                    mx * abs(table.num[n]) * rd, rn * abs(table.den[n]), ex)):
-                settled += 1
-            else:
-                settled = 0
+            settled = settled + 1 if log_ratio[n] + lx - lrho <= -_LOG2_MARGIN else 0
         n += 1
 
 
@@ -333,7 +328,8 @@ def _pfq_direct(upper, lower, x, eps):
     parameter), the term ratio has settled below rho = (1 + |x|)/2 (or 0.9
     for entire series) for three indices and the geometric tail bound
     |t_N| rho/(1 - rho) drops under eps (``_stop_index``); returns
-    (value, N + 1), the sum of t_0..t_N.
+    (value, N + 1), the sum of t_0..t_N.  |x| < 1 unless the series is entire
+    or a polynomial, which is summed past its degree at any x.
 
     ``upper``/``lower`` are exact rationals (TypeError otherwise).  The
     coefficients C_n = c_n 2^wp, wp = prec + guard, come from the table of
@@ -350,7 +346,7 @@ def _pfq_direct(upper, lower, x, eps):
     upper = _as_fraction_tuple(upper)
     lower = _as_fraction_tuple(lower)
     x, eps = mpmathify(x), mpmathify(eps)
-    if len(upper) == len(lower) + 1 and abs(x) >= 1:
+    if len(upper) == len(lower) + 1 and not _terminates(upper) and abs(x) >= 1:
         raise ValueError("direct summation requires |x| < 1")
     guard = _PFQ_GUARD
     while True:
@@ -490,10 +486,12 @@ def _eval_pfq(upper, lower, x, omx, eps):
     ``upper``/``lower`` are Fraction tuples, ``x`` an mpf, ``omx`` the
     complement 1 - x, or None to form it from x.  Repeated parameters cancel
     first; then the scope is checked before any branch: ValueError for
-    p > q + 1 upper parameters, for |x| > 1, and for x = 1 (with omx <= 0)
-    when p = q + 1 and the excess sum(lower) - sum(upper) is nonpositive, 1F0
-    included.  ``method`` names the branch: "direct" (``_pfq_direct``, taken
-    for p <= q, for |x| <= 1/2, and as the fallback up to |x| = 0.95),
+    |x| > 1, and, unless the series terminates (an upper parameter that is a
+    nonpositive integer), for p > q + 1 upper parameters and for x = 1 (with
+    omx <= 0) when p = q + 1 and the excess sum(lower) - sum(upper) is
+    nonpositive, 1F0 included.  ``method`` names the branch: "direct"
+    (``_pfq_direct``, taken for p <= q, for a terminating series, for
+    |x| <= 1/2, and as the fallback up to |x| = 0.95),
     "binomial" ((1 - x)^-a for 1F0 and 2F1(1, a; 2; x)), "gauss" (2F1 at 1),
     "zero-balanced" and "connection" (2F1 expansions in 1 - x for x > 1/2),
     "f32-tail" (3F2(1, 1, a+1; 2, 2; x), at 1 the tail-free closed form), and
@@ -509,21 +507,21 @@ def _eval_pfq(upper, lower, x, omx, eps):
         if v in lo:
             up.remove(v)
             lo.remove(v)
-    p, q = len(up), len(lo)
+    p, q, ends = len(up), len(lo), _terminates(up)
     if omx is None:
         omx = 1 - x
     at_one = x == 1 and omx <= 0
-    if p > q + 1:
+    if p > q + 1 and not ends:
         raise ValueError("series diverges: too many upper parameters")
     if abs(x) > 1:
         raise ValueError("arguments beyond |x| = 1 are out of scope")
-    if at_one and p == q + 1 and sum(lo, Fraction(0)) <= sum(up, Fraction(0)):
+    if at_one and p == q + 1 and not ends and sum(lo, Fraction(0)) <= sum(up, Fraction(0)):
         raise ValueError("series diverges at x = 1 (nonpositive excess)")
     if x == 0:
         return mpf(1), 1, "direct", None
     if p == 1 and q == 0:
         return omx ** (-_to_mpf(up[0])), 1, "binomial", None
-    if p <= q or abs(x) <= _NEAR_ONE_SWITCH:
+    if p <= q or ends or abs(x) <= _NEAR_ONE_SWITCH:
         return *_pfq_direct(up, lo, x, eps), "direct", None
     # now p == q + 1 and 1/2 < |x| <= 1
     if at_one:
@@ -588,8 +586,9 @@ def gauss_2f1_unit_interval(a, b, c, x, omx):
 def pfq(params: PFQParams, x, prec: Precision, x_complement=None) -> SeriesResult:
     """Evaluate the generalized hypergeometric series at a real argument.
 
-    |x| < 1, or x = 1 with positive parameter excess; any other input,
-    1F0 at 1 included, raises ValueError (``_eval_pfq``).  ``x_complement``
+    |x| < 1, or x = 1 with positive parameter excess, or a terminating
+    series (a polynomial) at any |x| <= 1 whatever p and q are; any other
+    input, 1F0 at 1 included, raises ValueError (``_eval_pfq``).  ``x_complement``
     may supply 1 - x to full accuracy when x is close to 1.  The
     "accelerated" branch reports the fit's measured bar; the others report
     tol.
@@ -658,7 +657,7 @@ def _kdf_partial_sums(params: KdFParams, x, y, D: int):
         runs = [tuple(zip(*islice(_fixed_terms(u, l, int(mp.ldexp(z, wp)), wp), D + 1)))
                 for u, l, z in factors]
         (eA, mA), (eB, mB), (eC, mC) = ((D << R[-1], max(map(abs, T)) + (D << R[-1]))
-                                        for T, _, _, R in runs)
+                                        for T, _, R in runs)
         err = (D + 1) * (D + 2) // 2 * (eA * mB * mC + mA * eB * mC + mA * mB * eC)
         excess = err.bit_length() - (3 * wp - prec)
         if excess <= 0:
@@ -675,7 +674,7 @@ def _singular_part(upper, lower):
     pFq(upper; lower; w) at w = 1: s is the excess sum(lower) - sum(upper), and
     m = 1 when s is an integer, else 0.  None for a polynomial (an upper
     parameter that is a nonpositive integer), which has no singular part."""
-    if any(u.denominator == 1 and u <= 0 for u in upper):
+    if _terminates(upper):
         return None
     s = sum(lower, Fraction(0)) - sum(upper, Fraction(0))
     return s, int(s.denominator == 1)

@@ -280,6 +280,12 @@ NO_BRANCH = "no fast evaluation path"
     pytest.param([THIRD, 2 * THIRD], [1], "-0.5", None, "direct", id="direct-half"),
     pytest.param([1, 1], [3], "0.9", None, "direct", id="direct-fallback-integer-excess"),
     pytest.param([THIRD, 2 * THIRD], [1], "-0.9", None, "direct", id="direct-fallback-negative"),
+    # a polynomial takes the direct exit at any |x| <= 1, whatever p and q are
+    pytest.param([-1, 2], [Fraction(1, 2)], "0.99", None, "direct", id="direct-polynomial-0.99"),
+    pytest.param([-1, 2], [Fraction(1, 2)], "1", None, "direct", id="direct-polynomial-at-one"),
+    pytest.param([-1, 2], [Fraction(1, 2)], "-0.97", None, "direct",
+                 id="direct-polynomial-below-minus-0.95"),
+    pytest.param([-2, 1, 1], [2], "0.75", None, "direct", id="direct-polynomial-p=q+2"),
     pytest.param([THIRD], [], "0.9", None, "binomial", id="binomial-1f0"),
     pytest.param([Fraction(-2)], [], "1", None, "binomial", id="binomial-1f0-terminating-at-one"),
     pytest.param([THIRD], [], "1", "1e-40", "binomial", id="binomial-1f0-near-one"),
@@ -386,6 +392,10 @@ DIRECT_CASES = [
     # floor to 0 or -1, and rise by 2^237 up to n = 300: the rise must be
     # measured from the exact ratios
     pytest.param([1, 1], [Fraction(-299, 2)], "0.5", "1e-45", id="deep-dip"),
+    # eps lies 2^-20 (relative) below the tail bound 3 |t_143|, closer than the
+    # float margin: the tail test must fail at n = 143 and the sum stop at 144
+    pytest.param([THIRD, 2 * THIRD], [1], "0.5", "5.17846790647939845648859578724e-46",
+                 id="tail-near-tie"),
 ]
 
 
@@ -403,6 +413,19 @@ def test_pfq_direct_matches_loop(up, lo, x, eps):
             ref, k = loop_pfq_direct(_mpf_params(up), _mpf_params(lo), xx, eps)
         assert k == n
         assert abs(got - ref) <= bound
+
+
+@pytest.mark.parametrize("up, lo, x, eps", DIRECT_CASES)
+def test_stop_margin_is_one_sided(monkeypatch, up, lo, x, eps):
+    # a wider margin can only stop a sum later, never earlier, and the later
+    # sum stays within eps of the default one
+    with mp.workdps(50):
+        xx, eps = mpf(x), mpf(eps)
+        got, n = hyper._pfq_direct(up, lo, xx, eps)
+        monkeypatch.setattr(hyper, "_LOG2_MARGIN", 2.0 ** -6)
+        wide, m = hyper._pfq_direct(up, lo, xx, eps)
+        assert m >= n
+        assert abs(wide - got) <= eps
 
 
 @pytest.mark.parametrize("up, lo, x", [
@@ -575,6 +598,31 @@ def test_pfq_direct_against_mpmath(up, lo, x):
             else:
                 want = hyp3f2(*_mpf_params(up), *_mpf_params(lo), xx)
         assert abs(got - want) <= bound
+
+
+@pytest.mark.parametrize("up, lo, x", [
+    pytest.param([-1, 2], [Fraction(1, 2)], "99/100", id="2f1-0.99"),
+    pytest.param([-1, 2], [Fraction(1, 2)], "1", id="2f1-at-one"),
+    pytest.param([-1, 2], [Fraction(1, 2)], "-97/100", id="2f1-m0.97"),
+    pytest.param([-1, 2], [Fraction(1, 2)], "-1", id="2f1-at-minus-one"),
+    pytest.param([-2, 1, 1], [2], "3/4", id="3f1"),
+    pytest.param([-2, 1, 1], [2], "1", id="3f1-at-one"),
+    pytest.param([-2, 1, 1], [2], "-1", id="3f1-at-minus-one"),
+    pytest.param([-30, 20], [Fraction(1, 2)], "-1", id="degree-30"),
+    pytest.param([-6, 1], [Fraction(-11, 2)], "1", id="negative-lower"),
+])
+def test_polynomial_at_any_argument(up, lo, x):
+    # a terminating series takes the direct sum at any |x| <= 1, whatever p
+    # and q are, and lies within the direct-sum bound of its exact value
+    up, lo, x = tuple(map(Fraction, up)), tuple(map(Fraction, lo)), Fraction(x)
+    exact = _terminating_sum(up, lo, x)
+    with mp.workdps(40):
+        eps = mpf("1e-35")
+        got, _, method, _ = hyper._eval_pfq(up, lo, mpf(x.numerator) / x.denominator, None, eps)
+        assert method == "direct"
+        with mp.workdps(80):
+            want = mpf(exact.numerator) / exact.denominator
+        assert abs(got - want) <= eps + mp.ldexp(1 + abs(got), -mp.prec)
 
 
 # -- margins ------------------------------------------------------------------------
@@ -852,13 +900,13 @@ def test_kdf_boundary_theorem_blocks_to_1e_25(name):
 
 
 def test_terminating_series_at_one():
-    # no singular part leaves no family: the sums are constant from the
-    # degree on, and S_D is the value; 3F2(-2, 1/3, 1/2; 2, 3; 1) = 205/216,
-    # and with B = 1 - 2w/3, C = 1 - w + w^2/3 the double series at (1, 1)
-    # is 1 - 5/6 + 1/3 - 1/18 = 4/9
+    # the polynomial 3F2(-2, 1/3, 1/2; 2, 3; 1) = 205/216 is summed directly;
+    # in the double series no singular part leaves no family: the sums are
+    # constant from the degree on, and S_D is the value; with B = 1 - 2w/3,
+    # C = 1 - w + w^2/3 the series at (1, 1) is 1 - 5/6 + 1/3 - 1/18 = 4/9
     prec = Precision(30, 1e-15)
     res = hyper.pfq(PFQParams([-2, THIRD, Fraction(1, 2)], [2, 3]), 1, prec)
-    assert res.method == "accelerated"
+    assert res.method == "direct"
     with mp.workdps(45):
         assert abs(res.value - mpf(205) / 216) <= mpf("1e-35")
     block = KdFParams([1], [2], [-1, 2], [3], [-2, 1], [2])
@@ -898,11 +946,12 @@ def test_kdf_boundary_pool_blocks(params, value, ref_err):
 def test_fixed_terms_within_stated_ulps(up, lo, x):
     # every T_n against the exact Fraction term times 2^wp: within n G ulps,
     # G = max_{k<=j<=n} |t_j / t_k| the largest rise so far of the exact
-    # terms, and G < 2^R_n; and the yielded integers give the exact term ratio
+    # terms, and G < 2^R_n; and s_n is log2 of the exact term ratio, -inf
+    # from the first zero ratio on
     wp = 80
     X = int(mp.ldexp(x, wp))
     t, low, G = Fraction(1), Fraction(1), Fraction(1)
-    for n, (T, num, den, R) in zip(range(41), hyper._fixed_terms(tuple(up), tuple(lo), X, wp)):
+    for n, (T, s, R) in zip(range(41), hyper._fixed_terms(tuple(up), tuple(lo), X, wp)):
         if t:
             low = min(low, abs(t))
             G = max(G, abs(t) / low)
@@ -915,8 +964,13 @@ def test_fixed_terms_within_stated_ulps(up, lo, x):
             r *= u + n
         for l in lo:
             r /= l + n
-        assert Fraction(num, den * 2 ** wp) == r
         t *= r
+        if t:
+            with mp.workprec(200):
+                want = mp.log(mpf(abs(r.numerator)) / abs(r.denominator), 2)
+            assert abs(s - want) <= 1e-9, n
+        else:
+            assert s == -math.inf, n
 
 
 def loop_partial_sums(params, x, y, D):

@@ -12,13 +12,15 @@ with stated rounding bounds: 2^-prec (1 + |value|) for direct sums and
 coefficients c_n 2^wp from a table cached per (parameters, wp)
 (``_coeff_table``, a bounded lru), filled lazily from that recurrence at
 x = 1, and sums them by Horner's rule at x, so all the nodes of a quadrature
-share one table; its stop index is read off the float log2 magnitudes of
-the table's terms and exact ratios, late on a near-tie, never early.  The
-real-argument dispatch (``_eval_pfq``) checks the scope before any branch:
-|x| > 1, more than q + 1 upper parameters and a series that diverges at
-x = 1 (nonpositive excess, 1F0 included) raise ValueError, except that a
-polynomial is summed directly at any |x| <= 1.  Near the unit
-argument the evaluators switch to connection/log expansions in
+share one table; no direct sum is taken outside |x| <= 1.  A polynomial's
+sum stops at its degree; any other's stop index is read off the float log2
+magnitudes of the table's terms and exact ratios, late on a near-tie, never
+early.  The real-argument dispatch (``_eval_pfq``) has one exit per
+algorithm, reads a complement 1 - x <= 0 at x = 1 as 0, and checks
+the scope before any branch: |x| > 1, more than q + 1 upper parameters and
+a series that diverges at x = 1 (nonpositive excess, 1F0 included) raise
+ValueError, except that a polynomial is summed directly at any |x| <= 1.
+Near the unit argument the evaluators switch to connection/log expansions in
 1 - x, whose tails are certified as well; callers that know 1 - x to better
 accuracy than x can pass it explicitly.  At the unit argument itself, the
 boundary Kampe de Feriet values are limits of their S_d, whose remainder has
@@ -219,9 +221,10 @@ _LOG2_MARGIN = 2.0 ** -16
 _TABLE_SLOTS = 256
 
 
-def _terminates(upper) -> bool:
-    """An upper parameter that is a nonpositive integer ends the series."""
-    return any(u.denominator == 1 and u <= 0 for u in upper)
+def _degree(upper):
+    """The least -u over the upper parameters u that are nonpositive integers,
+    where the series ends (a polynomial of that degree); None if none is."""
+    return min((int(-u) for u in upper if u.denominator == 1 and u <= 0), default=None)
 
 
 class _CoeffTable:
@@ -233,12 +236,12 @@ class _CoeffTable:
     (-inf at 0, and the latter from the first zero ratio on) that the stop
     scan reads, and bits_n = R_n + bitlen(max_(k<=n) |C_k| >> wp) + 2, the
     guard bits the rounding bound of ``_pfq_direct`` asks for beyond
-    2 bitlen(N + 1).  ``entire`` marks a series that converges at every x:
-    p != q + 1, or a polynomial.
+    2 bitlen(N + 1).  ``degree`` is that of a polynomial (``_degree``), else
+    None; ``entire`` marks a series that converges at every x: p <= q.
     """
 
-    __slots__ = ("wp", "warmup", "entire", "C", "log_c", "log_ratio", "bits", "_terms",
-                 "_cmax")
+    __slots__ = ("wp", "warmup", "degree", "entire", "C", "log_c", "log_ratio", "bits",
+                 "_terms", "_cmax")
 
     def __init__(self, upper, lower, wp):
         self.wp = wp
@@ -246,7 +249,8 @@ class _CoeffTable:
         # negative lower parameter, where they can grow again
         self.warmup = max(8 + int(4 * max((abs(float(u)) for u in upper), default=0)),
                           math.floor(max((-l for l in lower), default=0)) + 2)
-        self.entire = len(upper) != len(lower) + 1 or _terminates(upper)
+        self.degree = _degree(upper)
+        self.entire = len(upper) <= len(lower)
         self.C, self.log_c, self.log_ratio, self.bits = [], [], [], []
         self._terms = _fixed_terms(upper, lower, 1 << wp, wp)
         self._cmax = 0
@@ -270,15 +274,19 @@ def _coeff_table(upper: tuple, lower: tuple, wp: int) -> _CoeffTable:
 def _stop_index(table: _CoeffTable, x: mpf, eps: mpf) -> int:
     """The index N at which the direct sum of ``table``'s series at x stops.
 
-    N is the first index past the warm-up whose three preceding term ratios
-    |x| |c_(n+1) / c_n| are at most rho = (1 + |x|)/2 (0.9 for an entire
-    series or a polynomial) and whose term bounds the geometric tail:
+    A polynomial stops at its degree: every later term is exactly 0.  Any
+    other series stops at the first index past the warm-up whose three
+    preceding term ratios |x| |c_(n+1) / c_n| are at most rho = (1 + |x|)/2
+    (0.9 for an entire series) and whose term bounds the geometric tail:
     |c_N x^N| rho/(1 - rho) <= eps.  Each test is one decision on float log2
     magnitudes, and passes only when it clears its threshold by
     ``_LOG2_MARGIN``, so a near-tie stops the scan late, never early.  A
-    polynomial's ratios are exactly 0 from its degree on, so its sum stops
-    only past its last nonzero term.
+    degree above ``_TERM_CAP``, or a scan past it, raises ArithmeticError.
     """
+    n = table.degree
+    if n is not None and n <= _TERM_CAP:
+        table.fill(n)
+        return n
     _, mx, ex, _ = x._mpf_
     _, me, ee, _ = eps._mpf_
     rn, rd = (9, 10) if table.entire else ((1 << -ex) + mx, 1 << (1 - ex))
@@ -295,8 +303,9 @@ def _stop_index(table: _CoeffTable, x: mpf, eps: mpf) -> int:
         for n in range(n, len(log_c)):
             if settled >= 3 and log_c[n] + n * lx - ltail <= -_LOG2_MARGIN:
                 return n
-            if n > _TERM_CAP:
-                _coeff_table.cache_clear()  # no table of a divergent call stays behind
+            # a polynomial reaches the scan only with its degree past the cap
+            if n > _TERM_CAP or table.degree is not None:
+                _coeff_table.cache_clear()  # no table of a call that gave up stays behind
                 raise ArithmeticError(
                     f"series at x={x} did not meet the tail bound within {_TERM_CAP} terms"
                 )
@@ -324,12 +333,14 @@ def _horner(coeffs: list, N: int, X: int, wp: int) -> int:
 def _pfq_direct(upper, lower, x, eps):
     """Sum the defining series at x from its cached coefficient table.
 
-    Stops once past the warm-up (and past every pole of a negative lower
-    parameter), the term ratio has settled below rho = (1 + |x|)/2 (or 0.9
-    for entire series) for three indices and the geometric tail bound
-    |t_N| rho/(1 - rho) drops under eps (``_stop_index``); returns
-    (value, N + 1), the sum of t_0..t_N.  |x| < 1 unless the series is entire
-    or a polynomial, which is summed past its degree at any x.
+    A polynomial stops at its degree N.  Any other series stops once past
+    the warm-up (and past every pole of a negative lower parameter), the term
+    ratio has settled below rho = (1 + |x|)/2 (or 0.9 for an entire series)
+    for three indices and the geometric tail bound |t_N| rho/(1 - rho) drops
+    under eps (``_stop_index``).  Returns (value, N + 1), the sum of
+    t_0..t_N.  ValueError for |x| > 1, whatever the series (the table, built
+    at x = 1, loses the terms that |x|^n would magnify), and for |x| = 1
+    unless the series is entire (p <= q) or a polynomial.
 
     ``upper``/``lower`` are exact rationals (TypeError otherwise).  The
     coefficients C_n = c_n 2^wp, wp = prec + guard, come from the table of
@@ -346,8 +357,9 @@ def _pfq_direct(upper, lower, x, eps):
     upper = _as_fraction_tuple(upper)
     lower = _as_fraction_tuple(lower)
     x, eps = mpmathify(x), mpmathify(eps)
-    if len(upper) == len(lower) + 1 and not _terminates(upper) and abs(x) >= 1:
-        raise ValueError("direct summation requires |x| < 1")
+    if abs(x) > 1 or abs(x) == 1 and len(upper) > len(lower) and _degree(upper) is None:
+        raise ValueError("direct summation requires |x| < 1, or |x| = 1 for an entire "
+                         "series or a polynomial")
     guard = _PFQ_GUARD
     while True:
         table = _coeff_table(upper, lower, mp.prec + guard)
@@ -460,7 +472,8 @@ def _hyp2f1_connection(a: Fraction, b: Fraction, c: Fraction, x, omx, eps):
 
 
 def _f32_ones_tail(a: Fraction, x, omx, eps):
-    """3F2(1, 1, a+1; 2, 2; x) for 0 < a < 1 near x = 1.
+    """3F2(1, 1, a+1; 2, 2; x) for 0 < a < 1 near x = 1, or at it (omx = 0,
+    where the tail T vanishes and the value is C(a)/a).
 
     Termwise integration of the binomial identity gives
     a*x*3F2 = C(a) - T(a, 1-x) with C(a) = psi(1) - psi(1-a) and
@@ -484,21 +497,22 @@ def _eval_pfq(upper, lower, x, omx, eps):
     """Full real-argument dispatch; returns (value, terms, method, bar).
 
     ``upper``/``lower`` are Fraction tuples, ``x`` an mpf, ``omx`` the
-    complement 1 - x, or None to form it from x.  Repeated parameters cancel
-    first; then the scope is checked before any branch: ValueError for
-    |x| > 1, and, unless the series terminates (an upper parameter that is a
-    nonpositive integer), for p > q + 1 upper parameters and for x = 1 (with
-    omx <= 0) when p = q + 1 and the excess sum(lower) - sum(upper) is
-    nonpositive, 1F0 included.  ``method`` names the branch: "direct"
-    (``_pfq_direct``, taken for p <= q, for a terminating series, for
-    |x| <= 1/2, and as the fallback up to |x| = 0.95),
-    "binomial" ((1 - x)^-a for 1F0 and 2F1(1, a; 2; x)), "gauss" (2F1 at 1),
-    "zero-balanced" and "connection" (2F1 expansions in 1 - x for x > 1/2),
-    "f32-tail" (3F2(1, 1, a+1; 2, 2; x), at 1 the tail-free closed form), and
-    "accelerated" (``_extrapolate`` on the one-factor block) for other sums
-    at 1.  A p = q + 1 series at |x| > 0.95 that no branch covers raises
-    ArithmeticError.  ``bar`` is the fit's measured bar on the "accelerated"
-    branch and None on the others.
+    complement 1 - x, or None to form it from x; at the unit argument (x = 1
+    and omx <= 0) omx is 0.  Repeated parameters cancel first; then the scope
+    is checked before any branch: ValueError for |x| > 1, and, unless the
+    series terminates (an upper parameter that is a nonpositive integer), for
+    p > q + 1 upper parameters and for x = 1 when p = q + 1 and the excess
+    sum(lower) - sum(upper) is nonpositive, 1F0 included.  Each algorithm has
+    one exit, and ``method`` names it: "binomial" ((1 - x)^-a for 1F0, and
+    2F1(1, a; 2; x)), "gauss" (2F1 at 1), "f32-tail" (3F2(1, 1, a+1; 2, 2; x)
+    for x > 1/2, 1 included), "accelerated" (``_extrapolate`` on the
+    one-factor block) for other sums at 1, "zero-balanced" and "connection"
+    (2F1 expansions in 1 - x for x > 1/2), and "direct" (``_pfq_direct``) for
+    p <= q, a polynomial, or |x| <= 0.95 where no branch above applies; all
+    but "binomial" 1F0 and "direct" take only a non-terminating p = q + 1
+    series at |x| > 1/2.  Such a series at |x| > 0.95 that no branch covers
+    raises ArithmeticError.  ``bar`` is the fit's measured bar on the
+    "accelerated" branch and None on the others.
     """
     # exact cancellation of repeated parameters
     up = list(upper)
@@ -507,51 +521,46 @@ def _eval_pfq(upper, lower, x, omx, eps):
         if v in lo:
             up.remove(v)
             lo.remove(v)
-    p, q, ends = len(up), len(lo), _terminates(up)
+    p, q, ends = len(up), len(lo), _degree(up) is not None
     if omx is None:
         omx = 1 - x
     at_one = x == 1 and omx <= 0
+    if at_one:
+        omx = mpf(0)
     if p > q + 1 and not ends:
         raise ValueError("series diverges: too many upper parameters")
     if abs(x) > 1:
         raise ValueError("arguments beyond |x| = 1 are out of scope")
     if at_one and p == q + 1 and not ends and sum(lo, Fraction(0)) <= sum(up, Fraction(0)):
         raise ValueError("series diverges at x = 1 (nonpositive excess)")
-    if x == 0:
-        return mpf(1), 1, "direct", None
     if p == 1 and q == 0:
         return omx ** (-_to_mpf(up[0])), 1, "binomial", None
-    if p <= q or ends or abs(x) <= _NEAR_ONE_SWITCH:
-        return *_pfq_direct(up, lo, x, eps), "direct", None
-    # now p == q + 1 and 1/2 < |x| <= 1
-    if at_one:
-        if p == 2:
-            return _gauss_summation(up[0], up[1], lo[0]), 1, "gauss", None
-        if (a := _match_f32_ones(up, lo)) is not None:
-            return (_psi(Fraction(1)) - _psi(1 - a)) / _to_mpf(a), 1, "f32-tail", None
-        # the partial sums at 1 are the anti-diagonal sums of the one-factor
-        # block at (1, 0), and their remainder families are that block's
-        block, zero = KdFParams([], [], up, lo, [], []), mpf(0)
-        val, err, _ = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, _FIT_D),
-                                   _kdf_families(block, x, zero), eps)
-        return +val, _FIT_D + 1, "accelerated", +err
-    if p == 2 and lo[0] == 2 and Fraction(1) in up and up[0] != up[1]:
-        # binomial closed form, valid on the whole interval [-1, 1)
-        other = up[1] if up[0] == 1 else up[0]
-        am = _to_mpf(other - 1)
-        return (omx ** (-am) - 1) / (am * x), 1, "binomial", None
-    if x > 0:
-        # the expansions below run in powers of 1 - x and need x near 1
-        if p == 2:
+    if p == q + 1 and not ends and abs(x) > _NEAR_ONE_SWITCH:
+        if x > 0 and (a := _match_f32_ones(up, lo)) is not None:
+            return *_f32_ones_tail(a, x, omx, eps), "f32-tail", None
+        if at_one:
+            if p == 2:
+                return _gauss_summation(up[0], up[1], lo[0]), 1, "gauss", None
+            # the partial sums at 1 are the anti-diagonal sums of the one-factor
+            # block at (1, 0), and their remainder families are that block's
+            block, zero = KdFParams([], [], up, lo, [], []), mpf(0)
+            val, err, _ = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, _FIT_D),
+                                       _kdf_families(block, x, zero), eps)
+            return +val, _FIT_D + 1, "accelerated", +err
+        if p == 2 and lo[0] == 2 and Fraction(1) in up and up[0] != up[1]:
+            # binomial closed form, valid on the whole interval [-1, 1)
+            other = up[1] if up[0] == 1 else up[0]
+            am = _to_mpf(other - 1)
+            return (omx ** (-am) - 1) / (am * x), 1, "binomial", None
+        if x > 0 and p == 2:
+            # the expansions below run in powers of 1 - x and need x near 1
             a, b = up
             c = lo[0]
             if c - a - b == 0:
                 return *_hyp2f1_zero_balanced(a, b, x, omx, eps), "zero-balanced", None
             if (c - a - b).denominator != 1:
                 return *_hyp2f1_connection(a, b, c, x, omx, eps), "connection", None
-        elif (a := _match_f32_ones(up, lo)) is not None:
-            return *_f32_ones_tail(a, x, omx, eps), "f32-tail", None
-    if abs(x) <= _DIRECT_LIMIT:
+    if p <= q or ends or abs(x) <= _DIRECT_LIMIT:
         return *_pfq_direct(up, lo, x, eps), "direct", None
     raise ArithmeticError(
         f"no fast evaluation path for {up}/{lo} at x={x}; argument too close to 1"
@@ -674,7 +683,7 @@ def _singular_part(upper, lower):
     pFq(upper; lower; w) at w = 1: s is the excess sum(lower) - sum(upper), and
     m = 1 when s is an integer, else 0.  None for a polynomial (an upper
     parameter that is a nonpositive integer), which has no singular part."""
-    if _terminates(upper):
+    if _degree(upper) is not None:
         return None
     s = sum(lower, Fraction(0)) - sum(upper, Fraction(0))
     return s, int(s.denominator == 1)

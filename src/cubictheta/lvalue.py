@@ -75,6 +75,8 @@ LVALUE_METHODS = {
 # f(i/(9y)) = 3^(-3/2) 9^3 y^3 g(iy)
 _F_ETA = [(1, 6), (9, 3), (3, -3)]
 _G_ETA = [(9, 6), (1, 3), (3, -3)]
+# the split point y0 of the Mellin integral: the involution's fixed point
+_SPLIT_Y0 = Fraction(1, 3)
 # the series stop at this order; only a split far from the fixed point needs it
 _MAX_TERMS = 50_000
 
@@ -105,7 +107,7 @@ def _upper_gamma(nu: int, x, majorant: bool = False) -> mpf:
         x ** k / math.factorial(k) for k in range(nu))
 
 
-def l_mellin(n: int, prec: Precision, split_scale: float = 1.0) -> SeriesResult:
+def l_mellin(n: int, prec: Precision) -> SeriesResult:
     """L(f, n), n = 1, 2, 3, from the functional equation split at y0.
 
     With Lambda(s) = (2 pi)^(-s) Gamma(s) L(f, s) = int_0^inf f(iy) y^(s-1) dy,
@@ -115,11 +117,10 @@ def l_mellin(n: int, prec: Precision, split_scale: float = 1.0) -> SeriesResult:
                     + 3^(-3/2) 9^(3-s) sum b_m (2 pi m)^(s-3) Gamma(3-s, 2 pi m/(9 y0)),
 
     where a_m, b_m are the exact coefficients of f = eta(t)^6 eta(9t)^3/eta(3t)^3
-    and g = eta(9t)^6 eta(t)^3/eta(3t)^3.  The split y0 = split_scale/3 sits on
-    the involution's fixed point 1/3 by default; every y0 > 0 gives the same
-    value.  The pairing with g is needed: f is no Hecke eigenform
-    (a_2 = -6, a_3 = 9), and the single-form level-27 equation gives 0.397 for
-    L(f, 1) = 0.1215.
+    and g = eta(9t)^6 eta(t)^3/eta(3t)^3.  The split y0 = ``_SPLIT_Y0`` sits on
+    the involution's fixed point 1/3; every y0 > 0 gives the same value.  The
+    pairing with g is needed: f is no Hecke eigenform (a_2 = -6, a_3 = 9), and
+    the single-form level-27 equation gives 0.397 for L(f, 1) = 0.1215.
 
     Both sums stop at the smallest M whose proven tail is at most tol/8: past
     m = M, each term is at most its majorant (|a_m|, |b_m| replaced by
@@ -132,10 +133,7 @@ def l_mellin(n: int, prec: Precision, split_scale: float = 1.0) -> SeriesResult:
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
     with mp.workdps(prec.dps + 15):
-        scale = mpmathify(split_scale)
-        if not (mp.isfinite(scale) and scale > 0):
-            raise ValueError(f"split_scale must be positive and finite, got {split_scale}")
-        y0 = scale / 3
+        y0 = mpf(_SPLIT_Y0.numerator) / _SPLIT_Y0.denominator
         two_pi = 2 * mp.pi
         fac = two_pi ** n / math.factorial(n - 1)
         # (nu, lambda, constant) of each side: its m-th term is
@@ -163,7 +161,7 @@ def l_mellin(n: int, prec: Precision, split_scale: float = 1.0) -> SeriesResult:
             M += 1
             if M > _MAX_TERMS:
                 raise ArithmeticError(
-                    f"split_scale={split_scale} needs more than {_MAX_TERMS} terms")
+                    f"the split y0 = {_SPLIT_Y0} needs more than {_MAX_TERMS} terms")
         val = mpf(0)
         size = mpf(0)
         for (nu, lam, const), spec in zip(sides, (_F_ETA, _G_ETA)):

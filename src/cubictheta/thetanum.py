@@ -181,27 +181,13 @@ def theta_point(q, prec: Precision) -> ThetaPoint:
 
 
 def f_integrand(u, prec: Precision) -> mpf:
-    """b(q)^2 c(q^3) at q = exp(-2*pi*u).
-
-    For u below the split point the product is rewritten through the
-    involution once: c(q')^2 b(q'') / (9*sqrt(3)*u^3) with q' = exp(-2*pi/(3u))
-    and q'' = exp(-2*pi/(9u)).
-    """
+    """b(q)^2 c(q^3) at q = exp(-2*pi*u), each factor from ``_theta_u``."""
     with mp.workdps(prec.dps + 10):
         uu = mpmathify(u)
         if not uu > 0:
             raise ValueError(f"u must be positive, got {u}")
         tol = prec.tol() / 16
-        if 3 * uu * uu >= 1:
-            b = _theta_u("b", uu, tol)
-            c = _theta_u("c", 3 * uu, tol)
-            val = b * b * c
-        else:
-            scale = 9 * mp.sqrt(3) * uu ** 3
-            cc = _theta_direct("c", mp.exp(-2 * mp.pi / (3 * uu)), tol * scale)
-            bb = _theta_u("b", 1 / (9 * uu), tol * scale)
-            val = cc * cc * bb / scale
-        return val
+        return _theta_u("b", uu, tol) ** 2 * _theta_u("c", 3 * uu, tol)
 
 
 def residual_hauptmodul(q, prec: Precision) -> mpf:

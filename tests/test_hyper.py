@@ -287,12 +287,15 @@ NO_BRANCH = "no fast evaluation path"
                  id="direct-polynomial-below-minus-0.95"),
     pytest.param([-2, 1, 1], [2], "0.75", None, "direct", id="direct-polynomial-p=q+2"),
     pytest.param([THIRD], [], "0.9", None, "binomial", id="binomial-1f0"),
+    pytest.param([THIRD], [], "0", None, "binomial", id="binomial-1f0-at-zero"),
     pytest.param([Fraction(-2)], [], "1", None, "binomial", id="binomial-1f0-terminating-at-one"),
     pytest.param([THIRD], [], "1", "1e-40", "binomial", id="binomial-1f0-near-one"),
     pytest.param([1, Fraction(4, 3)], [2], "-1", None, "binomial", id="binomial-2f1"),
     pytest.param([THIRD, Fraction(1, 4)], [2], "1", None, "gauss", id="gauss"),
     pytest.param([THIRD, Fraction(1, 4)], [2], "1", "0", "gauss", id="gauss-omx-zero"),
     pytest.param([1, 1, Fraction(4, 3)], [2, 2], "1", None, "f32-tail", id="f32-at-one"),
+    pytest.param([1, 1, Fraction(4, 3)], [2, 2], "1", "-1e-40", "f32-tail",
+                 id="f32-at-one-negative-omx"),
     pytest.param([1, 1, Fraction(4, 3)], [2, 2], "0.97", None, "f32-tail", id="f32-near-one"),
     pytest.param([THIRD, 2 * THIRD], [1], "0.97", None, "zero-balanced", id="zero-balanced"),
     pytest.param([THIRD, 2 * THIRD], [1], "1", "1e-40", "zero-balanced",
@@ -330,6 +333,42 @@ def test_eval_pfq_dispatch_matrix(up, lo, x, omx, want):
                 hyper._eval_pfq(*args, *point)
         else:
             assert hyper._eval_pfq(*args, *point)[2] == want
+
+
+@pytest.mark.parametrize("up, lo", [([], []), ([THIRD], [Fraction(4, 3)]),
+                                    ([THIRD, 2 * THIRD], [1]), ([1, 1, Fraction(4, 3)], [2, 2])],
+                         ids=["0f0", "1f1", "2f1", "3f2"])
+def test_eval_pfq_at_zero_is_exactly_one(up, lo):
+    # the direct sum at X = 0 is C_0 = 2^wp, read back exactly
+    with mp.workdps(30):
+        got = hyper._eval_pfq(tuple(map(Fraction, up)), tuple(map(Fraction, lo)), mpf(0),
+                              None, mpf("1e-25"))[0]
+        assert got._mpf_ == mpf(1)._mpf_
+
+
+@pytest.mark.parametrize("a", [THIRD, 2 * THIRD, Fraction(1, 7)])
+@pytest.mark.parametrize("dps", [30, 55, 120])
+def test_f32_tail_at_one_is_the_closed_form(a, dps):
+    # 3F2(1, 1, a+1; 2, 2; 1) through the tail expansion at w = 0 equals
+    # (psi(1) - psi(1 - a))/a bit for bit
+    with mp.workdps(dps):
+        got = hyper._eval_pfq((Fraction(1), Fraction(1), a + 1), (Fraction(2), Fraction(2)),
+                              mpf(1), None, mpf(10) ** (5 - dps))[0]
+        b = 1 - a
+        want = (mp.psi(0, mpf(1)) - mp.psi(0, mpf(b.numerator) / b.denominator)) / (
+            mpf(a.numerator) / a.denominator)
+        assert got._mpf_ == want._mpf_
+
+
+@pytest.mark.parametrize("up, lo", [([Fraction(-1, 2)], []), ([1, 1, Fraction(4, 3)], [2, 2])],
+                         ids=["1f0", "f32"])
+def test_pfq_negative_complement_at_one_is_real(up, lo):
+    # x = 1 with a complement below 0 is the unit argument, where omx is 0:
+    # no power of a negative complement turns the value complex (1F0(-1/2)
+    # at 1 is 0, not 1e-20j)
+    res = hyper.pfq(PFQParams(up, lo), 1, PREC, x_complement="-1e-40")
+    assert isinstance(res.value, mpf)
+    assert res.value == hyper.pfq(PFQParams(up, lo), 1, PREC).value
 
 
 # -- fixed-point direct summation ---------------------------------------------------
@@ -488,6 +527,15 @@ def test_pfq_direct_rejects_inexact_parameters():
         hyper._pfq_direct([THIRD, 1], [2.0], mpf("0.5"), mpf("1e-30"))
 
 
+@pytest.mark.parametrize("x", ["50", "-30"])
+def test_pfq_direct_rejects_beyond_the_unit_disc(x):
+    # the table is built at x = 1, and a sum outside the unit disc would lose
+    # the terms that |x|^n magnifies (e^50 = 5.18e21, e^-30 = 9.36e-14)
+    with mp.workdps(30):
+        with pytest.raises(ValueError, match="direct summation requires"):
+            hyper._pfq_direct([], [], mpf(x), mpf("1e-25"))
+
+
 def test_pfq_direct_node_sweep_builds_one_table(monkeypatch):
     # 300 quadrature-like nodes of one series read one coefficient table, and
     # each sum is within its tail and rounding bound of mpmath at 120 digits
@@ -610,16 +658,23 @@ def test_pfq_direct_against_mpmath(up, lo, x):
     pytest.param([-2, 1, 1], [2], "-1", id="3f1-at-minus-one"),
     pytest.param([-30, 20], [Fraction(1, 2)], "-1", id="degree-30"),
     pytest.param([-6, 1], [Fraction(-11, 2)], "1", id="negative-lower"),
+    pytest.param([-200, 300], [Fraction(1, 2)], "1", id="degree-200-at-one"),
+    pytest.param([-200, 300], [Fraction(1, 2)], "-1", id="degree-200-at-minus-one"),
+    pytest.param([-1, Fraction(4, 3)], [2], "7/10", id="kdf-b-factor"),
 ])
 def test_polynomial_at_any_argument(up, lo, x):
     # a terminating series takes the direct sum at any |x| <= 1, whatever p
-    # and q are, and lies within the direct-sum bound of its exact value
+    # and q are, sums its degree + 1 terms and no more, and lies within the
+    # direct-sum bound of its exact value
     up, lo, x = tuple(map(Fraction, up)), tuple(map(Fraction, lo)), Fraction(x)
     exact = _terminating_sum(up, lo, x)
+    degree = min(-u for u in up if u.denominator == 1 and u <= 0)
     with mp.workdps(40):
         eps = mpf("1e-35")
-        got, _, method, _ = hyper._eval_pfq(up, lo, mpf(x.numerator) / x.denominator, None, eps)
+        got, terms, method, _ = hyper._eval_pfq(up, lo, mpf(x.numerator) / x.denominator,
+                                                None, eps)
         assert method == "direct"
+        assert terms == degree + 1
         with mp.workdps(80):
             want = mpf(exact.numerator) / exact.denominator
         assert abs(got - want) <= eps + mp.ldexp(1 + abs(got), -mp.prec)

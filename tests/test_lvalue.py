@@ -3,6 +3,7 @@ and the identity catalog at its stated tolerance."""
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, mpmathify
@@ -171,12 +172,15 @@ def test_mellin_known_values(n):
         assert abs(res.value - mpf(L_VALUES_35[n])) <= mpf("1e-35")
 
 
-def test_mellin_split_point_invariance():
+def test_mellin_split_point_invariance(monkeypatch):
     # every split y0 gives the same value only if g and its constant
-    # 3^(-3/2) 9^(3-s) are the Fricke partner of f
+    # 3^(-3/2) 9^(3-s) are the Fricke partner of f; y0 = 1/3 and the
+    # scales 1.3 and 1/1.3 of it
     for n in (1, 2, 3):
-        runs = [lvalue.l_mellin(n, PREC_FINE, split_scale=scale)
-                for scale in (1, 1.3, 1 / 1.3)]
+        runs = []
+        for y0 in (Fraction(1, 3), Fraction(13, 30), Fraction(10, 39)):
+            monkeypatch.setattr(lvalue, "_SPLIT_Y0", y0)
+            runs.append(lvalue.l_mellin(n, PREC_FINE))
         with mp.workdps(60):
             for a in runs:
                 for b in runs:
@@ -200,16 +204,6 @@ def test_mellin_matches_quadrature_oracle(n):
     new = lvalue.l_mellin(n, PREC)
     with mp.workdps(60):
         assert abs(new.value - old.value) <= old.err_estimate
-
-
-@pytest.mark.parametrize("scale", [0, -1.0, float("nan"), float("inf"), "-inf"])
-def test_mellin_rejects_bad_split(scale, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("coefficients computed for a rejected split")
-
-    monkeypatch.setattr(qexp, "eta_quotient", no_work)
-    with pytest.raises(ValueError):
-        lvalue.l_mellin(1, PREC, split_scale=scale)
 
 
 def test_coefficient_bound_holds():

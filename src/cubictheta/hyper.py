@@ -22,16 +22,16 @@ a series that diverges at x = 1 (nonpositive excess, 1F0 included) raise
 ValueError, except that a polynomial is summed directly at any |x| <= 1.
 Near the unit argument the evaluators switch to connection/log expansions in
 1 - x, whose tails are certified as well; callers that know 1 - x to better
-accuracy than x can pass it explicitly.  At the unit argument itself, the
-boundary Kampe de Feriet values are limits of their S_d, whose remainder has
-a form known from the parameters (``_kdf_families``).  A pFq at x = 1 that
-no closed form covers is the value at (1, 0) of the one-factor block
-KdFParams([], [], upper, lower, [], []), so its partial sums and families
-are that block's.  ``_extrapolate`` takes the partial sums up to the one
-index D = ``_FIT_D`` and searches the order K of the known-exponent fit
-(``_accel.known_exponent_fit``) on them against the requested tol; it raises
-when the search stalls or runs out of points.  The module holds evaluators
-only; the identity checks built on them live in ``lvalue`` and ``cli``.
+accuracy than x can pass it explicitly.  Where a factor that is not a
+polynomial sits on |z| = 1, a Kampe de Feriet value is the limit of its S_d,
+whose remainder has a form known from the parameters (``_kdf_families``).
+A pFq at x = 1 that no closed form covers is the value at (1, 0) of the
+one-factor block KdFParams([], [], upper, lower, [], []), so its partial
+sums and families are that block's.  ``_extrapolate`` takes the partial
+sums up to the one index D = ``_FIT_D`` and searches the order K of the
+known-exponent fit (``_accel.known_exponent_fit``) on them against the
+requested tol; it raises when the search stalls or runs out of points.  The
+module holds evaluators only; the identity checks live in ``lvalue`` and ``cli``.
 """
 
 from __future__ import annotations
@@ -544,8 +544,8 @@ def _eval_pfq(upper, lower, x, omx, eps):
             # the partial sums at 1 are the anti-diagonal sums of the one-factor
             # block at (1, 0), and their remainder families are that block's
             block, zero = KdFParams([], [], up, lo, [], []), mpf(0)
-            val, err, _ = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, _FIT_D),
-                                       _kdf_families(block, x, zero), eps)
+            val, err = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, _FIT_D),
+                                    _kdf_families(block, x, zero), eps)
             return +val, _FIT_D + 1, "accelerated", +err
         if p == 2 and lo[0] == 2 and Fraction(1) in up and up[0] != up[1]:
             # binomial closed form, valid on the whole interval [-1, 1)
@@ -702,10 +702,11 @@ def _kdf_families(params: KdFParams, x, y):
     z = 1, times the joint factor (a)_k/(ap)_k ~ k^-sa with
     sa = sum(ap) - sum(a), leaves remainder functions N^-(sa + alpha + j)
     (log N)^l for j >= 0 and l <= m, or l <= m - 1 when alpha is an integer
-    >= 0 (an analytic term leaves none); at z = -1 they are
-    (-1)^N N^-(sa + alpha + 1 + j) (log N)^l.  Families whose exponents agree
-    mod 1 and share a sign merge: from the smallest exponent, with the
-    largest log power.
+    >= 0; at z = -1 they are (-1)^N N^-(sa + alpha + 1 + j) (log N)^l.  Only
+    the product can be analytic (alpha an integer >= 0, m = 0: no family), so
+    there are families exactly when a non-polynomial factor is on |z| = 1.
+    Families whose exponents agree mod 1 and share a sign merge: from the
+    smallest exponent, with the largest log power.
     """
     sa = sum(params.ap, Fraction(0)) - sum(params.a, Fraction(0))
     pb = _singular_part(params.b, params.bp) if abs(x) == 1 else None
@@ -731,8 +732,8 @@ _FIT_D = 320
 
 def _extrapolate(partial_sums, families, tol):
     """The limit of a series whose remainder has the given ``families``
-    (``_accel.known_exponent_fit``), from its partial sums; returns
-    (value, bar, K).
+    (``_accel.known_exponent_fit``, at least one), from its partial sums;
+    returns (value, bar).
 
     ``partial_sums()`` returns S_0..S_D as mpfs and a bound r on the error of
     each, both at the working precision.  The fit order K steps 8, 10, 12, ...
@@ -742,84 +743,85 @@ def _extrapolate(partial_sums, families, tol):
     with the precision raised to cover it, and 64 bits more.  The search
     raises ArithmeticError when two gaps in a row are no smaller than an
     earlier one (a stall), or when the next K has no points left
-    (K > ``_accel.max_order(D)``).  With no family the sums are constant from
-    some index on (a terminating series, or polynomial B and C), so V is S_D
-    itself (K = 0) and its gaps are those of the last three sums.  No
-    fallback.
+    (K > ``_accel.max_order(D)``).  No fallback.
     """
     prec = mp.prec
-    with mp.workprec(prec):
-        sums, rounding = partial_sums()
+    sums, rounding = partial_sums()
     D, K = len(sums) - 1, 0
-    if not families:
-        gaps = [abs(sums[-1] - sums[-2]), abs(sums[-2] - sums[-3])]
-        if max(gaps) <= tol / 8:
-            return sums[-1], sum(gaps) + rounding, K
-    else:
-        vals, gaps = [], []
-        for K in range(8, _accel.max_order(D) + 1, 2):
+    vals, gaps = [], []
+    for K in range(8, _accel.max_order(D) + 1, 2):
+        with mp.workprec(prec):
+            val, wsum = _accel.known_exponent_fit(sums, families, K)
+        if wsum * rounding > tol / 8:
+            prec += int(mp.ceil(mp.log(wsum * rounding * 8 / tol, 2))) + 64
             with mp.workprec(prec):
+                sums, rounding = partial_sums()
                 val, wsum = _accel.known_exponent_fit(sums, families, K)
-            if wsum * rounding > tol / 8:
-                prec += int(mp.ceil(mp.log(wsum * rounding * 8 / tol, 2))) + 64
-                with mp.workprec(prec):
-                    sums, rounding = partial_sums()
-                    val, wsum = _accel.known_exponent_fit(sums, families, K)
-            if vals:
-                gaps.append(abs(val - vals[-1]))
-                if len(gaps) >= 2 and max(gaps[-2:]) <= tol / 8:
-                    return val, gaps[-1] + gaps[-2] + wsum * rounding, K
-                if len(gaps) >= 3 and min(gaps[-2:]) >= min(gaps[:-2]):
-                    break
-            vals.append(val)
+        if vals:
+            gaps.append(abs(val - vals[-1]))
+            if len(gaps) >= 2 and max(gaps[-2:]) <= tol / 8:
+                return val, gaps[-1] + gaps[-2] + wsum * rounding
+            if len(gaps) >= 3 and min(gaps[-2:]) >= min(gaps[:-2]):
+                break
+        vals.append(val)
     raise ArithmeticError(
         f"boundary extrapolation did not reach {mp.nstr(tol, 3)} at D = {D} (last K = {K})"
     )
 
 
+def _bidisc_point(x, y):
+    """x and y as mpfs, inside the closed unit bidisc (else ValueError)."""
+    xx, yy = _to_mpf(x), _to_mpf(y)
+    if abs(xx) > 1 or abs(yy) > 1:
+        raise ValueError("arguments beyond the closed unit bidisc are out of scope")
+    return xx, yy
+
+
 def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     """Anti-diagonal summation of the double series.
 
-    Interior points stop on a certified geometric tail bound, and report it
-    plus the rounding bound of the partial sums.  Boundary points (|x| = 1 or
-    |y| = 1) require the convergence margins to be positive; their value is
-    the known-exponent fit of the diagonal partial sums S_0..S_D at
-    D = ``_FIT_D`` (``_extrapolate``, with the families of
-    ``_kdf_families``), labelled ``"accelerated"``, and its bar is the fit's
-    measured bar, below tol.  An order search that stalls or runs out of
-    points raises ArithmeticError.
+    Where a factor that is not a polynomial sits on |z| = 1 (the point has
+    families, ``_kdf_families``), the shape and the margins are checked and
+    the value is the known-exponent fit of S_0..S_D at D = ``_FIT_D``
+    (``_extrapolate``, ``"accelerated"``) with its measured bar, below tol; a
+    search that stalls or runs out of points raises ArithmeticError.  Every
+    other point is summed (``"direct"``) past the degree of each polynomial
+    factor with z != 0, to a geometric tail bound at rho = (1 + r)/2, r the
+    largest |z| of a factor that is not a polynomial, and reports it plus the
+    rounding bound of the partial sums.  At r = 0 the series is finite: it is
+    summed to its degree, and the bar is the rounding bound alone.
     """
     with mp.workdps(prec.dps + 15):
-        xx, yy = _to_mpf(x), _to_mpf(y)
-        if abs(xx) > 1 or abs(yy) > 1:
-            raise ValueError("arguments beyond the closed unit bidisc are out of scope")
-        boundary = abs(xx) == 1 or abs(yy) == 1
-        if boundary:
+        xx, yy = _bidisc_point(x, y)
+        families = _kdf_families(params, xx, yy)
+        if families:
             _require_boundary_shape(params)
             margins = kdf_margins(params)
             if not margins.boundary_ok:
-                raise ValueError(
-                    f"boundary evaluation rejected: margins {margins.m1}, "
-                    f"{margins.m2}, {margins.m3} are not all positive"
-                )
-            val, err, _ = _extrapolate(lambda: _kdf_partial_sums(params, xx, yy, _FIT_D),
-                                       _kdf_families(params, xx, yy), prec.tol())
+                raise ValueError(f"boundary evaluation rejected: margins {margins.m1}, "
+                                 f"{margins.m2}, {margins.m3} are not all positive")
+            val, err = _extrapolate(lambda: _kdf_partial_sums(params, xx, yy, _FIT_D),
+                                    families, prec.tol())
             return SeriesResult(+val, +err, (_FIT_D + 1) * (_FIT_D + 2) // 2, "accelerated")
-        rho = (1 + max(abs(xx), abs(yy))) / 2
-        tol = prec.tol() / 4
+        factors = [(_degree(u), abs(z)) for u, z in ((params.b, xx), (params.c, yy))]
+        r = max((z for d, z in factors if d is None), default=mpf(0))
+        deg = sum(d for d, z in factors if d is not None and z != 0)
+        if deg > 20_000:
+            raise ArithmeticError(f"a polynomial factor of degree {deg} is beyond D = 20000")
+        rho, tol = (1 + r) / 2, prec.tol() / 4
         need = int(float(mp.log(tol) / mp.log(rho))) + 40
-        D = max(48, min(need, 20_000))
+        # polynomial terms do not decay: D passes their degree, and at r = 0
+        # the series ends there, so S_deg is the value with no tail to bound
+        D = deg if r == 0 else max(48, deg + 2, min(need, 20_000))
         while True:
             sums, rounding = _kdf_partial_sums(params, xx, yy, D)
-            last_diag = abs(sums[-1] - sums[-2])
-            bound = last_diag * rho / (1 - rho)
+            bound = 0 if r == 0 else abs(sums[-1] - sums[-2]) * rho / (1 - rho)
             if bound <= tol or D >= 20_000:
                 break
             D *= 2
         if bound > tol:
-            raise ArithmeticError("interior double series failed its tail bound")
-        terms = (D + 1) * (D + 2) // 2
-        return SeriesResult(+sums[-1], +(bound + rounding), terms, "direct")
+            raise ArithmeticError("direct double series failed its tail bound")
+        return SeriesResult(+sums[-1], +(bound + rounding), (D + 1) * (D + 2) // 2, "direct")
 
 
 def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
@@ -835,18 +837,15 @@ def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     if not (ap > a > 0):
         raise ValueError("integral representation needs ap > a > 0")
     with mp.workdps(prec.dps + 15):
-        xx, yy = _to_mpf(x), _to_mpf(y)
+        xx, yy = _bidisc_point(x, y)
         pref = _gamma(ap) / (_gamma(a) * _gamma(ap - a))
-        am = _to_mpf(a)
-        dm = _to_mpf(ap - a)
+        am, dm = _to_mpf(a), _to_mpf(ap - a)
         eps = prec.tol() / 100
-        bu, bl = params.b, params.bp
-        cu, cl = params.c, params.cp
 
         def integrand(t, omt):
             # 1 - z*t as (1 - z) + z*(1 - t): exactly omt at z = 1
-            fb = _eval_pfq(bu, bl, xx * t, (1 - xx) + xx * omt, eps)[0]
-            fc = _eval_pfq(cu, cl, yy * t, (1 - yy) + yy * omt, eps)[0]
+            fb = _eval_pfq(params.b, params.bp, xx * t, (1 - xx) + xx * omt, eps)[0]
+            fc = _eval_pfq(params.c, params.cp, yy * t, (1 - yy) + yy * omt, eps)[0]
             return t ** (am - 1) * omt ** (dm - 1) * fb * fc
 
         quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)

@@ -47,6 +47,8 @@ class Precision:
     target_tol: float
 
     def __post_init__(self):
+        if not 0 < self.target_tol < math.inf:
+            raise ValueError(f"target_tol must be positive and finite, got {self.target_tol}")
         if self.working_digits < 15:
             raise ValueError("working_digits must be at least 15")
         need = -math.log10(float(self.target_tol)) + 10

@@ -105,21 +105,29 @@ def test_kdf_origin_is_one(capsys):
 
 
 def test_kdf_polynomial_factor_takes_both_routes(capsys):
-    # B = 2F1(-1, 4/3; 2; w) = 1 - 2w/3 is a polynomial, which the integral
-    # route sums directly at every node; a list that starts with '-' needs '='
-    values = {}
-    for route in ("series", "integral"):
-        code, out, _ = run(
-            ["kdf", "--a", "1", "--ap", "2", "--b=-1,4/3", "--bp", "2",
-             "--c", "1/3,2/3", "--cp", "1", "--x", "1", "--y", "1",
-             "--route", route, "--digits", "30"],
-            capsys,
-        )
-        assert code == 0, route
-        values[route] = dict(line.split(" = ") for line in out.splitlines())
-    with mp.workdps(40):
-        gap = abs(mpf(values["series"]["value"]) - mpf(values["integral"]["value"]))
-        assert gap <= sum(mpf(v["err_estimate"]) for v in values.values())
+    rows = [
+        # B = 2F1(-1, 4/3; 2; w) = 1 - 2w/3 is a polynomial, which the integral
+        # route sums directly at every node; C is singular at y = 1, so the
+        # series route fits; a list that starts with '-' needs '='
+        (["--b=-1,4/3", "--bp", "2", "--c", "1/3,2/3", "--cp", "1", "--x", "1", "--y", "1",
+          "--digits", "30"], "accelerated"),
+        # C = 2F1(-2, 1; 2; w) is the only factor on the circle, and a
+        # polynomial: the series route sums directly
+        (["--b", "1,4/3", "--bp", "2", "--c=-2,1", "--cp", "2", "--x", "9/10", "--y", "1",
+          "--digits", "40"], "direct"),
+    ]
+    for args, method in rows:
+        values = {}
+        for route in ("series", "integral"):
+            code, out, _ = run(["kdf", "--a", "1", "--ap", "2", *args, "--route", route],
+                               capsys)
+            assert code == 0, (args, route)
+            values[route] = dict(line.split(" = ") for line in out.splitlines())
+        assert values["series"]["method"] == method
+        assert values["integral"]["method"] == "integral"
+        with mp.workdps(50):
+            gap = abs(mpf(values["series"]["value"]) - mpf(values["integral"]["value"]))
+            assert gap <= sum(mpf(v["err_estimate"]) for v in values.values()), args
 
 
 def test_lvalue_mellin_runs(capsys):

@@ -956,9 +956,10 @@ def test_kdf_boundary_theorem_blocks_to_1e_25(name):
 
 def test_terminating_series_at_one():
     # the polynomial 3F2(-2, 1/3, 1/2; 2, 3; 1) = 205/216 is summed directly;
-    # in the double series no singular part leaves no family: the sums are
-    # constant from the degree on, and S_D is the value; with B = 1 - 2w/3,
-    # C = 1 - w + w^2/3 the series at (1, 1) is 1 - 5/6 + 1/3 - 1/18 = 4/9
+    # in the double series no singular part leaves no family, so (1, 1) is no
+    # boundary point and the anti-diagonal sums, which end at degree 3, are
+    # summed directly; with B = 1 - 2w/3, C = 1 - w + w^2/3 the series at
+    # (1, 1) is 1 - 5/6 + 1/3 - 1/18 = 4/9
     prec = Precision(30, 1e-15)
     res = hyper.pfq(PFQParams([-2, THIRD, Fraction(1, 2)], [2, 3]), 1, prec)
     assert res.method == "direct"
@@ -967,8 +968,75 @@ def test_terminating_series_at_one():
     block = KdFParams([1], [2], [-1, 2], [3], [-2, 1], [2])
     assert hyper._kdf_families(block, mpf(1), mpf(1)) == ()
     res = hyper.kdf_series(block, 1, 1, prec)
+    assert res.method == "direct"
     with mp.workdps(45):
         assert abs(res.value - mpf(4) / 9) <= res.err_estimate <= mpf("1e-40")
+
+
+# C = 2F1(-2, 1; 2; w) = 1 - w + w^2/3 is a polynomial; B is not
+POLY_C_BLOCK = KdFParams([1], [2], [1, Fraction(4, 3)], [2], [-2, 1], [2])
+# B = 2F1(-2, 5; 1; w) is a polynomial; C is not; margins (-1, 1, -1)
+POLY_B_BLOCK = KdFParams([1], [2], [-2, 5], [1], [THIRD, 2 * THIRD], [1])
+
+
+# C = 2F1(-150, 1; 1; w) = (1 - w)^150, of a degree above the geometric D
+POLY_C150_BLOCK = KdFParams([1], [2], [1, Fraction(4, 3)], [2], [-150, 1], [1])
+
+
+@pytest.mark.parametrize("block, x, tol", [(POLY_C_BLOCK, Fraction(9, 10), 1e-12),
+                                           (POLY_C_BLOCK, Fraction(9, 10), 1e-25),
+                                           (POLY_C150_BLOCK, Fraction(1, 2), 1e-12)],
+                         ids=["deg2-1e-12", "deg2-1e-25", "deg150-1e-12"])
+def test_kdf_polynomial_factor_on_the_circle_is_summed_directly(block, x, tol):
+    # C, a polynomial, is the only factor on |z| = 1, so (x, 1) has no
+    # family: past C's degree the sums converge geometrically, at the rate of
+    # B at x, and are summed directly; they agree with the integral route
+    # (bar below 3e-34) within the two bars
+    assert hyper._kdf_families(block, hyper._to_mpf(x), mpf(1)) == ()
+    s = hyper.kdf_series(block, x, 1, Precision(40, tol))
+    ref = hyper.kdf_integral(block, x, 1, Precision(45, 1e-33))
+    assert s.method == "direct"
+    with mp.workdps(60):
+        assert abs(s.value - ref.value) <= s.err_estimate + ref.err_estimate
+        assert s.err_estimate <= tol
+
+
+def test_kdf_polynomial_factors_are_summed_to_their_degree():
+    # B(z) C(-z) = (1 - z)^50 (1 + z)^50 = (1 - z^2)^50: every odd
+    # anti-diagonal is 0, so no one-diagonal tail test can stop this finite
+    # sum; its value is int_0^1 (1 - t^2)^50 dt = sum_j (-1)^j C(50, j)/(2j + 1)
+    block = KdFParams([1], [2], [-50, 1], [1], [-50, 1], [1])
+    exact = sum(Fraction((-1) ** j * math.comb(50, j), 2 * j + 1) for j in range(51))
+    res = hyper.kdf_series(block, 1, -1, Precision(40, 1e-12))
+    assert res.method == "direct"
+    with mp.workdps(80):
+        assert abs(res.value - mpf(exact.numerator) / exact.denominator) <= res.err_estimate
+        assert res.err_estimate <= mpf("1e-40")
+
+
+@pytest.mark.parametrize("y", [Fraction(1, 2), Fraction(-9, 10)])
+def test_kdf_polynomial_factor_needs_no_margins(y):
+    # the margins are negative, but at (1, y) only the polynomial B is on the
+    # circle: no boundary point, so the series route sums directly and agrees
+    # with the integral route within the sum of the bars
+    assert not hyper.kdf_margins(POLY_B_BLOCK).boundary_ok
+    prec = Precision(40, 1e-25)
+    s = hyper.kdf_series(POLY_B_BLOCK, 1, y, prec)
+    i = hyper.kdf_integral(POLY_B_BLOCK, 1, y, prec)
+    assert s.method == "direct"
+    with mp.workdps(60):
+        assert abs(s.value - i.value) <= s.err_estimate + i.err_estimate
+        if y == Fraction(1, 2):
+            assert abs(s.value - mpf("1.1399869219979984")) <= mpf("1e-16")
+
+
+@pytest.mark.parametrize("route", [hyper.kdf_series, hyper.kdf_integral])
+@pytest.mark.parametrize("x, y", [(Fraction(3, 2), Fraction(1, 2)),
+                                  (Fraction(1, 2), Fraction(-3, 2))])
+def test_kdf_rejects_points_beyond_the_bidisc(route, x, y):
+    # both routes check the closed unit bidisc before any sum or node
+    with pytest.raises(ValueError, match="beyond the closed unit bidisc"):
+        route(MAIN_BLOCK, x, y, PREC)
 
 
 def _pool_blocks():

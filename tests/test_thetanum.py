@@ -38,6 +38,11 @@ def test_precision_invariants():
     with pytest.raises(ValueError):
         Precision(20, 1e-15)  # fewer than 10 guard digits
     assert Precision(40, 1e-20).dps == 40
+    # a tol that is not positive and finite is rejected by name, not by a
+    # math domain error or a nan/inf tol() later
+    for bad in (float("nan"), float("inf"), 0.0, -1e-10):
+        with pytest.raises(ValueError, match=f"positive and finite, got {bad}"):
+            Precision(40, bad)
 
 
 def test_domain_errors():

@@ -10,11 +10,14 @@ points of ``verify --suite numeric``) and at (1, 1) with
 one fresh process it first times one call for each block and point in turn
 (cold: the first call pays for every cache it fills), then each again, best
 of 5.  After the timing, one more call per block and point runs with
-``hyper._pfq_direct`` wrapped, and records its calls and the terms they
-summed.  It then times ``cubictheta verify --suite all --digits 40`` in fresh
-interpreters: the first run and the best of 5.  Prints one JSON record with
-those, the Python version, the CPU count, ``git describe --always --dirty``
-of the checkout and ``mpmath.libmp.BACKEND``.
+``hyper._direct_sum`` wrapped, the one function through which every direct
+sum goes (the "direct" exit of a plan, the sub-series of the "connection"
+and "f32-tail" branches, and ``_pfq_direct``), and records its calls and the
+terms they summed.  It then times ``cubictheta verify --suite all --digits
+40`` in fresh interpreters: the first run and the best of 5.  Prints one
+JSON record with those, the Python version, the CPU model (from
+/proc/cpuinfo, where there is one) and count, ``git describe --always
+--dirty`` of the checkout and ``mpmath.libmp.BACKEND``.
 """
 
 from __future__ import annotations
@@ -54,21 +57,33 @@ def timed(fn):
 
 
 def direct_counts(params, point, prec):
-    """The _pfq_direct calls one kdf_integral call makes, and their terms."""
-    real, counts = hyper._pfq_direct, [0, 0]
+    """The direct sums one kdf_integral call makes, and their terms."""
+    real, counts = hyper._direct_sum, [0, 0]
 
-    def spy(upper, lower, x, eps):
-        value, terms = real(upper, lower, x, eps)
+    def spy(plan, x, eps):
+        value, terms = real(plan, x, eps)
         counts[0] += 1
         counts[1] += terms
         return value, terms
 
-    hyper._pfq_direct = spy
+    hyper._direct_sum = spy
     try:
         hyper.kdf_integral(params, *point, prec)
     finally:
-        hyper._pfq_direct = real
+        hyper._direct_sum = real
     return counts
+
+
+def cpu_model() -> str:
+    """The first "model name" of /proc/cpuinfo, else platform.processor()."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
 
 
 def verify_seconds():
@@ -98,8 +113,8 @@ def main() -> None:
             rows[name] = {
                 "cold_seconds": round(cold[label, name], 4),
                 "best_seconds": round(best[label, name], 4),
-                "pfq_direct_calls": n_calls,
-                "pfq_direct_terms": n_terms,
+                "direct_sum_calls": n_calls,
+                "direct_sum_terms": n_terms,
             }
         out[label] = {
             "blocks": rows,
@@ -119,6 +134,7 @@ def main() -> None:
             "best_seconds": round(min(verify), 4),
         },
         "python": platform.python_version(),
+        "cpu_model": cpu_model(),
         "cpus": os.cpu_count(),
         "git": git,
         "mpmath_backend": mpmath.libmp.BACKEND,

@@ -8,18 +8,26 @@ patterns) are decided exactly.  Direct sums and the Kampe de Feriet
 anti-diagonal sums S_d take their terms from one recurrence, run in fixed
 point on Python ints built from those exact parameters (``_fixed_terms``),
 with stated rounding bounds: 2^-prec (1 + |value|) for direct sums and
-2^-prec (1 + max |S_d|) for the S_d.  A direct sum reads its
-coefficients c_n 2^wp from a table cached per (parameters, wp)
-(``_coeff_table``, a bounded lru), filled lazily from that recurrence at
-x = 1, and sums them by Horner's rule at x, so all the nodes of a quadrature
-share one table; no direct sum is taken outside |x| <= 1.  A polynomial's
-sum stops at its degree; any other's stop index is read off the float log2
-magnitudes of the table's terms and exact ratios, late on a near-tie, never
-early.  The real-argument dispatch (``_eval_pfq``) has one exit per
-algorithm, reads a complement 1 - x <= 0 at x = 1 as 0, and checks
-the scope before any branch: |x| > 1, more than q + 1 upper parameters and
-a series that diverges at x = 1 (nonpositive excess, 1F0 included) raise
+2^-prec (1 + max |S_d|) for the S_d.  Everything about a pFq that x does
+not change is worked out once per exact (upper, lower), in its evaluation
+plan (``_Plan``, held by ``_plan``, a bounded lru): the cancellation of
+repeated parameters, the scope facts, the branch that a 2F1 takes near
+x = 1, and, per working precision, each branch's gamma/psi constants and the
+plans of the series it sums.  A direct sum (``_direct_sum``) reads its
+coefficients c_n 2^wp from a table cached per (plan, wp) (``_coeff_table``,
+a bounded lru; no plan holds a table), filled lazily from that recurrence
+at x = 1, and sums them by Horner's rule at x, so all the nodes of a
+quadrature share one table; no direct sum is taken outside |x| <= 1.  At
+x = 0 a sum stops at its first term, and a polynomial's at its degree; any
+other's stop index is read off the float log2 magnitudes of the table's
+terms and exact ratios, late on a near-tie, never early.  The real-argument
+dispatch (``_eval_pfq``, a plan lookup and the plan's ``eval``) has one exit
+per algorithm, reads a complement 1 - x <= 0 at x = 1 as 0, and checks the
+scope before any branch: |x| > 1, more than q + 1 upper parameters and a
+series that diverges at x = 1 (nonpositive excess, 1F0 included) raise
 ValueError, except that a polynomial is summed directly at any |x| <= 1.
+``kdf_integral`` looks up its two factors' plans once per call, so its
+quadrature nodes do only the work that depends on x.
 Near the unit argument the evaluators switch to connection/log expansions in
 1 - x, whose tails are certified as well; callers that know 1 - x to better
 accuracy than x can pass it explicitly.  Where a factor that is not a
@@ -217,7 +225,7 @@ _PFQ_GUARD = 2 * _TERM_CAP.bit_length() + 8
 # more than its float error (below 1e-7 bits up to _TERM_CAP terms): a
 # near-tie stops a sum late, never early
 _LOG2_MARGIN = 2.0 ** -16
-# tables held at once, for each of the two table kinds
+# coefficient tables held at once, and evaluation plans
 _TABLE_SLOTS = 256
 
 
@@ -228,37 +236,34 @@ def _degree(upper):
 
 
 class _CoeffTable:
-    """The coefficients c_n = prod (u)_n / prod (l)_n / n! of one series at
-    2^wp, filled lazily from ``_fixed_terms`` at x = 1.
+    """The coefficients c_n = prod (u)_n / prod (l)_n / n! of one plan's series
+    at 2^wp, filled lazily from ``_fixed_terms`` at x = 1.
 
     Per index n it holds C_n = c_n 2^wp (Python ints, within n G ulps, G the
     rise of the coefficients), the floats log2 |c_n| and log2 |c_(n+1) / c_n|
     (-inf at 0, and the latter from the first zero ratio on) that the stop
     scan reads, and bits_n = R_n + bitlen(max_(k<=n) |C_k| >> wp) + 2, the
-    guard bits the rounding bound of ``_pfq_direct`` asks for beyond
-    2 bitlen(N + 1).  ``degree`` is that of a polynomial (``_degree``), else
-    None; ``entire`` marks a series that converges at every x: p <= q.
+    guard bits the rounding bound of ``_direct_sum`` asks for beyond
+    2 bitlen(N + 1).  ``warmup``, ``degree`` and ``entire`` are the plan's.
+    ``log`` is the second series of the zero-balanced expansion
+    (``_LogTable``), made by the first such expansion that reads this table.
     """
 
     __slots__ = ("wp", "warmup", "degree", "entire", "C", "log_c", "log_ratio", "bits",
-                 "_terms", "_cmax")
+                 "log", "_terms", "_cmax")
 
-    def __init__(self, upper, lower, wp):
+    def __init__(self, plan, wp):
         self.wp = wp
-        # no tail is certified before the terms pass every pole -l of a
-        # negative lower parameter, where they can grow again
-        self.warmup = max(8 + int(4 * max((abs(float(u)) for u in upper), default=0)),
-                          math.floor(max((-l for l in lower), default=0)) + 2)
-        self.degree = _degree(upper)
-        self.entire = len(upper) <= len(lower)
+        self.warmup, self.degree, self.entire = plan.warmup, plan.degree, plan.entire
         self.C, self.log_c, self.log_ratio, self.bits = [], [], [], []
-        self._terms = _fixed_terms(upper, lower, 1 << wp, wp)
+        self.log = None
+        self._terms = _fixed_terms(plan.upper, plan.lower, 1 << wp, wp)
         self._cmax = 0
 
     def fill(self, n: int):
-        """Extend the table through index n."""
+        """Extend the table through index n, if it ends before it."""
         wp = self.wp
-        for term, log_ratio, rise in islice(self._terms, n + 1 - len(self.C)):
+        for term, log_ratio, rise in islice(self._terms, max(n + 1 - len(self.C), 0)):
             self.C.append(term)
             self.log_c.append(math.log2(abs(term)) - wp if term else -math.inf)
             self.log_ratio.append(log_ratio)
@@ -267,50 +272,51 @@ class _CoeffTable:
 
 
 @lru_cache(maxsize=_TABLE_SLOTS)
-def _coeff_table(upper: tuple, lower: tuple, wp: int) -> _CoeffTable:
-    return _CoeffTable(upper, lower, wp)
+def _coeff_table(plan, wp: int) -> _CoeffTable:
+    """The one table of ``plan``'s series at 2^wp (keyed by the plan object)."""
+    return _CoeffTable(plan, wp)
 
 
 def _stop_index(table: _CoeffTable, x: mpf, eps: mpf) -> int:
     """The index N at which the direct sum of ``table``'s series at x stops.
 
-    A polynomial stops at its degree: every later term is exactly 0.  Any
-    other series stops at the first index past the warm-up whose three
-    preceding term ratios |x| |c_(n+1) / c_n| are at most rho = (1 + |x|)/2
-    (0.9 for an entire series) and whose term bounds the geometric tail:
+    At x = 0 it stops at 0: every later term is exactly 0.  A polynomial
+    stops at its degree, for the same reason.  Any other series stops at the
+    first index past the warm-up whose three preceding term ratios
+    |x| |c_(n+1) / c_n| are at most rho = (1 + |x|)/2 (0.9 for an entire
+    series) and whose term bounds the geometric tail:
     |c_N x^N| rho/(1 - rho) <= eps.  Each test is one decision on float log2
     magnitudes, and passes only when it clears its threshold by
     ``_LOG2_MARGIN``, so a near-tie stops the scan late, never early.  A
-    degree above ``_TERM_CAP``, or a scan past it, raises ArithmeticError.
+    degree above ``_TERM_CAP``, or a scan past it, raises ArithmeticError and
+    clears the table cache, so no table of a sum that gave up stays behind.
     """
-    n = table.degree
+    n = 0 if not x else table.degree
     if n is not None and n <= _TERM_CAP:
         table.fill(n)
         return n
-    _, mx, ex, _ = x._mpf_
-    _, me, ee, _ = eps._mpf_
-    rn, rd = (9, 10) if table.entire else ((1 << -ex) + mx, 1 << (1 - ex))
-    lx = math.log2(mx) + ex if mx else -math.inf
-    lrho = math.log2(rn) - math.log2(rd)
-    ltail = math.log2(me) + ee + math.log2(rd - rn) - math.log2(rd) - lrho
-    log_c, log_ratio = table.log_c, table.log_ratio
-    # three settled ratios before n > warmup are those at n - 3..n - 1, so the
-    # scan starts at warmup - 2, and a count of three implies n > warmup
-    n, settled = table.warmup - 2, 0
-    while True:
-        if n >= len(log_c):
-            table.fill(n + 63)
-        for n in range(n, len(log_c)):
-            if settled >= 3 and log_c[n] + n * lx - ltail <= -_LOG2_MARGIN:
-                return n
-            # a polynomial reaches the scan only with its degree past the cap
-            if n > _TERM_CAP or table.degree is not None:
-                _coeff_table.cache_clear()  # no table of a call that gave up stays behind
-                raise ArithmeticError(
-                    f"series at x={x} did not meet the tail bound within {_TERM_CAP} terms"
-                )
-            settled = settled + 1 if log_ratio[n] + lx - lrho <= -_LOG2_MARGIN else 0
-        n += 1
+    if n is None:
+        _, mx, ex, _ = x._mpf_
+        _, me, ee, _ = eps._mpf_
+        rn, rd = (9, 10) if table.entire else ((1 << -ex) + mx, 1 << (1 - ex))
+        lx = math.log2(mx) + ex if mx else -math.inf
+        lrho = math.log2(rn) - math.log2(rd)
+        ltail = math.log2(me) + ee + math.log2(rd - rn) - math.log2(rd) - lrho
+        log_c, log_ratio = table.log_c, table.log_ratio
+        # three settled ratios before n > warmup are those at n - 3..n - 1, so
+        # the scan starts at warmup - 2, and a count of three implies n > warmup;
+        # the last index tested is _TERM_CAP + 1
+        n, settled = table.warmup - 2, 0
+        while n <= _TERM_CAP + 1:
+            if n >= len(log_c):
+                table.fill(n + 63)
+            for n in range(n, min(len(log_c), _TERM_CAP + 2)):
+                if settled >= 3 and log_c[n] + n * lx - ltail <= -_LOG2_MARGIN:
+                    return n
+                settled = settled + 1 if log_ratio[n] + lx - lrho <= -_LOG2_MARGIN else 0
+            n += 1
+    _coeff_table.cache_clear()
+    raise ArithmeticError(f"series at x={x} did not meet the tail bound within {_TERM_CAP} terms")
 
 
 def _to_fixed(x: mpf, wp: int) -> int:
@@ -330,22 +336,22 @@ def _horner(coeffs: list, N: int, X: int, wp: int) -> int:
     return s
 
 
-def _pfq_direct(upper, lower, x, eps):
-    """Sum the defining series at x from its cached coefficient table.
+def _direct_sum(plan, x: mpf, eps: mpf):
+    """Sum ``plan``'s series at x from its cached coefficient table.
 
-    A polynomial stops at its degree N.  Any other series stops once past
-    the warm-up (and past every pole of a negative lower parameter), the term
-    ratio has settled below rho = (1 + |x|)/2 (or 0.9 for an entire series)
-    for three indices and the geometric tail bound |t_N| rho/(1 - rho) drops
-    under eps (``_stop_index``).  Returns (value, N + 1), the sum of
-    t_0..t_N.  ValueError for |x| > 1, whatever the series (the table, built
-    at x = 1, loses the terms that |x|^n would magnify), and for |x| = 1
-    unless the series is entire (p <= q) or a polynomial.
+    At x = 0 the sum is its first term, 1.  A polynomial stops at its degree
+    N.  Any other series stops once past the warm-up (and past every pole of
+    a negative lower parameter), the term ratio has settled below
+    rho = (1 + |x|)/2 (or 0.9 for an entire series) for three indices and the
+    geometric tail bound |t_N| rho/(1 - rho) drops under eps
+    (``_stop_index``).  Returns (value, N + 1), the sum of t_0..t_N.
+    ValueError for |x| > 1, whatever the series (the table, built at x = 1,
+    loses the terms that |x|^n would magnify), and for |x| = 1 unless the
+    series is entire (p <= q) or a polynomial.
 
-    ``upper``/``lower`` are exact rationals (TypeError otherwise).  The
-    coefficients C_n = c_n 2^wp, wp = prec + guard, come from the table of
-    ``_coeff_table`` for (upper, lower, wp), shared by every x, and are summed
-    by Horner's rule at X = x 2^wp rounded.
+    The coefficients C_n = c_n 2^wp, wp = prec + guard, come from the table
+    of ``_coeff_table`` for (plan, wp), shared by every x, and are summed by
+    Horner's rule at X = x 2^wp rounded.
 
     Rounding, in ulps of 2^-wp: C_k lies within k G ulps of exact, G < 2^R_N
     the rise of the coefficients (``_fixed_terms``); each Horner step costs at
@@ -354,15 +360,13 @@ def _pfq_direct(upper, lower, x, eps):
     redone with that many guard bits.  So the sum is within 2^-(prec+1) of the
     exact partial sum at x, and the returned mpf within 2^-prec (1 + |value|).
     """
-    upper = _as_fraction_tuple(upper)
-    lower = _as_fraction_tuple(lower)
-    x, eps = mpmathify(x), mpmathify(eps)
-    if abs(x) > 1 or abs(x) == 1 and len(upper) > len(lower) and _degree(upper) is None:
+    ax = abs(x)
+    if ax > 1 or ax == 1 and not plan.entire and plan.degree is None:
         raise ValueError("direct summation requires |x| < 1, or |x| = 1 for an entire "
                          "series or a polynomial")
     guard = _PFQ_GUARD
     while True:
-        table = _coeff_table(upper, lower, mp.prec + guard)
+        table = _coeff_table(plan, mp.prec + guard)
         N = _stop_index(table, x, eps)
         need = 2 * (N + 1).bit_length() + table.bits[N]
         if need <= guard:
@@ -372,55 +376,72 @@ def _pfq_direct(upper, lower, x, eps):
     return mp.ldexp(mpf(_horner(table.C, N, _to_fixed(x, wp), wp)), -wp), N + 1
 
 
+def _pfq_direct(upper, lower, x, eps):
+    """``_direct_sum`` of the series with exactly these upper and lower
+    parameters, none cancelled; they must be exact rationals (TypeError
+    otherwise)."""
+    plan = _plan(_as_fraction_tuple(upper), _as_fraction_tuple(lower))
+    return _direct_sum(plan, mpmathify(x), mpmathify(eps))
+
+
 # -- near-unit-argument machinery ---------------------------------------------
 
 
 class _LogTable:
     """The second series of the zero-balanced expansion: E_n = floor(C_n h_n)
-    for the coefficients C_n of 2F1(a, b; 1; w) at 2^wp and the exact
-    rationals h_n = sum_(k<n) [2/(k+1) - 1/(a+k) - 1/(b+k)], filled lazily.
+    for the coefficients C_n of 2F1(a, b; 1; w) at 2^wp (the table that holds
+    this one as ``log``) and the exact rationals
+    h_n = sum_(k<n) [2/(k+1) - 1/(a+k) - 1/(b+k)], filled lazily.
 
     bits_n = bitlen(floor(max_(k<=n) |h_k|) + 1), so that 2^bits_n exceeds
-    that maximum plus one.  ``h_tail`` bounds sup_(n>warmup) |h_n|: |h_n0| at
-    n0 = warmup + 1 plus the tail of the increments, which fall like 1/k^2:
-    |a - 1|/((k + 1)(k + a)) <= |a - 1|/(k + min(a, 1))^2, whose sum over
-    k >= n0 is at most |a - 1|/(n0 - 1 + min(a, 1)), and likewise for b.
+    that maximum plus one.
     """
 
-    __slots__ = ("coeffs", "E", "bits", "h_tail", "_a", "_b", "_h", "_hmax")
+    __slots__ = ("E", "bits", "_a", "_b", "_h", "_hmax")
 
-    def __init__(self, a: Fraction, b: Fraction, wp: int):
-        self.coeffs = _coeff_table((a, b), (Fraction(1),), wp)
+    def __init__(self, a: Fraction, b: Fraction):
         self._a, self._b = a, b
         self.E, self.bits = [], []
         self._h, self._hmax = Fraction(0), Fraction(0)
-        n0 = self.coeffs.warmup + 1
-        h = sum((self._step(k) for k in range(n0)), Fraction(0))
-        self.h_tail = abs(h) + sum(abs(v - 1) / (n0 - 1 + min(v, 1)) for v in (a, b))
 
-    def _step(self, k: int) -> Fraction:
-        return Fraction(2, k + 1) - 1 / (self._a + k) - 1 / (self._b + k)
-
-    def fill(self, n: int):
-        """Extend the table through index n (the coefficient table must
-        already reach it)."""
-        C = self.coeffs.C
+    def fill(self, C: list, n: int):
+        """Extend the table through index n, from the coefficients C (which
+        must already reach it)."""
+        a, b = self._a, self._b
         for k in range(len(self.E), n + 1):
             h = self._h
             self.E.append(C[k] * h.numerator // h.denominator)
             self._hmax = max(self._hmax, abs(h))
             self.bits.append((math.floor(self._hmax) + 1).bit_length())
-            self._h = h + self._step(k)
+            self._h = h + _h_step(a, b, k)
 
 
-@lru_cache(maxsize=_TABLE_SLOTS)
-def _log_table(a: Fraction, b: Fraction, wp: int) -> _LogTable:
-    return _LogTable(a, b, wp)
+def _h_step(a: Fraction, b: Fraction, k: int) -> Fraction:
+    """h_(k+1) - h_k of the zero-balanced expansion."""
+    return Fraction(2, k + 1) - 1 / (a + k) - 1 / (b + k)
 
 
-def _hyp2f1_zero_balanced(a: Fraction, b: Fraction, x, omx, eps):
-    """2F1(a, b; a+b; x) by the logarithmic expansion around x = 1
-    (Abramowitz & Stegun 15.3.10), in w = 1 - x = ``omx``:
+def _zero_balanced_consts(plan):
+    """pref, 2 psi(1) - psi(a) - psi(b), 2 |pref| and H of 2F1(a, b; a+b; .),
+    and the plan of S0 = 2F1(a, b; 1; .).
+
+    H bounds sup_(n>warmup) |h_n| (``_LogTable``), warmup that of S0: |h_n0|
+    at n0 = warmup + 1 plus the tail of the increments, which fall like
+    1/k^2: |a - 1|/((k + 1)(k + a)) <= |a - 1|/(k + min(a, 1))^2, whose sum
+    over k >= n0 is at most |a - 1|/(n0 - 1 + min(a, 1)), and likewise for b.
+    """
+    a, b, _ = plan.split
+    sub = _plan((a, b), (Fraction(1),))
+    n0 = sub.warmup + 1
+    h = sum((_h_step(a, b, k) for k in range(n0)), Fraction(0))
+    h_tail = abs(h) + sum(abs(v - 1) / (n0 - 1 + min(v, 1)) for v in (a, b))
+    pref = _gamma(a + b) / (_gamma(a) * _gamma(b))
+    return pref, 2 * _psi(Fraction(1)) - _psi(a) - _psi(b), 2 * abs(pref), _to_mpf(h_tail), sub
+
+
+def _hyp2f1_zero_balanced(plan, x, omx, eps):
+    """2F1(a, b; a+b; x), ``plan``'s series, by the logarithmic expansion
+    around x = 1 (Abramowitz & Stegun 15.3.10), in w = 1 - x = ``omx``:
 
         pref [(K - ln w) S0(w) + S1(w)],  pref = Gamma(a+b)/(Gamma(a) Gamma(b)),
 
@@ -428,22 +449,23 @@ def _hyp2f1_zero_balanced(a: Fraction, b: Fraction, x, omx, eps):
     S1 = sum c_n h_n w^n (``_LogTable``).  Both are summed by Horner's rule
     to the one stop index N of S0 (``_stop_index``) at one X = w 2^wp.
 
-    Tail: S0 stops at eps0 = eps / (2 |pref| (|K - ln w| + H)), H =
-    ``h_tail`` >= sup_(n>N) |h_n|, so S1's tail is at most H eps0 and the two
-    tails together cost at most eps/2.  Rounding: S0 is within
-    2^-(prec+1) as in ``_pfq_direct``; E_n is within (max|h| + 1) n G ulps, so
-    the guard also covers the log table's ``bits`` and S1 is within
+    Tail: S0 stops at eps0 = eps / (2 |pref| (|K - ln w| + H)), H >=
+    sup_(n>N) |h_n| (``_zero_balanced_consts``), so S1's tail is at most
+    H eps0 and the two tails together cost at most eps/2.  Rounding: S0 is
+    within 2^-(prec+1) as in ``_direct_sum``; E_n is within (max|h| + 1) n G
+    ulps, so the guard also covers the log table's ``bits`` and S1 is within
     2^-(prec+1) too.  Returns (value, N + 1).
     """
-    pref = _gamma(a + b) / (_gamma(a) * _gamma(b))
-    lnw = mp.log(omx)
-    kw = 2 * _psi(Fraction(1)) - _psi(a) - _psi(b) - lnw
+    pref, k0, two_apref, h_tail, sub = plan.consts(_zero_balanced_consts)
+    kw = k0 - mp.log(omx)
     guard = _PFQ_GUARD
     while True:
-        logs = _log_table(a, b, mp.prec + guard)
-        table = logs.coeffs
-        N = _stop_index(table, omx, eps / (2 * abs(pref) * (abs(kw) + _to_mpf(logs.h_tail))))
-        logs.fill(N)
+        table = _coeff_table(sub, mp.prec + guard)
+        N = _stop_index(table, omx, eps / (two_apref * (abs(kw) + h_tail)))
+        if table.log is None:
+            table.log = _LogTable(*sub.upper)
+        logs = table.log
+        logs.fill(table.C, N)
         need = 2 * (N + 1).bit_length() + table.bits[N] + logs.bits[N]
         if need <= guard:
             break
@@ -460,32 +482,47 @@ def _gauss_summation(a: Fraction, b: Fraction, c: Fraction):
     return _gamma(c) * _gamma(c - a - b) / (_gamma(c - a) * _gamma(c - b))
 
 
-def _hyp2f1_connection(a: Fraction, b: Fraction, c: Fraction, x, omx, eps):
-    """2F1 for non-integer c-a-b via the two-series expansion in 1 - x, whose
-    coefficients are the Gauss sums of (a, b; c) and (c-a, c-b; c)."""
-    e = c - a - b
-    g1 = _gauss_summation(a, b, c)
-    g2 = _gauss_summation(c - a, c - b, c)
-    f1, n1 = _pfq_direct((a, b), (a + b - c + 1,), omx, eps)
-    f2, n2 = _pfq_direct((c - a, c - b), (1 - a - b + c,), omx, eps)
-    return g1 * f1 + omx ** _to_mpf(e) * g2 * f2, n1 + n2
+def _connection_consts(plan):
+    """The Gauss sums of (a, b; c) and (c-a, c-b; c), the excess c - a - b
+    as an mpf, and the plans of the two series of the connection formula."""
+    a, b, c = plan.split
+    return (_gauss_summation(a, b, c), _gauss_summation(c - a, c - b, c), _to_mpf(c - a - b),
+            _plan((a, b), (a + b - c + 1,)), _plan((c - a, c - b), (1 - a - b + c,)))
 
 
-def _f32_ones_tail(a: Fraction, x, omx, eps):
-    """3F2(1, 1, a+1; 2, 2; x) for 0 < a < 1 near x = 1, or at it (omx = 0,
-    where the tail T vanishes and the value is C(a)/a).
+def _hyp2f1_connection(plan, x, omx, eps):
+    """2F1(a, b; c; x), ``plan``'s series, for non-integer c-a-b via the
+    two-series expansion in 1 - x, whose coefficients are the Gauss sums of
+    (a, b; c) and (c-a, c-b; c)."""
+    g1, g2, e, s1, s2 = plan.consts(_connection_consts)
+    f1, n1 = _direct_sum(s1, omx, eps)
+    f2, n2 = _direct_sum(s2, omx, eps)
+    return g1 * f1 + omx ** e * g2 * f2, n1 + n2
+
+
+def _f32_consts(plan):
+    """a and 1 - a as mpfs, C(a) = psi(1) - psi(1-a), and the plan of
+    2F1(1, 1-a; 2-a; .) for 3F2(1, 1, a+1; 2, 2; .)."""
+    a = plan.f32
+    am = _to_mpf(a)
+    return (am, 1 - am, _psi(Fraction(1)) - _psi(1 - a),
+            _plan((Fraction(1), 1 - a), (2 - a,)))
+
+
+def _f32_ones_tail(plan, x, omx, eps):
+    """3F2(1, 1, a+1; 2, 2; x), ``plan``'s series, for 0 < a < 1 near x = 1,
+    or at it (omx = 0, where the tail T vanishes and the value is C(a)/a).
 
     Termwise integration of the binomial identity gives
     a*x*3F2 = C(a) - T(a, 1-x) with C(a) = psi(1) - psi(1-a) and
     T(a, w) = sum_k [w^(k+1-a)/(k+1-a) - w^(k+1)/(k+1)]
             = w^(1-a)/(1-a) 2F1(1, 1-a; 2-a; w) + log(1 - w),
-    the 2F1 summed by ``_pfq_direct`` with its certified tail.
+    the 2F1 summed by ``_direct_sum`` with its certified tail.
     """
-    am = _to_mpf(a)
-    cconst = _psi(Fraction(1)) - _psi(1 - a)
+    am, bm, cconst, sub = plan.consts(_f32_consts)
     w = omx
-    f21, n = _pfq_direct((Fraction(1), 1 - a), (2 - a,), w, eps)
-    tail = w ** (1 - am) / (1 - am) * f21 + mp.log1p(-w)
+    f21, n = _direct_sum(sub, w, eps)
+    tail = w ** bm / bm * f21 + mp.log1p(-w)
     return (cconst - tail) / (am * x), n
 
 
@@ -493,78 +530,156 @@ _NEAR_ONE_SWITCH = mpf("0.5")
 _DIRECT_LIMIT = mpf("0.95")
 
 
+# -- evaluation plans: the parameter work of a pFq, done once -----------------
+
+
+class _Plan:
+    """What evaluating pFq(upper; lower; x) needs that x does not change,
+    built once per exact (upper, lower) by ``_plan``.
+
+    ``upper``/``lower`` are the parameters as given, and ``warmup``,
+    ``degree`` (``_degree``) and ``entire`` (p <= q) those of their series,
+    whose coefficient tables ``_direct_sum`` reads (``_coeff_table``, keyed
+    by the plan).  For the dispatch (``eval``), repeated parameters cancel to
+    ``up``/``lo``, with p and q entries; ``series`` is the plan of that
+    cancelled series, which the "direct" exit sums (the plan itself when
+    nothing cancels).  The scope facts: ``ends`` (the cancelled series is a
+    polynomial), ``near_one`` (p = q + 1 and not ``ends``: the series that
+    the branches in 1 - x take), ``excess_ok`` (a positive excess
+    sum(lo) - sum(up)), ``f32`` (the a of 3F2(1, 1, a+1; 2, 2) with
+    0 < a < 1), ``other`` (the a of 2F1(1, a; 2), a != 1), ``split`` (the
+    (a, b, c) of a 2F1) and ``expansion``, the branch in 1 - x that a 2F1
+    takes at 1/2 < x < 1 (``_hyp2f1_zero_balanced`` at c = a + b,
+    ``_hyp2f1_connection`` at a non-integer c - a - b, else None).  Each
+    branch's constants, and the plans of the series it sums, are built on
+    first use at each working precision (``consts``).  A plan holds no
+    coefficient table and no value that depends on x.
+    """
+
+    __slots__ = ("upper", "lower", "warmup", "degree", "entire", "up", "lo", "p", "q",
+                 "series", "ends", "near_one", "excess_ok", "f32", "other", "split",
+                 "expansion", "_consts")
+
+    def __init__(self, upper: tuple, lower: tuple):
+        self.upper, self.lower = upper, lower
+        # no tail is certified before the terms pass every pole -l of a
+        # negative lower parameter, where they can grow again
+        self.warmup = max(8 + int(4 * max((abs(float(u)) for u in upper), default=0)),
+                          math.floor(max((-l for l in lower), default=0)) + 2)
+        self.degree = _degree(upper)
+        self.entire = len(upper) <= len(lower)
+        # exact cancellation of repeated parameters
+        up, lo = list(upper), list(lower)
+        for v in list(up):
+            if v in lo:
+                up.remove(v)
+                lo.remove(v)
+        self.up, self.lo, self.p, self.q = tuple(up), tuple(lo), len(up), len(lo)
+        cancelled = self.up != upper or self.lo != lower
+        self.series = _plan(self.up, self.lo) if cancelled else self
+        self.ends = _degree(up) is not None
+        self.near_one = self.p == self.q + 1 and not self.ends
+        self.excess_ok = sum(lo, Fraction(0)) > sum(up, Fraction(0))
+        self.f32 = _match_f32_ones(up, lo)
+        self.other = self.split = self.expansion = None
+        if self.p == 2 and self.q == 1:
+            a, b, c = self.split = (*up, *lo)
+            if c == 2 and Fraction(1) in up and a != b:
+                self.other = b if a == 1 else a
+            if c - a - b == 0:
+                self.expansion = _hyp2f1_zero_balanced
+            elif (c - a - b).denominator != 1:
+                self.expansion = _hyp2f1_connection
+        self._consts = {}
+
+    def consts(self, build):
+        """``build(self)``, computed once per working precision."""
+        key = build, mp.prec
+        got = self._consts.get(key)
+        if got is None:
+            got = self._consts[key] = build(self)
+        return got
+
+    def eval(self, x: mpf, omx, eps: mpf):
+        """The dispatch of ``_eval_pfq`` at x: its tests that depend on x, and
+        its 12 exits, in order."""
+        if omx is None:
+            omx = 1 - x
+        at_one = x == 1 and omx <= 0
+        if at_one:
+            omx = mpf(0)
+        if self.p > self.q + 1 and not self.ends:
+            raise ValueError("series diverges: too many upper parameters")
+        ax = abs(x)
+        if ax > 1:
+            raise ValueError("arguments beyond |x| = 1 are out of scope")
+        if at_one and self.near_one and not self.excess_ok:
+            raise ValueError("series diverges at x = 1 (nonpositive excess)")
+        if self.p == 1 and self.q == 0:
+            return omx ** (-_to_mpf(self.up[0])), 1, "binomial", None
+        if self.near_one and ax > _NEAR_ONE_SWITCH:
+            if x > 0 and self.f32 is not None:
+                return *_f32_ones_tail(self, x, omx, eps), "f32-tail", None
+            if at_one:
+                if self.p == 2:
+                    return _gauss_summation(*self.split), 1, "gauss", None
+                # the partial sums at 1 are the anti-diagonal sums of the
+                # one-factor block at (1, 0), and their remainder families are
+                # that block's
+                block, zero = KdFParams([], [], self.up, self.lo, [], []), mpf(0)
+                val, err = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, _FIT_D),
+                                        _kdf_families(block, x, zero), eps)
+                return +val, _FIT_D + 1, "accelerated", +err
+            if self.other is not None:
+                # binomial closed form, valid on the whole interval [-1, 1)
+                am = _to_mpf(self.other - 1)
+                return (omx ** (-am) - 1) / (am * x), 1, "binomial", None
+            # the expansions in powers of 1 - x need x near 1
+            if x > 0 and self.expansion is _hyp2f1_zero_balanced:
+                return *_hyp2f1_zero_balanced(self, x, omx, eps), "zero-balanced", None
+            if x > 0 and self.expansion is _hyp2f1_connection:
+                return *_hyp2f1_connection(self, x, omx, eps), "connection", None
+        if self.p <= self.q or self.ends or ax <= _DIRECT_LIMIT:
+            return *_direct_sum(self.series, x, eps), "direct", None
+        raise ArithmeticError(
+            f"no fast evaluation path for {list(self.up)}/{list(self.lo)} at x={x}; "
+            "argument too close to 1"
+        )
+
+
+@lru_cache(maxsize=_TABLE_SLOTS)
+def _plan(upper: tuple, lower: tuple) -> _Plan:
+    return _Plan(upper, lower)
+
+
 def _eval_pfq(upper, lower, x, omx, eps):
     """Full real-argument dispatch; returns (value, terms, method, bar).
 
-    ``upper``/``lower`` are Fraction tuples, ``x`` an mpf, ``omx`` the
-    complement 1 - x, or None to form it from x; at the unit argument (x = 1
-    and omx <= 0) omx is 0.  Repeated parameters cancel first; then the scope
-    is checked before any branch: ValueError for |x| > 1, and, unless the
-    series terminates (an upper parameter that is a nonpositive integer), for
+    A lookup of the plan of (upper, lower) (``_plan``), whose ``eval`` holds
+    the tests that depend on x and the exits.  ``upper``/``lower`` are
+    Fraction tuples, ``x`` an mpf, ``omx`` the complement 1 - x, or None to
+    form it from x; at the unit argument (x = 1 and omx <= 0) omx is 0.
+    Repeated parameters cancel first (in the plan); then the scope is checked
+    before any branch: ValueError for |x| > 1, and, unless the series
+    terminates (an upper parameter that is a nonpositive integer), for
     p > q + 1 upper parameters and for x = 1 when p = q + 1 and the excess
     sum(lower) - sum(upper) is nonpositive, 1F0 included.  Each algorithm has
     one exit, and ``method`` names it: "binomial" ((1 - x)^-a for 1F0, and
     2F1(1, a; 2; x)), "gauss" (2F1 at 1), "f32-tail" (3F2(1, 1, a+1; 2, 2; x)
     for x > 1/2, 1 included), "accelerated" (``_extrapolate`` on the
     one-factor block) for other sums at 1, "zero-balanced" and "connection"
-    (2F1 expansions in 1 - x for x > 1/2), and "direct" (``_pfq_direct``) for
+    (2F1 expansions in 1 - x for x > 1/2), and "direct" (``_direct_sum``) for
     p <= q, a polynomial, or |x| <= 0.95 where no branch above applies; all
     but "binomial" 1F0 and "direct" take only a non-terminating p = q + 1
     series at |x| > 1/2.  Such a series at |x| > 0.95 that no branch covers
     raises ArithmeticError.  ``bar`` is the fit's measured bar on the
-    "accelerated" branch and None on the others.
+    "accelerated" branch and None on the others.  Every x-independent part
+    (the cancellation, the scope facts, the branch constants and the
+    coefficient tables) is computed once per plan; a caller that evaluates
+    one series at many x, as ``kdf_integral`` does, holds the plan and calls
+    its ``eval``.
     """
-    # exact cancellation of repeated parameters
-    up = list(upper)
-    lo = list(lower)
-    for v in list(up):
-        if v in lo:
-            up.remove(v)
-            lo.remove(v)
-    p, q, ends = len(up), len(lo), _degree(up) is not None
-    if omx is None:
-        omx = 1 - x
-    at_one = x == 1 and omx <= 0
-    if at_one:
-        omx = mpf(0)
-    if p > q + 1 and not ends:
-        raise ValueError("series diverges: too many upper parameters")
-    if abs(x) > 1:
-        raise ValueError("arguments beyond |x| = 1 are out of scope")
-    if at_one and p == q + 1 and not ends and sum(lo, Fraction(0)) <= sum(up, Fraction(0)):
-        raise ValueError("series diverges at x = 1 (nonpositive excess)")
-    if p == 1 and q == 0:
-        return omx ** (-_to_mpf(up[0])), 1, "binomial", None
-    if p == q + 1 and not ends and abs(x) > _NEAR_ONE_SWITCH:
-        if x > 0 and (a := _match_f32_ones(up, lo)) is not None:
-            return *_f32_ones_tail(a, x, omx, eps), "f32-tail", None
-        if at_one:
-            if p == 2:
-                return _gauss_summation(up[0], up[1], lo[0]), 1, "gauss", None
-            # the partial sums at 1 are the anti-diagonal sums of the one-factor
-            # block at (1, 0), and their remainder families are that block's
-            block, zero = KdFParams([], [], up, lo, [], []), mpf(0)
-            val, err = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, _FIT_D),
-                                    _kdf_families(block, x, zero), eps)
-            return +val, _FIT_D + 1, "accelerated", +err
-        if p == 2 and lo[0] == 2 and Fraction(1) in up and up[0] != up[1]:
-            # binomial closed form, valid on the whole interval [-1, 1)
-            other = up[1] if up[0] == 1 else up[0]
-            am = _to_mpf(other - 1)
-            return (omx ** (-am) - 1) / (am * x), 1, "binomial", None
-        if x > 0 and p == 2:
-            # the expansions below run in powers of 1 - x and need x near 1
-            a, b = up
-            c = lo[0]
-            if c - a - b == 0:
-                return *_hyp2f1_zero_balanced(a, b, x, omx, eps), "zero-balanced", None
-            if (c - a - b).denominator != 1:
-                return *_hyp2f1_connection(a, b, c, x, omx, eps), "connection", None
-    if p <= q or ends or abs(x) <= _DIRECT_LIMIT:
-        return *_pfq_direct(up, lo, x, eps), "direct", None
-    raise ArithmeticError(
-        f"no fast evaluation path for {up}/{lo} at x={x}; argument too close to 1"
-    )
+    return _plan(tuple(upper), tuple(lower)).eval(x, omx, eps)
 
 
 def _match_f32_ones(up, lo):
@@ -829,7 +944,9 @@ def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
 
     Requires len(a) == len(ap) == 1 and ap > a > 0.  The inner single-variable
     factors are evaluated through ``pfq``'s near-unit machinery, so the
-    quadrature nodes may approach t = 1 without losing the integrand.
+    quadrature nodes may approach t = 1 without losing the integrand; each
+    factor's plan (``_plan``) is looked up once per call, and every node
+    calls its ``eval``.
     """
     if len(params.a) != 1 or len(params.ap) != 1:
         raise ValueError("integral representation needs exactly one joint parameter pair")
@@ -839,14 +956,17 @@ def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     with mp.workdps(prec.dps + 15):
         xx, yy = _bidisc_point(x, y)
         pref = _gamma(ap) / (_gamma(a) * _gamma(ap - a))
-        am, dm = _to_mpf(a), _to_mpf(ap - a)
+        am1, dm1 = _to_mpf(a) - 1, _to_mpf(ap - a) - 1
         eps = prec.tol() / 100
+        # each factor's plan is looked up once here, not at every node
+        pb, pc = _plan(params.b, params.bp), _plan(params.c, params.cp)
+        omx, omy = 1 - xx, 1 - yy
 
         def integrand(t, omt):
             # 1 - z*t as (1 - z) + z*(1 - t): exactly omt at z = 1
-            fb = _eval_pfq(params.b, params.bp, xx * t, (1 - xx) + xx * omt, eps)[0]
-            fc = _eval_pfq(params.c, params.cp, yy * t, (1 - yy) + yy * omt, eps)[0]
-            return t ** (am - 1) * omt ** (dm - 1) * fb * fc
+            fb = pb.eval(xx * t, omx + xx * omt, eps)[0]
+            fc = pc.eval(yy * t, omy + yy * omt, eps)[0]
+            return t ** am1 * omt ** dm1 * fb * fc
 
         quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)
         val = pref * quad.value

@@ -1,6 +1,7 @@
 """Hypergeometric evaluators: exact term recurrences, closed-form anchors,
 near-unit expansions against mpmath, double-series routes, quadrature."""
 
+import gc
 import json
 import math
 import pathlib
@@ -221,9 +222,8 @@ def test_connection_formula_against_mpmath():
     with mp.workdps(45):
         z = mpf("0.93")
         eps = mpf("1e-42")
-        got, _ = hyper._hyp2f1_connection(
-            Fraction(1, 5), Fraction(1, 2), Fraction(9, 4), z, 1 - z, eps
-        )
+        plan = hyper._plan((Fraction(1, 5), Fraction(1, 2)), (Fraction(9, 4),))
+        got, _ = hyper._hyp2f1_connection(plan, z, 1 - z, eps)
         want = hyp2f1(mpf(1) / 5, mpf(1) / 2, mpf(9) / 4, z)
         assert abs(got - want) < mpf("1e-35")
 
@@ -231,8 +231,9 @@ def test_connection_formula_against_mpmath():
 def test_f32_pattern_against_direct():
     with mp.workdps(45):
         eps = mpf("1e-42")
+        plan = hyper._plan((Fraction(1), Fraction(1), 4 * THIRD), (Fraction(2), Fraction(2)))
         for z in (mpf("0.6"), mpf("0.9")):
-            got, _ = hyper._f32_ones_tail(THIRD, z, 1 - z, eps)
+            got, _ = hyper._f32_ones_tail(plan, z, 1 - z, eps)
             direct, _ = hyper._pfq_direct([1, 1, 4 * THIRD], [2, 2], z, eps)
             assert abs(got - direct) < mpf("1e-33")
 
@@ -339,11 +340,13 @@ def test_eval_pfq_dispatch_matrix(up, lo, x, omx, want):
                                     ([THIRD, 2 * THIRD], [1]), ([1, 1, Fraction(4, 3)], [2, 2])],
                          ids=["0f0", "1f1", "2f1", "3f2"])
 def test_eval_pfq_at_zero_is_exactly_one(up, lo):
-    # the direct sum at X = 0 is C_0 = 2^wp, read back exactly
+    # the direct sum at X = 0 is C_0 = 2^wp, read back exactly, and it stops
+    # at index 0: every later term is exactly 0
     with mp.workdps(30):
-        got = hyper._eval_pfq(tuple(map(Fraction, up)), tuple(map(Fraction, lo)), mpf(0),
-                              None, mpf("1e-25"))[0]
+        got, terms, _, _ = hyper._eval_pfq(tuple(map(Fraction, up)), tuple(map(Fraction, lo)),
+                                           mpf(0), None, mpf("1e-25"))
         assert got._mpf_ == mpf(1)._mpf_
+        assert terms == 1
 
 
 @pytest.mark.parametrize("a", [THIRD, 2 * THIRD, Fraction(1, 7)])
@@ -560,12 +563,35 @@ def test_pfq_direct_node_sweep_builds_one_table(monkeypatch):
             assert abs(v - want) <= eps + mp.ldexp(1 + abs(v), -mp.prec)
 
 
+def _live_tables():
+    gc.collect()
+    return [o for o in gc.get_objects() if type(o) is hyper._CoeffTable]
+
+
 def test_coefficient_tables_stay_within_their_bound():
+    # the plans and the tables stay within their bounded caches: a plan holds
+    # no table, so every live table is one that the table cache holds
     with mp.workdps(30):
         for k in range(hyper._TABLE_SLOTS + 20):
             hyper._pfq_direct((Fraction(1, k + 2), Fraction(1)), (Fraction(2),),
                               mpf("0.01"), mpf("1e-20"))
+            hyper._eval_pfq((Fraction(1, k + 2), Fraction(2, 3)), (Fraction(1, k + 2) + 2 * THIRD,),
+                            mpf("0.9"), None, mpf("1e-20"))
     assert hyper._coeff_table.cache_info().currsize <= hyper._TABLE_SLOTS
+    assert hyper._plan.cache_info().currsize <= hyper._TABLE_SLOTS
+    assert len(_live_tables()) <= hyper._TABLE_SLOTS
+
+
+def test_term_cap_leaves_no_table_behind():
+    # a polynomial of degree _TERM_CAP + 1 gives up before it fills its table,
+    # and neither a plan nor a cache keeps the table it opened
+    degree = hyper._TERM_CAP + 1
+    with mp.workdps(30):
+        with pytest.raises(ArithmeticError, match="did not meet the tail bound"):
+            hyper._eval_pfq((Fraction(-degree), THIRD), (Fraction(1, 2),), mpf("0.5"), None,
+                            mpf("1e-25"))
+    assert hyper._coeff_table.cache_info().currsize == 0
+    assert not [t for t in _live_tables() if t.degree == degree]
 
 
 def test_pfq_direct_tiny_argument_keeps_the_working_precision(monkeypatch):
@@ -597,7 +623,7 @@ def test_zero_balanced_certified_tail(a, b, w):
     # it by about 1e-16 at w = 1e-40
     with mp.workdps(55):
         w, eps = mpf(w), mpf("1e-45")
-        got, _ = hyper._hyp2f1_zero_balanced(a, b, 1 - w, w, eps)
+        got, _ = hyper._hyp2f1_zero_balanced(hyper._plan((a, b), (a + b,)), 1 - w, w, eps)
         with mp.workdps(120):
             am, bm = (mpf(v.numerator) / v.denominator for v in (a, b))
             want = hyp2f1(am, bm, am + bm, 1 - w)
@@ -761,6 +787,41 @@ def test_kdf_integral_preconditions():
     reversed_pair = KdFParams([2], [1], [1], [2], [1], [2])
     with pytest.raises(ValueError):
         hyper.kdf_integral(reversed_pair, 0, 0, PREC)
+
+
+def test_kdf_integral_looks_up_each_plan_once(monkeypatch):
+    # one kdf_integral call builds each plan at most once, and its plan
+    # lookups do not grow with the quadrature nodes: the integrand calls the
+    # factors' plans, and a branch looks up its sub-series once per precision
+    runs = []
+    for tol in (1e-12, 1e-25):
+        made, looked_up = [], []
+        real_plan = hyper._plan
+
+        class Counted(hyper._Plan):
+            __slots__ = ()
+
+            def __init__(self, upper, lower):
+                made.append((upper, lower))
+                super().__init__(upper, lower)
+
+        def lookup(upper, lower):
+            looked_up.append((upper, lower))
+            return real_plan(upper, lower)
+
+        hyper._plan.cache_clear()
+        monkeypatch.setattr(hyper, "_Plan", Counted)
+        monkeypatch.setattr(hyper, "_plan", lookup)
+        block = THEOREM_KDF_BLOCKS["L3c"]
+        res = hyper.kdf_integral(block, 1, 1, Precision(40, tol))
+        monkeypatch.undo()
+        assert len(made) == len(set(made))
+        assert {(block.b, block.bp), (block.c, block.cp)} <= set(made)
+        runs.append((res.terms_used, len(looked_up)))
+    hyper._plan.cache_clear()  # no counted plan outlives the test
+    (coarse, coarse_lookups), (fine, fine_lookups) = runs
+    assert fine > coarse
+    assert fine_lookups == coarse_lookups < coarse
 
 
 def test_kdf_integral_at_origin():

@@ -190,9 +190,10 @@ def series_consistency_report(digits: int) -> IdentityReport:
             series = qexp.theta_series(kind, order)
             for qs in ("0.1", "0.2"):
                 q = mpmathify(qs)
+                step = q ** (mpf(1) / series.d)
                 acc = mpf(0)
                 for e in range(series.order, -1, -1):
-                    acc = acc * q ** (mpf(1) / series.d) + series.coeffs[e]
+                    acc = acc * step + series.coeffs[e]
                 tail = 12 * (order + 3) * q ** (order + 1) / (1 - q) ** 2
                 diff = abs(thetanum.eval_theta(kind, q, prec) - acc)
                 yield diff if diff > tail + mpf(tol) else 0.0

@@ -901,10 +901,14 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     (``_extrapolate``, ``"accelerated"``) with its measured bar, below tol; a
     search that stalls or runs out of points raises ArithmeticError.  Every
     other point is summed (``"direct"``) past the degree of each polynomial
-    factor with z != 0, to a geometric tail bound at rho = (1 + r)/2, r the
-    largest |z| of a factor that is not a polynomial, and reports it plus the
-    rounding bound of the partial sums.  At r = 0 the series is finite: it is
-    summed to its degree, and the bar is the rounding bound alone.
+    factor with z != 0, to the geometric tail bound |T_D| rate/(1 - rate),
+    T_d = S_d - S_(d-1).  Its rate is measured: max(rho, (1 + t)/2), with
+    rho = (1 + r)/2, r the largest |z| of a factor that is not a polynomial,
+    and t = |T_D / T_(D-1)| (rho alone when T_(D-1) is lost in the rounding
+    of two partial sums).  D doubles until the bound is below tol, and the
+    bar is the bound plus the rounding bound of the partial sums.  At r = 0
+    the series is finite: it is summed to its degree, and the bar is the
+    rounding bound alone.
     """
     with mp.workdps(prec.dps + 15):
         xx, yy = _bidisc_point(x, y)
@@ -930,7 +934,11 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
         D = deg if r == 0 else max(48, deg + 2, min(need, 20_000))
         while True:
             sums, rounding = _kdf_partial_sums(params, xx, yy, D)
-            bound = 0 if r == 0 else abs(sums[-1] - sums[-2]) * rho / (1 - rho)
+            bound = 0
+            if r != 0:
+                last, prev = sums[-1] - sums[-2], sums[-2] - sums[-3]
+                rate = max(rho, (1 + abs(last / prev)) / 2) if abs(prev) > 2 * rounding else rho
+                bound = abs(last) * rate / (1 - rate) if rate < 1 else mp.inf
             if bound <= tol or D >= 20_000:
                 break
             D *= 2

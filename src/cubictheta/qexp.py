@@ -4,7 +4,9 @@ Everything here is exact: coefficients are Python ints or Fractions, and an
 identity "holds to order N" means every tracked coefficient of the difference
 vanishes.  Series live on an exponent grid e/d with d in {1, 3}; the d = 3
 grid carries the cube-root exponents of the shifted theta series c(q) and of
-the weighted Lambert sum E0.
+the weighted Lambert sum E0.  One lattice enumerator counts a, b and c: the
+hexagonal lattice and its (1/3, 1/3) shift, and one slice placement,
+``_spread``, moves coefficients between grids.
 
 The coefficients of the weight-3 product f are built on int64 numpy arrays
 (the divisor sieve, b from the Lambert series of a, and the FFT product);
@@ -81,18 +83,15 @@ class QSeries:
             return self
         if not (self.d == 1 and d_new == 3):
             raise ValueError(f"cannot lift d={self.d} to d={d_new}")
-        out = [0] * (3 * self.order + 1)
-        for e, c in enumerate(self.coeffs):
-            out[3 * e] = c
-        return QSeries(3, out)
+        return QSeries(3, _spread(self.coeffs, 3))
 
     def reduce(self) -> "QSeries":
         """Drop to d = 1 when every nonzero exponent is integral."""
         if self.d == 1:
             return self
-        if any(c != 0 and e % 3 for e, c in enumerate(self.coeffs)):
+        if any(self.coeffs[1::3]) or any(self.coeffs[2::3]):
             return self
-        return QSeries(1, [self.coeffs[3 * m] for m in range(self.order // 3 + 1)])
+        return QSeries(1, self.coeffs[::3])
 
     @staticmethod
     def _unify(a: "QSeries", b: "QSeries"):
@@ -159,10 +158,7 @@ class QSeries:
             raise ValueError("substitution power must be a positive integer")
         if k == 1:
             return self
-        out = [0] * (k * self.order + 1)
-        for e, c in enumerate(self.coeffs):
-            out[k * e] = c
-        return QSeries(self.d, out).reduce()
+        return QSeries(self.d, _spread(self.coeffs, k)).reduce()
 
     def substitute_root(self, m: int) -> "QSeries":
         """q -> q**(1/m) by a denominator change (only 1 -> 3 supported)."""
@@ -183,63 +179,57 @@ class QSeries:
         return QSeries(self.d, out)
 
 
-# -- lattice enumeration ---------------------------------------------------
+# -- grid placement and lattice enumeration --------------------------------
 
 
-def _counts_hexagonal(n: int):
-    """Counts of x*x + x*y + y*y = m split by (x - y) mod 3, for m <= n.
+def _spread(coeffs: list, k: int) -> list:
+    """``coeffs`` at every k-th place of a zero list: e -> k*e on the grid."""
+    out = [0] * (k * (len(coeffs) - 1) + 1)
+    out[::k] = coeffs
+    return out
 
-    The norm bound uses x*x + x*y + y*y >= (x*x + y*y)/2, so the box
-    |x|, |y| <= ceil(sqrt(2n)) is provably exhaustive.
+
+def _lattice_counts(n: int, r: int):
+    """Counts of N = X*X + X*Y + Y*Y <= n over the pairs X % 3 == Y % 3 == r,
+    every pair when r = 0, split by (X - Y) mod 3.
+
+    r = 0 is the hexagonal lattice of a and b; r = 1 is its (1/3, 1/3) shift
+    scaled by 3, X = 3x + 1 and Y = 3y + 1, which carries c.  The norm bound
+    N >= (X*X + Y*Y)/2 makes the box |X|, |Y| <= ceil(sqrt(2n)) exhaustive.
+    The whole box is one broadcast: each pair in the ellipse gives the key
+    3N + (X - Y) mod 3, and one bincount counts them.
     """
     B = math.isqrt(2 * n) + 1
     ys = np.arange(-B, B + 1, dtype=np.int64)
-    buckets = (
-        np.zeros(n + 1, dtype=np.int64),
-        np.zeros(n + 1, dtype=np.int64),
-        np.zeros(n + 1, dtype=np.int64),
-    )
-    for x in range(-B, B + 1):
-        m = x * x + x * ys + ys * ys
-        sel = m <= n
-        ms = m[sel]
-        cls = (x - ys[sel]) % 3
-        for r in range(3):
-            np.add.at(buckets[r], ms[cls == r], 1)
-    return buckets[0].tolist(), buckets[1].tolist(), buckets[2].tolist()
-
-
-def _counts_shifted(n_grid: int):
-    """Counts of shifted-lattice exponents 3M + 1 <= n_grid on the d=3 grid,
-    M = x*x + x*y + y*y + x + y."""
-    co = [0] * (n_grid + 1)
-    Mmax = (n_grid - 1) // 3
-    if Mmax < 0:
-        return co
-    B = math.isqrt(2 * Mmax + 2) + 2
-    for x in range(-B, B + 1):
-        base = x * x + x
-        for y in range(-B, B + 1):
-            e = 3 * (base + x * y + y * y + y) + 1
-            if 0 <= e <= n_grid:
-                co[e] += 1
-    return co
+    if r:
+        ys = ys[ys % 3 == r]
+    xs = ys[:, None]
+    m = xs * xs + xs * ys + ys * ys
+    sel = m <= n
+    keys = 3 * m[sel] + (xs - ys)[sel] % 3
+    counts = np.bincount(keys, minlength=3 * (n + 1)).reshape(n + 1, 3)
+    return counts[:, 0].tolist(), counts[:, 1].tolist(), counts[:, 2].tolist()
 
 
 def theta_series(kind: str, n: int) -> QSeries:
-    """Cubic theta series to q-order ``n``: kinds 'a', 'b' (d=1), 'c' (d=3)."""
+    """Cubic theta series to q-order ``n``: kinds 'a', 'b' (d=1), 'c' (d=3).
+
+    One enumerator, ``_lattice_counts``, counts both lattices: a and b read
+    the hexagonal lattice (r = 0), and c its (1/3, 1/3) shift (r = 1), whose
+    norm N/9 sits at e = N/3 on the 1/3 grid.
+    """
     if n < 0:
         raise ValueError("order must be nonnegative")
     if kind == "a":
-        c0, c1, c2 = _counts_hexagonal(n)
+        c0, c1, c2 = _lattice_counts(n, 0)
         return QSeries(1, [c0[m] + c1[m] + c2[m] for m in range(n + 1)])
     if kind == "b":
-        c0, c1, c2 = _counts_hexagonal(n)
+        c0, c1, c2 = _lattice_counts(n, 0)
         if c1 != c2:
             raise AssertionError("residue classes of x - y mod 3 must balance")
         return QSeries(1, [c0[m] - c1[m] for m in range(n + 1)])
     if kind == "c":
-        return QSeries(3, _counts_shifted(3 * n))
+        return QSeries(3, _lattice_counts(9 * n, 1)[0][::3])
     raise ValueError(f"unknown theta kind {kind!r}")
 
 
@@ -303,20 +293,10 @@ def eta_quotient(spec: list, n: int) -> QSeries:
                     poly = kernels.conv_trunc(poly, factor, n)
                 else:
                     poly = kernels.div_unit(poly, factor, n)
-    if p8 % 3 == 0:
-        shift = p8 // 3
-        out = [0] * (n + 1)
-        for m, c in enumerate(poly):
-            if m + shift > n:
-                break
-            out[m + shift] = c
-        return QSeries(1, out)
-    out = [0] * (3 * n + 1)
-    for m, c in enumerate(poly):
-        if 3 * m + p8 > 3 * n:
-            break
-        out[3 * m + p8] = c
-    return QSeries(3, out)
+    # q**(p8/3) * poly on the 1/3 grid; reduced only when the prefactor is
+    # integral, so an all-zero series with p8 % 3 != 0 keeps d = 3
+    out = QSeries(3, ([0] * min(p8, 3 * n + 1) + _spread(poly, 3))[: 3 * n + 1])
+    return out.reduce() if p8 % 3 == 0 else out
 
 
 # -- Lambert-type double sums ------------------------------------------------

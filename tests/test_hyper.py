@@ -1305,6 +1305,18 @@ def test_kdf_series_interior_factorial_a():
         assert abs(res.value - 2) <= res.err_estimate + mpf(10) ** -35
 
 
+@pytest.mark.parametrize("x", [Fraction(2, 5), Fraction(9, 20)])
+def test_kdf_series_direct_bar_measures_its_rate(x):
+    # the diagonals of FACTORIAL_A_BLOCK are (2x)^k, which decay more slowly
+    # than rho = (1 + x)/2; a bar at rho alone reads 2.71e-46 for an error of
+    # 4.64e-46 at x = 2/5, and 1.04e-47 for 3.54e-47 at x = 9/20
+    res = hyper.kdf_series(FACTORIAL_A_BLOCK, x, x, PREC)
+    assert res.method == "direct"
+    with mp.workdps(80):
+        exact = 1 / (1 - 2 * mpf(x.numerator) / x.denominator)
+        assert abs(res.value - exact) <= res.err_estimate <= PREC.tol()
+
+
 def test_kdf_series_interior_deep_dip():
     # B_m dips to 2^-233 at m = 100 and rises back to 2^4 by m = 300.  A rise
     # read from the floored terms misses this: the interior route then sums

@@ -27,6 +27,19 @@ def brute_hexagonal_counts(n):
     return counts
 
 
+def brute_c(n):
+    """c-coefficients on the 1/3 grid to q-order n: q^(M + 1/3) for each
+    (x, y), M = x^2 + xy + y^2 + x + y, by a raw double loop."""
+    co = [0] * (3 * n + 1)
+    bound = math.isqrt(2 * n + 2) + 2
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            e = 3 * (x * x + x * y + y * y + x + y) + 1
+            if 0 <= e <= 3 * n:
+                co[e] += 1
+    return co
+
+
 def brute_b_omega(n):
     """b-coefficients through the cube-root-of-unity sum, rounded from complex."""
     import cmath
@@ -90,9 +103,15 @@ def test_theta_c_leading_term():
     assert all(c.coeffs[e] == 0 for e in range(len(c.coeffs)) if e % 3 != 1)
 
 
+@pytest.mark.parametrize("n", [30, 300])
+def test_theta_c_matches_brute_force(n):
+    c = qexp.theta_series("c", n)
+    assert c.d == 3 and c.coeffs == brute_c(n)
+
+
 def test_counts_hexagonal_matches_brute_force():
     for n in (30, 300):
-        assert qexp._counts_hexagonal(n) == tuple(brute_class_counts(n))
+        assert qexp._lattice_counts(n, 0) == tuple(brute_class_counts(n))
 
 
 # -- QSeries arithmetic -----------------------------------------------------------
@@ -223,6 +242,13 @@ def test_eta_grid_precondition():
         qexp.eta_quotient([(1, 1)], 10)  # exponent 1/24 off the 1/3 grid
     with pytest.raises(ValueError):
         qexp.eta_quotient([(1, -8)], 10)  # negative leading exponent
+
+
+def test_eta_off_integer_grid_keeps_d3_at_order_zero():
+    # q^(1/3) * (...) truncated to order 0 is all zero, but its prefactor
+    # sits off the integer grid, so it stays on the 1/3 grid
+    c = qexp.eta_quotient([(3, 3), (1, -1)], 0)
+    assert c.d == 3 and c.coeffs == [0]
 
 
 # -- Lambert sums ---------------------------------------------------------------------
@@ -387,7 +413,7 @@ def test_b_from_divisor_sums_matches_lattice():
     # b = (3 a(q^3) - a(q))/2 from the Lambert series of a, against the
     # lattice count c0 - c1 that theta_series("b") reads
     n = 5000
-    c0, c1, _ = qexp._counts_hexagonal(n)
+    c0, c1, _ = qexp._lattice_counts(n, 0)
     b = qexp._b_from_e(qexp._divisor_sums(n)[1])
     assert b.tolist() == [x - y for x, y in zip(c0, c1)]
 

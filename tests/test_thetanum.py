@@ -17,14 +17,9 @@ def brute_theta_value(kind, q, dps):
         qq = mp.mpmathify(q)
         terms = int(dps * mp.log(10) / (-mp.log(qq))) + 10
         if kind == "c":
-            grid = qexp._counts_shifted(3 * terms + 1)
-            third = mpf(1) / 3
-            return +sum(
-                grid[e] * qq ** (mpf(e) / 3 + 0 * third)
-                for e in range(len(grid))
-                if grid[e]
-            )
-        c0, c1, c2 = qexp._counts_hexagonal(terms)
+            grid = qexp._lattice_counts(9 * terms + 3, 1)[0][::3]
+            return +sum(grid[e] * qq ** (mpf(e) / 3) for e in range(len(grid)) if grid[e])
+        c0, c1, c2 = qexp._lattice_counts(terms, 0)
         if kind == "a":
             co = [c0[m] + c1[m] + c2[m] for m in range(terms + 1)]
         else:

@@ -13,21 +13,25 @@ not change is worked out once per exact (upper, lower), in its evaluation
 plan (``_Plan``, held by ``_plan``, a bounded lru): the cancellation of
 repeated parameters, the scope facts, the branch that a 2F1 takes near
 x = 1, and, per working precision, each branch's gamma/psi constants and the
-plans of the series it sums.  A direct sum (``_direct_sum``) reads its
-coefficients c_n 2^wp from a table cached per (plan, wp) (``_coeff_table``,
-a bounded lru; no plan holds a table), filled lazily from that recurrence
-at x = 1, and sums them by Horner's rule at x, so all the nodes of a
-quadrature share one table; no direct sum is taken outside |x| <= 1.  At
-x = 0 a sum stops at its first term, and a polynomial's at its degree; any
-other's stop index is read off the float log2 magnitudes of the table's
-terms and exact ratios, late on a near-tie, never early.  The real-argument
-dispatch (``_eval_pfq``, a plan lookup and the plan's ``eval``) has one exit
-per algorithm, reads a complement 1 - x <= 0 at x = 1 as 0, and checks the
-scope before any branch: |x| > 1, more than q + 1 upper parameters and a
-series that diverges at x = 1 (nonpositive excess, 1F0 included) raise
-ValueError, except that a polynomial is summed directly at any |x| <= 1.
+plans of the series it sums; these constants are the only gamma/psi values
+kept across calls.  A direct sum (``_direct_sum``) reads its coefficients
+c_n 2^wp from a table cached per (plan, wp) (``_coeff_table``, a bounded
+lru; a table reads its plan, no plan holds a table), filled lazily from
+that recurrence at x = 1, and sums them by Horner's rule at x, so all the
+nodes of a quadrature share one table; no direct sum is taken outside
+|x| <= 1.  At x = 0 a sum stops at its first term, and a polynomial's at
+its degree; any other's stop index is read off the float log2 magnitudes
+of the table's terms and exact ratios, late on a near-tie, never early.
+The real-argument dispatch (``_eval_pfq``, a plan lookup and the plan's
+``eval``) has one exit per algorithm, reads a complement 1 - x <= 0 at
+x = 1 as 0, and checks the scope before any branch: |x| > 1, more than
+q + 1 upper parameters and a series that diverges at x = 1 (nonpositive
+excess, 1F0 included) raise ValueError, except that a polynomial is summed
+directly at any |x| <= 1.
 ``kdf_integral`` looks up its two factors' plans once per call, so its
-quadrature nodes do only the work that depends on x.
+quadrature nodes do only the work that depends on x.  ``quad_de`` reads the
+tanh-sinh nodes of each level from one cached tuple (``_de_nodes``), walked
+once per side of t = 1/2.
 Near the unit argument the evaluators switch to connection/log expansions in
 1 - x, whose tails are certified as well; callers that know 1 - x to better
 accuracy than x can pass it explicitly.  Where a factor that is not a
@@ -153,19 +157,12 @@ def _to_mpf(v) -> mpf:
     return mpf(v.numerator) / v.denominator if isinstance(v, Fraction) else mpmathify(v)
 
 
-@lru_cache(maxsize=None)
-def _special(kind: str, fr: Fraction, prec: int) -> mpf:
-    """gamma or psi at an exact rational, computed once per working
-    precision ``prec`` (bits)."""
-    return mp.gamma(_to_mpf(fr)) if kind == "gamma" else mp.psi(0, _to_mpf(fr))
-
-
 def _gamma(fr: Fraction) -> mpf:
-    return _special("gamma", fr, mp.prec)
+    return mp.gamma(_to_mpf(fr))
 
 
 def _psi(fr: Fraction) -> mpf:
-    return _special("psi", fr, mp.prec)
+    return mp.psi(0, _to_mpf(fr))
 
 
 # -- term recurrence, in fixed point ------------------------------------------
@@ -244,17 +241,16 @@ class _CoeffTable:
     (-inf at 0, and the latter from the first zero ratio on) that the stop
     scan reads, and bits_n = R_n + bitlen(max_(k<=n) |C_k| >> wp) + 2, the
     guard bits the rounding bound of ``_direct_sum`` asks for beyond
-    2 bitlen(N + 1).  ``warmup``, ``degree`` and ``entire`` are the plan's.
-    ``log`` is the second series of the zero-balanced expansion
-    (``_LogTable``), made by the first such expansion that reads this table.
+    2 bitlen(N + 1).  ``plan`` is the plan whose series it holds; the stop
+    scan reads its ``warmup``, ``degree`` and ``entire``.  ``log`` is the
+    second series of the zero-balanced expansion (``_LogTable``), made by the
+    first such expansion that reads this table.
     """
 
-    __slots__ = ("wp", "warmup", "degree", "entire", "C", "log_c", "log_ratio", "bits",
-                 "log", "_terms", "_cmax")
+    __slots__ = ("plan", "wp", "C", "log_c", "log_ratio", "bits", "log", "_terms", "_cmax")
 
     def __init__(self, plan, wp):
-        self.wp = wp
-        self.warmup, self.degree, self.entire = plan.warmup, plan.degree, plan.entire
+        self.plan, self.wp = plan, wp
         self.C, self.log_c, self.log_ratio, self.bits = [], [], [], []
         self.log = None
         self._terms = _fixed_terms(plan.upper, plan.lower, 1 << wp, wp)
@@ -291,14 +287,15 @@ def _stop_index(table: _CoeffTable, x: mpf, eps: mpf) -> int:
     degree above ``_TERM_CAP``, or a scan past it, raises ArithmeticError and
     clears the table cache, so no table of a sum that gave up stays behind.
     """
-    n = 0 if not x else table.degree
+    plan = table.plan
+    n = 0 if not x else plan.degree
     if n is not None and n <= _TERM_CAP:
         table.fill(n)
         return n
     if n is None:
         _, mx, ex, _ = x._mpf_
         _, me, ee, _ = eps._mpf_
-        rn, rd = (9, 10) if table.entire else ((1 << -ex) + mx, 1 << (1 - ex))
+        rn, rd = (9, 10) if plan.entire else ((1 << -ex) + mx, 1 << (1 - ex))
         lx = math.log2(mx) + ex if mx else -math.inf
         lrho = math.log2(rn) - math.log2(rd)
         ltail = math.log2(me) + ee + math.log2(rd - rn) - math.log2(rd) - lrho
@@ -306,7 +303,7 @@ def _stop_index(table: _CoeffTable, x: mpf, eps: mpf) -> int:
         # three settled ratios before n > warmup are those at n - 3..n - 1, so
         # the scan starts at warmup - 2, and a count of three implies n > warmup;
         # the last index tested is _TERM_CAP + 1
-        n, settled = table.warmup - 2, 0
+        n, settled = plan.warmup - 2, 0
         while n <= _TERM_CAP + 1:
             if n >= len(log_c):
                 table.fill(n + 63)
@@ -843,6 +840,8 @@ def _kdf_families(params: KdFParams, x, y):
 # the fit takes the partial sums S_0..S_D at this one D; its order K steps
 # 8, 10, 12, ... while S_0..S_D hold K + 1 points of odd step
 _FIT_D = 320
+# the largest D that the direct route of kdf_series builds
+_DIRECT_D_MAX = 20_000
 
 
 def _extrapolate(partial_sums, families, tol):
@@ -905,10 +904,11 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     T_d = S_d - S_(d-1).  Its rate is measured: max(rho, (1 + t)/2), with
     rho = (1 + r)/2, r the largest |z| of a factor that is not a polynomial,
     and t = |T_D / T_(D-1)| (rho alone when T_(D-1) is lost in the rounding
-    of two partial sums).  D doubles until the bound is below tol, and the
-    bar is the bound plus the rounding bound of the partial sums.  At r = 0
-    the series is finite: it is summed to its degree, and the bar is the
-    rounding bound alone.
+    of two partial sums).  D doubles, up to ``_DIRECT_D_MAX``, until the
+    bound is below tol; a build at that cap that fails it raises
+    ArithmeticError.  The bar is the bound plus the rounding bound of the
+    partial sums.  At r = 0 the series is finite: it is summed to its
+    degree, and the bar is the rounding bound alone.
     """
     with mp.workdps(prec.dps + 15):
         xx, yy = _bidisc_point(x, y)
@@ -925,13 +925,14 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
         factors = [(_degree(u), abs(z)) for u, z in ((params.b, xx), (params.c, yy))]
         r = max((z for d, z in factors if d is None), default=mpf(0))
         deg = sum(d for d, z in factors if d is not None and z != 0)
-        if deg > 20_000:
-            raise ArithmeticError(f"a polynomial factor of degree {deg} is beyond D = 20000")
+        if deg > _DIRECT_D_MAX:
+            raise ArithmeticError(
+                f"a polynomial factor of degree {deg} is beyond D = {_DIRECT_D_MAX}")
         rho, tol = (1 + r) / 2, prec.tol() / 4
         need = int(float(mp.log(tol) / mp.log(rho))) + 40
         # polynomial terms do not decay: D passes their degree, and at r = 0
         # the series ends there, so S_deg is the value with no tail to bound
-        D = deg if r == 0 else max(48, deg + 2, min(need, 20_000))
+        D = deg if r == 0 else max(48, deg + 2, min(need, _DIRECT_D_MAX))
         while True:
             sums, rounding = _kdf_partial_sums(params, xx, yy, D)
             bound = 0
@@ -939,11 +940,11 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
                 last, prev = sums[-1] - sums[-2], sums[-2] - sums[-3]
                 rate = max(rho, (1 + abs(last / prev)) / 2) if abs(prev) > 2 * rounding else rho
                 bound = abs(last) * rate / (1 - rate) if rate < 1 else mp.inf
-            if bound <= tol or D >= 20_000:
+            if bound <= tol:
                 break
-            D *= 2
-        if bound > tol:
-            raise ArithmeticError("direct double series failed its tail bound")
+            if D >= _DIRECT_D_MAX:
+                raise ArithmeticError("direct double series failed its tail bound")
+            D = min(2 * D, _DIRECT_D_MAX)
         return SeriesResult(+sums[-1], +(bound + rounding), (D + 1) * (D + 2) // 2, "direct")
 
 
@@ -984,49 +985,35 @@ def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
 
 # -- double-exponential quadrature --------------------------------------------
 
-_NODE_CACHE: dict = {}
 # the deepest level quad_de refines to, step 2^-_QUAD_MAX_LEVEL
 _QUAD_MAX_LEVEL = 10
 
 
-def _de_nodes(level: int, wexp: int):
-    """New tanh-sinh nodes introduced at ``level`` (step h = 2^-level).
+@lru_cache(maxsize=None)
+def _de_nodes(level: int, wexp: int, prec: int) -> tuple:
+    """The tanh-sinh nodes new at ``level`` (step h = 2^-level), at ``prec``
+    bits, computed once.
 
-    Returns (center, toward_one, toward_zero); each node is (t, 1-t, weight)
-    with both t and 1-t computed directly, so endpoint distances stay exact
-    down to weights of size 10^-wexp.
+    One tuple of nodes (t, 1-t, weight) at s = k h > 0 (k odd past level 0),
+    all with t > 1/2, and at level 0 the s = 0 node (t = 1/2) first;
+    ``quad_de`` reads each node of the other side as (1-t, t, weight) from
+    the same entry.  Both t and 1-t are computed directly, so endpoint
+    distances stay exact down to weights of size 10^-wexp, where the tuple
+    ends (past s = 3).
     """
-    key = (level, wexp, mp.prec)
-    nodes = _NODE_CACHE.get(key)
-    if nodes is not None:
-        return nodes
-    h = mpf(1) / 2 ** level
-    wcut = mpf(10) ** (-wexp)
-    center = None
-    pos = []
-    neg = []
-    k = 0
-    while True:
-        if level > 0 and k % 2 == 0:
-            k += 1
-            continue
-        s = k * h
-        w = (mp.pi / 2) * mp.sinh(s)
-        ch = mp.cosh(w)
-        e2w = mp.exp(2 * w)
-        t = e2w / (1 + e2w)
-        omt = 1 / (1 + e2w)
-        dt = (mp.pi / 2) * mp.cosh(s) / (2 * ch * ch)
-        if k == 0:
-            center = (t, omt, dt)
-        else:
-            pos.append((t, omt, dt))
-            neg.append((omt, t, dt))
-        if dt < wcut and s > 3:
-            break
-        k += 1
-    _NODE_CACHE[key] = (center, pos, neg)
-    return center, pos, neg
+    with mp.workprec(prec):
+        h = mpf(1) / 2 ** level
+        wcut = mpf(10) ** (-wexp)
+        nodes = []
+        for k in count(0, 1) if level == 0 else count(1, 2):
+            s = k * h
+            w = (mp.pi / 2) * mp.sinh(s)
+            ch = mp.cosh(w)
+            e2w = mp.exp(2 * w)
+            dt = (mp.pi / 2) * mp.cosh(s) / (2 * ch * ch)
+            nodes.append((e2w / (1 + e2w), 1 / (1 + e2w), dt))
+            if dt < wcut and s > 3:
+                return tuple(nodes)
 
 
 def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
@@ -1035,8 +1022,11 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
     The step is halved, down to 2^-``_QUAD_MAX_LEVEL``, until two successive
     levels differ by at most ``tol``; the last difference is the error
     estimate, and a run that reaches no such pair raises ArithmeticError.
-    Integrable endpoint singularities of algebraic-logarithmic type are fine.
-    With ``two_arg=True`` the integrand is called as f(t, 1-t).
+    Each level sums its new nodes (``_de_nodes``): the center at level 0,
+    then the side t > 1/2, then the mirrored side t < 1/2, each side until
+    5 terms in a row fall below tol 10^-4 or its nodes end.  Integrable
+    endpoint singularities of algebraic-logarithmic type are fine.  With
+    ``two_arg=True`` the integrand is called as f(t, 1-t).
     """
     with mp.workdps(prec.dps + 15):
         tol = mpmathify(tol)
@@ -1057,15 +1047,18 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
         neval = 0
         for lev in range(_QUAD_MAX_LEVEL + 1):
             h = mpf(1) / 2 ** lev
-            center, pos, neg = _de_nodes(lev, wexp)
+            nodes = _de_nodes(lev, wexp, mp.prec)
             new = mpf(0)
-            if lev == 0 and center is not None:
-                new += center[2] * call(center[0], center[1])
+            if lev == 0:
+                t, omt, w = nodes[0]
+                new += w * call(t, omt)
                 neval += 1
-            for side in (pos, neg):
+            # past the center, side 0 reads a node as (t, 1-t), side 1 as its
+            # mirror (1-t, t)
+            for side in (0, 1):
                 run = 0
-                for (t, omt, w) in side:
-                    c = w * call(t, omt)
+                for node in islice(nodes, lev == 0, None):
+                    c = node[2] * call(node[side], node[1 - side])
                     neval += 1
                     new += c
                     if abs(c) < tiny:

@@ -95,14 +95,13 @@ def _coeff_bound(m: int) -> mpf:
     return 96 * mp.sqrt(m) ** 5 * (m + 2)
 
 
-def _upper_gamma(nu: int, x, majorant: bool = False) -> mpf:
+def _upper_gamma(nu: int, x) -> mpf:
     """Gamma(nu, x) for an integer 0 <= nu <= 3 and x > 0.
 
-    For nu >= 1 it is (nu-1)! e^(-x) sum_{k<nu} x^k/k!; Gamma(0, x) = E1(x),
-    which ``majorant`` replaces by its bound e^(-x)/x.
+    For nu >= 1 it is (nu-1)! e^(-x) sum_{k<nu} x^k/k!; Gamma(0, x) = E1(x).
     """
     if nu == 0:
-        return mp.exp(-x) / x if majorant else mp.e1(x)
+        return mp.e1(x)
     return math.factorial(nu - 1) * mp.exp(-x) * sum(
         x ** k / math.factorial(k) for k in range(nu))
 
@@ -150,8 +149,10 @@ def l_mellin(n: int, prec: Precision) -> SeriesResult:
                 rho = k_ratio * mp.exp(-lam)
                 if rho >= 1:
                     return mp.inf
-                first = (const * _coeff_bound(m) * (two_pi * m) ** -nu
-                         * _upper_gamma(nu, lam * m, majorant=True))
+                x = lam * m
+                # E1(x) < e^(-x)/x bounds Gamma(0, x)
+                gamma = mp.exp(-x) / x if nu == 0 else _upper_gamma(nu, x)
+                first = const * _coeff_bound(m) * (two_pi * m) ** -nu * gamma
                 total += first / (1 - rho)
             return total
 

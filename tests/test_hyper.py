@@ -591,7 +591,7 @@ def test_term_cap_leaves_no_table_behind():
             hyper._eval_pfq((Fraction(-degree), THIRD), (Fraction(1, 2),), mpf("0.5"), None,
                             mpf("1e-25"))
     assert hyper._coeff_table.cache_info().currsize == 0
-    assert not [t for t in _live_tables() if t.degree == degree]
+    assert not [t for t in _live_tables() if t.plan.degree == degree]
 
 
 def test_pfq_direct_tiny_argument_keeps_the_working_precision(monkeypatch):
@@ -1317,6 +1317,24 @@ def test_kdf_series_direct_bar_measures_its_rate(x):
         assert abs(res.value - exact) <= res.err_estimate <= PREC.tol()
 
 
+def test_kdf_series_direct_route_stops_at_its_cap(monkeypatch):
+    # D doubles up to the cap and no further: with the cap at 300, the first
+    # D of 237 fails its tail bound at (2/5, 2/5), the next build is at 300,
+    # not 474, and a failing build at the cap raises
+    built = []
+    real = hyper._kdf_partial_sums
+
+    def spy(params, x, y, D):
+        built.append(D)
+        return real(params, x, y, D)
+
+    monkeypatch.setattr(hyper, "_DIRECT_D_MAX", 300)
+    monkeypatch.setattr(hyper, "_kdf_partial_sums", spy)
+    with pytest.raises(ArithmeticError, match="failed its tail bound"):
+        hyper.kdf_series(FACTORIAL_A_BLOCK, Fraction(2, 5), Fraction(2, 5), PREC)
+    assert built == [237, 300]
+
+
 def test_kdf_series_interior_deep_dip():
     # B_m dips to 2^-233 at m = 100 and rises back to 2^4 by m = 300.  A rise
     # read from the floored terms misses this: the interior route then sums
@@ -1392,6 +1410,48 @@ def test_quad_de_error_estimates_conservative():
         for f, want in cases:
             res = hyper.quad_de(f, mpf("1e-20"), PREC)
             assert abs(res.value - want) <= res.err_estimate + mpf("1e-21")
+
+
+def _full_node_count(levels: int, tol) -> int:
+    """The nodes of levels 0..levels-1 when no side stops early: both sides
+    of each level's tuple, and the center once."""
+    with mp.workdps(PREC.dps + 15):
+        wexp = int(3 * (-math.log10(float(tol)) + 8))
+        return sum(2 * len(hyper._de_nodes(lev, wexp, mp.prec)) for lev in range(levels)) - 1
+
+
+def test_quad_de_node_counts():
+    # the weighted terms of t^(-2/3) (1-t)^(-2/3) stay above tol 10^-4 out to
+    # the last node, so each level sums its whole tuple on both sides; those
+    # of t (1-t) fall below it 5 times in a row on both sides of levels 3
+    # and 4, which stop early
+    tol = mpf("1e-25")
+    res = hyper.quad_de(lambda t, omt: (t * omt) ** (-2 * mpf(1) / 3), tol, PREC, two_arg=True)
+    assert res.terms_used == 171 == _full_node_count(5, tol)
+    with mp.workdps(60):
+        want = mp.gamma(mpf(1) / 3) ** 2 / mp.gamma(mpf(2) / 3)
+        assert abs(res.value - want) <= res.err_estimate + tol
+    res = hyper.quad_de(lambda t, omt: t * omt, tol, PREC, two_arg=True)
+    assert res.terms_used == 141 < _full_node_count(5, tol)
+    with mp.workdps(60):
+        assert abs(res.value - mpf(1) / 6) <= res.err_estimate + tol
+
+
+def test_quad_de_reuses_its_nodes():
+    # one node tuple per (level, wexp, prec): a second identical call builds
+    # none and gives the same result; at level 0 the center leads the tuple
+    # and every other node lies on the side t > 1/2 (wexp = 84 at tol 1e-20)
+    tol = mpf("1e-20")
+    first = hyper.quad_de(mp.exp, tol, PREC)
+    misses = hyper._de_nodes.cache_info().misses
+    second = hyper.quad_de(mp.exp, tol, PREC)
+    assert hyper._de_nodes.cache_info().misses == misses
+    assert (first.value, first.err_estimate, first.terms_used) == (
+        second.value, second.err_estimate, second.terms_used)
+    with mp.workdps(PREC.dps + 15):
+        nodes = hyper._de_nodes(0, 84, mp.prec)
+        assert nodes[0][0] == nodes[0][1] == mpf(1) / 2
+        assert all(t > mpf(1) / 2 > omt > 0 for t, omt, _ in nodes[1:])
 
 
 def test_quad_de_rejects_nonintegrable(monkeypatch):

@@ -120,18 +120,15 @@ def hauptmodul_report(digits: int, tol: float) -> IdentityReport:
 
 def involution_report(digits: int, tol: float) -> IdentityReport:
     """b(e^{-2 pi u}) vs c(e^{-2 pi/(3u)})/(sqrt(3) u), and a(e^{-2 pi u}) vs
-    a(e^{-2 pi/(3u)})/(sqrt(3) u), all sides summed directly."""
+    a(e^{-2 pi/(3u)})/(sqrt(3) u): direct sums against ``eval_theta``'s transform."""
 
     def pairs():
         inner_tol = mpf(10) ** (-digits)
         for entry in _INVOLUTION_GRID:
             u = 1 / mp.sqrt(3) if entry is None else mpmathify(entry)
-            scale = mp.sqrt(3) * u
-            for kind, dual in (("b", "c"), ("a", "a")):
-                lhs = thetanum._theta_direct(kind, mp.exp(-2 * mp.pi * u), inner_tol)
-                rhs = thetanum._theta_direct(
-                    dual, mp.exp(-2 * mp.pi / (3 * u)), inner_tol * scale) / scale
-                yield lhs, rhs
+            for kind in ("b", "a"):
+                yield (thetanum._theta_direct(kind, mp.exp(-2 * mp.pi * u), inner_tol),
+                       thetanum._theta_dual(kind, u, inner_tol))
 
     return _sides("involution", ("direct", "direct"), tol, digits, pairs())
 
@@ -180,7 +177,8 @@ def alpha_monotone_report(digits: int) -> IdentityReport:
 
 
 def series_consistency_report(digits: int) -> IdentityReport:
-    """eval_theta against the exact truncation, within the truncation tail."""
+    """eval_theta against the exact truncation, within its tail bound: each
+    series is summed on its own grid q^(e/d), whose coefficients obey 12 (e + 1)."""
     order = 160
     tol = 10.0 ** (-(digits - 12))
     prec = Precision(digits, tol)
@@ -191,10 +189,8 @@ def series_consistency_report(digits: int) -> IdentityReport:
             for qs in ("0.1", "0.2"):
                 q = mpmathify(qs)
                 step = q ** (mpf(1) / series.d)
-                acc = mpf(0)
-                for e in range(series.order, -1, -1):
-                    acc = acc * step + series.coeffs[e]
-                tail = 12 * (order + 3) * q ** (order + 1) / (1 - q) ** 2
+                acc = thetanum._horner(series.coeffs, series.order, step)
+                tail = thetanum._tail_bound(step, series.order, 12)
                 diff = abs(thetanum.eval_theta(kind, q, prec) - acc)
                 yield diff if diff > tail + mpf(tol) else 0.0
 

@@ -303,26 +303,14 @@ def l2_intermediate(prec: Precision) -> SeriesResult:
 
 
 def _e0_value(q, tol) -> mpf:
-    """E0(q) = sum chi(kr)/k (q^(kr/3) - q^(kr)), truncated with a tail bound.
-
-    With Q = q^(1/3), terms beyond kr > K are bounded by
-    2 * sum_{m>K} d(m) Q^m <= 2 * sum_{m>K} (m+1) Q^m, a geometric-type bound.
-    The terms with kr = m sum to chi(m) sigma(m)/m (Q^m - q^m), with sigma
-    from the divisor sieve ``qexp._divisor_sums``.
+    """E0(q) = sum chi3(kr)/k (q^(kr/3) - q^(kr)): the exact coefficients of
+    ``qexp.lambert_series("E0")``, which the ``e0_derivative`` check verifies,
+    summed at Q = q^(1/3).  Each is 0 or +-sigma(m)/m for some m <= e, at most
+    1 + ln e <= 4 (e + 1) in size, which sets the tail bound.
     """
     Q = q ** (mpf(1) / 3)
-    K = 8
-    while 4 * (K + 3) * Q ** (K + 1) / (1 - Q) ** 2 > tol:
-        K += max(K // 8, 2)
-        if K > 2_000_000:
-            raise ArithmeticError("E0 truncation failed to meet its tolerance")
-    sig = qexp._divisor_sums(K)[0].tolist()
-    total = mpf(0)
-    for m in range(1, K + 1):
-        ch = qexp.chi3(m)
-        if ch:
-            total += mpf(ch * sig[m]) / m * (Q ** m - q ** m)
-    return total
+    K = thetanum._terms_needed(Q, tol, 4)
+    return thetanum._horner(qexp.lambert_series("E0", -(-K // 3)).coeffs, K, Q)
 
 
 # -- identity catalog ---------------------------------------------------------------

@@ -29,7 +29,6 @@ __all__ = [
     "Precision",
     "ThetaPoint",
     "eval_theta",
-    "alpha_of_q",
     "alpha_pair",
     "theta_point",
     "f_integrand",
@@ -95,40 +94,55 @@ def _table(kind: str, m: int) -> list:
     return tab
 
 
-def _terms_needed(q: mpf, tol: mpf) -> int:
-    """Smallest M whose geometric tail bound 12*(M+3)*q^(M+1)/(1-q)^2 <= tol."""
-    lq = mp.log(q)
-    guess = int(float((mp.log(tol) + 2 * mp.log(1 - q) - mp.log(60)) / lq)) + 1
-    m = max(guess, 4)
-    while 12 * (m + 3) * q ** (m + 1) / (1 - q) ** 2 > tol:
+def _tail_bound(z: mpf, M: int, c: int) -> mpf:
+    """c (M+3) z^(M+1)/(1-z)^2, 0 < z < 1: a bound on the tail sum_{e > M}
+    |s_e| z^e of any series with |s_e| <= c (e + 1), since sum_{e > M} (e+1) z^e
+    = z^(M+1) ((M+2)(1-z) + z)/(1-z)^2.  The theta tables take c = 12, E0's
+    grid coefficients c = 4."""
+    return c * (M + 3) * z ** (M + 1) / (1 - z) ** 2
+
+
+def _terms_needed(z: mpf, tol: mpf, c: int) -> int:
+    """First M of 4, 6, 8, ..., stepped by an eighth, with _tail_bound <= tol."""
+    m = 4
+    while _tail_bound(z, m, c) > tol:
         m += max(m // 8, 2)
-    if m > 2_000_000:
-        raise ArithmeticError("tolerance unattainable: direct series too long")
+        if m > 2_000_000:
+            raise ArithmeticError("tolerance unattainable: truncated q-series too long")
     return m
+
+
+def _horner(coeffs, M: int, z: mpf) -> mpf:
+    """sum_{e <= M} coeffs[e] z^e by Horner's rule in mpf."""
+    acc = mpf(0)
+    for e in range(M, -1, -1):
+        acc = acc * z + coeffs[e]
+    return acc
 
 
 def _theta_direct(kind: str, q: mpf, tol: mpf) -> mpf:
     """Defining series summed directly with a certified tail cutoff."""
-    m = _terms_needed(q, tol)
-    tab = _table(kind, m)
-    acc = mpf(0)
-    for e in range(m, -1, -1):
-        acc = acc * q + tab[e]
-    if kind == "c":
-        return acc * q ** mpf("1/3")
-    return acc
+    m = _terms_needed(q, tol, 12)
+    acc = _horner(_table(kind, m), m, q)
+    return acc * q ** mpf("1/3") if kind == "c" else acc
 
 
 _DUAL = {"a": "a", "b": "c", "c": "b"}
 
 
-def _theta_u(kind: str, u: mpf, tol: mpf) -> mpf:
-    """Theta value at q = exp(-2*pi*u): the kind's own series where 3u^2 >= 1,
-    else its dual's at exp(-2*pi/(3u)), divided by sqrt(3)*u."""
-    if 3 * u * u >= 1:
-        return _theta_direct(kind, mp.exp(-2 * mp.pi * u), tol)
+def _theta_dual(kind: str, u: mpf, tol: mpf) -> mpf:
+    """Theta value at q = exp(-2*pi*u) through the involution: its dual's
+    series at exp(-2*pi/(3u)), divided by sqrt(3)*u."""
     scale = mp.sqrt(3) * u
     return _theta_direct(_DUAL[kind], mp.exp(-2 * mp.pi / (3 * u)), tol * scale) / scale
+
+
+def _theta_u(kind: str, u: mpf, tol: mpf) -> mpf:
+    """Theta value at q = exp(-2*pi*u): the kind's own series where 3u^2 >= 1,
+    else ``_theta_dual``."""
+    if 3 * u * u >= 1:
+        return _theta_direct(kind, mp.exp(-2 * mp.pi * u), tol)
+    return _theta_dual(kind, u, tol)
 
 
 def _q_u(q):
@@ -162,11 +176,6 @@ def alpha_pair(q, prec: Precision):
         alpha = c3 / a3
         comp = b3 / a3
         return alpha, comp
-
-
-def alpha_of_q(q, prec: Precision) -> mpf:
-    """Hauptmodul alpha = c^3/a^3 in (0, 1)."""
-    return alpha_pair(q, prec)[0]
 
 
 def theta_point(q, prec: Precision) -> ThetaPoint:
@@ -240,7 +249,7 @@ def differential_residual(q, prec: Precision):
         for i in range(_LADDER_MAX):
             h = mpf(_LADDER_H0) / 2 ** i
             xs.append(h * h)
-            fds.append((alpha_of_q(qq + h, prec) - alpha_of_q(qq - h, prec)) / (2 * h))
+            fds.append((alpha_pair(qq + h, prec)[0] - alpha_pair(qq - h, prec)[0]) / (2 * h))
             heads.append(_accel.richardson(xs, fds))
             if len(heads) >= _LADDER_MIN and abs(heads[-1] - heads[-2]) <= settle:
                 break

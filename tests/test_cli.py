@@ -315,6 +315,20 @@ def test_numeric_checks_read_a_from_its_own_series(monkeypatch):
     assert not cli.cubic_numeric_report(40).passed
 
 
+def test_involution_check_reads_the_transform_eval_theta_takes(monkeypatch):
+    # with the sqrt(3) u scale of the transform a relative 1e-15 off, the
+    # involution check and eval_theta's comparison with the exact series
+    # (q = 0.1 and 0.2 sit below 3u^2 = 1) must both see it
+    def skewed(kind, u, tol):
+        scale = mp.sqrt(3) * u * (1 + mpf("1e-15"))
+        q = mp.exp(-2 * mp.pi / (3 * u))
+        return thetanum._theta_direct(thetanum._DUAL[kind], q, tol * scale) / scale
+
+    monkeypatch.setattr(thetanum, "_theta_dual", skewed)
+    assert not cli.involution_report(40, cli._floor_tol(40, 1e-20)).passed
+    assert not cli.series_consistency_report(40).passed
+
+
 def test_quad_closed_forms_pass_at_100_digits():
     # the integrands take (t, 1 - t), so the nodes near t = 1 keep their
     # weight and the levels converge past 77 digits

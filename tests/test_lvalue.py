@@ -297,6 +297,45 @@ def test_e0_matches_exact_expansion():
         assert abs(val - acc) < mpf("1e-25")
 
 
+def brute_e0(q):
+    """E0(q) = sum_{k, r >= 1} chi3(kr)/k (q^(kr/3) - q^(kr)), the defining
+    double sum over kr <= K at the working precision.
+
+    The terms with kr = m sum to chi3(m) sigma(m)/m (Q^m - Q^(3m)), Q = q^(1/3),
+    at most (1 + ln m) Q^m in size; K is 50 past the m where Q^m falls to
+    10^-dps, so the dropped tail is far below 10^-dps.
+    """
+    qq = mpmathify(q)
+    Q = qq ** (mpf(1) / 3)
+    K = int(mp.dps * mp.log(10) / -mp.log(Q)) + 50
+    total = mpf(0)
+    for k in range(1, K + 1):
+        for r in range(1, K // k + 1):
+            ch = qexp.chi3(k * r)
+            if ch:
+                total += mpf(ch) / k * (Q ** (k * r) - qq ** (k * r))
+    return total
+
+
+@pytest.mark.parametrize("digits", [40, 60])
+def test_e0_value_matches_the_defining_double_sum(digits):
+    with mp.workdps(digits):
+        tol = mpf(10) ** (10 - digits)
+        for q in ("1e-6", "0.05", "0.1", "0.2"):
+            val = lvalue._e0_value(mpmathify(q), tol)
+            with mp.workdps(digits + 10):
+                want = brute_e0(q)
+            assert abs(val - want) <= tol, q
+
+
+def test_e0_coefficients_meet_the_tail_contract():
+    # _e0_value's tail bound takes c = 4: E0's coefficients on the q^(1/3)
+    # grid are at most 4 (e + 1) in size
+    co = qexp.lambert_series("E0", 2000).coeffs
+    assert len(co) == 6001
+    assert all(abs(s) <= 4 * (e + 1) for e, s in enumerate(co))
+
+
 # -- identity catalog ------------------------------------------------------------------
 
 

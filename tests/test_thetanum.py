@@ -80,10 +80,10 @@ def test_b_c_involution_fixed_point():
 
 def test_alpha_limits_and_fixed_point():
     with mp.workdps(55):
-        assert thetanum.alpha_of_q("1e-6", PREC12) < 1e-3
-        assert thetanum.alpha_of_q("0.999", PREC12) > 1 - 1e-3
+        assert thetanum.alpha_pair("1e-6", PREC12)[0] < 1e-3
+        assert thetanum.alpha_pair("0.999", PREC12)[0] > 1 - 1e-3
         qstar = mp.exp(-2 * mp.pi / mp.sqrt(3))
-        assert abs(thetanum.alpha_of_q(qstar, PREC20) - mpf(1) / 2) < mpf("1e-20")
+        assert abs(thetanum.alpha_pair(qstar, PREC20)[0] - mpf(1) / 2) < mpf("1e-20")
 
 
 def test_alpha_pair_sums_to_one():
@@ -150,6 +150,60 @@ def test_tables_are_the_theta_series(kind):
     if kind == "c":
         want = want[1::3]
     assert tab == want[: len(tab)] and len(tab) > m
+
+
+def test_theta_coefficients_meet_the_tail_contract():
+    # _theta_direct's tail bound takes c = 12: a_n, b_n and the
+    # coefficients of c / q^(1/3) are at most 12 (n + 1) in size
+    for kind in "abc":
+        co = qexp.theta_series(kind, 6000).coeffs
+        if kind == "c":
+            co = co[1::3]
+        assert len(co) >= 6000
+        assert all(abs(s) <= 12 * (n + 1) for n, s in enumerate(co)), kind
+
+
+def summed_tails(coeffs, z, ms):
+    """sum_{M < e <= N} |s_e| z^e for each M in ms, N the last index."""
+    terms, power = [], mpf(1)
+    for s in coeffs:
+        terms.append(abs(s) * power)
+        power *= z
+    return {m: mp.fsum(terms[m + 1:]) for m in ms}
+
+
+@pytest.mark.parametrize("z", ["0.0266", "0.28", "0.58"])
+def test_tail_bound_covers_the_summed_tails(z):
+    # the bound of each series that thetanum sums, against its tail summed
+    # to order 6000: a, b and c / q^(1/3) with c = 12, E0's grid with c = 4,
+    # and the largest series the contract allows, s_e = c (e + 1)
+    series = [(12, qexp.theta_series(kind, 6000).coeffs) for kind in "ab"]
+    series += [(12, qexp.theta_series("c", 6000).coeffs[1::3]),
+               (4, qexp.lambert_series("E0", 2000).coeffs)]
+    series += [(c, [c * (e + 1) for e in range(6001)]) for c in (12, 4)]
+    ms = (4, 10, 40, 160)
+    with mp.workdps(30):
+        zz = mpf(z)
+        for c, co in series:
+            for m, tail in summed_tails(co, zz, ms).items():
+                assert 0 < tail <= thetanum._tail_bound(zz, m, c), (c, m)
+
+
+def test_terms_needed_is_the_first_rung_under_tol():
+    # M climbs 4, 6, 8, ... by an eighth (at least 2) and stops at the first
+    # rung whose tail bound is at most tol
+    with mp.workdps(50):
+        for z, tol, c in (("0.0266", "1e-40", 12), ("0.58", "1e-30", 4), ("0.9", "1e-20", 12)):
+            zz, tt = mpf(z), mpf(tol)
+            m = thetanum._terms_needed(zz, tt, c)
+            assert thetanum._tail_bound(zz, m, c) <= tt
+            prev = 4
+            while prev + max(prev // 8, 2) <= m:
+                assert thetanum._tail_bound(zz, prev, c) > tt
+                prev += max(prev // 8, 2)
+            assert prev == m
+        with pytest.raises(ArithmeticError):
+            thetanum._terms_needed(mpf("0.99999"), mpf("1e-40"), 12)
 
 
 def test_hauptmodul_residual_spot_checks():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the integral route of the six Theorem blocks and the end-to-end run.
+"""Time the integral route of the six Theorem blocks and two end-to-end runs.
 
     python3 benchmarks/pfq_direct.py > record.json
 
@@ -13,11 +13,13 @@ of 5.  After the timing, one more call per block and point runs with
 ``hyper._direct_sum`` wrapped, the one function through which every direct
 sum goes (the "direct" exit of a plan, the sub-series of the "connection"
 and "f32-tail" branches, and ``_pfq_direct``), and records its calls and the
-terms they summed.  It then times ``cubictheta verify --suite all --digits
-40`` in fresh interpreters: the first run and the best of 5.  Prints one
-JSON record with those, the Python version, the CPU model (from
-/proc/cpuinfo, where there is one) and count, ``git describe --always
---dirty`` of the checkout and ``mpmath.libmp.BACKEND``.
+terms they summed, and the call's ``terms_used`` (its quadrature nodes).  It
+then times ``cubictheta verify --suite all --digits 40`` and ``cubictheta
+verify --suite numeric --digits 80`` in fresh interpreters: the first run
+and the best of 5 of each.  Prints one JSON record with those, the Python
+version, the CPU model (from /proc/cpuinfo, where there is one) and count,
+``git describe --always --dirty`` of the checkout and
+``mpmath.libmp.BACKEND``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ POINTS = {
     "(1, 1) at 1e-12": ((1, 1), Precision(40, 1e-12)),
 }
 VERIFY = ("import sys; sys.path.insert(0, {src!r}); from cubictheta.cli import main; "
-          "sys.exit(main(['verify', '--suite', 'all', '--digits', '40']))")
+          "sys.exit(main(['verify', '--suite', {suite!r}, '--digits', '{digits}']))")
+VERIFY_RUNS = (("all", 40), ("numeric", 80))
 
 
 def timed(fn):
@@ -57,7 +60,8 @@ def timed(fn):
 
 
 def direct_counts(params, point, prec):
-    """The direct sums one kdf_integral call makes, and their terms."""
+    """The direct sums one kdf_integral call makes, their terms, and the
+    call's quadrature nodes."""
     real, counts = hyper._direct_sum, [0, 0]
 
     def spy(plan, x, eps):
@@ -68,10 +72,10 @@ def direct_counts(params, point, prec):
 
     hyper._direct_sum = spy
     try:
-        hyper.kdf_integral(params, *point, prec)
+        nodes = hyper.kdf_integral(params, *point, prec).terms_used
     finally:
         hyper._direct_sum = real
-    return counts
+    return counts + [nodes]
 
 
 def cpu_model() -> str:
@@ -86,8 +90,8 @@ def cpu_model() -> str:
     return platform.processor()
 
 
-def verify_seconds():
-    cmd = [sys.executable, "-c", VERIFY.format(src=str(ROOT / "src"))]
+def verify_seconds(suite, digits):
+    cmd = [sys.executable, "-c", VERIFY.format(src=str(ROOT / "src"), suite=suite, digits=digits)]
     out = []
     for _ in range(REPEATS):
         t0 = time.perf_counter()
@@ -109,10 +113,11 @@ def main() -> None:
     for label, (point, prec) in POINTS.items():
         rows = {}
         for name, params in THEOREM_KDF_BLOCKS.items():
-            n_calls, n_terms = direct_counts(params, point, prec)
+            n_calls, n_terms, nodes = direct_counts(params, point, prec)
             rows[name] = {
                 "cold_seconds": round(cold[label, name], 4),
                 "best_seconds": round(best[label, name], 4),
+                "quad_nodes": nodes,
                 "direct_sum_calls": n_calls,
                 "direct_sum_terms": n_terms,
             }
@@ -121,18 +126,22 @@ def main() -> None:
             "cold_total_seconds": round(sum(r["cold_seconds"] for r in rows.values()), 4),
             "best_total_seconds": round(sum(r["best_seconds"] for r in rows.values()), 4),
         }
-    verify = verify_seconds()
+    verify = {}
+    for suite, digits in VERIFY_RUNS:
+        runs = verify_seconds(suite, digits)
+        verify[f"verify_{suite}_digits_{digits}"] = {
+            "first_seconds": round(runs[0], 4),
+            "best_seconds": round(min(runs), 4),
+        }
     git = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                          capture_output=True, text=True).stdout.strip()
     print(json.dumps({
-        "benchmark": "hyper.kdf_integral on the six Theorem blocks, and verify --suite all",
+        "benchmark": "hyper.kdf_integral on the six Theorem blocks, verify --suite all "
+                     "--digits 40 and verify --suite numeric --digits 80",
         "digits": 40,
         "repeats": REPEATS,
         "kdf_integral": out,
-        "verify_all_digits_40": {
-            "first_seconds": round(verify[0], 4),
-            "best_seconds": round(min(verify), 4),
-        },
+        **verify,
         "python": platform.python_version(),
         "cpu_model": cpu_model(),
         "cpus": os.cpu_count(),

@@ -1019,18 +1019,46 @@ def _de_nodes(level: int, wexp: int, prec: int) -> tuple:
 def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
     """Tanh-sinh quadrature of f over (0, 1).
 
-    The step is halved, down to 2^-``_QUAD_MAX_LEVEL``, until two successive
-    levels differ by at most ``tol``; the last difference is the error
-    estimate, and a run that reaches no such pair raises ArithmeticError.
+    The step is halved, down to 2^-``_QUAD_MAX_LEVEL``, until the error bar
+    est_L of level L is at most ``tol``; est_L is reported as the error
+    estimate, and a run that reaches no such level raises ArithmeticError.
     Each level sums its new nodes (``_de_nodes``): the center at level 0,
     then the side t > 1/2, then the mirrored side t < 1/2, each side until
     5 terms in a row fall below tol 10^-4 or its nodes end.  Integrable
     endpoint singularities of algebraic-logarithmic type are fine.  With
     ``two_arg=True`` the integrand is called as f(t, 1-t).
+
+    The bar reads the level differences d_L = |I_L - I_(L-1)| (d_0 = inf)
+    and their ratios r_L = d_L / d_(L-1).  Double-exponential quadrature
+    squares its error at each halving (Takahasi & Mori, Publ. RIMS 9 (1974)
+    721-741): under the model E_L ~ E_(L-1)^2 / A, d_L ~ E_(L-1) and
+    E_L ~ d_L r_L^2.  Level L is in the quadratic regime when L >= 4,
+    r_(L-2) < 1, r_(L-1) <= r_(L-2)^(3/2) and r_L <= r_(L-1)^(3/2): two
+    super-linear contractions in a row, so that one accidental dip in the
+    differences does not count.  There the bar is
+
+        est_L = min(d_L, max(d_L r_L, floor_L)),
+
+    which over-states the model's error by 1/r_L (the estimate of Bailey,
+    Jeyabalan & Li, "A comparison of three high-precision quadrature
+    schemes", Exp. Math. 14 (2005) 317-329); elsewhere it is d_L.  The
+    floor is what level L itself leaves unresolved: the terms at which its
+    two sides cut off, plus the rounding of the level sum,
+
+        floor_L = h (|c_0| + |c_1|) + 2^(1-p) n h sum |c_i|,
+
+    with h = 2^-L, c_0 and c_1 the last terms w f that level L summed on
+    each side, n the terms summed at levels 0..L and sum |c_i| their absolute
+    sum, and p the working precision in bits.  Since est_L <= d_L, the rule
+    never stops later than the bare difference.
     """
     with mp.workdps(prec.dps + 15):
         tol = mpmathify(tol)
-        wexp = int(3 * (-math.log10(float(tol)) + 8))
+        if not 0 < tol < mp.inf:
+            raise ValueError(f"quad_de needs a positive finite tol, got {mp.nstr(tol, 3)}")
+        # mpmath's log10 reads the mpf's own mantissa and binary exponent,
+        # so a tol outside the range of a double sizes the cut too
+        wexp = int(3 * (-float(mp.log10(tol)) + 8))
         tiny = tol * mpf(10) ** -4
         if two_arg:
             call = f
@@ -1044,34 +1072,44 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
                 return _f(t)
         vals = mpf(0)
         prev = mp.inf
-        neval = 0
+        diffs, terms = [], []
         for lev in range(_QUAD_MAX_LEVEL + 1):
             h = mpf(1) / 2 ** lev
             nodes = _de_nodes(lev, wexp, mp.prec)
             new = mpf(0)
             if lev == 0:
                 t, omt, w = nodes[0]
-                new += w * call(t, omt)
-                neval += 1
+                c = w * call(t, omt)
+                new += c
+                terms.append(c)
             # past the center, side 0 reads a node as (t, 1-t), side 1 as its
             # mirror (1-t, t)
+            edge = mpf(0)
             for side in (0, 1):
                 run = 0
                 for node in islice(nodes, lev == 0, None):
                     c = node[2] * call(node[side], node[1 - side])
-                    neval += 1
                     new += c
+                    terms.append(c)
                     if abs(c) < tiny:
                         run += 1
                         if run > 4:
                             break
                     else:
                         run = 0
+                edge += abs(c)
             vals += new
             total = vals * h
             change = abs(total - prev)
-            if change <= tol:
-                return SeriesResult(+total, +change, neval, "integral")
+            diffs.append(change)
+            est = change
+            if lev >= 4:
+                r2, r1, r0 = (diffs[k] / diffs[k - 1] for k in (lev - 2, lev - 1, lev))
+                if r2 < 1 and r1 <= r2 ** 1.5 and r0 <= r1 ** 1.5:
+                    floor = h * (edge + mp.eps * len(terms) * mp.fsum(terms, absolute=True))
+                    est = min(change, max(change * r0, floor))
+            if est <= tol:
+                return SeriesResult(+total, +est, len(terms), "integral")
             prev = total
         raise ArithmeticError(
             f"quadrature did not converge to {tol} within {_QUAD_MAX_LEVEL} levels "

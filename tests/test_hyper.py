@@ -824,6 +824,20 @@ def test_kdf_integral_looks_up_each_plan_once(monkeypatch):
     assert fine_lookups == coarse_lookups < coarse
 
 
+def test_kdf_integral_stops_where_its_error_is_predicted():
+    # L1 at (1/2, 1/2): the quadrature reads two super-linear contractions of
+    # its level differences and stops one level before they fall below tol
+    # (291 nodes with the bare difference as the bar, 159 here); the value
+    # stays within the sum of both routes' bars of the series route
+    prec = Precision(40, 1e-25)
+    half = Fraction(1, 2)
+    block = THEOREM_KDF_BLOCKS["L1"]
+    integral = hyper.kdf_integral(block, half, half, prec)
+    series = hyper.kdf_series(block, half, half, prec)
+    assert integral.terms_used <= 170
+    assert abs(integral.value - series.value) <= integral.err_estimate + series.err_estimate
+
+
 def test_kdf_integral_at_origin():
     res = hyper.kdf_integral(MAIN_BLOCK, 0, 0, Precision(30, 1e-18))
     assert abs(res.value - 1) < mpf("1e-18")
@@ -1409,7 +1423,73 @@ def test_quad_de_error_estimates_conservative():
         )
         for f, want in cases:
             res = hyper.quad_de(f, mpf("1e-20"), PREC)
-            assert abs(res.value - want) <= res.err_estimate + mpf("1e-21")
+            assert abs(res.value - want) <= res.err_estimate
+
+
+@pytest.mark.parametrize("alpha, beta", [(Fraction(1, 3), Fraction(2, 3)),
+                                         (Fraction(2, 3), Fraction(4, 3)),
+                                         (Fraction(1), Fraction(1, 3))])
+def test_quad_de_beta_integrals_within_their_bar(alpha, beta):
+    # t^(alpha-1) (1-t)^(beta-1) against B(alpha, beta); at tol 1e-40 the
+    # run stops in the quadratic regime, one level before the bare
+    # difference would (317-345 nodes)
+    prec = Precision(60, 1e-45)
+    with mp.workdps(80):
+        am1 = mpf(alpha.numerator) / alpha.denominator - 1
+        bm1 = mpf(beta.numerator) / beta.denominator - 1
+        want = mp.beta(am1 + 1, bm1 + 1)
+    for tol in ("1e-12", "1e-25", "1e-40"):
+        res = hyper.quad_de(lambda t, omt: t ** am1 * omt ** bm1, mpf(tol), prec, two_arg=True)
+        with mp.workdps(80):
+            assert abs(res.value - want) <= res.err_estimate <= mpf(tol)
+    assert res.terms_used <= 180
+
+
+def test_quad_de_kink_keeps_the_level_difference():
+    # |t - 1/3| has a kink inside (0, 1), so the error does not square at
+    # each halving; its differences 1.8e-3, 3.6e-5, 2.5e-4 dip once by
+    # accident, and one contraction alone would stop at 125 nodes with an
+    # error of 1.7e-4.  The rule keeps the bare difference as the bar.
+    res = hyper.quad_de(lambda t: abs(t - mpf(1) / 3), mpf("1e-6"), PREC)
+    assert res.terms_used == 2945
+    assert abs(res.value - mpf(5) / 18) <= res.err_estimate
+    assert res.err_estimate > mpf("1e-7")
+
+
+def test_quad_de_runge_within_its_bar():
+    # 1/(1 + (10 (t - 1/2))^2): poles at t = 1/2 +- i/10 near the interval
+    with mp.workdps(60):
+        want = mp.atan(5) / 5
+    for tol in ("1e-6", "1e-12", "1e-20"):
+        res = hyper.quad_de(lambda t: 1 / (1 + (10 * (t - mpf(1) / 2)) ** 2), mpf(tol), PREC)
+        with mp.workdps(60):
+            assert abs(res.value - want) <= res.err_estimate <= mpf(tol)
+
+
+def test_quad_de_bar_covers_the_rounding_of_the_sum():
+    # at 35 working digits and tol 1e-30 the predicted error d_L r_L is
+    # 1e-39 to 1e-46, below the 1e-37 that rounding leaves in the level
+    # sum; the floor's rounding term keeps the bar above the error
+    prec = Precision(20, 1e-10)
+    for f, want in ((mp.exp, lambda: mp.e - 1), (mp.log, lambda: mpf(-1)),
+                    (mp.sqrt, lambda: mpf(2) / 3)):
+        res = hyper.quad_de(f, mpf("1e-30"), prec)
+        with mp.workdps(60):
+            assert abs(res.value - want()) <= res.err_estimate <= mpf("1e-30")
+
+
+@pytest.mark.parametrize("tol", [0, -1e-10, math.inf, math.nan, mpf(0), mp.inf])
+def test_quad_de_rejects_a_tol_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="positive finite tol"):
+        hyper.quad_de(lambda t: t, tol, PREC)
+
+
+def test_quad_de_tol_below_the_range_of_a_double():
+    # 1e-400 underflows a float; the weight cut is sized from the mpf itself
+    res = hyper.quad_de(lambda t, omt: 1 / (1 + t), mpf("1e-400"), Precision(420, 1e-300),
+                        two_arg=True)
+    with mp.workdps(440):
+        assert abs(res.value - mp.log(2)) <= res.err_estimate <= mpf("1e-400")
 
 
 def _full_node_count(levels: int, tol) -> int:

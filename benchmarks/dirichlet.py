@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the Dirichlet partial sum and the order-2000 exact suite.
+"""Time the Dirichlet partial sum and the exact suite.
 
     python3 benchmarks/dirichlet.py > record.json
 
@@ -8,7 +8,9 @@ Takes no options and uses only the public API.  In one fresh process it times
 ``cli.exact_suite_reports(2000)`` once, cold.  ``ru_maxrss`` (the process's
 peak resident set, in MiB) is read after each of the two cold calls.  Each
 call is then repeated once under ``tracemalloc``, untimed, for its peak of
-traced allocations; numpy reports its buffers to tracemalloc.  Prints one JSON
+traced allocations; numpy reports its buffers to tracemalloc.  Last it times
+``cli.exact_suite_reports`` once, cold, at each order in ``LARGE_ORDERS``
+(the suite keeps no series from one call to the next).  Prints one JSON
 record: those figures, the value and error bar of the partial sum, the
 Python and numpy versions, the CPU count, ``git describe --always --dirty`` of
 the checkout and ``mpmath.libmp.BACKEND``.
@@ -36,6 +38,7 @@ from cubictheta import cli, lvalue  # noqa: E402
 
 N = 10 ** 6
 ORDER = 2000
+LARGE_ORDERS = (6000, 20000)
 REPEATS = 3
 
 
@@ -66,10 +69,15 @@ def main() -> None:
     rss_suite = maxrss_mib()
     peak_dirichlet = traced_peak(lambda: lvalue.l_dirichlet(N))
     peak_suite = traced_peak(lambda: cli.exact_suite_reports(ORDER))
+    large = {}
+    for order in LARGE_ORDERS:
+        seconds, reps = timed(lambda: cli.exact_suite_reports(order))
+        large[str(order)] = {"cold_seconds": round(seconds, 4),
+                             "passed": sum(r.passed for r in reps), "checks": len(reps)}
     git = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                          capture_output=True, text=True).stdout.strip()
     print(json.dumps({
-        "benchmark": "lvalue.l_dirichlet(10**6) and cli.exact_suite_reports(2000)",
+        "benchmark": "lvalue.l_dirichlet(10**6) and cli.exact_suite_reports(2000, 6000, 20000)",
         "l_dirichlet": {
             "N": N,
             "cold_seconds": round(cold, 4),
@@ -89,6 +97,7 @@ def main() -> None:
             "passed": sum(r.passed for r in reports),
             "checks": len(reports),
         },
+        "exact_suite_large_orders": large,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpus": os.cpu_count(),

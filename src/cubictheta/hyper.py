@@ -1049,8 +1049,12 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
 
     with h = 2^-L, c_0 and c_1 the last terms w f that level L summed on
     each side, n the terms summed at levels 0..L and sum |c_i| their absolute
-    sum, and p the working precision in bits.  Since est_L <= d_L, the rule
-    never stops later than the bare difference.
+    sum, and p the working precision in bits.  A level that would stop
+    raises its bar to at least that rounding term, 2^(1-p) n h sum |c_i|, so
+    a difference that reads zero, or reads below the last bits of the sum,
+    does not stop the run with a bar under its own rounding; a tol below
+    that term cannot be met and raises.  The ratios are read only where the
+    three differences they divide by are nonzero.
     """
     with mp.workdps(prec.dps + 15):
         tol = mpmathify(tol)
@@ -1102,14 +1106,18 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
             total = vals * h
             change = abs(total - prev)
             diffs.append(change)
-            est = change
-            if lev >= 4:
+            # a zero difference has no ratio
+            regime = False
+            if lev >= 4 and all(diffs[lev - 3:lev]):
                 r2, r1, r0 = (diffs[k] / diffs[k - 1] for k in (lev - 2, lev - 1, lev))
-                if r2 < 1 and r1 <= r2 ** 1.5 and r0 <= r1 ** 1.5:
-                    floor = h * (edge + mp.eps * len(terms) * mp.fsum(terms, absolute=True))
-                    est = min(change, max(change * r0, floor))
-            if est <= tol:
-                return SeriesResult(+total, +est, len(terms), "integral")
+                regime = r2 < 1 and r1 <= r2 ** 1.5 and r0 <= r1 ** 1.5
+            if regime or change <= tol:
+                rounding = h * mp.eps * len(terms) * mp.fsum(terms, absolute=True)
+                est = min(change, max(change * r0, h * edge + rounding)) if regime else change
+                # no bar reads below the rounding of the sum it stops on
+                est = max(est, rounding)
+                if est <= tol:
+                    return SeriesResult(+total, +est, len(terms), "integral")
             prev = total
         raise ArithmeticError(
             f"quadrature did not converge to {tol} within {_QUAD_MAX_LEVEL} levels "

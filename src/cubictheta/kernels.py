@@ -2,13 +2,15 @@
 
 ``conv_trunc`` and ``div_unit`` are the hot inner loops of every exact
 identity check.  ``conv_trunc`` uses Kronecker substitution (Schönhage 1982;
-Harvey, J. Symbolic Comput. 44, 2009): each coefficient list is packed into
-one Python int, so a single big-int product yields every coefficient
-exactly.  ``hyper`` also uses it, on int images of the terms, for the Kampe
-de Feriet anti-diagonal sums.  ``py_conv_trunc`` is the schoolbook loop,
-kept as the reference the tests compare against; nothing in the library
-calls it.  No part of this module is compiled, so ``BACKEND`` is always
-``"python"``.
+Harvey, J. Symbolic Comput. 44, 2009): each coefficient list is read on its
+support lattice (first nonzero index, common stride of the nonzero ones) and
+packed into one Python int with signed slots, one bit of each slot holding
+the sign, so a single big-int product yields every coefficient exactly,
+negative ones included.  ``hyper`` also uses it, on int images of the
+terms, for the Kampe de Feriet anti-diagonal sums.  ``py_conv_trunc`` is
+the schoolbook loop, kept as the reference the tests compare against;
+nothing in the library calls it.  No part of this module is compiled, so
+``BACKEND`` is always ``"python"``.
 """
 
 from __future__ import annotations
@@ -27,42 +29,77 @@ def _to_integers(coeffs: list):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _support(x: list):
+    """(r, l, g) for a list with a nonzero entry, else None: its first and last
+    nonzero index and the gcd of the offsets of its nonzero indices from r
+    (0 for a single nonzero)."""
+    nz = [i for i, c in enumerate(x) if c]
+    if not nz:
+        return None
+    r = nz[0]
+    return r, nz[-1], math.gcd(*(i - r for i in nz))
+
+
+def _bias(width: int, n: int) -> int:
+    """n width-byte slots, each holding 2**(8*width - 1)."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+
+
 def _pack(coeffs: list, width: int) -> int:
-    """sum(c_i * 256**(width*i)) for non-negative c_i < 256**width."""
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coeffs), "little")
+    """sum(c_i * 256**(width*i)) for |c_i| < 2**(8*width - 1).
+
+    Each slot is written biased to c_i + 2**(8*width - 1), which is
+    non-negative, and the bias is taken off the packed int as a whole.
+    """
+    half = 1 << (8 * width - 1)
+    raw = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(raw, "little") - _bias(width, len(coeffs))
 
 
 def _unpack(x: int, width: int, n: int) -> list:
-    """The first ``n`` width-byte slots of a non-negative packed int."""
-    buf = x.to_bytes(max(n * width, (x.bit_length() + 7) // 8), "little")
-    return [int.from_bytes(buf[i:i + width], "little") for i in range(0, n * width, width)]
+    """The first ``n`` coefficients of a packed int whose slots all satisfy
+    |c_i| < 2**(8*width - 1): with the bias added, slots 0..n-1 of x are each
+    in [0, 256**width) whatever x holds above them, so one mask isolates
+    them; taking the bias off a slot's top bit reads it as a signed slot."""
+    bias = _bias(width, n)
+    low = ((x + bias) & ((1 << (8 * width * n)) - 1)) ^ bias
+    buf = low.to_bytes(n * width, "little")
+    return [int.from_bytes(buf[i:i + width], "little", signed=True)
+            for i in range(0, n * width, width)]
 
 
 def conv_trunc(a: list, b: list, order: int) -> list:
     """Cauchy product of coefficient lists, truncated to ``order``.
 
     Exact for int and Fraction coefficients.  Each input is scaled to
-    integers by the lcm of its denominators and split into its positive and
-    negative parts P and N, so every packed slot holds a non-negative value.
-    Output slot k of X = P_a*P_b + N_a*N_b and of Y = P_a*N_b + N_a*P_b is a
-    sum of at most min(len(a), len(b)) products |a_i|*|b_j|, so the slot
-    width is taken from the bound max|a| * max|b| * min(len(a), len(b)) and
-    no slot carries into the next.  The coefficient is X_k - Y_k.
+    integers by the lcm of its denominators and reduced to its support
+    lattice: with r its first nonzero index, l its last and g the gcd of the
+    offsets of its nonzero indices from r, it is x[r:l+1:g] at stride g.  Both
+    inputs are read at the common stride g = gcd(g_a, g_b) (1 when both have a
+    single nonzero), so output slot j lands at r_a + r_b + g j, and each input
+    keeps only the slots that can reach ``order``.  The compressed lists are
+    packed signed, one product A*B gives every coefficient, and one unpack
+    reads the slots.  A slot is a sum of at most min(len(a), len(b)) products
+    a_i b_j, so |slot| <= bound = max|a| * max|b| * min(len(a), len(b)); the
+    slot width is bound.bit_length() + 1 bits, rounded up to whole bytes, the
+    extra bit holding the sign.
     """
     n = order + 1
     a, da = _to_integers(a[:n])
     b, db = _to_integers(b[:n])
-    bound = max(map(abs, a), default=0) * max(map(abs, b), default=0) * min(len(a), len(b))
-    if bound == 0:
-        return [0] * n
-    width = (bound.bit_length() + 7) // 8
-    pa = _pack([c if c > 0 else 0 for c in a], width)
-    na = _pack([-c if c < 0 else 0 for c in a], width)
-    pb = _pack([c if c > 0 else 0 for c in b], width)
-    nb = _pack([-c if c < 0 else 0 for c in b], width)
-    x = _unpack(pa * pb + na * nb, width, n)
-    y = _unpack(pa * nb + na * pb, width, n)
-    out = [xk - yk for xk, yk in zip(x, y)]
+    out = [0] * n
+    sa, sb = _support(a), _support(b)
+    if sa and sb and sa[0] + sb[0] <= order:
+        (ra, la, ga), (rb, lb, gb) = sa, sb
+        g = math.gcd(ga, gb) or 1
+        start = ra + rb
+        m = (order - start) // g + 1
+        a = a[ra:la + 1:g][:m]
+        b = b[rb:lb + 1:g][:m]
+        m = min(m, len(a) + len(b) - 1)
+        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        width = (bound.bit_length() + 8) // 8
+        out[start:start + g * m:g] = _unpack(_pack(a, width) * _pack(b, width), width, m)
     den = da * db
     if den != 1:
         out = [Fraction(c, den) for c in out]

@@ -14,7 +14,6 @@ either the accelerated double series or the integral representation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -179,7 +178,52 @@ def l_mellin(n: int, prec: Precision) -> SeriesResult:
 
 # -- Dirichlet route ------------------------------------------------------------
 
-_FSUM_CHUNK = 1 << 16
+# a chunk's bucket sums of the 27-bit high halves stay below 2^27 * 2^20 =
+# 2^47, well inside the 2^53 that keeps a float64 bucket exact
+_SUM_CHUNK = 1 << 20
+
+
+def _exact_sum(chunk: np.ndarray) -> tuple:
+    """(T, e) with sum(chunk) == T * 2**e exactly, for finite floats.
+
+    Each term is M 2^s with M = mantissa * 2^53 an int below 2^53 in
+    magnitude (``np.frexp``); M is split into a high half below 2^27 and a
+    low half in [0, 2^26), and ``np.bincount`` sums each half per exponent
+    s in float64, which is exact while a bucket stays below 2^53.
+    """
+    mant, exp = np.frexp(chunk)
+    m = (mant * 2.0 ** 53).astype(np.int64)
+    del mant
+    e0 = int(exp.min())
+    exp -= e0
+    hi = np.bincount(exp, weights=m >> 26)
+    lo = np.bincount(exp, weights=m & ((1 << 26) - 1))
+    del m, exp
+    total = sum(((int(h) << 26) + int(l)) << k
+                for k, (h, l) in enumerate(zip(hi.tolist(), lo.tolist())))
+    return total, e0 - 53
+
+
+def _prefix_sums(terms: np.ndarray, ends) -> list:
+    """The correctly rounded sums of terms[:k], as floats, for each k in the
+    increasing ``ends``: ``math.fsum(terms[:k])``, bit for bit, from one pass.
+
+    The running total is one Python int T at the scale 2^e of the smallest
+    exponent seen so far, carried exactly across chunks of at most
+    ``_SUM_CHUNK`` terms (``_exact_sum``); each checkpoint rounds it once, by
+    int true division, which is correctly rounded.  This is a small
+    superaccumulator indexed by exponent (Neal, "Fast exact summation using
+    small and large superaccumulators", arXiv:1505.05571, 2015).
+    """
+    total, e, start, out = 0, 0, 0, []
+    for end in ends:
+        for i in range(start, end, _SUM_CHUNK):
+            t, s = _exact_sum(terms[i:min(i + _SUM_CHUNK, end)])
+            low = min(e, s)
+            total, e = (total << (e - low)) + (t << (s - low)), low
+        start = end
+        out.append(float(total << e) if e >= 0 else total / (1 << -e))
+    return out
 
 
 def l_dirichlet(N: int) -> SeriesResult:
@@ -191,23 +235,23 @@ def l_dirichlet(N: int) -> SeriesResult:
     this is an order-of-magnitude indicator, not a bound.
 
     The terms are formed in numpy from the int64 coefficients of
-    ``qexp._f_coeffs_fft``; each checkpoint is ``math.fsum`` of the float
-    terms in index order, the correctly rounded sum, read in list chunks of
-    at most 2**16 terms.
+    ``qexp._f_coeffs_fft``.  The three checkpoints come from one exact pass
+    over the float terms (``_prefix_sums``): each term is an int times a
+    power of two, the ints are summed per exponent with ``np.bincount`` in
+    chunks small enough that every bucket stays below 2^53, and the running
+    total is one Python int, rounded once per checkpoint.  Each checkpoint is
+    the correctly rounded sum of the float terms, equal to ``math.fsum``
+    (Neal, arXiv:1505.05571, 2015).
     """
     if N < 1000:
         raise ValueError("N must be at least 10^3")
     terms = np.arange(1, N + 1, dtype=float) ** 3
     np.divide(qexp._f_coeffs_fft(N)[1:], terms, out=terms)
     checkpoints = sorted({N // 2, 3 * N // 4, N})
-    # each partial sum is the correctly rounded sum of the float terms, fed
-    # to fsum in chunks so that no N-entry list is built
-    sums = {k: math.fsum(itertools.chain.from_iterable(
-                terms[i:min(i + _FSUM_CHUNK, k)].tolist() for i in range(0, k, _FSUM_CHUNK)))
-            for k in checkpoints}
-    limit = _accel.richardson([1.0 / k for k in checkpoints], [sums[k] for k in checkpoints])
-    tail_estimate = abs(limit - sums[N])
-    return SeriesResult(mpf(sums[N]), mpf(tail_estimate), N, "direct")
+    sums = _prefix_sums(terms, checkpoints)
+    limit = _accel.richardson([1.0 / k for k in checkpoints], sums)
+    tail_estimate = abs(limit - sums[-1])
+    return SeriesResult(mpf(sums[-1]), mpf(tail_estimate), N, "direct")
 
 
 # -- Theorem right-hand sides ----------------------------------------------------

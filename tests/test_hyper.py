@@ -1478,6 +1478,23 @@ def test_quad_de_bar_covers_the_rounding_of_the_sum():
             assert abs(res.value - want()) <= res.err_estimate <= mpf("1e-30")
 
 
+def test_quad_de_bar_never_reads_below_its_rounding():
+    # at 35 working digits the levels of int e^t agree to the last bits from
+    # tol 1e-34 on: the bare difference read 3.0e-36 (and 0.0 at tol 1e-36)
+    # against an error of 3.2e-36; a tol under the rounding of the sum
+    # cannot be met, and a difference of zero is no ratio to divide by
+    prec = Precision(20, 1e-10)
+    for tol in ("1e-34", "1e-36", "1e-30"):
+        try:
+            res = hyper.quad_de(mp.exp, mpf(tol), prec)
+        except ArithmeticError as exc:
+            # ZeroDivisionError is an ArithmeticError too
+            assert type(exc) is ArithmeticError and tol != "1e-30"
+            continue
+        with mp.workdps(60):
+            assert abs(res.value - (mp.e - 1)) <= res.err_estimate <= mpf(tol)
+
+
 @pytest.mark.parametrize("tol", [0, -1e-10, math.inf, math.nan, mpf(0), mp.inf])
 def test_quad_de_rejects_a_tol_that_is_not_positive_and_finite(tol):
     with pytest.raises(ValueError, match="positive finite tol"):

@@ -2,7 +2,8 @@
 
 The Kronecker-substituted ``conv_trunc`` is checked against the schoolbook
 loop ``py_conv_trunc``, an independent algorithm, with one case for each way
-packing coefficients into big-int slots can go wrong.
+packing coefficients into big-int slots, or reading the inputs on their
+support lattice, can go wrong.
 """
 
 import random
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubictheta import kernels
+from cubictheta import kernels, qexp
 
 
 small_int_lists = st.lists(st.integers(-50, 50), min_size=1, max_size=24)
@@ -62,7 +63,58 @@ def test_conv_fraction_coefficients():
     assert got[1] == Fraction(1, 21) + Fraction(6, 5)
 
 
+@st.composite
+def lattice_lists(draw, values):
+    """Values at r + g k, with r in 0..5 and g in {1, 2, 3, 9}, then zeros."""
+    r = draw(st.integers(0, 5))
+    g = draw(st.sampled_from((1, 2, 3, 9)))
+    vals = draw(st.lists(values, min_size=1, max_size=12))
+    out = [0] * (r + g * len(vals) + draw(st.integers(0, 5)))
+    out[r:r + g * len(vals):g] = vals
+    return out
+
+
+lattice_ints = st.one_of(st.integers(-3, 3), st.integers(-(10 ** 40), 10 ** 40))
+lattice_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=300)
+@given(lattice_lists(lattice_ints), lattice_lists(lattice_ints), st.integers(0, 80))
+def test_conv_on_the_support_lattice(a, b, order):
+    # zeros inside and after the support, single nonzeros, and offsets
+    # r_a + r_b past the order all come up
+    got = kernels.conv_trunc(a, b, order)
+    assert got == kernels.py_conv_trunc(a, b, order)
+    assert all(type(c) is int for c in got)
+
+
+@given(lattice_lists(lattice_fractions), lattice_lists(lattice_ints), st.integers(0, 60))
+def test_conv_fractions_on_the_support_lattice(a, b, order):
+    assert kernels.conv_trunc(a, b, order) == kernels.py_conv_trunc(a, b, order)
+
+
+@pytest.mark.parametrize("length, x, y", [
+    (7, 31, 151), (47, 1, 178481), (7, 7 * 73 * 127, 337 * 92737 * 649657),
+    (3, 85, 257), (5, 819, 4097),
+])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_conv_slot_at_the_width_edges(length, x, y, sign):
+    # length * x * y is the bound and also the middle slot.  At 2**15 - 1,
+    # 2**23 - 1 and 2**63 - 1 that slot holds +-(2**(k-1) - 1) for slot
+    # widths k = 16, 24 and 64 bits, one step from the bias; at 2**16 - 1
+    # and 2**24 - 1 it fills whole bytes, and only the sign bit makes room
+    v = length * x * y
+    for r, g in ((0, 1), (2, 3)):
+        a = [0] * r + sum(([x] + [0] * (g - 1) for _ in range(length)), [])
+        b = [0] * r + sum(([sign * y] + [0] * (g - 1) for _ in range(length)), [])
+        order = 2 * r + g * (2 * length - 2)
+        got = kernels.conv_trunc(a, b, order)
+        assert got[2 * r + g * (length - 1)] == sign * v
+        assert got == kernels.py_conv_trunc(a, b, order)
+
+
 _rng = random.Random(2205)
+_C = qexp.theta_series("c", 200).coeffs
 _HAZARDS = {
     "mixed_signs": ([3, -1, 0, -7, 2], [-2, 5, -5, 0, 1], 6),
     "coefficients_1e40": (
@@ -79,6 +131,10 @@ _HAZARDS = {
     "one_side_zero": ([0, 0], [5, -6, 7], 3),
     "order_zero": ([-4, 9, 9], [6, 1], 0),
     "longer_than_order": ([1, -2, 3, 10 ** 50, -(10 ** 50)], [4, 5, -6, 10 ** 50], 2),
+    "single_nonzeros": ([0, 0, 5], [0, 0, 0, -7, 0], 6),
+    "single_times_stride_3": ([0, 0, 0, 0, 2], [0, 1, 0, 0, -1, 0, 0, 3, 0], 12),
+    "offsets_past_order": ([0, 0, 0, 4, 1], [0, 0, 9], 4),
+    "c_squared_third_grid": (_C, _C, 600),
 }
 
 

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf, mpmathify
 
@@ -67,19 +68,37 @@ def test_dirichlet_is_correctly_rounded_float_sum(N):
     assert lvalue.l_dirichlet(N).value == want
 
 
+def test_prefix_sums_are_fsums():
+    # zeros, both signs, subnormals and exponents over +-300 decades; a chunk
+    # of 97 terms puts chunk edges inside the segments
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        n = int(rng.integers(1, 2000))
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        x[rng.random(n) < 0.2] = 0.0
+        x[rng.random(n) < 0.2] *= 1e-310
+        ends = sorted({int(k) for k in rng.integers(0, n + 1, 3)} | {n})
+        want = [math.fsum(x[:k].tolist()) for k in ends]
+        assert lvalue._prefix_sums(x, ends) == want
+        with pytest.MonkeyPatch.context() as mpatch:
+            mpatch.setattr(lvalue, "_SUM_CHUNK", 97)
+            assert lvalue._prefix_sums(x, ends) == want
+
+
 def test_dirichlet_checkpoint_sums_are_fsums_of_exact_terms(monkeypatch):
     # every checkpoint is the correctly rounded sum of a_m / m^3 over the
     # exact-product coefficients; a chunk of 999 terms puts chunk edges
     # inside every checkpoint
     N = 10_000
     seen = []
-    fsum = math.fsum
-    monkeypatch.setattr(lvalue, "_FSUM_CHUNK", 999)
-    monkeypatch.setattr(math, "fsum", lambda it: seen.append(fsum(it)) or seen[-1])
+    prefix_sums = lvalue._prefix_sums
+    monkeypatch.setattr(lvalue, "_SUM_CHUNK", 999)
+    monkeypatch.setattr(lvalue, "_prefix_sums",
+                        lambda terms, ends: seen.extend(prefix_sums(terms, ends)) or seen)
     res = lvalue.l_dirichlet(N)
     monkeypatch.undo()
     coeffs = qexp._f_coeffs_product(N)
-    want = [fsum(coeffs[m] / float(m) ** 3 for m in range(1, k + 1))
+    want = [math.fsum(coeffs[m] / float(m) ** 3 for m in range(1, k + 1))
             for k in (N // 2, 3 * N // 4, N)]
     assert seen == want
     assert res.value == want[-1]

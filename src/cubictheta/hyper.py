@@ -1052,9 +1052,13 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
     sum, and p the working precision in bits.  A level that would stop
     raises its bar to at least that rounding term, 2^(1-p) n h sum |c_i|, so
     a difference that reads zero, or reads below the last bits of the sum,
-    does not stop the run with a bar under its own rounding; a tol below
-    that term cannot be met and raises.  The ratios are read only where the
-    three differences they divide by are nonzero.
+    does not stop the run with a bar under its own rounding.  A tol below
+    that term cannot be met, and a level L in the quadratic regime raises
+    once 2^(1-p) n (|I_L| - 2 d_L) > tol: each later level L' sums at least
+    n terms, with h sum |c_i| >= |I_L'|, and the model puts I_L and I_L'
+    within E_L < d_L of the limit, so no later rounding term falls to tol.
+    The ratios are read only where the three differences they divide by are
+    nonzero.
     """
     with mp.workdps(prec.dps + 15):
         tol = mpmathify(tol)
@@ -1118,6 +1122,10 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
                 est = max(est, rounding)
                 if est <= tol:
                     return SeriesResult(+total, +est, len(terms), "integral")
+                lowest = mp.eps * len(terms) * (abs(total) - 2 * change)
+                if regime and lowest > tol:
+                    raise ArithmeticError(f"quadrature cannot reach {tol}: its rounding "
+                                          f"stays above {mp.nstr(lowest, 3)}")
             prev = total
         raise ArithmeticError(
             f"quadrature did not converge to {tol} within {_QUAD_MAX_LEVEL} levels "

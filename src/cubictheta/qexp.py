@@ -9,9 +9,9 @@ hexagonal lattice and its (1/3, 1/3) shift, and one slice placement,
 ``_spread``, moves coefficients between grids.
 
 The coefficients of the weight-3 product f are built on int64 numpy arrays
-(the divisor sieve, b from the Lambert series of a, and the FFT product);
-they become Python ints only at the ``QSeries`` boundary, in
-``f_coefficients``.
+(the divisor sieve, b from the Lambert series of a, and the FFT product, split
+by exponent mod 3 since b vanishes at 2 and chi3 * sigma at 0 mod 3); they
+become Python ints only at the ``QSeries`` boundary, in ``f_coefficients``.
 """
 
 from __future__ import annotations
@@ -168,14 +168,13 @@ class QSeries:
             raise ValueError("only q -> q^(1/3) from the integer grid is supported")
         return QSeries(3, list(self.coeffs))
 
-    def q_differentiate(self) -> "QSeries":
-        """Apply q d/dq: the coefficient of q**(e/d) picks up a factor e/d."""
+    def q_differentiate(self, times: int = 1) -> "QSeries":
+        """Apply ``times`` q d/dq: the coefficient c of q**(e/d) becomes
+        times e c / d, an int wherever that is integral."""
         out = []
         for e, c in enumerate(self.coeffs):
-            if e % self.d == 0:
-                out.append(c * (e // self.d))
-            else:
-                out.append(c * Fraction(e, self.d))
+            num, den = times * e * c.numerator, self.d * c.denominator
+            out.append(Fraction(num, den) if num % den else num // den)
         return QSeries(self.d, out)
 
 
@@ -311,7 +310,11 @@ def lambert_series(kind: str, n: int) -> QSeries:
     'c' = 3 sum_{r, s >= 1} chi3(r) (q^(rs/3) - q^(rs)) has 3E(e) - 3E(e/3)[3 | e]
     at q^(e/3); 'bc3' = 3 sum_{k, s >= 1} chi3(ks) k q^(ks) has 3 chi3(m) sigma(m)
     at q^m; and E0 = sum_{k, r >= 1} (chi3(kr)/k) (q^(kr/3) - q^(kr)) has
-    chi3(m) sigma(m)/m as its inner sum at m = kr.
+    chi3(m) sigma(m)/m as its inner sum at m = kr: one Fraction per nonzero
+    coefficient, and -chi3(k) sigma(k)/k at m = 3k.  'c_cubed' = 27 sum_{k, s >= 1}
+    chi3(k) s^2 q^(ks) is a slice sieve split at isqrt(n) like ``_divisor_sums``
+    (27 s^2 on [s::3s], -27 s^2 on [2s::3s]); int64 holds it exactly for
+    n < 4 * 10^8, its entries being at most 27 sigma_2(m) < 27 zeta(2) m^2 < 2^63.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
@@ -326,26 +329,24 @@ def lambert_series(kind: str, n: int) -> QSeries:
         co[2::3] *= -1
         return QSeries(1, co.tolist())
     if kind == "c_cubed":
-        co = [0] * (n + 1)
-        for nn in range(1, n + 1):
-            ch = chi3(nn)
-            if ch == 0:
-                continue
-            for s in range(1, n // nn + 1):
-                co[nn * s] += 27 * ch * s * s
-        return QSeries(1, co)
+        co = np.zeros(n + 1, dtype=np.int64)
+        r = math.isqrt(n)
+        for d in range(1, r + 1):
+            co[d::3 * d] += 27 * d * d
+            co[2 * d::3 * d] -= 27 * d * d
+            if d % 3:
+                s = np.arange(r + 1, n // d + 1)
+                co[d * (r + 1)::d] += 27 * chi3(d) * s * s
+        return QSeries(1, co.tolist())
     if kind == "E0":
         ng = 3 * n
         sig = _divisor_sums(ng)[0].tolist()
         co = [Fraction(0)] * (ng + 1)
         for m in range(1, ng + 1):
-            ch = chi3(m)
-            if ch == 0:
-                continue
-            w = Fraction(ch * sig[m], m)
-            co[m] += w
-            if 3 * m <= ng:
-                co[3 * m] -= w
+            if m % 3:
+                co[m] = Fraction(chi3(m) * sig[m], m)
+                if 3 * m <= ng:
+                    co[3 * m] = -co[m]
         return QSeries(3, co)
     raise ValueError(f"unknown lambert kind {kind!r}")
 
@@ -399,51 +400,55 @@ def _b_from_e(ech: np.ndarray) -> np.ndarray:
 
 def _f_coeffs_fft(n: int) -> np.ndarray:
     """a_m, m <= n, as int64, via the weight-2 Lambert factorization
-    b * (chi3 * sigma).
+    b * (chi3 * sigma), on the mod-3 polyphase grid.
 
     b comes from the Lambert series of a: with E from ``_divisor_sums``,
     a(q) = 1 + 6 sum E(m) q^m and b(q) = (3 a(q^3) - a(q)) / 2 (Borwein,
     Borwein & Garvan, "Some cubic modular identities of Ramanujan",
-    Trans. AMS 343 (1994)), so no lattice point is counted.  The convolution
-    runs as real FFTs against the one spectrum of b, one 11-bit limb of
-    chi3 * sigma at a time, with an exactness guard: every rounded value must
-    be within 0.05 of an integer, and limb magnitudes are checked against
-    their 11-bit budget.
+    Trans. AMS 343 (1994)), so no lattice point is counted.  There
+    b = sum omega^(x-y) q^(x^2+xy+y^2) has no term at k = 2 mod 3, as
+    x^2 + xy + y^2 = (x - y)^2 + 3xy is a square mod 3; chi3 * sigma has none
+    at 3 | k.  So with b = B0(q^3) + q B1(q^3) and chi3 * sigma =
+    q Y1(q^3) - q^2 Y2(q^3) (Y1, Y2 sigma on the residues 1, 2), a_(3k) =
+    -(B1 Y2)_(k-1), a_(3k+1) = (B0 Y1)_k and a_(3k+2) = (B1 Y1 - B0 Y2)_k:
+    products of m = n // 3 + 1 terms, as real FFTs of the least length 2^j or
+    3 * 2^j >= 2m + 1 against the spectra of B0 and B1, one 11-bit limb of Y1
+    and Y2 at a time.  Exactness guards: b vanishes at k = 2 mod 3; b and
+    sigma on the residues 1 and 2 fit their 11- and 22-bit budgets (sigma at
+    3 | k is not read); every rounded value is within 0.05 of an integer; and
+    the first 64 coefficients equal ``_f_coeffs_product``'s.
     """
     sig, ech = _divisor_sums(n)
     b = _b_from_e(ech)
     del ech
-    y = sig  # chi3 * sigma, in place
-    y[0::3] = 0
-    y[2::3] *= -1
+    if b[2::3].any():
+        raise AssertionError("theta-b has a coefficient at an exponent 2 mod 3")
     if int(np.abs(b).max()) >= (1 << _LIMB_BITS):
         raise AssertionError("theta-b coefficient exceeded its limb budget")
-    if int(np.abs(y).max()) >= (1 << (2 * _LIMB_BITS)):
+    ys = sig[1::3], sig[2::3]
+    if max(int(y.max(initial=0)) for y in ys) >= (1 << (2 * _LIMB_BITS)):
         raise AssertionError("sigma coefficient exceeded its limb budget")
-    size = 1
-    while size < 2 * (n + 1):
-        size *= 2
-    fb = np.fft.rfft(b, size)
+    m = n // 3 + 1
+    j = (2 * m).bit_length()  # 2^j is the least power of two >= 2m + 1
+    size = 3 << (j - 2) if 3 << (j - 2) > 2 * m else 1 << j
+    fb0, fb1 = (np.fft.rfft(b[r::3], size) for r in (0, 1))
     del b
     out = np.zeros(n + 1, dtype=np.int64)
     for shift in (0, _LIMB_BITS):
-        limb = np.abs(y)
-        limb >>= shift
-        limb &= (1 << _LIMB_BITS) - 1
-        np.negative(limb, out=limb, where=y < 0)
-        spec = np.fft.rfft(limb, size)
-        del limb
-        spec *= fb
-        conv = np.fft.irfft(spec, size)[: n + 1]
-        del spec
-        rounded = np.rint(conv)
-        conv -= rounded
-        drift = float(np.abs(conv, out=conv).max())
-        del conv
-        if drift > 0.05:
-            raise AssertionError(f"FFT convolution drift {drift:.3g} too large to round")
-        out += rounded.astype(np.int64) << shift
-        del rounded
+        f1, f2 = (np.fft.rfft((y >> shift) & ((1 << _LIMB_BITS) - 1), size) for y in ys)
+        np.negative(f2, out=f2)  # q^2 Y2 enters with chi3(2) = -1
+        # a_(3k+r), r = 1, 2, 3, sums the products whose residues add to r
+        for r, pairs in ((1, [(fb0, f1)]), (2, [(fb1, f1), (fb0, f2)]), (3, [(fb1, f2)])):
+            part = out[r::3]
+            conv = np.fft.irfft(sum(u * v for u, v in pairs), size)[: len(part)]
+            rounded = np.rint(conv)
+            conv -= rounded
+            drift = float(np.abs(conv, out=conv).max(initial=0))
+            del conv
+            if drift > 0.05:
+                raise AssertionError(f"FFT convolution drift {drift:.3g} too large to round")
+            part += rounded.astype(np.int64) << shift
+            del rounded
     check = _f_coeffs_product(min(n, 64))
     if out[: len(check)].tolist() != check:
         raise AssertionError("fast coefficient path disagrees with the exact product")

@@ -2,11 +2,12 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
-from cubictheta import cli, hyper, lvalue, thetanum
+from cubictheta import cli, hyper, lvalue, qexp, thetanum
 from cubictheta.reports import check
 
 
@@ -78,6 +79,31 @@ def test_verify_table_goes_to_the_current_stdout(capsys):
     lines = out.splitlines()
     assert [line.split()[0] for line in lines[:-1]] == [name for name, *_ in cli._EXACT_CHECKS]
     assert len(lines) == 12 and lines[-1].startswith("all checks passed (11 checks")
+
+
+# E0's coefficient at q^(m/3) off by 1/m moves 9 q dE0/dq by 3 there; off by
+# 1/(7m) it leaves the integers, and the residual must still read nonzero
+@pytest.mark.parametrize("m, delta", [(1, 1), (2, 1), (5, 1), (9, 1), (27, 1), (89, 1),
+                                      (4, Fraction(1, 7)), (6, Fraction(1, 7))])
+def test_e0_derivative_fails_on_one_wrong_e0_coefficient(monkeypatch, m, delta):
+    def e0_derivative(order):
+        return next(r for r in cli.exact_suite_reports(order) if r.name == "e0_derivative")
+
+    assert e0_derivative(30).abs_err == 0
+    lambert = qexp.lambert_series
+
+    def mutated(kind, n):
+        series = lambert(kind, n)
+        if kind != "E0":
+            return series
+        co = list(series.coeffs)
+        co[m] += Fraction(delta) / m
+        return qexp.QSeries(3, co)
+
+    monkeypatch.setattr(qexp, "lambert_series", mutated)
+    report = e0_derivative(30)
+    assert not report.passed
+    assert report.abs_err == 3 * delta
 
 
 def test_kdf_boundary_rejection_exits_1(capsys):

@@ -1495,6 +1495,22 @@ def test_quad_de_bar_never_reads_below_its_rounding():
             assert abs(res.value - (mp.e - 1)) <= res.err_estimate <= mpf(tol)
 
 
+@pytest.mark.parametrize("tol", ["1e-34", "1e-36"])
+def test_quad_de_raises_once_its_rounding_cannot_fall_to_tol(tol):
+    # int e^t at 35 working digits: at level 4, the first in the quadratic
+    # regime, 2^(1-p) n (|I_4| - 2 d_4) reads 4.2e-34 over n = 165 terms;
+    # the run stops there, not after the 8442 terms of all ten levels
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return mp.exp(t)
+
+    with pytest.raises(ArithmeticError, match="cannot reach"):
+        hyper.quad_de(f, mpf(tol), Precision(20, 1e-10))
+    assert len(calls) <= 165
+
+
 @pytest.mark.parametrize("tol", [0, -1e-10, math.inf, math.nan, mpf(0), mp.inf])
 def test_quad_de_rejects_a_tol_that_is_not_positive_and_finite(tol):
     with pytest.raises(ValueError, match="positive finite tol"):

@@ -160,6 +160,15 @@ def test_q_differentiate_examples():
     assert mix.q_differentiate().coeffs == [0, Fraction(1, 3), 0, -1]
 
 
+def test_q_differentiate_times_keeps_integral_coefficients_int():
+    # 9 q d/dq of q^(1/3)/3 - q^(2/3)/4 + q/5 - 5 q^2: 1, -3/2, 9/5 and -90
+    s = QSeries(3, [7, Fraction(1, 3), Fraction(-1, 4), Fraction(1, 5), 0, 0, -5])
+    out = s.q_differentiate(9).coeffs
+    assert out == [0, 1, Fraction(-3, 2), Fraction(9, 5), 0, 0, -90]
+    assert [type(c) for c in out] == [int, int, Fraction, Fraction, int, int, int]
+    assert QSeries(1, [1, 2, 3]).q_differentiate(2).coeffs == [0, 4, 12]
+
+
 def test_immutability():
     s = QSeries(1, [1])
     with pytest.raises(AttributeError):
@@ -326,6 +335,24 @@ def test_lambert_c_and_bc3_from_the_sieve_match_double_sums(n):
     assert all(type(x) is int for x in c.coeffs + bc3.coeffs)
 
 
+def loop_lambert_c_cubed(n):
+    """Reference c_cubed: 27 sum_{k, s} chi3(k) s^2 q^(ks), term by term."""
+    co = [0] * (n + 1)
+    for k in range(1, n + 1):
+        for s in range(1, n // k + 1):
+            co[k * s] += 27 * qexp.chi3(k) * s * s
+    return co
+
+
+# perfect squares and their neighbours move isqrt(n) and the split point
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 8, 9, 10, 24, 25, 26, 97, 300, 1000])
+def test_lambert_c_cubed_sieve_matches_double_sum(n):
+    c3 = qexp.lambert_series("c_cubed", n)
+    assert c3.d == 1
+    assert c3.coeffs == loop_lambert_c_cubed(n)
+    assert all(type(x) is int for x in c3.coeffs)
+
+
 def test_lambert_unknown_kind():
     with pytest.raises(ValueError):
         qexp.lambert_series("nope", 4)
@@ -376,6 +403,87 @@ def test_f_first_coefficients():
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 2000, 3001])
 def test_f_fft_path_matches_product_path(n):
     assert qexp._f_coeffs_fft(n).tolist() == qexp._f_coeffs_product(n)
+
+
+def test_f_fft_polyphase_matches_product_at_every_small_order():
+    # every n puts the three residue classes at every length and edge
+    for n in range(1, 301):
+        assert qexp._f_coeffs_fft(n).tolist() == qexp._f_coeffs_product(n), n
+
+
+def _spy_fft_sizes(monkeypatch):
+    sizes = set()
+    rfft = np.fft.rfft
+
+    def spy(a, size):
+        sizes.add(size)
+        return rfft(a, size)
+
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    return sizes
+
+
+# the cyclic length is the least 2^j or 3 * 2^j >= 2m + 1, m = n // 3 + 1; the
+# largest m that fits L is (L - 1) // 2, whose last n is 3m - 1
+@pytest.mark.parametrize("size, after", [(8, 12), (12, 16), (16, 24), (24, 32), (96, 128),
+                                         (128, 192), (1536, 2048), (2048, 3072)])
+def test_f_fft_at_each_side_of_a_length_change(monkeypatch, size, after):
+    last = 3 * ((size - 1) // 2) - 1
+    for n, want in ((last, size), (last + 1, after)):
+        sizes = _spy_fft_sizes(monkeypatch)
+        assert qexp._f_coeffs_fft(n).tolist() == qexp._f_coeffs_product(n), n
+        assert sizes == {want}
+        monkeypatch.undo()
+
+
+def _sieve_with(monkeypatch, index, value):
+    sums = qexp._divisor_sums
+
+    def patched(n):
+        sig, ech = sums(n)
+        sig[index] = value
+        return sig, ech
+
+    monkeypatch.setattr(qexp, "_divisor_sums", patched)
+
+
+@pytest.mark.parametrize("index", [1, 2, 4, 5, 1999])
+def test_f_fft_sigma_over_budget_on_residues_1_and_2_raises(monkeypatch, index):
+    _sieve_with(monkeypatch, index, 1 << 22)
+    with pytest.raises(AssertionError, match="sigma coefficient exceeded its limb budget"):
+        qexp._f_coeffs_fft(2000)
+
+
+def test_f_fft_does_not_read_sigma_at_multiples_of_3(monkeypatch):
+    # chi3 * sigma vanishes at 3 | k, so a sigma there over the budget is
+    # never read and the coefficients stay right
+    _sieve_with(monkeypatch, 1998, 1 << 40)
+    assert qexp._f_coeffs_fft(2000).tolist() == qexp._f_coeffs_product(2000)
+
+
+@pytest.mark.parametrize("index, value, match", [
+    (2, 1, "exponent 2 mod 3"),
+    (1997, -1, "exponent 2 mod 3"),
+    (3, 1 << 11, "theta-b coefficient exceeded its limb budget"),
+])
+def test_f_fft_guards_on_theta_b(monkeypatch, index, value, match):
+    b_from_e = qexp._b_from_e
+
+    def patched(ech):
+        b = b_from_e(ech)
+        b[index] = value
+        return b
+
+    monkeypatch.setattr(qexp, "_b_from_e", patched)
+    with pytest.raises(AssertionError, match=match):
+        qexp._f_coeffs_fft(2000)
+
+
+def test_f_fft_drift_guard_catches_a_perturbed_spectrum(monkeypatch):
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, size: rfft(a, size) * 1.001)
+    with pytest.raises(AssertionError, match="drift"):
+        qexp._f_coeffs_fft(2000)
 
 
 def slice_loop_divisor_sums(n):

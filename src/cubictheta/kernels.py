@@ -24,7 +24,10 @@ BACKEND = "python"
 
 
 def _to_integers(coeffs: list):
-    """(integer list, d) with coeffs[i] == ints[i] / d, d the lcm of the denominators."""
+    """(integer list, d) with coeffs[i] == ints[i] / d, d the lcm of the
+    denominators; a list of ints comes back as it is, with d = 1."""
+    if all(type(c) is int for c in coeffs):
+        return coeffs, 1
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 

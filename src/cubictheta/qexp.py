@@ -10,8 +10,10 @@ hexagonal lattice and its (1/3, 1/3) shift, and one slice placement,
 
 The coefficients of the weight-3 product f are built on int64 numpy arrays
 (the divisor sieve, b from the Lambert series of a, and the FFT product, split
-by exponent mod 3 since b vanishes at 2 and chi3 * sigma at 0 mod 3); they
-become Python ints only at the ``QSeries`` boundary, in ``f_coefficients``.
+by exponent mod 3 since b vanishes at 2 and chi3 * sigma at 0 mod 3, with
+sigma cut into as few limbs as Percival's rounding bound on the measured
+norms allows: one at N = 10^6); they become Python ints only at the
+``QSeries`` boundary, in ``f_coefficients``.
 """
 
 from __future__ import annotations
@@ -353,9 +355,6 @@ def lambert_series(kind: str, n: int) -> QSeries:
 
 # -- the weight-3 theta product ----------------------------------------------
 
-_LIMB_BITS = 11
-
-
 def _f_coeffs_product(n: int) -> list:
     """a_n of (1/3) b(q)^2 c(q^3) by exact truncated products; the built-in
     check of ``_f_coeffs_fft`` and the tests' reference."""
@@ -398,6 +397,80 @@ def _b_from_e(ech: np.ndarray) -> np.ndarray:
     return b
 
 
+_U = 2.0 ** -53  # unit roundoff of float64
+# error of numpy's (pocketfft's) twiddles: each is one complex product of two
+# table entries, each cos and sin of a rounded angle below pi/4 (angle error
+# at most (pi/2)u, libm error at most one ulp, so each entry errs by at most
+# sqrt(2)(pi/2 + 1)u < 3.7u), so at most 2 * 3.7u + sqrt(5)u < 10u
+_TWIDDLE_ERR = 10 * _U
+# a_(3k+r), r = 1, 2, 3, sums the products of (B0, B1)[i] and (Y1, Y2)[j]
+# with i + j = r - 1
+_RESIDUE_PAIRS = ((1, ((0, 0),)), (2, ((1, 0), (0, 1))), (3, ((1, 1),)))
+
+
+def _l2_norm(x: np.ndarray) -> float:
+    """An upper bound on the l2 norm of x, from float64 arithmetic.
+
+    The conversion, the squares, the m - 1 sums of the dot product and the
+    square root each err by at most u relatively (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, Sec. 3.1), which the factor
+    1 + (m + 8)u covers with room for the few roundings of the bound that
+    the norm enters.  The squares are not summed in int64: the sum of
+    sigma(k)^2 over k <= N passes 2^63 just above N = 2 * 10^6.
+    """
+    xf = np.asarray(x, dtype=np.float64)
+    return math.sqrt(float(np.dot(xf, xf))) * (1 + (len(xf) + 8) * _U)
+
+
+def _rounding_bound(size: int, b_norms, y_norms) -> float:
+    """Percival's bound on the error of every rounded value of the three
+    residue products of ``_f_coeffs_fft`` at cyclic length ``size``.
+
+    When the cyclic product x * y of two vectors of length 2^n is computed as
+    the inverse FFT of the product of their FFTs, every computed value is
+    within C ||x|| ||y|| of the exact one, with C = (1 + u)^(3n)
+    (1 + sqrt(5) u)^(3n + 1) (1 + mu)^(3n) - 1, u = 2^-53 and mu the error of
+    the twiddles (Percival, Math. Comp. 72 (2003) 387-395, Thm 5.1; Brent &
+    Zimmermann, *Modern Computer Arithmetic*, Thm 3.3.2).  Each of the n
+    radix-2 levels of each of the three transforms costs one addition, one
+    twiddle product and one twiddle error; the pointwise product is one more
+    product.  numpy runs pocketfft's real-data passes, which do the same
+    additions and twiddle products on the packed real and imaginary parts;
+    at length L = 2^i or 3 * 2^i they are radix-4 passes, each two levels
+    with one twiddle product, at most one radix-2 pass, and at most one
+    radix-3 pass, which has at most three rounds of additions, one twiddle
+    product and one product by a rounded constant, within the budget of two
+    levels.  So n = ceil(log2 L) covers L, and three more additions cover
+    the sum of two spectra (residue 2) and the rounded 1/L of the inverse.
+    A residue part that sums several products is bounded by C times the sum
+    of ||B_i|| ||Y_j||.
+    """
+    n = (size - 1).bit_length()
+    c = math.expm1((3 * n + 3) * math.log1p(_U) + (3 * n + 1) * math.log1p(math.sqrt(5) * _U)
+                   + 3 * n * math.log1p(_TWIDDLE_ERR))
+    return c * max(sum(b_norms[i] * y_norms[j] for i, j in pairs) for _, pairs in _RESIDUE_PAIRS)
+
+
+def _sigma_limbs(size: int, b_norms, ys) -> list:
+    """Split Y1, Y2 (sigma >= 0) into the fewest limbs of one width whose
+    products with B0, B1 at length ``size`` have a rounding bound below 1/2.
+
+    Returns [(shift, (Y1 limb, Y2 limb))] with float64 limbs, and raises if
+    no limb count up to one bit per limb brings the bound below 1/2.
+    """
+    bits = max(int(y.max(initial=0)) for y in ys).bit_length() or 1
+    for count in range(1, bits + 1):
+        width = -(-bits // count)
+        mask = (1 << width) - 1
+        limbs = [(shift, [((y >> shift) & mask).astype(np.float64) for y in ys])
+                 for shift in range(0, bits, width)]
+        bound = max(_rounding_bound(size, b_norms, [_l2_norm(x) for x in pair])
+                    for _, pair in limbs)
+        if bound < 0.5:
+            return limbs
+    raise AssertionError(f"FFT rounding bound {bound:.3g} is not below 1/2 at any sigma limb count")
+
+
 def _f_coeffs_fft(n: int) -> np.ndarray:
     """a_m, m <= n, as int64, via the weight-2 Lambert factorization
     b * (chi3 * sigma), on the mod-3 polyphase grid.
@@ -412,35 +485,40 @@ def _f_coeffs_fft(n: int) -> np.ndarray:
     q Y1(q^3) - q^2 Y2(q^3) (Y1, Y2 sigma on the residues 1, 2), a_(3k) =
     -(B1 Y2)_(k-1), a_(3k+1) = (B0 Y1)_k and a_(3k+2) = (B1 Y1 - B0 Y2)_k:
     products of m = n // 3 + 1 terms, as real FFTs of the least length 2^j or
-    3 * 2^j >= 2m + 1 against the spectra of B0 and B1, one 11-bit limb of Y1
-    and Y2 at a time.  Exactness guards: b vanishes at k = 2 mod 3; b and
-    sigma on the residues 1 and 2 fit their 11- and 22-bit budgets (sigma at
-    3 | k is not read); every rounded value is within 0.05 of an integer; and
-    the first 64 coefficients equal ``_f_coeffs_product``'s.
+    3 * 2^j >= 2m + 1 against the spectra of B0 and B1.
+
+    Y1 and Y2 are cut into the fewest limbs of one width for which
+    ``_rounding_bound``, Percival's a-priori bound C(L) * sum ||B_i|| ||Y_j||
+    evaluated on the measured l2 norms (``_l2_norm``), is below 1/2 on every
+    residue part and every limb (``_sigma_limbs``), so rounding each value
+    to the nearest integer is exact: at N = 10^6, L = 3 * 2^18 and
+    C(L) ~ 800u, and the bound is 0.43 with one limb, so the product takes
+    4 forward and 3 inverse transforms.  The other exactness guards: b
+    vanishes at k = 2 mod 3 (sigma at 3 | k is not read); every rounded
+    value is within 0.05 of an integer; and the first 64 coefficients equal
+    ``_f_coeffs_product``'s.
     """
     sig, ech = _divisor_sums(n)
     b = _b_from_e(ech)
     del ech
     if b[2::3].any():
         raise AssertionError("theta-b has a coefficient at an exponent 2 mod 3")
-    if int(np.abs(b).max()) >= (1 << _LIMB_BITS):
-        raise AssertionError("theta-b coefficient exceeded its limb budget")
-    ys = sig[1::3], sig[2::3]
-    if max(int(y.max(initial=0)) for y in ys) >= (1 << (2 * _LIMB_BITS)):
-        raise AssertionError("sigma coefficient exceeded its limb budget")
     m = n // 3 + 1
     j = (2 * m).bit_length()  # 2^j is the least power of two >= 2m + 1
     size = 3 << (j - 2) if 3 << (j - 2) > 2 * m else 1 << j
-    fb0, fb1 = (np.fft.rfft(b[r::3], size) for r in (0, 1))
+    bs = [b[r::3].astype(np.float64) for r in (0, 1)]
     del b
+    limbs = _sigma_limbs(size, [_l2_norm(x) for x in bs], (sig[1::3], sig[2::3]))
+    del sig
+    fb = [np.fft.rfft(x, size) for x in bs]
+    del bs
     out = np.zeros(n + 1, dtype=np.int64)
-    for shift in (0, _LIMB_BITS):
-        f1, f2 = (np.fft.rfft((y >> shift) & ((1 << _LIMB_BITS) - 1), size) for y in ys)
-        np.negative(f2, out=f2)  # q^2 Y2 enters with chi3(2) = -1
-        # a_(3k+r), r = 1, 2, 3, sums the products whose residues add to r
-        for r, pairs in ((1, [(fb0, f1)]), (2, [(fb1, f1), (fb0, f2)]), (3, [(fb1, f2)])):
+    for shift, ys in limbs:
+        fy = [np.fft.rfft(y, size) for y in ys]
+        np.negative(fy[1], out=fy[1])  # q^2 Y2 enters with chi3(2) = -1
+        for r, pairs in _RESIDUE_PAIRS:
             part = out[r::3]
-            conv = np.fft.irfft(sum(u * v for u, v in pairs), size)[: len(part)]
+            conv = np.fft.irfft(sum(fb[i] * fy[j] for i, j in pairs), size)[: len(part)]
             rounded = np.rint(conv)
             conv -= rounded
             drift = float(np.abs(conv, out=conv).max(initial=0))

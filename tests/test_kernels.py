@@ -63,6 +63,15 @@ def test_conv_fraction_coefficients():
     assert got[1] == Fraction(1, 21) + Fraction(6, 5)
 
 
+def test_to_integers_keeps_an_int_list_and_makes_integral_fractions_ints():
+    ints = [0, 3, -(10 ** 40)]
+    got, den = kernels._to_integers(ints)
+    assert got is ints and den == 1
+    got, den = kernels._to_integers([Fraction(1, 1), 2])
+    assert got == [1, 2] and den == 1
+    assert all(type(c) is int for c in got)
+
+
 @st.composite
 def lattice_lists(draw, values):
     """Values at r + g k, with r in 0..5 and g in {1, 2, 3, 9}, then zeros."""

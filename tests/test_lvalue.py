@@ -146,6 +146,13 @@ def test_dirichlet_tail_estimates_shrink_and_bound():
             prev_est = r.err_estimate
 
 
+def test_dirichlet_past_two_11_bit_sigma_limbs():
+    # sigma on the residues 1, 2 mod 3 first reaches 2^22 at 1,361,360; the
+    # rounding bound then asks for two limbs, and the sum lands on L(f, 3)
+    r = lvalue.l_dirichlet(1_400_000)
+    assert abs(r.value - mpf(L_VALUES_35[3])) <= 10 * r.err_estimate
+
+
 # -- Mellin route ----------------------------------------------------------------
 
 # the 35-digit values of L(f, 1), L(f, 2), L(f, 3)

@@ -411,16 +411,17 @@ def test_f_fft_polyphase_matches_product_at_every_small_order():
         assert qexp._f_coeffs_fft(n).tolist() == qexp._f_coeffs_product(n), n
 
 
-def _spy_fft_sizes(monkeypatch):
-    sizes = set()
-    rfft = np.fft.rfft
+def _spy_fft(monkeypatch):
+    """The lengths of the rfft and irfft calls, in call order."""
+    calls = {"rfft": [], "irfft": []}
+    for name, sizes in calls.items():
 
-    def spy(a, size):
-        sizes.add(size)
-        return rfft(a, size)
+        def spy(a, size, fn=getattr(np.fft, name), sizes=sizes):
+            sizes.append(size)
+            return fn(a, size)
 
-    monkeypatch.setattr(np.fft, "rfft", spy)
-    return sizes
+        monkeypatch.setattr(np.fft, name, spy)
+    return calls
 
 
 # the cyclic length is the least 2^j or 3 * 2^j >= 2m + 1, m = n // 3 + 1; the
@@ -430,9 +431,9 @@ def _spy_fft_sizes(monkeypatch):
 def test_f_fft_at_each_side_of_a_length_change(monkeypatch, size, after):
     last = 3 * ((size - 1) // 2) - 1
     for n, want in ((last, size), (last + 1, after)):
-        sizes = _spy_fft_sizes(monkeypatch)
+        calls = _spy_fft(monkeypatch)
         assert qexp._f_coeffs_fft(n).tolist() == qexp._f_coeffs_product(n), n
-        assert sizes == {want}
+        assert set(calls["rfft"]) == {want}
         monkeypatch.undo()
 
 
@@ -447,11 +448,41 @@ def _sieve_with(monkeypatch, index, value):
     monkeypatch.setattr(qexp, "_divisor_sums", patched)
 
 
-@pytest.mark.parametrize("index", [1, 2, 4, 5, 1999])
-def test_f_fft_sigma_over_budget_on_residues_1_and_2_raises(monkeypatch, index):
-    _sieve_with(monkeypatch, index, 1 << 22)
-    with pytest.raises(AssertionError, match="sigma coefficient exceeded its limb budget"):
-        qexp._f_coeffs_fft(2000)
+def _exact_f_of_patched_inputs(monkeypatch, n, sigma_at=None, b_at=None):
+    """Set sigma[i] = v for sigma_at = (i, v) and b[i] = v for b_at, and return
+    the exact product b * (chi3 sigma) of the patched inputs, which the
+    built-in 64-term check then reads in place of ``_f_coeffs_product``."""
+    sig, ech = qexp._divisor_sums(n)
+    b = qexp._b_from_e(ech)
+    for arr, at in ((sig, sigma_at), (b, b_at)):
+        if at:
+            arr[at[0]] = at[1]
+    exact = kernels.conv_trunc(b.tolist(), [qexp.chi3(k) * s for k, s in enumerate(sig.tolist())], n)
+    monkeypatch.setattr(qexp, "_divisor_sums", lambda m: (sig.copy(), ech.copy()))
+    monkeypatch.setattr(qexp, "_b_from_e", lambda e: b.copy())
+    monkeypatch.setattr(qexp, "_f_coeffs_product", lambda m: exact[: m + 1])
+    return exact
+
+
+# sigma past 2^22 and b past 2^11 (the old fixed limb budgets) take as many
+# sigma limbs as the rounding bound asks for, each limb two forward
+# transforms, and the product stays exact
+@pytest.mark.parametrize("which, index, value, limbs", [
+    ("sigma", 1, 1 << 22, 1), ("sigma", 2, 1 << 22, 1), ("sigma", 4, 1 << 22, 1),
+    ("sigma", 5, 1 << 22, 1), ("sigma", 1999, 1 << 22, 1), ("sigma", 1000, 1 << 40, 2),
+    ("sigma", 998, 1 << 40, 2), ("b", 3, 1 << 11, 1), ("b", 1000, 1 << 30, 2),
+])
+def test_f_fft_spike_takes_the_limbs_its_bound_needs(monkeypatch, which, index, value, limbs):
+    exact = _exact_f_of_patched_inputs(monkeypatch, 2000, **{which + "_at": (index, value)})
+    calls = _spy_fft(monkeypatch)
+    assert qexp._f_coeffs_fft(2000).tolist() == exact
+    assert (len(calls["rfft"]), len(calls["irfft"])) == (2 + 2 * limbs, 3 * limbs)
+
+
+def test_f_fft_at_a_million_takes_seven_transforms(monkeypatch):
+    calls = _spy_fft(monkeypatch)
+    qexp._f_coeffs_fft(10**6)
+    assert (len(calls["rfft"]), len(calls["irfft"])) == (4, 3)
 
 
 def test_f_fft_does_not_read_sigma_at_multiples_of_3(monkeypatch):
@@ -464,7 +495,8 @@ def test_f_fft_does_not_read_sigma_at_multiples_of_3(monkeypatch):
 @pytest.mark.parametrize("index, value, match", [
     (2, 1, "exponent 2 mod 3"),
     (1997, -1, "exponent 2 mod 3"),
-    (3, 1 << 11, "theta-b coefficient exceeded its limb budget"),
+    # no sigma limb count can certify a product with a b this large
+    (3, 1 << 50, "rounding bound"),
 ])
 def test_f_fft_guards_on_theta_b(monkeypatch, index, value, match):
     b_from_e = qexp._b_from_e
@@ -477,6 +509,40 @@ def test_f_fft_guards_on_theta_b(monkeypatch, index, value, match):
     monkeypatch.setattr(qexp, "_b_from_e", patched)
     with pytest.raises(AssertionError, match=match):
         qexp._f_coeffs_fft(2000)
+
+
+def test_l2_norm_bounds_the_exact_norm_from_above():
+    # entries up to 2^62, where an int64 sum of squares would overflow
+    rng = np.random.default_rng(29)
+    for m in (1, 2, 1000, 10**5):
+        x = rng.integers(0, 1 << 62, m, dtype=np.int64) >> rng.integers(0, 62, m)
+        exact_sq = sum(v * v for v in x.tolist())
+        got = qexp._l2_norm(x)
+        assert exact_sq <= Fraction(got) ** 2 <= exact_sq * (1 + Fraction(1, 10**9))
+
+
+def test_sigma_limbs_from_given_norms():
+    size = 3 << 18  # the length at N = 10^6, ceil(log2) = 20
+    u = 2.0 ** -53
+    first_order = 63 + 61 * math.sqrt(5) + 60 * 10
+    assert qexp._rounding_bound(size, (1.0, 0.0), (1.0, 0.0)) == pytest.approx(first_order * u, rel=1e-9)
+    # residue 2 sums ||B1|| ||Y1|| + ||B0|| ||Y2||, the largest part here
+    b_norms = (2.0 ** 12.4, 2.0 ** 12.0)
+    assert qexp._rounding_bound(size, b_norms, (1.0, 1.0)) == pytest.approx(
+        first_order * u * (b_norms[0] + b_norms[1]), rel=1e-9)
+    # a single sigma entry v on each residue has norm v: one limb while the
+    # bound C (||B0|| + ||B1||) v is below 1/2, two just above
+    edge = 0.5 / qexp._rounding_bound(size, b_norms, (1.0, 1.0))
+    for v, limbs in ((int(0.999 * edge), 1), (int(1.001 * edge), 2), (1 << 40, 2), ((1 << 62) - 1, 3)):
+        ys = (np.array([v], dtype=np.int64), np.array([v], dtype=np.int64))
+        got = qexp._sigma_limbs(size, b_norms, ys)
+        assert len(got) == limbs, v
+        width = -(-v.bit_length() // limbs)
+        assert [shift for shift, _ in got] == list(range(0, v.bit_length(), width))
+        for shift, pair in got:
+            assert [y.tolist() for y in pair] == [[(v >> shift) % (1 << width)]] * 2
+    with pytest.raises(AssertionError, match="rounding bound"):
+        qexp._sigma_limbs(size, (2.0 ** 50, 0.0), ys)
 
 
 def test_f_fft_drift_guard_catches_a_perturbed_spectrum(monkeypatch):

@@ -115,8 +115,8 @@ def _sides(name: str, methods: tuple, tol, digits: int, pairs) -> IdentityReport
 
 def hauptmodul_report(digits: int, tol: float) -> IdentityReport:
     prec = Precision(digits, tol)
-    return _distances("hauptmodul", ("theta", "gauss-2f1"), tol, digits, (
-        abs(thetanum.residual_hauptmodul(q, prec)) for q in _HAUPTMODUL_GRID))
+    return _sides("hauptmodul", ("theta", "gauss-2f1"), tol, digits, (
+        thetanum._hauptmodul_sides(q, prec) for q in _HAUPTMODUL_GRID))
 
 
 def involution_report(digits: int, tol: float) -> IdentityReport:
@@ -190,7 +190,7 @@ def series_consistency_report(digits: int) -> IdentityReport:
             for qs in ("0.1", "0.2"):
                 q = mpmathify(qs)
                 step = q ** (mpf(1) / series.d)
-                acc = thetanum._horner(series.coeffs, series.order, step)
+                acc = thetanum._series_sum(series.coeffs, series.order, step)
                 tail = thetanum._tail_bound(step, series.order, 12)
                 diff = abs(thetanum.eval_theta(kind, q, prec) - acc)
                 yield diff if diff > tail + mpf(tol) else 0.0

@@ -316,23 +316,6 @@ def _stop_index(table: _CoeffTable, x: mpf, eps: mpf) -> int:
     raise ArithmeticError(f"series at x={x} did not meet the tail bound within {_TERM_CAP} terms")
 
 
-def _to_fixed(x: mpf, wp: int) -> int:
-    """x 2^wp rounded to the nearest int."""
-    sign, man, exp, _ = x._mpf_
-    shift = exp + wp
-    X = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
-    return -X if sign else X
-
-
-def _horner(coeffs: list, N: int, X: int, wp: int) -> int:
-    """sum_(k<=N) coeffs[k] (X 2^-wp)^k at 2^wp, by Horner's rule with a floor
-    after each product: s <- floor(s X / 2^wp) + coeffs[k]."""
-    s = 0
-    for c in islice(reversed(coeffs), len(coeffs) - N - 1, None):
-        s = (s * X >> wp) + c
-    return s
-
-
 def _direct_sum(plan, x: mpf, eps: mpf):
     """Sum ``plan``'s series at x from its cached coefficient table.
 
@@ -347,8 +330,9 @@ def _direct_sum(plan, x: mpf, eps: mpf):
     series is entire (p <= q) or a polynomial.
 
     The coefficients C_n = c_n 2^wp, wp = prec + guard, come from the table
-    of ``_coeff_table`` for (plan, wp), shared by every x, and are summed by
-    Horner's rule at X = x 2^wp rounded.
+    of ``_coeff_table`` for (plan, wp), shared by every x, and are summed at
+    X = x 2^wp rounded by the fixed-point Horner loop of ``kernels.horner``,
+    the one that also sums the theta series and E0 in ``thetanum``.
 
     Rounding, in ulps of 2^-wp: C_k lies within k G ulps of exact, G < 2^R_N
     the rise of the coefficients (``_fixed_terms``); each Horner step costs at
@@ -370,7 +354,7 @@ def _direct_sum(plan, x: mpf, eps: mpf):
             break
         guard = need
     wp = table.wp
-    return mp.ldexp(mpf(_horner(table.C, N, _to_fixed(x, wp), wp)), -wp), N + 1
+    return mp.ldexp(mpf(kernels.horner(table.C, N, kernels.to_fixed(x, wp), wp)), -wp), N + 1
 
 
 def _pfq_direct(upper, lower, x, eps):
@@ -468,9 +452,9 @@ def _hyp2f1_zero_balanced(plan, x, omx, eps):
             break
         guard = need
     wp = table.wp
-    X = _to_fixed(omx, wp)
-    s0 = mp.ldexp(mpf(_horner(table.C, N, X, wp)), -wp)
-    s1 = mp.ldexp(mpf(_horner(logs.E, N, X, wp)), -wp)
+    X = kernels.to_fixed(omx, wp)
+    s0 = mp.ldexp(mpf(kernels.horner(table.C, N, X, wp)), -wp)
+    s1 = mp.ldexp(mpf(kernels.horner(logs.E, N, X, wp)), -wp)
     return pref * (kw * s0 + s1), N + 1
 
 

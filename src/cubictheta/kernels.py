@@ -1,4 +1,6 @@
-"""Dense-series kernels: the exact Cauchy product and the unit-series quotient.
+"""Dense-series kernels: the exact Cauchy product, the unit-series quotient,
+and the fixed-point Horner loop that sums every truncated series at a real
+argument.
 
 ``conv_trunc`` and ``div_unit`` are the hot inner loops of every exact
 identity check.  ``conv_trunc`` uses Kronecker substitution (Schönhage 1982;
@@ -9,16 +11,20 @@ the sign, so a single big-int product yields every coefficient exactly,
 negative ones included.  ``hyper`` also uses it, on int images of the
 terms, for the Kampe de Feriet anti-diagonal sums.  ``py_conv_trunc`` is
 the schoolbook loop, kept as the reference the tests compare against;
-nothing in the library calls it.  No part of this module is compiled, so
-``BACKEND`` is always ``"python"``.
+nothing in the library calls it.  ``horner`` sums a series whose
+coefficients are given at 2^wp on Python ints, at X = ``to_fixed(x, wp)``:
+``hyper`` sums its pFq coefficient tables with it, and ``thetanum`` the theta
+series, E0 and the exact truncations it is compared with.  No part of this
+module is compiled, so ``BACKEND`` is always ``"python"``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
-__all__ = ["conv_trunc", "div_unit", "py_conv_trunc", "BACKEND"]
+__all__ = ["conv_trunc", "div_unit", "py_conv_trunc", "to_fixed", "horner", "BACKEND"]
 
 BACKEND = "python"
 
@@ -142,3 +148,35 @@ def div_unit(num: list, den: list, order: int) -> list:
             s -= dk * out[m - k]
         out[m] = s
     return out
+
+
+def to_fixed(x, wp: int) -> int:
+    """The mpf x times 2^wp, rounded to the nearest int, half up in magnitude.
+
+    Where |x| < 2^-(wp+1) the result is 0 and no shift is built: x's binary
+    exponent may be as low as -10^61 (a dual argument exp(-2 pi/(3u)) at a
+    tiny u), and a shift by its size would not fit in memory.
+    """
+    sign, man, exp, bc = x._mpf_
+    shift = exp + wp
+    if shift + bc < 0:
+        return 0
+    X = man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
+    return -X if sign else X
+
+
+def horner(coeffs: list, N: int, X: int, wp: int) -> int:
+    """sum_(k<=N) coeffs[k] (X 2^-wp)^k at 2^wp, coeffs given at 2^wp, by
+    Horner's rule with a floor after each product: s <- floor(s X / 2^wp) +
+    coeffs[k].
+
+    Rounding, in ulps of 2^-wp, against the exact sum of the coefficients
+    s_k at x = X 2^-wp: each floor costs at most one ulp, and so does each
+    coefficient floored to 2^-wp, so the loop is within 2 (N + 1) ulps.  X
+    rounded from z costs at most 1/2 sum_k k |s_k| z^(k-1) ulps more, which
+    is at most c/(1 - z)^3 when |s_k| <= c (k + 1).
+    """
+    s = 0
+    for c in islice(reversed(coeffs), len(coeffs) - N - 1, None):
+        s = (s * X >> wp) + c
+    return s

@@ -333,9 +333,9 @@ def l2_intermediate(prec: Precision) -> SeriesResult:
             # contribute nothing
             if q <= 0 or q >= 1:
                 return mpf(0)
-            pt_b = thetanum.eval_theta("b", q, sub)
-            pt_a = thetanum.eval_theta("a", q, sub)
-            return pt_b * (pt_a - pt_b) ** 2 / q
+            with mp.workdps(sub.dps + 10):
+                a, b = thetanum._theta("ab", *thetanum._q_u(q), sub.tol() / 4)
+            return b * (a - b) ** 2 / q
 
         quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)
         val = 2 * mp.pi / (27 * mp.sqrt(3)) * quad.value
@@ -354,7 +354,7 @@ def _e0_value(q, tol) -> mpf:
     """
     Q = q ** (mpf(1) / 3)
     K = thetanum._terms_needed(Q, tol, 4)
-    return thetanum._horner(qexp.lambert_series("E0", -(-K // 3)).coeffs, K, Q)
+    return thetanum._series_sum(qexp.lambert_series("E0", -(-K // 3)).coeffs, K, Q)
 
 
 # -- identity catalog ---------------------------------------------------------------

@@ -3,7 +3,7 @@ real segment q in (0, 1).
 
 Direct lattice sums converge fast only for small q, so evaluation is split at
 the fixed point u = 1/sqrt(3) of u <-> 1/(3u) (q = exp(-2*pi*u)): where
-3u^2 >= 1 the defining series are summed with a certified geometric tail
+3u^2 >= 1 the defining series are summed at q with a certified geometric tail
 bound, below it one of the transformations
 
     a(exp(-2*pi*u)) = a(exp(-2*pi/(3*u))) / (sqrt(3)*u)
@@ -13,7 +13,12 @@ bound, below it one of the transformations
 (J. M. Borwein and P. B. Borwein, "A cubic counterpart of Jacobi's identity
 and the AGM", Trans. AMS 323 (1991)) maps the argument back into the fast
 region.  a is summed from its own series, never built from b and c, so the
-cubic identity a^3 = b^3 + c^3 compares two constructions.
+cubic identity a^3 = b^3 + c^3 compares two constructions.  One private
+evaluator, ``_theta``, takes this split for every public function here; the
+hauptmodul alpha = c^3/(b^3 + c^3) and its complement b^3/(b^3 + c^3) come
+from one helper, ``_alpha``.  Each truncated series (theta values, E0 and the
+exact truncations that ``qexp_consistency`` compares with) is summed by the
+fixed-point Horner loop of ``kernels`` (``_series_sum``).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpmathify
 
-from . import _accel, qexp
+from . import _accel, kernels, qexp
 
 __all__ = [
     "Precision",
@@ -112,18 +117,26 @@ def _terms_needed(z: mpf, tol: mpf, c: int) -> int:
     return m
 
 
-def _horner(coeffs, M: int, z: mpf) -> mpf:
-    """sum_{e <= M} coeffs[e] z^e by Horner's rule in mpf."""
-    acc = mpf(0)
-    for e in range(M, -1, -1):
-        acc = acc * z + coeffs[e]
-    return acc
+def _series_sum(coeffs, M: int, z: mpf) -> mpf:
+    """sum_{e <= M} coeffs[e] z^e, int or Fraction coefficients floored to
+    2^-wp, by the fixed-point Horner loop ``kernels.horner``.
+
+    By that loop's bound the sum is within 2 (M + 1) + c/(1 - z)^3 ulps of
+    2^-wp for coefficients at most c (e + 1) in size.  The theta series
+    (c = 12) are summed only at z <= exp(-2 pi/sqrt(3)) ~ 0.027, E0 (c = 4)
+    and the ``qexp_consistency`` truncations (c = 12) at z <= 0.2^(1/3) ~
+    0.585, so c/(1 - z)^3 < 2^8, and wp = prec + bitlen(M + 1) + 10 puts the
+    sum within 2^-(prec+1) of exact.
+    """
+    wp = mp.prec + (M + 1).bit_length() + 10
+    C = [(c.numerator << wp) // c.denominator for c in coeffs[:M + 1]]
+    return mp.ldexp(mpf(kernels.horner(C, M, kernels.to_fixed(z, wp), wp)), -wp)
 
 
 def _theta_direct(kind: str, q: mpf, tol: mpf) -> mpf:
     """Defining series summed directly with a certified tail cutoff."""
     m = _terms_needed(q, tol, 12)
-    acc = _horner(_table(kind, m), m, q)
+    acc = _series_sum(_table(kind, m), m, q)
     return acc * q ** mpf("1/3") if kind == "c" else acc
 
 
@@ -137,12 +150,20 @@ def _theta_dual(kind: str, u: mpf, tol: mpf) -> mpf:
     return _theta_direct(_DUAL[kind], mp.exp(-2 * mp.pi / (3 * u)), tol * scale) / scale
 
 
-def _theta_u(kind: str, u: mpf, tol: mpf) -> mpf:
-    """Theta value at q = exp(-2*pi*u): the kind's own series where 3u^2 >= 1,
-    else ``_theta_dual``."""
+def _theta(kinds: str, q: mpf, u: mpf, tol: mpf) -> list:
+    """The values of ``kinds`` (letters of "abc") at q = exp(-2*pi*u), each
+    within tol: each kind's own series at the q given where 3u^2 >= 1, else
+    ``_theta_dual``.  Every theta value in this module comes from here."""
     if 3 * u * u >= 1:
-        return _theta_direct(kind, mp.exp(-2 * mp.pi * u), tol)
-    return _theta_dual(kind, u, tol)
+        return [_theta_direct(kind, q, tol) for kind in kinds]
+    return [_theta_dual(kind, u, tol) for kind in kinds]
+
+
+def _alpha(b: mpf, c: mpf):
+    """(alpha, 1 - alpha) = (c^3, b^3)/(b^3 + c^3): the hauptmodul and its
+    complement, with a^3 taken as b^3 + c^3, so that neither is a difference."""
+    b3, c3 = b ** 3, c ** 3
+    return c3 / (b3 + c3), b3 / (b3 + c3)
 
 
 def _q_u(q):
@@ -158,68 +179,62 @@ def eval_theta(kind: str, q, prec: Precision) -> mpf:
     if kind not in _DUAL:
         raise ValueError(f"unknown theta kind {kind!r}")
     with mp.workdps(prec.dps + 10):
-        return _theta_u(kind, _q_u(q)[1], prec.tol() / 4)
+        return _theta(kind, *_q_u(q), prec.tol() / 4)[0]
 
 
 def alpha_pair(q, prec: Precision):
-    """(alpha, 1 - alpha) = (c^3, b^3)/a^3, each computed without cancellation.
-
-    Here a^3 is taken as b^3 + c^3: that defines the hauptmodul and its
-    complement as two quotients of positive sums, so neither is a difference.
-    """
+    """(alpha, 1 - alpha) at q from b and c within target_tol/16 (``_alpha``),
+    each computed without cancellation."""
     with mp.workdps(prec.dps + 10):
-        u = _q_u(q)[1]
-        tol = prec.tol() / 16
-        b3 = _theta_u("b", u, tol) ** 3
-        c3 = _theta_u("c", u, tol) ** 3
-        a3 = b3 + c3
-        alpha = c3 / a3
-        comp = b3 / a3
-        return alpha, comp
+        return _alpha(*_theta("bc", *_q_u(q), prec.tol() / 16))
 
 
 def theta_point(q, prec: Precision) -> ThetaPoint:
-    """Evaluate a, b and c at q, each from its own series within target_tol/16;
-    ``cli.cubic_numeric_report`` checks the cubic identity among them."""
+    """Evaluate a, b and c at q, each from its own series within target_tol/16,
+    and alpha from b and c as ``alpha_pair`` takes it; ``cli.cubic_numeric_report``
+    checks the cubic identity among them."""
     with mp.workdps(prec.dps + 10):
         qq, u = _q_u(q)
-        tol = prec.tol() / 16
-        a, b, c = (_theta_u(kind, u, tol) for kind in "abc")
+        a, b, c = _theta("abc", qq, u, prec.tol() / 16)
         if not (a > 0 and b > 0 and c > 0):
             raise ArithmeticError("theta values left the positive real segment")
-        alpha = c ** 3 / a ** 3
-        return ThetaPoint(q=qq, u=u, a=a, b=b, c=c, alpha=alpha)
+        return ThetaPoint(q=qq, u=u, a=a, b=b, c=c, alpha=_alpha(b, c)[0])
 
 
 def f_integrand(u, prec: Precision) -> mpf:
-    """b(q)^2 c(q^3) at q = exp(-2*pi*u), each factor from ``_theta_u``."""
+    """b(q)^2 c(q^3) at q = exp(-2*pi*u), each factor from ``_theta``."""
     with mp.workdps(prec.dps + 10):
         uu = mpmathify(u)
         if not uu > 0:
             raise ValueError(f"u must be positive, got {u}")
         tol = prec.tol() / 16
-        return _theta_u("b", uu, tol) ** 2 * _theta_u("c", 3 * uu, tol)
+        b = _theta("b", mp.exp(-2 * mp.pi * uu), uu, tol)[0]
+        return b ** 2 * _theta("c", mp.exp(-6 * mp.pi * uu), 3 * uu, tol)[0]
 
 
-def residual_hauptmodul(q, prec: Precision) -> mpf:
-    """a(q), summed from its own series, minus the Gauss hypergeometric value
-    2F1(1/3, 2/3; 1; alpha(q)) with alpha from ``alpha_pair``.
-
-    The complement 1 - alpha is fed to the hypergeometric side explicitly, so
-    the comparison stays meaningful arbitrarily close to alpha = 1.
-    """
+def _hauptmodul_sides(q, prec: Precision):
+    """(a(q), 2F1(1/3, 2/3; 1; alpha(q))), a, b and c read from one point
+    within target_tol/16: a summed from its own series, alpha and 1 - alpha
+    from b and c (``_alpha``).  The complement is fed to the hypergeometric
+    side explicitly, so the comparison stays meaningful arbitrarily close to
+    alpha = 1."""
     from fractions import Fraction
 
     from . import hyper
 
     with mp.workdps(prec.dps + 10):
         qq, u = _q_u(q)
-        a = _theta_u("a", u, prec.tol() / 16)
-        alpha, comp = alpha_pair(qq, prec)
+        a, b, c = _theta("abc", qq, u, prec.tol() / 16)
+        alpha, comp = _alpha(b, c)
         if alpha <= 0 or comp <= 0:
             raise ArithmeticError("hauptmodul left (0, 1) at working precision")
-        f = hyper.gauss_2f1_unit_interval(Fraction(1, 3), Fraction(2, 3), Fraction(1), alpha, comp)
-        return a - f
+        return a, hyper.gauss_2f1_unit_interval(Fraction(1, 3), Fraction(2, 3), 1, alpha, comp)
+
+
+def residual_hauptmodul(q, prec: Precision) -> mpf:
+    """a(q) minus 2F1(1/3, 2/3; 1; alpha(q)), the two sides of
+    ``_hauptmodul_sides``, taken at target digits + 10."""
+    return mp.fsub(*_hauptmodul_sides(q, prec), dps=prec.dps + 10)
 
 
 # the first step of the finite-difference ladder, the depth it always takes,
@@ -230,7 +245,8 @@ _LADDER_MAX = 24
 
 
 def differential_residual(q, prec: Precision):
-    """Central-difference check of d(alpha)/dq against a(q)^2 alpha(1-alpha)/q.
+    """Central-difference check of d(alpha)/dq against a(q)^2 alpha(1-alpha)/q,
+    alpha and 1 - alpha on both sides from ``_alpha``.
 
     Returns (fd_errors, extrapolated_residual): fd_errors[i] is the
     finite-difference defect at step h0/2^i (their ratios should approach 4),
@@ -241,9 +257,10 @@ def differential_residual(q, prec: Precision):
     residual shows how far off it is.
     """
     with mp.workdps(prec.dps + 10):
-        qq = _q_u(q)[0]
-        pt = theta_point(qq, prec)
-        rhs = pt.a ** 2 * pt.alpha * (1 - pt.alpha) / qq
+        qq, u = _q_u(q)
+        a, b, c = _theta("abc", qq, u, prec.tol() / 16)
+        alpha, comp = _alpha(b, c)
+        rhs = a ** 2 * alpha * comp / qq
         settle = prec.tol() / 8
         xs, fds, heads = [], [], []
         for i in range(_LADDER_MAX):

@@ -327,6 +327,19 @@ def test_numeric_checks_report_both_sides():
             assert rep.abs_err == abs(rep.lhs - rep.rhs), rep.name
 
 
+def test_hauptmodul_reports_both_sides():
+    # the worst point's a(q) and 2F1(1/3, 2/3; 1; alpha), and their distance
+    # at digits + 10, which is the residual_hauptmodul of that point
+    digits = 20
+    rep = cli.hauptmodul_report(digits, cli._floor_tol(digits, 1e-20))
+    with mp.workdps(digits + 10):
+        assert rep.lhs > 1 and rep.rhs > 1
+        assert rep.abs_err == abs(rep.lhs - rep.rhs)
+        prec = thetanum.Precision(digits, cli._floor_tol(digits, 1e-20))
+        assert rep.abs_err == max(abs(thetanum.residual_hauptmodul(q, prec))
+                                  for q in cli._HAUPTMODUL_GRID)
+
+
 def test_numeric_checks_read_a_from_its_own_series(monkeypatch):
     # with a's direct sum 1e-18 off, the hauptmodul residual and the cubic
     # identity must see it: neither may build a from b and c

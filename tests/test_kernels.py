@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from cubictheta import kernels, qexp
 
@@ -180,3 +181,47 @@ def test_div_inverts_mul(a, order):
 def test_div_requires_unit_constant():
     with pytest.raises(ValueError):
         kernels.div_unit([1], [2, 1], 4)
+
+
+# -- fixed-point Horner loop ----------------------------------------------------------
+
+
+def test_to_fixed_returns_zero_below_half_an_ulp_before_any_shift():
+    # a shift by the exponent of these would not fit in memory; the test
+    # returns 0 first
+    assert kernels.to_fixed(mpf("1e-100000"), 300) == 0
+    assert kernels.to_fixed(mp.ldexp(mpf(1), -10 ** 60), 300) == 0
+    assert kernels.to_fixed(-mp.ldexp(mpf(3), -10 ** 60), 300) == 0
+    assert kernels.to_fixed(mpf(0), 300) == 0
+
+
+@pytest.mark.parametrize("wp", [0, 1, 53, 300])
+def test_to_fixed_rounds_half_up_at_the_threshold(wp):
+    # 2^-(wp+1) itself rounds half up to 1, the values on either side of it
+    # to 0 and 1
+    with mp.workprec(200):
+        half = mp.ldexp(mpf(1), -(wp + 1))
+        below = half * (1 - mp.ldexp(mpf(1), -100))
+        above = half * (1 + mp.ldexp(mpf(1), -100))
+        assert kernels.to_fixed(half, wp) == 1
+        assert kernels.to_fixed(-half, wp) == -1
+        assert kernels.to_fixed(below, wp) == 0
+        assert kernels.to_fixed(-below, wp) == 0
+        assert kernels.to_fixed(above, wp) == 1
+        assert kernels.to_fixed(mpf(5) / 2 * mp.ldexp(mpf(1), -wp), wp) == 3
+
+
+def test_horner_sums_to_its_stated_bound():
+    # coefficients at most 12 (k + 1) at z = 0.585, given exactly at 2^wp:
+    # the loop is within 2 (N + 1) + 12/(1 - z)^3 ulps of the exact sum
+    rng = random.Random(7)
+    N, wp = 80, 120
+    coeffs = [rng.randint(-12 * (k + 1), 12 * (k + 1)) for k in range(N + 1)]
+    z = Fraction(585, 1000)
+    exact = sum(c * z ** k for k, c in enumerate(coeffs))
+    with mp.workprec(400):
+        got = kernels.horner([c << wp for c in coeffs], N, kernels.to_fixed(mpf("0.585"), wp), wp)
+    err = abs(Fraction(got, 2 ** wp) - exact) * 2 ** wp
+    assert err <= 2 * (N + 1) + 12 / (1 - z) ** 3
+    # a longer list is summed only to N
+    assert kernels.horner([1 << wp] * 5, 2, 1 << wp, wp) == 3 << wp

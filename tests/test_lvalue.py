@@ -323,6 +323,32 @@ def test_e0_matches_exact_expansion():
         assert abs(val - acc) < mpf("1e-25")
 
 
+def mpf_horner(coeffs, M, z):
+    """sum_{e <= M} coeffs[e] z^e by Horner's rule in mpf, the coefficients
+    exact Fractions: the reference for the fixed-point loop."""
+    acc = mpf(0)
+    for e in range(M, -1, -1):
+        acc = acc * z + coeffs[e]
+    return acc
+
+
+@pytest.mark.parametrize("q", ["0.05", "0.2"])
+def test_e0_value_matches_an_mpf_sum_of_its_exact_coefficients(q):
+    # the fixed-point sum, its Fraction coefficients floored to 2^-wp, against
+    # the same truncation summed in mpf, and against a deeper one within tol
+    with mp.workdps(60):
+        qq, tol = mpf(q), mpf("1e-45")
+        Q = qq ** (mpf(1) / 3)
+        K = thetanum._terms_needed(Q, tol, 4)
+        coeffs = qexp.lambert_series("E0", -(-K // 3)).coeffs
+        val = lvalue._e0_value(qq, tol)
+        assert abs(val - mpf_horner(coeffs, K, Q)) < mpf("1e-55")
+        with mp.workdps(80):
+            deep = thetanum._terms_needed(Q, mpf("1e-70"), 4)
+            want = mpf_horner(qexp.lambert_series("E0", -(-deep // 3)).coeffs, deep, Q)
+        assert abs(val - want) <= tol
+
+
 def brute_e0(q):
     """E0(q) = sum_{k, r >= 1} chi3(kr)/k (q^(kr/3) - q^(kr)), the defining
     double sum over kr <= K at the working precision.

@@ -70,6 +70,20 @@ def test_a_at_point_one_vs_oracle():
             assert abs(got - want) < mpf("1e-20")
 
 
+@pytest.mark.parametrize("q", ["0.01", "0.02", "0.1", "0.5", "0.9"])
+@pytest.mark.parametrize("kind", ["a", "b", "c"])
+def test_theta_values_vs_lattice_oracle(kind, q):
+    # both sides of the split, against a 70-digit direct lattice sum: q = 0.01
+    # and 0.02 sum each kind's own series, q = 0.1, 0.5 and 0.9 its dual's
+    prec = Precision(60, 1e-45)
+    with mp.workdps(70):
+        u = -mp.log(mpf(q)) / (2 * mp.pi)
+        assert (3 * u * u >= 1) == (q in ("0.01", "0.02"))
+        want = brute_theta_value(kind, q, 70)
+        got = thetanum.eval_theta(kind, q, prec)
+        assert abs(got - want) <= prec.tol()
+
+
 def test_b_c_involution_fixed_point():
     with mp.workdps(55):
         qstar = mp.exp(-2 * mp.pi / mp.sqrt(3))
@@ -210,6 +224,50 @@ def test_hauptmodul_residual_spot_checks():
     with mp.workdps(55):
         for q in ("0.05", "0.5"):
             assert abs(thetanum.residual_hauptmodul(q, PREC20)) < mpf("1e-20")
+
+
+@pytest.mark.parametrize("q", ["0.01", "0.1", "0.5", "0.9"])
+def test_theta_point_takes_the_alpha_of_alpha_pair(q):
+    # one hauptmodul: c^3/(b^3 + c^3), bit for bit on both sides of the split
+    assert thetanum.theta_point(q, PREC20).alpha == thetanum.alpha_pair(q, PREC20)[0]
+
+
+def test_residual_hauptmodul_maps_q_to_u_once(monkeypatch):
+    calls = []
+    real = thetanum._q_u
+
+    def spy(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(thetanum, "_q_u", spy)
+    for q in ("0.01", "0.3"):
+        thetanum.residual_hauptmodul(q, PREC20)
+    assert calls == ["0.01", "0.3"]
+
+
+def test_residual_hauptmodul_is_the_difference_of_its_sides():
+    with mp.workdps(50):
+        a, f = thetanum._hauptmodul_sides("0.3", PREC20)
+        assert a == thetanum.theta_point("0.3", PREC20).a
+        assert thetanum.residual_hauptmodul("0.3", PREC20) == a - f
+
+
+def test_differential_residual_ladder_and_contract():
+    # (errors, residual): errors[i] = |fd(h0/2^i) - rhs| with the right side
+    # a^2 alpha (1 - alpha)/q, alpha and 1 - alpha those of alpha_pair
+    prec = PREC12
+    errs, resid = thetanum.differential_residual("0.3", prec)
+    assert thetanum._LADDER_MIN <= len(errs) <= thetanum._LADDER_MAX
+    assert resid < prec.tol()
+    with mp.workdps(prec.dps + 10):
+        q = mpf("0.3")
+        alpha, comp = thetanum.alpha_pair(q, prec)
+        rhs = thetanum.theta_point(q, prec).a ** 2 * alpha * comp / q
+        for i in (0, len(errs) - 1):
+            h = mpf(thetanum._LADDER_H0) / 2 ** i
+            fd = (thetanum.alpha_pair(q + h, prec)[0] - thetanum.alpha_pair(q - h, prec)[0]) / (2 * h)
+            assert errs[i] == abs(fd - rhs)
 
 
 def test_differential_relation_ratio_and_residual():

@@ -235,18 +235,18 @@ def l_dirichlet(N: int) -> SeriesResult:
     this is an order-of-magnitude indicator, not a bound.
 
     The terms are formed in numpy from the int64 coefficients of
-    ``qexp._f_coeffs_fft``.  The three checkpoints come from one exact pass
-    over the float terms (``_prefix_sums``): each term is an int times a
-    power of two, the ints are summed per exponent with ``np.bincount`` in
-    chunks small enough that every bucket stays below 2^53, and the running
-    total is one Python int, rounded once per checkpoint.  Each checkpoint is
-    the correctly rounded sum of the float terms, equal to ``math.fsum``
-    (Neal, arXiv:1505.05571, 2015).
+    ``qexp._f_coeffs``, which are exact divisor sums.  The three checkpoints
+    come from one exact pass over the float terms (``_prefix_sums``): each
+    term is an int times a power of two, the ints are summed per exponent
+    with ``np.bincount`` in chunks small enough that every bucket stays below
+    2^53, and the running total is one Python int, rounded once per
+    checkpoint.  Each checkpoint is the correctly rounded sum of the float
+    terms, equal to ``math.fsum`` (Neal, arXiv:1505.05571, 2015).
     """
     if N < 1000:
         raise ValueError("N must be at least 10^3")
     terms = np.arange(1, N + 1, dtype=float) ** 3
-    np.divide(qexp._f_coeffs_fft(N)[1:], terms, out=terms)
+    np.divide(qexp._f_coeffs(N)[1:], terms, out=terms)
     checkpoints = sorted({N // 2, 3 * N // 4, N})
     sums = _prefix_sums(terms, checkpoints)
     limit = _accel.richardson([1.0 / k for k in checkpoints], sums)

@@ -8,11 +8,10 @@ the weighted Lambert sum E0.  One lattice enumerator counts a, b and c: the
 hexagonal lattice and its (1/3, 1/3) shift, and one slice placement,
 ``_spread``, moves coefficients between grids.
 
-The coefficients of the weight-3 product f are built on int64 numpy arrays
-(the divisor sieve, b from the Lambert series of a, and the FFT product, split
-by exponent mod 3 since b vanishes at 2 and chi3 * sigma at 0 mod 3, with
-sigma cut into as few limbs as Percival's rounding bound on the measured
-norms allows: one at N = 10^6); they become Python ints only at the
+Every divisor sum comes from one exact int64 sieve, ``_divisor_sieve``:
+sum_{de = m} d^k W[d mod 3][e mod 3] for a 3 x 3 table W.  It gives the
+Lambert kinds, and it gives the coefficients of the weight-3 product f, which
+is a combination of Eisenstein series; they become Python ints only at the
 ``QSeries`` boundary, in ``f_coefficients``.
 """
 
@@ -300,6 +299,53 @@ def eta_quotient(spec: list, n: int) -> QSeries:
     return out.reduce() if p8 % 3 == 0 else out
 
 
+# -- divisor sums -------------------------------------------------------------
+
+
+def _divisor_sieve(n: int, k: int, table) -> np.ndarray:
+    """out[m] = sum_{de = m} d^k table[d % 3][e % 3] for m = 0..n, as int64,
+    with out[0] = 0.
+
+    Every divisor sum of this module is one call with its own 3 x 3 table:
+    sigma is k = 1 with every entry 1, the Lambert kinds' tables are in
+    ``lambert_series``, and the coefficients of f are k = 2 with
+    ``_F_TABLE``.  f = eta(t)^6 eta(9t)^3/eta(3t)^3 lies in M_3(Gamma_0(9),
+    chi3) (Ono, *The Web of Modularity*, CBMS 102, 2004, Thm 1.64), whose
+    cusp space is 0 (Cohen & Oesterle, LNM 627, 1977), so f is a combination
+    of Eisenstein series.  With A(m) = sum_{d | m} chi3(d) d^2 and
+    B(m) = sum_{d | m} chi3(m/d) d^2, and A(m/3) = B(m/3) = 0 for 3 not
+    dividing m, 2 a_m = 3A(m) - 3A(m/3) - B(m) + 27B(m/3), which is
+    a_m = sum_{de = m} d^2 ((3/2) chi3(d) chi0(e) + (1/2) chi3(e) (3[3 | d] - 1))
+    with chi0 the principal character mod 3: the entries of ``_F_TABLE``.
+    The Sturm bound of M_3(Gamma_0(9), chi3) is 3 * 12/12 = 3, so agreement
+    of the two sides to q^3 proves the identity (Sturm, LNM 1240, 1987;
+    Stein, *Modular Forms: A Computational Approach*, GSM 79, 2007, ch. 9).
+
+    Since n < (r + 1)^2 with r = isqrt(n), one of d and e is at most r for
+    every m <= n.  So for each d <= r and each residue e mod 3, one slice of
+    step 3d adds the constant d^k table[d % 3][e % 3] at the multiples d e,
+    d (e + 3), ... of the small divisor d, and one more adds
+    table[(r + e) % 3][d % 3] times the k-th powers of the large divisors
+    r + e, r + e + 3, ... <= n/d at their multiples by d.
+
+    int64 holds every partial sum: |out[m]| <= max|table| sigma_k(m), and
+    sigma_2(m) < zeta(2) m^2, so the sums are exact for n < 1.6 * 10^9 for
+    f (max 2) and for n < 4 * 10^8 for 'c_cubed' (max 27).
+    """
+    out = np.zeros(n + 1, dtype=np.int64)
+    r = math.isqrt(n)
+    for d in range(1, r + 1):
+        for e in (1, 2, 3):
+            w = table[d % 3][e % 3]
+            if w:
+                out[d * e::3 * d] += w * d ** k
+            w = table[(r + e) % 3][d % 3]
+            if w:
+                big = np.arange(r + e, n // d + 1, 3, dtype=np.int64)
+                out[d * (r + e)::3 * d] += w * big ** k
+    return out
+
+
 # -- Lambert-type double sums ------------------------------------------------
 
 
@@ -307,42 +353,27 @@ def lambert_series(kind: str, n: int) -> QSeries:
     """Exact truncated Lambert-type double sums to q-order ``n``.
 
     kinds: 'c' (d=3), 'bc3' (d=1), 'c_cubed' (d=1), 'E0' (d=3, rational).
-    All but 'c_cubed' read their inner divisor sums off the sieve
-    ``_divisor_sums`` instead of summing term by term:
-    'c' = 3 sum_{r, s >= 1} chi3(r) (q^(rs/3) - q^(rs)) has 3E(e) - 3E(e/3)[3 | e]
-    at q^(e/3); 'bc3' = 3 sum_{k, s >= 1} chi3(ks) k q^(ks) has 3 chi3(m) sigma(m)
-    at q^m; and E0 = sum_{k, r >= 1} (chi3(kr)/k) (q^(kr/3) - q^(kr)) has
+    Each reads its inner divisor sums off one ``_divisor_sieve`` call:
+    'c' = 3 sum_{r, s >= 1} chi3(r) (q^(rs/3) - q^(rs)) has
+    3 sum_{de = m} chi3(d) chi0(e) at q^(m/3), chi0 the principal character
+    mod 3; 'bc3' = 3 sum_{k, s >= 1} chi3(ks) k q^(ks) has 3 chi3(m) sigma(m)
+    at q^m; 'c_cubed' = 27 sum_{k, s >= 1} chi3(k) s^2 q^(ks) has
+    27 sum_{de = m} chi3(e) d^2 at q^m; and
+    E0 = sum_{k, r >= 1} (chi3(kr)/k) (q^(kr/3) - q^(kr)) has
     chi3(m) sigma(m)/m as its inner sum at m = kr: one Fraction per nonzero
-    coefficient, and -chi3(k) sigma(k)/k at m = 3k.  'c_cubed' = 27 sum_{k, s >= 1}
-    chi3(k) s^2 q^(ks) is a slice sieve split at isqrt(n) like ``_divisor_sums``
-    (27 s^2 on [s::3s], -27 s^2 on [2s::3s]); int64 holds it exactly for
-    n < 4 * 10^8, its entries being at most 27 sigma_2(m) < 27 zeta(2) m^2 < 2^63.
+    coefficient, and -chi3(k) sigma(k)/k at m = 3k.
     """
     if n < 0:
         raise ValueError("order must be nonnegative")
     if kind == "c":
-        ech = _divisor_sums(3 * n)[1]
-        co = 3 * ech
-        co[3::3] -= 3 * ech[1:n + 1]
-        return QSeries(3, co.tolist())
+        return QSeries(3, _divisor_sieve(3 * n, 0, ((0, 0, 0), (0, 3, 3), (0, -3, -3))).tolist())
     if kind == "bc3":
-        co = 3 * _divisor_sums(n)[0]
-        co[0::3] = 0
-        co[2::3] *= -1
-        return QSeries(1, co.tolist())
+        return QSeries(1, _divisor_sieve(n, 1, ((0, 0, 0), (0, 3, -3), (0, -3, 3))).tolist())
     if kind == "c_cubed":
-        co = np.zeros(n + 1, dtype=np.int64)
-        r = math.isqrt(n)
-        for d in range(1, r + 1):
-            co[d::3 * d] += 27 * d * d
-            co[2 * d::3 * d] -= 27 * d * d
-            if d % 3:
-                s = np.arange(r + 1, n // d + 1)
-                co[d * (r + 1)::d] += 27 * chi3(d) * s * s
-        return QSeries(1, co.tolist())
+        return QSeries(1, _divisor_sieve(n, 2, ((0, 27, -27),) * 3).tolist())
     if kind == "E0":
         ng = 3 * n
-        sig = _divisor_sums(ng)[0].tolist()
+        sig = _divisor_sieve(ng, 1, ((1, 1, 1),) * 3).tolist()
         co = [Fraction(0)] * (ng + 1)
         for m in range(1, ng + 1):
             if m % 3:
@@ -355,191 +386,36 @@ def lambert_series(kind: str, n: int) -> QSeries:
 
 # -- the weight-3 theta product ----------------------------------------------
 
+# a_m(f) = sum_{de = m} d^2 _F_TABLE[d % 3][e % 3] (``_divisor_sieve``)
+_F_TABLE = ((0, 1, -1), (0, 1, 2), (0, -2, -1))
+
+
 def _f_coeffs_product(n: int) -> list:
     """a_n of (1/3) b(q)^2 c(q^3) by exact truncated products; the built-in
-    check of ``_f_coeffs_fft`` and the tests' reference."""
+    check of ``_f_coeffs`` and the tests' reference."""
     b = theta_series("b", n)
     c3 = theta_series("c", n).substitute_power(3)  # lands on the integer grid
     f3 = b * b * c3
     return f3.exact_div(3).coeffs
 
 
-def _divisor_sums(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """sigma(m) and E(m) = sum_{d | m} chi3(d) for m = 0..n, as two int64
-    arrays with sigma(0) = E(0) = 0.
-
-    Each divisor d <= r = isqrt(n) is added as one slice [d::d].  Since
-    n < (r + 1)**2, every larger divisor e of m has its cofactor d = m // e
-    <= r, so the same pass adds e = r+1 .. n // d at the indices d*e: one
-    slice [d(r+1)::d] for sigma, and for E, since chi3 has period 3, one
-    slice of step 3d for each of the residues e = 1 and e = 2 mod 3.
-    """
-    sig = np.zeros(n + 1, dtype=np.int64)
-    ech = np.zeros(n + 1, dtype=np.int64)
-    r = math.isqrt(n)
-    for d in range(1, r + 1):
-        sig[d::d] += d
-        if d % 3:
-            ech[d::d] += chi3(d)
-        sig[d * (r + 1)::d] += np.arange(r + 1, n // d + 1)
-        for e in range(r + 1, r + 4):
-            if e % 3:
-                ech[d * e::3 * d] += chi3(e)
-    return sig, ech
-
-
-def _b_from_e(ech: np.ndarray) -> np.ndarray:
-    """Coefficients of b(q) = (3 a(q^3) - a(q)) / 2 from E(m) = sum_{d | m} chi3(d),
-    with a(q) = 1 + 6 sum E(m) q^m: b_0 = 1 and b_m = 9 E(m/3) [3 | m] - 3 E(m)."""
-    b = ech * -3
-    b[0] = 1
-    b[3::3] += 9 * ech[1:(len(ech) - 1) // 3 + 1]
-    return b
-
-
-_U = 2.0 ** -53  # unit roundoff of float64
-# error of numpy's (pocketfft's) twiddles: each is one complex product of two
-# table entries, each cos and sin of a rounded angle below pi/4 (angle error
-# at most (pi/2)u, libm error at most one ulp, so each entry errs by at most
-# sqrt(2)(pi/2 + 1)u < 3.7u), so at most 2 * 3.7u + sqrt(5)u < 10u
-_TWIDDLE_ERR = 10 * _U
-# a_(3k+r), r = 1, 2, 3, sums the products of (B0, B1)[i] and (Y1, Y2)[j]
-# with i + j = r - 1
-_RESIDUE_PAIRS = ((1, ((0, 0),)), (2, ((1, 0), (0, 1))), (3, ((1, 1),)))
-
-
-def _l2_norm(x: np.ndarray) -> float:
-    """An upper bound on the l2 norm of x, from float64 arithmetic.
-
-    The conversion, the squares, the m - 1 sums of the dot product and the
-    square root each err by at most u relatively (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, Sec. 3.1), which the factor
-    1 + (m + 8)u covers with room for the few roundings of the bound that
-    the norm enters.  The squares are not summed in int64: the sum of
-    sigma(k)^2 over k <= N passes 2^63 just above N = 2 * 10^6.
-    """
-    xf = np.asarray(x, dtype=np.float64)
-    return math.sqrt(float(np.dot(xf, xf))) * (1 + (len(xf) + 8) * _U)
-
-
-def _rounding_bound(size: int, b_norms, y_norms) -> float:
-    """Percival's bound on the error of every rounded value of the three
-    residue products of ``_f_coeffs_fft`` at cyclic length ``size``.
-
-    When the cyclic product x * y of two vectors of length 2^n is computed as
-    the inverse FFT of the product of their FFTs, every computed value is
-    within C ||x|| ||y|| of the exact one, with C = (1 + u)^(3n)
-    (1 + sqrt(5) u)^(3n + 1) (1 + mu)^(3n) - 1, u = 2^-53 and mu the error of
-    the twiddles (Percival, Math. Comp. 72 (2003) 387-395, Thm 5.1; Brent &
-    Zimmermann, *Modern Computer Arithmetic*, Thm 3.3.2).  Each of the n
-    radix-2 levels of each of the three transforms costs one addition, one
-    twiddle product and one twiddle error; the pointwise product is one more
-    product.  numpy runs pocketfft's real-data passes, which do the same
-    additions and twiddle products on the packed real and imaginary parts;
-    at length L = 2^i or 3 * 2^i they are radix-4 passes, each two levels
-    with one twiddle product, at most one radix-2 pass, and at most one
-    radix-3 pass, which has at most three rounds of additions, one twiddle
-    product and one product by a rounded constant, within the budget of two
-    levels.  So n = ceil(log2 L) covers L, and three more additions cover
-    the sum of two spectra (residue 2) and the rounded 1/L of the inverse.
-    A residue part that sums several products is bounded by C times the sum
-    of ||B_i|| ||Y_j||.
-    """
-    n = (size - 1).bit_length()
-    c = math.expm1((3 * n + 3) * math.log1p(_U) + (3 * n + 1) * math.log1p(math.sqrt(5) * _U)
-                   + 3 * n * math.log1p(_TWIDDLE_ERR))
-    return c * max(sum(b_norms[i] * y_norms[j] for i, j in pairs) for _, pairs in _RESIDUE_PAIRS)
-
-
-def _sigma_limbs(size: int, b_norms, ys) -> list:
-    """Split Y1, Y2 (sigma >= 0) into the fewest limbs of one width whose
-    products with B0, B1 at length ``size`` have a rounding bound below 1/2.
-
-    Returns [(shift, (Y1 limb, Y2 limb))] with float64 limbs, and raises if
-    no limb count up to one bit per limb brings the bound below 1/2.
-    """
-    bits = max(int(y.max(initial=0)) for y in ys).bit_length() or 1
-    for count in range(1, bits + 1):
-        width = -(-bits // count)
-        mask = (1 << width) - 1
-        limbs = [(shift, [((y >> shift) & mask).astype(np.float64) for y in ys])
-                 for shift in range(0, bits, width)]
-        bound = max(_rounding_bound(size, b_norms, [_l2_norm(x) for x in pair])
-                    for _, pair in limbs)
-        if bound < 0.5:
-            return limbs
-    raise AssertionError(f"FFT rounding bound {bound:.3g} is not below 1/2 at any sigma limb count")
-
-
-def _f_coeffs_fft(n: int) -> np.ndarray:
-    """a_m, m <= n, as int64, via the weight-2 Lambert factorization
-    b * (chi3 * sigma), on the mod-3 polyphase grid.
-
-    b comes from the Lambert series of a: with E from ``_divisor_sums``,
-    a(q) = 1 + 6 sum E(m) q^m and b(q) = (3 a(q^3) - a(q)) / 2 (Borwein,
-    Borwein & Garvan, "Some cubic modular identities of Ramanujan",
-    Trans. AMS 343 (1994)), so no lattice point is counted.  There
-    b = sum omega^(x-y) q^(x^2+xy+y^2) has no term at k = 2 mod 3, as
-    x^2 + xy + y^2 = (x - y)^2 + 3xy is a square mod 3; chi3 * sigma has none
-    at 3 | k.  So with b = B0(q^3) + q B1(q^3) and chi3 * sigma =
-    q Y1(q^3) - q^2 Y2(q^3) (Y1, Y2 sigma on the residues 1, 2), a_(3k) =
-    -(B1 Y2)_(k-1), a_(3k+1) = (B0 Y1)_k and a_(3k+2) = (B1 Y1 - B0 Y2)_k:
-    products of m = n // 3 + 1 terms, as real FFTs of the least length 2^j or
-    3 * 2^j >= 2m + 1 against the spectra of B0 and B1.
-
-    Y1 and Y2 are cut into the fewest limbs of one width for which
-    ``_rounding_bound``, Percival's a-priori bound C(L) * sum ||B_i|| ||Y_j||
-    evaluated on the measured l2 norms (``_l2_norm``), is below 1/2 on every
-    residue part and every limb (``_sigma_limbs``), so rounding each value
-    to the nearest integer is exact: at N = 10^6, L = 3 * 2^18 and
-    C(L) ~ 800u, and the bound is 0.43 with one limb, so the product takes
-    4 forward and 3 inverse transforms.  The other exactness guards: b
-    vanishes at k = 2 mod 3 (sigma at 3 | k is not read); every rounded
-    value is within 0.05 of an integer; and the first 64 coefficients equal
-    ``_f_coeffs_product``'s.
-    """
-    sig, ech = _divisor_sums(n)
-    b = _b_from_e(ech)
-    del ech
-    if b[2::3].any():
-        raise AssertionError("theta-b has a coefficient at an exponent 2 mod 3")
-    m = n // 3 + 1
-    j = (2 * m).bit_length()  # 2^j is the least power of two >= 2m + 1
-    size = 3 << (j - 2) if 3 << (j - 2) > 2 * m else 1 << j
-    bs = [b[r::3].astype(np.float64) for r in (0, 1)]
-    del b
-    limbs = _sigma_limbs(size, [_l2_norm(x) for x in bs], (sig[1::3], sig[2::3]))
-    del sig
-    fb = [np.fft.rfft(x, size) for x in bs]
-    del bs
-    out = np.zeros(n + 1, dtype=np.int64)
-    for shift, ys in limbs:
-        fy = [np.fft.rfft(y, size) for y in ys]
-        np.negative(fy[1], out=fy[1])  # q^2 Y2 enters with chi3(2) = -1
-        for r, pairs in _RESIDUE_PAIRS:
-            part = out[r::3]
-            conv = np.fft.irfft(sum(fb[i] * fy[j] for i, j in pairs), size)[: len(part)]
-            rounded = np.rint(conv)
-            conv -= rounded
-            drift = float(np.abs(conv, out=conv).max(initial=0))
-            del conv
-            if drift > 0.05:
-                raise AssertionError(f"FFT convolution drift {drift:.3g} too large to round")
-            part += rounded.astype(np.int64) << shift
-            del rounded
+def _f_coeffs(n: int) -> np.ndarray:
+    """a_m, m <= n, as int64: the divisor sums of ``_divisor_sieve`` with
+    ``_F_TABLE``, whose first 64 must equal ``_f_coeffs_product``'s."""
+    out = _divisor_sieve(n, 2, _F_TABLE)
     check = _f_coeffs_product(min(n, 64))
     if out[: len(check)].tolist() != check:
-        raise AssertionError("fast coefficient path disagrees with the exact product")
+        raise AssertionError("divisor-sum coefficients disagree with the exact product")
     return out
 
 
 def f_coefficients(n: int) -> QSeries:
     """Integer coefficients a_m, m <= n, of the weight-3 product (1/3) b^2 c(q^3),
-    by the Lambert factorization of ``_f_coeffs_fft`` at every order; the
-    int64 array becomes Python ints here."""
+    from the divisor sums of ``_f_coeffs``; the int64 array becomes Python
+    ints here."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    return QSeries(1, _f_coeffs_fft(n).tolist())
+    return QSeries(1, _f_coeffs(n).tolist())
 
 
 # -- dump format --------------------------------------------------------------

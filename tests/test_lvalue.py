@@ -12,6 +12,7 @@ from mpmath import mp, mpf, mpmathify
 from cubictheta import hyper, lvalue, qexp, thetanum
 from cubictheta.hyper import SeriesResult, quad_de
 from cubictheta.thetanum import Precision
+from closed_forms import l_value
 
 PREC = Precision(40, 1e-12)
 
@@ -146,9 +147,7 @@ def test_dirichlet_tail_estimates_shrink_and_bound():
             prev_est = r.err_estimate
 
 
-def test_dirichlet_past_two_11_bit_sigma_limbs():
-    # sigma on the residues 1, 2 mod 3 first reaches 2^22 at 1,361,360; the
-    # rounding bound then asks for two limbs, and the sum lands on L(f, 3)
+def test_dirichlet_at_1_4_million_lands_on_l3():
     r = lvalue.l_dirichlet(1_400_000)
     assert abs(r.value - mpf(L_VALUES_35[3])) <= 10 * r.err_estimate
 
@@ -188,6 +187,22 @@ def quadrature_l_mellin(n, prec, split_scale=1.0):
         val = fac * (lo.value + hi.value)
         err = fac * (lo.err_estimate + hi.err_estimate) + prec.tol() / 4
         return SeriesResult(val, err, lo.terms_used + hi.terms_used, "integral")
+
+
+@pytest.mark.parametrize("prec", [Precision(40, 1e-30), Precision(100, 1e-90)],
+                         ids=["dps40", "dps100"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mellin_bar_covers_the_closed_form(n, prec):
+    res = lvalue.l_mellin(n, prec)
+    truth = l_value(n, prec.dps)
+    with mp.workdps(prec.dps + 10):
+        assert abs(res.value - truth) <= res.err_estimate
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_forms_match_the_35_digit_values(n):
+    with mp.workdps(60):
+        assert abs(l_value(n, 50) - mpf(L_VALUES_35[n])) <= mpf("1e-35")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubictheta import kernels, qexp
+from cubictheta import kernels, lvalue, qexp
 from cubictheta.qexp import QSeries
 
 
@@ -402,154 +402,18 @@ def test_f_first_coefficients():
 # 1, 2, 3 and 64, 65 put the last index on each residue mod 3 near both edges
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 2000, 3001])
 def test_f_fft_path_matches_product_path(n):
-    assert qexp._f_coeffs_fft(n).tolist() == qexp._f_coeffs_product(n)
+    assert qexp._f_coeffs(n).tolist() == qexp._f_coeffs_product(n)
 
 
 def test_f_fft_polyphase_matches_product_at_every_small_order():
     # every n puts the three residue classes at every length and edge
     for n in range(1, 301):
-        assert qexp._f_coeffs_fft(n).tolist() == qexp._f_coeffs_product(n), n
+        assert qexp._f_coeffs(n).tolist() == qexp._f_coeffs_product(n), n
 
 
-def _spy_fft(monkeypatch):
-    """The lengths of the rfft and irfft calls, in call order."""
-    calls = {"rfft": [], "irfft": []}
-    for name, sizes in calls.items():
-
-        def spy(a, size, fn=getattr(np.fft, name), sizes=sizes):
-            sizes.append(size)
-            return fn(a, size)
-
-        monkeypatch.setattr(np.fft, name, spy)
-    return calls
-
-
-# the cyclic length is the least 2^j or 3 * 2^j >= 2m + 1, m = n // 3 + 1; the
-# largest m that fits L is (L - 1) // 2, whose last n is 3m - 1
-@pytest.mark.parametrize("size, after", [(8, 12), (12, 16), (16, 24), (24, 32), (96, 128),
-                                         (128, 192), (1536, 2048), (2048, 3072)])
-def test_f_fft_at_each_side_of_a_length_change(monkeypatch, size, after):
-    last = 3 * ((size - 1) // 2) - 1
-    for n, want in ((last, size), (last + 1, after)):
-        calls = _spy_fft(monkeypatch)
-        assert qexp._f_coeffs_fft(n).tolist() == qexp._f_coeffs_product(n), n
-        assert set(calls["rfft"]) == {want}
-        monkeypatch.undo()
-
-
-def _sieve_with(monkeypatch, index, value):
-    sums = qexp._divisor_sums
-
-    def patched(n):
-        sig, ech = sums(n)
-        sig[index] = value
-        return sig, ech
-
-    monkeypatch.setattr(qexp, "_divisor_sums", patched)
-
-
-def _exact_f_of_patched_inputs(monkeypatch, n, sigma_at=None, b_at=None):
-    """Set sigma[i] = v for sigma_at = (i, v) and b[i] = v for b_at, and return
-    the exact product b * (chi3 sigma) of the patched inputs, which the
-    built-in 64-term check then reads in place of ``_f_coeffs_product``."""
-    sig, ech = qexp._divisor_sums(n)
-    b = qexp._b_from_e(ech)
-    for arr, at in ((sig, sigma_at), (b, b_at)):
-        if at:
-            arr[at[0]] = at[1]
-    exact = kernels.conv_trunc(b.tolist(), [qexp.chi3(k) * s for k, s in enumerate(sig.tolist())], n)
-    monkeypatch.setattr(qexp, "_divisor_sums", lambda m: (sig.copy(), ech.copy()))
-    monkeypatch.setattr(qexp, "_b_from_e", lambda e: b.copy())
-    monkeypatch.setattr(qexp, "_f_coeffs_product", lambda m: exact[: m + 1])
-    return exact
-
-
-# sigma past 2^22 and b past 2^11 (the old fixed limb budgets) take as many
-# sigma limbs as the rounding bound asks for, each limb two forward
-# transforms, and the product stays exact
-@pytest.mark.parametrize("which, index, value, limbs", [
-    ("sigma", 1, 1 << 22, 1), ("sigma", 2, 1 << 22, 1), ("sigma", 4, 1 << 22, 1),
-    ("sigma", 5, 1 << 22, 1), ("sigma", 1999, 1 << 22, 1), ("sigma", 1000, 1 << 40, 2),
-    ("sigma", 998, 1 << 40, 2), ("b", 3, 1 << 11, 1), ("b", 1000, 1 << 30, 2),
-])
-def test_f_fft_spike_takes_the_limbs_its_bound_needs(monkeypatch, which, index, value, limbs):
-    exact = _exact_f_of_patched_inputs(monkeypatch, 2000, **{which + "_at": (index, value)})
-    calls = _spy_fft(monkeypatch)
-    assert qexp._f_coeffs_fft(2000).tolist() == exact
-    assert (len(calls["rfft"]), len(calls["irfft"])) == (2 + 2 * limbs, 3 * limbs)
-
-
-def test_f_fft_at_a_million_takes_seven_transforms(monkeypatch):
-    calls = _spy_fft(monkeypatch)
-    qexp._f_coeffs_fft(10**6)
-    assert (len(calls["rfft"]), len(calls["irfft"])) == (4, 3)
-
-
-def test_f_fft_does_not_read_sigma_at_multiples_of_3(monkeypatch):
-    # chi3 * sigma vanishes at 3 | k, so a sigma there over the budget is
-    # never read and the coefficients stay right
-    _sieve_with(monkeypatch, 1998, 1 << 40)
-    assert qexp._f_coeffs_fft(2000).tolist() == qexp._f_coeffs_product(2000)
-
-
-@pytest.mark.parametrize("index, value, match", [
-    (2, 1, "exponent 2 mod 3"),
-    (1997, -1, "exponent 2 mod 3"),
-    # no sigma limb count can certify a product with a b this large
-    (3, 1 << 50, "rounding bound"),
-])
-def test_f_fft_guards_on_theta_b(monkeypatch, index, value, match):
-    b_from_e = qexp._b_from_e
-
-    def patched(ech):
-        b = b_from_e(ech)
-        b[index] = value
-        return b
-
-    monkeypatch.setattr(qexp, "_b_from_e", patched)
-    with pytest.raises(AssertionError, match=match):
-        qexp._f_coeffs_fft(2000)
-
-
-def test_l2_norm_bounds_the_exact_norm_from_above():
-    # entries up to 2^62, where an int64 sum of squares would overflow
-    rng = np.random.default_rng(29)
-    for m in (1, 2, 1000, 10**5):
-        x = rng.integers(0, 1 << 62, m, dtype=np.int64) >> rng.integers(0, 62, m)
-        exact_sq = sum(v * v for v in x.tolist())
-        got = qexp._l2_norm(x)
-        assert exact_sq <= Fraction(got) ** 2 <= exact_sq * (1 + Fraction(1, 10**9))
-
-
-def test_sigma_limbs_from_given_norms():
-    size = 3 << 18  # the length at N = 10^6, ceil(log2) = 20
-    u = 2.0 ** -53
-    first_order = 63 + 61 * math.sqrt(5) + 60 * 10
-    assert qexp._rounding_bound(size, (1.0, 0.0), (1.0, 0.0)) == pytest.approx(first_order * u, rel=1e-9)
-    # residue 2 sums ||B1|| ||Y1|| + ||B0|| ||Y2||, the largest part here
-    b_norms = (2.0 ** 12.4, 2.0 ** 12.0)
-    assert qexp._rounding_bound(size, b_norms, (1.0, 1.0)) == pytest.approx(
-        first_order * u * (b_norms[0] + b_norms[1]), rel=1e-9)
-    # a single sigma entry v on each residue has norm v: one limb while the
-    # bound C (||B0|| + ||B1||) v is below 1/2, two just above
-    edge = 0.5 / qexp._rounding_bound(size, b_norms, (1.0, 1.0))
-    for v, limbs in ((int(0.999 * edge), 1), (int(1.001 * edge), 2), (1 << 40, 2), ((1 << 62) - 1, 3)):
-        ys = (np.array([v], dtype=np.int64), np.array([v], dtype=np.int64))
-        got = qexp._sigma_limbs(size, b_norms, ys)
-        assert len(got) == limbs, v
-        width = -(-v.bit_length() // limbs)
-        assert [shift for shift, _ in got] == list(range(0, v.bit_length(), width))
-        for shift, pair in got:
-            assert [y.tolist() for y in pair] == [[(v >> shift) % (1 << width)]] * 2
-    with pytest.raises(AssertionError, match="rounding bound"):
-        qexp._sigma_limbs(size, (2.0 ** 50, 0.0), ys)
-
-
-def test_f_fft_drift_guard_catches_a_perturbed_spectrum(monkeypatch):
-    rfft = np.fft.rfft
-    monkeypatch.setattr(np.fft, "rfft", lambda a, size: rfft(a, size) * 1.001)
-    with pytest.raises(AssertionError, match="drift"):
-        qexp._f_coeffs_fft(2000)
+SIGMA_TABLE = ((1, 1, 1),) * 3
+# E(m) = sum_{d | m} chi3(d)
+E_TABLE = ((0, 0, 0), (1, 1, 1), (-1, -1, -1))
 
 
 def slice_loop_divisor_sums(n):
@@ -563,7 +427,7 @@ def slice_loop_divisor_sums(n):
 # perfect squares and their neighbours move isqrt(n) and the split point
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 99, 100, 101, 1000, 10**5])
 def test_divisor_sums_match_slice_loop(n):
-    assert qexp._divisor_sums(n)[0].tolist() == slice_loop_divisor_sums(n).tolist()
+    assert qexp._divisor_sieve(n, 1, SIGMA_TABLE).tolist() == slice_loop_divisor_sums(n).tolist()
 
 
 def brute_divisor_sums(n):
@@ -579,17 +443,51 @@ def brute_divisor_sums(n):
 
 @pytest.mark.parametrize("n", list(range(1, 61)) + [997, 1000, 1024])
 def test_divisor_sums_match_trial_division(n):
-    sig, ech = qexp._divisor_sums(n)
+    sig, ech = qexp._divisor_sieve(n, 1, SIGMA_TABLE), qexp._divisor_sieve(n, 0, E_TABLE)
     assert (sig.tolist(), ech.tolist()) == brute_divisor_sums(n)
 
 
 def test_b_from_divisor_sums_matches_lattice():
-    # b = (3 a(q^3) - a(q))/2 from the Lambert series of a, against the
-    # lattice count c0 - c1 that theta_series("b") reads
+    # b = (3 a(q^3) - a(q))/2 from the Lambert series a = 1 + 6 sum E(m) q^m,
+    # so b_m = sum_{de = m} chi3(d) (9 [3 | e] - 3), against the lattice
+    # count c0 - c1 that theta_series("b") reads
     n = 5000
     c0, c1, _ = qexp._lattice_counts(n, 0)
-    b = qexp._b_from_e(qexp._divisor_sums(n)[1])
+    b = qexp._divisor_sieve(n, 0, ((0, 0, 0), (6, -3, -3), (-6, 3, 3)))
+    b[0] = 1
     assert b.tolist() == [x - y for x, y in zip(c0, c1)]
+
+
+def test_f_table_is_the_eisenstein_formula():
+    # 2 a_m = 3A(m) - 3A(m/3) - B(m) + 27B(m/3), with A(m) = sum chi3(d) d^2
+    # and B(m) = sum chi3(m/d) d^2 over the divisors d of m, each added once
+    n = 2000
+    A, B = [0] * (n + 1), [0] * (n + 1)
+    for d in range(1, n + 1):
+        for m in range(d, n + 1, d):
+            A[m] += qexp.chi3(d) * d * d
+            B[m] += qexp.chi3(m // d) * d * d
+    want = [3 * A[m] - B[m] + (27 * B[m // 3] - 3 * A[m // 3] if m % 3 == 0 else 0)
+            for m in range(n + 1)]
+    assert (2 * qexp._divisor_sieve(n, 2, qexp._F_TABLE)).tolist() == want
+
+
+def test_g_table_is_the_fricke_partner():
+    # 3 a_m(g) = sum_{de = m} d^2 W[d % 3][e % 3] for g = eta(9t)^6 eta(t)^3/eta(3t)^3
+    n = 3000
+    g = qexp.eta_quotient(lvalue._G_ETA, n).coeffs
+    got = qexp._divisor_sieve(n, 2, ((0, -1, 1), (0, 0, -1), (0, 1, 0)))
+    assert got.tolist() == [3 * c for c in g]
+
+
+@pytest.mark.parametrize("i", range(3))
+@pytest.mark.parametrize("j", range(3))
+def test_f_guard_catches_one_wrong_table_entry(monkeypatch, i, j):
+    table = [list(row) for row in qexp._F_TABLE]
+    table[i][j] += 1
+    monkeypatch.setattr(qexp, "_F_TABLE", table)
+    with pytest.raises(AssertionError, match="exact product"):
+        qexp.f_coefficients(2000)
 
 
 # -- character -------------------------------------------------------------------------

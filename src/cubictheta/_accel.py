@@ -10,8 +10,7 @@ sum w_d S_d with the weight norm sum |w_d| that scales the rounding of the
 sums (Sidi, *Practical Extrapolation Methods*, CUP 2003, ch. 1-4).
 
 ``richardson`` is Neville's rule at 0: the value there of the polynomial
-through given points.  ``lvalue.l_dirichlet`` takes it in 1/N for the tail
-estimate of the Dirichlet series, ``thetanum.differential_residual`` in h^2
+through given points, which ``thetanum.differential_residual`` takes in h^2
 for the limit of its finite-difference ladder.
 """
 

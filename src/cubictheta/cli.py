@@ -393,8 +393,7 @@ def cmd_lvalue(args, parser) -> int:
         res = lvalue.l2_intermediate(prec)
     secs = time.perf_counter() - t0
     print(f"L(f,{args.n}) = {_fmt(res.value, args.digits)}")
-    print(f"err_estimate = {_fmt(res.err_estimate, 5)}"
-          + (" (heuristic tail)" if args.method == "dirichlet" else ""))
+    print(f"err_estimate = {_fmt(res.err_estimate, 5)}")
     print(f"method = {res.method}")
     print(f"seconds = {secs:.3f}")
     return _EXIT_OK

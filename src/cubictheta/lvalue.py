@@ -6,21 +6,22 @@ eta(t)^6 eta(9t)^3/eta(3t)^3.  The Fricke involution t -> -1/(9t) maps f to
 its partner g = b(q) c(q^3)^2/9 = eta(9t)^6 eta(t)^3/eta(3t)^3, so the Mellin
 integral of f(iy) y^(s-1), split at y0 = 1/3, becomes two sums of exact
 coefficients times incomplete gamma values: no theta value and no quadrature
-node is evaluated (``l_mellin``).  The Dirichlet partial sum is the heuristic
-second route at s = 3; the right-hand sides of the three hypergeometric
-L-value formulas are assembled from Kampe de Feriet values at (1, 1) by
-either the accelerated double series or the integral representation.
+node is evaluated (``l_mellin``).  The Dirichlet partial sum, with a proven
+tail, is the second route at s = 3; the right-hand sides of the three
+hypergeometric L-value formulas are assembled from Kampe de Feriet values at
+(1, 1) by either the accelerated double series or the integral representation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from mpmath import mp, mpf, mpmathify
 
-from . import _accel, hyper, qexp, thetanum
+from . import hyper, qexp, thetanum
 from .hyper import KdFParams, PFQParams, SeriesResult, quad_de
 from .reports import IdentityReport, check
 from .thetanum import Precision
@@ -81,17 +82,16 @@ _MAX_TERMS = 50_000
 
 
 def _coeff_bound(m: int) -> mpf:
-    """96 m^(5/2) (m + 2), a bound on |a_m| and |b_m| for every m >= 1.
+    """2 zeta(2) m^2 = pi^2 m^2/3, a bound on |a_m| and |b_m| for every m >= 1.
 
-    The coefficients of b(q) (1 at q^0) and of c(q) = sum_l gamma_l q^(l+1/3)
-    are bounded by representation counts r(k) <= 6 d(k) <= 12 sqrt(k), with
-    k = m for b and k = 3l + 1 for c.  In b(q)^2 the coefficient of q^k,
-    k >= 1, is then at most 24 sqrt(k) + 144 (k - 1) k/2 <= 72 k^2.  So
-    |a_m| = |(b^2 c(q^3))_m|/3 <= (1/3) 72 m^2 12 sqrt(m) (m + 2)/3, with
-    (m + 2)/3 bounding the choices of l.  For b_m = (b c(q^3)^2)_m/9 the same
-    steps give (32/3) m^(3/2) (m + 1)(m + 4), which is smaller.
+    Both forms are divisor sums sum_{de = m} d^2 W[d % 3][e % 3]: a_m with
+    W = ``qexp._F_TABLE``, whose entries are at most 2 in size, and 3 b_m
+    with W = ((0, -1, 1), (0, 0, -1), (0, 1, 0)), whose entries are at most
+    1 (g lies in M_3(Gamma_0(9), chi3) with f, so agreement to the Sturm
+    bound q^3 proves that table).  So |a_m| <= 2 sigma_2(m) and
+    |b_m| <= sigma_2(m)/3, and sigma_2(m) = m^2 sum_{d | m} d^-2 < zeta(2) m^2.
     """
-    return 96 * mp.sqrt(m) ** 5 * (m + 2)
+    return mp.pi ** 2 / 3 * m ** 2
 
 
 def _upper_gamma(nu: int, x) -> mpf:
@@ -178,9 +178,10 @@ def l_mellin(n: int, prec: Precision) -> SeriesResult:
 
 # -- Dirichlet route ------------------------------------------------------------
 
-# a chunk's bucket sums of the 27-bit high halves stay below 2^27 * 2^20 =
-# 2^47, well inside the 2^53 that keeps a float64 bucket exact
-_SUM_CHUNK = 1 << 20
+# a chunk's bucket sums of the 27-bit high halves stay below 2^27 * 2^18 =
+# 2^45, well inside the 2^53 that keeps a float64 bucket exact; a chunk's
+# numpy temporaries, about 36 bytes a term, stay near 9 MB
+_SUM_CHUNK = 1 << 18
 
 
 def _exact_sum(chunk: np.ndarray) -> tuple:
@@ -204,54 +205,67 @@ def _exact_sum(chunk: np.ndarray) -> tuple:
     return total, e0 - 53
 
 
-def _prefix_sums(terms: np.ndarray, ends) -> list:
-    """The correctly rounded sums of terms[:k], as floats, for each k in the
-    increasing ``ends``: ``math.fsum(terms[:k])``, bit for bit, from one pass.
+def _prefix_sum(terms: np.ndarray, end: int) -> float:
+    """The correctly rounded sum of terms[:end], as a float:
+    ``math.fsum(terms[:end])``, bit for bit, from one pass.
 
-    The running total is one Python int T at the scale 2^e of the smallest
-    exponent seen so far, carried exactly across chunks of at most
-    ``_SUM_CHUNK`` terms (``_exact_sum``); each checkpoint rounds it once, by
-    int true division, which is correctly rounded.  This is a small
-    superaccumulator indexed by exponent (Neal, "Fast exact summation using
-    small and large superaccumulators", arXiv:1505.05571, 2015).
+    The exact sums T 2^s of chunks of at most ``_SUM_CHUNK`` terms
+    (``_exact_sum``) are added as one Python int at the scale 2^e of the
+    smallest s, and that int is rounded once, correctly, by int true
+    division.  This is a small superaccumulator indexed by exponent (Neal,
+    "Fast exact summation using small and large superaccumulators",
+    arXiv:1505.05571, 2015).
     """
-    total, e, start, out = 0, 0, 0, []
-    for end in ends:
-        for i in range(start, end, _SUM_CHUNK):
-            t, s = _exact_sum(terms[i:min(i + _SUM_CHUNK, end)])
-            low = min(e, s)
-            total, e = (total << (e - low)) + (t << (s - low)), low
-        start = end
-        out.append(float(total << e) if e >= 0 else total / (1 << -e))
-    return out
+    parts = [_exact_sum(terms[i:min(i + _SUM_CHUNK, end)]) for i in range(0, end, _SUM_CHUNK)]
+    e = min((s for _, s in parts), default=0)
+    total = sum(t << (s - e) for t, s in parts)
+    return float(total << e) if e >= 0 else total / (1 << -e)
+
+
+def _tail_constant(table) -> mpf:
+    """C with |S(x)| <= C x^2 for x >= 1, S(x) the sum over m <= x of
+    a_m = sum_{de = m} d^2 table[d % 3][e % 3].
+
+    Column j holds the weights w(d) = table[d % 3][j] of the terms with
+    e = j mod 3.  If it sums to 0, P(t) = sum_{d <= t} w(d) is periodic,
+    with |P| <= M_j, its largest size over one period, and Abel summation
+    gives |sum_{d <= X} w(d) d^2| = |P(X) X^2 - int_1^X 2t P(t) dt|
+    <= 2 M_j X^2.  Taking X = x/e and summing over e,
+    C = sum_j 2 M_j sum_{e = j mod 3} e^-2, where the inner sum is the
+    Hurwitz zeta(2, r/3)/9 with r = j, or 3 for j = 0.  For
+    ``qexp._F_TABLE``, M = 0, 1, 2 and C = (2 zeta(2, 1/3) + 4 zeta(2, 2/3))/9
+    = 3.605.  A column with a nonzero sum raises ValueError: its P grows.
+    """
+    C = mpf(0)
+    for j in range(3):
+        sums = list(accumulate(table[d % 3][j] for d in (1, 2, 3)))
+        if sums[-1]:
+            raise ValueError(f"column {j} of the table does not sum to 0")
+        C += 2 * max(map(abs, sums)) * mp.zeta(2, mpf(j or 3) / 3) / 9
+    return C
 
 
 def l_dirichlet(N: int) -> SeriesResult:
-    """Partial sum of a_n / n^3 up to N, with a heuristic extrapolated tail.
+    """Partial sum of a_n / n^3 up to N, with a proven bound on its distance
+    from L(f, 3).
 
-    The value is the raw partial sum.  err_estimate is its distance from the
-    value at 1/N = 0 of the quadratic in 1/N through the partial sums at N/2,
-    3N/4 and N (``_accel.richardson``); the coefficient sums oscillate, so
-    this is an order-of-magnitude indicator, not a bound.
-
-    The terms are formed in numpy from the int64 coefficients of
-    ``qexp._f_coeffs``, which are exact divisor sums.  The three checkpoints
-    come from one exact pass over the float terms (``_prefix_sums``): each
-    term is an int times a power of two, the ints are summed per exponent
-    with ``np.bincount`` in chunks small enough that every bucket stays below
-    2^53, and the running total is one Python int, rounded once per
-    checkpoint.  Each checkpoint is the correctly rounded sum of the float
-    terms, equal to ``math.fsum`` (Neal, arXiv:1505.05571, 2015).
+    With |S(x)| <= C x^2 (``_tail_constant`` of ``qexp._F_TABLE``), partial
+    summation bounds the tail sum_{n > N} a_n/n^3 = -S(N)/N^3
+    + 3 int_N^inf S(t) t^-4 dt by C/N + 3C/N = 4C/N.  The terms are formed
+    in float from the exact int64 coefficients of ``qexp._f_coeffs`` (below
+    2^53), with at most three roundings each (two in n^3, one in the
+    division), and their sum is correctly rounded (``_prefix_sum``).  As
+    |a_n| <= ``_coeff_bound(n)`` = 2 zeta(2) n^2, the rounding is at most
+    3 eps 2 zeta(2) (1 + ln N), eps = 2^-52.  err_estimate is the sum of the
+    two bounds.
     """
     if N < 1000:
         raise ValueError("N must be at least 10^3")
     terms = np.arange(1, N + 1, dtype=float) ** 3
     np.divide(qexp._f_coeffs(N)[1:], terms, out=terms)
-    checkpoints = sorted({N // 2, 3 * N // 4, N})
-    sums = _prefix_sums(terms, checkpoints)
-    limit = _accel.richardson([1.0 / k for k in checkpoints], sums)
-    tail_estimate = abs(limit - sums[-1])
-    return SeriesResult(mpf(sums[-1]), mpf(tail_estimate), N, "direct")
+    tail = 4 * _tail_constant(qexp._F_TABLE) / N
+    rounding = 3 * 2.0 ** -52 * _coeff_bound(1) * (1 + mp.log(N))
+    return SeriesResult(mpf(_prefix_sum(terms, N)), tail + rounding, N, "direct")
 
 
 # -- Theorem right-hand sides ----------------------------------------------------
@@ -311,10 +325,12 @@ def l1_alpha_integral(prec: Precision) -> SeriesResult:
     """
     with mp.workdps(prec.dps + 15):
         third = mpf(1) / 3
+        # the plan of 2F1(1/3, 2/3; 1; .) and its eps, formed once, not per node
+        plan = hyper._plan((Fraction(1, 3), Fraction(2, 3)), (Fraction(1),))
+        eps = mpf(10) ** (5 - mp.dps)
 
         def integrand(t, omt):
-            f6 = hyper.gauss_2f1_unit_interval(Fraction(1, 3), Fraction(2, 3), Fraction(1), t, omt)
-            return (omt ** (-third) - 1) / t * f6
+            return (omt ** (-third) - 1) / t * plan.eval(t, omt, eps)[0]
 
         quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)
         val = quad.value / 9

@@ -1,19 +1,32 @@
 #!/usr/bin/env python3
-"""Time the boundary Kampe de Feriet values of the six Theorem blocks.
+"""Time the boundary Kampe de Feriet values of the six Theorem blocks, and
+the theorem suite, from 40 to 100 digits.
 
     python3 benchmarks/kdf_boundary.py > record.json
 
-Takes no options.  For each block of ``lvalue.THEOREM_KDF_BLOCKS`` it times
-``hyper.kdf_series`` at (1, 1) and 40 digits, at target 1e-12 (the precision
-the theorem suite builds for ``verify --digits 40``) and at target 1e-25.  In
-one fresh process it first times one call for each block and target in turn
-(cold: the first call pays for every cache it fills), then each again, best of
-5.  After the timing it records, for each call, the diagonal count D (from
-``terms_used``), the fit order K (from one more call with
-``_accel.known_exponent_fit`` wrapped; null on a checkout without that fit),
-the bar and the gap to ``kdf_integral`` at 60 digits (bar 2.5e-47).  Prints one
-JSON record with those, the Python version, the CPU count,
-``git describe --always --dirty`` of the checkout and ``mpmath.libmp.BACKEND``.
+Takes no options.  For each row (digits, tol) of ROWS it calls
+``hyper.kdf_series`` at (1, 1) on each block of ``lvalue.THEOREM_KDF_BLOCKS``
+once, at ``Precision(digits, tol)``, with the fit's caches emptied before
+the row, and records per block:
+
+- the seconds of the call, and the seconds spent making weights (the
+  fit's elimination, building its rows included);
+- the eliminations the search made: weight systems solved on a checkout
+  that solves one per order, grids grown on one that grows one elimination
+  per working precision;
+- D (from ``terms_used``), the grid step s (null where each order has its
+  own step) and the last fit order K* (``_accel.known_exponent_fit``
+  wrapped);
+- the bar, and for L1 and L2a the error against the closed forms of
+  ``tests/closed_forms.py`` (L1 = 27 L(f, 1), L2a = L1 + (81 sqrt 3/(4 pi))
+  L(f, 2));
+- or the error message, where the search raises.
+
+Then it times ``cubictheta verify --suite theorem --digits D --tol T`` for
+each row in a fresh interpreter, with its exit code.  Prints one JSON record
+with those, the Python version, the CPU count, ``git describe --always
+--dirty`` of the checkout and ``mpmath.libmp.BACKEND``.  Runs the checkout
+it sits in: copy it into another checkout to time that one.
 """
 
 from __future__ import annotations
@@ -29,84 +42,143 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import mpmath  # noqa: E402
 from mpmath import mp  # noqa: E402
 
+from closed_forms import l_value  # noqa: E402
 from cubictheta import _accel, hyper  # noqa: E402
 from cubictheta.lvalue import THEOREM_KDF_BLOCKS  # noqa: E402
 from cubictheta.thetanum import Precision  # noqa: E402
 
-REPEATS = 5
-TARGETS = (1e-12, 1e-25)
-REFERENCE = Precision(60, 1e-46)
+ROWS = ((40, 1e-12), (40, 1e-30), (60, 1e-48), (80, 1e-60), (100, 1e-90))
 
 
-def timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out
+class FitSpy:
+    """Wraps the fit for one call: the orders it asked for, the eliminations
+    it made and the seconds it spent making weights."""
+
+    def __init__(self):
+        self.orders, self.eliminations, self.weight_seconds = [], 0, 0.0
+        self._undo = []
+
+    def _wrap(self, owner, name, count=False, timed=False):
+        fn = getattr(owner, name)
+        spy = self
+
+        def wrapped(*args, **kwargs):
+            if count:
+                spy.eliminations += 1
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                if timed:
+                    spy.weight_seconds += time.perf_counter() - t0
+
+        setattr(owner, name, wrapped)
+        self._undo.append((owner, name, fn))
+
+    def __enter__(self):
+        fit = _accel.known_exponent_fit
+
+        def known_exponent_fit(sums, families, order):
+            self.orders.append(order)
+            return fit(sums, families, order)
+
+        _accel.known_exponent_fit = known_exponent_fit
+        self._undo.append((_accel, "known_exponent_fit", fit))
+        if hasattr(_accel, "_Grid"):
+            self._wrap(_accel._Grid, "__init__", count=True)
+            self._wrap(_accel._Grid, "weights", timed=True)
+        else:
+            self._wrap(_accel, "_solve_first_unit", count=True)
+            self._wrap(_accel, "_weights", timed=True)
+        return self
+
+    def __exit__(self, *exc):
+        for owner, name, fn in reversed(self._undo):
+            setattr(owner, name, fn)
 
 
-def fit_order(params, prec):
-    """The order of the last fit a kdf_series call makes, or None."""
-    fit = getattr(_accel, "known_exponent_fit", None)
-    if fit is None:
+def clear_fit_caches():
+    for name in ("_grid", "_weights"):
+        cache = getattr(_accel, name, None)
+        if hasattr(cache, "cache_clear"):
+            cache.cache_clear()
+
+
+def truth(name, dps):
+    if name not in ("L1", "L2a"):
         return None
-    orders = []
+    with mp.workdps(dps + 10):
+        value = 27 * l_value(1, dps)
+        if name == "L2a":
+            value += 81 * mp.sqrt(3) / (4 * mp.pi) * l_value(2, dps)
+    return value
 
-    def spy(sums, families, order):
-        orders.append(order)
-        return fit(sums, families, order)
 
-    _accel.known_exponent_fit = spy
-    try:
-        hyper.kdf_series(params, 1, 1, prec)
-    finally:
-        _accel.known_exponent_fit = fit
-    return orders[-1]
+def block_row(name, params, prec):
+    with FitSpy() as spy:
+        t0 = time.perf_counter()
+        try:
+            res = hyper.kdf_series(params, 1, 1, prec)
+        except ArithmeticError as exc:
+            res = exc
+        seconds = time.perf_counter() - t0
+    row = {
+        "seconds": round(seconds, 4),
+        "weight_seconds": round(spy.weight_seconds, 4),
+        "eliminations": spy.eliminations,
+        "order": spy.orders[-1] if spy.orders else None,
+        "step": getattr(_accel, "_STEP", None),
+    }
+    if isinstance(res, ArithmeticError):
+        row["error"] = str(res)
+        return row
+    want = truth(name, prec.dps)
+    with mp.workdps(prec.dps + 10):
+        row.update({
+            "diagonals": (math.isqrt(8 * res.terms_used + 1) - 3) // 2,
+            "err_estimate": mp.nstr(res.err_estimate, 3),
+            "error_vs_closed_form": None if want is None else mp.nstr(abs(res.value - want), 3),
+            "value": mp.nstr(res.value, 30),
+        })
+    return row
+
+
+def verify_row(digits, tol):
+    cmd = [sys.executable, "-m", "cubictheta.cli", "verify", "--suite", "theorem",
+           "--digits", str(digits), "--tol", repr(tol)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    t0 = time.perf_counter()
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    return {"wall_seconds": round(time.perf_counter() - t0, 3), "exit_code": done.returncode,
+            "stderr": done.stderr.strip()[-300:]}
 
 
 def main() -> None:
-    calls = [(name, tol) for tol in TARGETS for name in THEOREM_KDF_BLOCKS]
-    cold, results = {}, {}
-    for name, tol in calls:
-        prec = Precision(40, tol)
-        cold[name, tol], results[name, tol] = timed(
-            lambda: hyper.kdf_series(THEOREM_KDF_BLOCKS[name], 1, 1, prec))
-    best = {key: min(timed(lambda: hyper.kdf_series(THEOREM_KDF_BLOCKS[key[0]], 1, 1,
-                                                    Precision(40, key[1])))[0]
-                     for _ in range(REPEATS)) for key in calls}
-    refs = {name: hyper.kdf_integral(params, 1, 1, REFERENCE).value
-            for name, params in THEOREM_KDF_BLOCKS.items()}
-    out = {}
-    for tol in TARGETS:
-        rows = {}
-        for name, params in THEOREM_KDF_BLOCKS.items():
-            res = results[name, tol]
-            with mp.workdps(70):
-                gap = abs(res.value - refs[name])
-            rows[name] = {
-                "cold_seconds": round(cold[name, tol], 4),
-                "best_seconds": round(best[name, tol], 4),
-                "diagonals": (math.isqrt(8 * res.terms_used + 1) - 3) // 2,
-                "order": fit_order(params, Precision(40, tol)),
-                "err_estimate": mp.nstr(res.err_estimate, 3),
-                "gap_to_integral": mp.nstr(gap, 3),
-                "method": res.method,
-            }
-        out[repr(tol)] = {
-            "blocks": rows,
-            "cold_total_seconds": round(sum(r["cold_seconds"] for r in rows.values()), 4),
-            "best_total_seconds": round(sum(r["best_seconds"] for r in rows.values()), 4),
+    rows = {}
+    for digits, tol in ROWS:
+        clear_fit_caches()
+        prec = Precision(digits, tol)
+        blocks = {name: block_row(name, params, prec)
+                  for name, params in THEOREM_KDF_BLOCKS.items()}
+        rows[f"{digits},{tol!r}"] = {
+            "blocks": blocks,
+            "total_seconds": round(sum(b["seconds"] for b in blocks.values()), 4),
+            "weight_seconds": round(sum(b["weight_seconds"] for b in blocks.values()), 4),
+            "eliminations": sum(b["eliminations"] for b in blocks.values()),
         }
+    verify = {f"{digits},{tol!r}": verify_row(digits, tol) for digits, tol in ROWS}
     git = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                          capture_output=True, text=True).stdout.strip()
     print(json.dumps({
-        "benchmark": "hyper.kdf_series at (1, 1) on the six Theorem blocks",
-        "digits": 40,
-        "repeats": REPEATS,
-        "targets": out,
+        "benchmark": "hyper.kdf_series at (1, 1) on the six Theorem blocks, and "
+                     "verify --suite theorem",
+        "rows": rows,
+        "verify_theorem": verify,
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "git": git,

@@ -3,11 +3,17 @@
 ``known_exponent_fit`` is the library's one extrapolation.  Its caller knows
 the form of the remainder S_inf - S_D in advance, as families of functions
 sign^N N^-(e + j) (log N)^l (N = D + 1, j >= 0, l <= lmax), read off the
-parameters of the series (``hyper._kdf_families``).  The fit solves once for
+parameters of the series (``hyper._kdf_families``).  The fit solves for
 weights w, independent of the data, that send the constant to 1 and the K
-largest remainder functions to 0 on K + 1 equally spaced points, and returns
-sum w_d S_d with the weight norm sum |w_d| that scales the rounding of the
-sums (Sidi, *Practical Extrapolation Methods*, CUP 2003, ch. 1-4).
+largest remainder functions to 0 on K + 1 points, and returns sum w_d S_d
+with the weight norm sum |w_d| that scales the rounding of the sums (Sidi,
+*Practical Extrapolation Methods*, CUP 2003, ch. 1-4).  The points of every
+order lie on one grid D, D - 3, D - 6, ..., order K on its first K + 1, so
+the orders of one search share one elimination that grows by a row and a
+column per order, and each order's weights are one back-substitution: the
+nested-point elimination of the FS-algorithm (Ford & Sidi, SIAM J. Numer.
+Anal. 24 (1987) 1212-1232) and of Brezinski's E-algorithm (Numer. Math. 35
+(1980) 175-187), on the known-exponent model.
 
 ``richardson`` is Neville's rule at 0: the value there of the polynomial
 through given points, which ``thetanum.differential_residual`` takes in h^2
@@ -18,7 +24,8 @@ from __future__ import annotations
 
 import heapq
 from functools import lru_cache
-from itertools import count, islice
+from itertools import count
+from operator import mul
 
 from mpmath import mp, mpf
 
@@ -26,6 +33,8 @@ __all__ = ["known_exponent_fit", "max_order", "richardson"]
 
 # guard bits of the weight elimination above the precision of the sums
 _FIT_GUARD = 64
+# the step of the fit grid: odd, so that sign^N alternates along it
+_STEP = 3
 
 
 def known_exponent_fit(sums, families, order: int):
@@ -35,22 +44,26 @@ def known_exponent_fit(sums, families, order: int):
     ``families`` is a tuple of (e, lmax, sign): the remainder S_inf - S_d is a
     sum of c sign^N N^-(e + j) (log N)^l, N = d + 1, j >= 0, l <= lmax, with
     e an exact rational.  The model is the constant plus the first ``order``
-    = K of those functions, largest first (``_model``), on K + 1 equally
-    spaced indices d of [0.35 D, D] that end at D, so K is at most
-    ``max_order(D)`` (ValueError otherwise).  Their step is odd, so that
+    = K of those functions, largest first (``_model``), on the K + 1 indices
+    D, D - 3, ..., D - 3K, which stay in [0.35 D, D] for K at most
+    ``max_order(D)`` (ValueError otherwise).  The step is odd, so that
     sign^N alternates along them: with an even step every point has one
     parity, an alternating function turns into a smooth one, and the fit
     into the ill-conditioned smooth fit.  The weights w solve
     sum_d w_d phi(N_d) = [phi = 1] for each model function phi, so they do
     not depend on the data, and the value is sum_d w_d S_d: exact on ints
     (the sums at one common exponent, the weights at 2^-wp), rounded once to
-    the working precision.  The weights are solved at wp = prec + 64 bits
-    and cached per (families, D, K, wp).  Sums off by at most r each move
-    the value by at most r sum |w_d|.
+    the working precision.  The weights come from one elimination per
+    (families, D, wp) (``_Grid``, cached), at wp = prec + 64 bits, grown to
+    the largest order asked for.  Sums off by at most r each move the value
+    by at most r sum |w_d|.
     """
     D = len(sums) - 1
+    if order > max_order(D):
+        raise ValueError(f"fit order {order} needs more than the {max_order(D) + 1} "
+                         f"points of step {_STEP} on [0.35 D, D] at D = {D}")
     wp = mp.prec + _FIT_GUARD
-    pts, w = _weights(families, D, order, wp)
+    pts, w = _grid(families, D, wp).weights(order)
     # _mpf_ is (sign, unsigned mantissa, exponent, bit count); 0 is (0, 0, 0, 0)
     raw = [sums[d]._mpf_ for d in pts]
     exp = min((e for _, man, e, _ in raw if man), default=0)
@@ -60,9 +73,9 @@ def known_exponent_fit(sums, families, order: int):
 
 
 def max_order(D: int) -> int:
-    """The largest fit order on S_0..S_D: D - ceil(0.35 D), the most steps
-    of odd length >= 1 on [0.35 D, D]."""
-    return D - -(-7 * D // 20)
+    """The largest fit order on S_0..S_D: (D - ceil(0.35 D)) // 3, the most
+    steps of 3 from D that stay in [0.35 D, D]."""
+    return (D - -(-7 * D // 20)) // _STEP
 
 
 def _family(index, e, lmax):
@@ -79,65 +92,95 @@ def _model(families):
         yield i, int(e - families[i][0]), -neg_l
 
 
-@lru_cache(maxsize=256)
-def _weights(families, D: int, K: int, wp: int):
-    """The fit points and the weights of ``known_exponent_fit``, as ints at 2^wp.
+@lru_cache(maxsize=16)
+def _grid(families, D: int, wp: int) -> _Grid:
+    return _Grid(families, D, wp)
 
-    Each model row holds sign^N (N0/N)^(e + j) (log N)^l at the points, N0
-    the first, a constant multiple of the model function: (N0/N)^e from one
-    exp per family and point, times N0^j / N^j by one floor.  The row
-    is then scaled so that its largest entry is 2^wp, and the system is
-    solved by ``_solve_first_unit``.
+
+class _Grid:
+    """The points D, D - 3, D - 6, ... of the fits on S_0..S_D, and the LU
+    elimination of their model matrix, grown one order at a time.
+
+    Order K takes points 0..K and the constant plus the first K model
+    functions (``_model``), so its matrix is the leading (K + 1) x (K + 1)
+    block of one matrix A, row r the r-th function and column i the i-th
+    point.  So one Doolittle elimination A = L U without row exchanges
+    serves every order: order k adds row k of L, column k of U and entry k
+    of y = L^-1 e_0, O(k^2), and the weights of order K solve U_K w = y_K
+    by one back-substitution, O(K^2).  A pivot that vanishes raises
+    ArithmeticError; nothing falls back.  Entry (r, i) is
+    sign^N (N0/N)^(e + j) (log N)^l at N = N_i, N0 = D + 1, a constant
+    multiple of the model function: (N0/N)^e from one exp per family and
+    point, times N0^j / N^j by one floor.  Row r is scaled so that its
+    largest entry on points 0..r, those of the order that adds it, is 2^wp.
+    Entries, multipliers and weights are ints at 2^wp; each sum of products
+    is exact and floored once.
     """
-    span = max_order(D)
-    if K > span:
-        raise ValueError(f"fit order {K} needs more than the {span + 1} points "
-                         f"of odd step on [0.35 D, D] at D = {D}")
-    step = span // K
-    step -= 1 - step % 2
-    pts = tuple(D - step * (K - i) for i in range(K + 1))
-    n0 = pts[0] + 1
-    with mp.workprec(wp + 16):
-        logs = [mp.log(d + 1) for d in pts]
-        base = [[sign ** (d + 1) * int(mp.ldexp(mp.exp(mpf(e.numerator) / e.denominator
-                                                       * (logs[0] - lg)), wp))
-                 for e, _, sign in families] for d, lg in zip(pts, logs)]
-        fixed_logs = [int(mp.ldexp(lg, wp)) for lg in logs]
-    rows = [[1 << wp] * (K + 1)]
-    for f, j, l in islice(_model(families), K):
-        row = []
-        for d, b, lg in zip(pts, base, fixed_logs):
-            v = b[f] * n0 ** j // (d + 1) ** j
-            for _ in range(l):
-                v = v * lg >> wp
-            row.append(v)
-        top = max(map(abs, row))
-        rows.append([(v << wp) // top for v in row])
-    return pts, tuple(_solve_first_unit(rows, wp))
 
+    def __init__(self, families, D: int, wp: int):
+        self.families, self.D, self.wp = families, D, wp
+        with mp.workprec(wp + 16):
+            self.log0 = mp.log(D + 1)
+        self.model = _model(families)
+        self.pts, self.logs, self.base = [], [], []  # per point: d, log N, (N0/N)^e
+        self.funcs = []  # ((family, j, l), scale) of rows 1, 2, ...
+        self.lower = [[]]  # L[k][:k]
+        self.upper = []  # U[:k + 1][k], by column k
+        self.y = []
 
-def _solve_first_unit(rows, wp: int):
-    """The w with sum_i rows[r][i] w_i = [r = 0], by Gaussian elimination with
-    partial pivoting in fixed point: entries, multipliers and w are ints at
-    2^wp, each product floored once.  ``rows`` is overwritten; the entries
-    below the diagonal are left stale, as nothing reads them again."""
-    n = len(rows)
-    rhs = [1 << wp] + [0] * (n - 1)
-    for p in range(n):
-        q = max(range(p, n), key=lambda r: abs(rows[r][p]))
-        rows[p], rows[q] = rows[q], rows[p]
-        rhs[p], rhs[q] = rhs[q], rhs[p]
-        top, pivot = rows[p][p], rows[p][p + 1:]
-        for r in range(p + 1, n):
-            m = (rows[r][p] << wp) // top
-            if m:
-                rows[r][p + 1:] = [a - (m * b >> wp) for a, b in zip(rows[r][p + 1:], pivot)]
-                rhs[r] -= m * rhs[p] >> wp
-    w = [0] * n
-    for i in reversed(range(n)):
-        acc = (rhs[i] << wp) - sum(a * b for a, b in zip(rows[i][i + 1:], w[i + 1:]))
-        w[i] = acc // rows[i][i]
-    return w
+    def _add_point(self):
+        wp, d = self.wp, self.D - _STEP * len(self.pts)
+        with mp.workprec(wp + 16):
+            lg = mp.log(d + 1)
+            self.base.append([sign ** (d + 1) * int(mp.ldexp(
+                mp.exp(mpf(e.numerator) / e.denominator * (self.log0 - lg)), wp))
+                for e, _, sign in self.families])
+            self.logs.append(int(mp.ldexp(lg, wp)))
+        self.pts.append(d)
+
+    def _raw(self, func, i: int) -> int:
+        """Model function ``func`` = (family, j, l) at point i, unscaled."""
+        f, j, l = func
+        v = self.base[i][f] * (self.D + 1) ** j // (self.pts[i] + 1) ** j
+        for _ in range(l):
+            v = v * self.logs[i] >> self.wp
+        return v
+
+    def _grow(self):
+        wp, k = self.wp, len(self.upper)
+        lower, upper, y = self.lower, self.upper, self.y
+        self._add_point()
+        if k:
+            func = next(self.model)
+            raw = [self._raw(func, i) for i in range(k + 1)]
+            top = max(map(abs, raw))
+            self.funcs.append((func, top))
+            row = []
+            for j, v in enumerate(raw[:k]):
+                acc = ((v << wp) // top << wp) - sum(map(mul, row, upper[j]))
+                row.append(acc // upper[j][j])
+            lower.append(row)
+        # column k of A: the constant, then each model row at the new point
+        col = []
+        for i, a in enumerate([1 << wp] + [(self._raw(func, k) << wp) // top
+                                           for func, top in self.funcs]):
+            col.append(a - (sum(map(mul, lower[i], col)) >> wp))
+        if not col[k]:
+            raise ArithmeticError(f"the fit elimination has a zero pivot at order {k} "
+                                  f"(D = {self.D})")
+        upper.append(col)
+        y.append(-(sum(map(mul, lower[k], y)) >> wp) if k else 1 << wp)
+
+    def weights(self, K: int):
+        """The points and the weights of order K, as ints at 2^wp."""
+        while len(self.upper) <= K:
+            self._grow()
+        wp, upper = self.wp, self.upper
+        w = [0] * (K + 1)
+        for i in reversed(range(K + 1)):
+            acc = (self.y[i] << wp) - sum(upper[m][i] * w[m] for m in range(i + 1, K + 1))
+            w[i] = acc // upper[i][i]
+        return tuple(self.pts[:K + 1]), tuple(w)
 
 
 def richardson(xs, ys):

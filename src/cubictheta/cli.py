@@ -297,11 +297,31 @@ def _fmt(x, digits: int) -> str:
     return mp.nstr(mpmathify(x), digits, strip_zeros=True)
 
 
+def _significant(x, places: int) -> int:
+    """The significant digits of x down to the decimal place 10^-places, at
+    least one; x nonzero."""
+    return max(1, places + int(mp.floor(mp.log10(abs(x)))) + 1)
+
+
 def _fmt_err(err, digits: int) -> str:
     """A distance to absolute precision 10^-digits, the precision of the sides
     it compares: further digits would be rounding noise."""
     x = mpmathify(err)
-    return _fmt(x, max(1, digits + int(mp.floor(mp.log10(x))) + 1) if x else digits)
+    return _fmt(x, _significant(x, digits) if x else digits)
+
+
+def _fmt_value(value, bar, digits: int):
+    """A value to the decimal places its bar supports, at most ``digits``
+    significant, and the bar of that text: the last place printed is the
+    first 10^-k with bar <= 10^-k / 2, so every number within the bar of
+    the value is within 10^-k of the text; its bar adds the rounding."""
+    with mp.workdps(digits + 10):
+        x, bar = mpmathify(value), mpmathify(bar)
+        sig = digits
+        if x and bar:
+            sig = min(digits, _significant(x, int(mp.floor(-mp.log10(2 * bar)))))
+        text = _fmt(x, sig)
+        return text, bar + abs(mpf(text) - x)
 
 
 def suite_report_dict(reports, digits: int, total_seconds: float) -> dict:
@@ -392,8 +412,9 @@ def cmd_lvalue(args, parser) -> int:
     else:
         res = lvalue.l2_intermediate(prec)
     secs = time.perf_counter() - t0
-    print(f"L(f,{args.n}) = {_fmt(res.value, args.digits)}")
-    print(f"err_estimate = {_fmt(res.err_estimate, 5)}")
+    text, bar = _fmt_value(res.value, res.err_estimate, args.digits)
+    print(f"L(f,{args.n}) = {text}")
+    print(f"err_estimate = {_fmt(bar, 5)}")
     print(f"method = {res.method}")
     print(f"seconds = {secs:.3f}")
     return _EXIT_OK

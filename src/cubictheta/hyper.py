@@ -40,9 +40,9 @@ whose remainder has a form known from the parameters (``_kdf_families``).
 A pFq at x = 1 that no closed form covers is the value at (1, 0) of the
 one-factor block KdFParams([], [], upper, lower, [], []), so its partial
 sums and families are that block's.  ``_extrapolate`` takes the partial
-sums up to the one index D = ``_FIT_D`` and searches the order K of the
-known-exponent fit (``_accel.known_exponent_fit``) on them against the
-requested tol; it raises when the search stalls or runs out of points.  The
+sums up to the one index D that the tol sets (``_fit_d``) and searches the
+order K of the known-exponent fit (``_accel.known_exponent_fit``) on them
+against that tol; it raises when the search stalls or runs out of points.  The
 module holds evaluators only; the identity checks live in ``lvalue`` and ``cli``.
 """
 
@@ -607,10 +607,10 @@ class _Plan:
                 # the partial sums at 1 are the anti-diagonal sums of the
                 # one-factor block at (1, 0), and their remainder families are
                 # that block's
-                block, zero = KdFParams([], [], self.up, self.lo, [], []), mpf(0)
-                val, err = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, _FIT_D),
+                block, zero, D = KdFParams([], [], self.up, self.lo, [], []), mpf(0), _fit_d(eps)
+                val, err = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, D),
                                         _kdf_families(block, x, zero), eps)
-                return +val, _FIT_D + 1, "accelerated", +err
+                return +val, D + 1, "accelerated", +err
             if self.other is not None:
                 # binomial closed form, valid on the whole interval [-1, 1)
                 am = _to_mpf(self.other - 1)
@@ -821,11 +821,40 @@ def _kdf_families(params: KdFParams, x, y):
     return tuple(sorted((e, lmax, sign) for (_, sign), (e, lmax) in merged.items()))
 
 
-# the fit takes the partial sums S_0..S_D at this one D; its order K steps
-# 8, 10, 12, ... while S_0..S_D hold K + 1 points of odd step
-_FIT_D = 320
+# the D of the boundary fit, by the tol: (floor, D) rows, the first whose
+# floor the tol reaches (``_fit_d``)
+_FIT_D = ((1e-15, 160), (1e-35, 320), (1e-70, 640), (0.0, 1280))
 # the largest D that the direct route of kdf_series builds
 _DIRECT_D_MAX = 20_000
+
+
+def _fit_d(tol) -> int:
+    """The D of the partial sums S_0..S_D that the boundary fit takes at this
+    tol: a table of the tol alone (``_FIT_D``), not a search; nothing retries
+    at a larger D.
+
+    D is a cost choice; the fit's bar stays measured.  A larger D costs
+    O(D^2) more in the partial sums and lowers the order K* at which the
+    search stops, and with it the weight norm.  The fit's grid has step 3,
+    so the search has ``_accel.max_order(D)`` = 34, 69, 138 and 277 orders
+    at D = 160, 320, 640 and 1280.  Each row takes the smallest D whose cap
+    is at least a quarter above the largest K* of the six Theorem blocks at
+    (1, 1) at the row's floor.  Measured on those blocks: K* over the six,
+    and the seconds of the six ``kdf_series`` calls in one fresh process
+    (2-vCPU AMD EPYC, mpmath's python backend):
+
+        tol >=   D     cap   K* (seconds) at two tols
+        1e-15    160    34   12-22 at 1e-12 (0.05), 14-26 at 1e-15 (0.05)
+        1e-35    320    69   22-38 at 1e-25 (0.23), 32-54 at 1e-35 (0.54)
+        1e-70    640   138   38-62 at 1e-48 (2.1), 60-106 at 1e-70 (5.9)
+        0       1280   277   68-112 at 1e-90 (20.6)
+
+    One row less would run out of orders: L2a at D = 160 and 1e-20, L1 at
+    D = 320 and 1e-45, L1 at D = 640 and 1e-90.  One row more costs more
+    than it saves: D = 320 at 1e-12 (0.08 s), 640 at 1e-40 (1.6 s against
+    0.7 s), 1280 at 1e-60 (6.6 s against 3.7 s), 2560 at 1e-90 (52 s).
+    """
+    return next(D for floor, D in _FIT_D if tol >= floor)
 
 
 def _extrapolate(partial_sums, families, tol):
@@ -880,11 +909,12 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
 
     Where a factor that is not a polynomial sits on |z| = 1 (the point has
     families, ``_kdf_families``), the shape and the margins are checked and
-    the value is the known-exponent fit of S_0..S_D at D = ``_FIT_D``
-    (``_extrapolate``, ``"accelerated"``) with its measured bar, below tol; a
-    search that stalls or runs out of points raises ArithmeticError.  Every
-    other point is summed (``"direct"``) past the degree of each polynomial
-    factor with z != 0, to the geometric tail bound |T_D| rate/(1 - rate),
+    the value is the known-exponent fit of S_0..S_D, D set by the tol
+    (``_fit_d``; ``_extrapolate``, ``"accelerated"``), with its measured bar
+    below tol; a search that stalls or runs out of points raises
+    ArithmeticError.  Every other point is summed (``"direct"``) past the
+    degree of each polynomial factor with z != 0, to the geometric tail
+    bound |T_D| rate/(1 - rate),
     T_d = S_d - S_(d-1).  Its rate is measured: max(rho, (1 + t)/2), with
     rho = (1 + r)/2, r the largest |z| of a factor that is not a polynomial,
     and t = |T_D / T_(D-1)| (rho alone when T_(D-1) is lost in the rounding
@@ -903,9 +933,10 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
             if not margins.boundary_ok:
                 raise ValueError(f"boundary evaluation rejected: margins {margins.m1}, "
                                  f"{margins.m2}, {margins.m3} are not all positive")
-            val, err = _extrapolate(lambda: _kdf_partial_sums(params, xx, yy, _FIT_D),
+            D = _fit_d(prec.tol())
+            val, err = _extrapolate(lambda: _kdf_partial_sums(params, xx, yy, D),
                                     families, prec.tol())
-            return SeriesResult(+val, +err, (_FIT_D + 1) * (_FIT_D + 2) // 2, "accelerated")
+            return SeriesResult(+val, +err, (D + 1) * (D + 2) // 2, "accelerated")
         factors = [(_degree(u), abs(z)) for u, z in ((params.b, xx), (params.c, yy))]
         r = max((z for d, z in factors if d is None), default=mpf(0))
         deg = sum(d for d, z in factors if d is not None and z != 0)

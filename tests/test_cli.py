@@ -177,6 +177,26 @@ def test_lvalue_mellin_runs(capsys):
     assert lines["method"] == "functional-equation"
 
 
+@pytest.mark.parametrize("n, args", [
+    *((n, ["--method", "mellin", "--digits", str(d)]) for d in (25, 40) for n in (1, 2, 3)),
+    (3, ["--method", "dirichlet"]),
+])
+def test_lvalue_prints_only_true_digits(capsys, n, args):
+    # the value is printed to the places its bar supports: within one unit of
+    # its last printed place of the closed form, and within the printed bar,
+    # which adds the rounding of the text to the bar of the value (at
+    # --digits 25, L(f, 1) printed 25 digits on a bar of 2.4e-15)
+    code, out, _ = run(["lvalue", "--n", str(n), *args], capsys)
+    assert code == 0
+    covered, lines = printed_within_bar(out, n)
+    text = lines[f"L(f,{n})"]
+    places = len(text.split(".")[1])
+    assert places < (int(args[-1]) if "--digits" in args else 40)
+    with mp.workdps(50):
+        assert abs(mpf(text) - l_value(n, 45)) <= mpf(10) ** -places
+    assert covered
+
+
 def test_lvalue_small_N_is_an_error_only_for_dirichlet(capsys):
     # --N is the Dirichlet truncation point; the other methods do not read it
     code, _, _ = run(["lvalue", "--n", "1", "--method", "mellin", "--digits", "15",
@@ -460,15 +480,15 @@ def test_verify_exits_1_when_the_series_search_fails(monkeypatch, capsys):
     # with the boundary fit on too few partial sums to reach tol, the theorem
     # suite cannot finish: verify says why on stderr and exits 1, with no table
     monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", {})
-    monkeypatch.setattr(hyper, "_FIT_D", 24)
+    monkeypatch.setattr(hyper, "_FIT_D", ((0.0, 48),))
     code, out, err = run(["verify", "--suite", "theorem", "--digits", "40"], capsys)
     assert code == 1
-    assert "evaluation failed" in err and "D = 24" in err
+    assert "evaluation failed" in err and "D = 48" in err
     assert "lvalue_1_hypergeometric" not in out
 
 
 def test_kdf_exits_1_when_the_series_search_fails(monkeypatch, capsys):
-    monkeypatch.setattr(hyper, "_FIT_D", 24)
+    monkeypatch.setattr(hyper, "_FIT_D", ((0.0, 48),))
     code, out, err = run(
         ["kdf", "--a", "1", "--ap", "2", "--b", "1,4/3", "--bp", "2",
          "--c", "1/3,2/3", "--cp", "1", "--x", "1", "--y", "1",

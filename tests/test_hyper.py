@@ -148,9 +148,10 @@ class _Captured(Exception):
     pytest.param([1, 1, 1], [Fraction(-199, 2), 110], id="deep-dip"),
 ])
 def test_accelerated_unit_sum_partial_sums(monkeypatch, up, lo):
-    # the first 321 partial sums at x = 1 that go to the fit (D = 320), those
-    # of the one-factor block at (1, 0), carry at most prec bits and are
-    # within 2^-prec (1 + |S_n|) of the mpf loop 256 bits higher
+    # the first 321 partial sums at x = 1 that go to the fit (D = 320 at
+    # tol 1e-30, ``hyper._fit_d``), those of the one-factor block at (1, 0),
+    # carry at most prec bits and are within 2^-prec (1 + |S_n|) of the mpf
+    # loop 256 bits higher
     def spy(sums, *args, **kwargs):
         raise _Captured(sums)
 
@@ -160,7 +161,7 @@ def test_accelerated_unit_sum_partial_sums(monkeypatch, up, lo):
             hyper._eval_pfq(tuple(map(Fraction, up)), tuple(map(Fraction, lo)), mpf(1), None,
                             mpf("1e-30"))
         [got] = caught.value.args
-        assert len(got) == hyper._FIT_D + 1
+        assert len(got) == hyper._fit_d(mpf("1e-30")) + 1 == 321
         prec = mp.prec
         with mp.workprec(prec + 256):
             term, run = mpf(1), mpf(0)
@@ -870,36 +871,129 @@ def test_kdf_boundary_smoke():
 
 
 def test_boundary_search_raises_at_its_cap(monkeypatch):
-    # S_0..S_24 hold fits up to K = 14 only, too few orders to reach tol:
-    # both searches raise at that one D; nothing falls back
-    monkeypatch.setattr(hyper, "_FIT_D", 24)
-    with pytest.raises(ArithmeticError, match=r"at D = 24 \(last K = "):
+    # a rule that gives every tol D = 48: S_0..S_48 hold fits up to K = 10
+    # only, too few orders to reach tol, so both searches raise at that one
+    # D; nothing falls back
+    monkeypatch.setattr(hyper, "_FIT_D", ((0.0, 48),))
+    with pytest.raises(ArithmeticError, match=r"at D = 48 \(last K = 10\)"):
         hyper.pfq(PFQParams([Fraction(1, 2), Fraction(3, 4), 1], [Fraction(5, 4), 2]), 1,
                   Precision(30, 1e-15))
-    with pytest.raises(ArithmeticError, match=r"at D = 24 \(last K = "):
+    with pytest.raises(ArithmeticError, match=r"at D = 48 \(last K = 10\)"):
         hyper.kdf_series(MAIN_BLOCK, 1, 1, Precision(40, 1e-12))
 
 
 def test_boundary_search_raises_on_a_stall():
     # a remainder 1/log N outside the families: the gaps stop falling, and
-    # the search raises long before K runs out of points (208 at D = 320)
+    # the search raises long before K runs out of points (69 at D = 320)
     with mp.workdps(40):
         sums = [1 + 1 / mp.log(d + 2) for d in range(321)]
-        with pytest.raises(ArithmeticError, match=r"at D = 320 \(last K = 20\)"):
+        with pytest.raises(ArithmeticError, match=r"at D = 320 \(last K = 36\)"):
             hyper._extrapolate(lambda: (sums, mpf(0)), ((Fraction(2, 3), 0, 1),),
                                mpf("1e-20"))
 
 
 def test_known_exponent_fit_order_needs_its_points():
-    # K + 1 points of odd step on [0.35 D, D] need K <= D - ceil(0.35 D)
+    # the K + 1 points D, D - 3, ..., D - 3K stay in [0.35 D, D] for
+    # K <= (D - ceil(0.35 D)) // 3
     families = ((Fraction(2, 3), 1, 1),)
     for D in (24, 320):
-        K = D - math.ceil(0.35 * D)
+        K = (D - math.ceil(0.35 * D)) // 3
         assert _accel.max_order(D) == K
         with pytest.raises(ValueError, match="fit order"):
             _accel.known_exponent_fit([mpf(0)] * (D + 1), families, K + 1)
-    # at the last order the step is 1
-    assert _accel._weights(families, 24, 15, 128)[0] == tuple(range(9, 25))
+    # every order takes the first points of one grid that ends at D
+    grid = _accel._grid(families, 24, 128)
+    assert grid.weights(5)[0] == (24, 21, 18, 15, 12, 9)
+    assert grid.weights(2)[0] == (24, 21, 18)
+
+
+def _solve_first_unit(rows, wp: int):
+    """The w with sum_i rows[r][i] w_i = [r = 0], by Gaussian elimination with
+    partial pivoting in fixed point: entries, multipliers and w are ints at
+    2^wp, each product floored once.  ``rows`` is overwritten.  The reference
+    for the fit's elimination without row exchanges."""
+    n = len(rows)
+    rhs = [1 << wp] + [0] * (n - 1)
+    for p in range(n):
+        q = max(range(p, n), key=lambda r: abs(rows[r][p]))
+        rows[p], rows[q] = rows[q], rows[p]
+        rhs[p], rhs[q] = rhs[q], rhs[p]
+        top, pivot = rows[p][p], rows[p][p + 1:]
+        for r in range(p + 1, n):
+            m = (rows[r][p] << wp) // top
+            if m:
+                rows[r][p + 1:] = [a - (m * b >> wp) for a, b in zip(rows[r][p + 1:], pivot)]
+                rhs[r] -= m * rhs[p] >> wp
+    w = [0] * n
+    for i in reversed(range(n)):
+        acc = (rhs[i] << wp) - sum(a * b for a, b in zip(rows[i][i + 1:], w[i + 1:]))
+        w[i] = acc // rows[i][i]
+    return w
+
+
+def _model_values(families, pts, bits: int):
+    """The constant and the first len(pts) - 1 model functions at the points
+    d (N = d + 1), by mpmath powers: ints at 2^bits, each row relative to its
+    largest value."""
+    rows = [[1 << bits] * len(pts)]
+    with mp.workprec(bits + 16):
+        for f, j, l in islice(_accel._model(families), len(pts) - 1):
+            e, _, sign = families[f]
+            vals = [sign ** (d + 1) * mpf(d + 1) ** -(mpf(e.numerator) / e.denominator + j)
+                    * mp.log(d + 1) ** l for d in pts]
+            top = max(map(abs, vals))
+            rows.append([int(mp.ldexp(v / top, bits)) for v in vals])
+    return rows
+
+
+FIT_FAMILIES = {
+    "one": ((Fraction(2, 3), 1, 1),),
+    "two": ((Fraction(2, 3), 1, 1), (Fraction(1), 0, 1)),
+    "alternating": ((Fraction(5, 3), 1, -1), (Fraction(2), 0, -1)),
+}
+
+
+@pytest.mark.parametrize("name", list(FIT_FAMILIES))
+@pytest.mark.parametrize("D", [24, 160, 320])
+def test_nested_weights_match_the_pivoted_solve(D, name):
+    # on the points of each order up to the cap, the weights of the one
+    # elimination without row exchanges and those of a pivoted solve of that
+    # order alone give every model function the same sum to 2^-prec sum |w|,
+    # within the 64 guard bits (measured: to 2^-185 sum |w| and closer, at
+    # wp = 197)
+    families, prec, cap = FIT_FAMILIES[name], 133, _accel.max_order(D)
+    wp = prec + _accel._FIT_GUARD
+    grid = _accel._grid(families, D, wp)
+    # the reference rows of order K: the first K + 1 values of the first
+    # K + 1 rows, scaled so that the largest is 2^wp; the 96 bits more cover
+    # the fall of a row from its largest value on the grid
+    values = _model_values(families, grid.weights(cap)[0], wp + 96)
+    for K in range(1, cap + 1):
+        pts, w = grid.weights(K)
+        rows = [[(v << wp) // max(map(abs, row[:K + 1])) for v in row[:K + 1]]
+                for row in values[:K + 1]]
+        ref = _solve_first_unit([r[:] for r in rows], wp)
+        bound = sum(map(abs, ref)) << (wp - prec)
+        for r, row in enumerate(rows):
+            assert abs(sum(a * (x - y) for a, x, y in zip(row, w, ref))) <= bound, (K, r)
+
+
+def test_fit_zero_pivot_raises():
+    # a family whose first function is the constant makes row 1 equal to
+    # row 0: the elimination stops at that pivot and names the order
+    sums = [mpf(1)] * 161
+    with pytest.raises(ArithmeticError, match="zero pivot at order 1"):
+        _accel.known_exponent_fit(sums, ((Fraction(0), 0, 1),), 2)
+
+
+@pytest.mark.parametrize("tol, D, cap", [
+    (1e-10, 160, 34), (1e-15, 160, 34), (1e-16, 320, 69), (1e-35, 320, 69),
+    (1e-36, 640, 138), (1e-70, 640, 138), (1e-71, 1280, 277), (1e-150, 1280, 277),
+])
+def test_fit_d_rule(tol, D, cap):
+    # each row of the rule, at both ends; an mpf tol reads the same row
+    assert hyper._fit_d(tol) == hyper._fit_d(mpf(tol)) == D
+    assert _accel.max_order(D) == cap
 
 
 @pytest.mark.parametrize("num", [float, mpf], ids=["float", "mpf"])
@@ -916,12 +1010,12 @@ def test_richardson_exact_on_a_cubic(num):
 
 
 def test_kdf_boundary_l1_to_1e_50_at_one_d():
-    # L1 at 60 digits and tol 1e-50 takes its order from the sums up to
-    # D = 320 alone (821121 terms when D doubled to 1280), within its bar of
-    # the integral route at 75 digits
+    # L1 at 60 digits and tol 1e-50 takes its order from the sums up to the
+    # one D = 640 that the tol sets (``hyper._fit_d``), within its bar of the
+    # integral route at 75 digits
     prec = Precision(60, 1e-50)
     s = hyper.kdf_series(THEOREM_KDF_BLOCKS["L1"], 1, 1, prec)
-    assert s.terms_used == 321 * 322 // 2
+    assert s.terms_used == 641 * 642 // 2
     ref = hyper.kdf_integral(THEOREM_KDF_BLOCKS["L1"], 1, 1, Precision(75, 1e-62))
     with mp.workdps(80):
         assert abs(s.value - ref.value) + ref.err_estimate <= s.err_estimate <= prec.tol()
@@ -1003,12 +1097,15 @@ def test_kdf_boundary_alternating_on_both_sides():
     # 2F1(1/3, 2/3; 1; -t) over (0, 1), by mpmath alone
     families = hyper._kdf_families(MAIN_BLOCK, mpf(-1), mpf(-1))
     assert families == ((F(5, 3), 1, -1), (F(2), 0, -1))
-    # an alternating model is well conditioned: sum |w| stays below 60 up
-    # to K = 40 (with an even step it is 5e6 to 1e26 at K = 8, 10, 14, 20, ...)
-    zeros = [mpf(0)] * (hyper._FIT_D + 1)
-    for K in range(8, 42, 2):
-        assert _accel.known_exponent_fit(zeros, families, K)[1] < 100, K
+    # an alternating model is well conditioned: on the grid that tol 1e-40
+    # gets, its D and the working precision of kdf_series, sum |w| stays
+    # below 100 up to K = 40 (with an even step it is 5e6 to 1e26 at
+    # K = 8, 10, 14, 20, ...)
     prec = Precision(55, 1e-40)
+    zeros = [mpf(0)] * (hyper._fit_d(prec.tol()) + 1)
+    with mp.workdps(prec.dps + 15):
+        for K in range(8, 42, 2):
+            assert _accel.known_exponent_fit(zeros, families, K)[1] < 100, K
     s = hyper.kdf_series(MAIN_BLOCK, -1, -1, prec)
     with mp.workdps(65):
         want = mp.quad(lambda t: mp.hyp2f1(1, mpf(4) / 3, 2, -t)

@@ -337,12 +337,21 @@ def test_l1_l2a_blocks_bar_covers_the_closed_form(name, route, prec):
         assert abs(res.value - truth) <= res.err_estimate
 
 
+def test_l1_block_at_100_digits_bar_covers_the_closed_form():
+    # the integral route at 100 digits (0.1 s); the series route there takes
+    # 5 s (D = 1280, K = 112), so its value, bar and error are in BENCH_34.json
+    prec = Precision(100, 1e-90)
+    res = lvalue._kdf_at_one("L1", "integral", prec)
+    with mp.workdps(prec.dps + 10):
+        assert abs(res.value - 27 * l_value(1, prec.dps)) <= res.err_estimate <= prec.tol()
+
+
 def test_rhs_theorem_raises_when_the_series_search_fails(monkeypatch):
     # a private cache keeps the memo of the other tests out of the way; with
     # the boundary fit on too few partial sums to reach tol, the series route
     # raises rather than return a value
     monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", {})
-    monkeypatch.setattr(hyper, "_FIT_D", 24)
+    monkeypatch.setattr(hyper, "_FIT_D", ((0.0, 48),))
     with pytest.raises(ArithmeticError):
         lvalue.rhs_theorem(1, "series", PREC)
 

@@ -11,12 +11,10 @@ the row, and records per block:
 
 - the seconds of the call, and the seconds spent making weights (the
   fit's elimination, building its rows included);
-- the eliminations the search made: weight systems solved on a checkout
-  that solves one per order, grids grown on one that grows one elimination
-  per working precision;
-- D (from ``terms_used``), the grid step s (null where each order has its
-  own step) and the last fit order K* (``_accel.known_exponent_fit``
-  wrapped);
+- the eliminations the search made: the grids it grew, one per working
+  precision of the weights (``_accel._Grid``);
+- D (from ``terms_used``), the grid step s and the last fit order K*
+  (``_accel.known_exponent_fit`` wrapped);
 - the bar, and for L1 and L2a the error against the closed forms of
   ``tests/closed_forms.py`` (L1 = 27 L(f, 1), L2a = L1 + (81 sqrt 3/(4 pi))
   L(f, 2));
@@ -26,7 +24,7 @@ Then it times ``cubictheta verify --suite theorem --digits D --tol T`` for
 each row in a fresh interpreter, with its exit code.  Prints one JSON record
 with those, the Python version, the CPU count, ``git describe --always
 --dirty`` of the checkout and ``mpmath.libmp.BACKEND``.  Runs the checkout
-it sits in: copy it into another checkout to time that one.
+it sits in.
 """
 
 from __future__ import annotations
@@ -89,12 +87,8 @@ class FitSpy:
 
         _accel.known_exponent_fit = known_exponent_fit
         self._undo.append((_accel, "known_exponent_fit", fit))
-        if hasattr(_accel, "_Grid"):
-            self._wrap(_accel._Grid, "__init__", count=True)
-            self._wrap(_accel._Grid, "weights", timed=True)
-        else:
-            self._wrap(_accel, "_solve_first_unit", count=True)
-            self._wrap(_accel, "_weights", timed=True)
+        self._wrap(_accel._Grid, "__init__", count=True)
+        self._wrap(_accel._Grid, "weights", timed=True)
         return self
 
     def __exit__(self, *exc):
@@ -102,11 +96,6 @@ class FitSpy:
             setattr(owner, name, fn)
 
 
-def clear_fit_caches():
-    for name in ("_grid", "_weights"):
-        cache = getattr(_accel, name, None)
-        if hasattr(cache, "cache_clear"):
-            cache.cache_clear()
 
 
 def truth(name, dps):
@@ -132,7 +121,7 @@ def block_row(name, params, prec):
         "weight_seconds": round(spy.weight_seconds, 4),
         "eliminations": spy.eliminations,
         "order": spy.orders[-1] if spy.orders else None,
-        "step": getattr(_accel, "_STEP", None),
+        "step": _accel._STEP,
     }
     if isinstance(res, ArithmeticError):
         row["error"] = str(res)
@@ -161,7 +150,7 @@ def verify_row(digits, tol):
 def main() -> None:
     rows = {}
     for digits, tol in ROWS:
-        clear_fit_caches()
+        _accel._grid.cache_clear()
         prec = Precision(digits, tol)
         blocks = {name: block_row(name, params, prec)
                   for name, params in THEOREM_KDF_BLOCKS.items()}

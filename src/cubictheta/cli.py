@@ -324,6 +324,19 @@ def _fmt_value(value, bar, digits: int):
         return text, bar + abs(mpf(text) - x)
 
 
+def _fmt_bar(bar, digits: int = 5) -> str:
+    """A bar to ``digits`` significant digits, rounded up, so that the text is
+    never below the bar."""
+    x = mpmathify(bar)
+    if not x:
+        return _fmt(x, digits)
+    man, exp = x.man_exp
+    k = int(mp.floor(mp.log10(x))) - digits + 1
+    top = -(-Fraction(man) * Fraction(2) ** exp // Fraction(10) ** k)
+    with mp.workdps(digits + 10):
+        return _fmt(mpf(f"{top}e{k}"), digits)
+
+
 def suite_report_dict(reports, digits: int, total_seconds: float) -> dict:
     checks = []
     for r in reports:
@@ -414,7 +427,7 @@ def cmd_lvalue(args, parser) -> int:
     secs = time.perf_counter() - t0
     text, bar = _fmt_value(res.value, res.err_estimate, args.digits)
     print(f"L(f,{args.n}) = {text}")
-    print(f"err_estimate = {_fmt(bar, 5)}")
+    print(f"err_estimate = {_fmt_bar(bar)}")
     print(f"method = {res.method}")
     print(f"seconds = {secs:.3f}")
     return _EXIT_OK

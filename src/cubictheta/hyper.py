@@ -823,7 +823,7 @@ def _kdf_families(params: KdFParams, x, y):
 
 # the D of the boundary fit, by the tol: (floor, D) rows, the first whose
 # floor the tol reaches (``_fit_d``)
-_FIT_D = ((1e-15, 160), (1e-35, 320), (1e-70, 640), (0.0, 1280))
+_FIT_D = ((1e-13, 160), (1e-34, 320), (1e-70, 640), (0.0, 1280))
 # the largest D that the direct route of kdf_series builds
 _DIRECT_D_MAX = 20_000
 
@@ -838,17 +838,24 @@ def _fit_d(tol) -> int:
     search stops, and with it the weight norm.  The fit's grid has step 3,
     so the search has ``_accel.max_order(D)`` = 34, 69, 138 and 277 orders
     at D = 160, 320, 640 and 1280.  Each row takes the smallest D whose cap
-    is at least a quarter above the largest K* of the six Theorem blocks at
-    (1, 1) at the row's floor.  Measured on those blocks: K* over the six,
-    and the seconds of the six ``kdf_series`` calls in one fresh process
-    (2-vCPU AMD EPYC, mpmath's python backend):
+    is at least a quarter above the largest K* at the row's floor of the
+    six Theorem blocks at (1, 1), the 32 blocks of perfbench's pool at
+    (1, 1), and pFq at 1 (the generic 3F2(1/2, 3/4, 1; 5/4, 2), four Dixon
+    3F2 and the deep-dip 3F2(1, 1, 1; -199/2, 110), whose fit tol is the
+    pFq tol / 10).  Measured at the floor (1e-90 on the last row), with
+    the working precision of ``kdf_series`` at the loosest digits the tol
+    allows (``Precision``), and the seconds of the six Theorem calls in one
+    fresh process (2-vCPU AMD EPYC, mpmath's python backend):
 
-        tol >=   D     cap   K* (seconds) at two tols
-        1e-15    160    34   12-22 at 1e-12 (0.05), 14-26 at 1e-15 (0.05)
-        1e-35    320    69   22-38 at 1e-25 (0.23), 32-54 at 1e-35 (0.54)
-        1e-70    640   138   38-62 at 1e-48 (2.1), 60-106 at 1e-70 (5.9)
-        0       1280   277   68-112 at 1e-90 (20.6)
+        tol >=   D     cap   K*: Theorem  pool  pFq   (seconds)
+        1e-13    160    34        22        26    12   (0.05)
+        1e-34    320    69        54        54    18   (0.5)
+        1e-70    640   138       106       106   102   (6.8)
+        0       1280   277       112       112   124   (25.8)
 
+    The deep-dip 3F2 is the one that raises: it stalls at K = 16 on the
+    D = 320 row (fit tols 1e-13 to 1e-26 and 1e-34), as it stalled when
+    every tol took D = 320, from pFq tol 1e-12 down.
     One row less would run out of orders: L2a at D = 160 and 1e-20, L1 at
     D = 320 and 1e-45, L1 at D = 640 and 1e-90.  One row more costs more
     than it saves: D = 320 at 1e-12 (0.08 s), 640 at 1e-40 (1.6 s against
@@ -868,8 +875,11 @@ def _extrapolate(partial_sums, families, tol):
     |V_(K-2) - V_(K-4)| are both at most tol/8, and the bar is those two gaps
     plus r sum |w|.  When r sum |w| would pass tol/8, the sums are rebuilt
     with the precision raised to cover it, and 64 bits more.  The search
-    raises ArithmeticError when two gaps in a row are no smaller than an
-    earlier one (a stall), or when the next K has no points left
+    raises ArithmeticError when it stalls: when the larger of the last two
+    gaps, the measure the stop takes, is no smaller than at an earlier K for
+    two orders in a row.  One gap alone can fall far below the trend, as the
+    fits of neighbouring orders share all their points but one; the larger
+    of two does not.  It also raises when the next K has no points left
     (K > ``_accel.max_order(D)``).  No fallback.
     """
     prec = mp.prec
@@ -886,9 +896,10 @@ def _extrapolate(partial_sums, families, tol):
                 val, wsum = _accel.known_exponent_fit(sums, families, K)
         if vals:
             gaps.append(abs(val - vals[-1]))
-            if len(gaps) >= 2 and max(gaps[-2:]) <= tol / 8:
+            pairs = list(map(max, gaps, gaps[1:]))
+            if pairs and pairs[-1] <= tol / 8:
                 return val, gaps[-1] + gaps[-2] + wsum * rounding
-            if len(gaps) >= 3 and min(gaps[-2:]) >= min(gaps[:-2]):
+            if len(pairs) >= 3 and min(pairs[-2:]) >= min(pairs[:-2]):
                 break
         vals.append(val)
     raise ArithmeticError(

@@ -303,6 +303,18 @@ def test_verify_json_round_trip_and_determinism(tmp_path, capsys):
         assert strip_seconds(raw) == strip_seconds(paths[1].read_bytes())
 
 
+def test_lvalue_bar_printed_rounded_up():
+    # the printed err_estimate is never below the bar, so a value within the
+    # printed bar of its text is what the text promises
+    assert cli._fmt_bar(mpf("2.82734e-15")) == "2.8274e-15"
+    assert cli._fmt_bar(mpf("9.99999e-3")) == "0.01"
+    assert cli._fmt_bar(0) == "0.0"
+    with mp.workdps(40):
+        for k in range(-60, 4):
+            bar = mpf(2) ** (k * 3.3) / 3
+            assert bar <= mpf(cli._fmt_bar(bar)) <= bar * (1 + mpf("1e-4")), k
+
+
 def test_abs_err_printed_to_absolute_precision():
     # abs_err keeps digits + floor(log10 abs_err) + 1 significant digits, so
     # its last digit sits at 10^-digits and rounding noise below that is cut

@@ -465,8 +465,9 @@ def cmd_kdf(args, parser) -> int:
     except ArithmeticError as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return _EXIT_FAIL
-    print(f"value = {_fmt(res.value, args.digits)}")
-    print(f"err_estimate = {_fmt(res.err_estimate, 5)}")
+    text, bar = _fmt_value(res.value, res.err_estimate, args.digits)
+    print(f"value = {text}")
+    print(f"err_estimate = {_fmt_bar(bar)}")
     print(f"terms_used = {res.terms_used}")
     print(f"method = {res.method}")
     return _EXIT_OK

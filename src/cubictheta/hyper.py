@@ -3,7 +3,7 @@ boundary convergence conditions, the Euler-type integral representation, and
 double-exponential quadrature.
 
 Parameters are carried as exact Fractions until the moment of evaluation, so
-structural questions (parameter cancellation, zero-balancedness, closed-form
+structural questions (parameter cancellation, integer excess, closed-form
 patterns) are decided exactly.  Direct sums and the Kampe de Feriet
 anti-diagonal sums S_d take their terms from one recurrence, run in fixed
 point on Python ints built from those exact parameters (``_fixed_terms``),
@@ -22,8 +22,8 @@ nodes of a quadrature share one table; no direct sum is taken outside
 |x| <= 1.  At x = 0 a sum stops at its first term, and a polynomial's at
 its degree; any other's stop index is read off the float log2 magnitudes
 of the table's terms and exact ratios, late on a near-tie, never early.
-The real-argument dispatch (``_eval_pfq``, a plan lookup and the plan's
-``eval``) has one exit per algorithm, reads a complement 1 - x <= 0 at
+The real-argument dispatch (``_Plan.eval``, on the plan that ``_plan`` looks
+up) has one exit per algorithm, reads a complement 1 - x <= 0 at
 x = 1 as 0, and checks the scope before any branch: |x| > 1, more than
 q + 1 upper parameters and a series that diverges at x = 1 (nonpositive
 excess, 1F0 included) raise ValueError, except that a polynomial is summed
@@ -32,17 +32,20 @@ directly at any |x| <= 1.
 quadrature nodes do only the work that depends on x.  ``quad_de`` reads the
 tanh-sinh nodes of each level from one cached tuple (``_de_nodes``), walked
 once per side of t = 1/2.
-Near the unit argument the evaluators switch to connection/log expansions in
-1 - x, whose tails are certified as well; callers that know 1 - x to better
-accuracy than x can pass it explicitly.  Where a factor that is not a
-polynomial sits on |z| = 1, a Kampe de Feriet value is the limit of its S_d,
-whose remainder has a form known from the parameters (``_kdf_families``).
+Near the unit argument a 2F1 switches to an expansion in 1 - x: one log
+expansion for every integer excess m >= 0 (``_hyp2f1_log``), the connection
+formula for any other positive excess; their tails are certified as well;
+callers that know 1 - x to better accuracy than x can pass it explicitly.
+Where a factor that is not a polynomial sits on |z| = 1, a Kampe de Feriet
+value is the limit of its S_d, whose remainder has a form known from the
+parameters (``_kdf_families``).
 A pFq at x = 1 that no closed form covers is the value at (1, 0) of the
 one-factor block KdFParams([], [], upper, lower, [], []), so its partial
 sums and families are that block's.  ``_extrapolate`` takes the partial
 sums up to the one index D that the tol sets (``_fit_d``) and searches the
 order K of the known-exponent fit (``_accel.known_exponent_fit``) on them
-against that tol; it raises when the search stalls or runs out of points.  The
+against that tol; it raises when the search stalls or runs out of points,
+and the pFq exit raises when the terms still rise in the fit's window.  The
 module holds evaluators only; the identity checks live in ``lvalue`` and ``cli``.
 """
 
@@ -51,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, count, islice
 
 from mpmath import mp, mpf, mpmathify
@@ -74,17 +77,11 @@ __all__ = [
 
 
 def _as_fraction_tuple(vals) -> tuple:
-    out = []
+    vals = tuple(vals)
     for v in vals:
-        if isinstance(v, Fraction):
-            out.append(v)
-        elif isinstance(v, int):
-            out.append(Fraction(v))
-        elif isinstance(v, str):
-            out.append(Fraction(v))
-        else:
+        if not isinstance(v, (Fraction, int, str)):
             raise TypeError(f"parameters must be exact rationals, got {v!r}")
-    return tuple(out)
+    return tuple(map(Fraction, vals))
 
 
 def _no_poles(vals, what: str):
@@ -122,12 +119,8 @@ class KdFParams:
     cp: tuple
 
     def __init__(self, a, ap, b, bp, c, cp):
-        object.__setattr__(self, "a", _as_fraction_tuple(a))
-        object.__setattr__(self, "ap", _as_fraction_tuple(ap))
-        object.__setattr__(self, "b", _as_fraction_tuple(b))
-        object.__setattr__(self, "bp", _as_fraction_tuple(bp))
-        object.__setattr__(self, "c", _as_fraction_tuple(c))
-        object.__setattr__(self, "cp", _as_fraction_tuple(cp))
+        for name, vals in zip(("a", "ap", "b", "bp", "c", "cp"), (a, ap, b, bp, c, cp)):
+            object.__setattr__(self, name, _as_fraction_tuple(vals))
         for lst, nm in ((self.ap, "ap"), (self.bp, "bp"), (self.cp, "cp")):
             _no_poles(lst, nm)
 
@@ -243,8 +236,8 @@ class _CoeffTable:
     guard bits the rounding bound of ``_direct_sum`` asks for beyond
     2 bitlen(N + 1).  ``plan`` is the plan whose series it holds; the stop
     scan reads its ``warmup``, ``degree`` and ``entire``.  ``log`` is the
-    second series of the zero-balanced expansion (``_LogTable``), made by the
-    first such expansion that reads this table.
+    second series of the log expansion (``_LogTable``), made by the first
+    such expansion that reads this table.
     """
 
     __slots__ = ("plan", "wp", "C", "log_c", "log_ratio", "bits", "log", "_terms", "_cmax")
@@ -369,82 +362,98 @@ def _pfq_direct(upper, lower, x, eps):
 
 
 class _LogTable:
-    """The second series of the zero-balanced expansion: E_n = floor(C_n h_n)
-    for the coefficients C_n of 2F1(a, b; 1; w) at 2^wp (the table that holds
+    """The second series of the log expansion: E_n = floor(C_n h_n) for the
+    coefficients C_n of S0 = 2F1(A, B; L; w) at 2^wp (the table that holds
     this one as ``log``) and the exact rationals
-    h_n = sum_(k<n) [2/(k+1) - 1/(a+k) - 1/(b+k)], filled lazily.
+    h_n = sum_(k<n) [1/(k+1) + 1/(k+L) - 1/(A+k) - 1/(B+k)], filled lazily.
 
     bits_n = bitlen(floor(max_(k<=n) |h_k|) + 1), so that 2^bits_n exceeds
     that maximum plus one.
     """
 
-    __slots__ = ("E", "bits", "_a", "_b", "_h", "_hmax")
+    __slots__ = ("E", "bits", "_params", "_h", "_hmax")
 
-    def __init__(self, a: Fraction, b: Fraction):
-        self._a, self._b = a, b
+    def __init__(self, params: tuple):
+        self._params = params
         self.E, self.bits = [], []
         self._h, self._hmax = Fraction(0), Fraction(0)
 
     def fill(self, C: list, n: int):
         """Extend the table through index n, from the coefficients C (which
         must already reach it)."""
-        a, b = self._a, self._b
         for k in range(len(self.E), n + 1):
             h = self._h
             self.E.append(C[k] * h.numerator // h.denominator)
             self._hmax = max(self._hmax, abs(h))
             self.bits.append((math.floor(self._hmax) + 1).bit_length())
-            self._h = h + _h_step(a, b, k)
+            self._h = h + _h_step(*self._params, k)
 
 
-def _h_step(a: Fraction, b: Fraction, k: int) -> Fraction:
-    """h_(k+1) - h_k of the zero-balanced expansion."""
-    return Fraction(2, k + 1) - 1 / (a + k) - 1 / (b + k)
+def _h_step(A: Fraction, B: Fraction, L: Fraction, k: int) -> Fraction:
+    """h_(k+1) - h_k of the log expansion's S0 = 2F1(A, B; L; .)."""
+    return Fraction(1, k + 1) + 1 / (k + L) - 1 / (A + k) - 1 / (B + k)
 
 
-def _zero_balanced_consts(plan):
-    """pref, 2 psi(1) - psi(a) - psi(b), 2 |pref| and H of 2F1(a, b; a+b; .),
-    and the plan of S0 = 2F1(a, b; 1; .).
+def _log_consts(plan):
+    """The finite part's f_k (k < m), pref, K_m, 2 |pref| and H of
+    2F1(a, b; a+b+m; .), m >= 0 an integer, and the plan of
+    S0 = 2F1(a+m, b+m; m+1; .) (``_hyp2f1_log``).
 
     H bounds sup_(n>warmup) |h_n| (``_LogTable``), warmup that of S0: |h_n0|
-    at n0 = warmup + 1 plus the tail of the increments, which fall like
-    1/k^2: |a - 1|/((k + 1)(k + a)) <= |a - 1|/(k + min(a, 1))^2, whose sum
-    over k >= n0 is at most |a - 1|/(n0 - 1 + min(a, 1)), and likewise for b.
+    at n0 = warmup + 1 plus the tail of the increments, which pair off and
+    fall like 1/k^2: 1/(k+1) - 1/(a+m+k) = (a+m-1)/((k+1)(k+a+m)) is at most
+    |a+m-1|/(k + min(a+m, 1))^2, whose sum over k >= n0 is at most
+    |a+m-1|/(n0 - 1 + min(a+m, 1)), and 1/(k+m+1) - 1/(b+m+k) likewise gives
+    |b-1|/(n0 - 1 + min(b+m, m+1)).
     """
-    a, b, _ = plan.split
-    sub = _plan((a, b), (Fraction(1),))
+    a, b, c = plan.split
+    m = int(c - a - b)
+    sub = _plan((a + m, b + m), (Fraction(m + 1),))
     n0 = sub.warmup + 1
-    h = sum((_h_step(a, b, k) for k in range(n0)), Fraction(0))
-    h_tail = abs(h) + sum(abs(v - 1) / (n0 - 1 + min(v, 1)) for v in (a, b))
-    pref = _gamma(a + b) / (_gamma(a) * _gamma(b))
-    return pref, 2 * _psi(Fraction(1)) - _psi(a) - _psi(b), 2 * abs(pref), _to_mpf(h_tail), sub
+    h = sum((_h_step(*sub.upper, *sub.lower, k) for k in range(n0)), Fraction(0))
+    h_tail = (abs(h) + abs(a + m - 1) / (n0 - 1 + min(a + m, 1))
+              + abs(b - 1) / (n0 - 1 + min(b + m, m + 1)))
+    pref = _gamma(c) / (_gamma(a) * _gamma(b) * math.factorial(m)) * (-1) ** m
+    gf = _gamma(c) / (_gamma(a + m) * _gamma(b + m))
+    fin = [gf * _to_mpf(math.prod((a + j) * (b + j) / (j + 1) for j in range(k))
+                        * (-1) ** k * math.factorial(m - k - 1)) for k in range(m)]
+    k0 = _psi(Fraction(1)) + _psi(Fraction(m + 1)) - _psi(a + m) - _psi(b + m)
+    return fin, pref, k0, 2 * abs(pref), _to_mpf(h_tail), sub
 
 
-def _hyp2f1_zero_balanced(plan, x, omx, eps):
-    """2F1(a, b; a+b; x), ``plan``'s series, by the logarithmic expansion
-    around x = 1 (Abramowitz & Stegun 15.3.10), in w = 1 - x = ``omx``:
+def _hyp2f1_log(plan, x, omx, eps):
+    """2F1(a, b; a+b+m; x), ``plan``'s series for an integer excess m >= 0,
+    by the logarithmic expansion around x = 1 (DLMF 15.8.10, Abramowitz &
+    Stegun 15.3.10-11), in w = 1 - x = ``omx``:
 
-        pref [(K - ln w) S0(w) + S1(w)],  pref = Gamma(a+b)/(Gamma(a) Gamma(b)),
+        sum_(k<m) f_k w^k + pref w^m [(K_m - ln w) S0(w) + S1(w)],
 
-    with K = 2 psi(1) - psi(a) - psi(b), S0 = 2F1(a, b; 1; w) = sum c_n w^n and
-    S1 = sum c_n h_n w^n (``_LogTable``).  Both are summed by Horner's rule
-    to the one stop index N of S0 (``_stop_index``) at one X = w 2^wp.
+    f_k = Gamma(c) (a)_k (b)_k (m-k-1)! (-1)^k / (Gamma(a+m) Gamma(b+m) k!),
+    pref = (-1)^m Gamma(c)/(Gamma(a) Gamma(b) m!),
+    K_m = psi(1) + psi(m+1) - psi(a+m) - psi(b+m), S0 = 2F1(a+m, b+m; m+1; w)
+    = sum c_n w^n and S1 = sum c_n h_n w^n (``_LogTable``).  S0 and S1 are
+    summed by Horner's rule to the one stop index N of S0 (``_stop_index``)
+    at one X = w 2^wp.  At w = 0 (m >= 1, since m = 0 diverges at 1) the
+    value is f_0, the Gauss sum Gamma(c) Gamma(m)/(Gamma(c-a) Gamma(c-b)).
 
-    Tail: S0 stops at eps0 = eps / (2 |pref| (|K - ln w| + H)), H >=
-    sup_(n>N) |h_n| (``_zero_balanced_consts``), so S1's tail is at most
-    H eps0 and the two tails together cost at most eps/2.  Rounding: S0 is
-    within 2^-(prec+1) as in ``_direct_sum``; E_n is within (max|h| + 1) n G
-    ulps, so the guard also covers the log table's ``bits`` and S1 is within
-    2^-(prec+1) too.  Returns (value, N + 1).
+    Tail: S0 stops at eps0 = eps / (2 |pref| (|K_m - ln w| + H)), H >=
+    sup_(n>N) |h_n| (``_log_consts``), so S1's tail is at most H eps0 and
+    the two tails together, times |pref| w^m <= |pref|, cost at most eps/2.
+    Rounding: S0 is within 2^-(prec+1) as in ``_direct_sum``; E_n is within
+    (max|h| + 1) n G ulps, so the guard also covers the log table's ``bits``
+    and S1 is within 2^-(prec+1) too; the m finite terms and the products
+    round at the working precision.  Returns (value, m + N + 1).
     """
-    pref, k0, two_apref, h_tail, sub = plan.consts(_zero_balanced_consts)
+    fin, pref, k0, two_apref, h_tail, sub = plan.consts(_log_consts)
+    if not omx:
+        return fin[0], 1
     kw = k0 - mp.log(omx)
     guard = _PFQ_GUARD
     while True:
         table = _coeff_table(sub, mp.prec + guard)
         N = _stop_index(table, omx, eps / (two_apref * (abs(kw) + h_tail)))
         if table.log is None:
-            table.log = _LogTable(*sub.upper)
+            table.log = _LogTable(sub.upper + sub.lower)
         logs = table.log
         logs.fill(table.C, N)
         need = 2 * (N + 1).bit_length() + table.bits[N] + logs.bits[N]
@@ -455,7 +464,8 @@ def _hyp2f1_zero_balanced(plan, x, omx, eps):
     X = kernels.to_fixed(omx, wp)
     s0 = mp.ldexp(mpf(kernels.horner(table.C, N, X, wp)), -wp)
     s1 = mp.ldexp(mpf(kernels.horner(logs.E, N, X, wp)), -wp)
-    return pref * (kw * s0 + s1), N + 1
+    finite = sum(f * omx ** k for k, f in enumerate(fin))
+    return finite + pref * omx ** len(fin) * (kw * s0 + s1), len(fin) + N + 1
 
 
 def _gauss_summation(a: Fraction, b: Fraction, c: Fraction):
@@ -524,22 +534,24 @@ class _Plan:
     by the plan).  For the dispatch (``eval``), repeated parameters cancel to
     ``up``/``lo``, with p and q entries; ``series`` is the plan of that
     cancelled series, which the "direct" exit sums (the plan itself when
-    nothing cancels).  The scope facts: ``ends`` (the cancelled series is a
-    polynomial), ``near_one`` (p = q + 1 and not ``ends``: the series that
-    the branches in 1 - x take), ``excess_ok`` (a positive excess
+    nothing cancels).  No lower parameter is a nonpositive integer
+    (``_no_poles``), so no upper one that ends the series cancels, and the
+    cancelled series is a polynomial exactly when ``degree`` is not None.
+    The scope facts: ``near_one`` (p = q + 1 and not a polynomial: the series
+    that the branches in 1 - x take), ``excess_ok`` (a positive excess
     sum(lo) - sum(up)), ``f32`` (the a of 3F2(1, 1, a+1; 2, 2) with
     0 < a < 1), ``other`` (the a of 2F1(1, a; 2), a != 1), ``split`` (the
     (a, b, c) of a 2F1) and ``expansion``, the branch in 1 - x that a 2F1
-    takes at 1/2 < x < 1 (``_hyp2f1_zero_balanced`` at c = a + b,
-    ``_hyp2f1_connection`` at a non-integer c - a - b, else None).  Each
-    branch's constants, and the plans of the series it sums, are built on
-    first use at each working precision (``consts``).  A plan holds no
-    coefficient table and no value that depends on x.
+    takes at 1/2 < x <= 1 (``_hyp2f1_log`` at an integer c - a - b >= 0,
+    ``_hyp2f1_connection`` at a non-integer one, else None).  Each branch's
+    constants, and the plans of the series it sums, are built on first use
+    at each working precision (``consts``).  A plan holds no coefficient
+    table and no value that depends on x.
     """
 
     __slots__ = ("upper", "lower", "warmup", "degree", "entire", "up", "lo", "p", "q",
-                 "series", "ends", "near_one", "excess_ok", "f32", "other", "split",
-                 "expansion", "_consts")
+                 "series", "near_one", "excess_ok", "f32", "other", "split", "expansion",
+                 "_consts")
 
     def __init__(self, upper: tuple, lower: tuple):
         self.upper, self.lower = upper, lower
@@ -558,8 +570,7 @@ class _Plan:
         self.up, self.lo, self.p, self.q = tuple(up), tuple(lo), len(up), len(lo)
         cancelled = self.up != upper or self.lo != lower
         self.series = _plan(self.up, self.lo) if cancelled else self
-        self.ends = _degree(up) is not None
-        self.near_one = self.p == self.q + 1 and not self.ends
+        self.near_one = self.p == self.q + 1 and self.degree is None
         self.excess_ok = sum(lo, Fraction(0)) > sum(up, Fraction(0))
         self.f32 = _match_f32_ones(up, lo)
         self.other = self.split = self.expansion = None
@@ -567,10 +578,10 @@ class _Plan:
             a, b, c = self.split = (*up, *lo)
             if c == 2 and Fraction(1) in up and a != b:
                 self.other = b if a == 1 else a
-            if c - a - b == 0:
-                self.expansion = _hyp2f1_zero_balanced
-            elif (c - a - b).denominator != 1:
+            if (c - a - b).denominator != 1:
                 self.expansion = _hyp2f1_connection
+            elif c - a - b >= 0:
+                self.expansion = _hyp2f1_log
         self._consts = {}
 
     def consts(self, build):
@@ -582,14 +593,38 @@ class _Plan:
         return got
 
     def eval(self, x: mpf, omx, eps: mpf):
-        """The dispatch of ``_eval_pfq`` at x: its tests that depend on x, and
-        its 12 exits, in order."""
+        """The real-argument dispatch at x; returns (value, terms, method, bar).
+
+        ``x`` is an mpf, ``omx`` the complement 1 - x, or None to form it
+        from x; at the unit argument (x = 1 and omx <= 0) omx is 0.  The scope
+        is checked before any branch: ValueError for |x| > 1, and, unless the
+        series terminates (an upper parameter that is a nonpositive integer),
+        for p > q + 1 upper parameters and for x = 1 when p = q + 1 and the
+        excess sum(lower) - sum(upper) is nonpositive, 1F0 included.  Each
+        algorithm has one exit, 11 in all with the raises, and ``method``
+        names it: "binomial" ((1 - x)^-a for 1F0, and 2F1(1, a; 2; x)),
+        "f32-tail" (3F2(1, 1, a+1; 2, 2; x) for x > 1/2, 1 included),
+        "accelerated" (``_extrapolate`` on the one-factor block) for other
+        sums at 1 but a 2F1's, "log" and "connection" (the 2F1 expansions in
+        1 - x for x > 1/2, 1 included, where each is the Gauss sum), and
+        "direct" (``_direct_sum``) for p <= q, a polynomial, or |x| <= 0.95
+        where no branch above applies; all but "binomial" 1F0 and "direct"
+        take only a non-terminating p = q + 1 series at |x| > 1/2.  Such a
+        series at |x| > 0.95 that no branch covers raises ArithmeticError, as
+        does a sum at 1 whose terms still rise in the fit's window
+        (``_require_falling``).  ``bar`` is the fit's measured bar on the
+        "accelerated" branch and None on the others.  Every x-independent
+        part (the cancellation, the scope facts, the branch constants and the
+        coefficient tables) is computed once per plan; a caller that
+        evaluates one series at many x, as ``kdf_integral`` does, holds the
+        plan and calls its ``eval``.
+        """
         if omx is None:
             omx = 1 - x
         at_one = x == 1 and omx <= 0
         if at_one:
             omx = mpf(0)
-        if self.p > self.q + 1 and not self.ends:
+        if self.p > self.q + 1 and self.degree is None:
             raise ValueError("series diverges: too many upper parameters")
         ax = abs(x)
         if ax > 1:
@@ -601,26 +636,26 @@ class _Plan:
         if self.near_one and ax > _NEAR_ONE_SWITCH:
             if x > 0 and self.f32 is not None:
                 return *_f32_ones_tail(self, x, omx, eps), "f32-tail", None
-            if at_one:
-                if self.p == 2:
-                    return _gauss_summation(*self.split), 1, "gauss", None
+            if at_one and self.split is None:
                 # the partial sums at 1 are the anti-diagonal sums of the
                 # one-factor block at (1, 0), and their remainder families are
                 # that block's
                 block, zero, D = KdFParams([], [], self.up, self.lo, [], []), mpf(0), _fit_d(eps)
                 val, err = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, D),
                                         _kdf_families(block, x, zero), eps)
+                _require_falling(self.up, self.lo, D)
                 return +val, D + 1, "accelerated", +err
             if self.other is not None:
-                # binomial closed form, valid on the whole interval [-1, 1)
+                # binomial closed form, valid on [-1, 1) and, for a positive
+                # excess 1 - a, at 1
                 am = _to_mpf(self.other - 1)
                 return (omx ** (-am) - 1) / (am * x), 1, "binomial", None
             # the expansions in powers of 1 - x need x near 1
-            if x > 0 and self.expansion is _hyp2f1_zero_balanced:
-                return *_hyp2f1_zero_balanced(self, x, omx, eps), "zero-balanced", None
+            if x > 0 and self.expansion is _hyp2f1_log:
+                return *_hyp2f1_log(self, x, omx, eps), "log", None
             if x > 0 and self.expansion is _hyp2f1_connection:
                 return *_hyp2f1_connection(self, x, omx, eps), "connection", None
-        if self.p <= self.q or self.ends or ax <= _DIRECT_LIMIT:
+        if self.p <= self.q or self.degree is not None or ax <= _DIRECT_LIMIT:
             return *_direct_sum(self.series, x, eps), "direct", None
         raise ArithmeticError(
             f"no fast evaluation path for {list(self.up)}/{list(self.lo)} at x={x}; "
@@ -633,45 +668,37 @@ def _plan(upper: tuple, lower: tuple) -> _Plan:
     return _Plan(upper, lower)
 
 
-def _eval_pfq(upper, lower, x, omx, eps):
-    """Full real-argument dispatch; returns (value, terms, method, bar).
+def _require_falling(upper, lower, D: int):
+    """Raise ArithmeticError when the terms of sum prod (u)_n / prod (l)_n / n!
+    at x = 1, p = q + 1 with a positive excess s, still rise,
+    |t_(n+1)| > |t_n|, at an index n at or past ceil(0.35 D), where the fit's
+    window starts (``_accel.max_order``): the partial sums up to D then show
+    a plateau that the fit reads as the limit.
 
-    A lookup of the plan of (upper, lower) (``_plan``), whose ``eval`` holds
-    the tests that depend on x and the exits.  ``upper``/``lower`` are
-    Fraction tuples, ``x`` an mpf, ``omx`` the complement 1 - x, or None to
-    form it from x; at the unit argument (x = 1 and omx <= 0) omx is 0.
-    Repeated parameters cancel first (in the plan); then the scope is checked
-    before any branch: ValueError for |x| > 1, and, unless the series
-    terminates (an upper parameter that is a nonpositive integer), for
-    p > q + 1 upper parameters and for x = 1 when p = q + 1 and the excess
-    sum(lower) - sum(upper) is nonpositive, 1F0 included.  Each algorithm has
-    one exit, and ``method`` names it: "binomial" ((1 - x)^-a for 1F0, and
-    2F1(1, a; 2; x)), "gauss" (2F1 at 1), "f32-tail" (3F2(1, 1, a+1; 2, 2; x)
-    for x > 1/2, 1 included), "accelerated" (``_extrapolate`` on the
-    one-factor block) for other sums at 1, "zero-balanced" and "connection"
-    (2F1 expansions in 1 - x for x > 1/2), and "direct" (``_direct_sum``) for
-    p <= q, a polynomial, or |x| <= 0.95 where no branch above applies; all
-    but "binomial" 1F0 and "direct" take only a non-terminating p = q + 1
-    series at |x| > 1/2.  Such a series at |x| > 0.95 that no branch covers
-    raises ArithmeticError.  ``bar`` is the fit's measured bar on the
-    "accelerated" branch and None on the others.  Every x-independent part
-    (the cancellation, the scope facts, the branch constants and the
-    coefficient tables) is computed once per plan; a caller that evaluates
-    one series at many x, as ``kdf_integral`` does, holds the plan and calls
-    its ``eval``.
+    The exact ratio is r_n = prod (u + n) / ((n + 1) prod (l + n)).  Past
+    every negative parameter each factor is positive, and r_n > 1 exactly
+    where P(n) = (n + 1) prod (l + n) - prod (u + n) < 0.  P has degree q and
+    leading coefficient 1 + s > 0, so no root lies past Cauchy's bound
+    1 + max |P_i| / (1 + s).  The ratios are read from the larger of the two
+    bounds down to the window's start.
     """
-    return _plan(tuple(upper), tuple(lower)).eval(x, omx, eps)
+    def poly(roots):  # the coefficients of prod (n + v), lowest first
+        return reduce(lambda c, v: [v * lo + hi for lo, hi in zip(c + [0], [0] + c)], roots, [1])
+
+    P = [l - u for l, u in zip(poly((1, *lower)), poly(upper))][:-1]
+    top = max(1 + max(map(abs, P[:-1]), default=0) / P[-1], *(-v for v in upper + lower))
+    start = -(-7 * D // 20)
+    for n in range(math.floor(top), start - 1, -1):
+        if abs(math.prod(u + n for u in upper)) > abs((n + 1) * math.prod(l + n for l in lower)):
+            raise ArithmeticError(f"the terms at x = 1 still rise at n = {n}, past the "
+                                  f"start {start} of the fit's window at D = {D}")
 
 
 def _match_f32_ones(up, lo):
     """Detect 3F2(1, 1, a+1; 2, 2; .) with 0 < a < 1; returns a or None."""
-    if sorted(lo) != [Fraction(2), Fraction(2)]:
-        return None
-    if len(up) != 3 or sorted(up)[:2] != [Fraction(1), Fraction(1)]:
-        return None
-    a = sorted(up)[2] - 1
-    if 0 < a < 1:
-        return a
+    s = sorted(up)
+    if sorted(lo) == [2, 2] and len(s) == 3 and s[:2] == [1, 1] and 0 < s[2] - 1 < 1:
+        return s[2] - 1
     return None
 
 
@@ -681,11 +708,8 @@ def gauss_2f1_unit_interval(a, b, c, x, omx):
     Works at the caller's precision: x and omx are read at mp.dps digits and
     the tails are certified to 10^(5 - mp.dps).
     """
-    if any(isinstance(v, (float, mpf)) for v in (a, b, c)):
-        raise TypeError("parameters must be exact rationals")
-    eps = mpf(10) ** (5 - mp.dps)
-    return _eval_pfq((Fraction(a), Fraction(b)), (Fraction(c),), mpmathify(x),
-                     mpmathify(omx), eps)[0]
+    plan = _plan(_as_fraction_tuple((a, b)), _as_fraction_tuple((c,)))
+    return plan.eval(mpmathify(x), mpmathify(omx), mpf(10) ** (5 - mp.dps))[0]
 
 
 def pfq(params: PFQParams, x, prec: Precision, x_complement=None) -> SeriesResult:
@@ -693,15 +717,15 @@ def pfq(params: PFQParams, x, prec: Precision, x_complement=None) -> SeriesResul
 
     |x| < 1, or x = 1 with positive parameter excess, or a terminating
     series (a polynomial) at any |x| <= 1 whatever p and q are; any other
-    input, 1F0 at 1 included, raises ValueError (``_eval_pfq``).  ``x_complement``
+    input, 1F0 at 1 included, raises ValueError (``_Plan.eval``).  ``x_complement``
     may supply 1 - x to full accuracy when x is close to 1.  The
     "accelerated" branch reports the fit's measured bar; the others report
     tol.
     """
     with mp.workdps(prec.dps + 10):
         omx = None if x_complement is None else _to_mpf(x_complement)
-        val, terms, method, bar = _eval_pfq(params.upper, params.lower, _to_mpf(x), omx,
-                                            prec.tol() / 10)
+        val, terms, method, bar = _plan(params.upper, params.lower).eval(_to_mpf(x), omx,
+                                                                          prec.tol() / 10)
         return SeriesResult(val, prec.tol() if bar is None else bar, terms, method)
 
 
@@ -840,22 +864,23 @@ def _fit_d(tol) -> int:
     at D = 160, 320, 640 and 1280.  Each row takes the smallest D whose cap
     is at least a quarter above the largest K* at the row's floor of the
     six Theorem blocks at (1, 1), the 32 blocks of perfbench's pool at
-    (1, 1), and pFq at 1 (the generic 3F2(1/2, 3/4, 1; 5/4, 2), four Dixon
-    3F2 and the deep-dip 3F2(1, 1, 1; -199/2, 110), whose fit tol is the
-    pFq tol / 10).  Measured at the floor (1e-90 on the last row), with
-    the working precision of ``kdf_series`` at the loosest digits the tol
-    allows (``Precision``), and the seconds of the six Theorem calls in one
-    fresh process (2-vCPU AMD EPYC, mpmath's python backend):
+    (1, 1), and pFq at 1 (the generic 3F2(1/2, 3/4, 1; 5/4, 2) and four
+    Dixon 3F2, whose fit tol is the pFq tol / 10).  Measured at the floor
+    (1e-90 on the last row), with the working precision of ``kdf_series``,
+    or of ``pfq``, at the loosest digits the tol allows (``Precision``), and
+    the seconds of the six Theorem calls in one fresh process (2-vCPU AMD
+    EPYC, mpmath's python backend):
 
         tol >=   D     cap   K*: Theorem  pool  pFq   (seconds)
         1e-13    160    34        22        26    12   (0.05)
         1e-34    320    69        54        54    18   (0.5)
-        1e-70    640   138       106       106   102   (6.8)
-        0       1280   277       112       112   124   (25.8)
+        1e-70    640   138       106       106    32   (6.8)
+        0       1280   277       112       112    36   (25.8)
 
-    The deep-dip 3F2 is the one that raises: it stalls at K = 16 on the
-    D = 320 row (fit tols 1e-13 to 1e-26 and 1e-34), as it stalled when
-    every tol took D = 320, from pFq tol 1e-12 down.
+    The deep-dip 3F2(1, 1, 1; -199/2, 110) raises on every row: its terms
+    rise up to n = 1287, so on the D = 160 and 1280 rows the fit stops on a
+    plateau (K = 12 and 124) that ``_require_falling`` refuses; it stalls at
+    K = 16 on the D = 320 row and runs out of orders on the D = 640 row.
     One row less would run out of orders: L2a at D = 160 and 1e-20, L1 at
     D = 320 and 1e-45, L1 at D = 640 and 1e-90.  One row more costs more
     than it saves: D = 320 at 1e-12 (0.08 s), 640 at 1e-40 (1.6 s against

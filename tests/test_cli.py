@@ -197,6 +197,27 @@ def test_lvalue_prints_only_true_digits(capsys, n, args):
     assert covered
 
 
+@pytest.mark.parametrize("route", ["series", "integral"])
+def test_kdf_prints_only_true_digits(capsys, route):
+    # the L1 block at (1, 1) is 27 L(f, 1); --digits 30 asks the routes for
+    # 1e-15, and the value is printed to the places its bar supports: within
+    # one unit of its last printed place of the closed form, and within the
+    # printed bar, which is rounded up (it printed 30 digits, wrong from the
+    # 17th, with the bar rounded to nearest)
+    code, out, _ = run(["kdf", "--a", "1", "--ap", "2", "--b", "1,4/3", "--bp", "2",
+                        "--c", "1/3,2/3", "--cp", "1", "--x", "1", "--y", "1",
+                        "--route", route, "--digits", "30"], capsys)
+    assert code == 0
+    lines = dict(line.split(" = ") for line in out.splitlines())
+    text = lines["value"]
+    places = len(text.split(".")[1])
+    assert places < 30
+    with mp.workdps(50):
+        gap = abs(mpf(text) - 27 * l_value(1, 45))
+        assert gap <= mpf(10) ** -places
+        assert gap <= mpf(lines["err_estimate"])
+
+
 def test_lvalue_small_N_is_an_error_only_for_dirichlet(capsys):
     # --N is the Dirichlet truncation point; the other methods do not read it
     code, _, _ = run(["lvalue", "--n", "1", "--method", "mellin", "--digits", "15",

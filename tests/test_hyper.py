@@ -158,8 +158,8 @@ def test_accelerated_unit_sum_partial_sums(monkeypatch, up, lo):
     monkeypatch.setattr(_accel, "known_exponent_fit", spy)
     with mp.workdps(30):
         with pytest.raises(_Captured) as caught:
-            hyper._eval_pfq(tuple(map(Fraction, up)), tuple(map(Fraction, lo)), mpf(1), None,
-                            mpf("1e-30"))
+            hyper._plan(tuple(map(Fraction, up)), tuple(map(Fraction, lo))).eval(
+                mpf(1), None, mpf("1e-30"))
         [got] = caught.value.args
         assert len(got) == hyper._fit_d(mpf("1e-30")) + 1 == 321
         prec = mp.prec
@@ -198,6 +198,16 @@ def test_pfq_at_one_accelerated_dixon(a, b, c):
         want = (g(1 + a / 2) * g(1 + a - b) * g(1 + a - c) * g(1 + a / 2 - b - c)
                 / (g(1 + a) * g(1 + a / 2 - b) * g(1 + a / 2 - c) * g(1 + a - b - c)))
         assert abs(res.value - want) <= res.err_estimate < PREC.tol()
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-11])
+def test_pfq_at_one_refuses_terms_that_still_rise(tol):
+    # the terms of 3F2(1, 1, 1; -199/2, 110; 1) fall to 4.7e-61 at n = 100,
+    # then rise until (n+1)^2 = (n - 99.5)(n + 110), n = 1287: the partial
+    # sums up to D = 160 show a plateau 4.55e-8 below the limit, which the
+    # fit would return with a bar of 1e-23
+    with pytest.raises(ArithmeticError, match="still rise at n = 1287"):
+        hyper.pfq(PFQParams([1, 1, 1], [Fraction(-199, 2), 110]), 1, Precision(40, tol))
 
 
 def test_zero_balanced_against_mpmath():
@@ -243,8 +253,9 @@ def test_f32_pattern_against_direct():
     pytest.param([THIRD, 2 * THIRD], [1], Fraction(1, 4), "direct", id="direct"),
     pytest.param([THIRD], [], Fraction(1, 2), "binomial", id="binomial-1f0"),
     pytest.param([1, Fraction(4, 3)], [2], Fraction(4, 5), "binomial", id="binomial-2f1"),
-    pytest.param([THIRD, Fraction(1, 4)], [2], 1, "gauss", id="gauss"),
-    pytest.param([THIRD, 2 * THIRD], [1], Fraction(9, 10), "zero-balanced", id="zero-balanced"),
+    # 2F1 at 1 is the Gauss sum, which each expansion in 1 - x gives at w = 0
+    pytest.param([THIRD, Fraction(1, 4)], [2], 1, "connection", id="gauss"),
+    pytest.param([THIRD, 2 * THIRD], [1], Fraction(9, 10), "log", id="zero-balanced"),
     pytest.param([Fraction(1, 5), Fraction(1, 2)], [Fraction(9, 4)], Fraction(93, 100),
                  "connection", id="connection"),
     pytest.param([1, 1, Fraction(4, 3)], [2, 2], Fraction(9, 10), "f32-tail", id="f32-tail"),
@@ -273,14 +284,15 @@ DIVERGES_AT_ONE = "series diverges at x = 1"
 NO_BRANCH = "no fast evaluation path"
 
 
-# one row per exit of _eval_pfq: (upper, lower, x, omx or None) -> the branch
+# one row per exit of _Plan.eval: (upper, lower, x, omx or None) -> the branch
 # label, or (exception, message) for the inputs it rejects
 @pytest.mark.parametrize("up, lo, x, omx, want", [
     pytest.param([THIRD], [Fraction(4, 3)], "0", None, "direct", id="direct-at-zero"),
     pytest.param([THIRD], [Fraction(4, 3)], "0.99", None, "direct", id="direct-p<=q"),
     pytest.param([], [], "-1", None, "direct", id="direct-0f0-at-minus-one"),
     pytest.param([THIRD, 2 * THIRD], [1], "-0.5", None, "direct", id="direct-half"),
-    pytest.param([1, 1], [3], "0.9", None, "direct", id="direct-fallback-integer-excess"),
+    # excess 1: the log expansion covers every integer excess m >= 0
+    pytest.param([1, 1], [3], "0.9", None, "log", id="direct-fallback-integer-excess"),
     pytest.param([THIRD, 2 * THIRD], [1], "-0.9", None, "direct", id="direct-fallback-negative"),
     # a polynomial takes the direct exit at any |x| <= 1, whatever p and q are
     pytest.param([-1, 2], [Fraction(1, 2)], "0.99", None, "direct", id="direct-polynomial-0.99"),
@@ -293,15 +305,17 @@ NO_BRANCH = "no fast evaluation path"
     pytest.param([Fraction(-2)], [], "1", None, "binomial", id="binomial-1f0-terminating-at-one"),
     pytest.param([THIRD], [], "1", "1e-40", "binomial", id="binomial-1f0-near-one"),
     pytest.param([1, Fraction(4, 3)], [2], "-1", None, "binomial", id="binomial-2f1"),
-    pytest.param([THIRD, Fraction(1, 4)], [2], "1", None, "gauss", id="gauss"),
-    pytest.param([THIRD, Fraction(1, 4)], [2], "1", "0", "gauss", id="gauss-omx-zero"),
+    pytest.param([THIRD, Fraction(1, 4)], [2], "1", None, "connection", id="gauss"),
+    pytest.param([THIRD, Fraction(1, 4)], [2], "1", "0", "connection", id="gauss-omx-zero"),
     pytest.param([1, 1, Fraction(4, 3)], [2, 2], "1", None, "f32-tail", id="f32-at-one"),
     pytest.param([1, 1, Fraction(4, 3)], [2, 2], "1", "-1e-40", "f32-tail",
                  id="f32-at-one-negative-omx"),
     pytest.param([1, 1, Fraction(4, 3)], [2, 2], "0.97", None, "f32-tail", id="f32-near-one"),
-    pytest.param([THIRD, 2 * THIRD], [1], "0.97", None, "zero-balanced", id="zero-balanced"),
-    pytest.param([THIRD, 2 * THIRD], [1], "1", "1e-40", "zero-balanced",
+    pytest.param([THIRD, 2 * THIRD], [1], "0.97", None, "log", id="zero-balanced"),
+    pytest.param([THIRD, 2 * THIRD], [1], "1", "1e-40", "log",
                  id="zero-balanced-x-rounds-to-one"),
+    pytest.param([THIRD, Fraction(1, 4)], [Fraction(31, 12)], "1", None, "log",
+                 id="log-at-one"),
     pytest.param([Fraction(1, 5), Fraction(1, 2)], [Fraction(9, 4)], "0.97", None, "connection",
                  id="connection"),
     pytest.param([Fraction(1, 2), Fraction(3, 4), 1], [Fraction(5, 4), 2], "1", None,
@@ -325,6 +339,8 @@ NO_BRANCH = "no fast evaluation path"
                  id="diverges-cancels-to-1f0-integer"),
     pytest.param([THIRD, 2 * THIRD], [1], "-0.96", None, (ArithmeticError, NO_BRANCH),
                  id="no-branch-below-minus-0.95"),
+    pytest.param([2 * THIRD, 4 * THIRD], [1], "0.97", None, (ArithmeticError, NO_BRANCH),
+                 id="no-branch-negative-integer-excess"),
 ])
 def test_eval_pfq_dispatch_matrix(up, lo, x, omx, want):
     args = (tuple(map(Fraction, up)), tuple(map(Fraction, lo)))
@@ -332,9 +348,9 @@ def test_eval_pfq_dispatch_matrix(up, lo, x, omx, want):
         point = (mpf(x), None if omx is None else mpf(omx), mpf("1e-25"))
         if isinstance(want, tuple):
             with pytest.raises(want[0], match=want[1]):
-                hyper._eval_pfq(*args, *point)
+                hyper._plan(*args).eval(*point)
         else:
-            assert hyper._eval_pfq(*args, *point)[2] == want
+            assert hyper._plan(*args).eval(*point)[2] == want
 
 
 @pytest.mark.parametrize("up, lo", [([], []), ([THIRD], [Fraction(4, 3)]),
@@ -344,8 +360,8 @@ def test_eval_pfq_at_zero_is_exactly_one(up, lo):
     # the direct sum at X = 0 is C_0 = 2^wp, read back exactly, and it stops
     # at index 0: every later term is exactly 0
     with mp.workdps(30):
-        got, terms, _, _ = hyper._eval_pfq(tuple(map(Fraction, up)), tuple(map(Fraction, lo)),
-                                           mpf(0), None, mpf("1e-25"))
+        got, terms, _, _ = hyper._plan(tuple(map(Fraction, up)),
+                                       tuple(map(Fraction, lo))).eval(mpf(0), None, mpf("1e-25"))
         assert got._mpf_ == mpf(1)._mpf_
         assert terms == 1
 
@@ -356,8 +372,8 @@ def test_f32_tail_at_one_is_the_closed_form(a, dps):
     # 3F2(1, 1, a+1; 2, 2; 1) through the tail expansion at w = 0 equals
     # (psi(1) - psi(1 - a))/a bit for bit
     with mp.workdps(dps):
-        got = hyper._eval_pfq((Fraction(1), Fraction(1), a + 1), (Fraction(2), Fraction(2)),
-                              mpf(1), None, mpf(10) ** (5 - dps))[0]
+        got = hyper._plan((Fraction(1), Fraction(1), a + 1), (Fraction(2), Fraction(2))).eval(
+            mpf(1), None, mpf(10) ** (5 - dps))[0]
         b = 1 - a
         want = (mp.psi(0, mpf(1)) - mp.psi(0, mpf(b.numerator) / b.denominator)) / (
             mpf(a.numerator) / a.denominator)
@@ -576,8 +592,8 @@ def test_coefficient_tables_stay_within_their_bound():
         for k in range(hyper._TABLE_SLOTS + 20):
             hyper._pfq_direct((Fraction(1, k + 2), Fraction(1)), (Fraction(2),),
                               mpf("0.01"), mpf("1e-20"))
-            hyper._eval_pfq((Fraction(1, k + 2), Fraction(2, 3)), (Fraction(1, k + 2) + 2 * THIRD,),
-                            mpf("0.9"), None, mpf("1e-20"))
+            hyper._plan((Fraction(1, k + 2), Fraction(2, 3)),
+                        (Fraction(1, k + 2) + 2 * THIRD,)).eval(mpf("0.9"), None, mpf("1e-20"))
     assert hyper._coeff_table.cache_info().currsize <= hyper._TABLE_SLOTS
     assert hyper._plan.cache_info().currsize <= hyper._TABLE_SLOTS
     assert len(_live_tables()) <= hyper._TABLE_SLOTS
@@ -589,8 +605,8 @@ def test_term_cap_leaves_no_table_behind():
     degree = hyper._TERM_CAP + 1
     with mp.workdps(30):
         with pytest.raises(ArithmeticError, match="did not meet the tail bound"):
-            hyper._eval_pfq((Fraction(-degree), THIRD), (Fraction(1, 2),), mpf("0.5"), None,
-                            mpf("1e-25"))
+            hyper._plan((Fraction(-degree), THIRD), (Fraction(1, 2),)).eval(
+                mpf("0.5"), None, mpf("1e-25"))
     assert hyper._coeff_table.cache_info().currsize == 0
     assert not [t for t in _live_tables() if t.plan.degree == degree]
 
@@ -624,11 +640,62 @@ def test_zero_balanced_certified_tail(a, b, w):
     # it by about 1e-16 at w = 1e-40
     with mp.workdps(55):
         w, eps = mpf(w), mpf("1e-45")
-        got, _ = hyper._hyp2f1_zero_balanced(hyper._plan((a, b), (a + b,)), 1 - w, w, eps)
+        got, _ = hyper._hyp2f1_log(hyper._plan((a, b), (a + b,)), 1 - w, w, eps)
         with mp.workdps(120):
             am, bm = (mpf(v.numerator) / v.denominator for v in (a, b))
             want = hyp2f1(am, bm, am + bm, 1 - w)
         assert abs(got - want) <= eps
+
+
+@pytest.mark.parametrize("a, b", [(THIRD, Fraction(1, 4)), (Fraction(1, 2), 2 * THIRD),
+                                  (Fraction(5, 4), -THIRD)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("w", ["0.4", "0.1", "0.03", "1e-30"])
+def test_log_expansion_against_mpmath(a, b, m, w):
+    # 2F1(a, b; a+b+m; x) at x = 0.6, 0.9, 0.97 and 1 - 1e-30, with the
+    # complement passed exactly, against mpmath at 60 digits: within eps
+    with mp.workdps(60):
+        w, eps = mpf(w), mpf("1e-50")
+        got, _, method, _ = hyper._plan((a, b), (a + b + m,)).eval(1 - w, w, eps)
+        assert method == "log"
+        with mp.workdps(120):
+            am, bm = (mpf(v.numerator) / v.denominator for v in (a, b))
+            want = hyp2f1(am, bm, am + bm + m, 1 - w)
+        assert abs(got - want) <= eps
+
+
+@pytest.mark.parametrize("a, b", [(THIRD, Fraction(1, 4)), (Fraction(1, 2), 2 * THIRD),
+                                  (Fraction(5, 4), -THIRD)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_log_expansion_at_one_is_the_gauss_sum(a, b, m):
+    # at x = 1 the expansion is its finite part's f_0, the Gauss sum
+    # Gamma(c) Gamma(c-a-b)/(Gamma(c-a) Gamma(c-b))
+    with mp.workdps(40):
+        got, terms, method, _ = hyper._plan((a, b), (a + b + m,)).eval(mpf(1), None,
+                                                                       mpf("1e-35"))
+        assert (terms, method) == (1, "log")
+        with mp.workdps(80):
+            am, bm = (mpf(v.numerator) / v.denominator for v in (a, b))
+            g = mp.gamma
+            want = g(am + bm + m) * g(m) / (g(bm + m) * g(am + m))
+        assert abs(got - want) <= mp.ldexp(abs(want), 4 - mp.prec)
+
+
+@pytest.mark.parametrize("b, bp", [
+    pytest.param([THIRD, 2 * THIRD], 2, id="m=1"),
+    pytest.param([Fraction(1, 4), Fraction(1, 2)], Fraction(11, 4), id="m=2"),
+    pytest.param([THIRD, THIRD], Fraction(8, 3), id="m=2-equal"),
+])
+def test_kdf_integral_integer_excess_factor(b, bp):
+    # a factor with excess m = 1 or 2 sits at t -> 1 on the integral route,
+    # where the log expansion evaluates it; the two routes agree within the
+    # sum of their bars
+    block = KdFParams([1], [2], b, [bp], [THIRD, 2 * THIRD], [1])
+    prec = Precision(40, 1e-20)
+    series = hyper.kdf_series(block, 1, 1, prec)
+    integral = hyper.kdf_integral(block, 1, 1, prec)
+    assert abs(series.value - integral.value) <= series.err_estimate + integral.err_estimate
+    assert max(series.err_estimate, integral.err_estimate) <= prec.tol()
 
 
 _small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -698,8 +765,8 @@ def test_polynomial_at_any_argument(up, lo, x):
     degree = min(-u for u in up if u.denominator == 1 and u <= 0)
     with mp.workdps(40):
         eps = mpf("1e-35")
-        got, terms, method, _ = hyper._eval_pfq(up, lo, mpf(x.numerator) / x.denominator,
-                                                None, eps)
+        got, terms, method, _ = hyper._plan(up, lo).eval(mpf(x.numerator) / x.denominator,
+                                                         None, eps)
         assert method == "direct"
         assert terms == degree + 1
         with mp.workdps(80):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the integral route of the six Theorem blocks and two end-to-end runs.
+"""Time the integral route of the six Theorem blocks and two end-to-end runs,
+and count the transcendental calls its quadrature nodes make per branch.
 
     python3 benchmarks/pfq_direct.py > record.json
 
@@ -13,7 +14,16 @@ of 5.  After the timing, one more call per block and point runs with
 ``hyper._direct_sum`` wrapped, the one function through which every direct
 sum goes (the "direct" exit of a plan, the sub-series of the "connection"
 and "f32-tail" branches, and ``_pfq_direct``), and records its calls and the
-terms they summed, and the call's ``terms_used`` (its quadrature nodes).  It
+terms they summed, and the call's ``terms_used`` (its quadrature nodes).
+Then, per point, one more call per block runs under ``sys.setprofile``
+with ``hyper._Plan.eval`` wrapped, and counts the calls of mpmath's
+``mpf_log``, ``mpf_exp``, ``mpf_pow`` and ``log1p`` (nested calls
+included: a power counts its own log and exp too), summed over the six
+blocks: for each branch of ``_Plan.eval``, the factor evaluations that took
+it and their calls per evaluation; and, per quadrature node, the calls made
+outside every evaluation (the integrand's weight, plus the three gamma
+values of the prefactor once per call).  The caches are warm, so no node
+table is built during the count.  It
 then times ``cubictheta verify --suite all --digits 40`` and ``cubictheta
 verify --suite numeric --digits 80`` in fresh interpreters: the first run
 and the best of 5 of each.  Prints one JSON record with those, the Python
@@ -78,6 +88,50 @@ def direct_counts(params, point, prec):
     return counts + [nodes]
 
 
+COUNTED = ("mpf_log", "mpf_exp", "mpf_pow", "log1p")
+
+
+def branch_counts(point, prec):
+    """The COUNTED calls of one kdf_integral call per Theorem block at
+    ``point``, per branch of ``_Plan.eval`` and per node outside it."""
+    real = hyper._Plan.eval
+    stack = [dict.fromkeys(COUNTED, 0)]
+    branches, nodes = {}, 0
+
+    def spy(self, *args):
+        stack.append(dict.fromkeys(COUNTED, 0))
+        try:
+            out = real(self, *args)
+        finally:
+            calls = stack.pop()
+        row = branches.setdefault(out[2], dict.fromkeys(("evals",) + COUNTED, 0))
+        row["evals"] += 1
+        for name, n in calls.items():
+            row[name] += n
+        return out
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in COUNTED:
+            stack[-1][frame.f_code.co_name] += 1
+
+    hyper._Plan.eval = spy
+    sys.setprofile(profile)
+    try:
+        for params in THEOREM_KDF_BLOCKS.values():
+            nodes += hyper.kdf_integral(params, *point, prec).terms_used
+    finally:
+        sys.setprofile(None)
+        hyper._Plan.eval = real
+    return {
+        "nodes": nodes,
+        "outside_eval_per_node": {name: round(n / nodes, 3) for name, n in stack[0].items()},
+        "branches": {method: {"evals": row["evals"],
+                              **{f"{name}_per_eval": round(row[name] / row["evals"], 3)
+                                 for name in COUNTED}}
+                     for method, row in sorted(branches.items())},
+    }
+
+
 def cpu_model() -> str:
     """The first "model name" of /proc/cpuinfo, else platform.processor()."""
     try:
@@ -123,6 +177,7 @@ def main() -> None:
             }
         out[label] = {
             "blocks": rows,
+            "transcendental_calls": branch_counts(point, prec),
             "cold_total_seconds": round(sum(r["cold_seconds"] for r in rows.values()), 4),
             "best_total_seconds": round(sum(r["best_seconds"] for r in rows.values()), 4),
         }

@@ -29,9 +29,14 @@ q + 1 upper parameters and a series that diverges at x = 1 (nonpositive
 excess, 1F0 included) raise ValueError, except that a polynomial is summed
 directly at any |x| <= 1.
 ``kdf_integral`` looks up its two factors' plans once per call, so its
-quadrature nodes do only the work that depends on x.  ``quad_de`` reads the
-tanh-sinh nodes of each level from one cached tuple (``_de_nodes``), walked
-once per side of t = 1/2.
+quadrature nodes do only the work that depends on x; its weight
+t^(a-1) (1-t)^(ap-a-1) is one exp of the node's logs, and a factor whose
+argument is the node itself (z = 1) takes both logs into its ``eval``, whose
+branches in 1 - x then take no log or power of their own.  ``quad_de``
+reads the tanh-sinh nodes of each level from one cached tuple
+(``_de_nodes``), walked once per side of t = 1/2; each node carries
+t, 1 - t, its weight, ln t and ln(1 - t), and an integrand may take all
+four.
 Near the unit argument a 2F1 switches to an expansion in 1 - x: one log
 expansion for every integer excess m >= 0 (``_hyp2f1_log``), the connection
 formula for any other positive excess; their tails are certified as well;
@@ -362,31 +367,44 @@ def _pfq_direct(upper, lower, x, eps):
 
 
 class _LogTable:
-    """The second series of the log expansion: E_n = floor(C_n h_n) for the
-    coefficients C_n of S0 = 2F1(A, B; L; w) at 2^wp (the table that holds
-    this one as ``log``) and the exact rationals
-    h_n = sum_(k<n) [1/(k+1) + 1/(k+L) - 1/(A+k) - 1/(B+k)], filled lazily.
+    """The second series of the log expansion: E_n = floor(C_n H_n / 2^wp)
+    for the coefficients C_n of S0 = 2F1(A, B; L; w) at 2^wp (the table that
+    holds this one as ``log``) and H_n, the rationals
+    h_n = sum_(k<n) [1/(k+1) + 1/(k+L) - 1/(A+k) - 1/(B+k)] in fixed point
+    at 2^wp, filled lazily.  Each step adds its four reciprocals, each
+    1/(k + p/d) as floor(d 2^wp / (k d + p)), so H_n is within 4n ulps of
+    h_n 2^wp.
 
-    bits_n = bitlen(floor(max_(k<=n) |h_k|) + 1), so that 2^bits_n exceeds
-    that maximum plus one.
+    With C_n within n G ulps of c_n 2^wp (G the rise of the coefficients,
+    ``_fixed_terms``), E_n is within n G (|h_n| + 4 |c_n| + 2) ulps of
+    c_n h_n 2^wp: 4n |c_n| from H_n, n G |h_n| from C_n, and one ulp each for
+    the floor and the product of the two errors.  bits_n =
+    bitlen(hb + 4 cb + 2), with hb = (max_(k<=n) |H_k| >> wp) + 2 and
+    cb = (max_(k<=n) |C_k| >> wp) + 2, which bound max |h_k| and max |c_k|,
+    so 2^bits_n exceeds that factor of n G.
     """
 
-    __slots__ = ("E", "bits", "_params", "_h", "_hmax")
+    __slots__ = ("E", "bits", "_recips", "_wp", "_H", "_hmax", "_cmax")
 
-    def __init__(self, params: tuple):
-        self._params = params
+    def __init__(self, params: tuple, wp: int):
+        A, B, L = params
+        self._recips = [(v.numerator, v.denominator, v.denominator << wp, sign)
+                        for v, sign in ((Fraction(1), 1), (L, 1), (A, -1), (B, -1))]
+        self._wp = wp
         self.E, self.bits = [], []
-        self._h, self._hmax = Fraction(0), Fraction(0)
+        self._H = self._hmax = self._cmax = 0
 
     def fill(self, C: list, n: int):
         """Extend the table through index n, from the coefficients C (which
         must already reach it)."""
+        wp = self._wp
         for k in range(len(self.E), n + 1):
-            h = self._h
-            self.E.append(C[k] * h.numerator // h.denominator)
-            self._hmax = max(self._hmax, abs(h))
-            self.bits.append((math.floor(self._hmax) + 1).bit_length())
-            self._h = h + _h_step(*self._params, k)
+            H = self._H
+            self.E.append(C[k] * H >> wp)
+            self._hmax = max(self._hmax, abs(H) >> wp)
+            self._cmax = max(self._cmax, abs(C[k]) >> wp)
+            self.bits.append((self._hmax + 4 * self._cmax + 12).bit_length())
+            self._H = H + sum(sign * (top // (k * d + p)) for p, d, top, sign in self._recips)
 
 
 def _h_step(A: Fraction, B: Fraction, L: Fraction, k: int) -> Fraction:
@@ -421,7 +439,7 @@ def _log_consts(plan):
     return fin, pref, k0, 2 * abs(pref), _to_mpf(h_tail), sub
 
 
-def _hyp2f1_log(plan, x, omx, eps):
+def _hyp2f1_log(plan, x, omx, eps, logs=None):
     """2F1(a, b; a+b+m; x), ``plan``'s series for an integer excess m >= 0,
     by the logarithmic expansion around x = 1 (DLMF 15.8.10, Abramowitz &
     Stegun 15.3.10-11), in w = 1 - x = ``omx``:
@@ -439,31 +457,36 @@ def _hyp2f1_log(plan, x, omx, eps):
     Tail: S0 stops at eps0 = eps / (2 |pref| (|K_m - ln w| + H)), H >=
     sup_(n>N) |h_n| (``_log_consts``), so S1's tail is at most H eps0 and
     the two tails together, times |pref| w^m <= |pref|, cost at most eps/2.
-    Rounding: S0 is within 2^-(prec+1) as in ``_direct_sum``; E_n is within
-    (max|h| + 1) n G ulps, so the guard also covers the log table's ``bits``
-    and S1 is within 2^-(prec+1) too; the m finite terms and the products
-    round at the working precision.  Returns (value, m + N + 1).
+    Rounding: S0 is within 2^-(prec+1) as in ``_direct_sum``; the log table
+    carries h_n in fixed point, within 4n ulps, so E_n is within
+    n G (max|h| + 4 max|c| + 2) < n G 2^bits_n ulps (``_LogTable``), the
+    guard also covers the log table's ``bits`` and S1 is within 2^-(prec+1)
+    too; the m finite terms and the products round at the working
+    precision.  With ``logs`` = (ln x, ln w) from the caller, K_m - ln w
+    reads that ln w in place of mp.log(w); a node table gives it within 8
+    ulps at the working precision p, relatively (``_de_nodes``), so
+    K_m - ln w moves by at most 2^(3-p) |ln w|.  Returns (value, m + N + 1).
     """
     fin, pref, k0, two_apref, h_tail, sub = plan.consts(_log_consts)
     if not omx:
         return fin[0], 1
-    kw = k0 - mp.log(omx)
+    kw = k0 - (mp.log(omx) if logs is None else logs[1])
     guard = _PFQ_GUARD
     while True:
         table = _coeff_table(sub, mp.prec + guard)
         N = _stop_index(table, omx, eps / (two_apref * (abs(kw) + h_tail)))
         if table.log is None:
-            table.log = _LogTable(sub.upper + sub.lower)
-        logs = table.log
-        logs.fill(table.C, N)
-        need = 2 * (N + 1).bit_length() + table.bits[N] + logs.bits[N]
+            table.log = _LogTable(sub.upper + sub.lower, table.wp)
+        log_table = table.log
+        log_table.fill(table.C, N)
+        need = 2 * (N + 1).bit_length() + table.bits[N] + log_table.bits[N]
         if need <= guard:
             break
         guard = need
     wp = table.wp
     X = kernels.to_fixed(omx, wp)
     s0 = mp.ldexp(mpf(kernels.horner(table.C, N, X, wp)), -wp)
-    s1 = mp.ldexp(mpf(kernels.horner(logs.E, N, X, wp)), -wp)
+    s1 = mp.ldexp(mpf(kernels.horner(log_table.E, N, X, wp)), -wp)
     finite = sum(f * omx ** k for k, f in enumerate(fin))
     return finite + pref * omx ** len(fin) * (kw * s0 + s1), len(fin) + N + 1
 
@@ -481,14 +504,22 @@ def _connection_consts(plan):
             _plan((a, b), (a + b - c + 1,)), _plan((c - a, c - b), (1 - a - b + c,)))
 
 
-def _hyp2f1_connection(plan, x, omx, eps):
+def _hyp2f1_connection(plan, x, omx, eps, logs=None):
     """2F1(a, b; c; x), ``plan``'s series, for non-integer c-a-b via the
     two-series expansion in 1 - x, whose coefficients are the Gauss sums of
-    (a, b; c) and (c-a, c-b; c)."""
+    (a, b; c) and (c-a, c-b; c).
+
+    With ``logs`` = (ln x, ln w), w = 1 - x, from the caller, w^(c-a-b) is
+    exp((c-a-b) ln w), one exp in place of a power.  With ln w within 8 ulps
+    at the working precision p, relatively (``_de_nodes``), the argument is
+    within 9 |(c-a-b) ln w| ulps, so the exp is within
+    (1 + 9 |(c-a-b) ln w|) 2^-p of w^(c-a-b), relatively.
+    """
     g1, g2, e, s1, s2 = plan.consts(_connection_consts)
     f1, n1 = _direct_sum(s1, omx, eps)
     f2, n2 = _direct_sum(s2, omx, eps)
-    return g1 * f1 + omx ** e * g2 * f2, n1 + n2
+    power = omx ** e if logs is None else mp.exp(e * logs[1])
+    return g1 * f1 + power * g2 * f2, n1 + n2
 
 
 def _f32_consts(plan):
@@ -500,7 +531,7 @@ def _f32_consts(plan):
             _plan((Fraction(1), 1 - a), (2 - a,)))
 
 
-def _f32_ones_tail(plan, x, omx, eps):
+def _f32_ones_tail(plan, x, omx, eps, logs=None):
     """3F2(1, 1, a+1; 2, 2; x), ``plan``'s series, for 0 < a < 1 near x = 1,
     or at it (omx = 0, where the tail T vanishes and the value is C(a)/a).
 
@@ -509,11 +540,20 @@ def _f32_ones_tail(plan, x, omx, eps):
     T(a, w) = sum_k [w^(k+1-a)/(k+1-a) - w^(k+1)/(k+1)]
             = w^(1-a)/(1-a) 2F1(1, 1-a; 2-a; w) + log(1 - w),
     the 2F1 summed by ``_direct_sum`` with its certified tail.
+
+    With ``logs`` = (ln x, ln w) from the caller, w^(1-a) is
+    exp((1-a) ln w) and log(1 - w) is ln x: no power and no log1p.  With
+    both logs within 8 ulps at the working precision p, relatively
+    (``_de_nodes``), the power is within (1 + 9 (1-a) |ln w|) 2^-p of
+    w^(1-a), relatively, and ln x within 2^(3-p) |ln x|.
     """
     am, bm, cconst, sub = plan.consts(_f32_consts)
     w = omx
     f21, n = _direct_sum(sub, w, eps)
-    tail = w ** bm / bm * f21 + mp.log1p(-w)
+    if logs is None:
+        tail = w ** bm / bm * f21 + mp.log1p(-w)
+    else:
+        tail = mp.exp(bm * logs[1]) / bm * f21 + logs[0]
     return (cconst - tail) / (am * x), n
 
 
@@ -592,11 +632,18 @@ class _Plan:
             got = self._consts[key] = build(self)
         return got
 
-    def eval(self, x: mpf, omx, eps: mpf):
+    def eval(self, x: mpf, omx, eps: mpf, logs=None):
         """The real-argument dispatch at x; returns (value, terms, method, bar).
 
         ``x`` is an mpf, ``omx`` the complement 1 - x, or None to form it
-        from x; at the unit argument (x = 1 and omx <= 0) omx is 0.  The scope
+        from x; at the unit argument (x = 1 and omx <= 0) omx is 0.
+        ``logs``, when given, is (ln x, ln(1 - x)), the logs of 1 - omx and
+        of omx (of 1 - x and x when omx is None), as a quadrature node
+        carries them (``_de_nodes``); the
+        branches in 1 - x then take their powers of 1 - x as one exp and
+        their logs from it ("binomial", "log", "connection", "f32-tail"),
+        and the others ignore it.  The logs change no scope check and no
+        choice of branch; without them every branch forms its own.  The scope
         is checked before any branch: ValueError for |x| > 1, and, unless the
         series terminates (an upper parameter that is a nonpositive integer),
         for p > q + 1 upper parameters and for x = 1 when p = q + 1 and the
@@ -632,10 +679,14 @@ class _Plan:
         if at_one and self.near_one and not self.excess_ok:
             raise ValueError("series diverges at x = 1 (nonpositive excess)")
         if self.p == 1 and self.q == 0:
-            return omx ** (-_to_mpf(self.up[0])), 1, "binomial", None
+            # with the logs, (1 - x)^-a is exp(-a ln(1 - x)), within
+            # (1 + 9 |a ln(1 - x)|) 2^-p of it, relatively
+            am = _to_mpf(self.up[0])
+            value = omx ** (-am) if logs is None else mp.exp(-am * logs[1])
+            return value, 1, "binomial", None
         if self.near_one and ax > _NEAR_ONE_SWITCH:
-            if x > 0 and self.f32 is not None:
-                return *_f32_ones_tail(self, x, omx, eps), "f32-tail", None
+            if self.f32 is not None and x > 0:
+                return *_f32_ones_tail(self, x, omx, eps, logs), "f32-tail", None
             if at_one and self.split is None:
                 # the partial sums at 1 are the anti-diagonal sums of the
                 # one-factor block at (1, 0), and their remainder families are
@@ -647,14 +698,19 @@ class _Plan:
                 return +val, D + 1, "accelerated", +err
             if self.other is not None:
                 # binomial closed form, valid on [-1, 1) and, for a positive
-                # excess 1 - a, at 1
+                # excess 1 - a, at 1.  With the logs the power is
+                # exp(-(a-1) ln(1 - x)), within (1 + 9 |(a-1) ln(1 - x)|) 2^-p
+                # of it, relatively; at x > 1/2 its argument is at least
+                # |a-1| ln 2 in size, so subtracting 1 cancels no more than
+                # it does from the power
                 am = _to_mpf(self.other - 1)
-                return (omx ** (-am) - 1) / (am * x), 1, "binomial", None
+                power = omx ** (-am) if logs is None else mp.exp(-am * logs[1])
+                return (power - 1) / (am * x), 1, "binomial", None
             # the expansions in powers of 1 - x need x near 1
-            if x > 0 and self.expansion is _hyp2f1_log:
-                return *_hyp2f1_log(self, x, omx, eps), "log", None
-            if x > 0 and self.expansion is _hyp2f1_connection:
-                return *_hyp2f1_connection(self, x, omx, eps), "connection", None
+            if self.expansion is _hyp2f1_log and x > 0:
+                return *_hyp2f1_log(self, x, omx, eps, logs), "log", None
+            if self.expansion is _hyp2f1_connection and x > 0:
+                return *_hyp2f1_connection(self, x, omx, eps, logs), "connection", None
         if self.p <= self.q or self.degree is not None or ax <= _DIRECT_LIMIT:
             return *_direct_sum(self.series, x, eps), "direct", None
         raise ArithmeticError(
@@ -1006,7 +1062,11 @@ def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     factors are evaluated through ``pfq``'s near-unit machinery, so the
     quadrature nodes may approach t = 1 without losing the integrand; each
     factor's plan (``_plan``) is looked up once per call, and every node
-    calls its ``eval``.
+    calls its ``eval``.  Every node reads its ln t and ln(1 - t) from the
+    node table (``quad_de``): the weight t^(a-1) (1-t)^(ap-a-1) is one
+    exp((a-1) ln t + (ap-a-1) ln(1-t)), and none when both exponents are 0,
+    and a factor at z = 1, whose argument is the node itself, takes both
+    logs into its ``eval``.
     """
     if len(params.a) != 1 or len(params.ap) != 1:
         raise ValueError("integral representation needs exactly one joint parameter pair")
@@ -1021,14 +1081,20 @@ def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
         # each factor's plan is looked up once here, not at every node
         pb, pc = _plan(params.b, params.bp), _plan(params.c, params.cp)
         omx, omy = 1 - xx, 1 - yy
+        at_one_b, at_one_c = xx == 1, yy == 1
 
-        def integrand(t, omt):
-            # 1 - z*t as (1 - z) + z*(1 - t): exactly omt at z = 1
-            fb = pb.eval(xx * t, omx + xx * omt, eps)[0]
-            fc = pc.eval(yy * t, omy + yy * omt, eps)[0]
-            return t ** am1 * omt ** dm1 * fb * fc
+        def integrand(t, omt, lt, lomt):
+            # at z = 1 the factor's argument is the node, with its logs;
+            # elsewhere 1 - z*t is (1 - z) + z*(1 - t)
+            logs = lt, lomt
+            fb = (pb.eval(t, omt, eps, logs) if at_one_b
+                  else pb.eval(xx * t, omx + xx * omt, eps))[0]
+            fc = (pc.eval(t, omt, eps, logs) if at_one_c
+                  else pc.eval(yy * t, omy + yy * omt, eps))[0]
+            weight = mp.exp(am1 * lt + dm1 * lomt) if am1 or dm1 else 1
+            return weight * fb * fc
 
-        quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)
+        quad = quad_de(integrand, prec.tol() / 4, prec, node_args=True)
         val = pref * quad.value
         err = abs(pref) * quad.err_estimate + prec.tol() / 4
         return SeriesResult(val, err, quad.terms_used, "integral")
@@ -1045,29 +1111,41 @@ def _de_nodes(level: int, wexp: int, prec: int) -> tuple:
     """The tanh-sinh nodes new at ``level`` (step h = 2^-level), at ``prec``
     bits, computed once.
 
-    One tuple of nodes (t, 1-t, weight) at s = k h > 0 (k odd past level 0),
-    all with t > 1/2, and at level 0 the s = 0 node (t = 1/2) first;
-    ``quad_de`` reads each node of the other side as (1-t, t, weight) from
-    the same entry.  Both t and 1-t are computed directly, so endpoint
-    distances stay exact down to weights of size 10^-wexp, where the tuple
-    ends (past s = 3).
+    One tuple of nodes (t, 1-t, weight, ln t, ln(1-t)) at s = k h > 0 (k odd
+    past level 0), all with t > 1/2, and at level 0 the s = 0 node (t = 1/2)
+    first; ``quad_de`` reads each node of the other side as
+    (1-t, t, weight, ln(1-t), ln t) from the same entry.  With
+    w = (pi/2) sinh s, one E = e^w gives u = e^(-2w) = (1/E)^2 and
+    4 cosh^2 w = (E + 1/E)^2, from which t = 1/(1 + u) and 1-t = u t are
+    both computed directly, so endpoint distances stay exact down to weights
+    (pi/2) cosh s / (2 cosh^2 w) of size 10^-wexp, where the tuple ends (past
+    s = 3); cosh s is sqrt(1 + sinh^2 s).  The logs take one log1p:
+    ln t = -log1p(u), and ln(1-t) = ln t - 2w, a sum of two nonpositive
+    terms.  They are the logs of the stored 1-t and of 1 minus it, each
+    within 8 ulps relatively, however close t is to 1; the stored t is
+    within 4 ulps of that 1 minus 1-t.
     """
     with mp.workprec(prec):
         h = mpf(1) / 2 ** level
         wcut = mpf(10) ** (-wexp)
+        pi = +mp.pi
         nodes = []
         for k in count(0, 1) if level == 0 else count(1, 2):
             s = k * h
-            w = (mp.pi / 2) * mp.sinh(s)
-            ch = mp.cosh(w)
-            e2w = mp.exp(2 * w)
-            dt = (mp.pi / 2) * mp.cosh(s) / (2 * ch * ch)
-            nodes.append((e2w / (1 + e2w), 1 / (1 + e2w), dt))
+            sh = mp.sinh(s)
+            w = pi / 2 * sh
+            ew = mp.exp(w)
+            iew = 1 / ew
+            u = iew * iew
+            t = 1 / (1 + u)
+            dt = pi * mp.sqrt(1 + sh * sh) / (ew + iew) ** 2
+            lt = -mp.log1p(u)
+            nodes.append((t, u * t, dt, lt, lt - 2 * w))
             if dt < wcut and s > 3:
                 return tuple(nodes)
 
 
-def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
+def quad_de(f, tol, prec: Precision, node_args: bool = False) -> SeriesResult:
     """Tanh-sinh quadrature of f over (0, 1).
 
     The step is halved, down to 2^-``_QUAD_MAX_LEVEL``, until the error bar
@@ -1076,8 +1154,16 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
     Each level sums its new nodes (``_de_nodes``): the center at level 0,
     then the side t > 1/2, then the mirrored side t < 1/2, each side until
     5 terms in a row fall below tol 10^-4 or its nodes end.  Integrable
-    endpoint singularities of algebraic-logarithmic type are fine.  With
-    ``two_arg=True`` the integrand is called as f(t, 1-t).
+    endpoint singularities of algebraic-logarithmic type are fine.
+
+    By default the integrand is called as f(t), and a node that rounds onto
+    an endpoint counts 0.  With ``node_args=True`` it is called as
+    f(t, 1-t, ln t, ln(1-t)), all four read from the node table: 1-t is
+    exact however close t is to 1, and the logs are those of 1-t and of
+    1 minus it, within 8 ulps relatively (``_de_nodes``; the mirrored side
+    passes the same four numbers in the other order), so an integrand takes
+    its powers t^a (1-t)^b as one exp(a ln t + b ln(1-t)), and t^a - 1 as
+    one expm1(a ln t), and needs no log of its own.
 
     The bar reads the level differences d_L = |I_L - I_(L-1)| (d_0 = inf)
     and their ratios r_L = d_L / d_(L-1).  Double-exponential quadrature
@@ -1119,13 +1205,13 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
         # so a tol outside the range of a double sizes the cut too
         wexp = int(3 * (-float(mp.log10(tol)) + 8))
         tiny = tol * mpf(10) ** -4
-        if two_arg:
+        if node_args:
             call = f
         else:
             # single-argument integrands cannot resolve 1 - t below working
             # precision; such nodes carry negligible weight for the supported
             # (integrable) endpoint singularities
-            def call(t, omt, _f=f):
+            def call(t, omt, lt, lomt, _f=f):
                 if t <= 0 or t >= 1:
                     return mpf(0)
                 return _f(t)
@@ -1137,17 +1223,17 @@ def quad_de(f, tol, prec: Precision, two_arg: bool = False) -> SeriesResult:
             nodes = _de_nodes(lev, wexp, mp.prec)
             new = mpf(0)
             if lev == 0:
-                t, omt, w = nodes[0]
-                c = w * call(t, omt)
+                t, omt, w, lt, lomt = nodes[0]
+                c = w * call(t, omt, lt, lomt)
                 new += c
                 terms.append(c)
             # past the center, side 0 reads a node as (t, 1-t), side 1 as its
-            # mirror (1-t, t)
+            # mirror (1-t, t), each with its logs
             edge = mpf(0)
             for side in (0, 1):
                 run = 0
-                for node in islice(nodes, lev == 0, None):
-                    c = node[2] * call(node[side], node[1 - side])
+                for t, omt, w, lt, lomt in islice(nodes, lev == 0, None):
+                    c = w * (call(t, omt, lt, lomt) if side == 0 else call(omt, t, lomt, lt))
                     new += c
                     terms.append(c)
                     if abs(c) < tiny:

@@ -105,6 +105,93 @@ def _upper_gamma(nu: int, x) -> mpf:
         x ** k / math.factorial(k) for k in range(nu))
 
 
+def _mellin_sides(n: int) -> tuple:
+    """The (nu, lambda, constant, e^-lambda) of the two sides of ``l_mellin``
+    at the working precision: the m-th term of a side is
+    coef_m * constant * (2 pi m)^(-nu) * Gamma(nu, lambda m)."""
+    y0 = mpf(_SPLIT_Y0.numerator) / _SPLIT_Y0.denominator
+    two_pi = 2 * mp.pi
+    fac = two_pi ** n / math.factorial(n - 1)
+    sides = ((n, two_pi * y0, fac),
+             (3 - n, two_pi / (9 * y0), fac * 9 ** (3 - n) / mp.sqrt(27)))
+    return tuple((nu, lam, const, mp.exp(-lam)) for nu, lam, const in sides)
+
+
+def _mellin_tail(sides, M: int) -> mpf:
+    """The proven tail of both sums of ``l_mellin`` past m = M: the first
+    majorant of each side over 1 - rho (mp.inf when rho >= 1)."""
+    m = M + 1
+    # past m = M the majorants fall at least by k_ratio e^(-lambda) a step
+    k_ratio = _coeff_bound(m + 1) / _coeff_bound(m) * m / (m + 1)
+    total = mpf(0)
+    for nu, lam, const, e_lam in sides:
+        rho = k_ratio * e_lam
+        if rho >= 1:
+            return mp.inf
+        x = lam * m
+        # E1(x) < e^(-x)/x bounds Gamma(0, x)
+        gamma = mp.exp(-x) / x if nu == 0 else _upper_gamma(nu, x)
+        first = const * _coeff_bound(m) * (2 * mp.pi * m) ** -nu * gamma
+        total += first / (1 - rho)
+    return total
+
+
+def _mellin_log_tail(float_sides, M: int) -> float:
+    """ln ``_mellin_tail`` at M in floats, for the start of the stop search:
+    the same majorants, from each side's (nu, lambda, ln constant) as
+    floats."""
+    m = M + 1
+    rows = []
+    for nu, lam, log_const in float_sides:
+        rho = (m + 1) / m * math.exp(-lam)
+        if rho >= 1:
+            return math.inf
+        x = lam * m
+        log_gamma = (-x - math.log(x) if nu == 0 else math.log(math.factorial(nu - 1)) - x
+                     + math.log(sum(x ** k / math.factorial(k) for k in range(nu))))
+        rows.append(log_const + math.log(math.pi ** 2 / 3) + 2 * math.log(m)
+                    - nu * math.log(2 * math.pi * m) + log_gamma - math.log1p(-rho))
+    top = max(rows)
+    return top + math.log(sum(math.exp(r - top) for r in rows))
+
+
+def _mellin_order(sides, budget) -> tuple:
+    """The smallest M >= 1 whose ``_mellin_tail`` is at most ``budget``, and
+    that tail.
+
+    The tail falls with M wherever lambda m > 1 on both sides, m = M + 1: a
+    side's first majorant is a positive multiple of a sum of terms
+    m^j e^(-lambda m) with j <= 1 (K(m) (2 pi m)^-nu Gamma(nu, lambda m),
+    Gamma(nu, x) = (nu-1)! e^-x sum_(k<nu) x^k/k! for nu >= 1 and
+    e^-x/x for nu = 0), each of which falls once m > j/lambda, and
+    1/(1 - rho) falls with rho = (m+1)/m e^-lambda.  At M >= 1, m >= 2, so
+    lambda > 1/2 suffices; at the split y0 = 1/3 both lambda are 2 pi/3.
+    So the smallest M is found by bisecting the float ``_mellin_log_tail``
+    against ln budget and confirming with the exact tail: it fails at M - 1
+    and passes at M (each confirmation that does not hold steps M by one,
+    so a float near-tie costs one more exact tail, never a wrong M).
+    ArithmeticError past ``_MAX_TERMS``.
+    """
+    float_sides = [(nu, float(lam), float(mp.log(const))) for nu, lam, const, _ in sides]
+    log_budget = float(mp.log(budget))
+    lo, hi = 1, _MAX_TERMS + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _mellin_log_tail(float_sides, mid) <= log_budget:
+            hi = mid
+        else:
+            lo = mid + 1
+    M = lo
+    while (bound := _mellin_tail(sides, M)) > budget:
+        M += 1
+        if M > _MAX_TERMS:
+            raise ArithmeticError(
+                f"the split y0 = {_SPLIT_Y0} needs more than {_MAX_TERMS} terms")
+    while M > 1 and (lower := _mellin_tail(sides, M - 1)) <= budget:
+        M, bound = M - 1, lower
+    return M, bound
+
+
 def l_mellin(n: int, prec: Precision) -> SeriesResult:
     """L(f, n), n = 1, 2, 3, from the functional equation split at y0.
 
@@ -125,46 +212,18 @@ def l_mellin(n: int, prec: Precision) -> SeriesResult:
     K(m) = ``_coeff_bound(m)``, E1(x) by e^(-x)/x), and the majorants fall by
     at least the ratio rho = (K(M+2)/K(M+1)) (M+1)/(M+2) e^(-lambda) per step,
     lambda = 2 pi y0 or 2 pi/(9 y0), so their tail is the first one over
-    1 - rho.  err_estimate is that tail plus the rounding of the 2M summed
-    terms; terms_used is 2M.
+    1 - rho (``_mellin_tail``; M from ``_mellin_order``).  err_estimate is
+    that tail plus the rounding of the 2M summed terms; terms_used is 2M.
     """
     if n not in (1, 2, 3):
         raise ValueError("n must be 1, 2 or 3")
     with mp.workdps(prec.dps + 15):
-        y0 = mpf(_SPLIT_Y0.numerator) / _SPLIT_Y0.denominator
         two_pi = 2 * mp.pi
-        fac = two_pi ** n / math.factorial(n - 1)
-        # (nu, lambda, constant) of each side: its m-th term is
-        # coef_m * constant * (2 pi m)^(-nu) * Gamma(nu, lambda m)
-        sides = ((n, two_pi * y0, fac),
-                 (3 - n, two_pi / (9 * y0), fac * 9 ** (3 - n) / mp.sqrt(27)))
-
-        def tail(M):
-            # past m = M the majorants fall at least by k_ratio e^(-lambda) a step
-            m = M + 1
-            k_ratio = _coeff_bound(m + 1) / _coeff_bound(m) * m / (m + 1)
-            total = mpf(0)
-            for nu, lam, const in sides:
-                rho = k_ratio * mp.exp(-lam)
-                if rho >= 1:
-                    return mp.inf
-                x = lam * m
-                # E1(x) < e^(-x)/x bounds Gamma(0, x)
-                gamma = mp.exp(-x) / x if nu == 0 else _upper_gamma(nu, x)
-                first = const * _coeff_bound(m) * (two_pi * m) ** -nu * gamma
-                total += first / (1 - rho)
-            return total
-
-        budget = prec.tol() / 8
-        M = 1
-        while (bound := tail(M)) > budget:
-            M += 1
-            if M > _MAX_TERMS:
-                raise ArithmeticError(
-                    f"the split y0 = {_SPLIT_Y0} needs more than {_MAX_TERMS} terms")
+        sides = _mellin_sides(n)
+        M, bound = _mellin_order(sides, prec.tol() / 8)
         val = mpf(0)
         size = mpf(0)
-        for (nu, lam, const), spec in zip(sides, (_F_ETA, _G_ETA)):
+        for (nu, lam, const, _), spec in zip(sides, (_F_ETA, _G_ETA)):
             coeffs = qexp.eta_quotient(spec, M).coeffs
             for m in range(1, M + 1):
                 if coeffs[m]:
@@ -329,10 +388,12 @@ def l1_alpha_integral(prec: Precision) -> SeriesResult:
         plan = hyper._plan((Fraction(1, 3), Fraction(2, 3)), (Fraction(1),))
         eps = mpf(10) ** (5 - mp.dps)
 
-        def integrand(t, omt):
-            return (omt ** (-third) - 1) / t * plan.eval(t, omt, eps)[0]
+        def integrand(t, omt, lt, lomt):
+            # (1-t)^(-1/3) - 1 as expm1 of the node's ln(1-t), and the 2F1
+            # reads both logs of its argument, the node itself
+            return mp.expm1(-third * lomt) / t * plan.eval(t, omt, eps, (lt, lomt))[0]
 
-        quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)
+        quad = quad_de(integrand, prec.tol() / 4, prec, node_args=True)
         val = quad.value / 9
         err = quad.err_estimate / 9 + prec.tol() / 4
         return SeriesResult(val, err, quad.terms_used, "integral")
@@ -343,7 +404,7 @@ def l2_intermediate(prec: Precision) -> SeriesResult:
     with mp.workdps(prec.dps + 15):
         sub = Precision(prec.working_digits + 10, float(prec.target_tol) * 1e-5)
 
-        def integrand(q, omq):
+        def integrand(q, omq, lq, lomq):
             # b(q) decays double-exponentially as q -> 1 and the whole
             # integrand vanishes as q -> 0; nodes rounded onto an endpoint
             # contribute nothing
@@ -353,7 +414,7 @@ def l2_intermediate(prec: Precision) -> SeriesResult:
                 a, b = thetanum._theta("ab", *thetanum._q_u(q), sub.tol() / 4)
             return b * (a - b) ** 2 / q
 
-        quad = quad_de(integrand, prec.tol() / 4, prec, two_arg=True)
+        quad = quad_de(integrand, prec.tol() / 4, prec, node_args=True)
         val = 2 * mp.pi / (27 * mp.sqrt(3)) * quad.value
         err = 2 * mp.pi / (27 * mp.sqrt(3)) * quad.err_estimate + prec.tol() / 4
         return SeriesResult(val, err, quad.terms_used, "integral")
@@ -423,16 +484,16 @@ def _int_pairs(which: int, prec: Precision):
             third = mpf(1) / 3
             if which < 3:
                 # int_0^alpha x^(e-1)/(1-x) dx = alpha^e/e 2F1(e, 1; e+1; alpha),
-                # e = which/3
+                # e = which/3; t^(e-1) from the node's ln t
                 lhs = quad_de(
-                    lambda t, omt: t ** (-(3 - which) * third) / (1 - al * t),
-                    prec.tol() / 4, prec, two_arg=True,
+                    lambda t, omt, lt, lomt: mp.exp(-(3 - which) * third * lt) / (1 - al * t),
+                    prec.tol() / 4, prec, node_args=True,
                 ).value * al ** (which * third)
                 rhs = mpf(3) / which * al ** (which * third) * _pfq_direct_value(
                     _THIRDS_2F1[which - 1], al, prec)
             else:
-                lhs = quad_de(lambda t, omt: _int3_integrand(al * t) * al,
-                              prec.tol() / 4, prec, two_arg=True).value
+                lhs = quad_de(lambda t, omt, lt, lomt: _int3_integrand(al * t) * al,
+                              prec.tol() / 4, prec, node_args=True).value
                 rhs = (2 * al / 3 * _pfq_direct_value(_THIRDS_3F2[1], al, prec)
                        - al / 3 * _pfq_direct_value(_THIRDS_3F2[0], al, prec))
         yield lhs, rhs

@@ -681,6 +681,124 @@ def test_log_expansion_at_one_is_the_gauss_sum(a, b, m):
         assert abs(got - want) <= mp.ldexp(abs(want), 4 - mp.prec)
 
 
+def _log_table_reference(A, B, L, C, n: int) -> list:
+    """E_k = floor(C_k h_k) for k <= n with h_k the exact Fraction
+    sum_(j<k) [1/(j+1) + 1/(j+L) - 1/(A+j) - 1/(B+j)]: the log expansion's
+    second table in exact rationals, the reference for its fixed-point
+    form (``hyper._LogTable``)."""
+    E, h = [], Fraction(0)
+    for k in range(n + 1):
+        E.append(C[k] * h.numerator // h.denominator)
+        h += Fraction(1, k + 1) + 1 / (k + L) - 1 / (A + k) - 1 / (B + k)
+    return E
+
+
+@pytest.mark.parametrize("a, b, m", [(THIRD, 2 * THIRD, 0), (THIRD, 2 * THIRD, 1),
+                                     (Fraction(1, 4), Fraction(1, 2), 2),
+                                     (Fraction(5, 4), -THIRD, 3)])
+def test_log_table_in_fixed_point_against_the_fractions(a, b, m):
+    # at every n up to 200, E_n within 4n (|C_n| 2^-wp + 1) + 1 ulps of the
+    # Fraction table's, and 2^bits_n above max |h_k| + 4 max |c_k| + 2
+    sub = hyper._plan((a + m, b + m), (Fraction(m + 1),))
+    wp = 200
+    table = hyper._coeff_table(sub, wp)
+    table.fill(200)
+    logs = hyper._LogTable(sub.upper + sub.lower, wp)
+    logs.fill(table.C, 200)
+    ref = _log_table_reference(*sub.upper, *sub.lower, table.C, 200)
+    h, hmax, cmax = Fraction(0), Fraction(0), Fraction(0)
+    for n in range(201):
+        assert abs(logs.E[n] - ref[n]) <= 4 * n * ((abs(table.C[n]) >> wp) + 1) + 1, n
+        hmax = max(hmax, abs(h))
+        cmax = max(cmax, Fraction(abs(table.C[n]), 1 << wp))
+        assert 2 ** logs.bits[n] > hmax + 4 * cmax + 2, n
+        h += hyper._h_step(*sub.upper, *sub.lower, n)
+
+
+# (upper, lower) -> the branch in 1 - x that reads a node's logs
+LOG_BRANCHES = [
+    pytest.param((THIRD, 2 * THIRD), (Fraction(1),), "log", id="log-m0"),
+    pytest.param((THIRD, 2 * THIRD), (Fraction(2),), "log", id="log-m1"),
+    pytest.param((Fraction(1, 4), Fraction(1, 2)), (Fraction(11, 4),), "log", id="log-m2"),
+    pytest.param((THIRD,), (), "binomial", id="binomial-1F0"),
+    pytest.param((Fraction(1), THIRD), (Fraction(2),), "binomial", id="binomial-2F1"),
+    pytest.param((THIRD, THIRD), (Fraction(1),), "connection", id="connection"),
+    pytest.param((Fraction(1), Fraction(1), Fraction(4, 3)), (Fraction(2), Fraction(2)),
+                 "f32-tail", id="f32-tail"),
+]
+
+
+@pytest.mark.parametrize("up, lo, method", LOG_BRANCHES)
+@pytest.mark.parametrize("w", ["0.4", "0.1", "1e-6", "1e-30", "1e-60", "0"])
+def test_branches_read_the_logs_within_their_eps(up, lo, method, w):
+    # for x = 1 - w in (1/2, 1], the call with (ln x, ln w) returns the
+    # branch's value without the logs to within eps of its size; at x = 1 a
+    # series with nonpositive excess raises either way
+    with mp.workdps(55):
+        w, eps = mpf(w), mpf("1e-40")
+        x = 1 - w
+        plan = hyper._plan(up, lo)
+        logs = (mp.log(x), mp.log(w) if w else mp.ninf)
+        if not w and not plan.excess_ok:
+            for extra in ((), (logs,)):
+                with pytest.raises(ValueError, match="nonpositive excess"):
+                    plan.eval(x, w, eps, *extra)
+            return
+        want, n_want, m_want, _ = plan.eval(x, w, eps)
+        got, n_got, m_got, _ = plan.eval(x, w, eps, logs)
+        assert m_got == m_want == method and n_got == n_want
+        assert abs(got - want) <= eps * max(1, abs(want))
+
+
+@pytest.mark.parametrize("level", range(7))
+@pytest.mark.parametrize("wexp, dps", [(84, 55), (204, 115)])
+def test_de_node_logs_against_mp_log(level, wexp, dps):
+    # at every node, ln(1 - t) and ln t within 8 ulps of mp.log of the
+    # stored 1 - t and of 1 minus it, relatively, and the stored t within 4
+    # ulps of that 1 minus 1 - t; the end nodes, where 1 - t is far below
+    # 1e-40 and ln t as small, included
+    with mp.workdps(dps):
+        prec = mp.prec
+        nodes = hyper._de_nodes(level, wexp, prec)
+    assert nodes[-1][1] < mpf("1e-40")
+    with mp.workprec(prec + 64):
+        for t, omt, _, lt, lomt in nodes:
+            for lv, exact in ((lt, mp.log1p(-omt)), (lomt, mp.log(omt))):
+                assert abs(lv - exact) <= mp.ldexp(abs(exact), 3 - prec)
+            assert abs(t - (1 - omt)) <= mp.ldexp(t, 2 - prec)
+
+
+def _kdf_integral_without_logs(params, prec):
+    """``kdf_integral`` at (1, 1) with the integrand that forms its own
+    powers and logs: t^(a-1) (1-t)^(ap-a-1) as two mpf powers, and each
+    factor called without the node's logs; (value, bar)."""
+    a, ap = params.a[0], params.ap[0]
+    with mp.workdps(prec.dps + 15):
+        pref = hyper._gamma(ap) / (hyper._gamma(a) * hyper._gamma(ap - a))
+        am1, dm1 = hyper._to_mpf(a) - 1, hyper._to_mpf(ap - a) - 1
+        eps = prec.tol() / 100
+        pb, pc = hyper._plan(params.b, params.bp), hyper._plan(params.c, params.cp)
+
+        def integrand(t, omt, lt, lomt):
+            return t ** am1 * omt ** dm1 * pb.eval(t, omt, eps)[0] * pc.eval(t, omt, eps)[0]
+
+        quad = hyper.quad_de(integrand, prec.tol() / 4, prec, node_args=True)
+        return pref * quad.value, abs(pref) * quad.err_estimate + prec.tol() / 4
+
+
+@pytest.mark.parametrize("prec", [Precision(40, 1e-30), Precision(60, 1e-45),
+                                  Precision(80, 1e-60)], ids=["dps40", "dps60", "dps80"])
+@pytest.mark.parametrize("name", list(THEOREM_KDF_BLOCKS))
+def test_kdf_integral_with_node_logs_within_its_bar(name, prec):
+    # the six Theorem blocks at (1, 1): the integrand that reads the node's
+    # logs against the one that takes its own powers, on the same nodes
+    block = THEOREM_KDF_BLOCKS[name]
+    got = hyper.kdf_integral(block, 1, 1, prec)
+    want, _ = _kdf_integral_without_logs(block, prec)
+    with mp.workdps(prec.dps + 15):
+        assert abs(got.value - want) <= got.err_estimate <= prec.tol()
+
+
 @pytest.mark.parametrize("b, bp", [
     pytest.param([THIRD, 2 * THIRD], 2, id="m=1"),
     pytest.param([Fraction(1, 4), Fraction(1, 2)], Fraction(11, 4), id="m=2"),
@@ -1029,9 +1147,19 @@ def _model_values(families, pts, bits: int):
                    for d, lg in zip(pts, logs)] for e, _, sign in families]
         for f, j, l in islice(_accel._model(families), len(pts) - 1):
             vals = [p / mpf(d + 1) ** j * lg ** l for d, p, lg in zip(pts, powers[f], logs)]
-            top = max(map(abs, vals))
-            rows.append([int(mp.ldexp(v / top, bits)) for v in vals])
+            scale = mp.ldexp(1 / max(map(abs, vals)), bits)
+            rows.append([int(v * scale) for v in vals])
     return rows
+
+
+def _scaled(row, wp: int) -> list:
+    """The ints of ``row`` scaled so that the largest is 2^wp (or 2^wp - 1),
+    each floored: one reciprocal of the largest, then a product and a shift
+    per entry."""
+    top = max(map(abs, row))
+    shift = top.bit_length() + 2
+    inv = (1 << (wp + shift)) // top
+    return [v * inv >> shift for v in row]
 
 
 FIT_FAMILIES = {
@@ -1059,24 +1187,30 @@ FIT_ROWS = [
 def test_nested_weights_match_the_pivoted_solve(D, dps, orders, name):
     # at each order, the weights of the elimination without row exchanges,
     # at the wp the fit takes for it, and those of a pivoted solve of that
-    # order alone at that wp: they give every model function the same sum
-    # to 2^-prec sum |w|, they sum to 1 exactly, and they agree to
+    # order alone: they give every model function the same sum to
+    # 2^-prec sum |w|, they sum to 1 exactly, and they agree to
     # 2^-24 sum |w|, so sum |w| does not depend on the precision
     families = FIT_FAMILIES[name]
     with mp.workdps(dps):
         prec = mp.prec
         fits = {K: _accel._fit_weights(families, D, K) for K in orders}
     # the reference rows of order K: the first K + 1 values of the first
-    # K + 1 rows, scaled so that the largest is 2^wp; the 96 bits more cover
-    # the fall of a row from its largest value on the grid
+    # K + 1 rows, scaled so that the largest is 2^wp (``_scaled``); the 96
+    # bits more cover the fall of a row from its largest value on the grid
     top_wp = max(wp for _, _, wp in fits.values())
     values = _model_values(families, fits[orders[-1]][0], top_wp + 96)
     for K, (pts, w, wp) in fits.items():
         assert pts == tuple(D - _accel._STEP * i for i in range(K + 1))
         assert sum(w) == 1 << wp, K
-        rows = [[(v << wp) // max(map(abs, row[:K + 1])) for v in row[:K + 1]]
-                for row in values[:K + 1]]
-        ref = _solve_first_unit([r[:] for r in rows], wp)
+        rows = [_scaled(row[:K + 1], wp) for row in values[:K + 1]]
+        # the pivoted solve keeps the bits that the comparisons need, not all
+        # of wp: 48 more than the larger of prec and the fit's bound on the
+        # bits an elimination of this order loses.  Too few bits would show
+        # as a disagreement of the two weights, not hide one
+        lost = _accel._grid(families, D, wp).weights(K)[2]
+        wr = min(wp, max(prec, lost) + 48)
+        ref = [v << (wp - wr) for v in
+               _solve_first_unit([[v >> (wp - wr) for v in row] for row in rows], wr)]
         norm = sum(map(abs, ref))
         for r, row in enumerate(rows):
             assert abs(sum(a * (x - y) for a, x, y in zip(row, w, ref))) <= norm << (wp - prec), (K, r)
@@ -1639,7 +1773,8 @@ def test_quad_de_beta_integrals_within_their_bar(alpha, beta):
         bm1 = mpf(beta.numerator) / beta.denominator - 1
         want = mp.beta(am1 + 1, bm1 + 1)
     for tol in ("1e-12", "1e-25", "1e-40"):
-        res = hyper.quad_de(lambda t, omt: t ** am1 * omt ** bm1, mpf(tol), prec, two_arg=True)
+        res = hyper.quad_de(lambda t, omt, lt, lomt: t ** am1 * omt ** bm1, mpf(tol), prec,
+                            node_args=True)
         with mp.workdps(80):
             assert abs(res.value - want) <= res.err_estimate <= mpf(tol)
     assert res.terms_used <= 180
@@ -1719,8 +1854,8 @@ def test_quad_de_rejects_a_tol_that_is_not_positive_and_finite(tol):
 
 def test_quad_de_tol_below_the_range_of_a_double():
     # 1e-400 underflows a float; the weight cut is sized from the mpf itself
-    res = hyper.quad_de(lambda t, omt: 1 / (1 + t), mpf("1e-400"), Precision(420, 1e-300),
-                        two_arg=True)
+    res = hyper.quad_de(lambda t, omt, lt, lomt: 1 / (1 + t), mpf("1e-400"),
+                        Precision(420, 1e-300), node_args=True)
     with mp.workdps(440):
         assert abs(res.value - mp.log(2)) <= res.err_estimate <= mpf("1e-400")
 
@@ -1739,12 +1874,13 @@ def test_quad_de_node_counts():
     # of t (1-t) fall below it 5 times in a row on both sides of levels 3
     # and 4, which stop early
     tol = mpf("1e-25")
-    res = hyper.quad_de(lambda t, omt: (t * omt) ** (-2 * mpf(1) / 3), tol, PREC, two_arg=True)
+    res = hyper.quad_de(lambda t, omt, lt, lomt: (t * omt) ** (-2 * mpf(1) / 3), tol, PREC,
+                        node_args=True)
     assert res.terms_used == 171 == _full_node_count(5, tol)
     with mp.workdps(60):
         want = mp.gamma(mpf(1) / 3) ** 2 / mp.gamma(mpf(2) / 3)
         assert abs(res.value - want) <= res.err_estimate + tol
-    res = hyper.quad_de(lambda t, omt: t * omt, tol, PREC, two_arg=True)
+    res = hyper.quad_de(lambda t, omt, lt, lomt: t * omt, tol, PREC, node_args=True)
     assert res.terms_used == 141 < _full_node_count(5, tol)
     with mp.workdps(60):
         assert abs(res.value - mpf(1) / 6) <= res.err_estimate + tol
@@ -1764,7 +1900,7 @@ def test_quad_de_reuses_its_nodes():
     with mp.workdps(PREC.dps + 15):
         nodes = hyper._de_nodes(0, 84, mp.prec)
         assert nodes[0][0] == nodes[0][1] == mpf(1) / 2
-        assert all(t > mpf(1) / 2 > omt > 0 for t, omt, _ in nodes[1:])
+        assert all(t > mpf(1) / 2 > omt > 0 for t, omt, *_ in nodes[1:])
 
 
 def test_quad_de_rejects_nonintegrable(monkeypatch):

@@ -174,17 +174,17 @@ def quadrature_l_mellin(n, prec, split_scale=1.0):
         sub_prec = Precision(prec.working_digits + 10,
                              float(prec.target_tol) * 1e-5)
 
-        def low(t, omt):
+        def low(t, omt, lt, lomt):
             u = u0 * t
             return thetanum.f_integrand(u, sub_prec) * u ** (n - 1) * u0
 
-        def high(t, omt):
+        def high(t, omt, lt, lomt):
             u = u0 / t
             return thetanum.f_integrand(u, sub_prec) * u ** (n - 1) * u0 / (t * t)
 
         tol = prec.tol() / 8
-        lo = quad_de(low, tol, prec, two_arg=True)
-        hi = quad_de(high, tol, prec, two_arg=True)
+        lo = quad_de(low, tol, prec, node_args=True)
+        hi = quad_de(high, tol, prec, node_args=True)
         val = fac * (lo.value + hi.value)
         err = fac * (lo.err_estimate + hi.err_estimate) + prec.tol() / 4
         return SeriesResult(val, err, lo.terms_used + hi.terms_used, "integral")
@@ -242,6 +242,35 @@ def test_mellin_bar_covers_error(n, prec):
         assert abs(res.value - exact.value) <= res.err_estimate <= prec.tol()
     # the sums stop at the proven tail tol/8, not at working precision
     assert 0 < res.terms_used < exact.terms_used
+
+
+def _mellin_linear_scan(n, prec):
+    """The M and the tail of ``l_mellin``'s stop as the scan M = 1, 2, ...
+    to the first proven tail at most tol/8 finds them."""
+    with mp.workdps(prec.dps + 15):
+        sides, budget = lvalue._mellin_sides(n), prec.tol() / 8
+        M = 1
+        while (bound := lvalue._mellin_tail(sides, M)) > budget:
+            M += 1
+        return M, bound
+
+
+@pytest.mark.parametrize("prec", [PREC, Precision(40, 1e-30), Precision(100, 1e-90)],
+                         ids=["dps40-1e-12", "dps40-1e-30", "dps100"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mellin_stop_is_the_linear_scans(n, prec):
+    # the bisected float estimate, confirmed at M - 1 and M, takes the M of
+    # the linear scan, and the bar carries that same tail; the tail falls
+    # with M over the scan and 20 steps past it
+    M, bound = _mellin_linear_scan(n, prec)
+    res = lvalue.l_mellin(n, prec)
+    assert res.terms_used == 2 * M
+    with mp.workdps(prec.dps + 15):
+        sides = lvalue._mellin_sides(n)
+        assert lvalue._mellin_order(sides, prec.tol() / 8) == (M, bound)
+        tails = [lvalue._mellin_tail(sides, k) for k in range(1, M + 21)]
+        assert all(a > b for a, b in zip(tails, tails[1:]))
+    assert bound <= res.err_estimate
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -381,22 +381,32 @@ def l1_alpha_integral(prec: Precision) -> SeriesResult:
     """L(f, 1) as (1/9) int_0^1 ((1-a)^(-1/3) - 1) 2F1(1/3, 2/3; 1; a) da/a.
 
     Works entirely in the hauptmodul variable; no theta evaluation involved.
+    At a node t the factor ((1-t)^(-1/3) - 1)/t is ``_l1_alpha_factor`` of
+    the node's exact 1 - t, one cube root, and the 2F1 reads the node's logs.
     """
     with mp.workdps(prec.dps + 15):
-        third = mpf(1) / 3
         # the plan of 2F1(1/3, 2/3; 1; .) and its eps, formed once, not per node
         plan = hyper._plan((Fraction(1, 3), Fraction(2, 3)), (Fraction(1),))
         eps = mpf(10) ** (5 - mp.dps)
 
         def integrand(t, omt, lt, lomt):
-            # (1-t)^(-1/3) - 1 as expm1 of the node's ln(1-t), and the 2F1
-            # reads both logs of its argument, the node itself
-            return mp.expm1(-third * lomt) / t * plan.eval(t, omt, eps, (lt, lomt))[0]
+            return _l1_alpha_factor(omt) * plan.eval(t, omt, eps, (lt, lomt))[0]
 
         quad = quad_de(integrand, prec.tol() / 4, prec, node_args=True)
         val = quad.value / 9
         err = quad.err_estimate / 9 + prec.tol() / 4
         return SeriesResult(val, err, quad.terms_used, "integral")
+
+
+def _l1_alpha_factor(omt) -> mpf:
+    """((1-t)^(-1/3) - 1)/t from 1 - t, as 1/(v (1 + v + v^2)), v = cbrt(1-t).
+
+    1/v - 1 = (1 - v)/v, and 1 - v^3 = t factors as (1 - v)(1 + v + v^2), so
+    the cancelling difference 1 - v drops out: a product with no
+    cancellation, as t -> 0 and as 1 - t -> 0.
+    """
+    v = mp.cbrt(omt)
+    return 1 / (v * (1 + v + v * v))
 
 
 def l2_intermediate(prec: Precision) -> SeriesResult:
@@ -426,10 +436,11 @@ def l2_intermediate(prec: Precision) -> SeriesResult:
 def _e0_value(q, tol) -> mpf:
     """E0(q) = sum chi3(kr)/k (q^(kr/3) - q^(kr)): the exact coefficients of
     ``qexp.lambert_series("E0")``, which the ``e0_derivative`` check verifies,
-    summed at Q = q^(1/3).  Each is 0 or +-sigma(m)/m for some m <= e, at most
-    1 + ln e <= 4 (e + 1) in size, which sets the tail bound.
+    summed at Q = q^(1/3), one ``mp.cbrt``.  Each is 0 or +-sigma(m)/m for
+    some m <= e, at most 1 + ln e <= 4 (e + 1) in size, which sets the tail
+    bound.
     """
-    Q = q ** (mpf(1) / 3)
+    Q = mp.cbrt(q)
     K = thetanum._terms_needed(Q, tol, 4)
     return thetanum._series_sum(qexp.lambert_series("E0", -(-K // 3)).coeffs, K, Q)
 
@@ -466,10 +477,15 @@ def _pfq_direct_value(params: PFQParams, x, prec: Precision) -> mpf:
 
 
 def _int3_integrand(x) -> mpf:
-    """((1-x)^(1/3) - (1-x)^(2/3)) / (x (1-x)), written with L = log(1-x) as
-    -expm1(L/3) exp(-2L/3) / x: a product with no cancellation, even as x -> 0."""
-    ell = mp.log1p(-x)
-    return -mp.expm1(ell / 3) * mp.exp(-2 * ell / 3) / x
+    """((1-x)^(1/3) - (1-x)^(2/3)) / (x (1-x)) as 1/(v^2 (1 + v + v^2)),
+    v = cbrt(1-x).
+
+    The numerator is v - v^2 = v (1 - v), and 1 - v^3 = x gives
+    x (1-x) = (1 - v)(1 + v + v^2) v^3, so the cancelling difference 1 - v
+    drops out: a product with no cancellation, as x -> 0 and as x -> 1.
+    """
+    v = mp.cbrt(1 - x)
+    return 1 / (v * v * (1 + v + v * v))
 
 
 def _int_pairs(which: int, prec: Precision):

@@ -18,7 +18,14 @@ evaluator, ``_theta``, takes this split for every public function here; the
 hauptmodul alpha = c^3/(b^3 + c^3) and its complement b^3/(b^3 + c^3) come
 from one helper, ``_alpha``.  Each truncated series (theta values, E0 and the
 exact truncations that ``qexp_consistency`` compares with) is summed by the
-fixed-point Horner loop of ``kernels`` (``_series_sum``).
+fixed-point Horner loop of ``kernels`` (``_series_sum``), to the first rung M
+of 4, 6, 8, ... whose tail bound ``_tail_bound`` is at most the tol.  The
+rungs are decided on float logs read off each mpf's mantissa and binary
+exponent, with no mpmath function called; only a rung whose float log ratio
+falls inside a tie window, wider than the float and mpf rounding together,
+is decided by the mpf bound itself (``_terms_needed``), so M is the one the
+mpf bound alone would give.  The factor q^(1/3) of c is one ``mp.cbrt``,
+correctly rounded at any exponent of q.
 """
 
 from __future__ import annotations
@@ -107,14 +114,50 @@ def _tail_bound(z: mpf, M: int, c: int) -> mpf:
     return c * (M + 3) * z ** (M + 1) / (1 - z) ** 2
 
 
+_LN2 = math.log(2)
+
+
+def _ln(x: mpf) -> tuple:
+    """(ln x, s) for an mpf x > 0, read off its mantissa and binary exponent
+    with no mpmath function: ln man + exp ln 2 in floats, within 4 eps s of
+    ln x, s = |ln man| + |exp| ln 2, eps = 2^-53, whatever the exponent."""
+    _, man, exp, _ = x._mpf_
+    lm, le = math.log(man), exp * _LN2
+    return lm + le, abs(lm) + abs(le)
+
+
 def _terms_needed(z: mpf, tol: mpf, c: int) -> int:
-    """First M of 4, 6, 8, ..., stepped by an eighth, with _tail_bound <= tol."""
+    """First M of 4, 6, 8, ..., stepped by an eighth, with _tail_bound <= tol.
+
+    Each rung is decided on d = ln c + ln(M+3) + (M+1) ln z - 2 ln(1-z)
+    - ln tol in floats, the logs from ``_ln`` (1 - z rounded at the working
+    precision p, as ``_tail_bound`` rounds it).  With S = ln c + ln(M+3)
+    + (M+1) s_z + 2 s_(1-z) + s_tol, the float d is within 10 eps S of the
+    exact log ratio: 4 eps s per log, scaled by M+1 for ln z, and eps S per
+    product and sum.  The mpf ``_tail_bound`` is within 8 ulps, 2^(4-p), of
+    the exact bound relatively.  So outside the tie window
+
+        |d| <= W = 2^-40 S + 2^(6-p)
+
+    the sign of d is the sign of ln(mpf bound / tol), and the rung is
+    decided in floats; inside it, the mpf ``_tail_bound`` decides, so M is
+    the one the mpf scan would return.  S grows with |(M+1) ln z|, and so
+    does W: a dual argument at a tiny u has a binary exponent near -10^61,
+    and its d is then decided far outside the window.
+    """
+    (lz, sz), (lw, sw), (lt, st) = _ln(z), _ln(1 - z), _ln(tol)
+    lc = math.log(c)
+    floor = math.ldexp(1.0, 6 - mp.prec)
     m = 4
-    while _tail_bound(z, m, c) > tol:
+    while True:
+        lm = math.log(m + 3)
+        d = lc + lm + (m + 1) * lz - 2 * lw - lt
+        window = (lc + lm + (m + 1) * sz + 2 * sw + st) * 2.0 ** -40 + floor
+        if d < -window or (d <= window and not _tail_bound(z, m, c) > tol):
+            return m
         m += max(m // 8, 2)
         if m > 2_000_000:
             raise ArithmeticError("tolerance unattainable: truncated q-series too long")
-    return m
 
 
 def _series_sum(coeffs, M: int, z: mpf) -> mpf:
@@ -134,10 +177,17 @@ def _series_sum(coeffs, M: int, z: mpf) -> mpf:
 
 
 def _theta_direct(kind: str, q: mpf, tol: mpf) -> mpf:
-    """Defining series summed directly with a certified tail cutoff."""
+    """Defining series summed directly with a certified tail cutoff.
+
+    c's factor q^(1/3) is ``mp.cbrt(q)``, an integer root correctly rounded
+    at every exponent of q.  A power q ** (1/3), exp(ln q / 3), loses the
+    digits of ln q's size: at 55 digits it is 1.2e-27 off relatively at
+    q = 3 2^(-10^30), and has no correct digit at q = 3 2^(-10^61), where a
+    dual argument at a tiny u lies.
+    """
     m = _terms_needed(q, tol, 12)
     acc = _series_sum(_table(kind, m), m, q)
-    return acc * q ** mpf("1/3") if kind == "c" else acc
+    return acc * mp.cbrt(q) if kind == "c" else acc
 
 
 _DUAL = {"a": "a", "b": "c", "c": "b"}

@@ -496,14 +496,38 @@ def test_check_identity_catalog_smoke(name):
     assert rep.passed, (name, rep.abs_err)
 
 
-@pytest.mark.parametrize("x", ["1e-30", "1e-8", "0.124", "0.126", "0.9"])
+@pytest.mark.parametrize("x", [pytest.param(Fraction(s), id=s)
+                               for s in ("1e-45", "1e-30", "1e-8", "0.124", "0.126", "0.9")]
+                         + [pytest.param(1 - Fraction(1, 2 ** 133), id="1-2^-133")])
 def test_int3_integrand_vs_defining_formula(x):
     # the cancelling difference ((1-x)^(1/3) - (1-x)^(2/3)) / (x (1-x)),
-    # evaluated with 40 more digits, is the reference
+    # evaluated with 40 more digits than it cancels, is the reference; x
+    # runs from below 1e-40 to 1 - 2^-133, which 40 digits (136 bits) hold
+    # exactly
     with mp.workdps(40):
-        got = lvalue._int3_integrand(mpf(x))
-    with mp.workdps(80):
-        xx = mpf(x)
+        got = lvalue._int3_integrand(mpf(x.numerator) / x.denominator)
+    with mp.workdps(125):
+        xx = mpf(x.numerator) / x.denominator
         omx = 1 - xx
         want = (mp.cbrt(omx) - mp.cbrt(omx) ** 2) / (xx * omx)
         assert abs(got - want) <= mpf("1e-38") * want
+
+
+@pytest.mark.parametrize("level", [0, 2, 4])
+def test_l1_alpha_factor_vs_defining_formula(level):
+    # ((1-t)^(-1/3) - 1)/t at both sides of each tanh-sinh node at 80
+    # digits, from the node's stored 1 - t, against the defining formula
+    # with 40 digits more than its difference cancels, at the node's
+    # smaller end distance (the one it stores exactly) and 1 minus it; the
+    # end nodes have t and 1 - t below 1e-40
+    with mp.workdps(80):
+        prec = mp.prec
+        nodes = hyper._de_nodes(level, 84, prec)
+        pairs = [(t, omt) for t, omt, *_ in nodes] + [(omt, t) for t, omt, *_ in nodes]
+        got = [lvalue._l1_alpha_factor(omt) for _, omt in pairs]
+    assert min(t for t, _ in pairs) < mpf("1e-40") and min(o for _, o in pairs) < mpf("1e-40")
+    for (t, omt), g in zip(pairs, got):
+        with mp.workprec(prec + 133 + max(0, -mp.mag(t))):
+            t, omt = (t, 1 - t) if t <= omt else (1 - omt, omt)
+            want = (omt ** (-mpf(1) / 3) - 1) / t
+            assert abs(g - want) <= mp.ldexp(want, 6 - prec), t

@@ -1,6 +1,8 @@
 """Numerical theta evaluation: oracles at doubled precision, involution
 self-consistency, hauptmodul residuals, the differential relation."""
 
+import random
+
 import pytest
 from mpmath import mp, mpf
 
@@ -218,6 +220,72 @@ def test_terms_needed_is_the_first_rung_under_tol():
             assert prev == m
         with pytest.raises(ArithmeticError):
             thetanum._terms_needed(mpf("0.99999"), mpf("1e-40"), 12)
+
+
+def terms_needed_scan(z, tol, c):
+    """The first rung M of 4, 6, 8, ... (stepped by an eighth) whose mpf
+    ``_tail_bound`` is at most tol, by a linear scan of the mpf bound: the
+    reference for the float decisions of ``_terms_needed``."""
+    m = 4
+    while thetanum._tail_bound(z, m, c) > tol:
+        m += max(m // 8, 2)
+        if m > 2_000_000:
+            raise ArithmeticError("tolerance unattainable: truncated q-series too long")
+    return m
+
+
+def test_terms_needed_matches_the_mpf_scan_on_a_seeded_grid():
+    # z from 1e-300 to 0.95, tol down to 10^-(dps+20), c = 4 and 12, at 20,
+    # 50 and 120 digits
+    rng = random.Random(37)
+    for dps in (20, 50, 120):
+        with mp.workdps(dps):
+            for _ in range(60):
+                z = mpf(10) ** mpf(rng.uniform(-300, -2)) if rng.random() < 0.4 \
+                    else mpf(rng.uniform(0.01, 0.95))
+                tol = mpf(10) ** -mpf(rng.uniform(1, dps + 20))
+                for c in (4, 12):
+                    assert thetanum._terms_needed(z, tol, c) == terms_needed_scan(z, tol, c), \
+                        (dps, z, tol, c)
+
+
+@pytest.mark.parametrize("dps", [20, 50, 120])
+def test_terms_needed_at_a_rungs_exact_bound(dps):
+    # tol set to a rung's mpf bound, and 1 and 2 ulps to either side of it:
+    # the float log ratio reads 0 within its error there, and the mpf bound
+    # decides, as in the scan
+    with mp.workdps(dps):
+        for z in (mpf("0.0266"), mpf("0.3"), mpf("0.9"), mpf("1e-40")):
+            for c in (4, 12):
+                m = 4
+                for _ in range(12):
+                    bound = thetanum._tail_bound(z, m, c)
+                    ulp = mp.ldexp(1, mp.mag(bound) - mp.prec)
+                    for ulps in (-2, -1, 0, 1, 2):
+                        tol = bound + ulps * ulp
+                        got = thetanum._terms_needed(z, tol, c)
+                        assert got == terms_needed_scan(z, tol, c), (z, c, m, ulps)
+                        # rung m passes at tol >= its bound and fails below
+                        assert got <= m if ulps >= 0 else got != m
+                    m += max(m // 8, 2)
+
+
+@pytest.mark.parametrize("u", ["1e-20", "3e-61"])
+def test_terms_needed_and_c_at_a_dual_argument_below_double_range(u):
+    # the dual argument exp(-2 pi/(3u)) at a tiny u has a binary exponent far
+    # below a double's (near -10^61 at u = 3e-61); the term count is the
+    # scan's, and c's factor q^(1/3) is within 2 ulps of mp.root at twice
+    # the precision, where exp(ln q/3) has no correct digit
+    with mp.workdps(55):
+        q = mp.exp(-2 * mp.pi / (3 * mpf(u)))
+        assert q._mpf_[2] < -10 ** 19
+        for tol in (mpf("1e-40"), mpf("1e-70")):
+            for c in (4, 12):
+                assert thetanum._terms_needed(q, tol, c) == terms_needed_scan(q, tol, c)
+        got = thetanum._theta_direct("c", q, mpf("1e-60"))
+        with mp.workprec(2 * mp.prec):
+            want = 3 * mp.root(q, 3)
+        assert abs(got - want) <= mp.ldexp(want, 2 - mp.prec)
 
 
 def test_hauptmodul_residual_spot_checks():

@@ -36,9 +36,7 @@ branches in 1 - x then take no log or power of their own.  ``quad_de``
 reads the tanh-sinh nodes of each level from one cached tuple
 (``_de_nodes``), walked once per side of t = 1/2; each node carries
 t, 1 - t, its weight, ln t and ln(1 - t), and an integrand may take all
-four.  One family of nodes per (level, precision) is built, node by node,
-as far as the deepest weight cut asks (``_de_family``), and each cut's
-tuple is a prefix of it.
+four.
 Near the unit argument a 2F1 switches to an expansion in 1 - x: one log
 expansion for every integer excess m >= 0 (``_hyp2f1_log``), the connection
 formula for any other positive excess; their tails are certified as well;
@@ -1109,27 +1107,6 @@ _QUAD_MAX_LEVEL = 10
 
 
 @lru_cache(maxsize=None)
-def _de_family(level: int, prec: int) -> list:
-    """The tanh-sinh nodes new at ``level`` at ``prec`` bits built so far, in
-    the order of s; ``_de_nodes`` grows this one list, so no node is built
-    twice at one (level, prec)."""
-    return []
-
-
-def _de_node(s: mpf, pi: mpf) -> tuple:
-    """The node (t, 1-t, weight, ln t, ln(1-t)) at s (``_de_nodes``)."""
-    sh = mp.sinh(s)
-    w = pi / 2 * sh
-    ew = mp.exp(w)
-    iew = 1 / ew
-    u = iew * iew
-    t = 1 / (1 + u)
-    dt = pi * mp.sqrt(1 + sh * sh) / (ew + iew) ** 2
-    lt = -mp.log1p(u)
-    return t, u * t, dt, lt, lt - 2 * w
-
-
-@lru_cache(maxsize=None)
 def _de_nodes(level: int, wexp: int, prec: int) -> tuple:
     """The tanh-sinh nodes new at ``level`` (step h = 2^-level), at ``prec``
     bits, computed once.
@@ -1147,22 +1124,25 @@ def _de_nodes(level: int, wexp: int, prec: int) -> tuple:
     terms.  They are the logs of the stored 1-t and of 1 minus it, each
     within 8 ulps relatively, however close t is to 1; the stored t is
     within 4 ulps of that 1 minus 1-t.
-
-    No node depends on wexp, only where the tuple ends: every wexp's tuple
-    is a prefix of one family per (level, prec) (``_de_family``), which a
-    deeper wexp extends node by node past its end.
     """
-    family = _de_family(level, prec)
     with mp.workprec(prec):
         h = mpf(1) / 2 ** level
         wcut = mpf(10) ** (-wexp)
         pi = +mp.pi
-        for i, k in enumerate(count(0, 1) if level == 0 else count(1, 2)):
+        nodes = []
+        for k in count(0, 1) if level == 0 else count(1, 2):
             s = k * h
-            if i == len(family):
-                family.append(_de_node(s, pi))
-            if family[i][2] < wcut and s > 3:
-                return tuple(family[:i + 1])
+            sh = mp.sinh(s)
+            w = pi / 2 * sh
+            ew = mp.exp(w)
+            iew = 1 / ew
+            u = iew * iew
+            t = 1 / (1 + u)
+            dt = pi * mp.sqrt(1 + sh * sh) / (ew + iew) ** 2
+            lt = -mp.log1p(u)
+            nodes.append((t, u * t, dt, lt, lt - 2 * w))
+            if dt < wcut and s > 3:
+                return tuple(nodes)
 
 
 def quad_de(f, tol, prec: Precision, node_args: bool = False) -> SeriesResult:

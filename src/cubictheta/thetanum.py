@@ -119,10 +119,16 @@ _LN2 = math.log(2)
 
 def _ln(x: mpf) -> tuple:
     """(ln x, s) for an mpf x > 0, read off its mantissa and binary exponent
-    with no mpmath function: ln man + exp ln 2 in floats, within 4 eps s of
-    ln x, s = |ln man| + |exp| ln 2, eps = 2^-53, whatever the exponent."""
-    _, man, exp, _ = x._mpf_
-    lm, le = math.log(man), exp * _LN2
+    with no mpmath function: the top 53 bits m of the mantissa, ln m + e ln 2
+    in floats (e the exponent of m), within 4 eps s of ln x, s = |ln m|
+    + |e| ln 2, eps = 2^-53.  Where |e| > 2^1000, e ln 2 is past a double's
+    range and the pair is (0, inf): a rung's tie window then has no end."""
+    _, man, exp, bc = x._mpf_
+    shift = max(bc - 53, 0)
+    e = exp + shift
+    if abs(e) > 2 ** 1000:
+        return 0.0, math.inf
+    lm, le = math.log(man >> shift), e * _LN2
     return lm + le, abs(lm) + abs(le)
 
 
@@ -135,24 +141,28 @@ def _terms_needed(z: mpf, tol: mpf, c: int) -> int:
     + (M+1) s_z + 2 s_(1-z) + s_tol, the float d is within 10 eps S of the
     exact log ratio: 4 eps s per log, scaled by M+1 for ln z, and eps S per
     product and sum.  The mpf ``_tail_bound`` is within 8 ulps, 2^(4-p), of
-    the exact bound relatively.  So outside the tie window
+    the exact bound relatively; every caller works at 25 digits or more
+    (``Precision``'s 15 and 10 guard digits), so p > 80.  Outside the tie
+    window
 
-        |d| <= W = 2^-40 S + 2^(6-p)
+        |d| <= W = 2^-40 S,
 
-    the sign of d is the sign of ln(mpf bound / tol), and the rung is
-    decided in floats; inside it, the mpf ``_tail_bound`` decides, so M is
-    the one the mpf scan would return.  S grows with |(M+1) ln z|, and so
-    does W: a dual argument at a tiny u has a binary exponent near -10^61,
-    and its d is then decided far outside the window.
+    which exceeds 10 eps S + 2^(4-p) since S >= ln 4 + ln 7 > 3, the sign
+    of d is the sign of ln(mpf bound / tol), and the rung is decided in floats;
+    inside it, the mpf ``_tail_bound`` decides, so M is the one the mpf
+    scan would return.  S grows with |(M+1) ln z|, and so does W: a dual
+    argument at a tiny u has a binary exponent near -10^61, and its d is
+    then decided far outside the window.  An exponent past 2^1000 (z at u
+    below about 1e-308) makes S infinite, and every rung goes to the mpf
+    bound.
     """
     (lz, sz), (lw, sw), (lt, st) = _ln(z), _ln(1 - z), _ln(tol)
     lc = math.log(c)
-    floor = math.ldexp(1.0, 6 - mp.prec)
     m = 4
     while True:
         lm = math.log(m + 3)
         d = lc + lm + (m + 1) * lz - 2 * lw - lt
-        window = (lc + lm + (m + 1) * sz + 2 * sw + st) * 2.0 ** -40 + floor
+        window = (lc + lm + (m + 1) * sz + 2 * sw + st) * 2.0 ** -40
         if d < -window or (d <= window and not _tail_bound(z, m, c) > tol):
             return m
         m += max(m // 8, 2)

@@ -6,8 +6,7 @@ import json
 import math
 import pathlib
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count, islice
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -767,75 +766,6 @@ def test_de_node_logs_against_mp_log(level, wexp, dps):
             for lv, exact in ((lt, mp.log1p(-omt)), (lomt, mp.log(omt))):
                 assert abs(lv - exact) <= mp.ldexp(abs(exact), 3 - prec)
             assert abs(t - (1 - omt)) <= mp.ldexp(t, 2 - prec)
-
-
-def de_nodes_reference(level, wexp, prec):
-    """The node tuple of ``_de_nodes`` built anew for one wexp, node
-    by node until the weight falls below 10^-wexp past s = 3: the reference
-    for the tuples cut from one family per (level, prec)."""
-    with mp.workprec(prec):
-        h = mpf(1) / 2 ** level
-        wcut = mpf(10) ** (-wexp)
-        pi = +mp.pi
-        nodes = []
-        for k in count(0, 1) if level == 0 else count(1, 2):
-            s = k * h
-            sh = mp.sinh(s)
-            w = pi / 2 * sh
-            ew = mp.exp(w)
-            iew = 1 / ew
-            u = iew * iew
-            t = 1 / (1 + u)
-            dt = pi * mp.sqrt(1 + sh * sh) / (ew + iew) ** 2
-            lt = -mp.log1p(u)
-            nodes.append((t, u * t, dt, lt, lt - 2 * w))
-            if dt < wcut and s > 3:
-                return tuple(nodes)
-
-
-@pytest.fixture
-def fresh_de_caches(monkeypatch):
-    """``_de_family`` and ``_de_nodes`` with empty caches of their own for one
-    test, so that the order of its requests is the only one they see."""
-    monkeypatch.setattr(hyper, "_de_family", lru_cache(maxsize=None)(hyper._de_family.__wrapped__))
-    monkeypatch.setattr(hyper, "_de_nodes", lru_cache(maxsize=None)(hyper._de_nodes.__wrapped__))
-
-
-_WEXPS = (30, 45, 61, 84, 99, 100, 120, 150)
-_REFERENCE_PREC = 186
-
-
-@pytest.fixture(scope="module")
-def reference_tuples():
-    return {(level, wexp): de_nodes_reference(level, wexp, _REFERENCE_PREC)
-            for level in range(7) for wexp in _WEXPS}
-
-
-@pytest.mark.parametrize("order", ["increasing", "decreasing"])
-def test_de_nodes_are_the_reference_tuples(order, reference_tuples, fresh_de_caches):
-    # every tuple cut from a family equals the one built anew for its
-    # wexp, whichever order the wexps are asked for in
-    wexps = _WEXPS if order == "increasing" else _WEXPS[::-1]
-    for level in range(7):
-        for wexp in wexps:
-            assert hyper._de_nodes(level, wexp, _REFERENCE_PREC) == reference_tuples[level, wexp]
-
-
-def test_a_deeper_wexp_builds_only_the_nodes_past_its_family(fresh_de_caches, monkeypatch):
-    # the nodes of wexp 61 are the head of those of wexp 100; the second call
-    # builds only the rest, and a wexp between them builds none
-    built = []
-    real = hyper._de_node
-    monkeypatch.setattr(hyper, "_de_node", lambda s, pi: built.append(s) or real(s, pi))
-    for level in (0, 3, 6):
-        built.clear()
-        short = hyper._de_nodes(level, 61, _REFERENCE_PREC)
-        assert len(built) == len(short)
-        deep = hyper._de_nodes(level, 100, _REFERENCE_PREC)
-        assert len(deep) > len(short) and all(a is b for a, b in zip(short, deep))
-        assert len(built) == len(deep) == len(set(built))
-        assert len(hyper._de_nodes(level, 99, _REFERENCE_PREC)) <= len(deep)
-        assert len(built) == len(deep)
 
 
 def _kdf_integral_without_logs(params, prec):

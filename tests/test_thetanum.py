@@ -288,6 +288,24 @@ def test_terms_needed_and_c_at_a_dual_argument_below_double_range(u):
         assert abs(got - want) <= mp.ldexp(want, 2 - mp.prec)
 
 
+def test_terms_needed_past_a_doubles_exponent_range():
+    # a binary exponent past 2^1000, in z or in the tol, has a log past a
+    # double's range: every rung goes to the mpf bound, as in the scan
+    with mp.workdps(55):
+        tiny = mp.ldexp(3, -10 ** 309)
+        for z, tol in ((tiny, mpf("1e-40")), (tiny, mp.ldexp(5, -10 ** 310)),
+                       (mp.ldexp(3, 7 - 2 ** 1000), mp.ldexp(5, -2 ** 1001))):
+            for c in (4, 12):
+                assert thetanum._terms_needed(z, tol, c) == terms_needed_scan(z, tol, c)
+        assert thetanum._terms_needed(tiny, mp.ldexp(5, -10 ** 310), 12) == 10
+
+
+def test_f_integrand_at_a_u_whose_dual_exponent_leaves_double_range():
+    # u = 1e-400 puts the dual argument exp(-2 pi/(3u)) at a binary exponent
+    # near -3e400; the term counts still come out, and the value is positive
+    assert thetanum.f_integrand(mpf("1e-400"), Precision(20, 1e-10)) > 0
+
+
 def test_hauptmodul_residual_spot_checks():
     with mp.workdps(55):
         for q in ("0.05", "0.5"):

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Time the Dirichlet partial sum and the exact suite.
+"""Time the exact suite and the Dirichlet partial sum.
 
     python3 benchmarks/dirichlet.py > record.json
 
-Takes no options and uses only the public API.  In one fresh process it times
-``lvalue.l_dirichlet(10**6)`` once cold and then best of 3, and then
-``cli.exact_suite_reports(2000)`` once, cold.  ``ru_maxrss`` (the process's
+Takes no options and uses only the public API.  In one fresh process it
+times ``cli.exact_suite_reports(2000)`` once, cold, with the ``seconds`` of
+each check, and then ``lvalue.l_dirichlet(10**6)`` once cold and then best
+of 3: the order of the ``qseries`` workload.  ``ru_maxrss`` (the process's
 peak resident set, in MiB) is read after each of the two cold calls.  Each
 call is then repeated once under ``tracemalloc``, untimed, for its peak of
 traced allocations; numpy reports its buffers to tracemalloc.  Last it times
@@ -62,13 +63,13 @@ def traced_peak(fn) -> int:
 
 
 def main() -> None:
+    suite_cold, reports = timed(lambda: cli.exact_suite_reports(ORDER))
+    rss_suite = maxrss_mib()
     cold, res = timed(lambda: lvalue.l_dirichlet(N))
     rss_dirichlet = maxrss_mib()
     best = min(timed(lambda: lvalue.l_dirichlet(N))[0] for _ in range(REPEATS))
-    suite_cold, reports = timed(lambda: cli.exact_suite_reports(ORDER))
-    rss_suite = maxrss_mib()
-    peak_dirichlet = traced_peak(lambda: lvalue.l_dirichlet(N))
     peak_suite = traced_peak(lambda: cli.exact_suite_reports(ORDER))
+    peak_dirichlet = traced_peak(lambda: lvalue.l_dirichlet(N))
     large = {}
     for order in LARGE_ORDERS:
         seconds, reps = timed(lambda: cli.exact_suite_reports(order))
@@ -77,7 +78,7 @@ def main() -> None:
     git = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                          capture_output=True, text=True).stdout.strip()
     print(json.dumps({
-        "benchmark": "lvalue.l_dirichlet(10**6) and cli.exact_suite_reports(2000, 6000, 20000)",
+        "benchmark": "cli.exact_suite_reports(2000, 6000, 20000) and lvalue.l_dirichlet(10**6)",
         "l_dirichlet": {
             "N": N,
             "cold_seconds": round(cold, 4),
@@ -96,6 +97,7 @@ def main() -> None:
             "tracemalloc_peak_bytes": peak_suite,
             "passed": sum(r.passed for r in reports),
             "checks": len(reports),
+            "check_seconds": {r.name: round(float(r.seconds), 5) for r in reports},
         },
         "exact_suite_large_orders": large,
         "python": platform.python_version(),

@@ -44,10 +44,21 @@ _EXIT_FAIL = 1
 
 
 def _exact_series(order: int) -> SimpleNamespace:
-    """The series the exact checks share."""
+    """The series and products the exact checks share.
+
+    Each product that two checks read is taken once here: c^3 (read by
+    ``cubic_a3_b3_c3`` and ``c_cubed_lambert``), b c(q^3) (``wt2_lambert``
+    and ``e0_derivative``), and b^2, which gives both b^3 (``cubic_a3_b3_c3``)
+    and b^2 c(q^3) (``f_product``).  ``exact_suite_reports`` builds them
+    inside its first check, so they count in the ``seconds`` of
+    ``cubic_a3_b3_c3``.
+    """
     a, b, c = (qexp.theta_series(kind, order) for kind in "abc")
+    c_q3 = c.substitute_power(3)
+    b2 = b * b
     return SimpleNamespace(
-        order=order, a=a, b=b, c=c, c_q3=c.substitute_power(3),
+        order=order, a=a, b=b, c=c, c_q3=c_q3,
+        c3=c * c * c, b3=b2 * b, bc_q3=b * c_q3, b2c_q3=b2 * c_q3,
         b_root=qexp.theta_series("b", 3 * order).substitute_root(3),
         f=qexp.f_coefficients(order),
     )
@@ -56,19 +67,19 @@ def _exact_series(order: int) -> SimpleNamespace:
 # (name, methods, residual of the shared series s): each residual is exactly
 # zero when the identity holds to the truncation order
 _EXACT_CHECKS = (
-    ("cubic_a3_b3_c3", ("lattice", "lattice"), lambda s: s.a ** 3 - s.b ** 3 - s.c ** 3),
+    ("cubic_a3_b3_c3", ("lattice", "lattice"), lambda s: s.a ** 3 - s.b3 - s.c3),
     ("rel1_c_q3", ("lattice", "lattice"), lambda s: s.c_q3 - (s.a - s.b).exact_div(3)),
     ("b_cube_root", ("lattice", "lattice"), lambda s: s.b_root - s.a + s.c),
     ("wt2_lambert", ("lattice", "lambert"),
-     lambda s: s.b * s.c_q3 - qexp.lambert_series("bc3", s.order)),
+     lambda s: s.bc_q3 - qexp.lambert_series("bc3", s.order)),
     ("c_lambert", ("lattice", "lambert"), lambda s: s.c - qexp.lambert_series("c", s.order)),
     ("c_cubed_lambert", ("lattice", "lambert"),
-     lambda s: s.c ** 3 - qexp.lambert_series("c_cubed", s.order)),
+     lambda s: s.c3 - qexp.lambert_series("c_cubed", s.order)),
     # times 9, on ints: 9 q dE0/dq has 3e E0_e at q^(e/3), an int when E0 is right
     ("e0_derivative", ("lambert", "lattice"),
      lambda s: qexp.lambert_series("E0", s.order).q_differentiate(9)
-     - (s.b_root * s.c - (s.b * s.c_q3).scale(3))),
-    ("f_product", ("lambert", "lattice"), lambda s: s.f.scale(3) - s.b * s.b * s.c_q3),
+     - (s.b_root * s.c - s.bc_q3.scale(3))),
+    ("f_product", ("lambert", "lattice"), lambda s: s.f.scale(3) - s.b2c_q3),
     ("eta_b", ("eta", "lattice"),
      lambda s: qexp.eta_quotient([(1, 3), (3, -1)], s.order) - s.b),
     ("eta_c", ("eta", "lattice"),

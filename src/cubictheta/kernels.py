@@ -5,10 +5,13 @@ argument.
 ``conv_trunc`` and ``div_unit`` are the hot inner loops of every exact
 identity check.  ``conv_trunc`` uses Kronecker substitution (Schönhage 1982;
 Harvey, J. Symbolic Comput. 44, 2009): each coefficient list is read on its
-support lattice (first nonzero index, common stride of the nonzero ones) and
-packed into one Python int with signed slots, one bit of each slot holding
-the sign, so a single big-int product yields every coefficient exactly,
-negative ones included.  ``hyper`` also uses it, on int images of the
+support lattice (first nonzero index, common stride of the nonzero ones),
+split into its residue classes modulo the lcm of the two strides, and each
+class is packed into one Python int with signed slots, one bit of each slot
+holding the sign.  By the CRT the pairs of classes land on disjoint output
+classes, so one big-int product per pair yields every coefficient exactly,
+negative ones included, and a list multiplied by itself is packed once and
+squared.  ``hyper`` also uses it, on int images of the
 terms, for the Kampe de Feriet anti-diagonal sums.  ``py_conv_trunc`` is
 the schoolbook loop, kept as the reference the tests compare against;
 nothing in the library calls it.  ``horner`` sums a series whose
@@ -80,35 +83,64 @@ def _unpack(x: int, width: int, n: int) -> list:
 def conv_trunc(a: list, b: list, order: int) -> list:
     """Cauchy product of coefficient lists, truncated to ``order``.
 
-    Exact for int and Fraction coefficients.  Each input is scaled to
-    integers by the lcm of its denominators and reduced to its support
-    lattice: with r its first nonzero index, l its last and g the gcd of the
-    offsets of its nonzero indices from r, it is x[r:l+1:g] at stride g.  Both
-    inputs are read at the common stride g = gcd(g_a, g_b) (1 when both have a
-    single nonzero), so output slot j lands at r_a + r_b + g j, and each input
-    keeps only the slots that can reach ``order``.  The compressed lists are
-    packed signed, one product A*B gives every coefficient, and one unpack
-    reads the slots.  A slot is a sum of at most min(len(a), len(b)) products
-    a_i b_j, so |slot| <= bound = max|a| * max|b| * min(len(a), len(b)); the
-    slot width is bound.bit_length() + 1 bits, rounded up to whole bytes, the
-    extra bit holding the sign.
+    Exact for int and Fraction coefficients, at any strides.  Each input is
+    scaled to integers by the lcm of its denominators and read on its
+    support lattice r + g N: r its first nonzero index, l its last and g the
+    gcd of the offsets of its nonzero indices from r, 0 for a single nonzero,
+    which is one class and takes the other input's stride.
+
+    With L = lcm(g_a, g_b) and g = gcd(g_a, g_b), a splits into the L/g_a
+    classes r_a + s + L N, s = 0, g_a, ..., and b into the L/g_b classes
+    r_b + t + L N.  The product of two classes lands on
+    r_a + r_b + s + t + L N, and the L/g pairs (s, t) land on distinct
+    classes mod L: s + t = s' + t' mod L gives (s - s')/g = 0 mod g_b/g and
+    (t - t')/g = 0 mod g_a/g (CRT, g_a/g and g_b/g coprime), so s = s' and
+    t = t'.  The pairs therefore fill the classes r_a + r_b + g Z mod L one
+    to one, no output slot sums two products, and each pair is one product
+    on the lattice of step L.  Equal strides give one pair.  A pair keeps the
+    slots that can reach ``order``, and a pair with an all-zero class is
+    skipped.  A pair's slot is a sum of at most min(len) products, so
+    |slot| <= max|a class| * max|b class| * min(len) over its truncated
+    classes; the largest of the pairs' bounds sets one slot width for the
+    call, bound.bit_length() + 1 bits rounded up to whole bytes, the extra
+    bit holding the sign.  Each class is packed once, at the length of its
+    longest pair; the slots above a pair's own length are not read, and the
+    low slots of a packed product do not depend on them (``_unpack``).
+    When ``b is a`` the classes are packed once and each product is p * p,
+    which CPython squares.
     """
     n = order + 1
+    square = b is a
     a, da = _to_integers(a[:n])
-    b, db = _to_integers(b[:n])
+    b, db = (a, da) if square else _to_integers(b[:n])
     out = [0] * n
-    sa, sb = _support(a), _support(b)
+    sa = _support(a)
+    sb = sa if square else _support(b)
     if sa and sb and sa[0] + sb[0] <= order:
         (ra, la, ga), (rb, lb, gb) = sa, sb
-        g = math.gcd(ga, gb) or 1
-        start = ra + rb
-        m = (order - start) // g + 1
-        a = a[ra:la + 1:g][:m]
-        b = b[rb:lb + 1:g][:m]
-        m = min(m, len(a) + len(b) - 1)
-        bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+        ga = ga or gb or 1
+        gb = gb or ga
+        L = math.lcm(ga, gb)
+        # each class o + L N, cut to its longest pair: the one with the
+        # other input's first class
+        ca = [(o, a[o:la + 1:L][:max(0, (order - o - rb) // L + 1)])
+              for o in range(ra, ra + L, ga)]
+        cb = ca if square else [(o, b[o:lb + 1:L][:max(0, (order - o - ra) // L + 1)])
+                                for o in range(rb, rb + L, gb)]
+        pairs, bound = [], 0
+        for i, (oa, xa) in enumerate(ca):
+            for j, (ob, xb) in enumerate(cb):
+                m = (order - oa - ob) // L + 1
+                if m < 1 or not (any(xa[:m]) and any(xb[:m])):
+                    continue
+                ta, tb = xa[:m], xb[:m]
+                bound = max(bound, max(map(abs, ta)) * max(map(abs, tb)) * min(len(ta), len(tb)))
+                pairs.append((i, j, oa + ob, min(m, len(ta) + len(tb) - 1)))
         width = (bound.bit_length() + 8) // 8
-        out[start:start + g * m:g] = _unpack(_pack(a, width) * _pack(b, width), width, m)
+        pa = [_pack(x, width) for _, x in ca]
+        pb = pa if square else [_pack(x, width) for _, x in cb]
+        for i, j, start, m in pairs:
+            out[start:start + L * m:L] = _unpack(pa[i] * pb[j], width, m)
     den = da * db
     if den != 1:
         out = [Fraction(c, den) for c in out]

@@ -237,10 +237,11 @@ def l_mellin(n: int, prec: Precision) -> SeriesResult:
 
 # -- Dirichlet route ------------------------------------------------------------
 
-# a chunk's bucket sums of the 27-bit high halves stay below 2^27 * 2^18 =
-# 2^45, well inside the 2^53 that keeps a float64 bucket exact; a chunk's
-# numpy temporaries, about 36 bytes a term, stay near 9 MB
-_SUM_CHUNK = 1 << 18
+# a chunk's bucket sums of the 27-bit high halves stay below 2^27 * 2^14 =
+# 2^41, well inside the 2^53 that keeps a float64 bucket exact; a chunk's
+# numpy temporaries, about 44 bytes a term, stay near 0.7 MB, inside a core's
+# cache
+_SUM_CHUNK = 1 << 14
 
 
 def _exact_sum(chunk: np.ndarray) -> tuple:
@@ -264,18 +265,19 @@ def _exact_sum(chunk: np.ndarray) -> tuple:
     return total, e0 - 53
 
 
-def _prefix_sum(terms: np.ndarray, end: int) -> float:
-    """The correctly rounded sum of terms[:end], as a float:
-    ``math.fsum(terms[:end])``, bit for bit, from one pass.
+def _fsum(terms, end: int) -> float:
+    """The correctly rounded sum of the floats terms(0, end), as a float:
+    their ``math.fsum``, bit for bit, from one pass that holds one chunk.
 
-    The exact sums T 2^s of chunks of at most ``_SUM_CHUNK`` terms
-    (``_exact_sum``) are added as one Python int at the scale 2^e of the
-    smallest s, and that int is rounded once, correctly, by int true
-    division.  This is a small superaccumulator indexed by exponent (Neal,
-    "Fast exact summation using small and large superaccumulators",
-    arXiv:1505.05571, 2015).
+    ``terms(i, j)`` forms terms i..j-1 as a float64 array.  It is called on
+    chunks of at most ``_SUM_CHUNK`` terms in turn, and each chunk's exact
+    sum T 2^s (``_exact_sum``) is kept before the next chunk is formed.  The
+    sums are added as one Python int at the scale 2^e of the smallest s, and
+    that int is rounded once, correctly, by int true division.  This is a
+    small superaccumulator indexed by exponent (Neal, "Fast exact summation
+    using small and large superaccumulators", arXiv:1505.05571, 2015).
     """
-    parts = [_exact_sum(terms[i:min(i + _SUM_CHUNK, end)]) for i in range(0, end, _SUM_CHUNK)]
+    parts = [_exact_sum(terms(i, min(i + _SUM_CHUNK, end))) for i in range(0, end, _SUM_CHUNK)]
     e = min((s for _, s in parts), default=0)
     total = sum(t << (s - e) for t, s in parts)
     return float(total << e) if e >= 0 else total / (1 << -e)
@@ -313,18 +315,25 @@ def l_dirichlet(N: int) -> SeriesResult:
     + 3 int_N^inf S(t) t^-4 dt by C/N + 3C/N = 4C/N.  The terms are formed
     in float from the exact int64 coefficients of ``qexp._f_coeffs`` (below
     2^53), with at most three roundings each (two in n^3, one in the
-    division), and their sum is correctly rounded (``_prefix_sum``).  As
-    |a_n| <= ``_coeff_bound(n)`` = 2 zeta(2) n^2, the rounding is at most
-    3 eps 2 zeta(2) (1 + ln N), eps = 2^-52.  err_estimate is the sum of the
-    two bounds.
+    division), and their sum is correctly rounded (``_fsum``).  The terms
+    are formed one chunk at a time from the coefficient array, which is the
+    one array of N entries: a chunk's floats are summed exactly before the
+    next chunk is formed.  As |a_n| <= ``_coeff_bound(n)`` = 2 zeta(2) n^2,
+    the rounding is at most 3 eps 2 zeta(2) (1 + ln N), eps = 2^-52.
+    err_estimate is the sum of the two bounds.
     """
     if N < 1000:
         raise ValueError("N must be at least 10^3")
-    terms = np.arange(1, N + 1, dtype=float) ** 3
-    np.divide(qexp._f_coeffs(N)[1:], terms, out=terms)
+    coeffs = qexp._f_coeffs(N)
+
+    def terms(i, j):
+        # a_n / n^3 for n = i + 1 .. j
+        cubes = np.arange(i + 1, j + 1, dtype=float) ** 3
+        return np.divide(coeffs[i + 1:j + 1], cubes, out=cubes)
+
     tail = 4 * _tail_constant(qexp._F_TABLE) / N
     rounding = 3 * 2.0 ** -52 * _coeff_bound(1) * (1 + mp.log(N))
-    return SeriesResult(mpf(_prefix_sum(terms, N)), tail + rounding, N, "direct")
+    return SeriesResult(mpf(_fsum(terms, N)), tail + rounding, N, "direct")
 
 
 # -- Theorem right-hand sides ----------------------------------------------------

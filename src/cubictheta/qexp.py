@@ -302,6 +302,12 @@ def eta_quotient(spec: list, n: int) -> QSeries:
 # -- divisor sums -------------------------------------------------------------
 
 
+# the large divisors of ``_divisor_sieve`` go through at most this many
+# values at a time, in one int64 buffer of 256 KiB that is raised to the
+# k-th power, weighted and added in place, and freed before the next
+_SIEVE_BLOCK = 1 << 15
+
+
 def _divisor_sieve(n: int, k: int, table) -> np.ndarray:
     """out[m] = sum_{de = m} d^k table[d % 3][e % 3] for m = 0..n, as int64,
     with out[0] = 0.
@@ -324,9 +330,13 @@ def _divisor_sieve(n: int, k: int, table) -> np.ndarray:
     Since n < (r + 1)^2 with r = isqrt(n), one of d and e is at most r for
     every m <= n.  So for each d <= r and each residue e mod 3, one slice of
     step 3d adds the constant d^k table[d % 3][e % 3] at the multiples d e,
-    d (e + 3), ... of the small divisor d, and one more adds
+    d (e + 3), ... of the small divisor d, and slices of the same step add
     table[(r + e) % 3][d % 3] times the k-th powers of the large divisors
-    r + e, r + e + 3, ... <= n/d at their multiples by d.
+    r + e, r + e + 3, ... <= n/d at their multiples by d.  The large
+    divisors go in blocks of at most ``_SIEVE_BLOCK``: each block is one
+    int64 buffer, raised to the k-th power and weighted in place, so no
+    temporary grows with n/d.  The power is taken for k = 0 too, where it
+    turns the buffer into ones.
 
     int64 holds every partial sum: |out[m]| <= max|table| sigma_k(m), and
     sigma_2(m) < zeta(2) m^2, so the sums are exact for n < 1.6 * 10^9 for
@@ -334,6 +344,7 @@ def _divisor_sieve(n: int, k: int, table) -> np.ndarray:
     """
     out = np.zeros(n + 1, dtype=np.int64)
     r = math.isqrt(n)
+    step = 3 * _SIEVE_BLOCK
     for d in range(1, r + 1):
         for e in (1, 2, 3):
             w = table[d % 3][e % 3]
@@ -341,8 +352,13 @@ def _divisor_sieve(n: int, k: int, table) -> np.ndarray:
                 out[d * e::3 * d] += w * d ** k
             w = table[(r + e) % 3][d % 3]
             if w:
-                big = np.arange(r + e, n // d + 1, 3, dtype=np.int64)
-                out[d * (r + e)::3 * d] += w * big ** k
+                end = n // d + 1
+                for lo in range(r + e, end, step):
+                    big = np.arange(lo, min(lo + step, end), 3, dtype=np.int64)
+                    np.power(big, k, out=big)
+                    big *= w
+                    out[d * lo:d * (lo + step):3 * d] += big
+                    del big  # before the next block's buffer exists
     return out
 
 

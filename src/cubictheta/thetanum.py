@@ -205,9 +205,23 @@ _DUAL = {"a": "a", "b": "c", "c": "b"}
 
 def _theta_dual(kind: str, u: mpf, tol: mpf) -> mpf:
     """Theta value at q = exp(-2*pi*u) through the involution: its dual's
-    series at exp(-2*pi/(3u)), divided by sqrt(3)*u."""
+    series at exp(-2*pi/(3u)), divided by sqrt(3)*u.
+
+    A relative error e in the argument x = 2 pi/(3u) is a relative error
+    x e in exp(-x), so the exp at p bits loses m = mag(x) of them.  The
+    callers work 10 digits, about 33 bits, past their target; where m
+    exceeds 33 the argument and its exp are formed with m - 33 bits more,
+    which leaves exp(-x) within 2^(33-p) relatively at every u > 0.
+    """
     scale = mp.sqrt(3) * u
-    return _theta_direct(_DUAL[kind], mp.exp(-2 * mp.pi / (3 * u)), tol * scale) / scale
+    x = 2 * mp.pi / (3 * u)
+    extra = mp.mag(x) - 33
+    if extra > 0:
+        with mp.extraprec(extra):
+            q = mp.exp(-2 * mp.pi / (3 * u))
+    else:
+        q = mp.exp(-x)
+    return _theta_direct(_DUAL[kind], +q, tol * scale) / scale
 
 
 def _theta(kinds: str, q: mpf, u: mpf, tol: mpf) -> list:

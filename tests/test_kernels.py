@@ -155,6 +155,56 @@ def test_conv_kronecker_hazards(a, b, order):
     assert got == kernels.py_conv_trunc(a, b, order)
 
 
+def _seeded_lattice_list(rng, r, g, count):
+    """Values of up to 1, 7 or 40 digits, each 0 one time in five, at
+    r + g k for k < count (at r alone when g = 0), then up to 3 zeros."""
+    idx = range(r, r + g * count, g) if g else (r,)
+    out = [0] * (idx[-1] + 1 + rng.randrange(4))
+    for i in idx:
+        if rng.random() < 0.8:
+            out[i] = rng.choice((1, -1)) * rng.randrange(1, 10 ** rng.choice((1, 7, 40)))
+    return out
+
+
+@pytest.mark.parametrize("ga, gb", [(1, 3), (3, 9), (2, 3), (4, 6), (1, 1), (0, 3), (9, 0)])
+def test_conv_on_the_lcm_lattice_matches_the_schoolbook_loop(ga, gb):
+    # unequal strides split each input into its classes mod lcm(g_a, g_b),
+    # one product per pair; Fraction entries, squares (b is a) and orders
+    # that cut classes short, down to no entries or all zeros, come up
+    rng = random.Random(ga * 10 + gb)
+    for _ in range(60):
+        a = _seeded_lattice_list(rng, rng.randrange(4), ga, rng.randrange(1, 40))
+        b = _seeded_lattice_list(rng, rng.randrange(4), gb, rng.randrange(1, 40))
+        if rng.random() < 0.25:
+            a = [Fraction(c, rng.randrange(1, 12)) for c in a]
+        order = rng.randrange(2 * max(len(a), len(b)))
+        assert kernels.conv_trunc(a, b, order) == kernels.py_conv_trunc(a, b, order)
+        assert kernels.conv_trunc(a, a, order) == kernels.py_conv_trunc(a, a, order)
+
+
+def test_conv_skips_a_class_the_order_cuts_to_zeros():
+    # a has stride 1 and b stride 3, so a splits into three classes mod 3.
+    # At order 5 the class 1 + 3N keeps a[1] and a[4], both 0: that pair
+    # is skipped, and the width comes from the pairs with 10^40 and 7
+    a = [1, 0, 0, 0, 0, 7, 0, 10 ** 40]
+    b = [1, 0, 0, -1]
+    for order in range(12):
+        assert kernels.conv_trunc(a, b, order) == kernels.py_conv_trunc(a, b, order)
+
+
+def test_conv_squares_a_list_passed_twice(monkeypatch):
+    # one packed int times itself: the list is packed once
+    packed = []
+    real = kernels._pack
+    monkeypatch.setattr(kernels, "_pack", lambda x, w: packed.append(len(x)) or real(x, w))
+    c = qexp.theta_series("c", 200).coeffs
+    assert kernels.conv_trunc(c, c, 600) == kernels.py_conv_trunc(c, c, 600)
+    assert len(packed) == 1
+    packed.clear()
+    kernels.conv_trunc(c, list(c), 600)
+    assert len(packed) == 2
+
+
 @pytest.mark.parametrize("bits", [8, 16, 64])
 def test_conv_slot_sign_boundary(bits):
     # each case has max|a| * max|b| * min(len) = 2**(bits - 1) or 2**bits - 1,

@@ -80,34 +80,43 @@ def test_prefix_sums_are_fsums():
         x[rng.random(n) < 0.2] *= 1e-310
         ends = sorted({int(k) for k in rng.integers(0, n + 1, 3)} | {n})
         want = [math.fsum(x[:k].tolist()) for k in ends]
-        assert [lvalue._prefix_sum(x, k) for k in ends] == want
+        assert [lvalue._fsum(lambda i, j: x[i:j], k) for k in ends] == want
         with pytest.MonkeyPatch.context() as mpatch:
             mpatch.setattr(lvalue, "_SUM_CHUNK", 97)
-            assert [lvalue._prefix_sum(x, k) for k in ends] == want
+            assert [lvalue._fsum(lambda i, j: x[i:j], k) for k in ends] == want
 
 
 def test_dirichlet_checkpoint_sums_are_fsums_of_exact_terms(monkeypatch):
     # the sum is the correctly rounded sum of a_m / m^3 over the
     # exact-product coefficients; a chunk of 999 terms puts chunk edges
-    # inside it
+    # inside it, and the terms are formed one chunk at a time
     N = 10_000
-    seen = []
-    prefix_sum = lvalue._prefix_sum
+    seen, chunks = [], []
+    fsum = lvalue._fsum
+
+    def spy(terms, end):
+        seen.append(fsum(lambda i, j: chunks.append((i, j)) or terms(i, j), end))
+        return seen[-1]
+
     monkeypatch.setattr(lvalue, "_SUM_CHUNK", 999)
-    monkeypatch.setattr(lvalue, "_prefix_sum",
-                        lambda terms, end: seen.append(prefix_sum(terms, end)) or seen[-1])
+    monkeypatch.setattr(lvalue, "_fsum", spy)
     res = lvalue.l_dirichlet(N)
     monkeypatch.undo()
     coeffs = qexp._f_coeffs_product(N)
     want = [math.fsum(coeffs[m] / float(m) ** 3 for m in range(1, N + 1))]
     assert seen == want
     assert res.value == want[-1]
+    assert chunks == [(i, min(i + 999, N)) for i in range(0, N, 999)]
 
 
 def test_dirichlet_traced_peak_per_coefficient():
-    # numpy reports its buffers to tracemalloc, so the peak repeats exactly;
-    # an N-entry list of Python ints or floats alongside the arrays would
-    # take it to about 250 bytes per coefficient
+    # numpy reports its buffers to tracemalloc, so the peak repeats exactly.
+    # The one array of N entries is the int64 coefficient array, 8 bytes a
+    # coefficient; on top of it come either one chunk's temporaries (about
+    # 44 bytes a term, 0.7 MB at 2^14 terms) or one sieve block's buffer
+    # (256 KiB), and 1 MiB covers both.  Forming every term at once would
+    # add 8 bytes a coefficient, and an N-entry list of Python ints or
+    # floats about 250
     N = 200_000
     tracemalloc.start()
     try:
@@ -115,7 +124,7 @@ def test_dirichlet_traced_peak_per_coefficient():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 128 * N
+    assert peak <= 8 * N + 2 ** 20
 
 
 @pytest.mark.parametrize("N", [10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6])

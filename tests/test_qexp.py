@@ -416,18 +416,41 @@ SIGMA_TABLE = ((1, 1, 1),) * 3
 E_TABLE = ((0, 0, 0), (1, 1, 1), (-1, -1, -1))
 
 
-def slice_loop_divisor_sums(n):
-    """Reference sigma(0..n): one slice update per divisor d = 1..n."""
-    sig = np.zeros(n + 1, dtype=np.int64)
+def slice_loop_divisor_sums(n, k=1, table=SIGMA_TABLE):
+    """Reference sum_{de = m} d^k table[d % 3][e % 3], m = 0..n (sigma by
+    default): one slice update per divisor d = 1..n and residue of e mod 3."""
+    out = np.zeros(n + 1, dtype=np.int64)
     for d in range(1, n + 1):
-        sig[d::d] += d
-    return sig
+        for e in (1, 2, 3):
+            out[d * e::3 * d] += table[d % 3][e % 3] * d ** k
+    return out
 
 
 # perfect squares and their neighbours move isqrt(n) and the split point
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 99, 100, 101, 1000, 10**5])
 def test_divisor_sums_match_slice_loop(n):
     assert qexp._divisor_sieve(n, 1, SIGMA_TABLE).tolist() == slice_loop_divisor_sums(n).tolist()
+
+
+# (k, table) of every divisor sum the library takes: sigma, E, the Lambert
+# kinds 'c', 'bc3' and 'c_cubed', f, b and g
+SIEVE_TABLES = [
+    (1, SIGMA_TABLE), (0, E_TABLE), (0, ((0, 0, 0), (0, 3, 3), (0, -3, -3))),
+    (1, ((0, 0, 0), (0, 3, -3), (0, -3, 3))), (2, ((0, 27, -27),) * 3),
+    (2, qexp._F_TABLE), (0, ((0, 0, 0), (6, -3, -3), (-6, 3, 3))),
+    (2, ((0, -1, 1), (0, 0, -1), (0, 1, 0))),
+]
+
+
+@pytest.mark.parametrize("k, table", SIEVE_TABLES)
+def test_divisor_sieve_blocks_match_slice_loop(monkeypatch, k, table):
+    # blocks of 7 large divisors: at d = 1 the n in 1..400 run 0 to 19
+    # blocks and end the last one at every offset; k = 0 needs the power
+    # that turns a block into ones
+    monkeypatch.setattr(qexp, "_SIEVE_BLOCK", 7)
+    for n in list(range(1, 401)) + [1000, 4096]:
+        assert qexp._divisor_sieve(n, k, table).tolist() == \
+            slice_loop_divisor_sums(n, k, table).tolist(), n
 
 
 def brute_divisor_sums(n):

@@ -302,8 +302,16 @@ def test_terms_needed_past_a_doubles_exponent_range():
 
 def test_f_integrand_at_a_u_whose_dual_exponent_leaves_double_range():
     # u = 1e-400 puts the dual argument exp(-2 pi/(3u)) at a binary exponent
-    # near -3e400; the term counts still come out, and the value is positive
-    assert thetanum.f_integrand(mpf("1e-400"), Precision(20, 1e-10)) > 0
+    # near -3e400.  As u -> 0, b(q)^2 c(q^3) = exp(-4 pi/(9u))/(sqrt(3) u^3)
+    # to a relative exp(-2 pi/(9u)), so the asymptote at 1000 digits, from
+    # the same binary u, is the truth; the exp of an argument of size 1/u
+    # at the working precision alone had no correct digit at 1e-60
+    for u in ("1e-20", "1e-60", "1e-400"):
+        uu = mpf(u)
+        got = thetanum.f_integrand(uu, Precision(20, 1e-10))
+        with mp.workdps(1000):
+            want = mp.exp(-4 * mp.pi / (9 * uu)) / (mp.sqrt(3) * uu ** 3)
+            assert abs(got / want - 1) < mpf("1e-20"), u
 
 
 def test_hauptmodul_residual_spot_checks():

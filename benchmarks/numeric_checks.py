@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Time the numeric suite of two source trees in fresh interpreters, the two
-alternating, and count the theta term counts and tanh-sinh nodes it makes.
+alternating, and count the theta term counts, tanh-sinh nodes and pFq
+evaluations it makes.
 
     python3 benchmarks/numeric_checks.py BEFORE AFTER > record.json
 
@@ -12,8 +13,11 @@ even pairs and AFTER first in odd ones:
 - ``cli.numeric_suite_reports(40)`` once, with ``thetanum._terms_needed``
   wrapped to count its calls and the seconds spent in them, and ``mp.sinh``
   wrapped to count the tanh-sinh nodes built (each node takes one sinh, and
-  nothing else in the suite takes one); it records the suite's seconds, the
-  seconds of each check and whether every check passed;
+  nothing else in the suite takes one); ``hyper._Plan.eval`` is wrapped to
+  count, per check, its calls and the most of them at one quadrature node
+  (``quad_de``'s integrand is wrapped to say which node it is at, by its t
+  and 1 - t); it records the suite's seconds, the seconds of each check and
+  whether every check passed;
 - ``perfbench/worker.py --trace 0`` of that tree for each workload in
   ``WORKLOADS``, seed = pair + 1, and records its ``wall_s``, ``cpu_s``,
   ``peak_rss_mb`` and failed checks.
@@ -42,11 +46,18 @@ SUITE = """
 import json, sys, time
 sys.path.insert(0, {src!r})
 from mpmath import mp
-from cubictheta import cli, thetanum
+from cubictheta import cli, hyper, lvalue, thetanum
+from cubictheta.reports import check as real_check
 
 calls = [0, 0.0]
 nodes = [0]
 real_terms, real_sinh = thetanum._terms_needed, mp.sinh
+real_eval, real_quad = hyper._Plan.eval, hyper.quad_de
+# the node the current integrand call is at, and per node the pFq
+# evaluations of the current check
+at_node = [None]
+per_node = {{}}
+evals = {{}}
 
 
 def terms_needed(*args):
@@ -62,7 +73,33 @@ def sinh(*args, **kwargs):
     return real_sinh(*args, **kwargs)
 
 
+def plan_eval(*args, **kwargs):
+    per_node[at_node[0]] = per_node.get(at_node[0], 0) + 1
+    return real_eval(*args, **kwargs)
+
+
+def quad_de(f, *args, **kwargs):
+    def tagged(*node):
+        at_node[0] = tuple(v._mpf_ for v in node[:2])
+        return f(*node)
+
+    return real_quad(tagged, *args, **kwargs)
+
+
+def check(name, *args):
+    per_node.clear()
+    at_node[0] = None
+    report = real_check(name, *args)
+    at_nodes = [n for node, n in per_node.items() if node is not None]
+    evals[name] = {{"plan_eval_calls": sum(per_node.values()),
+                   "max_evals_per_node": max(at_nodes, default=0)}}
+    return report
+
+
 thetanum._terms_needed, mp.sinh = terms_needed, sinh
+hyper._Plan.eval = plan_eval
+hyper.quad_de = lvalue.quad_de = quad_de
+cli.check = lvalue.check = check
 t0 = time.perf_counter()
 reports = cli.numeric_suite_reports(40)
 seconds = time.perf_counter() - t0
@@ -73,6 +110,7 @@ print(json.dumps({{
     "terms_needed_calls": calls[0],
     "terms_needed_seconds": round(calls[1], 4),
     "de_nodes_built": nodes[0],
+    "plan_evals": evals,
 }}))
 """
 
@@ -136,7 +174,7 @@ def main() -> None:
                      "two trees alternating in fresh interpreters",
         "pairs": PAIRS,
         "counts": {side: {key: suite[0][side][key]
-                          for key in ("terms_needed_calls", "de_nodes_built")}
+                          for key in ("terms_needed_calls", "de_nodes_built", "plan_evals")}
                    for side in trees},
         "summary": {
             "numeric_suite_seconds": summary(suite, lambda r: r["seconds"]),

@@ -28,15 +28,20 @@ x = 1 as 0, and checks the scope before any branch: |x| > 1, more than
 q + 1 upper parameters and a series that diverges at x = 1 (nonpositive
 excess, 1F0 included) raise ValueError, except that a polynomial is summed
 directly at any |x| <= 1.
-``kdf_integral`` looks up its two factors' plans once per call, so its
-quadrature nodes do only the work that depends on x; its weight
+``kdf_integrals`` evaluates several blocks at one point, each by its own
+quadrature, and looks up each distinct factor's plan once per call, so its
+quadrature nodes do only the work that depends on x; a factor that several
+blocks share is evaluated once per node, its values held in a table local
+to the call (``kdf_integral`` is the batch of one block).  Each weight
 t^(a-1) (1-t)^(ap-a-1) is one exp of the node's logs, and a factor whose
 argument is the node itself (z = 1) takes both logs into its ``eval``, whose
 branches in 1 - x then take no log or power of their own.  ``quad_de``
 reads the tanh-sinh nodes of each level from one cached tuple
 (``_de_nodes``), walked once per side of t = 1/2; each node carries
 t, 1 - t, its weight, ln t and ln(1 - t), and an integrand may take all
-four.
+four.  Each node is built once per (level, precision), in one family that
+the deepest weight cut asked for extends, and each cut's tuple is a prefix
+of it.
 Near the unit argument a 2F1 switches to an expansion in 1 - x: one log
 expansion for every integer excess m >= 0 (``_hyp2f1_log``), the connection
 formula for any other positive excess; their tails are certified as well;
@@ -49,9 +54,11 @@ one-factor block KdFParams([], [], upper, lower, [], []), so its partial
 sums and families are that block's.  ``_extrapolate`` takes the partial
 sums up to the one index D that the tol sets (``_fit_d``) and searches the
 order K of the known-exponent fit (``_accel.known_exponent_fit``) on them
-against that tol; it raises when the search stalls or runs out of points,
-and the pFq exit raises when the terms still rise in the fit's window.  The
-module holds evaluators only; the identity checks live in ``lvalue`` and ``cli``.
+against that tol; it raises when the search stalls or runs out of points.
+The pFq exit raises when the terms still rise in the fit's window, and so
+does ``kdf_series`` when those of a variable on |z| = 1, with the joint
+factor, do (``_require_falling``).  The module holds evaluators only; the
+identity checks live in ``lvalue`` and ``cli``.
 """
 
 from __future__ import annotations
@@ -76,6 +83,7 @@ __all__ = [
     "kdf_margins",
     "kdf_series",
     "kdf_integral",
+    "kdf_integrals",
     "quad_de",
     "gauss_2f1_unit_interval",
 ]
@@ -663,7 +671,7 @@ class _Plan:
         "accelerated" branch and None on the others.  Every x-independent
         part (the cancellation, the scope facts, the branch constants and the
         coefficient tables) is computed once per plan; a caller that
-        evaluates one series at many x, as ``kdf_integral`` does, holds the
+        evaluates one series at many x, as ``kdf_integrals`` does, holds the
         plan and calls its ``eval``.
         """
         if omx is None:
@@ -736,7 +744,8 @@ def _require_falling(upper, lower, D: int):
     where P(n) = (n + 1) prod (l + n) - prod (u + n) < 0.  P has degree q and
     leading coefficient 1 + s > 0, so no root lies past Cauchy's bound
     1 + max |P_i| / (1 + s).  The ratios are read from the larger of the two
-    bounds down to the window's start.
+    bounds down to the window's start.  The pFq exit at 1 (``_Plan.eval``)
+    and ``kdf_series`` at a boundary point call it.
     """
     def poly(roots):  # the coefficients of prod (n + v), lowest first
         return reduce(lambda c, v: [v * lo + hi for lo, hi in zip(c + [0], [0] + c)], roots, [1])
@@ -746,8 +755,9 @@ def _require_falling(upper, lower, D: int):
     start = -(-7 * D // 20)
     for n in range(math.floor(top), start - 1, -1):
         if abs(math.prod(u + n for u in upper)) > abs((n + 1) * math.prod(l + n for l in lower)):
-            raise ArithmeticError(f"the terms at x = 1 still rise at n = {n}, past the "
-                                  f"start {start} of the fit's window at D = {D}")
+            factor = "; ".join(", ".join(map(str, vals)) for vals in (upper, lower))
+            raise ArithmeticError(f"the terms of pFq({factor}; 1) still rise at n = {n}, "
+                                  f"past the start {start} of the fit's window at D = {D}")
 
 
 def _match_f32_ones(up, lo):
@@ -1004,13 +1014,17 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     the value is the known-exponent fit of S_0..S_D, D set by the tol
     (``_fit_d``; ``_extrapolate``, ``"accelerated"``), with its measured bar
     below tol; a search that stalls or runs out of points raises
-    ArithmeticError.  Every other point is summed (``"direct"``) past the
-    degree of each polynomial factor with z != 0, to the geometric tail
-    bound |T_D| rate/(1 - rate),
-    T_d = S_d - S_(d-1).  Its rate is measured: max(rho, (1 + t)/2), with
-    rho = (1 + r)/2, r the largest |z| of a factor that is not a polynomial,
-    and t = |T_D / T_(D-1)| (rho alone when T_(D-1) is lost in the rounding
-    of two partial sums).  D doubles, up to ``_DIRECT_D_MAX``, until the
+    ArithmeticError.  So does a variable on |z| = 1 whose series with the
+    joint factor, the other variable at 0 (upper a + b over lower ap + bp
+    for x, a + c over ap + cp for y), is not a polynomial and still has
+    rising terms in the fit's window (``_require_falling``), before any sum
+    is taken: its S_d then show a plateau that the fit reads as the limit.
+    Every other point is summed (``"direct"``) past the degree of each
+    polynomial factor with z != 0, to the geometric tail bound
+    |T_D| rate/(1 - rate), T_d = S_d - S_(d-1).  Its rate is measured:
+    max(rho, (1 + t)/2), with rho = (1 + r)/2, r the largest |z| of a factor
+    that is not a polynomial, and t = |T_D / T_(D-1)| (rho alone when
+    T_(D-1) is lost in the rounding of two partial sums).  D doubles, up to ``_DIRECT_D_MAX``, until the
     bound is below tol; a build at that cap that fails it raises
     ArithmeticError.  The bar is the bound plus the rounding bound of the
     partial sums.  At r = 0 the series is finite: it is summed to its
@@ -1026,6 +1040,9 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
                 raise ValueError(f"boundary evaluation rejected: margins {margins.m1}, "
                                  f"{margins.m2}, {margins.m3} are not all positive")
             D = _fit_d(prec.tol())
+            for z, up, lo in ((xx, params.b, params.bp), (yy, params.c, params.cp)):
+                if abs(z) == 1 and _degree(params.a + up) is None:
+                    _require_falling(params.a + up, params.ap + lo, D)
             val, err = _extrapolate(lambda: _kdf_partial_sums(params, xx, yy, D),
                                     families, prec.tol())
             return SeriesResult(+val, +err, (D + 1) * (D + 2) // 2, "accelerated")
@@ -1056,48 +1073,79 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
 
 
 def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
-    """Beta-weighted integral representation for one joint parameter pair.
+    """Beta-weighted integral representation for one joint parameter pair:
+    ``kdf_integrals`` of the one block."""
+    return kdf_integrals((params,), x, y, prec)[0]
 
-    Requires len(a) == len(ap) == 1 and ap > a > 0.  The inner single-variable
-    factors are evaluated through ``pfq``'s near-unit machinery, so the
-    quadrature nodes may approach t = 1 without losing the integrand; each
-    factor's plan (``_plan``) is looked up once per call, and every node
-    calls its ``eval``.  Every node reads its ln t and ln(1 - t) from the
-    node table (``quad_de``): the weight t^(a-1) (1-t)^(ap-a-1) is one
+
+def kdf_integrals(blocks, x, y, prec: Precision) -> list:
+    """The beta-weighted integral representation of each block at one point
+    (x, y), one SeriesResult per block, in order.
+
+    Each block needs len(a) == len(ap) == 1 and ap > a > 0 (ValueError
+    otherwise, before any node).  The inner single-variable factors are
+    evaluated through ``pfq``'s near-unit machinery, so the quadrature nodes
+    may approach t = 1 without losing the integrand.  Each block runs its own
+    ``quad_de``, with its own side cuts, stop level and bar, so its result is
+    the one a call on that block alone returns.  The blocks share one
+    precision, so they walk the same node tuples (``_de_nodes``), and the
+    factors they share are evaluated once per node: each distinct factor,
+    keyed by its (upper, lower) and its variable, has its plan (``_plan``)
+    looked up once per call, and its value at a node is kept in a table local
+    to the call, which every block that reads that factor reads; nothing
+    outlives the call.  Every node reads its ln t and ln(1 - t) from the node
+    table (``quad_de``): the weight t^(a-1) (1-t)^(ap-a-1) is one
     exp((a-1) ln t + (ap-a-1) ln(1-t)), and none when both exponents are 0,
     and a factor at z = 1, whose argument is the node itself, takes both
     logs into its ``eval``.
     """
-    if len(params.a) != 1 or len(params.ap) != 1:
-        raise ValueError("integral representation needs exactly one joint parameter pair")
-    a, ap = params.a[0], params.ap[0]
-    if not (ap > a > 0):
-        raise ValueError("integral representation needs ap > a > 0")
+    blocks = tuple(blocks)
+    for params in blocks:
+        if len(params.a) != 1 or len(params.ap) != 1:
+            raise ValueError("integral representation needs exactly one joint parameter pair")
+        if not (params.ap[0] > params.a[0] > 0):
+            raise ValueError("integral representation needs ap > a > 0")
     with mp.workdps(prec.dps + 15):
         xx, yy = _bidisc_point(x, y)
-        pref = _gamma(ap) / (_gamma(a) * _gamma(ap - a))
-        am1, dm1 = _to_mpf(a) - 1, _to_mpf(ap - a) - 1
         eps = prec.tol() / 100
-        # each factor's plan is looked up once here, not at every node
-        pb, pc = _plan(params.b, params.bp), _plan(params.c, params.cp)
-        omx, omy = 1 - xx, 1 - yy
-        at_one_b, at_one_c = xx == 1, yy == 1
+        factors = {}
 
-        def integrand(t, omt, lt, lomt):
-            # at z = 1 the factor's argument is the node, with its logs;
-            # elsewhere 1 - z*t is (1 - z) + z*(1 - t)
-            logs = lt, lomt
-            fb = (pb.eval(t, omt, eps, logs) if at_one_b
-                  else pb.eval(xx * t, omx + xx * omt, eps))[0]
-            fc = (pc.eval(t, omt, eps, logs) if at_one_c
-                  else pc.eval(yy * t, omy + yy * omt, eps))[0]
-            weight = mp.exp(am1 * lt + dm1 * lomt) if am1 or dm1 else 1
-            return weight * fb * fc
+        def factor(upper, lower, z):
+            # the factor pFq(upper; lower; z t) at a node, keyed by the node's
+            # (t, 1 - t); at z = 1 its argument is the node, with its logs,
+            # elsewhere 1 - z t is (1 - z) + z (1 - t)
+            got = factors.get((upper, lower, z))
+            if got is not None:
+                return got
+            plan, omz, seen = _plan(upper, lower), 1 - z, {}
 
-        quad = quad_de(integrand, prec.tol() / 4, prec, node_args=True)
-        val = pref * quad.value
-        err = abs(pref) * quad.err_estimate + prec.tol() / 4
-        return SeriesResult(val, err, quad.terms_used, "integral")
+            def value(key, t, omt, lt, lomt):
+                v = seen.get(key)
+                if v is None:
+                    v = seen[key] = (plan.eval(t, omt, eps, (lt, lomt)) if z == 1
+                                     else plan.eval(z * t, omz + z * omt, eps))[0]
+                return v
+
+            factors[upper, lower, z] = value
+            return value
+
+        results = []
+        for params in blocks:
+            a, ap = params.a[0], params.ap[0]
+            pref = _gamma(ap) / (_gamma(a) * _gamma(ap - a))
+            am1, dm1 = _to_mpf(a) - 1, _to_mpf(ap - a) - 1
+            fb, fc = factor(params.b, params.bp, xx), factor(params.c, params.cp, yy)
+
+            def integrand(t, omt, lt, lomt, fb=fb, fc=fc, am1=am1, dm1=dm1):
+                key = t._mpf_, omt._mpf_
+                weight = mp.exp(am1 * lt + dm1 * lomt) if am1 or dm1 else 1
+                return weight * fb(key, t, omt, lt, lomt) * fc(key, t, omt, lt, lomt)
+
+            quad = quad_de(integrand, prec.tol() / 4, prec, node_args=True)
+            results.append(SeriesResult(pref * quad.value,
+                                        abs(pref) * quad.err_estimate + prec.tol() / 4,
+                                        quad.terms_used, "integral"))
+        return results
 
 
 # -- double-exponential quadrature --------------------------------------------
@@ -1106,10 +1154,28 @@ def kdf_integral(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
 _QUAD_MAX_LEVEL = 10
 
 
+# the tanh-sinh nodes built so far at each (level, prec), in the order of s
+# (``_de_nodes``)
+_DE_FAMILIES: dict = {}
+
+
+def _de_node(s: mpf, pi: mpf) -> tuple:
+    """The node (t, 1-t, weight, ln t, ln(1-t)) at s (``_de_nodes``)."""
+    sh = mp.sinh(s)
+    w = pi / 2 * sh
+    ew = mp.exp(w)
+    iew = 1 / ew
+    u = iew * iew
+    t = 1 / (1 + u)
+    dt = pi * mp.sqrt(1 + sh * sh) / (ew + iew) ** 2
+    lt = -mp.log1p(u)
+    return t, u * t, dt, lt, lt - 2 * w
+
+
 @lru_cache(maxsize=None)
 def _de_nodes(level: int, wexp: int, prec: int) -> tuple:
     """The tanh-sinh nodes new at ``level`` (step h = 2^-level), at ``prec``
-    bits, computed once.
+    bits, up to the weight cut 10^-wexp.
 
     One tuple of nodes (t, 1-t, weight, ln t, ln(1-t)) at s = k h > 0 (k odd
     past level 0), all with t > 1/2, and at level 0 the s = 0 node (t = 1/2)
@@ -1124,25 +1190,23 @@ def _de_nodes(level: int, wexp: int, prec: int) -> tuple:
     terms.  They are the logs of the stored 1-t and of 1 minus it, each
     within 8 ulps relatively, however close t is to 1; the stored t is
     within 4 ulps of that 1 minus 1-t.
+
+    No node depends on wexp, only where the tuple ends.  So each node is
+    built once per (level, prec), in one family (``_DE_FAMILIES``) that a
+    deeper wexp extends past its end, and every wexp's tuple is a prefix of
+    that family, its nodes the family's own objects.
     """
+    family = _DE_FAMILIES.setdefault((level, prec), [])
     with mp.workprec(prec):
         h = mpf(1) / 2 ** level
         wcut = mpf(10) ** (-wexp)
         pi = +mp.pi
-        nodes = []
-        for k in count(0, 1) if level == 0 else count(1, 2):
+        for i, k in enumerate(count(0, 1) if level == 0 else count(1, 2)):
             s = k * h
-            sh = mp.sinh(s)
-            w = pi / 2 * sh
-            ew = mp.exp(w)
-            iew = 1 / ew
-            u = iew * iew
-            t = 1 / (1 + u)
-            dt = pi * mp.sqrt(1 + sh * sh) / (ew + iew) ** 2
-            lt = -mp.log1p(u)
-            nodes.append((t, u * t, dt, lt, lt - 2 * w))
-            if dt < wcut and s > 3:
-                return tuple(nodes)
+            if i == len(family):
+                family.append(_de_node(s, pi))
+            if family[i][2] < wcut and s > 3:
+                return tuple(family[:i + 1])
 
 
 def quad_de(f, tol, prec: Precision, node_args: bool = False) -> SeriesResult:
@@ -1154,7 +1218,10 @@ def quad_de(f, tol, prec: Precision, node_args: bool = False) -> SeriesResult:
     Each level sums its new nodes (``_de_nodes``): the center at level 0,
     then the side t > 1/2, then the mirrored side t < 1/2, each side until
     5 terms in a row fall below tol 10^-4 or its nodes end.  Integrable
-    endpoint singularities of algebraic-logarithmic type are fine.
+    endpoint singularities of algebraic-logarithmic type are fine.  Every
+    call at one precision and tol walks the same node tuples, the same
+    objects, so integrands of several calls can share values per node
+    (``kdf_integrals``).
 
     By default the integrand is called as f(t), and a node that rounds onto
     an endpoint counts 0.  With ``node_args=True`` it is called as

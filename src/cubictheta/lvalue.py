@@ -341,20 +341,23 @@ def l_dirichlet(N: int) -> SeriesResult:
 _KDF_VALUE_CACHE: dict = {}
 
 
-def _kdf_at_one(name: str, route: str, prec: Precision) -> SeriesResult:
-    key = (name, route, prec.working_digits, float(prec.target_tol))
-    hit = _KDF_VALUE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    params = THEOREM_KDF_BLOCKS[name]
-    if route == "series":
-        res = hyper.kdf_series(params, 1, 1, prec)
-    elif route == "integral":
-        res = hyper.kdf_integral(params, 1, 1, prec)
-    else:
+def _kdf_at_one(names, route: str, prec: Precision) -> list:
+    """The named ``THEOREM_KDF_BLOCKS`` at (1, 1) by ``route``, one
+    SeriesResult per name, from the memo where it holds them; the integral
+    route evaluates the names it lacks in one ``hyper.kdf_integrals`` batch,
+    which shares their nodes and their common factor."""
+    if route not in ("series", "integral"):
         raise ValueError(f"unknown route {route!r}")
-    _KDF_VALUE_CACHE[key] = res
-    return res
+    keys = {name: (name, route, prec.working_digits, float(prec.target_tol)) for name in names}
+    missing = [name for name, key in keys.items() if key not in _KDF_VALUE_CACHE]
+    if route == "series":
+        for name in missing:
+            _KDF_VALUE_CACHE[keys[name]] = hyper.kdf_series(THEOREM_KDF_BLOCKS[name], 1, 1, prec)
+    elif missing:
+        blocks = [THEOREM_KDF_BLOCKS[name] for name in missing]
+        for name, res in zip(missing, hyper.kdf_integrals(blocks, 1, 1, prec)):
+            _KDF_VALUE_CACHE[keys[name]] = res
+    return [_KDF_VALUE_CACHE[keys[name]] for name in names]
 
 
 def rhs_theorem(n: int, route: str, prec: Precision) -> SeriesResult:
@@ -372,8 +375,9 @@ def rhs_theorem(n: int, route: str, prec: Precision) -> SeriesResult:
         err = mpf(0)
         terms = 0
         method = "accelerated" if route == "series" else "integral"
-        for name, coef in _THEOREM_COMBOS[n]:
-            block = _kdf_at_one(name, route, prec)
+        combo = _THEOREM_COMBOS[n]
+        blocks = _kdf_at_one([name for name, _ in combo], route, prec)
+        for (_, coef), block in zip(combo, blocks):
             cm = mpf(coef.numerator) / coef.denominator
             val += cm * block.value
             err += abs(cm) * block.err_estimate

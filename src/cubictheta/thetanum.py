@@ -203,9 +203,11 @@ def _theta_direct(kind: str, q: mpf, tol: mpf) -> mpf:
 _DUAL = {"a": "a", "b": "c", "c": "b"}
 
 
-def _theta_dual(kind: str, u: mpf, tol: mpf) -> mpf:
-    """Theta value at q = exp(-2*pi*u) through the involution: its dual's
-    series at exp(-2*pi/(3u)), divided by sqrt(3)*u.
+def _theta_dual(kinds: str, u: mpf, tol: mpf) -> list:
+    """The values of ``kinds`` at q = exp(-2*pi*u) through the involution:
+    each one's dual series at exp(-2*pi/(3u)), divided by sqrt(3)*u.  The
+    scale sqrt(3)*u and the argument exp(-2*pi/(3u)) are formed once, for
+    all the kinds.
 
     A relative error e in the argument x = 2 pi/(3u) is a relative error
     x e in exp(-x), so the exp at p bits loses m = mag(x) of them.  The
@@ -221,16 +223,18 @@ def _theta_dual(kind: str, u: mpf, tol: mpf) -> mpf:
             q = mp.exp(-2 * mp.pi / (3 * u))
     else:
         q = mp.exp(-x)
-    return _theta_direct(_DUAL[kind], +q, tol * scale) / scale
+    q = +q
+    return [_theta_direct(_DUAL[kind], q, tol * scale) / scale for kind in kinds]
 
 
 def _theta(kinds: str, q: mpf, u: mpf, tol: mpf) -> list:
     """The values of ``kinds`` (letters of "abc") at q = exp(-2*pi*u), each
     within tol: each kind's own series at the q given where 3u^2 >= 1, else
-    ``_theta_dual``.  Every theta value in this module comes from here."""
+    ``_theta_dual``, which forms the dual argument once for all of them.
+    Every theta value in this module comes from here."""
     if 3 * u * u >= 1:
         return [_theta_direct(kind, q, tol) for kind in kinds]
-    return [_theta_dual(kind, u, tol) for kind in kinds]
+    return _theta_dual(kinds, u, tol)
 
 
 def _alpha(b: mpf, c: mpf):

@@ -425,10 +425,11 @@ def test_involution_check_reads_the_transform_eval_theta_takes(monkeypatch):
     # with the sqrt(3) u scale of the transform a relative 1e-15 off, the
     # involution check and eval_theta's comparison with the exact series
     # (q = 0.1 and 0.2 sit below 3u^2 = 1) must both see it
-    def skewed(kind, u, tol):
+    def skewed(kinds, u, tol):
         scale = mp.sqrt(3) * u * (1 + mpf("1e-15"))
         q = mp.exp(-2 * mp.pi / (3 * u))
-        return thetanum._theta_direct(thetanum._DUAL[kind], q, tol * scale) / scale
+        return [thetanum._theta_direct(thetanum._DUAL[kind], q, tol * scale) / scale
+                for kind in kinds]
 
     monkeypatch.setattr(thetanum, "_theta_dual", skewed)
     assert not cli.involution_report(40, cli._floor_tol(40, 1e-20)).passed

@@ -6,7 +6,8 @@ import json
 import math
 import pathlib
 from fractions import Fraction
-from itertools import islice
+from functools import lru_cache
+from itertools import count, islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -208,6 +209,20 @@ def test_pfq_at_one_refuses_terms_that_still_rise(tol):
     # fit would return with a bar of 1e-23
     with pytest.raises(ArithmeticError, match="still rise at n = 1287"):
         hyper.pfq(PFQParams([1, 1, 1], [Fraction(-199, 2), 110]), 1, Precision(40, tol))
+
+
+def test_kdf_series_refuses_a_variable_whose_terms_still_rise():
+    # the one variable on the circle, x, with the joint factor: the terms of
+    # 4F3(1, 1, 1, 1; 2, -199/2, 110; 1) still rise at n = 1152, past the
+    # start 56 of the D = 160 window; the fit would return 0.99995432817488,
+    # 3.1e-11 off the limit 0.99995432820603615, with a bar of 2.2e-26
+    block = KdFParams([1], [2], [1, 1, 1], [Fraction(-199, 2), 110], [THIRD], [])
+    with pytest.raises(ArithmeticError, match="still rise at n = 1152, past the start 56"):
+        hyper.kdf_series(block, 1, 0, Precision(40, 1e-12))
+    # the same factor on y, with x inside the disc
+    swapped = KdFParams([1], [2], [THIRD], [], [1, 1, 1], [Fraction(-199, 2), 110])
+    with pytest.raises(ArithmeticError, match="still rise at n = 1152"):
+        hyper.kdf_series(swapped, 0, -1, Precision(40, 1e-12))
 
 
 def test_zero_balanced_against_mpmath():
@@ -768,6 +783,78 @@ def test_de_node_logs_against_mp_log(level, wexp, dps):
             assert abs(t - (1 - omt)) <= mp.ldexp(t, 2 - prec)
 
 
+def de_nodes_reference(level, wexp, prec):
+    """The node tuple of ``_de_nodes`` built anew for one wexp, node by node
+    until the weight falls below 10^-wexp past s = 3: the reference for the
+    tuples cut from one family per (level, prec)."""
+    with mp.workprec(prec):
+        h = mpf(1) / 2 ** level
+        wcut = mpf(10) ** (-wexp)
+        pi = +mp.pi
+        nodes = []
+        for k in count(0, 1) if level == 0 else count(1, 2):
+            s = k * h
+            sh = mp.sinh(s)
+            w = pi / 2 * sh
+            ew = mp.exp(w)
+            iew = 1 / ew
+            u = iew * iew
+            t = 1 / (1 + u)
+            dt = pi * mp.sqrt(1 + sh * sh) / (ew + iew) ** 2
+            lt = -mp.log1p(u)
+            nodes.append((t, u * t, dt, lt, lt - 2 * w))
+            if dt < wcut and s > 3:
+                return tuple(nodes)
+
+
+@pytest.fixture
+def fresh_de_caches(monkeypatch):
+    """Node families and node tuples with empty caches of their own for one
+    test, so that the order of its requests is the only one they see."""
+    monkeypatch.setattr(hyper, "_DE_FAMILIES", {})
+    monkeypatch.setattr(hyper, "_de_nodes", lru_cache(maxsize=None)(hyper._de_nodes.__wrapped__))
+
+
+# the wexps of the numeric suite at 40 digits (tols 1e-12, 1e-25 and 1e-25/4
+# and the 1e-20 of test_quad_de_reuses_its_nodes), at its 186 bits
+_WEXPS = (61, 84, 99, 100)
+_NODE_PREC = 186
+
+
+@pytest.fixture(scope="module")
+def reference_tuples():
+    return {(level, wexp): de_nodes_reference(level, wexp, _NODE_PREC)
+            for level in range(7) for wexp in _WEXPS}
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+def test_de_nodes_are_the_reference_tuples(order, reference_tuples, fresh_de_caches):
+    # every tuple cut from a family equals the one built anew for its wexp,
+    # whichever order the wexps are asked for in
+    wexps = _WEXPS if order == "increasing" else _WEXPS[::-1]
+    for level in range(7):
+        for wexp in wexps:
+            assert hyper._de_nodes(level, wexp, _NODE_PREC) == reference_tuples[level, wexp]
+
+
+def test_a_deeper_wexp_builds_only_the_nodes_past_its_family(fresh_de_caches, monkeypatch):
+    # the nodes of wexp 61 are the head of those of wexp 100, the same
+    # objects; the second call builds only the rest, and a wexp between them
+    # builds none
+    built = []
+    real = hyper._de_node
+    monkeypatch.setattr(hyper, "_de_node", lambda s, pi: built.append(s) or real(s, pi))
+    for level in (0, 3, 6):
+        built.clear()
+        short = hyper._de_nodes(level, 61, _NODE_PREC)
+        assert len(built) == len(short)
+        deep = hyper._de_nodes(level, 100, _NODE_PREC)
+        assert len(deep) > len(short) and all(a is b for a, b in zip(short, deep))
+        assert len(built) == len(deep) == len(set(built))
+        assert len(hyper._de_nodes(level, 99, _NODE_PREC)) <= len(deep)
+        assert len(built) == len(deep)
+
+
 def _kdf_integral_without_logs(params, prec):
     """``kdf_integral`` at (1, 1) with the integrand that forms its own
     powers and logs: t^(a-1) (1-t)^(ap-a-1) as two mpf powers, and each
@@ -1008,6 +1095,104 @@ def test_kdf_integral_looks_up_each_plan_once(monkeypatch):
     (coarse, coarse_lookups), (fine, fine_lookups) = runs
     assert fine > coarse
     assert fine_lookups == coarse_lookups < coarse
+
+
+def kdf_integral_reference(params, x, y, prec):
+    """One block's integral with its own integrand, which calls both factors'
+    ``eval`` at every node, as a lone call did before the blocks of a batch
+    shared their factors: the reference that every batch result must equal
+    bit for bit."""
+    a, ap = params.a[0], params.ap[0]
+    with mp.workdps(prec.dps + 15):
+        xx, yy = hyper._bidisc_point(x, y)
+        pref = hyper._gamma(ap) / (hyper._gamma(a) * hyper._gamma(ap - a))
+        am1, dm1 = hyper._to_mpf(a) - 1, hyper._to_mpf(ap - a) - 1
+        eps = prec.tol() / 100
+        pb, pc = hyper._plan(params.b, params.bp), hyper._plan(params.c, params.cp)
+        omx, omy = 1 - xx, 1 - yy
+
+        def integrand(t, omt, lt, lomt):
+            logs = lt, lomt
+            fb = (pb.eval(t, omt, eps, logs) if xx == 1 else pb.eval(xx * t, omx + xx * omt, eps))[0]
+            fc = (pc.eval(t, omt, eps, logs) if yy == 1 else pc.eval(yy * t, omy + yy * omt, eps))[0]
+            weight = mp.exp(am1 * lt + dm1 * lomt) if am1 or dm1 else 1
+            return weight * fb * fc
+
+        quad = hyper.quad_de(integrand, prec.tol() / 4, prec, node_args=True)
+        return hyper.SeriesResult(pref * quad.value,
+                                  abs(pref) * quad.err_estimate + prec.tol() / 4,
+                                  quad.terms_used, "integral")
+
+
+def _fields(res):
+    return res.value, res.err_estimate, res.terms_used, res.method
+
+
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize("x, y, prec", [
+    pytest.param(1, 1, Precision(40, 1e-12), id="one-dps40"),
+    pytest.param(1, 1, Precision(60, 1e-45), id="one-dps60"),
+    pytest.param(_HALF, _HALF, Precision(40, 1e-25), id="half-dps40"),
+])
+def test_kdf_integrals_equal_lone_calls_on_the_theorem_blocks(x, y, prec):
+    # each block of one batch, in value, bar, node count and method, is the
+    # lone kdf_integral and the reference integrand with its own factor calls
+    blocks = list(THEOREM_KDF_BLOCKS.values())
+    batch = hyper.kdf_integrals(blocks, x, y, prec)
+    assert len(batch) == len(blocks)
+    for params, res in zip(blocks, batch):
+        assert _fields(res) == _fields(hyper.kdf_integral(params, x, y, prec))
+        assert _fields(res) == _fields(kdf_integral_reference(params, x, y, prec))
+
+
+def test_kdf_integrals_equal_lone_calls_on_the_pool_blocks():
+    # the benchmark's 32 pool blocks at (1, 1) in one batch
+    blocks = [p.values[0] for p in _pool_blocks()]
+    prec = Precision(40, 1e-12)
+    for params, res in zip(blocks, hyper.kdf_integrals(blocks, 1, 1, prec), strict=True):
+        assert _fields(res) == _fields(hyper.kdf_integral(params, 1, 1, prec))
+        assert _fields(res) == _fields(kdf_integral_reference(params, 1, 1, prec))
+
+
+@pytest.mark.parametrize("x, prec", [(_HALF, Precision(40, 1e-25)), (1, Precision(40, 1e-12))],
+                         ids=["half", "one"])
+def test_kdf_integrals_evaluate_each_factor_once_per_node(x, prec, monkeypatch):
+    # a spy on _Plan.eval, told by quad_de's integrand which node it is at:
+    # in one batch of the six Theorem blocks at (x, x), no plan is called
+    # twice at one node, and seven plans at most at one node (the six first
+    # factors and the 2F1(1/3, 2/3; 1) they share), where each block alone
+    # calls two per node, twelve in all
+    calls, node = [], [None]
+    real_eval, real_quad = hyper._Plan.eval, hyper.quad_de
+
+    def spy(plan, z, omz, eps, logs=None):
+        calls.append((plan, node[0]))
+        return real_eval(plan, z, omz, eps, logs)
+
+    def quad(f, tol, prec, node_args=False):
+        def tagged(t, omt, lt, lomt):
+            node[0] = t._mpf_, omt._mpf_
+            return f(t, omt, lt, lomt)
+
+        return real_quad(tagged, tol, prec, node_args)
+
+    monkeypatch.setattr(hyper._Plan, "eval", spy)
+    monkeypatch.setattr(hyper, "quad_de", quad)
+    hyper.kdf_integrals(list(THEOREM_KDF_BLOCKS.values()), x, x, prec)
+    assert len(calls) == len(set(calls))
+    per_node = {}
+    for plan, at in calls:
+        per_node.setdefault(at, set()).add(plan)
+    assert max(map(len, per_node.values())) == 7
+    shared = hyper._plan((THIRD, 2 * THIRD), (Fraction(1),))
+    assert sum(plan is shared for plan, _ in calls) == len(per_node)
+
+
+def test_kdf_integrals_checks_every_block_before_any_node():
+    with pytest.raises(ValueError, match="ap > a > 0"):
+        hyper.kdf_integrals([MAIN_BLOCK, KdFParams([2], [1], [1], [2], [1], [2])], 0, 0, PREC)
 
 
 def test_kdf_integral_stops_where_its_error_is_predicted():

@@ -367,7 +367,7 @@ def test_rhs_theorem_bar_covers_the_closed_form(n, route):
 @pytest.mark.parametrize("name", ["L1", "L2a"])
 def test_l1_l2a_blocks_bar_covers_the_closed_form(name, route, prec):
     # L1 = 27 L(f, 1) and L2a = L1 + (81 sqrt 3/(4 pi)) L(f, 2) at (1, 1)
-    res = lvalue._kdf_at_one(name, route, prec)
+    (res,) = lvalue._kdf_at_one([name], route, prec)
     with mp.workdps(prec.dps + 10):
         truth = 27 * l_value(1, prec.dps)
         if name == "L2a":
@@ -379,7 +379,7 @@ def test_l1_block_at_100_digits_bar_covers_the_closed_form():
     # the integral route at 100 digits (0.1 s); the series route there takes
     # 5 s (D = 1280, K = 112), so its value, bar and error are in BENCH_34.json
     prec = Precision(100, 1e-90)
-    res = lvalue._kdf_at_one("L1", "integral", prec)
+    (res,) = lvalue._kdf_at_one(["L1"], "integral", prec)
     with mp.workdps(prec.dps + 10):
         assert abs(res.value - 27 * l_value(1, prec.dps)) <= res.err_estimate <= prec.tol()
 
@@ -392,6 +392,29 @@ def test_rhs_theorem_raises_when_the_series_search_fails(monkeypatch):
     monkeypatch.setattr(hyper, "_FIT_D", ((0.0, 48),))
     with pytest.raises(ArithmeticError):
         lvalue.rhs_theorem(1, "series", PREC)
+
+
+def test_theorem_blocks_are_batched_per_call(monkeypatch):
+    # rhs_theorem(2) evaluates its own two blocks, in one batch; the theorem
+    # suite evaluates all six in one batch and reads them from the memo after
+    from cubictheta import cli
+
+    batches = []
+    real = hyper.kdf_integrals
+
+    def spy(blocks, x, y, prec):
+        batches.append([name for name, params in lvalue.THEOREM_KDF_BLOCKS.items()
+                        if params in blocks])
+        return real(blocks, x, y, prec)
+
+    monkeypatch.setattr(hyper, "kdf_integrals", spy)
+    monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", {})
+    lvalue.rhs_theorem(2, "integral", PREC)
+    assert batches == [["L1", "L2a"]]
+    monkeypatch.setattr(lvalue, "_KDF_VALUE_CACHE", {})
+    batches.clear()
+    cli.theorem_suite_reports(40)
+    assert batches == [list(lvalue.THEOREM_KDF_BLOCKS)]
 
 
 def test_rhs_theorem_bad_inputs():

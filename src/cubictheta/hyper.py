@@ -49,16 +49,17 @@ callers that know 1 - x to better accuracy than x can pass it explicitly.
 Where a factor that is not a polynomial sits on |z| = 1, a Kampe de Feriet
 value is the limit of its S_d, whose remainder has a form known from the
 parameters (``_kdf_families``).
-A pFq at x = 1 that no closed form covers is the value at (1, 0) of the
-one-factor block KdFParams([], [], upper, lower, [], []), so its partial
-sums and families are that block's.  ``_extrapolate`` takes the partial
-sums up to the one index D that the tol sets (``_fit_d``) and searches the
-order K of the known-exponent fit (``_accel.known_exponent_fit``) on them
-against that tol; it raises when the search stalls or runs out of points.
-The pFq exit raises when the terms still rise in the fit's window, and so
-does ``kdf_series`` when those of a variable on |z| = 1, with the joint
-factor, do (``_require_falling``).  The module holds evaluators only; the
-identity checks live in ``lvalue`` and ``cli``.
+Both boundary values take one helper, ``_boundary_value``: ``kdf_series``
+at a point with families, and a pFq at x = 1 that no closed form covers,
+which is the value at (1, 0) of the one-factor block
+KdFParams([], [], upper, lower, [], []).  It first raises when the terms of
+a variable on |z| = 1, with the joint factor, still rise in the fit's
+window (``_require_falling``), before any sum; then ``_extrapolate`` takes
+the partial sums up to the one index D that the tol sets (``_fit_d``) and
+searches the order K of the known-exponent fit
+(``_accel.known_exponent_fit``) on them against that tol; it raises when
+the search stalls or runs out of points.  The module holds evaluators only;
+the identity checks live in ``lvalue`` and ``cli``.
 """
 
 from __future__ import annotations
@@ -512,22 +513,25 @@ def _connection_consts(plan):
             _plan((a, b), (a + b - c + 1,)), _plan((c - a, c - b), (1 - a - b + c,)))
 
 
+def _omx_power(omx, s, logs):
+    """(1 - x)^s from ``omx`` = 1 - x: ``omx ** s``, or, with ``logs`` =
+    (ln x, ln(1 - x)) from the caller, exp(s ln(1 - x)), one exp in place of
+    a power.  A node table gives ln(1 - x) within 8 ulps at the working
+    precision p, relatively (``_de_nodes``), so the argument is within
+    9 |s ln(1 - x)| ulps and the exp within (1 + 9 |s ln(1 - x)|) 2^-p of
+    (1 - x)^s, relatively."""
+    return omx ** s if logs is None else mp.exp(s * logs[1])
+
+
 def _hyp2f1_connection(plan, x, omx, eps, logs=None):
     """2F1(a, b; c; x), ``plan``'s series, for non-integer c-a-b via the
     two-series expansion in 1 - x, whose coefficients are the Gauss sums of
-    (a, b; c) and (c-a, c-b; c).
-
-    With ``logs`` = (ln x, ln w), w = 1 - x, from the caller, w^(c-a-b) is
-    exp((c-a-b) ln w), one exp in place of a power.  With ln w within 8 ulps
-    at the working precision p, relatively (``_de_nodes``), the argument is
-    within 9 |(c-a-b) ln w| ulps, so the exp is within
-    (1 + 9 |(c-a-b) ln w|) 2^-p of w^(c-a-b), relatively.
+    (a, b; c) and (c-a, c-b; c); w^(c-a-b), w = 1 - x, is ``_omx_power``.
     """
     g1, g2, e, s1, s2 = plan.consts(_connection_consts)
     f1, n1 = _direct_sum(s1, omx, eps)
     f2, n2 = _direct_sum(s2, omx, eps)
-    power = omx ** e if logs is None else mp.exp(e * logs[1])
-    return g1 * f1 + power * g2 * f2, n1 + n2
+    return g1 * f1 + _omx_power(omx, e, logs) * g2 * f2, n1 + n2
 
 
 def _f32_consts(plan):
@@ -549,19 +553,14 @@ def _f32_ones_tail(plan, x, omx, eps, logs=None):
             = w^(1-a)/(1-a) 2F1(1, 1-a; 2-a; w) + log(1 - w),
     the 2F1 summed by ``_direct_sum`` with its certified tail.
 
-    With ``logs`` = (ln x, ln w) from the caller, w^(1-a) is
-    exp((1-a) ln w) and log(1 - w) is ln x: no power and no log1p.  With
-    both logs within 8 ulps at the working precision p, relatively
-    (``_de_nodes``), the power is within (1 + 9 (1-a) |ln w|) 2^-p of
-    w^(1-a), relatively, and ln x within 2^(3-p) |ln x|.
+    w^(1-a) is ``_omx_power``.  With ``logs`` = (ln x, ln w) from the
+    caller, log(1 - w) is ln x, within 2^(3-p) |ln x| at the working
+    precision p (``_de_nodes``): no log1p.
     """
     am, bm, cconst, sub = plan.consts(_f32_consts)
     w = omx
     f21, n = _direct_sum(sub, w, eps)
-    if logs is None:
-        tail = w ** bm / bm * f21 + mp.log1p(-w)
-    else:
-        tail = mp.exp(bm * logs[1]) / bm * f21 + logs[0]
+    tail = _omx_power(w, bm, logs) / bm * f21 + (mp.log1p(-w) if logs is None else logs[0])
     return (cconst - tail) / (am * x), n
 
 
@@ -648,9 +647,9 @@ class _Plan:
         ``logs``, when given, is (ln x, ln(1 - x)), the logs of 1 - omx and
         of omx (of 1 - x and x when omx is None), as a quadrature node
         carries them (``_de_nodes``); the
-        branches in 1 - x then take their powers of 1 - x as one exp and
-        their logs from it ("binomial", "log", "connection", "f32-tail"),
-        and the others ignore it.  The logs change no scope check and no
+        branches in 1 - x then take their powers of 1 - x as one exp
+        (``_omx_power``) and their logs from it ("binomial", "log",
+        "connection", "f32-tail"), and the others ignore it.  The logs change no scope check and no
         choice of branch; without them every branch forms its own.  The scope
         is checked before any branch: ValueError for |x| > 1, and, unless the
         series terminates (an upper parameter that is a nonpositive integer),
@@ -659,16 +658,18 @@ class _Plan:
         algorithm has one exit, 11 in all with the raises, and ``method``
         names it: "binomial" ((1 - x)^-a for 1F0, and 2F1(1, a; 2; x)),
         "f32-tail" (3F2(1, 1, a+1; 2, 2; x) for x > 1/2, 1 included),
-        "accelerated" (``_extrapolate`` on the one-factor block) for other
-        sums at 1 but a 2F1's, "log" and "connection" (the 2F1 expansions in
-        1 - x for x > 1/2, 1 included, where each is the Gauss sum), and
+        "accelerated" (``_boundary_value`` of the one-factor block at
+        (1, 0)) for other sums at 1 but a 2F1's, "log" and "connection" (the
+        2F1 expansions in 1 - x for x > 1/2, 1 included, where each is the
+        Gauss sum), and
         "direct" (``_direct_sum``) for p <= q, a polynomial, or |x| <= 0.95
         where no branch above applies; all but "binomial" 1F0 and "direct"
         take only a non-terminating p = q + 1 series at |x| > 1/2.  Such a
         series at |x| > 0.95 that no branch covers raises ArithmeticError, as
         does a sum at 1 whose terms still rise in the fit's window
-        (``_require_falling``).  ``bar`` is the fit's measured bar on the
-        "accelerated" branch and None on the others.  Every x-independent
+        (``_require_falling``, before any partial sum).  ``bar`` is the
+        fit's measured bar on the "accelerated" branch and None on the
+        others.  Every x-independent
         part (the cancellation, the scope facts, the branch constants and the
         coefficient tables) is computed once per plan; a caller that
         evaluates one series at many x, as ``kdf_integrals`` does, holds the
@@ -687,33 +688,23 @@ class _Plan:
         if at_one and self.near_one and not self.excess_ok:
             raise ValueError("series diverges at x = 1 (nonpositive excess)")
         if self.p == 1 and self.q == 0:
-            # with the logs, (1 - x)^-a is exp(-a ln(1 - x)), within
-            # (1 + 9 |a ln(1 - x)|) 2^-p of it, relatively
-            am = _to_mpf(self.up[0])
-            value = omx ** (-am) if logs is None else mp.exp(-am * logs[1])
-            return value, 1, "binomial", None
+            return _omx_power(omx, -_to_mpf(self.up[0]), logs), 1, "binomial", None
         if self.near_one and ax > _NEAR_ONE_SWITCH:
             if self.f32 is not None and x > 0:
                 return *_f32_ones_tail(self, x, omx, eps, logs), "f32-tail", None
             if at_one and self.split is None:
                 # the partial sums at 1 are the anti-diagonal sums of the
-                # one-factor block at (1, 0), and their remainder families are
-                # that block's
-                block, zero, D = KdFParams([], [], self.up, self.lo, [], []), mpf(0), _fit_d(eps)
-                val, err = _extrapolate(lambda: _kdf_partial_sums(block, x, zero, D),
-                                        _kdf_families(block, x, zero), eps)
-                _require_falling(self.up, self.lo, D)
-                return +val, D + 1, "accelerated", +err
+                # one-factor block at (1, 0)
+                val, bar, D = _boundary_value(KdFParams([], [], self.up, self.lo, [], []),
+                                              x, mpf(0), eps)
+                return val, D + 1, "accelerated", bar
             if self.other is not None:
                 # binomial closed form, valid on [-1, 1) and, for a positive
-                # excess 1 - a, at 1.  With the logs the power is
-                # exp(-(a-1) ln(1 - x)), within (1 + 9 |(a-1) ln(1 - x)|) 2^-p
-                # of it, relatively; at x > 1/2 its argument is at least
-                # |a-1| ln 2 in size, so subtracting 1 cancels no more than
-                # it does from the power
+                # excess 1 - a, at 1.  With the logs, at x > 1/2 the exp's
+                # argument is at least |a-1| ln 2 in size, so subtracting 1
+                # cancels no more than it does from the power
                 am = _to_mpf(self.other - 1)
-                power = omx ** (-am) if logs is None else mp.exp(-am * logs[1])
-                return (power - 1) / (am * x), 1, "binomial", None
+                return (_omx_power(omx, -am, logs) - 1) / (am * x), 1, "binomial", None
             # the expansions in powers of 1 - x need x near 1
             if self.expansion is _hyp2f1_log and x > 0:
                 return *_hyp2f1_log(self, x, omx, eps, logs), "log", None
@@ -744,8 +735,9 @@ def _require_falling(upper, lower, D: int):
     where P(n) = (n + 1) prod (l + n) - prod (u + n) < 0.  P has degree q and
     leading coefficient 1 + s > 0, so no root lies past Cauchy's bound
     1 + max |P_i| / (1 + s).  The ratios are read from the larger of the two
-    bounds down to the window's start.  The pFq exit at 1 (``_Plan.eval``)
-    and ``kdf_series`` at a boundary point call it.
+    bounds down to the window's start.  ``_boundary_value`` calls it for
+    each variable on |z| = 1, before any partial sum, for ``kdf_series`` at a
+    boundary point and for the pFq exit at 1 (``_Plan.eval``).
     """
     def poly(roots):  # the coefficients of prod (n + v), lowest first
         return reduce(lambda c, v: [v * lo + hi for lo, hi in zip(c + [0], [0] + c)], roots, [1])
@@ -943,10 +935,11 @@ def _fit_d(tol) -> int:
         1e-70    640   138       106       106    32   (6.8)
         0       1280   277       112       112    36   (25.8)
 
-    The deep-dip 3F2(1, 1, 1; -199/2, 110) raises on every row: its terms
-    rise up to n = 1287, so on the D = 160 and 1280 rows the fit stops on a
-    plateau (K = 12 and 124) that ``_require_falling`` refuses; it stalls at
-    K = 16 on the D = 320 row and runs out of orders on the D = 640 row.
+    The deep-dip 3F2(1, 1, 1; -199/2, 110) is refused on every row before
+    any sum (``_require_falling``): its terms rise up to n = 1287, and the
+    fit would stop on a plateau on the D = 160 and 1280 rows (K = 12 and
+    124), stall at K = 16 on the D = 320 row and run out of orders on the
+    D = 640 row.
     One row less would run out of orders: L2a at D = 160 and 1e-20, L1 at
     D = 320 and 1e-45, L1 at D = 640 and 1e-90.  One row more costs more
     than it saves: D = 320 at 1e-12 (0.08 s), 640 at 1e-40 (1.6 s against
@@ -998,6 +991,27 @@ def _extrapolate(partial_sums, families, tol):
     )
 
 
+def _boundary_value(params: KdFParams, x, y, tol):
+    """The limit of the anti-diagonal sums of ``params`` at a point (x, y)
+    with families (``_kdf_families``); returns (value, bar, D).
+
+    First, for each variable on |z| = 1 whose series with the joint factor,
+    the other variable at 0 (upper a + b over lower ap + bp for x, a + c over
+    ap + cp for y), is not a polynomial, ``_require_falling`` refuses terms
+    that still rise in the fit's window, before any sum is taken: the S_d
+    then show a plateau that the fit reads as the limit.  Then
+    ``_extrapolate`` fits S_0..S_D, D = ``_fit_d(tol)``, against the
+    families, at the caller's working precision.
+    """
+    D = _fit_d(tol)
+    for z, up, lo in ((x, params.b, params.bp), (y, params.c, params.cp)):
+        if abs(z) == 1 and _degree(params.a + up) is None:
+            _require_falling(params.a + up, params.ap + lo, D)
+    val, err = _extrapolate(lambda: _kdf_partial_sums(params, x, y, D),
+                            _kdf_families(params, x, y), tol)
+    return +val, +err, D
+
+
 def _bidisc_point(x, y):
     """x and y as mpfs, inside the closed unit bidisc (else ValueError)."""
     xx, yy = _to_mpf(x), _to_mpf(y)
@@ -1011,16 +1025,13 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
 
     Where a factor that is not a polynomial sits on |z| = 1 (the point has
     families, ``_kdf_families``), the shape and the margins are checked and
-    the value is the known-exponent fit of S_0..S_D, D set by the tol
-    (``_fit_d``; ``_extrapolate``, ``"accelerated"``), with its measured bar
-    below tol; a search that stalls or runs out of points raises
-    ArithmeticError.  So does a variable on |z| = 1 whose series with the
-    joint factor, the other variable at 0 (upper a + b over lower ap + bp
-    for x, a + c over ap + cp for y), is not a polynomial and still has
-    rising terms in the fit's window (``_require_falling``), before any sum
-    is taken: its S_d then show a plateau that the fit reads as the limit.
-    Every other point is summed (``"direct"``) past the degree of each
-    polynomial factor with z != 0, to the geometric tail bound
+    the value is ``_boundary_value`` (``"accelerated"``): the refusal of
+    terms that still rise in the fit's window (``_require_falling``), then
+    the known-exponent fit of S_0..S_D, D set by the tol (``_fit_d``), with
+    its measured bar below tol; a refusal, or a search that stalls or runs
+    out of points, raises ArithmeticError.  Every other point is summed
+    (``"direct"``) past the degree of each polynomial factor with z != 0, to
+    the geometric tail bound
     |T_D| rate/(1 - rate), T_d = S_d - S_(d-1).  Its rate is measured:
     max(rho, (1 + t)/2), with rho = (1 + r)/2, r the largest |z| of a factor
     that is not a polynomial, and t = |T_D / T_(D-1)| (rho alone when
@@ -1032,20 +1043,14 @@ def kdf_series(params: KdFParams, x, y, prec: Precision) -> SeriesResult:
     """
     with mp.workdps(prec.dps + 15):
         xx, yy = _bidisc_point(x, y)
-        families = _kdf_families(params, xx, yy)
-        if families:
+        if _kdf_families(params, xx, yy):
             _require_boundary_shape(params)
             margins = kdf_margins(params)
             if not margins.boundary_ok:
                 raise ValueError(f"boundary evaluation rejected: margins {margins.m1}, "
                                  f"{margins.m2}, {margins.m3} are not all positive")
-            D = _fit_d(prec.tol())
-            for z, up, lo in ((xx, params.b, params.bp), (yy, params.c, params.cp)):
-                if abs(z) == 1 and _degree(params.a + up) is None:
-                    _require_falling(params.a + up, params.ap + lo, D)
-            val, err = _extrapolate(lambda: _kdf_partial_sums(params, xx, yy, D),
-                                    families, prec.tol())
-            return SeriesResult(+val, +err, (D + 1) * (D + 2) // 2, "accelerated")
+            val, err, D = _boundary_value(params, xx, yy, prec.tol())
+            return SeriesResult(val, err, (D + 1) * (D + 2) // 2, "accelerated")
         factors = [(_degree(u), abs(z)) for u, z in ((params.b, xx), (params.c, yy))]
         r = max((z for d, z in factors if d is None), default=mpf(0))
         deg = sum(d for d, z in factors if d is not None and z != 0)

@@ -136,25 +136,6 @@ def _mellin_tail(sides, M: int) -> mpf:
     return total
 
 
-def _mellin_log_tail(float_sides, M: int) -> float:
-    """ln ``_mellin_tail`` at M in floats, for the start of the stop search:
-    the same majorants, from each side's (nu, lambda, ln constant) as
-    floats."""
-    m = M + 1
-    rows = []
-    for nu, lam, log_const in float_sides:
-        rho = (m + 1) / m * math.exp(-lam)
-        if rho >= 1:
-            return math.inf
-        x = lam * m
-        log_gamma = (-x - math.log(x) if nu == 0 else math.log(math.factorial(nu - 1)) - x
-                     + math.log(sum(x ** k / math.factorial(k) for k in range(nu))))
-        rows.append(log_const + math.log(math.pi ** 2 / 3) + 2 * math.log(m)
-                    - nu * math.log(2 * math.pi * m) + log_gamma - math.log1p(-rho))
-    top = max(rows)
-    return top + math.log(sum(math.exp(r - top) for r in rows))
-
-
 def _mellin_order(sides, budget) -> tuple:
     """The smallest M >= 1 whose ``_mellin_tail`` is at most ``budget``, and
     that tail.
@@ -166,24 +147,21 @@ def _mellin_order(sides, budget) -> tuple:
     e^-x/x for nu = 0), each of which falls once m > j/lambda, and
     1/(1 - rho) falls with rho = (m+1)/m e^-lambda.  At M >= 1, m >= 2, so
     lambda > 1/2 suffices; at the split y0 = 1/3 both lambda are 2 pi/3.
-    So the smallest M is found by bisecting the float ``_mellin_log_tail``
-    against ln budget and confirming with the exact tail: it fails at M - 1
-    and passes at M (each confirmation that does not hold steps M by one,
-    so a float near-tie costs one more exact tail, never a wrong M).
+    Nor does it fall faster than e^-lambda a step, lambda the larger of the
+    two: a side's K(m) m^-nu Gamma(nu, lambda m) falls by e^-lambda times a
+    factor near 1 + 1/m, which outweighs the fall of 1/(1 - rho), of order
+    e^-lambda/m^2 (measured: for each nu and lambda from 1.5 to 4, no step
+    from m = 2 to 300 falls by more).  So from M = 1, while the exact tail T
+    exceeds the budget, M advances by max(1, ceil(ln(T/budget)/lambda))
+    steps (one while T is infinite), which never pass the smallest M, and
+    the tail at M - 1 confirms it (each confirmation that holds, as a
+    rounding of that log could make one, steps M back by one).
     ArithmeticError past ``_MAX_TERMS``.
     """
-    float_sides = [(nu, float(lam), float(mp.log(const))) for nu, lam, const, _ in sides]
-    log_budget = float(mp.log(budget))
-    lo, hi = 1, _MAX_TERMS + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _mellin_log_tail(float_sides, mid) <= log_budget:
-            hi = mid
-        else:
-            lo = mid + 1
-    M = lo
+    lam = max(side[1] for side in sides)
+    M = 1
     while (bound := _mellin_tail(sides, M)) > budget:
-        M += 1
+        M += 1 if bound == mp.inf else max(1, int(mp.ceil(mp.log(bound / budget) / lam)))
         if M > _MAX_TERMS:
             raise ArithmeticError(
                 f"the split y0 = {_SPLIT_Y0} needs more than {_MAX_TERMS} terms")
@@ -540,18 +518,20 @@ def _geom_pairs(prec: Precision):
 
 
 def _hginterep_pairs(prec: Precision):
-    """B(a1, a1'-a1) pFq at z = 1/2 against its Euler-type integral:
-    ``kdf_integral`` on the block with joint pair (a1, a1'), the inner
-    parameters as its first variable and an empty second one, at (z, 0)."""
+    """B(a1, a1'-a1) pFq at z = 1/2 against its Euler-type integral: the
+    block with joint pair (a1, a1'), the inner parameters as its first
+    variable and an empty second one, at (z, 0); the blocks share their
+    factors, so they take one ``kdf_integrals`` batch."""
     z = mpmathify("0.5")
-    for params in _THIRDS_2F1:
+    blocks = [KdFParams(p.upper[:1], p.lower[:1], p.upper[1:], p.lower[1:], [], [])
+              for p in _THIRDS_2F1]
+    integrals = hyper.kdf_integrals(blocks, z, 0, prec)
+    for params, integral in zip(_THIRDS_2F1, integrals):
         a1, a1p = params.upper[0], params.lower[0]
-        block = KdFParams([a1], [a1p], params.upper[1:], params.lower[1:], [], [])
         with mp.workdps(prec.dps + 15):
             series = hyper.pfq(params, z, prec).value
-            integral = hyper.kdf_integral(block, z, 0, prec).value
             beta = hyper._gamma(a1) * hyper._gamma(a1p - a1) / hyper._gamma(a1p)
-            lhs, rhs = beta * series, beta * integral
+            lhs, rhs = beta * series, beta * integral.value
         yield lhs, rhs
 
 

@@ -142,13 +142,15 @@ class _Captured(Exception):
     pass
 
 
-@pytest.mark.parametrize("up, lo", [
-    pytest.param([Fraction(1, 2), Fraction(3, 4), 1], [Fraction(5, 4), 2], id="falling"),
+@pytest.mark.parametrize("up, lo, fits", [
+    pytest.param([Fraction(1, 2), Fraction(3, 4), 1], [Fraction(5, 4), 2], True, id="falling"),
     # the terms dip to 2^-253 at n = 71, below the first 2^-wp, and rise by
-    # 2^197 up to n = 320: the guard bits must come from the exact ratios
-    pytest.param([1, 1, 1], [Fraction(-199, 2), 110], id="deep-dip"),
+    # 2^197 up to n = 320: the guard bits must come from the exact ratios.
+    # The exit refuses this series before any sum (its terms still rise at
+    # n = 1287), so its sums are taken from the one-factor block directly
+    pytest.param([1, 1, 1], [Fraction(-199, 2), 110], False, id="deep-dip"),
 ])
-def test_accelerated_unit_sum_partial_sums(monkeypatch, up, lo):
+def test_accelerated_unit_sum_partial_sums(monkeypatch, up, lo, fits):
     # the first 321 partial sums at x = 1 that go to the fit (D = 320 at
     # tol 1e-30, ``hyper._fit_d``), those of the one-factor block at (1, 0),
     # carry at most prec bits and are within 2^-prec (1 + |S_n|) of the mpf
@@ -158,10 +160,14 @@ def test_accelerated_unit_sum_partial_sums(monkeypatch, up, lo):
 
     monkeypatch.setattr(_accel, "known_exponent_fit", spy)
     with mp.workdps(30):
-        with pytest.raises(_Captured) as caught:
-            hyper._plan(tuple(map(Fraction, up)), tuple(map(Fraction, lo))).eval(
-                mpf(1), None, mpf("1e-30"))
-        [got] = caught.value.args
+        if fits:
+            with pytest.raises(_Captured) as caught:
+                hyper._plan(tuple(map(Fraction, up)), tuple(map(Fraction, lo))).eval(
+                    mpf(1), None, mpf("1e-30"))
+            [got] = caught.value.args
+        else:
+            block = KdFParams([], [], up, lo, [], [])
+            got, _ = hyper._kdf_partial_sums(block, mpf(1), mpf(0), hyper._fit_d(mpf("1e-30")))
         assert len(got) == hyper._fit_d(mpf("1e-30")) + 1 == 321
         prec = mp.prec
         with mp.workprec(prec + 256):
@@ -201,12 +207,17 @@ def test_pfq_at_one_accelerated_dixon(a, b, c):
         assert abs(res.value - want) <= res.err_estimate < PREC.tol()
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-11])
-def test_pfq_at_one_refuses_terms_that_still_rise(tol):
+@pytest.mark.parametrize("tol", [1e-10, 1e-11, 1e-12, 1e-30])
+def test_pfq_at_one_refuses_terms_that_still_rise(monkeypatch, tol):
     # the terms of 3F2(1, 1, 1; -199/2, 110; 1) fall to 4.7e-61 at n = 100,
     # then rise until (n+1)^2 = (n - 99.5)(n + 110), n = 1287: the partial
     # sums up to D = 160 show a plateau 4.55e-8 below the limit, which the
-    # fit would return with a bar of 1e-23
+    # fit would return with a bar of 1e-23, and on the D = 320 row (fit tol
+    # 1e-13 and 1e-31) the fit stalls; the rule refuses before any sum
+    def no_sums(*args):
+        raise AssertionError("partial sums built before the refusal")
+
+    monkeypatch.setattr(hyper, "_kdf_partial_sums", no_sums)
     with pytest.raises(ArithmeticError, match="still rise at n = 1287"):
         hyper.pfq(PFQParams([1, 1, 1], [Fraction(-199, 2), 110]), 1, Precision(40, tol))
 

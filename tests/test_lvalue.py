@@ -264,22 +264,40 @@ def _mellin_linear_scan(n, prec):
         return M, bound
 
 
-@pytest.mark.parametrize("prec", [PREC, Precision(40, 1e-30), Precision(100, 1e-90)],
-                         ids=["dps40-1e-12", "dps40-1e-30", "dps100"])
+@pytest.mark.parametrize("prec", [PREC, Precision(40, 1e-30), Precision(100, 1e-90),
+                                  Precision(200, 1e-190), Precision(300, 1e-286)],
+                         ids=["dps40-1e-12", "dps40-1e-30", "dps100", "dps200", "dps300"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_mellin_stop_is_the_linear_scans(n, prec):
-    # the bisected float estimate, confirmed at M - 1 and M, takes the M of
-    # the linear scan, and the bar carries that same tail; the tail falls
-    # with M over the scan and 20 steps past it
+def test_mellin_stop_is_the_linear_scans(monkeypatch, n, prec):
+    # the advances by the exact tail's log over lambda, confirmed at M - 1,
+    # take the M of the linear scan in at most 5 exact tails, and the bar
+    # carries that same tail; the tail falls with M over the scan and 20
+    # steps past it
     M, bound = _mellin_linear_scan(n, prec)
     res = lvalue.l_mellin(n, prec)
     assert res.terms_used == 2 * M
     with mp.workdps(prec.dps + 15):
         sides = lvalue._mellin_sides(n)
+        tail, asked = lvalue._mellin_tail, []
+        monkeypatch.setattr(lvalue, "_mellin_tail", lambda s, k: asked.append(k) or tail(s, k))
         assert lvalue._mellin_order(sides, prec.tol() / 8) == (M, bound)
+        assert len(asked) <= 5
         tails = [lvalue._mellin_tail(sides, k) for k in range(1, M + 21)]
         assert all(a > b for a, b in zip(tails, tails[1:]))
     assert bound <= res.err_estimate
+
+
+def test_mellin_stop_steps_past_an_infinite_tail(monkeypatch):
+    # at the split y0 = 1/20, lambda = pi/10 < ln(3/2), so the first rho is
+    # at least 1 and the tail at M = 1 is infinite; the stop still takes the
+    # linear scan's M
+    monkeypatch.setattr(lvalue, "_SPLIT_Y0", Fraction(1, 20))
+    for n in (1, 2, 3):
+        M, bound = _mellin_linear_scan(n, PREC)
+        with mp.workdps(PREC.dps + 15):
+            sides = lvalue._mellin_sides(n)
+            assert lvalue._mellin_tail(sides, 1) == mp.inf
+            assert lvalue._mellin_order(sides, PREC.tol() / 8) == (M, bound)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
